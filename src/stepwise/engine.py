@@ -13,7 +13,7 @@ from pathlib import Path
 from .core import Theory
 from .generator import GeneratorConfig, HttpGenerator, MockGenerator
 from .hammer import HammerFallbackConfig, hammer_fallback
-from .prover import ToyProver
+from .prover import MAX_ATOM_LIMIT, ToyProver
 from .protocol import RemoteProver
 from .revision import RevisionConfig, tactic_frequencies
 from .search import SearchConfig, SearchOutcome, best_first_search, frontier_summary
@@ -166,7 +166,10 @@ def build_config(file_values: dict | None = None, flag_values: dict | None = Non
             if key not in _FIELDS:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = value
-    return EngineConfig(**merged)
+    config = EngineConfig(**merged)
+    if not 0 <= config.atom_limit <= MAX_ATOM_LIMIT:
+        raise ConfigError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {config.atom_limit}")
+    return config
 
 
 # ---------------------------------------------------------------------------

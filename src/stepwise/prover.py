@@ -14,7 +14,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from . import kernels
 from .core import (
     FactContext,
     ProofState,
@@ -31,6 +30,8 @@ from .formulas import (
     FALSE,
     TRUE,
     And,
+    Atom,
+    Const,
     Formula,
     Implies,
     Not,
@@ -44,6 +45,7 @@ from .formulas import (
 
 DEFAULT_STEP_BUDGET_MS = 10_000
 AUTO_DEPTH = 5
+MAX_ATOM_LIMIT = 20  # a truth table over n atoms has 2**n rows
 
 
 class ProverError(Exception):
@@ -360,6 +362,60 @@ class CexResult:
         return cls("unknown", reason=reason)
 
 
+_ROW_MASKS: dict[int, tuple[int, ...]] = {}
+
+
+def row_masks(n: int) -> tuple[int, ...]:
+    """One bitset per atom: bit ``k`` of mask ``i`` is atom ``i``'s value in
+    assignment ``k``, with atom 0 the most significant bit of ``k``, so
+    counting ``k`` up enumerates assignments in lexicographic atom order
+    with false before true. Memoised per atom count."""
+    masks = _ROW_MASKS.get(n)
+    if masks is None:
+        masks = []
+        for i in range(n):
+            # a run of `width` zeros then `width` ones, doubled up to 2**n rows
+            width = 1 << (n - 1 - i)
+            mask = ((1 << width) - 1) << width
+            width *= 2
+            while width < 1 << n:
+                mask |= mask << width
+                width *= 2
+            masks.append(mask)
+        masks = _ROW_MASKS[n] = tuple(masks)
+    return masks
+
+
+def _table(f: Formula, masks: dict[str, int], full: int) -> int:
+    """The set of rows in which ``f`` is true, as a bitset."""
+    if isinstance(f, Atom):
+        return masks[f.name]
+    if isinstance(f, Const):
+        return full if f.value else 0
+    if isinstance(f, Not):
+        return _table(f.operand, masks, full) ^ full
+    if isinstance(f, And):
+        return _table(f.left, masks, full) & _table(f.right, masks, full)
+    if isinstance(f, Or):
+        return _table(f.left, masks, full) | _table(f.right, masks, full)
+    if isinstance(f, Implies):
+        return (_table(f.left, masks, full) ^ full) | _table(f.right, masks, full)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def first_counterexample(premises: list[Formula], goal: Formula, names: list[str]) -> int:
+    """Index of the first assignment over ``names`` (see ``row_masks``) that
+    makes every premise true and ``goal`` false, or -1 if there is none."""
+    full = (1 << (1 << len(names))) - 1
+    masks = dict(zip(names, row_masks(len(names))))
+    sat = _table(goal, masks, full) ^ full
+    for p in premises:
+        if not sat:
+            break
+        sat &= _table(p, masks, full)
+    return (sat & -sat).bit_length() - 1
+
+
 def check_counterexample(state: ProofState, atom_limit: int = 16) -> CexResult:
     """Exhaustive truth-table scan per subgoal, in subgoal order.
 
@@ -367,8 +423,11 @@ def check_counterexample(state: ProofState, atom_limit: int = 16) -> CexResult:
     indexed subgoal and falsifies its goal; the first one under lexicographic
     atom order with false before true is returned. Subgoals spanning more
     than ``atom_limit`` atoms cannot be certified; if no other subgoal is
-    falsifiable the verdict is Unknown.
+    falsifiable the verdict is Unknown. ``atom_limit`` must lie in
+    ``0..MAX_ATOM_LIMIT``.
     """
+    if not 0 <= atom_limit <= MAX_ATOM_LIMIT:
+        raise ValueError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {atom_limit}")
     ctx = state.context
     ctx_atoms = set(ctx.atom_names())
     context_facts = list(ctx.facts.values())
@@ -378,12 +437,11 @@ def check_counterexample(state: ProofState, atom_limit: int = 16) -> CexResult:
         if len(names) > atom_limit:
             unknown_reason = f"subgoal {idx} spans {len(names)} atoms (limit {atom_limit})"
             continue
-        atom_index = {n: i for i, n in enumerate(names)}
-        code = kernels.compile_conjecture(
-            context_facts + list(sub.hypotheses), sub.goal, atom_index)
-        k = kernels.first_satisfying(code, len(names))
+        k = first_counterexample(context_facts + list(sub.hypotheses), sub.goal, names)
         if k >= 0:
-            return CexResult.found(kernels.assignment_from_index(k, names), idx)
+            n = len(names)
+            return CexResult.found(
+                {name: bool((k >> (n - 1 - i)) & 1) for i, name in enumerate(names)}, idx)
     if unknown_reason:
         return CexResult.unknown(unknown_reason)
     return CexResult.none()
@@ -485,14 +543,12 @@ class Session:
     id: str
     theory: str
     current: ProofState
-    history: list[tuple[ProofStep, ProofState]]
 
 
 @dataclass(frozen=True)
 class _Snapshot:
     theory: str
     state: ProofState
-    history: tuple[tuple[ProofStep, ProofState], ...]
 
 
 class ToyProver:
@@ -553,7 +609,7 @@ class ToyProver:
         state = init_goal(self.theory(theory_name), theorem_id)
         sid = self._new_id("s")
         with self._lock:
-            self._sessions[sid] = Session(sid, theory_name, state, [])
+            self._sessions[sid] = Session(sid, theory_name, state)
         return sid
 
     def state(self, sid: str) -> ProofState:
@@ -569,7 +625,6 @@ class ToyProver:
                 return StepResult.failure("parse_error", str(e))
         result = apply_step(session.current, step, timeout_ms or DEFAULT_STEP_BUDGET_MS)
         if result.ok:
-            session.history.append((step, session.current))
             session.current = result.state
         return result
 
@@ -577,8 +632,7 @@ class ToyProver:
         session = self._session(sid)
         token = self._new_id("c")
         with self._lock:
-            self._snapshots[token] = _Snapshot(
-                session.theory, session.current, tuple(session.history))
+            self._snapshots[token] = _Snapshot(session.theory, session.current)
         return token
 
     def restore(self, token: str, session: str | None = None) -> str:
@@ -589,11 +643,10 @@ class ToyProver:
         if session is None:
             sid = self._new_id("s")
             with self._lock:
-                self._sessions[sid] = Session(sid, snap.theory, snap.state, list(snap.history))
+                self._sessions[sid] = Session(sid, snap.theory, snap.state)
             return sid
         target = self._session(session)
         target.current = snap.state
-        target.history = list(snap.history)
         target.theory = snap.theory
         return session
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import kernels
 from .core import TACTICS, Candidate, FactContext, ProofState, ProofStep, Theory
 from .formulas import atoms
 
@@ -86,9 +85,16 @@ def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> li
 
 
 def edit_distance(a: str, b: str) -> int:
+    """Unit-cost Levenshtein distance, by the two-row dynamic programme."""
     if a == b:
         return 0
-    return kernels.levenshtein(a, b)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
 
 
 def tactic_repair(attempt: FailedAttempt, config: RevisionConfig) -> list[Candidate]:
@@ -120,13 +126,11 @@ def premise_repair(attempt: FailedAttempt, pool: list[str],
             undefined.append(name)
     if not undefined:
         return []
-    pool_codes = [(name, kernels.encode_text(name)) for name in pool]
     replacements: list[list[str]] = []
     for u in undefined:
-        u_codes = kernels.encode_text(u)
         scored = []
-        for order, (name, codes) in enumerate(pool_codes):
-            d = kernels.levenshtein(u_codes, codes)
+        for order, name in enumerate(pool):
+            d = edit_distance(u, name)
             if d <= config.max_edit_distance:
                 scored.append((d, order, name))
         scored.sort()

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from stepwise import kernels
 from stepwise.core import ProofState
 from stepwise.formulas import evaluate
 from stepwise.prover import load_theory
@@ -25,19 +24,6 @@ theorem t2: p -> p
   qed
 end
 """
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    kernels.warmup()
-
-
-@pytest.fixture(params=["numba", "numpy"] if kernels.HAS_NUMBA else ["numpy"])
-def kernel_backend(request):
-    previous = kernels.get_backend()
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(previous)
 
 
 @pytest.fixture

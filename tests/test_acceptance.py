@@ -67,7 +67,7 @@ def test_criterion_2_soundness_of_proved_outcomes(bench_result, bench_corpus):
     verdict(2, "soundness suite", f"{len(proved)} proofs replayed to QED")
 
 
-def test_criterion_3_filter_soundness(bench_corpus, kernel_backend):
+def test_criterion_3_filter_soundness(bench_corpus):
     on_path_states = 0
     for theory in bench_corpus:
         entry = theory.entry("goal")

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +13,7 @@ from stepwise.engine import (
     prove_theorem,
     write_report,
 )
-from stepwise.prover import ToyProver, load_theory
+from stepwise.prover import MAX_ATOM_LIMIT, ToyProver, load_theory
 
 THEORY = """theory clidemo
 axiom f1: p
@@ -76,6 +78,18 @@ def test_flags_override_config_file(tmp_path):
     config = build_config(load_config_file(path), {"alpha": 2.0, "seed": None})
     assert config.alpha == 2.0  # flag wins
     assert config.seed == 9     # unset flag leaves the file value
+
+
+def test_config_atom_limit_outside_range_rejected():
+    with pytest.raises(ConfigError, match="atom_limit"):
+        build_config({"atom_limit": MAX_ATOM_LIMIT + 1}, {})
+    assert build_config({}, {"atom_limit": MAX_ATOM_LIMIT}).atom_limit == MAX_ATOM_LIMIT
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is a test-only dependency; the package must not pull it in
+    code = "import sys, stepwise.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_unknown_config_key_rejected(tmp_path):

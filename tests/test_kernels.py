@@ -1,4 +1,10 @@
-"""Differential tests: both kernel paths against naive Python oracles."""
+"""Differential tests: the truth-table oracle and edit distance against naive
+Python references.
+
+Each case runs on two implementations: ``python``, the production routines
+(the bitset truth table and the two-row DP), and ``numpy``, vectorised
+references kept only in the tests as a second, independent whole-table
+implementation."""
 
 import itertools
 
@@ -7,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepwise import kernels
-from stepwise.formulas import atoms, evaluate, parse_formula
+from stepwise.formulas import And, Atom, Const, Implies, Not, Or, atoms, evaluate, parse_formula
+from stepwise.prover import first_counterexample, row_masks
+from stepwise.revision import edit_distance
 
 
 def pure_levenshtein(a: str, b: str) -> int:
-    # Textbook full-matrix DP, the independent oracle for both kernels.
+    # Textbook full-matrix DP, the independent oracle for edit_distance.
     rows = [[j for j in range(len(b) + 1)]]
     for i in range(1, len(a) + 1):
         row = [i]
@@ -34,12 +41,65 @@ def naive_first_sat(formula_texts, goal_text):
     return -1, None
 
 
-def compile_case(formula_texts, goal_text):
+def numpy_first_counterexample(premises, goal, names):
+    # Boolean column per atom over all 2**n rows, atom 0 the most significant bit.
+    n = len(names)
+    rows = np.arange(1 << n)
+    columns = {name: ((rows >> (n - 1 - i)) & 1).astype(bool) for i, name in enumerate(names)}
+
+    def table(f):
+        if isinstance(f, Atom):
+            return columns[f.name]
+        if isinstance(f, Const):
+            return np.full(1 << n, f.value)
+        if isinstance(f, Not):
+            return ~table(f.operand)
+        if isinstance(f, And):
+            return table(f.left) & table(f.right)
+        if isinstance(f, Or):
+            return table(f.left) | table(f.right)
+        if isinstance(f, Implies):
+            return ~table(f.left) | table(f.right)
+        raise TypeError(f)
+
+    sat = ~table(goal)
+    for p in premises:
+        sat &= table(p)
+    hits = np.flatnonzero(sat)
+    return int(hits[0]) if hits.size else -1
+
+
+def numpy_edit_distance(a: str, b: str) -> int:
+    # Row DP with the substitution and deletion terms vectorised; insertions
+    # are a running minimum along the row.
+    bs = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
+    prev = np.arange(len(b) + 1)
+    for i, ca in enumerate(a, 1):
+        cur = np.empty_like(prev)
+        cur[0] = i
+        cur[1:] = np.minimum(prev[1:] + 1, prev[:-1] + (bs != ord(ca)))
+        for j in range(1, len(b) + 1):
+            cur[j] = min(cur[j], cur[j - 1] + 1)
+        prev = cur
+    return int(prev[-1])
+
+
+IMPLEMENTATIONS = {
+    "python": (first_counterexample, edit_distance),
+    "numpy": (numpy_first_counterexample, numpy_edit_distance),
+}
+
+
+@pytest.fixture(params=list(IMPLEMENTATIONS))
+def implementation(request):
+    return IMPLEMENTATIONS[request.param]
+
+
+def table_first_sat(first_cex, formula_texts, goal_text):
     premises = [parse_formula(t) for t in formula_texts]
     goal = parse_formula(goal_text)
     names = sorted(set().union(*(atoms(f) for f in premises + [goal])) | atoms(goal))
-    code = kernels.compile_conjecture(premises, goal, {n: i for i, n in enumerate(names)})
-    return code, names
+    return first_cex(premises, goal, names)
 
 
 CASES = [
@@ -56,38 +116,37 @@ CASES = [
 
 
 @pytest.mark.parametrize("premises,goal", CASES)
-def test_first_satisfying_matches_naive_enumeration(kernel_backend, premises, goal):
-    code, names = compile_case(premises, goal)
+def test_first_satisfying_matches_naive_enumeration(implementation, premises, goal):
     expected_idx, _ = naive_first_sat(premises, goal)
-    assert kernels.first_satisfying(code, len(names)) == expected_idx
+    assert table_first_sat(implementation[0], premises, goal) == expected_idx
 
 
-def test_backends_agree_on_random_formulas(kernel_backend):
+def test_backends_agree_on_random_formulas(implementation):
     rng = np.random.default_rng(5)
     pool = ["p", "q", "r", "~p", "p -> q", "q & r", "p | r", "q -> p & r"]
     for _ in range(40):
         k = int(rng.integers(0, 3))
         premises = [pool[int(i)] for i in rng.integers(0, len(pool), size=k)]
         goal = pool[int(rng.integers(0, len(pool)))]
-        code, names = compile_case(premises, goal)
         expected_idx, _ = naive_first_sat(premises, goal)
-        assert kernels.first_satisfying(code, len(names)) == expected_idx
+        assert table_first_sat(implementation[0], premises, goal) == expected_idx
 
 
 def test_assignment_from_index_bit_order():
-    # atom order (a, b): index counts with a as the most significant digit,
-    # so 1 assigns b=True first (false-before-true, lexicographic atoms).
-    assert kernels.assignment_from_index(0, ["a", "b"]) == {"a": False, "b": False}
-    assert kernels.assignment_from_index(1, ["a", "b"]) == {"a": False, "b": True}
-    assert kernels.assignment_from_index(2, ["a", "b"]) == {"a": True, "b": False}
+    # atom order (a, b): row k counts with a as the most significant digit,
+    # so row 1 assigns b=True first (false-before-true, lexicographic atoms).
+    a, b = row_masks(2)
+    assert a == 0b1100
+    assert b == 0b1010
+    for n in range(6):
+        for i, mask in enumerate(row_masks(n)):
+            assert all(((mask >> k) & 1) == ((k >> (n - 1 - i)) & 1) for k in range(1 << n))
 
 
-def test_zero_atom_formula(kernel_backend):
-    code, names = compile_case([], "false")
-    assert names == []
-    assert kernels.first_satisfying(code, 0) == 0  # the empty assignment falsifies
-    code_t, _ = compile_case([], "true")
-    assert kernels.first_satisfying(code_t, 0) == -1
+def test_zero_atom_formula(implementation):
+    first_cex = implementation[0]
+    assert first_cex([], parse_formula("false"), []) == 0  # the empty assignment falsifies
+    assert first_cex([], parse_formula("true"), []) == -1
 
 
 @pytest.mark.parametrize("a,b,expected", [
@@ -97,11 +156,11 @@ def test_zero_atom_formula(kernel_backend):
     ("", "abc", 3),
     ("abc", "", 3),
 ])
-def test_levenshtein_known_values(kernel_backend, a, b, expected):
+def test_levenshtein_known_values(implementation, a, b, expected):
     oracle = pure_levenshtein(a, b)
     if expected is not None:
         assert oracle == expected
-    assert kernels.levenshtein(a, b) == oracle
+    assert implementation[1](a, b) == oracle
 
 
 def test_kitten_sitting_is_three():
@@ -113,16 +172,5 @@ def test_kitten_sitting_is_three():
        st.text(alphabet="abcdef_0123456789", max_size=12))
 def test_levenshtein_property_both_backends(a, b):
     expected = pure_levenshtein(a, b)
-    for backend in (["numba", "numpy"] if kernels.HAS_NUMBA else ["numpy"]):
-        previous = kernels.get_backend()
-        kernels.set_backend(backend)
-        try:
-            assert kernels.levenshtein(a, b) == expected
-        finally:
-            kernels.set_backend(previous)
-
-
-def test_backend_selection_api():
-    assert kernels.get_backend() in ("numba", "numpy")
-    with pytest.raises(ValueError):
-        kernels.set_backend("gpu")
+    for _, distance in IMPLEMENTATIONS.values():
+        assert distance(a, b) == expected

@@ -159,6 +159,19 @@ def test_counterexample_and_hammer_over_wire(client):
     assert client.state(replayed).qed
 
 
+def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
+    client.load_theory("theory tiny\naxiom f: p\ntheorem t: p -> q\nend\n")
+    sid = client.start("tiny", "t")
+    with pytest.raises(BackendError) as err:
+        client._expect(client._call(
+            "counterexample", session=sid, payload={"atom_limit": 1_000_000}))
+    assert err.value.category == "protocol_error"
+    assert "atom_limit" in str(err.value)
+    # the connection and the session still work
+    verdict = client.counterexample(sid)
+    assert verdict.kind == "counterexample" and verdict.assignment == {"p": True, "q": False}
+
+
 def test_theory_cache_reported(tcp_server):
     client = RemoteProver.connect_tcp("127.0.0.1", tcp_server)
     first = client._expect(client._call("load_theory", payload={"source": THEORY}))

@@ -1,6 +1,8 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepwise.core import (
     FactContext,
@@ -10,8 +12,9 @@ from stepwise.core import (
     canonical_state,
     parse_step,
 )
-from stepwise.formulas import Or, parse_formula
+from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, Or, parse_formula
 from stepwise.prover import (
+    MAX_ATOM_LIMIT,
     HammerConfig,
     TheoryParseError,
     ToyProver,
@@ -243,18 +246,18 @@ def test_ground_truth_replay_reaches_qed(chain_theory):
 
 # -- counterexample oracle -------------------------------------------------------
 
-def test_cex_falsifiable_atom(kernel_backend):
+def test_cex_falsifiable_atom():
     verdict = check_counterexample(state_of("p"))
     assert verdict.kind == "counterexample"
     assert verdict.assignment == {"p": False}
     assert verdict.subgoal_index == 0
 
 
-def test_cex_identity_is_valid(kernel_backend):
+def test_cex_identity_is_valid():
     assert check_counterexample(state_of("p", ["p"])).kind == "none"
 
 
-def test_cex_disjunction_hypothesis(kernel_backend):
+def test_cex_disjunction_hypothesis():
     state = state_of("p", ["p | q"])
     expected = naive_first_counterexample(state)
     assert expected is not None
@@ -264,13 +267,13 @@ def test_cex_disjunction_hypothesis(kernel_backend):
     assert verdict.assignment == {"p": False, "q": True}
 
 
-def test_cex_modus_ponens_valid(kernel_backend):
+def test_cex_modus_ponens_valid():
     state = state_of("q", ["p -> q", "p"])
     assert naive_first_counterexample(state) is None
     assert check_counterexample(state).kind == "none"
 
 
-def test_cex_context_facts_constrain_assignments(kernel_backend):
+def test_cex_context_facts_constrain_assignments():
     ctx = ctx_of(f1="p")
     # p is pinned true by the context, so only q can falsify
     verdict = check_counterexample(state_of("p & q", (), ctx))
@@ -291,11 +294,11 @@ def test_cex_later_subgoal_found_despite_earlier_overflow():
     assert verdict.kind == "counterexample" and verdict.subgoal_index == 1
 
 
-def test_cex_qed_state_has_no_counterexample(kernel_backend):
+def test_cex_qed_state_has_no_counterexample():
     assert check_counterexample(ProofState(())).kind == "none"
 
 
-def test_cex_assignments_verify_independently(kernel_backend):
+def test_cex_assignments_verify_independently():
     cases = [
         state_of("p"),
         state_of("p", ["p | q"]),
@@ -310,6 +313,38 @@ def test_cex_assignments_verify_independently(kernel_backend):
             assert expected is None
         else:
             assert (verdict.assignment, verdict.subgoal_index) == expected
+
+
+formulas = st.recursive(
+    st.one_of(st.sampled_from("abcde").map(Atom), st.sampled_from((TRUE, FALSE))),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.tuples(sub, sub).map(lambda lr: And(*lr)),
+        st.tuples(sub, sub).map(lambda lr: Or(*lr)),
+        st.tuples(sub, sub).map(lambda lr: Implies(*lr))),
+    max_leaves=6)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.lists(formulas, max_size=3), formulas), min_size=1, max_size=3),
+       st.dictionaries(st.sampled_from(("f1", "f2")), formulas, max_size=2))
+def test_cex_matches_naive_on_random_states(subgoals, facts):
+    state = ProofState(tuple(Subgoal(tuple(h), g) for h, g in subgoals), FactContext(facts))
+    verdict = check_counterexample(state, atom_limit=MAX_ATOM_LIMIT)
+    expected = naive_first_counterexample(state)
+    if expected is None:
+        assert verdict.kind == "none"
+    else:
+        assert (verdict.assignment, verdict.subgoal_index) == expected
+
+
+def test_cex_atom_limit_outside_range_is_rejected():
+    state = state_of("p")
+    for limit in (-1, MAX_ATOM_LIMIT + 1, 1_000_000):
+        with pytest.raises(ValueError, match="atom_limit"):
+            check_counterexample(state, atom_limit=limit)
+    assert check_counterexample(state, atom_limit=0).kind == "unknown"
+    assert check_counterexample(state, atom_limit=MAX_ATOM_LIMIT).kind == "counterexample"
 
 
 # -- hammer ------------------------------------------------------------------------
@@ -348,7 +383,7 @@ def bfs_proof_oracle(state, pool, max_depth):
     return None
 
 
-def test_hammer_two_step_chain(kernel_backend):
+def test_hammer_two_step_chain():
     ctx = ctx_of(f1="p", f2="p -> q")
     state = state_of("q", (), ctx)
     result = toy_hammer(state, HammerConfig(max_depth=2))
@@ -360,7 +395,7 @@ def test_hammer_two_step_chain(kernel_backend):
     assert [s.text() for s in result.steps] == ["apply [f2]", "assumption"]
 
 
-def test_hammer_false_goal_not_found(kernel_backend):
+def test_hammer_false_goal_not_found():
     result = toy_hammer(state_of("false"), HammerConfig(max_depth=4))
     assert result.kind == "notfound"
     assert bfs_proof_oracle(state_of("false"), [], 4) is None
@@ -372,7 +407,7 @@ def test_hammer_assumption_first_by_tactic_order():
     assert result.found and [s.text() for s in result.steps] == ["assumption"]
 
 
-def test_hammer_found_steps_replay_to_qed(kernel_backend):
+def test_hammer_found_steps_replay_to_qed():
     ctx = ctx_of(d="a | g", lift="a -> g")
     state = state_of("g", (), ctx)
     result = toy_hammer(state, HammerConfig(max_depth=4))
@@ -462,7 +497,7 @@ def test_replay_soundness_for_all_ground_truth(chain_theory):
         assert prover.state(sid).qed
 
 
-def test_filter_soundness_on_ground_truth_paths(chain_theory, kernel_backend):
+def test_filter_soundness_on_ground_truth_paths(chain_theory):
     prover = ToyProver()
     prover.load_theory(render_theory(chain_theory))
     for entry in chain_theory.provable_entries():
