@@ -191,6 +191,7 @@ def arm_auto(theory: Theory, backend) -> bool:
     backend.load_theory(render_theory(theory))
     sid = backend.start(theory.name, "goal")
     result = backend.apply(sid, ProofStep("auto"), 5000)
+    backend.release([sid])
     return bool(result.ok and result.state.qed)
 
 
@@ -208,6 +209,7 @@ def arm_hammer_root(theory: Theory, backend, config: EngineConfig) -> bool:
         m_states=1, premise_limit=fallback.premise_limit,
         per_state_timeout_s=fallback.per_state_timeout_s,
         mesh_weight=fallback.mesh_weight, max_depth=fallback.max_depth))
+    backend.release([sid, root.token])
     return steps is not None
 
 

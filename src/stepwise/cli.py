@@ -23,10 +23,8 @@ from .evaluation import (
     success_rate,
 )
 from .extraction import extract_pairs, write_dataset
-from .hammer import hammer_fallback
 from .prover import ProverError, ToyProver, load_theory, render_theory
 from .protocol import ProverServer
-from .search import best_first_search
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -210,15 +208,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         generator = config.make_generator()
 
         def prove_fn(th, entry_name, prefix):
-            outcome = best_first_search(
-                th, entry_name, backend, generator,
-                config.search_config(), config.revision_config(th),
-                prefix_steps=tuple(prefix))
-            if outcome.proved:
-                return True
-            if config.fallback_enabled:
-                return hammer_fallback(outcome, backend, config.fallback_config()) is not None
-            return False
+            return prove_theorem(th, entry_name, config, backend=backend,
+                                 generator=generator, prefix_steps=tuple(prefix)).proved
 
         curve, skipped = completion_experiment([theory], fractions, prove_fn)
         literal, saved = aes(curve)

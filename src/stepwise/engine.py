@@ -188,12 +188,17 @@ class ProveResult:
 
 
 def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
-                  backend=None, generator=None) -> ProveResult:
+                  backend=None, generator=None,
+                  prefix_steps: tuple = ()) -> ProveResult:
+    """Search, then the hammer fallback if the search failed; every backend
+    session and snapshot the two opened is released before returning.
+    ``prefix_steps`` are replayed first (``ReplayError`` if one fails)."""
     backend = backend if backend is not None else config.make_backend()
     generator = generator if generator is not None else config.make_generator()
     outcome = best_first_search(
         theory, theorem_id, backend, generator,
-        config.search_config(), config.revision_config(theory))
+        config.search_config(), config.revision_config(theory),
+        prefix_steps=tuple(prefix_steps))
     via: str | None = "search" if outcome.proved else None
     steps = outcome.steps if outcome.proved else None
     fallback_attempts: list | None = None
@@ -204,6 +209,7 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
         if fallback_steps is not None:
             via = "fallback"
             steps = tuple(fallback_steps)
+    backend.release(outcome.opened)
     proved = steps is not None
     entry = theory.entry(theorem_id)
     report = {

@@ -1,4 +1,4 @@
-"""Session-oriented wire protocol between the search engine and a prover.
+"""Wire protocol between the search engine and a prover.
 
 Framing is newline-delimited JSON over a byte stream (pipe or TCP): one
 request object per line, one response per line, ordered per connection.
@@ -8,8 +8,11 @@ command. Set ``STEPWISE_PROTOCOL_TRACE=1`` to dump every frame to stderr.
 
 The toy prover is the reference server; ``RemoteProver`` exposes the same
 method surface as the in-process backend, so either can sit behind the
-engine. A client-side missed deadline marks the session poisoned: further
-``apply`` calls are rejected locally until a ``restore`` names the session.
+engine. The search addresses immutable snapshot tokens (``apply_batch``,
+token-addressed ``counterexample`` and ``hammer``), so a missed deadline
+there loses only that reply. A missed ``apply`` deadline marks the session
+poisoned: further ``apply`` calls are rejected locally until a ``restore``
+names the session.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import socket
 import socketserver
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -40,10 +44,11 @@ from .formulas import ParseError
 
 TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
-COMMANDS = ("init", "load_theory", "start", "apply", "state", "clone",
-            "restore", "counterexample", "hammer", "shutdown", "deps")
+COMMANDS = ("init", "load_theory", "start", "apply", "apply_batch", "state",
+            "clone", "restore", "release", "counterexample", "hammer", "stats",
+            "shutdown")
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(Exception):
@@ -171,12 +176,16 @@ class ProverServer:
     """Reference protocol server over a shared in-process toy prover.
 
     One connection is one serial request stream; parallel clients use
-    separate connections. Theory loading is cached by content digest.
+    separate connections. Theory loading is cached by content digest. The
+    server counts each known command and its cumulative dispatch time for
+    ``stats``.
     """
 
     def __init__(self, prover: ToyProver | None = None, trace: bool | None = None):
         self.prover = prover or ToyProver()
         self.trace = _trace_enabled(trace)
+        self._commands: dict[str, list] = {}  # cmd -> [count, seconds]
+        self._commands_lock = threading.Lock()
 
     # -- stream handling -----------------------------------------------------
 
@@ -203,6 +212,7 @@ class ProverServer:
             rid = e.offending_id if e.offending_id is not None else 0
             return Response(rid, False, None,
                             {"category": "protocol_error", "detail": str(e)}), False
+        started = time.perf_counter()
         try:
             payload, shutdown = self.dispatch(req)
             return Response(req.id, True, payload), shutdown
@@ -216,6 +226,13 @@ class ProverServer:
             return Response(req.id, False, None,
                             {"category": "protocol_error",
                              "detail": f"bad payload for {req.cmd}: {e}"}), False
+        finally:
+            if req.cmd in COMMANDS:
+                elapsed = time.perf_counter() - started
+                with self._commands_lock:
+                    entry = self._commands.setdefault(req.cmd, [0, 0.0])
+                    entry[0] += 1
+                    entry[1] += elapsed
 
     # -- command dispatch ------------------------------------------------------
 
@@ -248,6 +265,15 @@ class ProverServer:
             if payload.get("full_state"):
                 reply["state"] = state_to_wire(result.state)
             return reply, False
+        if cmd == "apply_batch":
+            results = []
+            for result, token in prover.apply_batch(
+                    payload["token"], list(payload["steps"]), req.timeout_ms):
+                if result.ok:
+                    results.append({"token": token, "state": state_to_wire(result.state)})
+                else:
+                    results.append({"category": result.category, "detail": result.detail})
+            return {"results": results}, False
         if cmd == "state":
             sid = self._require_session(req)
             state = prover.state(sid)
@@ -259,27 +285,38 @@ class ProverServer:
         if cmd == "restore":
             sid = prover.restore(payload["token"], req.session)
             return {"session": sid}, False
+        if cmd == "release":
+            prover.release([str(name) for name in payload["ids"]])
+            return {}, False
         if cmd == "counterexample":
-            sid = self._require_session(req)
-            verdict = prover.counterexample(sid, int(payload.get("atom_limit", 16)))
+            atom_limit = int(payload.get("atom_limit", 16))
+            if "token" in payload:
+                verdict = prover.counterexample_at(payload["token"], atom_limit)
+            else:
+                verdict = prover.counterexample(self._require_session(req), atom_limit)
             return _cex_to_wire(verdict), False
         if cmd == "hammer":
-            sid = self._require_session(req)
             config = HammerConfig(
                 max_depth=int(payload.get("max_depth", HammerConfig.max_depth)),
                 premise_limit=int(payload.get("premise_limit", HammerConfig.premise_limit)),
                 budget_ms=int(payload.get("budget_ms", HammerConfig.budget_ms)),
             )
             pool = payload.get("pool")
-            result = prover.hammer(sid, config, pool)
+            if "token" in payload:
+                result = prover.hammer_at(payload["token"], config, pool)
+            else:
+                result = prover.hammer(self._require_session(req), config, pool)
             reply: dict = {"result": result.kind}
             if result.found:
                 reply["steps"] = [s.text() for s in result.steps]
             return reply, False
+        if cmd == "stats":
+            with self._commands_lock:
+                commands = {name: {"count": count, "ms": seconds * 1000.0}
+                            for name, (count, seconds) in sorted(self._commands.items())}
+            return {**prover.stats(), "commands": commands}, False
         if cmd == "shutdown":
             return {}, True
-        if cmd == "deps":
-            raise ProverError("command 'deps' is reserved and not implemented")
         raise ProverError(f"unknown command {cmd!r}")
 
     def _require_session(self, req: Request) -> str:
@@ -438,9 +475,10 @@ class PipeTransport:
 class RemoteProver:
     """Protocol client with the same surface as the in-process backend.
 
-    A missed response deadline poisons the session the request addressed;
+    A missed ``apply`` deadline poisons the session the request addressed;
     poisoned sessions reject ``apply`` locally until a restore names them.
-    Stale frames (ids below the pending request) are discarded, anything
+    A missed ``apply_batch`` deadline poisons nothing: its token is
+    immutable, so only that batch's results are lost. Stale frames (ids below the pending request) are discarded, anything
     else out of order is a protocol error naming the offending id.
     """
 
@@ -466,16 +504,20 @@ class RemoteProver:
     # -- plumbing --------------------------------------------------------------
 
     def _call(self, cmd: str, session: str | None = None, payload: dict | None = None,
-              timeout_ms: int | None = None) -> Response:
+              timeout_ms: int | None = None, wait_ms: int | None = None) -> Response:
+        """One round trip. The reply must arrive within ``wait_ms`` (default
+        ``timeout_ms``) plus the grace interval, else ``DeadlineMiss``."""
         rid = next(self._ids)
         req = Request(rid, cmd, session, payload or {}, timeout_ms)
         line = encode_request(req)
         if self.trace:
             _trace("send", line)
         self.transport.send_line(line)
+        if wait_ms is None:
+            wait_ms = timeout_ms
         deadline = None
-        if timeout_ms is not None:
-            deadline = time.monotonic() + (timeout_ms + self.grace_ms) / 1000.0
+        if wait_ms is not None:
+            deadline = time.monotonic() + (wait_ms + self.grace_ms) / 1000.0
         while True:
             raw = self.transport.recv_line(deadline)
             if self.trace:
@@ -537,6 +579,29 @@ class RemoteProver:
             return StepResult.failure(category, error.get("detail", ""))
         raise BackendError(category or "protocol_error", error.get("detail", ""))
 
+    def apply_batch(self, token: str, steps, timeout_ms: int | None = None
+                    ) -> list[tuple[StepResult, str | None]]:
+        """One round trip for ``steps`` on snapshot ``token`` (see
+        ``ToyProver.apply_batch``). The reply is awaited for the sum of the
+        step budgets plus grace; on a miss every step reports ``timeout``."""
+        texts = [s if isinstance(s, str) else (s.raw or s.text()) for s in steps]
+        wait_ms = None if timeout_ms is None else timeout_ms * len(texts)
+        try:
+            payload = self._expect(self._call(
+                "apply_batch", payload={"token": token, "steps": texts},
+                timeout_ms=timeout_ms, wait_ms=wait_ms))
+        except DeadlineMiss:
+            miss = StepResult.failure("timeout", f"no response within {wait_ms} ms")
+            return [(miss, None)] * len(texts)
+        out: list[tuple[StepResult, str | None]] = []
+        for item in payload["results"]:
+            if "token" in item:
+                out.append((StepResult.success(state_from_wire(item["state"], EMPTY_CONTEXT)),
+                            item["token"]))
+            else:
+                out.append((StepResult.failure(item["category"], item["detail"]), None))
+        return out
+
     def clone(self, sid: str) -> str:
         return self._expect(self._call("clone", session=sid))["token"]
 
@@ -547,33 +612,44 @@ class RemoteProver:
         self._poisoned.discard(sid)
         return sid
 
+    def release(self, ids) -> None:
+        ids = list(ids)
+        self._expect(self._call("release", payload={"ids": ids}))
+        self._poisoned.difference_update(ids)
+
+    def stats(self) -> dict:
+        return self._expect(self._call("stats"))
+
     def counterexample(self, sid: str, atom_limit: int = 16) -> CexResult:
-        payload = self._expect(self._call(
-            "counterexample", session=sid, payload={"atom_limit": atom_limit}))
-        return _cex_from_wire(payload)
+        return _cex_from_wire(self._expect(self._call(
+            "counterexample", session=sid, payload={"atom_limit": atom_limit})))
 
     def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
-        return self.counterexample(self.restore(token), atom_limit)
+        return _cex_from_wire(self._expect(self._call(
+            "counterexample", payload={"token": token, "atom_limit": atom_limit})))
 
     def hammer(self, sid: str, config: HammerConfig = HammerConfig(),
                pool: list[str] | None = None) -> HammerResult:
-        payload_in: dict = {"max_depth": config.max_depth,
-                            "premise_limit": config.premise_limit,
-                            "budget_ms": config.budget_ms}
-        if pool is not None:
-            payload_in["pool"] = list(pool)
-        payload = self._expect(self._call(
-            "hammer", session=sid, payload=payload_in,
-            timeout_ms=config.budget_ms + 5000))
-        if payload["result"] == "found":
-            from .core import parse_step
-
-            return HammerResult("found", tuple(parse_step(s) for s in payload["steps"]))
-        return HammerResult(payload["result"])
+        return self._hammer({}, config, pool, session=sid)
 
     def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
                   pool: list[str] | None = None) -> HammerResult:
-        return self.hammer(self.restore(token), config, pool)
+        return self._hammer({"token": token}, config, pool)
+
+    def _hammer(self, payload: dict, config: HammerConfig, pool: list[str] | None,
+                session: str | None = None) -> HammerResult:
+        payload.update(max_depth=config.max_depth, premise_limit=config.premise_limit,
+                       budget_ms=config.budget_ms)
+        if pool is not None:
+            payload["pool"] = list(pool)
+        reply = self._expect(self._call(
+            "hammer", session=session, payload=payload,
+            timeout_ms=config.budget_ms + 5000))
+        if reply["result"] == "found":
+            from .core import parse_step
+
+            return HammerResult("found", tuple(parse_step(s) for s in reply["steps"]))
+        return HammerResult(reply["result"])
 
     def close(self) -> None:
         try:

@@ -2,8 +2,9 @@
 
 Implements the backend surface the search engine drives: theory loading,
 goal initialisation, step execution, a truth-table counterexample oracle,
-a depth-bounded proof hammer, and sessions with clone/restore. All tactics
-act on the first subgoal.
+a depth-bounded proof hammer, sessions with clone/restore, and immutable
+snapshot tokens that ``apply_batch`` and the ``*_at`` oracles address
+directly. All tactics act on the first subgoal.
 """
 
 from __future__ import annotations
@@ -538,6 +539,16 @@ def _hammer_moves(state: ProofState, ctx: FactContext, pool: list[str]):
 # Sessions and the in-process backend
 # ---------------------------------------------------------------------------
 
+def _apply_text_or_step(state: ProofState, step: ProofStep | str,
+                        timeout_ms: int | None) -> StepResult:
+    if isinstance(step, str):
+        try:
+            step = parse_step(step)
+        except ParseError as e:
+            return StepResult.failure("parse_error", str(e))
+    return apply_step(state, step, timeout_ms or DEFAULT_STEP_BUDGET_MS)
+
+
 @dataclass
 class Session:
     id: str
@@ -618,15 +629,31 @@ class ToyProver:
     def apply(self, sid: str, step: ProofStep | str,
               timeout_ms: int | None = None) -> StepResult:
         session = self._session(sid)
-        if isinstance(step, str):
-            try:
-                step = parse_step(step)
-            except ParseError as e:
-                return StepResult.failure("parse_error", str(e))
-        result = apply_step(session.current, step, timeout_ms or DEFAULT_STEP_BUDGET_MS)
+        result = _apply_text_or_step(session.current, step, timeout_ms)
         if result.ok:
             session.current = result.state
         return result
+
+    def apply_batch(self, token: str, steps, timeout_ms: int | None = None
+                    ) -> list[tuple[StepResult, str | None]]:
+        """Apply each step, in order and with its own ``timeout_ms`` budget,
+        to the snapshot ``token``; each success is stored as a new snapshot
+        whose token comes back with its result. Stops after the first
+        success with zero subgoals."""
+        snap = self._snapshot(token)
+        out: list[tuple[StepResult, str | None]] = []
+        for step in steps:
+            result = _apply_text_or_step(snap.state, step, timeout_ms)
+            if not result.ok:
+                out.append((result, None))
+                continue
+            new_token = self._new_id("c")
+            with self._lock:
+                self._snapshots[new_token] = _Snapshot(snap.theory, result.state)
+            out.append((result, new_token))
+            if result.state.qed:
+                break
+        return out
 
     def clone(self, sid: str) -> str:
         session = self._session(sid)
@@ -635,11 +662,15 @@ class ToyProver:
             self._snapshots[token] = _Snapshot(session.theory, session.current)
         return token
 
-    def restore(self, token: str, session: str | None = None) -> str:
+    def _snapshot(self, token: str) -> _Snapshot:
         with self._lock:
             snap = self._snapshots.get(token)
         if snap is None:
             raise UnknownSessionError(f"no snapshot {token!r}")
+        return snap
+
+    def restore(self, token: str, session: str | None = None) -> str:
+        snap = self._snapshot(token)
         if session is None:
             sid = self._new_id("s")
             with self._lock:
@@ -656,11 +687,7 @@ class ToyProver:
         return check_counterexample(self._session(sid).current, atom_limit)
 
     def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
-        with self._lock:
-            snap = self._snapshots.get(token)
-        if snap is None:
-            raise UnknownSessionError(f"no snapshot {token!r}")
-        return check_counterexample(snap.state, atom_limit)
+        return check_counterexample(self._snapshot(token).state, atom_limit)
 
     def hammer(self, sid: str, config: HammerConfig = HammerConfig(),
                pool: list[str] | None = None) -> HammerResult:
@@ -668,11 +695,21 @@ class ToyProver:
 
     def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
                   pool: list[str] | None = None) -> HammerResult:
+        return toy_hammer(self._snapshot(token).state, config, pool)
+
+    # -- lifetime ----------------------------------------------------------
+
+    def release(self, ids) -> None:
+        """Drop the named sessions and snapshots; unknown ids are ignored."""
         with self._lock:
-            snap = self._snapshots.get(token)
-        if snap is None:
-            raise UnknownSessionError(f"no snapshot {token!r}")
-        return toy_hammer(snap.state, config, pool)
+            for name in ids:
+                self._sessions.pop(name, None)
+                self._snapshots.pop(name, None)
+
+    def stats(self) -> dict:
+        """Live object counts."""
+        with self._lock:
+            return {"sessions": len(self._sessions), "snapshots": len(self._snapshots)}
 
     def close(self) -> None:
         with self._lock:

@@ -1,15 +1,16 @@
 """Best-first proof search: scoring, frontier management, and the main loop.
 
 The loop generalises single-node expansion to a top-k batch per iteration
-(k = 1 recovers plain best-first). Per node: generate candidates, apply each
-through the backend, revise the failures and apply the repairs, stop on the
-first zero-subgoal success, filter the surviving states, score and insert.
+(k = 1 recovers plain best-first). Per node: generate candidates, apply them
+to the node's snapshot token in one backend batch, revise the failures and
+apply the repairs as another batch, stop on the first zero-subgoal success,
+filter the surviving states, score and insert.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Candidate, ProofState, ProofStep, Theory, canonical_state
 from .filtering import FilterConfig, FilterStats, SeenSet, filter_states
@@ -74,6 +75,9 @@ class SearchOutcome:
     stats: SearchStats
     tree: list[SearchNode]
     filter_stats: FilterStats
+    # every backend session and snapshot the search opened, tree tokens
+    # included; the caller releases them once the fallback is done
+    opened: list[str] = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
@@ -134,11 +138,13 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
     for step in prefix_steps:
         result = backend.apply(sid, step, config.step_timeout_ms)
         if not result.ok:
+            backend.release([sid])
             raise ReplayError(
                 f"prefix step {step.text()!r} failed: {result.category} {result.detail}")
     root_state = backend.state(sid).with_context(context)
     root = SearchNode(root_state, None, None, 0.0, 0, 0.0,
                       order=0, token=backend.clone(sid))
+    opened = [sid, root.token]
     tree = [root]
     stats.nodes_created = 1
     seen = SeenSet()
@@ -152,28 +158,28 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
 
     if root_state.qed:
         stats.wall_time = time.monotonic() - start_time
-        return SearchOutcome(True, (), stats, tree, seen.stats)
+        return SearchOutcome(True, (), stats, tree, seen.stats, opened)
 
-    work_sid = backend.restore(root.token)
-
-    def expand_candidate(node: SearchNode, cand: Candidate, successes, failures):
-        """Apply one candidate on the work session; returns a winning node
-        or None. The session is reset to the node's state afterwards."""
-        result = backend.apply(work_sid, cand.step, config.step_timeout_ms)
-        if result.ok:
+    def expand(node: SearchNode, cands: list[Candidate], successes, failures):
+        """Apply ``cands`` to the node's snapshot in one batch, recording
+        successes and failures in candidate order; returns the winning node
+        (the first zero-subgoal success) or None."""
+        if not cands:
+            return None
+        results = backend.apply_batch(
+            node.token, [c.step for c in cands], config.step_timeout_ms)
+        for cand, (result, token) in zip(cands, results):
+            if not result.ok:
+                failures.append(FailedAttempt(
+                    node.state, cand.step, cand.log_prob, result.category, result.detail))
+                continue
+            opened.append(token)
             new_state = result.state.with_context(context)
-            token = backend.clone(work_sid)
-            backend.restore(node.token, session=work_sid)
             if new_state.qed:
                 return SearchNode(new_state, node, cand,
                                   node.path_log_prob + cand.log_prob,
                                   node.length + 1, 0.0, order=-1, token=token)
             successes.append((new_state, cand, token))
-        else:
-            if result.category == "timeout":
-                backend.restore(node.token, session=work_sid)
-            failures.append(FailedAttempt(
-                node.state, cand.step, cand.log_prob, result.category, result.detail))
         return None
 
     while (stats.iterations < config.max_iterations
@@ -187,12 +193,7 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
             stats.generator_calls += 1
             successes: list[tuple[ProofState, Candidate, str]] = []
             failures: list[FailedAttempt] = []
-            backend.restore(node.token, session=work_sid)
-            winner = None
-            for cand in candidates:
-                winner = expand_candidate(node, cand, successes, failures)
-                if winner is not None:
-                    break
+            winner = expand(node, candidates, successes, failures)
             if winner is None and config.revision_enabled:
                 round_failures = failures
                 for _ in range(revision_config.repair_rounds):
@@ -201,16 +202,13 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
                         break
                     stats.revisions_tried += len(repaired)
                     round_failures = []
-                    for cand in repaired:
-                        winner = expand_candidate(node, cand, successes, round_failures)
-                        if winner is not None:
-                            break
+                    winner = expand(node, repaired, successes, round_failures)
                     if winner is not None:
                         break
             if winner is not None:
                 stats.wall_time = time.monotonic() - start_time
-                return SearchOutcome(
-                    True, tuple(reconstruct_proof(winner)), stats, tree, seen.stats)
+                return SearchOutcome(True, tuple(reconstruct_proof(winner)), stats,
+                                     tree, seen.stats, opened)
 
             for state, _, token in successes:
                 oracle_tokens.setdefault(canonical_state(state), token)
@@ -242,7 +240,7 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
                 stats.nodes_created += 1
 
     stats.wall_time = time.monotonic() - start_time
-    return SearchOutcome(False, (), stats, tree, seen.stats)
+    return SearchOutcome(False, (), stats, tree, seen.stats, opened)
 
 
 def frontier_summary(outcome: SearchOutcome) -> dict:

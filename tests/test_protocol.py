@@ -186,9 +186,59 @@ def test_unknown_session_is_backend_error(client):
         client.state("nonexistent")
 
 
-def test_deps_command_reserved(client):
-    with pytest.raises(BackendError, match="reserved"):
-        client._expect(client._call("deps"))
+def test_stats_command_reports_live_objects_and_commands(client):
+    before = client.stats()
+    assert (before["sessions"], before["snapshots"]) == (0, 0)
+    client.load_theory(THEORY)
+    sid = client.start("proto", "t1")
+    token = client.clone(sid)
+    client.apply_batch(token, ["intro", "apply [f2]"], timeout_ms=3000)
+    stats = client.stats()
+    assert (stats["sessions"], stats["snapshots"]) == (1, 2)
+    commands = stats["commands"]
+    for cmd in ("load_theory", "start", "clone", "apply_batch"):
+        assert commands[cmd]["count"] == 1 and commands[cmd]["ms"] >= 0.0
+    assert commands["stats"]["count"] == 1  # the earlier call, not this one
+    assert "restore" not in commands
+
+
+def test_apply_batch_over_wire_matches_in_process(client):
+    local = ToyProver()
+    local.load_theory(THEORY)
+    client.load_theory(THEORY)
+    steps = ["intro", "apply [ghost]", "elim [d]", "simp", "apply [f2]", "apply [f1]"]
+    remote = client.apply_batch(client.clone(client.start("proto", "t1")), steps,
+                                timeout_ms=3000)
+    here = local.apply_batch(local.clone(local.start("proto", "t1")), steps, 3000)
+    assert len(remote) == len(here) == len(steps)
+    for (r, r_token), (h, h_token) in zip(remote, here):
+        assert r.ok == h.ok and (r_token is None) == (h_token is None)
+        if r.ok:
+            assert canonical_state(r.state) == canonical_state(h.state)
+        else:
+            assert (r.category, r.detail) == (h.category, h.detail)
+    # a success token addresses its state, and a zero-subgoal success ends the batch
+    [(closed, closed_token)] = client.apply_batch(remote[4][1], ["apply [f1]", "intro"],
+                                                  timeout_ms=3000)
+    assert closed.state.qed and closed_token is not None
+    with pytest.raises(BackendError) as err:
+        client.apply_batch("c404", ["intro"], timeout_ms=3000)
+    assert err.value.category == "unknown_session"
+
+
+def test_token_addressed_oracles_open_no_session(client):
+    client.load_theory(THEORY)
+    sid = client.start("proto", "t1")
+    token = client.clone(sid)
+    client.release([sid])
+    assert client.counterexample_at(token).kind == "none"
+    result = client.hammer_at(token)
+    assert result.found
+    stats = client.stats()
+    assert (stats["sessions"], stats["snapshots"]) == (0, 1)
+    assert "restore" not in stats["commands"]
+    client.release([token, "never_issued"])
+    assert (client.stats()["snapshots"]) == 0
 
 
 def test_unknown_command_rejected(client):
@@ -219,10 +269,12 @@ def test_full_state_flag_controls_apply_payload(client):
 # -- deadline misses and poisoning --------------------------------------------------
 
 class _SlowServer:
-    """Accepts one connection; delays the response to any apply command."""
+    """Accepts one connection; delays the response to any apply or
+    apply_batch command and records every command it receives."""
 
     def __init__(self, delay_s=1.5):
         self.delay_s = delay_s
+        self.commands = []
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.port = self.sock.getsockname()[1]
         self.thread = threading.Thread(target=self._run, daemon=True)
@@ -243,7 +295,15 @@ class _SlowServer:
                 while b"\n" in buffer:
                     line, buffer = buffer.split(b"\n", 1)
                     request = json.loads(line)
-                    if request["cmd"] == "apply":
+                    self.commands.append(request["cmd"])
+                    if request["cmd"] == "apply_batch":
+                        time.sleep(self.delay_s)
+                        # one success per step, each token naming its request
+                        payload = {"results": [
+                            {"token": f"r{request['id']}.{i}",
+                             "state": {"subgoals": [{"hyps": [], "goal": "p"}], "depth": 1}}
+                            for i, _ in enumerate(request["payload"]["steps"])]}
+                    elif request["cmd"] == "apply":
                         time.sleep(self.delay_s)
                         payload = {"subgoals": 1, "key": "late", "depth": 1,
                                    "state": {"subgoals": [{"hyps": [], "goal": "p"}],
@@ -281,6 +341,23 @@ def test_deadline_miss_poisons_session_until_restore():
     assert sid == "s0"
     recovered = client.apply("s0", "intro", timeout_ms=5000)
     assert recovered.ok
+    client.transport.close()
+    slow.close()
+
+
+def test_batch_deadline_miss_times_out_every_step_and_needs_no_restore():
+    from stepwise.protocol import TcpTransport
+
+    slow = _SlowServer(delay_s=0.6)
+    client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
+    # a budget of 50 ms per step: the reply is awaited 2 * 50 + 100 ms
+    missed = client.apply_batch("c0", ["intro", "split"], timeout_ms=50)
+    assert [(r.category, token) for r, token in missed] == [("timeout", None)] * 2
+    # the next batch on the same token gets its own reply; the late reply to
+    # the missed request (id 1) is skipped by its id
+    results = client.apply_batch("c0", ["intro"], timeout_ms=5000)
+    assert [(r.ok, token) for r, token in results] == [(True, "r2.0")]
+    assert slow.commands == ["apply_batch", "apply_batch"]
     client.transport.close()
     slow.close()
 

@@ -470,6 +470,54 @@ def test_session_clone_restore_round_trip(chain_theory):
     assert canonical_state(prover.state(sid)) == key_at_clone
 
 
+def test_apply_batch_matches_apply_and_stops_at_the_winner(chain_theory):
+    prover = ToyProver()
+    prover.load_theory(render_theory(chain_theory))
+    sid = prover.start("demo", "t1")
+    root = prover.clone(sid)
+    steps = ["apply [ghost]", "apply [f2]", "frobnicate hard", "simp", "auto", "intro"]
+    results = prover.apply_batch(root, steps)
+    assert len(results) == 5  # "intro" after the closing "auto" never runs
+    for text, (result, token) in zip(steps, results):
+        single = prover.restore(root)
+        expected = prover.apply(single, text)
+        assert result.ok == expected.ok
+        if result.ok:
+            assert canonical_state(result.state) == canonical_state(expected.state)
+            state_at_token = prover.state(prover.restore(token))
+            assert canonical_state(state_at_token) == canonical_state(result.state)
+        else:
+            assert token is None
+            assert (result.category, result.detail) == (expected.category, expected.detail)
+    assert results[-1][0].state.qed
+    # the addressed snapshot is immutable: the same batch gives the same results
+    again = prover.apply_batch(root, steps)
+    assert [(r.ok, r.category) for r, _ in again] == [(r.ok, r.category) for r, _ in results]
+
+
+def test_apply_batch_unknown_token_raises(chain_theory):
+    from stepwise.prover import UnknownSessionError
+
+    prover = ToyProver()
+    prover.load_theory(render_theory(chain_theory))
+    with pytest.raises(UnknownSessionError):
+        prover.apply_batch("c404", ["intro"])
+
+
+def test_release_drops_named_objects_and_ignores_unknown_ids(chain_theory):
+    prover = ToyProver()
+    prover.load_theory(render_theory(chain_theory))
+    sid = prover.start("demo", "t1")
+    token = prover.clone(sid)
+    [(_, child)] = prover.apply_batch(token, ["apply [f2]"])
+    assert prover.stats() == {"sessions": 1, "snapshots": 2}
+    prover.release([token, "no_such_id", sid])
+    assert prover.stats() == {"sessions": 0, "snapshots": 1}
+    assert prover.counterexample_at(child).kind == "none"
+    prover.release([child, child])
+    assert prover.stats() == {"sessions": 0, "snapshots": 0}
+
+
 def test_theory_digest_cache(chain_theory):
     prover = ToyProver()
     source = render_theory(chain_theory)

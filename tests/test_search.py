@@ -249,3 +249,99 @@ def test_dedup_does_not_change_success_set_on_corpus_sample():
         }
     assert outcomes[True] == outcomes[False]
     assert all(outcomes[True].values())
+
+
+# -- the search behind the wire ------------------------------------------------
+
+@pytest.fixture
+def prover_server():
+    import threading
+
+    from stepwise.protocol import ProverServer
+
+    server = ProverServer(trace=False)
+    tcp = server.tcp_server(port=0)
+    threading.Thread(target=tcp.serve_forever, daemon=True).start()
+    server.port = tcp.server_address[1]
+    yield server
+    tcp.shutdown()
+    tcp.server_close()
+
+
+def _family(theory):
+    return theory.name.rstrip("0123456789").rstrip("_")
+
+
+def _stride_sample(corpus, n):
+    """Every (len // n)-th theory; asserts that each corpus family is in."""
+    from stepwise.bench import FAMILY_SIZES
+
+    sample = corpus[::max(1, len(corpus) // n)]
+    assert {_family(t) for t in sample} == set(FAMILY_SIZES)
+    return sample
+
+
+def test_prove_theorem_remote_equals_in_process(prover_server):
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.engine import prove_theorem
+    from stepwise.protocol import RemoteProver
+
+    config = bench_engine_config(0)
+    local = ToyProver()
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    try:
+        sample = _stride_sample(generate_corpus(0), 30)
+        via = set()
+        for theory in sample:
+            ours = prove_theorem(theory, "goal", config, backend=local,
+                                 generator=config.make_generator())
+            theirs = prove_theorem(theory, "goal", config, backend=remote,
+                                   generator=config.make_generator())
+            assert (theirs.proved, theirs.via) == (ours.proved, ours.via), theory.name
+            assert theirs.report["steps"] == ours.report["steps"], theory.name
+            assert theirs.outcome.stats.deterministic_view() \
+                == ours.outcome.stats.deterministic_view(), theory.name
+            assert theirs.outcome.filter_stats == ours.outcome.filter_stats, theory.name
+            via.add(ours.via)
+        assert via == {"search", "fallback"}
+    finally:
+        remote.close()
+
+
+def test_prove_theorem_leaves_no_backend_objects(prover_server):
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.engine import prove_theorem
+    from stepwise.protocol import RemoteProver
+
+    config = bench_engine_config(0)
+    by_family: dict = {}
+    for theory in generate_corpus(0):
+        by_family.setdefault(_family(theory), []).append(theory)
+    sample = [family[0] for family in by_family.values()]
+    local = ToyProver()
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    try:
+        via = set()
+        for theory in sample:
+            for backend in (local, remote):
+                via.add(prove_theorem(theory, "goal", config, backend=backend,
+                                      generator=config.make_generator()).via)
+                assert local.stats() == {"sessions": 0, "snapshots": 0}
+        assert {"search", "fallback"} <= via
+        stats = remote.stats()
+        assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+        assert stats["commands"]["release"]["count"] == len(sample)
+    finally:
+        remote.close()
+
+
+def test_search_alone_keeps_its_tree_tokens(demo_theory):
+    prover = ToyProver()
+    generator = FixedPoolGenerator([("apply [f2]", -0.1), ("intro", -0.2)])
+    outcome = best_first_search(demo_theory, "t1", prover, generator,
+                                SearchConfig(max_iterations=1, revision_enabled=False))
+    for n in outcome.tree:
+        assert n.token in outcome.opened
+        assert prover.counterexample_at(n.token).kind == "none"
+    prover.release(outcome.opened)
+    assert prover.stats() == {"sessions": 0, "snapshots": 0}
