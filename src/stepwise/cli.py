@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from pathlib import Path
@@ -141,6 +140,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
     results = []
     if config.jobs > 1:
+        import concurrent.futures
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(run_one, names))
     else:

@@ -67,24 +67,50 @@ class FactContext:
     ``facts`` maps fact name to statement; ``usage_counts`` records how often
     each name appears in the ground-truth proofs preceding the owner entry
     (the usage-frequency signal for premise ranking). Lookup of an undefined
-    name is an explicit miss, never a default.
+    name is an explicit miss, never a default. The atom and statement
+    indexes below are built on first use and rely on ``facts`` never
+    changing.
     """
 
-    __slots__ = ("facts", "usage_counts", "_atom_cache", "_auto_cache")
+    __slots__ = ("facts", "usage_counts", "_atom_cache", "_auto_cache",
+                 "_statements", "_fact_atoms", "_atom_index")
 
     def __init__(self, facts: dict[str, Formula], usage_counts: dict[str, int] | None = None):
         self.facts = dict(facts)
         self.usage_counts = dict(usage_counts or {})
         self._atom_cache: tuple[str, ...] | None = None
         self._auto_cache: dict = {}
+        self._statements: frozenset[Formula] | None = None
+        self._fact_atoms: dict[str, frozenset[str]] | None = None
+        self._atom_index: dict[str, tuple[str, ...]] | None = None
 
     def atom_names(self) -> tuple[str, ...]:
         if self._atom_cache is None:
-            names: set[str] = set()
-            for f in self.facts.values():
-                names |= atoms(f)
-            self._atom_cache = tuple(sorted(names))
+            self._atom_cache = tuple(sorted(self.atom_index()))
         return self._atom_cache
+
+    def statements(self) -> frozenset[Formula]:
+        """Every fact statement, for membership tests."""
+        if self._statements is None:
+            self._statements = frozenset(self.facts.values())
+        return self._statements
+
+    def fact_atoms(self) -> dict[str, frozenset[str]]:
+        """Each fact's atom set, by fact name."""
+        if self._fact_atoms is None:
+            self._fact_atoms = {name: atoms(f) for name, f in self.facts.items()}
+        return self._fact_atoms
+
+    def atom_index(self) -> dict[str, tuple[str, ...]]:
+        """Atom name -> the names of the facts that mention it, in name order."""
+        if self._atom_index is None:
+            fact_atoms = self.fact_atoms()
+            index: dict[str, list[str]] = {}
+            for name in sorted(fact_atoms):
+                for a in fact_atoms[name]:
+                    index.setdefault(a, []).append(name)
+            self._atom_index = {a: tuple(names) for a, names in index.items()}
+        return self._atom_index
 
     def __contains__(self, name: str) -> bool:
         return name in self.facts

@@ -71,7 +71,7 @@ class EngineConfig:
             candidates_per_state=self.candidates_per_state,
             max_iterations=self.max_iterations, time_limit_s=self.time_limit_s,
             node_budget=self.node_budget, revision_enabled=self.revision_enabled,
-            filtering_enabled=self.filtering_enabled, seed=self.seed,
+            filtering_enabled=self.filtering_enabled,
             atom_limit=self.atom_limit, step_timeout_ms=self.step_timeout_ms)
 
     def generator_config(self) -> GeneratorConfig:

@@ -7,11 +7,9 @@ import hashlib
 import json
 import math
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
-from .core import Candidate, ProofState, canonical_state, parse_step, render_state
+from .core import Candidate, ProofState, ProofStep, canonical_state, parse_step, render_state
 from .formulas import ParseError, atoms
 
 ENDPOINT_ENV = "STEPWISE_GENERATOR_ENDPOINT"
@@ -76,26 +74,27 @@ def mock_generate(state: ProofState, config: GeneratorConfig) -> list[Candidate]
     """
     if state.qed:
         return []
-    context = state.context
+    fact_atoms = state.context.fact_atoms()
     goal_atoms = atoms(state.subgoals[0].goal)
-    pool: list[tuple[str, float]] = []
+    pool: list[tuple[ProofStep, float]] = []
     for tactic in ("assumption", "intro", "split", "left", "right", "simp", "auto"):
-        pool.append((tactic, 1.0))
-    for name in sorted(context.facts):
-        overlap = len(atoms(context.facts[name]) & goal_atoms)
-        pool.append((f"apply [{name}]", 1.0 + overlap))
-        pool.append((f"elim [{name}]", 1.0 + overlap))
+        pool.append((ProofStep(tactic), 1.0))
+    for name in sorted(fact_atoms):
+        overlap = len(fact_atoms[name] & goal_atoms)
+        pool.append((ProofStep("apply", (name,)), 1.0 + overlap))
+        pool.append((ProofStep("elim", (name,)), 1.0 + overlap))
     key = canonical_state(state)
-    weighted = [
-        (text, w * _perturbation(config.seed, key, text, config.temperature))
-        for text, w in pool
-    ]
-    total = sum(w for _, w in weighted)
-    scored = [(math.log(w / total), text) for text, w in weighted]
+    weighted = []
+    for step, w in pool:
+        text = step.text()
+        w *= _perturbation(config.seed, key, text, config.temperature)
+        weighted.append((text, step, w))
+    total = sum(w for _, _, w in weighted)
+    scored = [(math.log(w / total), text, step) for text, step, w in weighted]
     scored.sort(key=lambda item: (-item[0], item[1]))
     return [
-        Candidate(parse_step(text), min(lp, 0.0), "generated")
-        for lp, text in scored[:config.n_candidates]
+        Candidate(step, min(lp, 0.0), "generated")
+        for lp, _, step in scored[:config.n_candidates]
     ]
 
 
@@ -114,6 +113,9 @@ def llm_generate(state: ProofState, config: GeneratorConfig) -> list[Candidate]:
     ... over distinct steps in arrival order. Duplicates keep the maximum
     score. No reasoning flags are sent: the model answers directly.
     """
+    import urllib.error
+    import urllib.request
+
     endpoint = config.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise GeneratorError(f"no generator endpoint configured (set {ENDPOINT_ENV})")

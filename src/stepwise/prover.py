@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
@@ -29,6 +30,7 @@ from .core import (
 )
 from .formulas import (
     FALSE,
+    IDENT_RE,
     TRUE,
     And,
     Atom,
@@ -135,7 +137,7 @@ def load_theory(source: str) -> Theory:
                 raise TheoryParseError(f"expected: {word} <id>: <formula>", lineno)
             ident, formula_text = body.split(":", 1)
             ident = ident.strip()
-            if not ident or " " in ident:
+            if not IDENT_RE.fullmatch(ident):  # steps must be able to name it
                 raise TheoryParseError(f"invalid entry id {ident!r}", lineno)
             if ident in seen:
                 raise TheoryParseError(f"duplicate entry id {ident!r}", lineno)
@@ -223,7 +225,7 @@ def apply_step(state: ProofState, step: ProofStep,
 
     new_subgoals: tuple[Subgoal, ...] | None = None
     if tactic == "assumption":
-        if goal in sub.hypotheses or any(goal == f for f in ctx.facts.values()):
+        if goal in sub.hypotheses or goal in ctx.statements():
             new_subgoals = ()
         else:
             return StepResult.failure("tactic_failure", "goal is not an assumption or fact")
@@ -282,10 +284,16 @@ def apply_step(state: ProofState, step: ProofStep,
     else:
         return StepResult.failure("parse_error", f"unknown tactic {tactic!r}")
 
-    new_state = ProofState(new_subgoals + rest, ctx, state.depth + 1)
-    if canonical_state(new_state) == canonical_state(state):
+    # only the first subgoal was replaced, so the state is canonically
+    # unchanged iff that subgoal came back alone and canonically equal
+    if len(new_subgoals) == 1 and _same_subgoal(new_subgoals[0], sub):
         return StepResult.failure("no_progress", "state unchanged")
-    return StepResult.success(new_state)
+    return StepResult.success(ProofState(new_subgoals + rest, ctx, state.depth + 1))
+
+
+def _same_subgoal(a: Subgoal, b: Subgoal) -> bool:
+    """Equal goals and equal hypothesis multisets, i.e. equal canonical keys."""
+    return a.goal == b.goal and Counter(a.hypotheses) == Counter(b.hypotheses)
 
 
 def _auto_close(sub: Subgoal, ctx: FactContext, depth: int, deadline: float) -> bool:
@@ -307,7 +315,7 @@ def _auto_close(sub: Subgoal, ctx: FactContext, depth: int, deadline: float) -> 
 
 def _auto_close_uncached(sub: Subgoal, ctx: FactContext, depth: int, deadline: float) -> bool:
     goal = sub.goal
-    if goal in sub.hypotheses or any(goal == f for f in ctx.facts.values()):
+    if goal in sub.hypotheses or goal in ctx.statements():
         return True
     if isinstance(goal, Implies):
         if _auto_close(Subgoal(_with_hypothesis(sub.hypotheses, goal.left), goal.right),
@@ -326,10 +334,8 @@ def _auto_close_uncached(sub: Subgoal, ctx: FactContext, depth: int, deadline: f
             return True
         if _auto_close(Subgoal(sub.hypotheses, goal.right), ctx, depth - 1, deadline):
             return True
-    goal_atoms = atoms(goal)
-    for fname in sorted(ctx.facts):
-        if not (atoms(ctx.facts[fname]) & goal_atoms):
-            continue
+    index = ctx.atom_index()
+    for fname in sorted({name for a in atoms(goal) for name in index.get(a, ())}):
         premises = _match_apply(ctx.facts[fname], goal)
         if premises is None:
             continue
@@ -469,7 +475,7 @@ class HammerResult:
         return self.kind == "found"
 
 
-_HAMMER_TACTICS = ("assumption", "intro", "split", "left", "right", "elim", "apply")
+_HAMMER_TACTICS = ("assumption", "intro", "split", "left", "right")
 
 
 def toy_hammer(state: ProofState, config: HammerConfig = HammerConfig(),
@@ -477,8 +483,10 @@ def toy_hammer(state: ProofState, config: HammerConfig = HammerConfig(),
     """Iterative-deepening search for a full closing step sequence.
 
     Tactics are tried in a fixed order with facts in relevance order
-    (``pool`` overrides the default relevance filtering). Deterministic for
-    fixed inputs; Timeout when the budget runs out.
+    (``pool`` overrides the default relevance filtering): the fact-free
+    tactics, ``elim`` over the pool's disjunctions, then ``apply`` over the
+    pool facts. Deterministic for fixed inputs; Timeout when the budget runs
+    out.
     """
     if not state.subgoals:
         return HammerResult("found", ())
@@ -489,10 +497,22 @@ def toy_hammer(state: ProofState, config: HammerConfig = HammerConfig(),
         pool = relevance_filter(state, ctx, config.premise_limit)
     else:
         pool = list(pool)[:config.premise_limit]
+    moves = [ProofStep(tactic) for tactic in _HAMMER_TACTICS]
+    moves += [ProofStep("elim", (fname,)) for fname in pool
+              if isinstance(ctx.facts.get(fname), Or)]
+    # `apply [f]` succeeds only on a goal on f's implication right spine,
+    # so index the apply moves by those formulas, in pool order
+    applies: dict[Formula, list[ProofStep]] = {}
+    for fname in pool:
+        node = ctx.facts.get(fname)
+        step = ProofStep("apply", (fname,))
+        while node is not None:
+            applies.setdefault(node, []).append(step)
+            node = node.right if isinstance(node, Implies) else None
     deadline = time.monotonic() + config.budget_ms / 1000.0
     try:
         for depth in range(1, config.max_depth + 1):
-            steps = _hammer_dfs(state, ctx, pool, depth, deadline, {})
+            steps = _hammer_dfs(state, moves, applies, depth, deadline, {})
             if steps is not None:
                 return HammerResult("found", tuple(steps))
     except _BudgetExceeded:
@@ -500,7 +520,8 @@ def toy_hammer(state: ProofState, config: HammerConfig = HammerConfig(),
     return HammerResult("notfound")
 
 
-def _hammer_dfs(state: ProofState, ctx: FactContext, pool: list[str], depth: int,
+def _hammer_dfs(state: ProofState, moves: list[ProofStep],
+                applies: dict[Formula, list[ProofStep]], depth: int,
                 deadline: float, visited: dict[str, int]) -> list[ProofStep] | None:
     if not state.subgoals:
         return []
@@ -512,27 +533,14 @@ def _hammer_dfs(state: ProofState, ctx: FactContext, pool: list[str], depth: int
     if visited.get(key, -1) >= depth:
         return None
     visited[key] = depth
-    for step in _hammer_moves(state, ctx, pool):
+    for step in itertools.chain(moves, applies.get(state.subgoals[0].goal, ())):
         result = apply_step(state, step)
         if not result.ok:
             continue
-        tail = _hammer_dfs(result.state, ctx, pool, depth - 1, deadline, visited)
+        tail = _hammer_dfs(result.state, moves, applies, depth - 1, deadline, visited)
         if tail is not None:
             return [step] + tail
     return None
-
-
-def _hammer_moves(state: ProofState, ctx: FactContext, pool: list[str]):
-    for tactic in _HAMMER_TACTICS:
-        if tactic == "elim":
-            for fname in pool:
-                if isinstance(ctx.facts.get(fname), Or):
-                    yield ProofStep("elim", (fname,))
-        elif tactic == "apply":
-            for fname in pool:
-                yield ProofStep("apply", (fname,))
-        else:
-            yield ProofStep(tactic)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
 from .core import TACTICS, Candidate, FactContext, ProofState, ProofStep, Theory
-from .formulas import atoms
 
 DEFAULT_TACTIC_SET = TACTICS
 TACTIC_SET_LIMIT = 12
@@ -58,43 +58,72 @@ def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> li
     picks the unselected fact with the highest |atoms(f) & R| / |atoms(f)|
     (ties by fact id) and joins its atoms into R. Stops at ``k`` facts or
     when every remaining score is zero.
+
+    Each fact's overlap count is kept and raised only for the facts that
+    share an atom newly joined into R, each raise pushing a fresh heap entry
+    keyed (-score, id). Scores only grow, so a fact's newest entry pops
+    before its older ones, which are skipped once the fact is selected.
     """
+    fact_atoms = context.fact_atoms()
+    index = context.atom_index()
+    hits: dict[str, int] = {}
+    heap: list[tuple[float, str]] = []
+    selected: list[str] = []
+    chosen: set[str] = set()
+
+    def join(new_atoms) -> None:
+        raised = set()
+        for a in new_atoms:
+            for name in index.get(a, ()):
+                hits[name] = hits.get(name, 0) + 1
+                raised.add(name)
+        for name in raised - chosen:
+            heapq.heappush(heap, (-hits[name] / len(fact_atoms[name]), name))
+
     relevant: set[str] = set()
     for sub in goal_state.subgoals:
         relevant |= sub.atom_names()
-    fact_atoms = {name: atoms(f) for name, f in context.facts.items()}
-    remaining = sorted(context.facts)
-    selected: list[str] = []
-    while len(selected) < k and remaining:
-        best_name = None
-        best_score = 0.0
-        for name in remaining:
-            f_atoms = fact_atoms[name]
-            if not f_atoms:
-                continue
-            score = len(f_atoms & relevant) / len(f_atoms)
-            if score > best_score:
-                best_score = score
-                best_name = name
-        if best_name is None:
-            break
-        selected.append(best_name)
-        relevant |= fact_atoms[best_name]
-        remaining.remove(best_name)
+    join(relevant)
+    while len(selected) < k and heap:
+        _, name = heapq.heappop(heap)
+        if name in chosen:
+            continue
+        selected.append(name)
+        chosen.add(name)
+        new_atoms = fact_atoms[name] - relevant
+        relevant |= new_atoms
+        join(new_atoms)
     return selected
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Unit-cost Levenshtein distance, by the two-row dynamic programme."""
+    """Unit-cost Levenshtein distance, by the bit-parallel algorithm of
+    Myers (1999) in Hyyrö's formulation: bit ``i`` of ``vp``/``vn`` says the
+    DP column rises/falls between rows ``i`` and ``i + 1``, one text
+    character advances the whole column, and ``score`` tracks its last row."""
     if a == b:
         return 0
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    if not a:
+        return len(b)
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    vp, vn, score = mask, 0, len(a)
+    for ch in b:
+        x = peq.get(ch, 0) | vn
+        d0 = ((((x & vp) + vp) ^ vp) | x) & mask
+        hp = vn | (~(d0 | vp) & mask)
+        hn = vp & d0
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        hp = (hp << 1) | 1
+        vn = hp & d0
+        vp = ((hn << 1) | ~(d0 | hp)) & mask
+    return score
 
 
 def tactic_repair(attempt: FailedAttempt, config: RevisionConfig) -> list[Candidate]:

@@ -27,7 +27,6 @@ class SearchConfig:
     node_budget: int = 10_000
     revision_enabled: bool = True
     filtering_enabled: bool = True
-    seed: int = 0
     atom_limit: int = 16
     step_timeout_ms: int = 10_000
 
@@ -120,10 +119,11 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
                       config: SearchConfig = SearchConfig(),
                       revision_config: RevisionConfig | None = None,
                       prefix_steps: tuple[ProofStep, ...] = ()) -> SearchOutcome:
-    """Search for a proof of ``theorem_id``; deterministic given the seed and
-    the mock generator. Returns Failed (never raises) on budget exhaustion;
-    backend transport errors propagate. ``prefix_steps`` are replayed before
-    the search starts (completion experiments)."""
+    """Search for a proof of ``theorem_id``; deterministic given a
+    deterministic generator such as the seeded mock. Returns Failed (never
+    raises) on budget exhaustion; backend transport errors propagate.
+    ``prefix_steps`` are replayed before the search starts (completion
+    experiments)."""
     from .prover import render_theory
 
     start_time = time.monotonic()

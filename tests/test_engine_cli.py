@@ -92,6 +92,14 @@ def test_cli_import_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_cli_import_defers_http_and_thread_pool_modules():
+    # the HTTP generator and --jobs import these only when they run
+    code = ("import sys, stepwise.cli; "
+            "sys.exit(any(m in sys.modules for m in "
+            "('urllib.request', 'http.client', 'concurrent.futures')))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "engine.cfg"
     path.write_text("not_a_field = 1\n")

@@ -212,7 +212,7 @@ def _prove_with_budget(budget_iterations):
     def prove(theory, name, prefix):
         outcome = best_first_search(
             theory, name, ToyProver(), MockGenerator(GeneratorConfig(seed=2)),
-            SearchConfig(seed=2, max_iterations=budget_iterations,
+            SearchConfig(max_iterations=budget_iterations,
                          revision_enabled=False),
             prefix_steps=tuple(prefix))
         return outcome.proved

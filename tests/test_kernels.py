@@ -2,9 +2,9 @@
 Python references.
 
 Each case runs on two implementations: ``python``, the production routines
-(the bitset truth table and the two-row DP), and ``numpy``, vectorised
-references kept only in the tests as a second, independent whole-table
-implementation."""
+(the bitset truth table and the bit-parallel Levenshtein of Myers), and
+``numpy``, vectorised references kept only in the tests as a second,
+independent whole-table implementation."""
 
 import itertools
 
@@ -174,3 +174,25 @@ def test_levenshtein_property_both_backends(a, b):
     expected = pure_levenshtein(a, b)
     for _, distance in IMPLEMENTATIONS.values():
         assert distance(a, b) == expected
+
+
+# Strings longer than one 64-bit machine word and outside ASCII, where the
+# bit vectors of the production edit distance span several words.
+@pytest.mark.parametrize("a,b", [
+    ("a" * 64, "a" * 65),
+    ("ab" * 40, "ba" * 40),
+    ("x" * 130, ""),
+    ("kätzchen" * 9, "katze" * 13),
+    ("证明" * 40 + "λ", "证" * 70),
+])
+def test_levenshtein_long_and_non_ascii_cases(implementation, a, b):
+    assert implementation[1](a, b) == pure_levenshtein(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="ab_éλ证🙂", min_size=65, max_size=130),
+       st.text(alphabet="ab_éλ证🙂", max_size=130))
+def test_levenshtein_long_and_non_ascii_property(a, b):
+    expected = pure_levenshtein(a, b)
+    assert edit_distance(a, b) == expected
+    assert edit_distance(b, a) == expected

@@ -41,6 +41,7 @@ def tcp_server():
     thread.start()
     yield tcp.server_address[1]
     tcp.shutdown()
+    tcp.server_close()
 
 
 @pytest.fixture
@@ -386,6 +387,7 @@ def test_malformed_response_line_is_protocol_error():
     client = RemoteProver(TcpTransport("127.0.0.1", garbage.port))
     with pytest.raises(ProtocolError):
         client.init()
+    client.transport.close()
     garbage.close()
 
 
@@ -397,6 +399,7 @@ def test_mismatched_future_id_names_the_offender():
     with pytest.raises(ProtocolError) as err:
         client.init()
     assert err.value.offending_id == 99
+    client.transport.close()
     garbage.close()
 
 

@@ -1,10 +1,16 @@
+import functools
+import random
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepwise import prover
 from stepwise.core import (
+    FACT_REQUIRED,
+    TACTICS,
     FactContext,
     ProofState,
     ProofStep,
@@ -16,6 +22,7 @@ from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, Or, parse_fo
 from stepwise.prover import (
     MAX_ATOM_LIMIT,
     HammerConfig,
+    HammerResult,
     TheoryParseError,
     ToyProver,
     UnknownTheoremError,
@@ -26,6 +33,7 @@ from stepwise.prover import (
     render_theory,
     toy_hammer,
 )
+from stepwise.revision import relevance_filter
 from conftest import CHAIN_SRC, naive_first_counterexample
 
 
@@ -50,6 +58,13 @@ def test_load_theory_axiom_and_theorem():
 def test_load_theory_duplicate_id():
     with pytest.raises(TheoryParseError, match="duplicate entry id"):
         load_theory("theory t\naxiom f1: p\nlemma f1: q\nproof\nassumption\nqed\nend\n")
+
+
+def test_load_theory_rejects_ids_steps_cannot_name():
+    # `apply [a-b]` does not parse, so `a-b` may not name an entry
+    for ident in ("a-b", "1a", "x.y"):
+        with pytest.raises(TheoryParseError, match="invalid entry id"):
+            load_theory(f"theory x\naxiom {ident}: p\nend\n")
 
 
 def test_load_theory_empty_block():
@@ -437,8 +452,6 @@ def test_hammer_matches_bfs_oracle_on_small_states():
         ctx_of(m="a -> b -> c", fa="a", fb="b"),
     ]
     goals = ["a", "b", "c", "a -> a", "a & b", "a | b", "~a", "false"]
-    from stepwise.revision import relevance_filter
-
     checked = 0
     for ctx in contexts:
         for goal in goals:
@@ -450,6 +463,134 @@ def test_hammer_matches_bfs_oracle_on_small_states():
                 assert ours.found == (oracle is not None), (goal, ctx.facts, depth)
                 checked += 1
     assert checked >= 150
+
+
+def reference_hammer(state, config, pool):
+    """The hammer without its conclusion index: at every state it tries
+    ``apply`` with every pool fact and lets ``apply_step`` reject misfits."""
+    if not state.subgoals:
+        return HammerResult("found", ())
+    ctx = state.context
+    if pool is None:
+        pool = relevance_filter(state, ctx, config.premise_limit)
+    else:
+        pool = list(pool)[:config.premise_limit]
+
+    def dfs(current, depth, visited):
+        if not current.subgoals:
+            return []
+        if depth <= 0:
+            return None
+        key = canonical_state(current)
+        if visited.get(key, -1) >= depth:
+            return None
+        visited[key] = depth
+        for step in hammer_moves_oracle(current, ctx, pool):
+            result = apply_step(current, step)
+            if result.ok:
+                tail = dfs(result.state, depth - 1, visited)
+                if tail is not None:
+                    return [step] + tail
+        return None
+
+    for depth in range(1, config.max_depth + 1):
+        steps = dfs(state, depth, {})
+        if steps is not None:
+            return HammerResult("found", tuple(steps))
+    return HammerResult("notfound")
+
+
+def random_formula(rng, leaves=3):
+    if leaves <= 1:
+        return Atom(rng.choice("abcde")) if rng.random() < 0.85 else rng.choice((TRUE, FALSE))
+    if rng.random() < 0.2:
+        return Not(random_formula(rng, leaves - 1))
+    left = rng.randint(1, leaves - 1)
+    op = rng.choice((And, Or, Implies))
+    return op(random_formula(rng, left), random_formula(rng, leaves - left))
+
+
+def random_fact(rng):
+    kind = rng.randrange(5)
+    if kind <= 1:  # a curried chain a1 -> ... -> an, which `apply` unwinds
+        parts = [Atom(rng.choice("abcde")) for _ in range(rng.randint(2, 4))]
+        return functools.reduce(lambda acc, p: Implies(p, acc), reversed(parts[:-1]), parts[-1])
+    if kind == 2:  # spines that mention one formula twice
+        x, y = random_formula(rng, 2), random_formula(rng, 2)
+        return Implies(x, x) if rng.random() < 0.5 else Implies(x, Implies(y, x))
+    if kind == 3:
+        return Or(Atom(rng.choice("abcde")), Atom(rng.choice("abcde")))
+    return random_formula(rng, rng.randint(1, 4))
+
+
+FACT_NAMES = ("d", "f1", "f2", "f3", "g")
+
+
+def random_state(rng):
+    """A random state whose goals mostly conclude a suffix of some fact's
+    implication spine, with most of the premises that suffix skips as
+    hypotheses, so that proofs through `apply` are common."""
+    facts = {}
+    for name in FACT_NAMES:
+        if rng.random() < 0.7:
+            # some facts repeat an earlier statement, so that move order decides
+            # which of them a proof uses
+            repeat = facts and rng.random() < 0.25
+            facts[name] = rng.choice(list(facts.values())) if repeat else random_fact(rng)
+    ctx = FactContext(facts)
+    subgoals = []
+    for _ in range(1 if rng.random() < 0.7 else 2):
+        if not ctx.facts or rng.random() < 0.2:
+            subgoals.append(Subgoal((random_formula(rng),), random_formula(rng)))
+            continue
+        node = rng.choice(list(ctx.facts.values()))
+        premises = []
+        while isinstance(node, Implies) and rng.random() < 0.9:
+            premises.append(node.left)
+            node = node.right
+        hyps = [p for p in premises if rng.random() < 0.9]
+        hyps += [random_formula(rng, 2) for _ in range(rng.randint(0, 1))]
+        subgoals.append(Subgoal(tuple(hyps), node))
+    return ProofState(tuple(subgoals), ctx)
+
+
+def test_hammer_matches_all_pool_apply_reference():
+    rng = random.Random(20)
+    via_apply = 0
+    for _ in range(400):
+        state = random_state(rng)
+        # pools may repeat a name or name an undefined fact
+        pool = None if rng.random() < 0.4 else [
+            rng.choice(FACT_NAMES + ("zz",)) for _ in range(rng.randint(0, 9))]
+        config = HammerConfig(max_depth=rng.randint(2, 4),
+                              premise_limit=rng.choice((1, 2, 2048)))
+        ours = toy_hammer(state, config, pool)
+        expected = reference_hammer(state, config, pool)
+        assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
+        via_apply += any(step.tactic == "apply" for step in ours.steps)
+    assert via_apply >= 15  # 26 of the 400 cases
+
+
+def test_no_progress_verdict_matches_canonical_keys():
+    # with the structural check disabled every application succeeds, and the
+    # canonical keys decide whether the real verdict must be no_progress
+    rng = random.Random(21)
+    unchanged_seen = 0
+    for _ in range(300):
+        state = random_state(rng)
+        steps = [ProofStep(t) for t in TACTICS if t not in FACT_REQUIRED]
+        steps += [ProofStep(t, (name,)) for t in FACT_REQUIRED for name in state.context.facts]
+        for step in steps:
+            result = apply_step(state, step)
+            with mock.patch.object(prover, "_same_subgoal", return_value=False):
+                forced = apply_step(state, step)
+            unchanged = forced.ok and canonical_state(forced.state) == canonical_state(state)
+            assert (result.category == "no_progress"
+                    and result.detail == "state unchanged") == unchanged
+            if result.ok:
+                assert canonical_state(result.state) == canonical_state(forced.state)
+            unchanged_seen += unchanged
+    assert unchanged_seen >= 12  # 24 of the steps tried
 
 
 # -- sessions ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepwise.core import FactContext, ProofState, ProofStep, Subgoal
-from stepwise.formulas import parse_formula
+from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, atoms, parse_formula
 from stepwise.prover import load_theory
 from stepwise.revision import (
     FailedAttempt,
@@ -52,6 +54,51 @@ def test_relevance_scores_by_overlap_share():
     # f_pure is fully about p; f_mixed dilutes p with two foreign atoms
     ctx = ctx_of(f_mixed="p & x & y", f_pure="p")
     assert relevance_filter(state_of("p", ctx), ctx, 1) == ["f_pure"]
+
+
+def greedy_relevance_reference(goal_state, context, k):
+    """The O(k*n) greedy: every round rescans every remaining fact."""
+    relevant = set()
+    for sub in goal_state.subgoals:
+        relevant |= sub.atom_names()
+    remaining = sorted(context.facts)
+    selected = []
+    while len(selected) < k and remaining:
+        best_name, best_score = None, 0.0
+        for name in remaining:
+            f_atoms = atoms(context.facts[name])
+            if not f_atoms:
+                continue
+            score = len(f_atoms & relevant) / len(f_atoms)
+            if score > best_score:
+                best_name, best_score = name, score
+        if best_name is None:
+            break
+        selected.append(best_name)
+        relevant |= atoms(context.facts[best_name])
+        remaining.remove(best_name)
+    return selected
+
+
+# few atoms and short formulas, so that scores tie often; constants give
+# atomless facts
+relevance_formulas = st.recursive(
+    st.one_of(st.sampled_from("pqrstu").map(Atom), st.sampled_from((TRUE, FALSE))),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.tuples(sub, sub).map(lambda lr: And(*lr)),
+        st.tuples(sub, sub).map(lambda lr: Implies(*lr))),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text("abxy", min_size=1, max_size=3), relevance_formulas, max_size=12),
+       st.lists(relevance_formulas, min_size=1, max_size=3),
+       st.integers(0, 14))
+def test_relevance_filter_matches_greedy_reference(facts, goals, k):
+    context = FactContext(facts)
+    state = ProofState(tuple(Subgoal((), g) for g in goals), context)
+    assert relevance_filter(state, context, k) == greedy_relevance_reference(state, context, k)
 
 
 # -- edit distance -----------------------------------------------------------

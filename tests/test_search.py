@@ -122,7 +122,7 @@ def test_search_false_goal_fails_with_root_counted(demo_theory):
 
 
 def test_search_determinism_including_stats(demo_theory):
-    config = SearchConfig(seed=21, max_iterations=10)
+    config = SearchConfig(max_iterations=10)
     results = []
     for _ in range(2):
         generator = MockGenerator(GeneratorConfig(seed=21))
@@ -139,7 +139,7 @@ def test_search_determinism_including_stats(demo_theory):
 def test_search_soundness_replay(demo_theory):
     generator = MockGenerator(GeneratorConfig(seed=1))
     outcome = best_first_search(demo_theory, "t1", ToyProver(), generator,
-                                SearchConfig(seed=1))
+                                SearchConfig())
     assert outcome.proved
     assert replay_steps(demo_theory, "t1", ToyProver(), outcome.steps)
 
@@ -219,7 +219,7 @@ def test_revision_flips_outcome_on_corrupted_scripts():
 def test_duplicate_filtering_preserves_provability(demo_theory):
     for filtering in (True, False):
         generator = MockGenerator(GeneratorConfig(seed=8))
-        config = SearchConfig(seed=8, max_iterations=10, node_budget=500,
+        config = SearchConfig(max_iterations=10, node_budget=500,
                               filtering_enabled=filtering)
         outcome = best_first_search(demo_theory, "t1", ToyProver(), generator, config)
         assert outcome.proved
@@ -241,7 +241,7 @@ def test_dedup_does_not_change_success_set_on_corpus_sample():
         generator = MockGenerator(GeneratorConfig(seed=6, temperature=0.3))
         # without dedup the frontier floods with near-duplicates; the node
         # budget caps it and the iteration allowance exhausts what remains
-        config = SearchConfig(seed=6, max_iterations=150, node_budget=400,
+        config = SearchConfig(max_iterations=150, node_budget=400,
                               filtering_enabled=filtering)
         outcomes[filtering] = {
             t.name: best_first_search(t, "goal", ToyProver(), generator, config).proved
