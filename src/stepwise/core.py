@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .formulas import Formula, ParseError, atoms, parse_formula, render
+from .formulas import PARSE_CACHE_SIZE, Formula, ParseError, atoms, parse_formula, render
 
 TACTICS = ("assumption", "intro", "split", "left", "right", "simp", "auto", "elim", "apply")
 FACT_REQUIRED = ("elim", "apply")
@@ -42,7 +43,10 @@ class ProofStep:
         return self.tactic
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_step(text: str) -> ProofStep:
+    """Parse one step; memoised, since the result is immutable (a text
+    that fails raises again, exceptions are not cached)."""
     m = _STEP_RE.match(text)
     if m is None:
         raise ParseError(f"malformed step {text.strip()!r}", 1, expected="tactic [facts]")

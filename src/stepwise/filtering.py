@@ -8,7 +8,8 @@ from typing import Callable
 from .core import Candidate, FactContext, ProofState, ProofStep, canonical_state
 from .prover import CexResult, apply_step
 
-Oracle = Callable[[ProofState], CexResult]
+# one call per filter pass: a verdict for each state, in order
+Oracle = Callable[[list[ProofState]], list[CexResult]]
 
 
 @dataclass
@@ -93,12 +94,13 @@ def _covered(target: ProofState, provider: ProofState, context: FactContext) -> 
 def filter_states(candidates: list[tuple[ProofState, Candidate]], seen: SeenSet,
                   oracle: Oracle, config: FilterConfig = FilterConfig(),
                   ) -> tuple[list[tuple[ProofState, Candidate]], FilterStats]:
-    """Drop duplicates first (cheap key lookup), then states the oracle
-    falsifies; Unknown verdicts keep the state and are counted. Survivor
-    order is preserved. Returns the kept list and this call's stats delta;
-    the SeenSet accumulates totals."""
+    """Drop duplicates first (cheap key lookup), then the states the oracle
+    falsifies, asking it once about every survivor of the first check;
+    Unknown verdicts keep the state and are counted. Survivor order is
+    preserved. Returns the kept list and this call's stats delta; the
+    SeenSet accumulates totals."""
     delta = FilterStats()
-    kept: list[tuple[ProofState, Candidate]] = []
+    fresh: list[tuple[ProofState, Candidate]] = []
     for state, cand in candidates:
         if config.check_duplicates:
             if is_duplicate(state, seen):
@@ -107,14 +109,18 @@ def filter_states(candidates: list[tuple[ProofState, Candidate]], seen: SeenSet,
             if config.use_equivalence and seen.states is not None and _equivalent_to_seen(state, seen):
                 delta.duplicates_rejected += 1
                 continue
-        if config.check_counterexamples:
-            verdict = oracle(state)
+        fresh.append((state, cand))
+    kept = fresh
+    if config.check_counterexamples and fresh:
+        verdicts = oracle([state for state, _ in fresh])
+        kept = []
+        for pair, verdict in zip(fresh, verdicts, strict=True):
             if verdict.kind == "counterexample":
                 delta.counterexamples_rejected += 1
                 continue
             if verdict.kind == "unknown":
                 delta.unknown_oracle += 1
-        kept.append((state, cand))
+            kept.append(pair)
     seen.stats.merge(delta)
     return kept, delta
 

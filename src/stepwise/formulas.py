@@ -15,8 +15,12 @@ reserved constants and never atoms. ``render`` emits minimal parentheses and
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
+
+# distinct texts remembered by ``parse_formula`` (and by ``core.parse_step``)
+PARSE_CACHE_SIZE = 4096
 
 IDENT_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 RESERVED = ("true", "false")
@@ -179,7 +183,10 @@ class _Parser:
         raise ParseError(f"unexpected {got!r}", pos, expected="a formula")
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_formula(text: str) -> Formula:
+    """Parse one formula; memoised, since formulas are immutable (equal
+    texts share one tree; a text that fails raises again)."""
     parser = _Parser(_tokenize(text))
     node = parser.formula()
     kind, tok, pos = parser.peek()

@@ -10,9 +10,10 @@ The toy prover is the reference server; ``RemoteProver`` exposes the same
 method surface as the in-process backend, so either can sit behind the
 engine. The search addresses immutable snapshot tokens (``apply_batch``,
 token-addressed ``counterexample`` and ``hammer``), so a missed deadline
-there loses only that reply. A missed ``apply`` deadline marks the session
-poisoned: further ``apply`` calls are rejected locally until a ``restore``
-names the session.
+there loses only that reply; the snapshots a late ``apply_batch`` reply
+names are released with the client's next ``release``. A missed ``apply``
+deadline marks the session poisoned: further ``apply`` calls are rejected
+locally until a ``restore`` names the session.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ COMMANDS = ("init", "load_theory", "start", "apply", "apply_batch", "state",
             "clone", "restore", "release", "counterexample", "hammer", "stats",
             "shutdown")
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 class ProtocolError(Exception):
@@ -290,10 +291,13 @@ class ProverServer:
             return {}, False
         if cmd == "counterexample":
             atom_limit = int(payload.get("atom_limit", 16))
-            if "token" in payload:
-                verdict = prover.counterexample_at(payload["token"], atom_limit)
-            else:
-                verdict = prover.counterexample(self._require_session(req), atom_limit)
+            if "tokens" in payload:
+                tokens = payload["tokens"]
+                if not isinstance(tokens, list):
+                    raise TypeError("tokens must be a list")
+                verdicts = prover.counterexamples_at([str(t) for t in tokens], atom_limit)
+                return {"results": [_cex_to_wire(v) for v in verdicts]}, False
+            verdict = prover.counterexample(self._require_session(req), atom_limit)
             return _cex_to_wire(verdict), False
         if cmd == "hammer":
             config = HammerConfig(
@@ -478,8 +482,10 @@ class RemoteProver:
     A missed ``apply`` deadline poisons the session the request addressed;
     poisoned sessions reject ``apply`` locally until a restore names them.
     A missed ``apply_batch`` deadline poisons nothing: its token is
-    immutable, so only that batch's results are lost. Stale frames (ids below the pending request) are discarded, anything
-    else out of order is a protocol error naming the offending id.
+    immutable, so only that batch's results are lost. Stale frames (ids
+    below the pending request) are discarded, anything else out of order is
+    a protocol error naming the offending id. The tokens in a discarded
+    ``apply_batch`` reply are kept and named by the next ``release``.
     """
 
     def __init__(self, transport, grace_ms: int = 1000, trace: bool | None = None):
@@ -488,6 +494,8 @@ class RemoteProver:
         self.trace = _trace_enabled(trace)
         self._ids = itertools.count(1)
         self._poisoned: set[str] = set()
+        self._missed_batches: set[int] = set()  # ids of apply_batch requests given up on
+        self._orphans: list[str] = []  # tokens from their late replies
         self._proc: subprocess.Popen | None = None
 
     @classmethod
@@ -497,7 +505,12 @@ class RemoteProver:
     @classmethod
     def spawn_stdio(cls, argv: list[str], **kwargs) -> "RemoteProver":
         proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        client = cls(PipeTransport(proc.stdout.fileno(), proc.stdin.fileno()), **kwargs)
+        # the transport closes its own copies of the pipe fds; the file
+        # objects close theirs here, so each fd is closed exactly once
+        with proc.stdout, proc.stdin:
+            transport = PipeTransport(os.dup(proc.stdout.fileno()),
+                                      os.dup(proc.stdin.fileno()))
+        client = cls(transport, **kwargs)
         client._proc = proc
         return client
 
@@ -519,14 +532,23 @@ class RemoteProver:
         if wait_ms is not None:
             deadline = time.monotonic() + (wait_ms + self.grace_ms) / 1000.0
         while True:
-            raw = self.transport.recv_line(deadline)
+            try:
+                raw = self.transport.recv_line(deadline)
+            except DeadlineMiss:
+                if cmd == "apply_batch":
+                    self._missed_batches.add(rid)
+                raise
             if self.trace:
                 _trace("recv", raw)
             resp = decode_response(raw)
             if resp.id == rid:
                 return resp
-            if resp.id < rid:
-                continue  # stale reply from an abandoned exchange
+            if resp.id < rid:  # stale reply from an abandoned exchange
+                if resp.ok and resp.id in self._missed_batches:
+                    self._orphans.extend(item["token"] for item in resp.payload["results"]
+                                         if "token" in item)
+                self._missed_batches.discard(resp.id)
+                continue
             raise ProtocolError(
                 f"response id {resp.id} arrived while waiting for {rid}",
                 offending_id=resp.id)
@@ -613,8 +635,11 @@ class RemoteProver:
         return sid
 
     def release(self, ids) -> None:
+        """Release ``ids`` and every snapshot a late ``apply_batch`` reply
+        has named since the last release."""
         ids = list(ids)
-        self._expect(self._call("release", payload={"ids": ids}))
+        orphans, self._orphans = self._orphans, []
+        self._expect(self._call("release", payload={"ids": ids + orphans}))
         self._poisoned.difference_update(ids)
 
     def stats(self) -> dict:
@@ -625,8 +650,13 @@ class RemoteProver:
             "counterexample", session=sid, payload={"atom_limit": atom_limit})))
 
     def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
-        return _cex_from_wire(self._expect(self._call(
-            "counterexample", payload={"token": token, "atom_limit": atom_limit})))
+        return self.counterexamples_at([token], atom_limit)[0]
+
+    def counterexamples_at(self, tokens, atom_limit: int = 16) -> list[CexResult]:
+        """One round trip for the verdicts on every snapshot in ``tokens``."""
+        reply = self._expect(self._call(
+            "counterexample", payload={"tokens": list(tokens), "atom_limit": atom_limit}))
+        return [_cex_from_wire(item) for item in reply["results"]]
 
     def hammer(self, sid: str, config: HammerConfig = HammerConfig(),
                pool: list[str] | None = None) -> HammerResult:

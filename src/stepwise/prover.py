@@ -697,6 +697,10 @@ class ToyProver:
     def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
         return check_counterexample(self._snapshot(token).state, atom_limit)
 
+    def counterexamples_at(self, tokens, atom_limit: int = 16) -> list[CexResult]:
+        """``counterexample_at`` for each token, in order."""
+        return [self.counterexample_at(token, atom_limit) for token in tokens]
+
     def hammer(self, sid: str, config: HammerConfig = HammerConfig(),
                pool: list[str] | None = None) -> HammerResult:
         return toy_hammer(self._session(sid).current, config, pool)

@@ -4,7 +4,9 @@ The loop generalises single-node expansion to a top-k batch per iteration
 (k = 1 recovers plain best-first). Per node: generate candidates, apply them
 to the node's snapshot token in one backend batch, revise the failures and
 apply the repairs as another batch, stop on the first zero-subgoal success,
-filter the surviving states, score and insert.
+filter the surviving states (one oracle batch), score and insert. Applying
+a step to an immutable snapshot is a pure function, so each distinct step
+goes to the backend once per expansion; a repeat reuses its first result.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .core import Candidate, ProofState, ProofStep, Theory, canonical_state
+from .core import Candidate, ProofState, ProofStep, StepResult, Theory
 from .filtering import FilterConfig, FilterStats, SeenSet, filter_states
 from .revision import FailedAttempt, RevisionConfig, revise, tactic_frequencies
 
@@ -150,30 +152,31 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
     seen = SeenSet()
     seen.insert(root_state)
     filter_config = FilterConfig()
-    oracle_tokens: dict[str, str] = {canonical_state(root_state): root.token}
-
-    def oracle(state: ProofState):
-        token = oracle_tokens[canonical_state(state)]
-        return backend.counterexample_at(token, config.atom_limit)
 
     if root_state.qed:
         stats.wall_time = time.monotonic() - start_time
         return SearchOutcome(True, (), stats, tree, seen.stats, opened)
 
-    def expand(node: SearchNode, cands: list[Candidate], successes, failures):
-        """Apply ``cands`` to the node's snapshot in one batch, recording
-        successes and failures in candidate order; returns the winning node
-        (the first zero-subgoal success) or None."""
-        if not cands:
-            return None
-        results = backend.apply_batch(
-            node.token, [c.step for c in cands], config.step_timeout_ms)
-        for cand, (result, token) in zip(cands, results):
+    def expand(node: SearchNode, cands: list[Candidate], memo, successes, failures):
+        """Apply ``cands`` to the node's snapshot, recording successes and
+        failures in candidate order; returns the winning node (the first
+        zero-subgoal success) or None. One batch carries the steps ``memo``
+        (step -> result and token, for this node) has not seen yet."""
+        fresh = list(dict.fromkeys(c.step for c in cands if c.step not in memo))
+        if fresh:
+            results = backend.apply_batch(node.token, fresh, config.step_timeout_ms)
+            for step, (result, token) in zip(fresh, results):
+                memo[step] = (result, token)
+                if token is not None:
+                    opened.append(token)
+        for cand in cands:
+            # a memoised step never closed the goal, and the batch only
+            # stops short after the winner, so every step before it is here
+            result, token = memo[cand.step]
             if not result.ok:
                 failures.append(FailedAttempt(
                     node.state, cand.step, cand.log_prob, result.category, result.detail))
                 continue
-            opened.append(token)
             new_state = result.state.with_context(context)
             if new_state.qed:
                 return SearchNode(new_state, node, cand,
@@ -191,9 +194,10 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
         for node in batch:
             candidates = generator.generate(node.state)[:config.candidates_per_state]
             stats.generator_calls += 1
+            memo: dict[ProofStep, tuple[StepResult, str | None]] = {}
             successes: list[tuple[ProofState, Candidate, str]] = []
             failures: list[FailedAttempt] = []
-            winner = expand(node, candidates, successes, failures)
+            winner = expand(node, candidates, memo, successes, failures)
             if winner is None and config.revision_enabled:
                 round_failures = failures
                 for _ in range(revision_config.repair_rounds):
@@ -202,7 +206,7 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
                         break
                     stats.revisions_tried += len(repaired)
                     round_failures = []
-                    winner = expand(node, repaired, successes, round_failures)
+                    winner = expand(node, repaired, memo, successes, round_failures)
                     if winner is not None:
                         break
             if winner is not None:
@@ -210,22 +214,18 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
                 return SearchOutcome(True, tuple(reconstruct_proof(winner)), stats,
                                      tree, seen.stats, opened)
 
-            for state, _, token in successes:
-                oracle_tokens.setdefault(canonical_state(state), token)
             if config.filtering_enabled:
+                token_of = {id(state): token for state, _, token in successes}
+
+                def oracle(states: list[ProofState]):
+                    return backend.counterexamples_at(
+                        [token_of[id(s)] for s in states], config.atom_limit)
+
                 pairs = [(state, cand) for state, cand, _ in successes]
                 kept_pairs, delta = filter_states(pairs, seen, oracle, filter_config)
                 stats.nodes_filtered_dup += delta.duplicates_rejected
                 stats.nodes_filtered_cex += delta.counterexamples_rejected
-                # filter preserves order, so a single forward walk recovers
-                # the snapshot token of each survivor
-                kept = []
-                cursor = iter(successes)
-                for state, cand in kept_pairs:
-                    for s, c, token in cursor:
-                        if s is state and c is cand:
-                            kept.append((s, c, token))
-                            break
+                kept = [(state, cand, token_of[id(state)]) for state, cand in kept_pairs]
             else:
                 kept = successes
             for state, cand, token in kept:

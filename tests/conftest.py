@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from stepwise.core import ProofState
-from stepwise.formulas import evaluate
+from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, Or, evaluate
 from stepwise.prover import load_theory
 
 BENCH_SEED = 11
@@ -50,6 +50,17 @@ def naive_first_counterexample(state: ProofState):
             if not evaluate(sub.goal, assignment):
                 return assignment, idx
     return None
+
+
+def random_formula(rng, leaves=3):
+    """A random formula over the atoms a-e with ``leaves`` leaves."""
+    if leaves <= 1:
+        return Atom(rng.choice("abcde")) if rng.random() < 0.85 else rng.choice((TRUE, FALSE))
+    if rng.random() < 0.2:
+        return Not(random_formula(rng, leaves - 1))
+    left = rng.randint(1, leaves - 1)
+    op = rng.choice((And, Or, Implies))
+    return op(random_formula(rng, left), random_formula(rng, leaves - left))
 
 
 @pytest.fixture(scope="session")

@@ -81,7 +81,8 @@ def test_criterion_3_filter_soundness(bench_corpus):
         assert state.qed
         seen = SeenSet()
         pairs = [(s, _dummy_candidate()) for s in states if not s.qed]
-        kept, stats = filter_states(pairs, seen, check_counterexample)
+        kept, stats = filter_states(
+            pairs, seen, lambda states: [check_counterexample(s) for s in states])
         assert stats.counterexamples_rejected == 0, theory.name
         on_path_states += len(pairs)
 

@@ -54,6 +54,13 @@ def test_unknown_tactic_rejected():
         parse_step("megasimp")
 
 
+def test_parse_step_is_memoised_and_a_bad_text_fails_every_time():
+    assert parse_step(" intro ") is parse_step(" intro ")
+    for _ in range(3):
+        with pytest.raises(ParseError, match="unknown tactic"):
+            parse_step("megasimp [f1]")
+
+
 def test_step_equality_ignores_raw():
     assert parse_step("intro") == ProofStep("intro", raw="weird")
 

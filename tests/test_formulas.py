@@ -61,6 +61,14 @@ def test_unexpected_character_reports_position():
         parse_formula("p @ q")
 
 
+def test_parse_formula_is_memoised_and_a_bad_text_fails_every_time():
+    assert parse_formula("a & (b | c)") is parse_formula("a & (b | c)")
+    for _ in range(3):
+        with pytest.raises(ParseError) as err:
+            parse_formula("p -> (q")
+        assert err.value.position == 8
+
+
 def test_constants_are_not_atoms():
     assert parse_formula("true") is TRUE
     assert parse_formula("false") is FALSE

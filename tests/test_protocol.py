@@ -1,14 +1,20 @@
+import gc
 import json
+import os
+import random
 import socket
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_first_counterexample, random_formula
 from stepwise.core import canonical_state
+from stepwise.formulas import render
 from stepwise.prover import ToyProver, load_theory
 from stepwise.protocol import (
     BackendError,
@@ -242,6 +248,54 @@ def test_token_addressed_oracles_open_no_session(client):
     assert (client.stats()["snapshots"]) == 0
 
 
+def test_counterexample_batch_over_wire_matches_in_process(client):
+    rng = random.Random(5)
+    local = ToyProver()
+    local_tokens, remote_tokens, states = [], [], []
+    for i in range(25):
+        axioms = [f"axiom f{k}: {render(random_formula(rng, rng.randint(1, 3)))}"
+                  for k in range(rng.randint(0, 3))]
+        goal = render(random_formula(rng, rng.randint(1, 5)))
+        source = "\n".join([f"theory rand{i}", *axioms, f"theorem t: {goal}", "end"]) + "\n"
+        local.load_theory(source)
+        client.load_theory(source)
+        sid = local.start(f"rand{i}", "t")
+        here, there = local.clone(sid), client.clone(client.start(f"rand{i}", "t"))
+        local_tokens.append(here)
+        remote_tokens.append(there)
+        states.append(local.state(sid))
+        steps = ["intro", "split", "elim [f0]", "left", "right", "simp"]
+        for (h, h_token), (_, t_token) in zip(local.apply_batch(here, steps, 3000),
+                                              client.apply_batch(there, steps, timeout_ms=3000)):
+            if h_token is not None:
+                local_tokens.append(h_token)
+                remote_tokens.append(t_token)
+                states.append(h.state)
+    kinds = set()
+    for atom_limit in (2, 16):
+        verdicts = client.counterexamples_at(remote_tokens, atom_limit)
+        assert verdicts == [local.counterexample_at(t, atom_limit) for t in local_tokens]
+        for state, verdict in zip(states, verdicts):
+            kinds.add(verdict.kind)
+            if verdict.kind == "counterexample":
+                assert (verdict.assignment, verdict.subgoal_index) \
+                    == naive_first_counterexample(state)
+    assert kinds == {"none", "counterexample", "unknown"}
+    assert client.stats()["commands"]["counterexample"]["count"] == 2
+
+
+def test_counterexample_batch_with_an_unknown_token_fails_whole(client):
+    client.load_theory(THEORY)
+    token = client.clone(client.start("proto", "t1"))
+    with pytest.raises(BackendError) as err:
+        client.counterexamples_at([token, "c404", token])
+    assert err.value.category == "unknown_session"
+    with pytest.raises(BackendError) as err:
+        client._expect(client._call("counterexample", payload={"tokens": token}))
+    assert err.value.category == "protocol_error"
+    assert client.counterexamples_at([token, token])[1].kind == "none"
+
+
 def test_unknown_command_rejected(client):
     with pytest.raises(BackendError):
         client._expect(client._call("frobnicate"))
@@ -271,11 +325,12 @@ def test_full_state_flag_controls_apply_payload(client):
 
 class _SlowServer:
     """Accepts one connection; delays the response to any apply or
-    apply_batch command and records every command it receives."""
+    apply_batch command and records every request it receives."""
 
     def __init__(self, delay_s=1.5):
         self.delay_s = delay_s
         self.commands = []
+        self.requests = []
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.port = self.sock.getsockname()[1]
         self.thread = threading.Thread(target=self._run, daemon=True)
@@ -297,6 +352,7 @@ class _SlowServer:
                     line, buffer = buffer.split(b"\n", 1)
                     request = json.loads(line)
                     self.commands.append(request["cmd"])
+                    self.requests.append(request)
                     if request["cmd"] == "apply_batch":
                         time.sleep(self.delay_s)
                         # one success per step, each token naming its request
@@ -363,6 +419,53 @@ def test_batch_deadline_miss_times_out_every_step_and_needs_no_restore():
     slow.close()
 
 
+def test_missed_batch_snapshots_are_named_by_the_next_release():
+    from stepwise.protocol import TcpTransport
+
+    slow = _SlowServer(delay_s=0.6)
+    client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
+    client.apply_batch("c0", ["intro", "split"], timeout_ms=50)  # request 1 misses
+    client.apply_batch("c0", ["intro"], timeout_ms=5000)  # reads the late reply to 1
+    client.release(["c0", "r2.0"])
+    client.release([])
+    releases = [r["payload"]["ids"] for r in slow.requests if r["cmd"] == "release"]
+    assert releases == [["c0", "r2.0", "r1.0", "r1.1"], []]
+    client.transport.close()
+    slow.close()
+
+
+class _SlowBatchProver(ToyProver):
+    delay_s = 0.0
+
+    def apply_batch(self, token, steps, timeout_ms=None):
+        time.sleep(self.delay_s)
+        return super().apply_batch(token, steps, timeout_ms)
+
+
+def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
+    prover = _SlowBatchProver()
+    tcp = ProverServer(prover, trace=False).tcp_server(port=0)
+    threading.Thread(target=tcp.serve_forever, daemon=True).start()
+    client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
+    try:
+        client.load_theory(THEORY)
+        sid = client.start("proto", "t1")
+        token = client.clone(sid)
+        prover.delay_s = 0.5
+        missed = client.apply_batch(token, ["intro", "apply [f2]"], timeout_ms=1)
+        assert [r.category for r, _ in missed] == ["timeout", "timeout"]
+        prover.delay_s = 0.0
+        assert client.counterexample_at(token).kind == "none"  # reads the late reply
+        assert client.stats()["snapshots"] == 2  # the token and the missed success
+        client.release([sid, token])
+        stats = client.stats()
+        assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+    finally:
+        client.close()
+        tcp.shutdown()
+        tcp.server_close()
+
+
 class _GarbageServer:
     def __init__(self, line: bytes):
         self.sock = socket.create_server(("127.0.0.1", 0))
@@ -416,6 +519,23 @@ def test_stdio_subprocess_server_round_trip():
         assert client.apply(sid, "assumption", timeout_ms=10_000).state.qed
     finally:
         client.close()
+
+
+def test_stdio_close_closes_each_pipe_once():
+    client = RemoteProver.spawn_stdio(
+        [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"])
+    proc, transport = client._proc, client.transport
+    assert client.init()["protocol"] == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        client.close()
+        assert proc.stdin.closed and proc.stdout.closed
+        for fd in (transport._read_fd, transport._write_fd):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        del client, proc, transport
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_trace_env_dumps_frames(tcp_server, monkeypatch, capsys):

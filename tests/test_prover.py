@@ -34,7 +34,7 @@ from stepwise.prover import (
     toy_hammer,
 )
 from stepwise.revision import relevance_filter
-from conftest import CHAIN_SRC, naive_first_counterexample
+from conftest import CHAIN_SRC, naive_first_counterexample, random_formula
 
 
 def state_of(goal, hyps=(), ctx=None):
@@ -498,16 +498,6 @@ def reference_hammer(state, config, pool):
         if steps is not None:
             return HammerResult("found", tuple(steps))
     return HammerResult("notfound")
-
-
-def random_formula(rng, leaves=3):
-    if leaves <= 1:
-        return Atom(rng.choice("abcde")) if rng.random() < 0.85 else rng.choice((TRUE, FALSE))
-    if rng.random() < 0.2:
-        return Not(random_formula(rng, leaves - 1))
-    left = rng.randint(1, leaves - 1)
-    op = rng.choice((And, Or, Implies))
-    return op(random_formula(rng, left), random_formula(rng, leaves - left))
 
 
 def random_fact(rng):

@@ -345,3 +345,85 @@ def test_search_alone_keeps_its_tree_tokens(demo_theory):
         assert prover.counterexample_at(n.token).kind == "none"
     prover.release(outcome.opened)
     assert prover.stats() == {"sessions": 0, "snapshots": 0}
+
+
+# -- each distinct step and oracle query crosses once per expansion -------------
+
+class _RecordingProver(ToyProver):
+    """Records every (token, step text) pair an ``apply_batch`` carries."""
+
+    def __init__(self):
+        super().__init__()
+        self.applied = []
+
+    def apply_batch(self, token, steps, timeout_ms=None):
+        self.applied.extend((token, s.text()) for s in steps)
+        return super().apply_batch(token, steps, timeout_ms)
+
+
+def test_expansion_applies_each_step_to_a_token_once():
+    from collections import Counter
+
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.engine import prove_theorem
+
+    config = bench_engine_config(0)
+    prover = _RecordingProver()
+    for theory in _stride_sample(generate_corpus(0), 30):
+        prove_theorem(theory, "goal", config, backend=prover,
+                      generator=config.make_generator())
+    assert len(prover.applied) > 1000
+    repeats = [pair for pair, n in Counter(prover.applied).items() if n > 1]
+    assert repeats == []
+
+
+def test_a_repeated_candidate_reuses_the_first_result(demo_theory):
+    prover = _RecordingProver()
+    generator = FixedPoolGenerator([("apply [f2]", -0.1), ("intro", -0.2), ("apply [f2]", -0.3)])
+    outcome = best_first_search(demo_theory, "t1", prover, generator,
+                                SearchConfig(max_iterations=1, revision_enabled=False))
+    assert [step for _, step in prover.applied] == ["apply [f2]", "intro"]
+    assert outcome.stats.nodes_filtered_dup == 1
+    assert [n.producing_step.log_prob for n in outcome.tree[1:]] == [-0.1]
+
+
+def test_at_most_one_counterexample_request_per_expansion(prover_server):
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.engine import prove_theorem
+    from stepwise.protocol import RemoteProver
+
+    def oracle_requests():
+        return remote.stats()["commands"].get("counterexample", {"count": 0})["count"]
+
+    config = bench_engine_config(0)
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    try:
+        total = 0
+        for theory in _stride_sample(generate_corpus(0), 30):
+            before = oracle_requests()
+            result = prove_theorem(theory, "goal", config, backend=remote,
+                                   generator=config.make_generator())
+            requests = oracle_requests() - before
+            assert requests <= result.outcome.stats.generator_calls, theory.name
+            total += requests
+        assert total > 0
+    finally:
+        remote.close()
+
+
+def test_seed_0_bench_totals_are_pinned():
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.engine import prove_theorem
+
+    config = bench_engine_config(0)
+    prover = ToyProver()
+    totals = dict.fromkeys(("iterations", "nodes_created", "generator_calls",
+                            "nodes_filtered_dup", "nodes_filtered_cex", "revisions_tried"), 0)
+    for theory in generate_corpus(0):
+        stats = prove_theorem(theory, "goal", config, backend=prover,
+                              generator=config.make_generator()).outcome.stats
+        for key in totals:
+            totals[key] += getattr(stats, key)
+    assert totals == {"iterations": 596, "nodes_created": 1771, "generator_calls": 1026,
+                      "nodes_filtered_dup": 1853, "nodes_filtered_cex": 75,
+                      "revisions_tried": 15010}
