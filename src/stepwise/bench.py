@@ -189,9 +189,12 @@ def arm_auto(theory: Theory, backend) -> bool:
     from .prover import render_theory
 
     backend.load_theory(render_theory(theory))
-    sid = backend.start(theory.name, "goal")
-    result = backend.apply(sid, ProofStep("auto"), 5000)
-    backend.release([sid])
+    token, _ = backend.start(theory.name, "goal")
+    sid = backend.restore(token)
+    try:
+        result = backend.apply(sid, ProofStep("auto"), 5000)
+    finally:
+        backend.release([sid, token])
     return bool(result.ok and result.state.qed)
 
 
@@ -200,16 +203,18 @@ def arm_hammer_root(theory: Theory, backend, config: EngineConfig) -> bool:
     from .prover import render_theory
 
     backend.load_theory(render_theory(theory))
-    sid = backend.start(theory.name, "goal")
-    state = backend.state(sid).with_context(theory.context_for("goal"))
-    root = SearchNode(state, None, None, 0.0, 0, 0.0, order=0, token=backend.clone(sid))
+    token, state = backend.start(theory.name, "goal")
+    state = state.with_context(theory.context_for("goal"))
+    root = SearchNode(state, None, None, 0.0, 0, 0.0, order=0, token=token)
     outcome = SearchOutcome(False, (), SearchStats(), [root], FilterStats())
     fallback = config.fallback_config()
-    steps = hammer_fallback(outcome, backend, HammerFallbackConfig(
-        m_states=1, premise_limit=fallback.premise_limit,
-        per_state_timeout_s=fallback.per_state_timeout_s,
-        mesh_weight=fallback.mesh_weight, max_depth=fallback.max_depth))
-    backend.release([sid, root.token])
+    try:
+        steps = hammer_fallback(outcome, backend, HammerFallbackConfig(
+            m_states=1, premise_limit=fallback.premise_limit,
+            per_state_timeout_s=fallback.per_state_timeout_s,
+            mesh_weight=fallback.mesh_weight, max_depth=fallback.max_depth))
+    finally:
+        backend.release([token])
     return steps is not None
 
 

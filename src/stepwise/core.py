@@ -260,6 +260,11 @@ class StepResult:
         return cls(category=category, detail=detail)
 
 
+# the detail-free failure of each category; results are immutable, so one
+# instance per category serves every category-only report
+BARE_FAILURES = {category: StepResult.failure(category) for category in ERROR_CATEGORIES}
+
+
 @dataclass(frozen=True, slots=True)
 class TheoryEntry:
     kind: str  # axiom | lemma | theorem

@@ -27,7 +27,8 @@ def extract_pairs(theory: Theory, backend) -> ExtractionResult:
     """Replay every entry that has a ground-truth proof, recording the state
     before each step. An entry whose replay breaks (a failing step, or a
     proof that does not end at zero subgoals) contributes no pairs and is
-    reported instead."""
+    reported instead. Each entry's session and root snapshot are released
+    once it is replayed."""
     from .prover import render_theory
 
     backend.load_theory(render_theory(theory))
@@ -35,18 +36,22 @@ def extract_pairs(theory: Theory, backend) -> ExtractionResult:
     for entry in theory.entries:
         if entry.proof is None:
             continue
-        sid = backend.start(theory.name, entry.name)
+        token, state = backend.start(theory.name, entry.name)
+        sid = backend.restore(token)
         entry_pairs: list[StatePair] = []
         broken = None
-        for index, step in enumerate(entry.proof):
-            state = backend.state(sid)
-            entry_pairs.append(StatePair(
-                theory.name, entry.name, index, render_state(state), step.text()))
-            outcome = backend.apply(sid, step, None)
-            if not outcome.ok:
-                broken = f"step {index} ({step.text()}): {outcome.category} {outcome.detail}"
-                break
-        if broken is None and not backend.state(sid).qed:
+        try:
+            for index, step in enumerate(entry.proof):
+                entry_pairs.append(StatePair(
+                    theory.name, entry.name, index, render_state(state), step.text()))
+                outcome = backend.apply(sid, step, None)
+                if not outcome.ok:
+                    broken = f"step {index} ({step.text()}): {outcome.category} {outcome.detail}"
+                    break
+                state = outcome.state
+        finally:
+            backend.release([sid, token])
+        if broken is None and not state.qed:
             broken = "proof ends with open subgoals"
         if broken is None:
             result.pairs.extend(entry_pairs)

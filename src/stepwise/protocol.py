@@ -8,12 +8,15 @@ command. Set ``STEPWISE_PROTOCOL_TRACE=1`` to dump every frame to stderr.
 
 The toy prover is the reference server; ``RemoteProver`` exposes the same
 method surface as the in-process backend, so either can sit behind the
-engine. The search addresses immutable snapshot tokens (``apply_batch``,
-token-addressed ``counterexample`` and ``hammer``), so a missed deadline
-there loses only that reply; the snapshots a late ``apply_batch`` reply
-names are released with the client's next ``release``. A missed ``apply``
-deadline marks the session poisoned: further ``apply`` calls are rejected
-locally until a ``restore`` names the session.
+engine. The search addresses immutable snapshot tokens (``start`` returns
+the root's, ``apply_batch`` one per success, and ``counterexample`` and
+``hammer`` take them), so a missed deadline there loses only that reply;
+the snapshots a late ``apply_batch`` reply names are released with the
+client's next ``release``. An ``apply_batch`` that carries an ``atom_limit``
+gets each open success's counterexample verdict with it, which the client
+keeps until the token is released. A missed ``apply`` deadline marks the
+session poisoned: further ``apply`` calls are rejected locally until a
+``restore`` names the session.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core import (
+    BARE_FAILURES,
     ERROR_CATEGORIES,
     EMPTY_CONTEXT,
     ProofState,
@@ -40,7 +44,14 @@ from .core import (
     state_from_wire,
     state_to_wire,
 )
-from .prover import CexResult, HammerConfig, HammerResult, ProverError, ToyProver
+from .prover import (
+    MAX_ATOM_LIMIT,
+    CexResult,
+    HammerConfig,
+    HammerResult,
+    ProverError,
+    ToyProver,
+)
 from .formulas import ParseError
 
 TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
@@ -49,7 +60,7 @@ COMMANDS = ("init", "load_theory", "start", "apply", "apply_batch", "state",
             "clone", "restore", "release", "counterexample", "hammer", "stats",
             "shutdown")
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 
 class ProtocolError(Exception):
@@ -112,7 +123,7 @@ def encode_request(req: Request) -> str:
 def decode_request(line: str) -> Request:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ProtocolError(f"malformed request line: {e}") from e
     if not isinstance(obj, dict) or not isinstance(obj.get("id"), int):
         raise ProtocolError("request must be an object with an integer id")
@@ -123,8 +134,44 @@ def decode_request(line: str) -> Request:
     if not isinstance(payload, dict):
         raise ProtocolError("payload must be an object", offending_id=obj["id"])
     session = obj.get("session")
+    if session is not None and not isinstance(session, str):
+        raise ProtocolError("session must be a string", offending_id=obj["id"])
     timeout_ms = obj.get("timeout_ms")
+    if timeout_ms is not None and not _is_int(timeout_ms):
+        raise ProtocolError("timeout_ms must be an integer", offending_id=obj["id"])
     return Request(obj["id"], cmd, session, payload, timeout_ms)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _text(payload: dict, key: str) -> str:
+    value = payload[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string")
+    return value
+
+
+def _texts(payload: dict, key: str) -> list[str]:
+    value = payload[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{key} must be a list of strings")
+    return value
+
+
+def _int(payload: dict, key: str, default: int) -> int:
+    value = payload.get(key, default)
+    if not _is_int(value):
+        raise TypeError(f"{key} must be an integer")
+    return value
+
+
+def _atom_limit(payload: dict) -> int:
+    limit = _int(payload, "atom_limit", 16)
+    if not 0 <= limit <= MAX_ATOM_LIMIT:
+        raise ValueError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {limit}")
+    return limit
 
 
 def encode_response(resp: Response) -> str:
@@ -223,7 +270,7 @@ class ProverServer:
         except ParseError as e:
             return Response(req.id, False, None,
                             {"category": "parse_error", "detail": str(e)}), False
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
             return Response(req.id, False, None,
                             {"category": "protocol_error",
                              "detail": f"bad payload for {req.cmd}: {e}"}), False
@@ -245,19 +292,17 @@ class ProverServer:
             return {"protocol": PROTOCOL_VERSION, "server": "stepwise-toy-prover",
                     "commands": list(COMMANDS)}, False
         if cmd == "load_theory":
-            source = payload["source"]
+            source = _text(payload, "source")
             cached = prover.has_theory_digest(source)
             name = prover.load_theory(source)
             return {"theory": name, "entries": len(prover.theory(name).entries),
                     "cached": cached}, False
         if cmd == "start":
-            sid = prover.start(payload["theory"], payload["theorem"])
-            state = prover.state(sid)
-            return {"session": sid, "subgoals": len(state.subgoals),
-                    "key": canonical_state(state)}, False
+            token, state = prover.start(_text(payload, "theory"), _text(payload, "theorem"))
+            return {"token": token, "state": state_to_wire(state)}, False
         if cmd == "apply":
             sid = self._require_session(req)
-            result = prover.apply(sid, payload["step"], req.timeout_ms)
+            result = prover.apply(sid, _text(payload, "step"), req.timeout_ms)
             if not result.ok:
                 raise _StepFailure(result)
             reply = {"subgoals": len(result.state.subgoals),
@@ -267,13 +312,17 @@ class ProverServer:
                 reply["state"] = state_to_wire(result.state)
             return reply, False
         if cmd == "apply_batch":
-            results = []
-            for result, token in prover.apply_batch(
-                    payload["token"], list(payload["steps"]), req.timeout_ms):
-                if result.ok:
-                    results.append({"token": token, "state": state_to_wire(result.state)})
-                else:
-                    results.append({"category": result.category, "detail": result.detail})
+            token, steps = _text(payload, "token"), _texts(payload, "steps")
+            atom_limit = _atom_limit(payload) if "atom_limit" in payload else None
+            results: list = []
+            for result, new_token in prover.apply_batch(token, steps, req.timeout_ms):
+                if not result.ok:
+                    results.append(result.category)
+                    continue
+                item = {"token": new_token, "state": state_to_wire(result.state)}
+                if atom_limit is not None and not result.state.qed:
+                    item["cex"] = _cex_to_wire(prover.counterexample_at(new_token, atom_limit))
+                results.append(item)
             return {"results": results}, False
         if cmd == "state":
             sid = self._require_session(req)
@@ -284,30 +333,27 @@ class ProverServer:
             sid = self._require_session(req)
             return {"token": prover.clone(sid)}, False
         if cmd == "restore":
-            sid = prover.restore(payload["token"], req.session)
+            sid = prover.restore(_text(payload, "token"), req.session)
             return {"session": sid}, False
         if cmd == "release":
-            prover.release([str(name) for name in payload["ids"]])
+            prover.release(_texts(payload, "ids"))
             return {}, False
         if cmd == "counterexample":
-            atom_limit = int(payload.get("atom_limit", 16))
+            atom_limit = _atom_limit(payload)
             if "tokens" in payload:
-                tokens = payload["tokens"]
-                if not isinstance(tokens, list):
-                    raise TypeError("tokens must be a list")
-                verdicts = prover.counterexamples_at([str(t) for t in tokens], atom_limit)
+                verdicts = prover.counterexamples_at(_texts(payload, "tokens"), atom_limit)
                 return {"results": [_cex_to_wire(v) for v in verdicts]}, False
             verdict = prover.counterexample(self._require_session(req), atom_limit)
             return _cex_to_wire(verdict), False
         if cmd == "hammer":
             config = HammerConfig(
-                max_depth=int(payload.get("max_depth", HammerConfig.max_depth)),
-                premise_limit=int(payload.get("premise_limit", HammerConfig.premise_limit)),
-                budget_ms=int(payload.get("budget_ms", HammerConfig.budget_ms)),
+                max_depth=_int(payload, "max_depth", HammerConfig.max_depth),
+                premise_limit=_int(payload, "premise_limit", HammerConfig.premise_limit),
+                budget_ms=_int(payload, "budget_ms", HammerConfig.budget_ms),
             )
-            pool = payload.get("pool")
+            pool = _texts(payload, "pool") if payload.get("pool") is not None else None
             if "token" in payload:
-                result = prover.hammer_at(payload["token"], config, pool)
+                result = prover.hammer_at(_text(payload, "token"), config, pool)
             else:
                 result = prover.hammer(self._require_session(req), config, pool)
             reply: dict = {"result": result.kind}
@@ -485,7 +531,9 @@ class RemoteProver:
     immutable, so only that batch's results are lost. Stale frames (ids
     below the pending request) are discarded, anything else out of order is
     a protocol error naming the offending id. The tokens in a discarded
-    ``apply_batch`` reply are kept and named by the next ``release``.
+    ``apply_batch`` reply are kept and named by the next ``release``. The
+    counterexample verdicts an ``apply_batch`` reply carries are kept until
+    their tokens are released and answer ``counterexamples_at`` locally.
     """
 
     def __init__(self, transport, grace_ms: int = 1000, trace: bool | None = None):
@@ -496,6 +544,7 @@ class RemoteProver:
         self._poisoned: set[str] = set()
         self._missed_batches: set[int] = set()  # ids of apply_batch requests given up on
         self._orphans: list[str] = []  # tokens from their late replies
+        self._verdicts: dict[str, tuple[int, CexResult]] = {}  # token -> (atom_limit, verdict)
         self._proc: subprocess.Popen | None = None
 
     @classmethod
@@ -546,7 +595,7 @@ class RemoteProver:
             if resp.id < rid:  # stale reply from an abandoned exchange
                 if resp.ok and resp.id in self._missed_batches:
                     self._orphans.extend(item["token"] for item in resp.payload["results"]
-                                         if "token" in item)
+                                         if isinstance(item, dict))
                 self._missed_batches.discard(resp.id)
                 continue
             raise ProtocolError(
@@ -569,10 +618,10 @@ class RemoteProver:
     def load_theory(self, source: str) -> str:
         return self._expect(self._call("load_theory", payload={"source": source}))["theory"]
 
-    def start(self, theory_name: str, theorem_id: str) -> str:
+    def start(self, theory_name: str, theorem_id: str) -> tuple[str, ProofState]:
         payload = self._expect(self._call(
             "start", payload={"theory": theory_name, "theorem": theorem_id}))
-        return payload["session"]
+        return payload["token"], state_from_wire(payload["state"], EMPTY_CONTEXT)
 
     def state(self, sid: str) -> ProofState:
         payload = self._expect(self._call("state", session=sid))
@@ -601,27 +650,35 @@ class RemoteProver:
             return StepResult.failure(category, error.get("detail", ""))
         raise BackendError(category or "protocol_error", error.get("detail", ""))
 
-    def apply_batch(self, token: str, steps, timeout_ms: int | None = None
-                    ) -> list[tuple[StepResult, str | None]]:
+    def apply_batch(self, token: str, steps, timeout_ms: int | None = None,
+                    atom_limit: int | None = None) -> list[tuple[StepResult, str | None]]:
         """One round trip for ``steps`` on snapshot ``token`` (see
-        ``ToyProver.apply_batch``). The reply is awaited for the sum of the
-        step budgets plus grace; on a miss every step reports ``timeout``."""
+        ``ToyProver.apply_batch``). With ``atom_limit`` the reply carries the
+        counterexample verdict of each success with open subgoals, kept for
+        ``counterexamples_at``. The reply is awaited for the sum of the step
+        budgets plus grace; on a miss every step reports ``timeout``."""
         texts = [s if isinstance(s, str) else (s.raw or s.text()) for s in steps]
+        request = {"token": token, "steps": texts}
+        if atom_limit is not None:
+            request["atom_limit"] = atom_limit
         wait_ms = None if timeout_ms is None else timeout_ms * len(texts)
         try:
             payload = self._expect(self._call(
-                "apply_batch", payload={"token": token, "steps": texts},
-                timeout_ms=timeout_ms, wait_ms=wait_ms))
+                "apply_batch", payload=request, timeout_ms=timeout_ms, wait_ms=wait_ms))
         except DeadlineMiss:
-            miss = StepResult.failure("timeout", f"no response within {wait_ms} ms")
-            return [(miss, None)] * len(texts)
+            return [(BARE_FAILURES["timeout"], None)] * len(texts)
         out: list[tuple[StepResult, str | None]] = []
         for item in payload["results"]:
-            if "token" in item:
-                out.append((StepResult.success(state_from_wire(item["state"], EMPTY_CONTEXT)),
-                            item["token"]))
-            else:
-                out.append((StepResult.failure(item["category"], item["detail"]), None))
+            if isinstance(item, str):
+                if item not in BARE_FAILURES:
+                    raise ProtocolError(f"unknown failure category {item!r}")
+                out.append((BARE_FAILURES[item], None))
+                continue
+            new_token = item["token"]
+            out.append((StepResult.success(state_from_wire(item["state"], EMPTY_CONTEXT)),
+                        new_token))
+            if "cex" in item:
+                self._verdicts[new_token] = (atom_limit, _cex_from_wire(item["cex"]))
         return out
 
     def clone(self, sid: str) -> str:
@@ -641,6 +698,8 @@ class RemoteProver:
         orphans, self._orphans = self._orphans, []
         self._expect(self._call("release", payload={"ids": ids + orphans}))
         self._poisoned.difference_update(ids)
+        for name in ids:
+            self._verdicts.pop(name, None)
 
     def stats(self) -> dict:
         return self._expect(self._call("stats"))
@@ -653,10 +712,19 @@ class RemoteProver:
         return self.counterexamples_at([token], atom_limit)[0]
 
     def counterexamples_at(self, tokens, atom_limit: int = 16) -> list[CexResult]:
-        """One round trip for the verdicts on every snapshot in ``tokens``."""
-        reply = self._expect(self._call(
-            "counterexample", payload={"tokens": list(tokens), "atom_limit": atom_limit}))
-        return [_cex_from_wire(item) for item in reply["results"]]
+        """The verdicts on every snapshot in ``tokens``: those an
+        ``apply_batch`` reply carried for this ``atom_limit``, and the rest
+        in one round trip."""
+        tokens = list(tokens)
+        kept = [self._verdicts.get(token) for token in tokens]
+        verdicts = [v[1] if v is not None and v[0] == atom_limit else None for v in kept]
+        missing = [token for token, v in zip(tokens, verdicts) if v is None]
+        if missing:
+            reply = self._expect(self._call(
+                "counterexample", payload={"tokens": missing, "atom_limit": atom_limit}))
+            fetched = iter(reply["results"])
+            verdicts = [v if v is not None else _cex_from_wire(next(fetched)) for v in verdicts]
+        return verdicts
 
     def hammer(self, sid: str, config: HammerConfig = HammerConfig(),
                pool: list[str] | None = None) -> HammerResult:

@@ -2,9 +2,10 @@
 
 Implements the backend surface the search engine drives: theory loading,
 goal initialisation, step execution, a truth-table counterexample oracle,
-a depth-bounded proof hammer, sessions with clone/restore, and immutable
-snapshot tokens that ``apply_batch`` and the ``*_at`` oracles address
-directly. All tactics act on the first subgoal.
+a depth-bounded proof hammer, immutable snapshot tokens that ``start``
+returns and ``apply_batch`` and the ``*_at`` oracles address directly, and
+sessions restored from a snapshot for step-by-step replay. All tactics act
+on the first subgoal.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
+    BARE_FAILURES,
+    FACT_REQUIRED,
     FactContext,
     ProofState,
     ProofStep,
@@ -553,7 +556,11 @@ def _apply_text_or_step(state: ProofState, step: ProofStep | str,
         try:
             step = parse_step(step)
         except ParseError as e:
-            return StepResult.failure("parse_error", str(e))
+            # a factless apply/elim fails the parser, but the same step
+            # built directly fails in apply_step; give its text that verdict
+            if step.strip() not in FACT_REQUIRED:
+                return StepResult.failure("parse_error", str(e))
+            step = ProofStep(step.strip())
     return apply_step(state, step, timeout_ms or DEFAULT_STEP_BUDGET_MS)
 
 
@@ -624,12 +631,14 @@ class ToyProver:
             raise UnknownSessionError(f"no session {sid!r}")
         return session
 
-    def start(self, theory_name: str, theorem_id: str) -> str:
+    def start(self, theory_name: str, theorem_id: str) -> tuple[str, ProofState]:
+        """The theorem's initial goal, stored as a snapshot: its token and
+        state. ``restore`` opens a session on it."""
         state = init_goal(self.theory(theory_name), theorem_id)
-        sid = self._new_id("s")
+        token = self._new_id("c")
         with self._lock:
-            self._sessions[sid] = Session(sid, theory_name, state)
-        return sid
+            self._snapshots[token] = _Snapshot(theory_name, state)
+        return token, state
 
     def state(self, sid: str) -> ProofState:
         return self._session(sid).current
@@ -642,18 +651,21 @@ class ToyProver:
             session.current = result.state
         return result
 
-    def apply_batch(self, token: str, steps, timeout_ms: int | None = None
-                    ) -> list[tuple[StepResult, str | None]]:
+    def apply_batch(self, token: str, steps, timeout_ms: int | None = None,
+                    atom_limit: int | None = None) -> list[tuple[StepResult, str | None]]:
         """Apply each step, in order and with its own ``timeout_ms`` budget,
         to the snapshot ``token``; each success is stored as a new snapshot
-        whose token comes back with its result. Stops after the first
-        success with zero subgoals."""
+        whose token comes back with its result, each failure reports its
+        category alone. Stops after the first success with zero subgoals.
+        ``atom_limit`` is ignored: a remote backend prefetches its oracle
+        verdicts with it, while in-process a verdict asked for later costs
+        the same."""
         snap = self._snapshot(token)
         out: list[tuple[StepResult, str | None]] = []
         for step in steps:
             result = _apply_text_or_step(snap.state, step, timeout_ms)
             if not result.ok:
-                out.append((result, None))
+                out.append((BARE_FAILURES[result.category], None))
                 continue
             new_token = self._new_id("c")
             with self._lock:

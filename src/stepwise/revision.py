@@ -34,7 +34,6 @@ class FailedAttempt:
     step: ProofStep
     log_prob: float
     category: str
-    detail: str = ""
 
 
 def tactic_frequencies(theory: Theory, limit: int = TACTIC_SET_LIMIT) -> tuple[str, ...]:

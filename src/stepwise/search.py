@@ -7,6 +7,8 @@ apply the repairs as another batch, stop on the first zero-subgoal success,
 filter the surviving states (one oracle batch), score and insert. Applying
 a step to an immutable snapshot is a pure function, so each distinct step
 goes to the backend once per expansion; a repeat reuses its first result.
+When filtering is on, each batch asks for its successes' oracle verdicts
+too, so a remote backend answers the filter without another round trip.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ class SearchOutcome:
     stats: SearchStats
     tree: list[SearchNode]
     filter_stats: FilterStats
-    # every backend session and snapshot the search opened, tree tokens
-    # included; the caller releases them once the fallback is done
+    # every backend snapshot the search opened, tree tokens included; the
+    # caller releases them once the fallback is done
     opened: list[str] = field(default_factory=list)
 
     @property
@@ -136,22 +138,23 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
         revision_config = RevisionConfig(tactic_set=tactic_frequencies(theory))
 
     backend.load_theory(render_theory(theory))
-    sid = backend.start(theory.name, theorem_id)
+    token, root_state = backend.start(theory.name, theorem_id)
+    opened = [token]
     for step in prefix_steps:
-        result = backend.apply(sid, step, config.step_timeout_ms)
+        [(result, token)] = backend.apply_batch(token, [step], config.step_timeout_ms)
         if not result.ok:
-            backend.release([sid])
-            raise ReplayError(
-                f"prefix step {step.text()!r} failed: {result.category} {result.detail}")
-    root_state = backend.state(sid).with_context(context)
-    root = SearchNode(root_state, None, None, 0.0, 0, 0.0,
-                      order=0, token=backend.clone(sid))
-    opened = [sid, root.token]
+            backend.release(opened)
+            raise ReplayError(f"prefix step {step.text()!r} failed: {result.category}")
+        opened.append(token)
+        root_state = result.state
+    root_state = root_state.with_context(context)
+    root = SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0, token=token)
     tree = [root]
     stats.nodes_created = 1
     seen = SeenSet()
     seen.insert(root_state)
     filter_config = FilterConfig()
+    oracle_limit = config.atom_limit if config.filtering_enabled else None
 
     if root_state.qed:
         stats.wall_time = time.monotonic() - start_time
@@ -164,7 +167,8 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
         (step -> result and token, for this node) has not seen yet."""
         fresh = list(dict.fromkeys(c.step for c in cands if c.step not in memo))
         if fresh:
-            results = backend.apply_batch(node.token, fresh, config.step_timeout_ms)
+            results = backend.apply_batch(node.token, fresh, config.step_timeout_ms,
+                                          atom_limit=oracle_limit)
             for step, (result, token) in zip(fresh, results):
                 memo[step] = (result, token)
                 if token is not None:
@@ -175,7 +179,7 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
             result, token = memo[cand.step]
             if not result.ok:
                 failures.append(FailedAttempt(
-                    node.state, cand.step, cand.log_prob, result.category, result.detail))
+                    node.state, cand.step, cand.log_prob, result.category))
                 continue
             new_state = result.state.with_context(context)
             if new_state.qed:
@@ -256,13 +260,19 @@ def frontier_summary(outcome: SearchOutcome) -> dict:
 def replay_steps(theory: Theory, theorem_id: str, backend,
                  steps: list[ProofStep] | tuple[ProofStep, ...]) -> bool:
     """Replay a step list on a fresh session; True iff it ends with zero
-    subgoals (the soundness check for Proved outcomes)."""
+    subgoals (the soundness check for Proved outcomes). The session and its
+    root snapshot are released before returning."""
     from .prover import render_theory
 
     backend.load_theory(render_theory(theory))
-    sid = backend.start(theory.name, theorem_id)
-    for step in steps:
-        result = backend.apply(sid, step, None)
-        if not result.ok:
-            return False
-    return backend.state(sid).qed
+    token, state = backend.start(theory.name, theorem_id)
+    sid = backend.restore(token)
+    try:
+        for step in steps:
+            result = backend.apply(sid, step, None)
+            if not result.ok:
+                return False
+            state = result.state
+        return state.qed
+    finally:
+        backend.release([sid, token])

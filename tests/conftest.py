@@ -52,6 +52,13 @@ def naive_first_counterexample(state: ProofState):
     return None
 
 
+def open_session(backend, theory_name, theorem_id):
+    """A session on the theorem's initial goal: ``start`` opens only the
+    root snapshot, ``restore`` a session on it."""
+    token, _ = backend.start(theory_name, theorem_id)
+    return backend.restore(token)
+
+
 def random_formula(rng, leaves=3):
     """A random formula over the atoms a-e with ``leaves`` leaves."""
     if leaves <= 1:

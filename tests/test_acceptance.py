@@ -204,8 +204,12 @@ def test_criterion_8_protocol_differential(bench_corpus):
             source = render_theory(theory)
             client.load_theory(source)
             local.load_theory(source)
-            remote_sid = client.start(theory.name, "goal")
-            local_sid = local.start(theory.name, "goal")
+            remote_token, remote_root = client.start(theory.name, "goal")
+            local_token, local_root = local.start(theory.name, "goal")
+            assert canonical_state(remote_root) == canonical_state(local_root)
+            assert remote_root.depth == local_root.depth
+            remote_sid = client.restore(remote_token)
+            local_sid = local.restore(local_token)
             steps = list(theory.entry("goal").proof)
             # also exercise failing steps mid-sequence
             probes = [parse_step("apply [no_such_fact]"), parse_step("simp")]
@@ -224,6 +228,7 @@ def test_criterion_8_protocol_differential(bench_corpus):
     finally:
         client.close()
         tcp.shutdown()
+        tcp.server_close()
 
     # deadline-miss poisoning (fake server that answers too late)
     from test_protocol import _SlowServer

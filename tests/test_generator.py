@@ -150,6 +150,7 @@ def fake_llm():
     _FakeCompletionHandler.requests = []
     yield server, f"http://127.0.0.1:{server.server_address[1]}/v1/completions"
     server.shutdown()
+    server.server_close()
 
 
 def test_llm_dedup_keeps_max_logprob(fake_llm):

@@ -1,3 +1,4 @@
+from conftest import open_session
 from stepwise.core import FactContext, ProofState, Subgoal
 from stepwise.filtering import FilterStats
 from stepwise.formulas import parse_formula
@@ -61,7 +62,7 @@ def _failed_tree_one_apply_away():
     theory = load_theory(THEORY)
     prover.load_theory(render_theory(theory))
     context = theory.context_for("t1")
-    sid = prover.start("fb", "t1")
+    sid = open_session(prover, "fb", "t1")
     root_state = prover.state(sid).with_context(context)
     root = SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0,
                       token=prover.clone(sid))
@@ -89,7 +90,7 @@ def test_fallback_dead_tree_returns_none():
     prover = ToyProver()
     theory = load_theory("theory dead\ntheorem bad: false\nend\n")
     prover.load_theory(render_theory(theory))
-    sid = prover.start("dead", "bad")
+    sid = open_session(prover, "dead", "bad")
     state = prover.state(sid).with_context(theory.context_for("bad"))
     root = SearchNode(state, None, None, 0.0, 0, 0.0, order=0, token=prover.clone(sid))
     outcome = SearchOutcome(False, (), SearchStats(), [root], FilterStats())

@@ -9,14 +9,15 @@ import time
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_first_counterexample, random_formula
-from stepwise.core import canonical_state
+from conftest import naive_first_counterexample, open_session, random_formula
+from stepwise.core import ERROR_CATEGORIES, ProofStep, canonical_state
 from stepwise.formulas import render
 from stepwise.prover import ToyProver, load_theory
 from stepwise.protocol import (
+    COMMANDS,
     BackendError,
     ProtocolError,
     ProverServer,
@@ -121,8 +122,8 @@ def test_apply_matches_in_process_results(client):
     name = client.load_theory(THEORY)
     assert name == "proto"
 
-    remote_sid = client.start("proto", "t1")
-    local_sid = local.start("proto", "t1")
+    remote_sid = open_session(client, "proto", "t1")
+    local_sid = open_session(local, "proto", "t1")
     for text in ("intro", "apply [f2]", "apply [ghost]", "elim [d]", "simp"):
         remote_result = client.apply(remote_sid, text, timeout_ms=3000)
         local_result = local.apply(local_sid, text)
@@ -137,7 +138,7 @@ def test_apply_matches_in_process_results(client):
 
 def test_undefined_fact_error_echoes_the_name(client):
     client.load_theory(THEORY)
-    sid = client.start("proto", "t1")
+    sid = open_session(client, "proto", "t1")
     result = client.apply(sid, "apply [missing_lemma]", timeout_ms=3000)
     assert result.category == "undefined_fact"
     assert "missing_lemma" in result.detail
@@ -145,7 +146,7 @@ def test_undefined_fact_error_echoes_the_name(client):
 
 def test_clone_restore_and_state_round_trip(client):
     client.load_theory(THEORY)
-    sid = client.start("proto", "t1")
+    sid = open_session(client, "proto", "t1")
     token = client.clone(sid)
     before = canonical_state(client.state(sid))
     assert client.apply(sid, "apply [f2]", timeout_ms=3000).ok
@@ -155,7 +156,7 @@ def test_clone_restore_and_state_round_trip(client):
 
 def test_counterexample_and_hammer_over_wire(client):
     client.load_theory(THEORY)
-    sid = client.start("proto", "t1")
+    sid = open_session(client, "proto", "t1")
     verdict = client.counterexample(sid)
     assert verdict.kind == "none"  # q follows from f1, f2
     result = client.hammer(sid)
@@ -168,7 +169,7 @@ def test_counterexample_and_hammer_over_wire(client):
 
 def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
     client.load_theory("theory tiny\naxiom f: p\ntheorem t: p -> q\nend\n")
-    sid = client.start("tiny", "t")
+    sid = open_session(client, "tiny", "t")
     with pytest.raises(BackendError) as err:
         client._expect(client._call(
             "counterexample", session=sid, payload={"atom_limit": 1_000_000}))
@@ -197,13 +198,12 @@ def test_stats_command_reports_live_objects_and_commands(client):
     before = client.stats()
     assert (before["sessions"], before["snapshots"]) == (0, 0)
     client.load_theory(THEORY)
-    sid = client.start("proto", "t1")
-    token = client.clone(sid)
+    token, _ = client.start("proto", "t1")
     client.apply_batch(token, ["intro", "apply [f2]"], timeout_ms=3000)
     stats = client.stats()
-    assert (stats["sessions"], stats["snapshots"]) == (1, 2)
+    assert (stats["sessions"], stats["snapshots"]) == (0, 2)
     commands = stats["commands"]
-    for cmd in ("load_theory", "start", "clone", "apply_batch"):
+    for cmd in ("load_theory", "start", "apply_batch"):
         assert commands[cmd]["count"] == 1 and commands[cmd]["ms"] >= 0.0
     assert commands["stats"]["count"] == 1  # the earlier call, not this one
     assert "restore" not in commands
@@ -214,16 +214,15 @@ def test_apply_batch_over_wire_matches_in_process(client):
     local.load_theory(THEORY)
     client.load_theory(THEORY)
     steps = ["intro", "apply [ghost]", "elim [d]", "simp", "apply [f2]", "apply [f1]"]
-    remote = client.apply_batch(client.clone(client.start("proto", "t1")), steps,
-                                timeout_ms=3000)
-    here = local.apply_batch(local.clone(local.start("proto", "t1")), steps, 3000)
+    remote = client.apply_batch(client.start("proto", "t1")[0], steps, timeout_ms=3000)
+    here = local.apply_batch(local.start("proto", "t1")[0], steps, 3000)
     assert len(remote) == len(here) == len(steps)
     for (r, r_token), (h, h_token) in zip(remote, here):
         assert r.ok == h.ok and (r_token is None) == (h_token is None)
         if r.ok:
             assert canonical_state(r.state) == canonical_state(h.state)
         else:
-            assert (r.category, r.detail) == (h.category, h.detail)
+            assert r.category == h.category and r.detail == h.detail == ""
     # a success token addresses its state, and a zero-subgoal success ends the batch
     [(closed, closed_token)] = client.apply_batch(remote[4][1], ["apply [f1]", "intro"],
                                                   timeout_ms=3000)
@@ -235,9 +234,7 @@ def test_apply_batch_over_wire_matches_in_process(client):
 
 def test_token_addressed_oracles_open_no_session(client):
     client.load_theory(THEORY)
-    sid = client.start("proto", "t1")
-    token = client.clone(sid)
-    client.release([sid])
+    token, _ = client.start("proto", "t1")
     assert client.counterexample_at(token).kind == "none"
     result = client.hammer_at(token)
     assert result.found
@@ -259,11 +256,11 @@ def test_counterexample_batch_over_wire_matches_in_process(client):
         source = "\n".join([f"theory rand{i}", *axioms, f"theorem t: {goal}", "end"]) + "\n"
         local.load_theory(source)
         client.load_theory(source)
-        sid = local.start(f"rand{i}", "t")
-        here, there = local.clone(sid), client.clone(client.start(f"rand{i}", "t"))
+        here, state = local.start(f"rand{i}", "t")
+        there, _ = client.start(f"rand{i}", "t")
         local_tokens.append(here)
         remote_tokens.append(there)
-        states.append(local.state(sid))
+        states.append(state)
         steps = ["intro", "split", "elim [f0]", "left", "right", "simp"]
         for (h, h_token), (_, t_token) in zip(local.apply_batch(here, steps, 3000),
                                               client.apply_batch(there, steps, timeout_ms=3000)):
@@ -286,7 +283,7 @@ def test_counterexample_batch_over_wire_matches_in_process(client):
 
 def test_counterexample_batch_with_an_unknown_token_fails_whole(client):
     client.load_theory(THEORY)
-    token = client.clone(client.start("proto", "t1"))
+    token, _ = client.start("proto", "t1")
     with pytest.raises(BackendError) as err:
         client.counterexamples_at([token, "c404", token])
     assert err.value.category == "unknown_session"
@@ -311,7 +308,7 @@ def test_malformed_request_line_gets_protocol_error():
 
 def test_full_state_flag_controls_apply_payload(client):
     client.load_theory(THEORY)
-    sid = client.start("proto", "t1")
+    sid = open_session(client, "proto", "t1")
     slim = client._expect(client._call(
         "apply", session=sid, payload={"step": "apply [f2]"}, timeout_ms=3000))
     assert "state" not in slim and "key" in slim and slim["subgoals"] == 1
@@ -319,6 +316,219 @@ def test_full_state_flag_controls_apply_payload(client):
         "apply", session=sid, payload={"step": "apply [f1]", "full_state": True},
         timeout_ms=3000))
     assert "state" in full
+
+
+def test_factless_apply_and_elim_text_fail_as_the_step_does(client):
+    """``parse_step`` rejects a bare ``apply``/``elim``, but tactic repair
+    builds such steps directly; their text gets the same verdict."""
+    local = ToyProver()
+    local.load_theory(THEORY)
+    client.load_theory(THEORY)
+    local_sid = open_session(local, "proto", "t1")
+    remote_sid = open_session(client, "proto", "t1")
+    token, _ = client.start("proto", "t1")
+    for tactic in ("apply", "elim"):
+        expected = local.apply(local_sid, ProofStep(tactic))
+        assert expected.category == "tactic_failure"
+        for text in (tactic, f" {tactic} "):
+            assert local.apply(local_sid, text) == expected
+            assert client.apply(remote_sid, text, timeout_ms=3000) == expected
+        [(batched, _)] = client.apply_batch(token, [ProofStep(tactic)], timeout_ms=3000)
+        assert batched.category == "tactic_failure"
+    # every other text the parser rejects stays a parse error
+    for text in ("apply []", "apply [f2", "elim [,]"):
+        assert client.apply(remote_sid, text, timeout_ms=3000).category == "parse_error"
+
+
+# -- oracle verdicts on apply_batch ---------------------------------------------------
+
+def _oracle_requests(client):
+    return client.stats()["commands"].get("counterexample", {"count": 0})["count"]
+
+
+def test_apply_batch_verdicts_answer_counterexamples_at_locally(client):
+    local = ToyProver()
+    local.load_theory(THEORY)
+    client.load_theory(THEORY)
+    steps = ["intro", "apply [f2]", "elim [d]", "apply [ghost]"]
+    remote_root, _ = client.start("proto", "t1")
+    local_root, _ = local.start("proto", "t1")
+    remote = client.apply_batch(remote_root, steps, timeout_ms=3000, atom_limit=16)
+    here = local.apply_batch(local_root, steps, 3000, atom_limit=16)
+    remote_tokens = [t for _, t in remote if t is not None]
+    local_tokens = [t for _, t in here if t is not None]
+    assert len(remote_tokens) == 2
+    verdicts = client.counterexamples_at(remote_tokens, 16)
+    assert verdicts == local.counterexamples_at(local_tokens, 16)
+    assert client.counterexample_at(remote_tokens[1], 16) == verdicts[1]
+    assert _oracle_requests(client) == 0
+    # another atom limit, or a token the batch did not return, costs one request
+    assert client.counterexamples_at(remote_tokens, 2) \
+        == local.counterexamples_at(local_tokens, 2)
+    assert _oracle_requests(client) == 1
+    assert client.counterexamples_at([remote_root] + remote_tokens, 16)[1:] == verdicts
+    assert _oracle_requests(client) == 2
+    # release forgets the verdict with its snapshot
+    client.release(remote_tokens[:1])
+    with pytest.raises(BackendError) as err:
+        client.counterexample_at(remote_tokens[0], 16)
+    assert err.value.category == "unknown_session"
+
+
+def test_apply_batch_reply_carries_categories_and_open_verdicts_only(client):
+    client.load_theory(THEORY)
+    token, _ = client.start("proto", "t2")
+    reply = client._expect(client._call("apply_batch", payload={
+        "token": token, "steps": ["apply [ghost]", "simp", "intro", "auto"],
+        "atom_limit": 16}))
+    failure, no_progress, opened, closed = reply["results"]
+    assert (failure, no_progress) == ("undefined_fact", "no_progress")
+    assert opened["cex"] == {"result": "none"} and "cex" not in closed
+    assert closed["state"]["subgoals"] == []
+    without = client._expect(client._call("apply_batch", payload={
+        "token": token, "steps": ["intro"]}))
+    assert "cex" not in without["results"][0]
+
+
+def test_counterexamples_at_without_a_stored_verdict_costs_one_request(client):
+    client.load_theory(THEORY)
+    token, _ = client.start("proto", "t1")
+    [(_, child)] = client.apply_batch(token, ["apply [f2]"], timeout_ms=3000)
+    verdicts = client.counterexamples_at([token, child, token], 16)
+    assert _oracle_requests(client) == 1
+    assert client.counterexample_at(child, 16) == verdicts[1]
+    assert _oracle_requests(client) == 2
+
+
+def test_bad_atom_limit_in_apply_batch_is_protocol_error_and_opens_nothing(client):
+    client.load_theory(THEORY)
+    token, _ = client.start("proto", "t1")
+    for atom_limit in (-1, 21, 10**30, "16", 16.0, True, None, [16]):
+        with pytest.raises(BackendError) as err:
+            client._expect(client._call("apply_batch", payload={
+                "token": token, "steps": ["apply [f2]"], "atom_limit": atom_limit}))
+        assert err.value.category == "protocol_error", atom_limit
+    assert client.stats()["snapshots"] == 1
+
+
+def test_malformed_payload_keeps_the_connection(client):
+    for cmd, payload in (("load_theory", {"source": 5}), ("start", {"theory": ["proto"]}),
+                         ("start", {"theory": "proto"}), ("release", {"ids": "c0"}),
+                         ("apply_batch", {"token": "c0", "steps": ["intro", 5]})):
+        with pytest.raises(BackendError) as err:
+            client._expect(client._call(cmd, payload=payload))
+        assert err.value.category == "protocol_error", (cmd, payload)
+    assert client.init()["protocol"] == 4
+
+
+# -- fuzzed requests -------------------------------------------------------------------
+
+RESPONSE_CATEGORIES = set(ERROR_CATEGORIES) | {
+    "protocol_error", "prover_error", "unknown_theorem", "unknown_session"}
+PAYLOAD_KEYS = ("source", "theory", "theorem", "step", "full_state", "token", "steps",
+                "atom_limit", "ids", "tokens", "max_depth", "premise_limit", "budget_ms",
+                "pool")
+
+
+def _json_values(live):
+    deep = st.integers(1, 3000).map(lambda n: "(" * n + "p" + ")" * n)
+    huge = st.integers(1, 5000).map(lambda n: "theory big\ntheorem t: " + "p & " * n
+                                      + "p\nend\n")
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                        st.floats(allow_nan=False), st.text(max_size=12),
+                        st.sampled_from(live), deep, huge)
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+        max_leaves=8)
+
+
+def _named_ids(payload):
+    """The session and snapshot ids a success reply names."""
+    names = {payload.get(key) for key in ("token", "session")}
+    for item in payload.get("results", ()):
+        if isinstance(item, dict):
+            names.add(item.get("token"))
+    return {name for name in names if isinstance(name, str)}
+
+
+def _well_formed_payload(cmd, token):
+    """A payload ``cmd`` accepts; the hammer's names no live snapshot."""
+    return {
+        "load_theory": {"source": THEORY},
+        "start": {"theory": "proto", "theorem": "t1"},
+        "apply": {"step": "intro", "full_state": True},
+        "apply_batch": {"token": token, "steps": ["intro", "apply [f2]", "apply"],
+                        "atom_limit": 16},
+        "restore": {"token": token},
+        "release": {"ids": [token]},
+        "counterexample": {"tokens": [token], "atom_limit": 16},
+        "hammer": {"token": "c404", "max_depth": 2, "premise_limit": 8, "budget_ms": 1000,
+                   "pool": ["f2"]},
+    }.get(cmd, {})
+
+
+@pytest.mark.parametrize("cmd", COMMANDS + ("frobnicate",))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
+    """Every command, from a well-formed payload with keys dropped, list
+    entries or values set to wrong types, nulls, and huge or deeply nested
+    texts, or with no object payload at all: a categorised answer comes
+    back, and once the ids a success names are released, no live object
+    count has grown. No hammer request names a live snapshot or session: a
+    hammer's run time is bounded by its own budget, which the fuzzer picks."""
+    server = ProverServer(ToyProver(), trace=False)
+    server.prover.load_theory(THEORY)
+    token, _ = server.prover.start("proto", "t1")
+    session = server.prover.restore(token)
+    live = ["proto", "t1", "intro", "apply", "elim", "auto", "apply [f2]", THEORY]
+    if cmd != "hammer":
+        live += [token, session]
+    values = _json_values(live)
+    payload = _well_formed_payload(cmd, token)
+    own_keys = st.sampled_from(tuple(payload) or PAYLOAD_KEYS)
+    for key in data.draw(st.lists(own_keys | st.sampled_from(PAYLOAD_KEYS), max_size=3)):
+        action = data.draw(st.sampled_from(("drop", "set", "set entry")))
+        if action == "drop":
+            payload.pop(key, None)
+        elif action == "set entry" and isinstance(payload.get(key), list) and payload[key]:
+            entries = payload[key] = list(payload[key])
+            entries[data.draw(st.integers(0, len(entries) - 1))] = data.draw(values)
+        else:
+            payload[key] = data.draw(values)
+    if data.draw(st.integers(0, 9)) == 0:
+        payload = data.draw(values)
+    request = {"id": 1, "cmd": cmd, "payload": payload}
+    if cmd != "hammer" and data.draw(st.booleans()):
+        request["session"] = session
+    for key in ("session", "timeout_ms"):
+        if data.draw(st.integers(0, 3)) == 0:
+            request[key] = data.draw(values)
+    before = server.prover.stats()
+    response, _ = server.handle_line(json.dumps(request))
+    assert response.id == 1
+    if response.ok:
+        server.prover.release(_named_ids(response.payload) - {token, session})
+    else:
+        assert response.error["category"] in RESPONSE_CATEGORIES, response.error
+    after = server.prover.stats()
+    assert after["sessions"] <= before["sessions"]
+    assert after["snapshots"] <= before["snapshots"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.integers(1, 200_000).map(lambda n: "[" * n)))
+def test_fuzzed_request_lines_get_protocol_errors(line):
+    response, shutdown = ProverServer(trace=False).handle_line(line)
+    assert not shutdown
+    assert response.ok is False and response.error["category"] == "protocol_error"
+
+
+def test_non_string_theory_source_is_protocol_error():
+    server = ProverServer(trace=False)
+    response, _ = server.handle_line('{"id":1,"cmd":"load_theory","payload":{"source":5}}')
+    assert (response.id, response.ok) == (1, False)
+    assert response.error["category"] == "protocol_error"
 
 
 # -- deadline misses and poisoning --------------------------------------------------
@@ -449,15 +659,40 @@ def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
     client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
     try:
         client.load_theory(THEORY)
-        sid = client.start("proto", "t1")
-        token = client.clone(sid)
+        token, _ = client.start("proto", "t1")
         prover.delay_s = 0.5
         missed = client.apply_batch(token, ["intro", "apply [f2]"], timeout_ms=1)
         assert [r.category for r, _ in missed] == ["timeout", "timeout"]
         prover.delay_s = 0.0
         assert client.counterexample_at(token).kind == "none"  # reads the late reply
         assert client.stats()["snapshots"] == 2  # the token and the missed success
-        client.release([sid, token])
+        client.release([token])
+        stats = client.stats()
+        assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+    finally:
+        client.close()
+        tcp.shutdown()
+        tcp.server_close()
+
+
+def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
+    prover = _SlowBatchProver()
+    tcp = ProverServer(prover, trace=False).tcp_server(port=0)
+    threading.Thread(target=tcp.serve_forever, daemon=True).start()
+    client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
+    try:
+        client.load_theory(THEORY)
+        token, _ = client.start("proto", "t1")
+        prover.delay_s = 0.5
+        missed = client.apply_batch(token, ["intro", "apply [f2]"], timeout_ms=1, atom_limit=16)
+        assert [r.category for r, _ in missed] == ["timeout", "timeout"]
+        prover.delay_s = 0.0
+        # the late reply, with the verdict of its success, is read and dropped here
+        [(_, child)] = client.apply_batch(token, ["apply [f2]"], timeout_ms=3000)
+        assert client._verdicts == {}
+        assert client.counterexamples_at([child], 16)[0].kind == "none"
+        assert _oracle_requests(client) == 1
+        client.release([token, child])
         stats = client.stats()
         assert (stats["sessions"], stats["snapshots"]) == (0, 0)
     finally:
@@ -513,7 +748,7 @@ def test_stdio_subprocess_server_round_trip():
         [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"])
     try:
         name = client.load_theory(THEORY)
-        sid = client.start(name, "t2")
+        sid = open_session(client, name, "t2")
         result = client.apply(sid, "intro", timeout_ms=10_000)
         assert result.ok
         assert client.apply(sid, "assumption", timeout_ms=10_000).state.qed
@@ -525,7 +760,7 @@ def test_stdio_close_closes_each_pipe_once():
     client = RemoteProver.spawn_stdio(
         [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"])
     proc, transport = client._proc, client.transport
-    assert client.init()["protocol"] == 3
+    assert client.init()["protocol"] == 4
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         client.close()

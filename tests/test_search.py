@@ -335,6 +335,88 @@ def test_prove_theorem_leaves_no_backend_objects(prover_server):
         remote.close()
 
 
+def _timeless(report):
+    return {**report, "stats": {k: v for k, v in report["stats"].items() if k != "wall_time"}}
+
+
+@pytest.mark.parametrize("top_k", [1, 5])
+@pytest.mark.parametrize("filtering", [True, False])
+@pytest.mark.parametrize("repair_rounds", [1, 2])
+def test_prove_theorem_remote_equals_in_process_across_configs(
+        prover_server, repair_rounds, filtering, top_k):
+    """A second repair round tries the factless ``apply``/``elim`` steps
+    that tactic repair builds, so it compares how both paths judge them."""
+    from dataclasses import replace
+
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.engine import prove_theorem
+    from stepwise.protocol import RemoteProver
+
+    config = replace(bench_engine_config(0), repair_rounds=repair_rounds,
+                     filtering_enabled=filtering, top_k=top_k)
+    local = ToyProver()
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    try:
+        for theory in _stride_sample(generate_corpus(0), 22):
+            ours = prove_theorem(theory, "goal", config, backend=local,
+                                 generator=config.make_generator())
+            theirs = prove_theorem(theory, "goal", config, backend=remote,
+                                   generator=config.make_generator())
+            assert _timeless(theirs.report) == _timeless(ours.report), theory.name
+    finally:
+        remote.close()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "tcp"])
+def test_replay_and_extraction_leave_no_backend_objects(prover_server, transport):
+    from stepwise.bench import generate_corpus
+    from stepwise.extraction import extract_pairs
+    from stepwise.protocol import RemoteProver
+
+    if transport == "tcp":
+        backend = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    else:
+        backend = ToyProver()
+
+    def live():
+        stats = backend.stats()
+        return stats["sessions"], stats["snapshots"]
+
+    try:
+        theory = generate_corpus(0)[0]
+        proof = theory.entry("goal").proof
+        assert replay_steps(theory, "goal", backend, proof)
+        assert live() == (0, 0)
+        assert not replay_steps(theory, "goal", backend, proof[:1] + proof[:1])
+        assert live() == (0, 0)
+        assert len(extract_pairs(theory, backend).pairs) == len(proof)
+        assert live() == (0, 0)
+    finally:
+        if transport == "tcp":
+            backend.close()
+
+
+def test_prefix_replay_opens_only_what_the_search_releases(prover_server):
+    from stepwise.protocol import RemoteProver
+
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    theory = load_theory(DEMO)
+    try:
+        for backend in (ToyProver(), remote):
+            outcome = best_first_search(
+                theory, "t2", backend, FixedPoolGenerator([("assumption", -0.2)]),
+                SearchConfig(top_k=1), prefix_steps=(parse_step("intro"),))
+            assert outcome.proved and len(outcome.opened) == 3  # root, prefix, winner
+            backend.release(outcome.opened)
+            with pytest.raises(ReplayError, match="tactic_failure"):
+                best_first_search(theory, "t2", backend, FixedPoolGenerator([]),
+                                  SearchConfig(), prefix_steps=(parse_step("split"),))
+            stats = backend.stats()
+            assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+    finally:
+        remote.close()
+
+
 def test_search_alone_keeps_its_tree_tokens(demo_theory):
     prover = ToyProver()
     generator = FixedPoolGenerator([("apply [f2]", -0.1), ("intro", -0.2)])
@@ -356,9 +438,9 @@ class _RecordingProver(ToyProver):
         super().__init__()
         self.applied = []
 
-    def apply_batch(self, token, steps, timeout_ms=None):
+    def apply_batch(self, token, steps, timeout_ms=None, atom_limit=None):
         self.applied.extend((token, s.text()) for s in steps)
-        return super().apply_batch(token, steps, timeout_ms)
+        return super().apply_batch(token, steps, timeout_ms, atom_limit)
 
 
 def test_expansion_applies_each_step_to_a_token_once():
@@ -387,26 +469,34 @@ def test_a_repeated_candidate_reuses_the_first_result(demo_theory):
     assert [n.producing_step.log_prob for n in outcome.tree[1:]] == [-0.1]
 
 
-def test_at_most_one_counterexample_request_per_expansion(prover_server):
+def test_prove_theorem_over_tcp_sends_no_oracle_or_root_fetch_requests(prover_server):
+    """The oracle verdicts ride on ``apply_batch`` and ``start`` returns the
+    root, so a remote search sends no ``counterexample``, ``state`` or
+    ``clone`` request and at most 12 requests per theorem."""
+    from collections import Counter
+
     from stepwise.bench import bench_engine_config, generate_corpus
     from stepwise.engine import prove_theorem
     from stepwise.protocol import RemoteProver
 
-    def oracle_requests():
-        return remote.stats()["commands"].get("counterexample", {"count": 0})["count"]
+    def requests():
+        commands = remote.stats()["commands"]
+        return Counter({cmd: entry["count"] for cmd, entry in commands.items()
+                        if cmd != "stats"})
 
     config = bench_engine_config(0)
     remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
     try:
-        total = 0
-        for theory in _stride_sample(generate_corpus(0), 30):
-            before = oracle_requests()
-            result = prove_theorem(theory, "goal", config, backend=remote,
-                                   generator=config.make_generator())
-            requests = oracle_requests() - before
-            assert requests <= result.outcome.stats.generator_calls, theory.name
-            total += requests
-        assert total > 0
+        sample = _stride_sample(generate_corpus(0), 30)
+        sent = Counter()
+        for theory in sample:
+            before = requests()
+            prove_theorem(theory, "goal", config, backend=remote,
+                          generator=config.make_generator())
+            sent += requests() - before
+        assert sent["apply_batch"] > len(sample)
+        assert sent["counterexample"] == sent["state"] == sent["clone"] == 0
+        assert sum(sent.values()) <= 12 * len(sample)
     finally:
         remote.close()
 
