@@ -10,6 +10,7 @@ pipeline runs in-process or against a remote backend.
 
 __version__ = "0.1.0"
 
+from .config import EngineConfig
 from .core import (
     Candidate,
     FactContext,
@@ -25,15 +26,15 @@ from .core import (
 )
 from .formulas import Formula, parse_formula, render
 from .prover import ToyProver, apply_step, check_counterexample, init_goal, load_theory, toy_hammer
-from .search import SearchConfig, best_first_search
+from .search import best_first_search
 
 __all__ = [
     "Candidate",
+    "EngineConfig",
     "FactContext",
     "Formula",
     "ProofState",
     "ProofStep",
-    "SearchConfig",
     "StepResult",
     "Subgoal",
     "Theory",

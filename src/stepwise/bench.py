@@ -16,12 +16,11 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .core import Candidate, ProofStep, Theory, TheoryEntry, canonical_state
-from .engine import EngineConfig, prove_theorem
-from .filtering import FilterStats
+from .config import EngineConfig
+from .engine import prove_theorem
 from .formulas import And, Atom, Implies, Or, TRUE, parse_formula
-from .hammer import HammerFallbackConfig, hammer_fallback
+from .hammer import hammer_state
 from .prover import ToyProver, apply_step, init_goal
-from .search import SearchNode, SearchOutcome, SearchStats
 
 FAMILY_SIZES = {
     "case": 60,       # elim-requiring case splits, depth 4
@@ -204,18 +203,12 @@ def arm_hammer_root(theory: Theory, backend, config: EngineConfig) -> bool:
 
     backend.load_theory(render_theory(theory))
     token, state = backend.start(theory.name, "goal")
-    state = state.with_context(theory.context_for("goal"))
-    root = SearchNode(state, None, None, 0.0, 0, 0.0, order=0, token=token)
-    outcome = SearchOutcome(False, (), SearchStats(), [root], FilterStats())
-    fallback = config.fallback_config()
     try:
-        steps = hammer_fallback(outcome, backend, HammerFallbackConfig(
-            m_states=1, premise_limit=fallback.premise_limit,
-            per_state_timeout_s=fallback.per_state_timeout_s,
-            mesh_weight=fallback.mesh_weight, max_depth=fallback.max_depth))
+        result = hammer_state(state.with_context(theory.context_for("goal")),
+                              token, backend, config)
     finally:
         backend.release([token])
-    return steps is not None
+    return result.found
 
 
 @dataclass

@@ -9,7 +9,8 @@ from pathlib import Path
 
 from .bench import run_bench
 from .core import Theory
-from .engine import ConfigError, EngineConfig, build_config, load_config_file, prove_theorem, write_report
+from .config import ConfigError, EngineConfig, build_config, load_config_file
+from .engine import prove_theorem, write_report
 from .evaluation import (
     RunRecord,
     aes,
@@ -45,7 +46,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                        dest="filtering_enabled")
     group.add_argument("--hammer-timeout", type=float, help="fallback seconds per state")
     group.add_argument("--hammer-states", type=int, help="fallback states to try")
-    group.add_argument("--jobs", type=int, help="theorem-level parallelism")
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
@@ -66,7 +66,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         "filtering_enabled": args.filtering_enabled,
         "hammer_timeout_s": args.hammer_timeout,
         "hammer_states": args.hammer_states,
-        "jobs": args.jobs,
     }
     return build_config(file_values, flags)
 
@@ -129,34 +128,24 @@ def cmd_prove(args: argparse.Namespace) -> int:
         print("no theorems to prove", file=sys.stderr)
         return 1
 
-    shared_backend = config.make_backend() if config.backend == "in_process" else None
-
-    def run_one(name: str):
-        backend = shared_backend if shared_backend is not None else config.make_backend()
-        try:
-            return name, prove_theorem(theory, name, config, backend=backend), None
-        except Exception as e:  # noqa: BLE001 - theorem-level errors must not kill the run
-            return name, None, e
-
-    results = []
-    if config.jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(n) for n in names]
-
     failures = 0
-    for name, result, error in results:
-        if error is not None:
-            failures += 1
-            print(f"{theory.name}.{name}: ERROR {error}", file=sys.stderr)
-            continue
-        write_report(result.report, args.out)
-        status = "PROVED" if result.proved else "FAILED"
-        detail = f" via {result.via}, {len(result.steps)} steps" if result.proved else ""
-        print(f"{theory.name}.{name}: {status}{detail}")
+    generator = config.make_generator()
+    backend = config.make_backend()
+    try:
+        for name in names:
+            try:
+                result = prove_theorem(theory, name, config, backend=backend,
+                                       generator=generator)
+            except Exception as e:  # noqa: BLE001 - theorem-level errors must not kill the run
+                failures += 1
+                print(f"{theory.name}.{name}: ERROR {e}", file=sys.stderr)
+                continue
+            write_report(result.report, args.out)
+            status = "PROVED" if result.proved else "FAILED"
+            detail = f" via {result.via}, {len(result.steps)} steps" if result.proved else ""
+            print(f"{theory.name}.{name}: {status}{detail}")
+    finally:
+        backend.close()
     print(f"reports written to {args.out}")
     return 1 if failures else 0
 
@@ -205,14 +194,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
         config = _engine_config(args)
         theory = _load_theory_file(args.theory)
         fractions = [float(x) for x in args.fractions.split(",") if x.strip()]
-        backend = config.make_backend()
         generator = config.make_generator()
+        backend = config.make_backend()
 
         def prove_fn(th, entry_name, prefix):
             return prove_theorem(th, entry_name, config, backend=backend,
                                  generator=generator, prefix_steps=tuple(prefix)).proved
 
-        curve, skipped = completion_experiment([theory], fractions, prove_fn)
+        try:
+            curve, skipped = completion_experiment([theory], fractions, prove_fn)
+        finally:
+            backend.close()
         literal, saved = aes(curve)
         output["completion"] = {
             "points": [{"sigma": s, "rate": p} for s, p in curve.points],
@@ -313,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ProverError, FileNotFoundError) as e:
+    except (ConfigError, ProverError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -7,12 +7,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
 
+from .config import EngineConfig
 from .core import Candidate, ProofState, ProofStep, canonical_state, parse_step, render_state
 from .formulas import ParseError, atoms
 
 ENDPOINT_ENV = "STEPWISE_GENERATOR_ENDPOINT"
+REQUEST_TIMEOUT_S = 60.0
 
 PROMPT_HEADER = (
     "### Given the following Isabelle proof state,\n"
@@ -26,23 +27,6 @@ class GeneratorError(Exception):
 
 class EmptyGenerationError(GeneratorError):
     pass
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    n_candidates: int = 128
-    temperature: float = 1.0
-    top_p: float = 0.95
-    max_tokens: int = 2048
-    seed: int = 0
-    endpoint: str | None = None
-    request_timeout_s: float = 60.0
-
-    def __post_init__(self):
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
-        if not (0 < self.top_p <= 1):
-            raise ValueError("top_p must be in (0, 1]")
 
 
 def build_prompt(state: ProofState) -> str:
@@ -62,7 +46,7 @@ def _perturbation(seed: int, state_key: str, step_text: str, temperature: float)
     return 2.0 ** (temperature * (2.0 * u - 1.0))
 
 
-def mock_generate(state: ProofState, config: GeneratorConfig) -> list[Candidate]:
+def mock_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
     """Test double for the step model.
 
     The candidate pool is every fact-free tactic plus apply/elim over the
@@ -102,7 +86,7 @@ def mock_generate(state: ProofState, config: GeneratorConfig) -> list[Candidate]
 # Remote completion client
 # ---------------------------------------------------------------------------
 
-def llm_generate(state: ProofState, config: GeneratorConfig) -> list[Candidate]:
+def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
     """Query a completion endpoint and parse one step per sample.
 
     Sends the prompt with the configured sampling parameters and
@@ -130,7 +114,7 @@ def llm_generate(state: ProofState, config: GeneratorConfig) -> list[Candidate]:
     request = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "application/json"})
     try:
-        with urllib.request.urlopen(request, timeout=config.request_timeout_s) as resp:
+        with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as resp:
             payload = json.loads(resp.read().decode())
     except (urllib.error.URLError, OSError, ValueError) as e:
         raise GeneratorError(f"generator endpoint failed: {e}") from e
@@ -175,7 +159,7 @@ def llm_generate(state: ProofState, config: GeneratorConfig) -> list[Candidate]:
 class MockGenerator:
     """Engine-facing wrapper over ``mock_generate``."""
 
-    def __init__(self, config: GeneratorConfig):
+    def __init__(self, config: EngineConfig):
         self.config = config
 
     def generate(self, state: ProofState) -> list[Candidate]:
@@ -185,7 +169,7 @@ class MockGenerator:
 class HttpGenerator:
     """Engine-facing wrapper over ``llm_generate``."""
 
-    def __init__(self, config: GeneratorConfig):
+    def __init__(self, config: EngineConfig):
         self.config = config
 
     def generate(self, state: ProofState) -> list[Candidate]:

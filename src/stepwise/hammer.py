@@ -7,27 +7,11 @@ filter never entered the tree) with a combined-relevance premise pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .config import EngineConfig
 from .core import FactContext, ProofState, ProofStep
-from .prover import HammerConfig
+from .prover import HammerConfig, HammerResult
 from .revision import relevance_filter
 from .search import SearchNode, SearchOutcome, reconstruct_proof
-
-
-@dataclass(frozen=True)
-class HammerFallbackConfig:
-    m_states: int = 16
-    premise_limit: int = 2048
-    per_state_timeout_s: float = 60.0
-    mesh_weight: float = 0.5
-    max_depth: int = 4
-
-    def __post_init__(self):
-        if self.m_states < 1:
-            raise ValueError("m_states must be >= 1")
-        if not (0 <= self.mesh_weight <= 1):
-            raise ValueError("mesh_weight must be in [0, 1]")
 
 
 def mesh_rank(state: ProofState, context: FactContext, k: int, w: float) -> list[str]:
@@ -50,28 +34,32 @@ def mesh_rank(state: ProofState, context: FactContext, k: int, w: float) -> list
     return [name for _, name in scored[:k]]
 
 
+def hammer_state(state: ProofState, token: str, backend,
+                 config: EngineConfig) -> HammerResult:
+    """One hammer call on the snapshot ``token`` of ``state``, with the
+    ``mesh_rank`` premise pool capped at ``hammer_premise_limit``."""
+    context = state.context
+    pool = mesh_rank(state, context, min(config.hammer_premise_limit, len(context.facts)),
+                     config.mesh_weight)
+    hammer_config = HammerConfig(max_depth=config.hammer_depth,
+                                 premise_limit=config.hammer_premise_limit,
+                                 budget_ms=int(config.hammer_timeout_s * 1000))
+    return backend.hammer_at(token, hammer_config, pool)
+
+
 def hammer_fallback(outcome: SearchOutcome, backend,
-                    config: HammerFallbackConfig = HammerFallbackConfig(),
+                    config: EngineConfig = EngineConfig(),
                     attempts: list | None = None) -> list[ProofStep] | None:
-    """Attempt the ``m_states`` best tree states in score order; on the first
-    hit, return the path to that state plus the hammer's steps (a full
+    """Attempt the ``hammer_states`` best tree states in score order; on the
+    first hit, return the path to that state plus the hammer's steps (a full
     proof). Per-state timeouts are absorbed; None when every attempt fails.
     ``attempts``, when given, collects one record per state tried (for the
     search report).
     """
     nodes: list[SearchNode] = sorted(
-        outcome.tree, key=lambda n: (-n.score, n.order))[:config.m_states]
-    hammer_config = HammerConfig(
-        max_depth=config.max_depth,
-        premise_limit=config.premise_limit,
-        budget_ms=int(config.per_state_timeout_s * 1000),
-    )
+        outcome.tree, key=lambda n: (-n.score, n.order))[:config.hammer_states]
     for node in nodes:
-        context = node.state.context
-        pool = mesh_rank(node.state, context,
-                         min(config.premise_limit, len(context.facts)),
-                         config.mesh_weight)
-        result = backend.hammer_at(node.token, hammer_config, pool)
+        result = hammer_state(node.state, node.token, backend, config)
         if attempts is not None:
             attempts.append({"depth": node.length, "score": node.score,
                              "result": result.kind})

@@ -6,26 +6,11 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
+from .config import EngineConfig
 from .core import TACTICS, Candidate, FactContext, ProofState, ProofStep, Theory
 
 DEFAULT_TACTIC_SET = TACTICS
 TACTIC_SET_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class RevisionConfig:
-    tactic_set: tuple[str, ...] = DEFAULT_TACTIC_SET
-    premise_pool_size: int = 128
-    top_matches: int = 3
-    max_edit_distance: int = 3
-    budget: int = 256
-    repair_rounds: int = 1
-
-    def __post_init__(self):
-        if not self.tactic_set:
-            raise ValueError("tactic_set must be nonempty")
-        if self.top_matches < 1:
-            raise ValueError("top_matches must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -125,14 +110,14 @@ def edit_distance(a: str, b: str) -> int:
     return score
 
 
-def tactic_repair(attempt: FailedAttempt, config: RevisionConfig) -> list[Candidate]:
+def tactic_repair(attempt: FailedAttempt, tactic_set: tuple[str, ...]) -> list[Candidate]:
     """Recombine the failed step's fact list with every tactic in the set,
     minus the original pairing; scores are inherited unpenalised."""
     if attempt.category not in ("tactic_failure", "no_progress"):
         raise ValueError(f"tactic repair does not apply to {attempt.category}")
     facts = attempt.step.facts
     out = []
-    for tactic in config.tactic_set:
+    for tactic in tactic_set:
         if tactic == attempt.step.tactic:
             continue
         out.append(Candidate(ProofStep(tactic, facts), attempt.log_prob, "tactic_repair"))
@@ -140,7 +125,7 @@ def tactic_repair(attempt: FailedAttempt, config: RevisionConfig) -> list[Candid
 
 
 def premise_repair(attempt: FailedAttempt, pool: list[str],
-                   config: RevisionConfig) -> list[Candidate]:
+                   config: EngineConfig) -> list[Candidate]:
     """Substitute each undefined fact name with its nearest pool ids by edit
     distance (ties by pool order, cutoff at ``max_edit_distance``), one
     candidate per substitution combination."""
@@ -180,16 +165,17 @@ def premise_repair(attempt: FailedAttempt, pool: list[str],
 
 
 def revise(failures: list[FailedAttempt], context: FactContext,
-           config: RevisionConfig) -> list[Candidate]:
-    """Dispatch failures to the matching repair, then dedup by step text
-    keeping the best score and cap at the budget."""
+           tactic_set: tuple[str, ...], config: EngineConfig) -> list[Candidate]:
+    """Dispatch failures to the matching repair (tactic repair recombines
+    with ``tactic_set``), then dedup by step text keeping the best score and
+    cap at the revision budget."""
     raw: list[Candidate] = []
     for attempt in failures:
         if attempt.category == "undefined_fact":
             pool = relevance_filter(attempt.state, context, config.premise_pool_size)
             raw.extend(premise_repair(attempt, pool, config))
         elif attempt.category in ("tactic_failure", "no_progress"):
-            raw.extend(tactic_repair(attempt, config))
+            raw.extend(tactic_repair(attempt, tactic_set))
         # parse_error and timeout failures carry no repairable signal
     best: dict[str, Candidate] = {}
     for cand in raw:
@@ -198,4 +184,4 @@ def revise(failures: list[FailedAttempt], context: FactContext,
         if kept is None or cand.log_prob > kept.log_prob:
             best[text] = cand
     ranked = sorted(best.values(), key=lambda c: (-c.log_prob, c.step.text()))
-    return ranked[:config.budget]
+    return ranked[:config.revision_budget]

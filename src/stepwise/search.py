@@ -16,29 +16,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .config import EngineConfig
 from .core import Candidate, ProofState, ProofStep, StepResult, Theory
-from .filtering import FilterConfig, FilterStats, SeenSet, filter_states
-from .revision import FailedAttempt, RevisionConfig, revise, tactic_frequencies
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    alpha: float = 1.0
-    top_k: int = 5
-    candidates_per_state: int = 128
-    max_iterations: int = 100
-    time_limit_s: float = 7200.0
-    node_budget: int = 10_000
-    revision_enabled: bool = True
-    filtering_enabled: bool = True
-    atom_limit: int = 16
-    step_timeout_ms: int = 10_000
-
-    def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+from .filtering import FilterStats, SeenSet, filter_states
+from .revision import FailedAttempt, revise, tactic_frequencies
 
 
 @dataclass
@@ -120,8 +101,7 @@ class ReplayError(Exception):
 
 
 def best_first_search(theory: Theory, theorem_id: str, backend, generator,
-                      config: SearchConfig = SearchConfig(),
-                      revision_config: RevisionConfig | None = None,
+                      config: EngineConfig = EngineConfig(),
                       prefix_steps: tuple[ProofStep, ...] = ()) -> SearchOutcome:
     """Search for a proof of ``theorem_id``; deterministic given a
     deterministic generator such as the seeded mock. Returns Failed (never
@@ -134,8 +114,7 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
     deadline = start_time + config.time_limit_s
     stats = SearchStats()
     context = theory.context_for(theorem_id)
-    if revision_config is None:
-        revision_config = RevisionConfig(tactic_set=tactic_frequencies(theory))
+    tactic_set = config.tactic_set or tactic_frequencies(theory)
 
     backend.load_theory(render_theory(theory))
     token, root_state = backend.start(theory.name, theorem_id)
@@ -153,7 +132,6 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
     stats.nodes_created = 1
     seen = SeenSet()
     seen.insert(root_state)
-    filter_config = FilterConfig()
     oracle_limit = config.atom_limit if config.filtering_enabled else None
 
     if root_state.qed:
@@ -204,8 +182,8 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
             winner = expand(node, candidates, memo, successes, failures)
             if winner is None and config.revision_enabled:
                 round_failures = failures
-                for _ in range(revision_config.repair_rounds):
-                    repaired = revise(round_failures, context, revision_config)
+                for _ in range(config.repair_rounds):
+                    repaired = revise(round_failures, context, tactic_set, config)
                     if not repaired:
                         break
                     stats.revisions_tried += len(repaired)
@@ -226,7 +204,7 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
                         [token_of[id(s)] for s in states], config.atom_limit)
 
                 pairs = [(state, cand) for state, cand, _ in successes]
-                kept_pairs, delta = filter_states(pairs, seen, oracle, filter_config)
+                kept_pairs, delta = filter_states(pairs, seen, oracle)
                 stats.nodes_filtered_dup += delta.duplicates_rejected
                 stats.nodes_filtered_cex += delta.counterexamples_rejected
                 kept = [(state, cand, token_of[id(state)]) for state, cand in kept_pairs]

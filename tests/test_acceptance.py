@@ -12,6 +12,7 @@ import pytest
 
 from conftest import BENCH_SEED, naive_first_counterexample
 from stepwise.bench import revision_recovery, run_bench
+from stepwise.config import EngineConfig
 from stepwise.core import canonical_state, parse_step
 from stepwise.evaluation import (
     CompletionCurve,
@@ -24,7 +25,7 @@ from stepwise.evaluation import (
 from stepwise.extraction import extract_pairs
 from stepwise.filtering import SeenSet, filter_states
 from stepwise.formulas import evaluate
-from stepwise.generator import GeneratorConfig, mock_generate
+from stepwise.generator import mock_generate
 from stepwise.prover import (
     ToyProver,
     apply_step,
@@ -90,7 +91,7 @@ def test_criterion_3_filter_soundness(bench_corpus):
     verified = 0
     for theory in bench_corpus[::7]:
         state = init_goal(theory, "goal")
-        for cand in mock_generate(state, GeneratorConfig(seed=1)):
+        for cand in mock_generate(state, EngineConfig(seed=1)):
             result = apply_step(state, cand.step)
             if not result.ok:
                 continue

@@ -205,14 +205,15 @@ end
 
 
 def _prove_with_budget(budget_iterations):
-    from stepwise.generator import GeneratorConfig, MockGenerator
+    from stepwise.config import EngineConfig
+    from stepwise.generator import MockGenerator
     from stepwise.prover import ToyProver
-    from stepwise.search import SearchConfig, best_first_search
+    from stepwise.search import best_first_search
 
     def prove(theory, name, prefix):
         outcome = best_first_search(
-            theory, name, ToyProver(), MockGenerator(GeneratorConfig(seed=2)),
-            SearchConfig(max_iterations=budget_iterations,
+            theory, name, ToyProver(), MockGenerator(EngineConfig(seed=2)),
+            EngineConfig(max_iterations=budget_iterations,
                          revision_enabled=False),
             prefix_steps=tuple(prefix))
         return outcome.proved

@@ -1,11 +1,5 @@
 from stepwise.core import Candidate, FactContext, ProofState, ProofStep, Subgoal
-from stepwise.filtering import (
-    FilterConfig,
-    SeenSet,
-    filter_states,
-    is_duplicate,
-    states_equivalent,
-)
+from stepwise.filtering import SeenSet, filter_states, is_duplicate
 from stepwise.formulas import parse_formula
 from stepwise.prover import check_counterexample
 
@@ -101,58 +95,3 @@ def test_filter_asks_the_oracle_once_about_the_non_duplicates():
     assert len(calls) == 1 and kept == []  # all duplicates: no oracle call
     assert stats.duplicates_rejected == 3
 
-
-def test_filter_respects_disabled_checks():
-    seen = SeenSet()
-    falsifiable = state_of("q")
-    items = [(falsifiable, cand(0)), (falsifiable, cand(1))]
-    config = FilterConfig(check_duplicates=False, check_counterexamples=False)
-    kept, stats = filter_states(items, seen, check_counterexample, config)
-    assert len(kept) == 2
-    assert stats.duplicates_rejected == stats.counterexamples_rejected == 0
-
-
-# -- semantic equivalence ---------------------------------------------------------
-
-def test_states_equivalent_reflexive():
-    ctx = FactContext({})
-    s = state_of("p", (), ctx)
-    assert states_equivalent(s, s, ctx)
-
-
-def test_states_equivalent_different_atoms_false():
-    ctx = FactContext({})
-    assert not states_equivalent(state_of("p", (), ctx), state_of("q", (), ctx), ctx)
-
-
-def test_states_equivalent_duplicated_subgoal_true():
-    # hand-check: each side's goals close in one step with the other side's
-    # goals as temporary facts (assumption both ways)
-    ctx = FactContext({})
-    single = state_of("p", (), ctx)
-    doubled = ProofState((Subgoal((), parse_formula("p")),
-                          Subgoal((), parse_formula("p"))), ctx)
-    assert states_equivalent(single, doubled, ctx)
-    assert states_equivalent(doubled, single, ctx)
-
-
-def test_states_equivalent_one_step_apply_bridge():
-    ctx = FactContext({})
-    # q closes from temporary fact q; p closes from temporary fact p
-    a = state_of("p -> p", (), ctx)
-    b = state_of("p -> p", (), ctx)
-    assert states_equivalent(a, b, ctx)
-
-
-def test_equivalence_dedup_behind_flag():
-    ctx = FactContext({})
-    seen = SeenSet(retain_states=True)
-    config = FilterConfig(use_equivalence=True, check_counterexamples=False)
-    single = state_of("p", (), ctx)
-    doubled = ProofState((Subgoal((), parse_formula("p")),
-                          Subgoal((), parse_formula("p"))), ctx)
-    kept1, _ = filter_states([(single, cand(0))], seen, check_counterexample, config)
-    kept2, stats2 = filter_states([(doubled, cand(1))], seen, check_counterexample, config)
-    assert len(kept1) == 1
-    assert kept2 == []
-    assert stats2.duplicates_rejected == 1

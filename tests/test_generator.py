@@ -5,11 +5,11 @@ import threading
 
 import pytest
 
+from stepwise.config import ConfigError, EngineConfig
 from stepwise.core import FactContext, ProofState, Subgoal, parse_step
 from stepwise.formulas import parse_formula
 from stepwise.generator import (
     EmptyGenerationError,
-    GeneratorConfig,
     GeneratorError,
     MockGenerator,
     build_prompt,
@@ -53,7 +53,7 @@ def test_prompt_renders_all_subgoals_in_order():
 
 def test_mock_deterministic_for_state_and_seed():
     ctx = ctx_of(f1="p -> q", f2="r")
-    config = GeneratorConfig(seed=9)
+    config = EngineConfig(seed=9)
     a = mock_generate(state_of("q", ctx), config)
     b = mock_generate(state_of("q", ctx), config)
     assert [(c.step.text(), c.log_prob) for c in a] == \
@@ -63,7 +63,7 @@ def test_mock_deterministic_for_state_and_seed():
 def test_mock_overlap_weighting_without_perturbation():
     # weights: apply[f1] = 1 + |{p,q} & {q}| = 2, apply[f2] = 1 + 0 = 1
     ctx = ctx_of(f1="p -> q", f2="r")
-    out = mock_generate(state_of("q", ctx), GeneratorConfig(seed=0, temperature=0.0))
+    out = mock_generate(state_of("q", ctx), EngineConfig(seed=0, temperature=0.0))
     scores = {c.step.text(): c.log_prob for c in out}
     assert scores["apply [f1]"] > scores["apply [f2]"]
     assert math.isclose(scores["apply [f1]"] - scores["apply [f2]"], math.log(2))
@@ -72,14 +72,14 @@ def test_mock_overlap_weighting_without_perturbation():
 def test_mock_top1_is_max_weight():
     ctx = ctx_of(f1="p -> q", f2="r")
     out = mock_generate(state_of("q", ctx),
-                        GeneratorConfig(seed=0, temperature=0.0, n_candidates=1))
+                        EngineConfig(seed=0, temperature=0.0, n_candidates=1))
     assert len(out) == 1
     assert out[0].step.text() in ("apply [f1]", "elim [f1]")
 
 
 def test_mock_pool_composition_and_dedup():
     ctx = ctx_of(f1="p")
-    out = mock_generate(state_of("p", ctx), GeneratorConfig(seed=1))
+    out = mock_generate(state_of("p", ctx), EngineConfig(seed=1))
     texts = [c.step.text() for c in out]
     assert len(texts) == len(set(texts))
     assert {"assumption", "intro", "split", "left", "right", "simp", "auto",
@@ -88,14 +88,14 @@ def test_mock_pool_composition_and_dedup():
 
 def test_mock_candidates_parse_and_score_nonpositive():
     ctx = ctx_of(f1="p -> q", f2="q | r")
-    for cand in mock_generate(state_of("q", ctx), GeneratorConfig(seed=4)):
+    for cand in mock_generate(state_of("q", ctx), EngineConfig(seed=4)):
         assert parse_step(cand.step.text()).tactic == cand.step.tactic
         assert cand.log_prob <= 0
 
 
 def test_mock_sorted_descending_with_text_ties():
     ctx = ctx_of()
-    out = mock_generate(state_of("p", ctx), GeneratorConfig(seed=0, temperature=0.0))
+    out = mock_generate(state_of("p", ctx), EngineConfig(seed=0, temperature=0.0))
     # all weights equal at temperature 0: pure text ordering
     assert [c.step.text() for c in out] == sorted(c.step.text() for c in out)
     scores = [c.log_prob for c in out]
@@ -103,23 +103,24 @@ def test_mock_sorted_descending_with_text_ties():
 
 
 def test_mock_empty_for_qed_state():
-    assert mock_generate(ProofState((), FactContext({})), GeneratorConfig(seed=0)) == []
+    assert mock_generate(ProofState((), FactContext({})), EngineConfig(seed=0)) == []
 
 
 def test_mock_is_function_of_canonical_state():
     ctx = ctx_of(f1="p")
     a = ProofState((Subgoal((parse_formula("a"), parse_formula("b")), parse_formula("p")),), ctx)
     b = ProofState((Subgoal((parse_formula("b"), parse_formula("a")), parse_formula("p")),), ctx)
-    config = GeneratorConfig(seed=5)
+    config = EngineConfig(seed=5)
     assert [(c.step.text(), c.log_prob) for c in mock_generate(a, config)] == \
         [(c.step.text(), c.log_prob) for c in mock_generate(b, config)]
 
 
 def test_generator_config_validation():
-    with pytest.raises(ValueError):
-        GeneratorConfig(n_candidates=0)
-    with pytest.raises(ValueError):
-        GeneratorConfig(top_p=0.0)
+    # the generator's fields are checked where the one config is built
+    with pytest.raises(ConfigError):
+        EngineConfig(n_candidates=0)
+    with pytest.raises(ConfigError):
+        EngineConfig(top_p=0.0)
 
 
 # -- remote generator -----------------------------------------------------------------
@@ -160,7 +161,7 @@ def test_llm_dedup_keeps_max_logprob(fake_llm):
         {"text": "intro", "token_logprobs": [-1.5]},
         {"text": "split", "token_logprobs": [-2.0]},
     ]
-    out = llm_generate(state_of("p"), GeneratorConfig(endpoint=endpoint))
+    out = llm_generate(state_of("p"), EngineConfig(endpoint=endpoint))
     assert [(c.step.text(), round(c.log_prob, 6)) for c in out] == [
         ("intro", -1.2), ("split", -2.0)]
 
@@ -171,7 +172,7 @@ def test_llm_first_line_parsing_and_drops(fake_llm):
         {"text": "\n  apply [f1]\nauto", "token_logprobs": [-1.0]},
         {"text": "total gibberish here", "token_logprobs": [-0.1]},
     ]
-    out = llm_generate(state_of("p"), GeneratorConfig(endpoint=endpoint))
+    out = llm_generate(state_of("p"), EngineConfig(endpoint=endpoint))
     assert [c.step.text() for c in out] == ["apply [f1]"]
 
 
@@ -179,14 +180,14 @@ def test_llm_all_unparseable_raises(fake_llm):
     _, endpoint = fake_llm
     _FakeCompletionHandler.choices = [{"text": "???", "token_logprobs": [-1.0]}]
     with pytest.raises(EmptyGenerationError):
-        llm_generate(state_of("p"), GeneratorConfig(endpoint=endpoint))
+        llm_generate(state_of("p"), EngineConfig(endpoint=endpoint))
 
 
 def test_llm_rank_fallback_without_logprobs(fake_llm):
     _, endpoint = fake_llm
     _FakeCompletionHandler.choices = [
         {"text": "intro"}, {"text": "split"}, {"text": "auto"}]
-    out = llm_generate(state_of("p"), GeneratorConfig(endpoint=endpoint))
+    out = llm_generate(state_of("p"), EngineConfig(endpoint=endpoint))
     assert [(c.step.text(), c.log_prob) for c in out] == [
         ("intro", -1.0), ("split", -2.0), ("auto", -3.0)]
 
@@ -194,8 +195,8 @@ def test_llm_rank_fallback_without_logprobs(fake_llm):
 def test_llm_sends_sampling_parameters(fake_llm):
     _, endpoint = fake_llm
     _FakeCompletionHandler.choices = [{"text": "intro", "token_logprobs": [-1.0]}]
-    config = GeneratorConfig(endpoint=endpoint, n_candidates=32,
-                             temperature=0.7, top_p=0.9, max_tokens=512)
+    config = EngineConfig(endpoint=endpoint, n_candidates=32,
+                          temperature=0.7, top_p=0.9, max_tokens=512)
     llm_generate(state_of("p"), config)
     sent = _FakeCompletionHandler.requests[-1]
     assert sent["n"] == 32 and sent["temperature"] == 0.7
@@ -207,18 +208,18 @@ def test_llm_sends_sampling_parameters(fake_llm):
 def test_llm_no_endpoint_error(monkeypatch):
     monkeypatch.delenv("STEPWISE_GENERATOR_ENDPOINT", raising=False)
     with pytest.raises(GeneratorError):
-        llm_generate(state_of("p"), GeneratorConfig())
+        llm_generate(state_of("p"), EngineConfig())
 
 
 def test_llm_endpoint_from_environment(fake_llm, monkeypatch):
     _, endpoint = fake_llm
     _FakeCompletionHandler.choices = [{"text": "intro", "token_logprobs": [-1.0]}]
     monkeypatch.setenv("STEPWISE_GENERATOR_ENDPOINT", endpoint)
-    out = llm_generate(state_of("p"), GeneratorConfig())
+    out = llm_generate(state_of("p"), EngineConfig())
     assert out[0].step.text() == "intro"
 
 
 def test_mock_generator_wrapper_applies_config():
-    gen = MockGenerator(GeneratorConfig(seed=2, n_candidates=3))
+    gen = MockGenerator(EngineConfig(seed=2, n_candidates=3))
     out = gen.generate(state_of("p"))
     assert len(out) == 3

@@ -2,7 +2,8 @@ from conftest import open_session
 from stepwise.core import FactContext, ProofState, Subgoal
 from stepwise.filtering import FilterStats
 from stepwise.formulas import parse_formula
-from stepwise.hammer import HammerFallbackConfig, hammer_fallback, mesh_rank
+from stepwise.config import ConfigError, EngineConfig
+from stepwise.hammer import hammer_fallback, mesh_rank
 from stepwise.prover import ToyProver, load_theory, render_theory
 from stepwise.revision import relevance_filter
 from stepwise.search import SearchNode, SearchOutcome, SearchStats
@@ -79,7 +80,7 @@ def _failed_tree_one_apply_away():
 
 def test_fallback_returns_full_replayable_proof():
     prover, theory, outcome = _failed_tree_one_apply_away()
-    steps = hammer_fallback(outcome, prover, HammerFallbackConfig(per_state_timeout_s=5))
+    steps = hammer_fallback(outcome, prover, EngineConfig(hammer_timeout_s=5))
     assert steps is not None
     from stepwise.search import replay_steps
 
@@ -95,7 +96,7 @@ def test_fallback_dead_tree_returns_none():
     root = SearchNode(state, None, None, 0.0, 0, 0.0, order=0, token=prover.clone(sid))
     outcome = SearchOutcome(False, (), SearchStats(), [root], FilterStats())
     assert hammer_fallback(outcome, prover,
-                           HammerFallbackConfig(per_state_timeout_s=2)) is None
+                           EngineConfig(hammer_timeout_s=2)) is None
 
 
 class _RecordingBackend:
@@ -112,7 +113,7 @@ def test_fallback_m_states_one_tries_only_best():
     prover, theory, outcome = _failed_tree_one_apply_away()
     recorder = _RecordingBackend(prover)
     steps = hammer_fallback(outcome, recorder,
-                            HammerFallbackConfig(m_states=1, per_state_timeout_s=5))
+                            EngineConfig(hammer_states=1, hammer_timeout_s=5))
     # the root scores 0.0 and outranks the child; only it may be attempted
     assert recorder.tokens == [outcome.tree[0].token]
     assert steps is not None  # root is itself hammer-closable here (depth 2)
@@ -122,7 +123,7 @@ def test_fallback_attempts_in_score_order_and_stops_at_first_hit():
     prover, theory, outcome = _failed_tree_one_apply_away()
     recorder = _RecordingBackend(prover)
     hammer_fallback(outcome, recorder,
-                    HammerFallbackConfig(m_states=2, max_depth=1, per_state_timeout_s=5))
+                    EngineConfig(hammer_states=2, hammer_depth=1, hammer_timeout_s=5))
     # depth 1 cannot close the root (needs 2 steps) but closes the child
     assert recorder.tokens == [outcome.tree[0].token, outcome.tree[1].token]
 
@@ -130,14 +131,15 @@ def test_fallback_attempts_in_score_order_and_stops_at_first_hit():
 def test_fallback_config_validation():
     import pytest
 
-    with pytest.raises(ValueError):
-        HammerFallbackConfig(m_states=0)
-    with pytest.raises(ValueError):
-        HammerFallbackConfig(mesh_weight=1.5)
+    # the fallback's fields are checked where the one config is built
+    with pytest.raises(ConfigError):
+        EngineConfig(hammer_states=0)
+    with pytest.raises(ConfigError):
+        EngineConfig(mesh_weight=1.5)
 
 
 def test_fallback_only_consulted_after_search_failure():
-    from stepwise.engine import EngineConfig, prove_theorem
+    from stepwise.engine import prove_theorem
 
     class _Spy(ToyProver):
         def __init__(self):

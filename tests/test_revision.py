@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepwise.config import EngineConfig
 from stepwise.core import FactContext, ProofState, ProofStep, Subgoal
 from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, atoms, parse_formula
 from stepwise.prover import load_theory
 from stepwise.revision import (
+    DEFAULT_TACTIC_SET,
     FailedAttempt,
-    RevisionConfig,
     edit_distance,
     premise_repair,
     relevance_filter,
@@ -128,8 +129,8 @@ def _split(text):
 
 def test_tactic_repair_cross_product_minus_original():
     ctx = ctx_of(f1="p")
-    config = RevisionConfig(tactic_set=("simp", "auto", "apply"))
-    out = tactic_repair(fail(state_of("p", ctx), "simp [f1]", "tactic_failure"), config)
+    tactic_set = ("simp", "auto", "apply")
+    out = tactic_repair(fail(state_of("p", ctx), "simp [f1]", "tactic_failure"), tactic_set)
     assert [(c.step.tactic, c.step.facts) for c in out] == [
         ("auto", ("f1",)), ("apply", ("f1",))]
     assert all(c.origin == "tactic_repair" and c.log_prob == -1.0 for c in out)
@@ -137,26 +138,24 @@ def test_tactic_repair_cross_product_minus_original():
 
 def test_tactic_repair_empty_fact_list():
     ctx = ctx_of()
-    config = RevisionConfig(tactic_set=("intro", "split", "simp"))
-    out = tactic_repair(fail(state_of("p", ctx), "simp", "no_progress"), config)
+    tactic_set = ("intro", "split", "simp")
+    out = tactic_repair(fail(state_of("p", ctx), "simp", "no_progress"), tactic_set)
     assert [(c.step.tactic, c.step.facts) for c in out] == [("intro", ()), ("split", ())]
 
 
 def test_tactic_repair_size_law():
     ctx = ctx_of(f1="p")
     full = tuple(f"t{i}" for i in range(12))
-    config = RevisionConfig(tactic_set=full)
     attempt = fail(state_of("p", ctx), "simp [f1]", "tactic_failure")
-    assert len(tactic_repair(attempt, config)) == 12  # original not in set
-    config2 = RevisionConfig(tactic_set=full[:-1] + ("simp",))
-    assert len(tactic_repair(attempt, config2)) == 11
+    assert len(tactic_repair(attempt, full)) == 12  # original not in set
+    assert len(tactic_repair(attempt, full[:-1] + ("simp",))) == 11
 
 
 def test_tactic_repair_wrong_category_rejected():
     ctx = ctx_of()
     with pytest.raises(ValueError):
         tactic_repair(fail(state_of("p", ctx), "apply [f]", "undefined_fact"),
-                      RevisionConfig())
+                      DEFAULT_TACTIC_SET)
 
 
 # -- premise repair -------------------------------------------------------------
@@ -165,7 +164,7 @@ def test_premise_repair_nearest_name():
     ctx = ctx_of(set_cap_valid_objs="p")
     state = state_of("p", ctx)
     attempt = fail(state, "apply [set_cap_valid_obj]", "undefined_fact")
-    out = premise_repair(attempt, ["set_cap_valid_objs"], RevisionConfig())
+    out = premise_repair(attempt, ["set_cap_valid_objs"], EngineConfig())
     assert [c.step.text() for c in out] == ["apply [set_cap_valid_objs]"]
     assert out[0].origin == "premise_repair"
 
@@ -173,13 +172,13 @@ def test_premise_repair_nearest_name():
 def test_premise_repair_distance_cutoff():
     ctx = ctx_of(totally_different="p")
     attempt = fail(state_of("p", ctx), "apply [zz]", "undefined_fact")
-    assert premise_repair(attempt, ["totally_different"], RevisionConfig()) == []
+    assert premise_repair(attempt, ["totally_different"], EngineConfig()) == []
 
 
 def test_premise_repair_top_matches_and_tie_order():
     ctx = ctx_of(fx="p", fy="p", fz="p")
     attempt = fail(state_of("p", ctx), "apply [f_]", "undefined_fact")
-    out = premise_repair(attempt, ["fz", "fy", "fx"], RevisionConfig(top_matches=2))
+    out = premise_repair(attempt, ["fz", "fy", "fx"], EngineConfig(top_matches=2))
     # all three are distance 1; pool order breaks the tie
     assert [c.step.facts[0] for c in out] == ["fz", "fy"]
 
@@ -187,14 +186,14 @@ def test_premise_repair_top_matches_and_tie_order():
 def test_premise_repair_multiple_undefined_names_cross_product():
     ctx = ctx_of(aa="p", bb="q")
     attempt = fail(state_of("p", ctx), "apply [a, b]", "undefined_fact")
-    out = premise_repair(attempt, ["aa", "bb"], RevisionConfig(top_matches=1))
+    out = premise_repair(attempt, ["aa", "bb"], EngineConfig(top_matches=1))
     assert [c.step.facts for c in out] == [("aa", "bb")]
 
 
 def test_premise_repair_output_only_defined_names():
     ctx = ctx_of(aa="p")
     attempt = fail(state_of("p", ctx), "elim [ab, aa]", "undefined_fact")
-    out = premise_repair(attempt, ["aa"], RevisionConfig())
+    out = premise_repair(attempt, ["aa"], EngineConfig())
     for cand in out:
         assert all(f in ctx for f in cand.step.facts)
 
@@ -216,7 +215,7 @@ def test_premise_repair_recovery_after_random_edits():
         if corrupted in ctx:
             continue
         attempt = fail(state, f"apply [{corrupted}]", "undefined_fact")
-        out = premise_repair(attempt, names, RevisionConfig())
+        out = premise_repair(attempt, names, EngineConfig())
         if any(c.step.facts == (original,) for c in out):
             recovered += 1
         else:
@@ -229,18 +228,17 @@ def test_premise_repair_recovery_after_random_edits():
 # -- revise dispatch ----------------------------------------------------------------
 
 def test_revise_empty():
-    assert revise([], FactContext({}), RevisionConfig()) == []
+    assert revise([], FactContext({}), DEFAULT_TACTIC_SET, EngineConfig()) == []
 
 
 def test_revise_dispatch_union():
     ctx = ctx_of(aa="p", bb="p -> q")
     state = state_of("q", ctx)
-    config = RevisionConfig(tactic_set=("intro", "apply"))
     failures = [
         fail(state, "apply [ab]", "undefined_fact"),
         fail(state, "intro", "tactic_failure"),
     ]
-    out = revise(failures, ctx, config)
+    out = revise(failures, ctx, ("intro", "apply"), EngineConfig())
     texts = {c.step.text() for c in out}
     assert "apply [aa]" in texts          # premise repair
     assert "apply" not in {t.split()[0] for t in texts} - texts
@@ -252,18 +250,17 @@ def test_revise_drops_parse_and_timeout_failures():
     ctx = ctx_of()
     state = state_of("p", ctx)
     failures = [fail(state, "simp", "parse_error"), fail(state, "simp", "timeout")]
-    assert revise(failures, ctx, RevisionConfig()) == []
+    assert revise(failures, ctx, DEFAULT_TACTIC_SET, EngineConfig()) == []
 
 
 def test_revise_dedups_keeping_max_logprob():
     ctx = ctx_of(f1="p")
     state = state_of("p", ctx)
-    config = RevisionConfig(tactic_set=("simp", "auto"))
     failures = [
         fail(state, "simp [f1]", "tactic_failure", lp=-2.0),
         fail(state, "intro [f1]", "tactic_failure", lp=-1.0),
     ]
-    out = revise(failures, ctx, config)
+    out = revise(failures, ctx, ("simp", "auto"), EngineConfig())
     by_text = {c.step.text(): c for c in out}
     assert by_text["auto [f1]"].log_prob == -1.0
 
@@ -271,9 +268,9 @@ def test_revise_dedups_keeping_max_logprob():
 def test_revise_budget_cap_orders_by_logprob_then_text():
     ctx = ctx_of(f1="p")
     state = state_of("p", ctx)
-    config = RevisionConfig(tactic_set=tuple(f"t{i:02d}" for i in range(20)), budget=5)
+    tactic_set = tuple(f"t{i:02d}" for i in range(20))
     failures = [fail(state, "simp", "tactic_failure", lp=-1.0)]
-    out = revise(failures, ctx, config)
+    out = revise(failures, ctx, tactic_set, EngineConfig(revision_budget=5))
     assert len(out) == 5
     assert [c.step.tactic for c in out] == ["t00", "t01", "t02", "t03", "t04"]
 
@@ -283,11 +280,11 @@ def test_revise_determinism():
     state = state_of("p", ctx)
     failures = [fail(state, "apply [ac]", "undefined_fact"),
                 fail(state, "simp", "no_progress")]
-    config = RevisionConfig()
+    config = EngineConfig()
     first = [(c.step.text(), c.log_prob, c.origin)
-             for c in revise(failures, ctx, config)]
+             for c in revise(failures, ctx, DEFAULT_TACTIC_SET, config)]
     second = [(c.step.text(), c.log_prob, c.origin)
-              for c in revise(failures, ctx, config)]
+              for c in revise(failures, ctx, DEFAULT_TACTIC_SET, config)]
     assert first == second
 
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from stepwise.config import EngineConfig
 from stepwise.core import Candidate, ProofState, Subgoal, parse_step
 from stepwise.formulas import parse_formula
-from stepwise.generator import GeneratorConfig, MockGenerator
+from stepwise.generator import MockGenerator
 from stepwise.prover import ToyProver, apply_step, init_goal, load_theory
-from stepwise.revision import RevisionConfig
+from stepwise.revision import DEFAULT_TACTIC_SET
 from stepwise.search import (
     ReplayError,
-    SearchConfig,
     SearchNode,
     best_first_search,
     replay_steps,
@@ -100,7 +100,7 @@ def test_search_intro_assumption_in_two_iterations(demo_theory):
     generator = FixedPoolGenerator([("intro", -0.1), ("assumption", -0.2)])
     outcome = best_first_search(
         demo_theory, "t2", ToyProver(), generator,
-        SearchConfig(top_k=1, max_iterations=10, revision_enabled=False))
+        EngineConfig(top_k=1, max_iterations=10, revision_enabled=False))
     assert outcome.proved
     assert [s.text() for s in outcome.steps] == ["intro", "assumption"]
     assert outcome.stats.iterations == 2
@@ -112,8 +112,8 @@ def test_search_false_goal_fails_with_root_counted(demo_theory):
     stuck = ProofState(state.subgoals, context=type(state.context)({}))
     for text in ("assumption", "intro", "split", "left", "right", "simp", "auto"):
         assert not apply_step(stuck, parse_step(text)).ok
-    generator = MockGenerator(GeneratorConfig(seed=3))
-    config = SearchConfig(max_iterations=5, node_budget=50)
+    generator = MockGenerator(EngineConfig(seed=3))
+    config = EngineConfig(max_iterations=5, node_budget=50)
     outcome = best_first_search(
         load_theory("theory lone\ntheorem bad: false\nend\n"), "bad",
         ToyProver(), generator, config)
@@ -122,10 +122,10 @@ def test_search_false_goal_fails_with_root_counted(demo_theory):
 
 
 def test_search_determinism_including_stats(demo_theory):
-    config = SearchConfig(max_iterations=10)
+    config = EngineConfig(max_iterations=10)
     results = []
     for _ in range(2):
-        generator = MockGenerator(GeneratorConfig(seed=21))
+        generator = MockGenerator(EngineConfig(seed=21))
         outcome = best_first_search(demo_theory, "t1", ToyProver(), generator, config)
         results.append((
             outcome.proved,
@@ -137,18 +137,18 @@ def test_search_determinism_including_stats(demo_theory):
 
 
 def test_search_soundness_replay(demo_theory):
-    generator = MockGenerator(GeneratorConfig(seed=1))
+    generator = MockGenerator(EngineConfig(seed=1))
     outcome = best_first_search(demo_theory, "t1", ToyProver(), generator,
-                                SearchConfig())
+                                EngineConfig())
     assert outcome.proved
     assert replay_steps(demo_theory, "t1", ToyProver(), outcome.steps)
 
 
 def test_child_scores_never_exceed_parent_at_alpha_zero(demo_theory):
-    generator = MockGenerator(GeneratorConfig(seed=2))
+    generator = MockGenerator(EngineConfig(seed=2))
     outcome = best_first_search(
         demo_theory, "bad", ToyProver(), generator,
-        SearchConfig(alpha=0.0, max_iterations=4, filtering_enabled=False))
+        EngineConfig(alpha=0.0, max_iterations=4, filtering_enabled=False))
     for n in outcome.tree:
         if n.parent is not None:
             assert n.score <= n.parent.score + 1e-12
@@ -158,17 +158,17 @@ def test_node_budget_compliance():
     theory = load_theory(
         "theory wide\naxiom d1: a | b\naxiom d2: c | d\naxiom d3: e | f\n"
         "theorem hard: z\nend\n")
-    generator = MockGenerator(GeneratorConfig(seed=5))
-    config = SearchConfig(max_iterations=50, node_budget=7, filtering_enabled=False)
+    generator = MockGenerator(EngineConfig(seed=5))
+    config = EngineConfig(max_iterations=50, node_budget=7, filtering_enabled=False)
     outcome = best_first_search(theory, "hard", ToyProver(), generator, config)
     assert outcome.failed
     assert outcome.stats.nodes_created <= 7
 
 
 def test_time_limit_zero_returns_failed_fast(demo_theory):
-    generator = MockGenerator(GeneratorConfig(seed=1))
+    generator = MockGenerator(EngineConfig(seed=1))
     outcome = best_first_search(demo_theory, "t1", ToyProver(), generator,
-                                SearchConfig(time_limit_s=0.0))
+                                EngineConfig(time_limit_s=0.0))
     assert outcome.failed
     assert outcome.stats.iterations == 0
 
@@ -176,14 +176,14 @@ def test_time_limit_zero_returns_failed_fast(demo_theory):
 def test_reconstruct_proof_orders_root_to_leaf(demo_theory):
     generator = FixedPoolGenerator([("intro", -0.1), ("assumption", -0.2)])
     outcome = best_first_search(demo_theory, "t2", ToyProver(), generator,
-                                SearchConfig(top_k=1, revision_enabled=False))
+                                EngineConfig(top_k=1, revision_enabled=False))
     assert [s.text() for s in outcome.steps] == ["intro", "assumption"]
 
 
 def test_prefix_steps_shorten_the_obligation(demo_theory):
     generator = FixedPoolGenerator([("assumption", -0.2)])
     outcome = best_first_search(
-        demo_theory, "t2", ToyProver(), generator, SearchConfig(top_k=1),
+        demo_theory, "t2", ToyProver(), generator, EngineConfig(top_k=1),
         prefix_steps=(parse_step("intro"),))
     assert outcome.proved
     assert [s.text() for s in outcome.steps] == ["assumption"]
@@ -192,7 +192,7 @@ def test_prefix_steps_shorten_the_obligation(demo_theory):
 def test_prefix_full_proof_is_immediately_proved(demo_theory):
     generator = FixedPoolGenerator([])
     outcome = best_first_search(
-        demo_theory, "t2", ToyProver(), generator, SearchConfig(),
+        demo_theory, "t2", ToyProver(), generator, EngineConfig(),
         prefix_steps=(parse_step("intro"), parse_step("assumption")))
     assert outcome.proved and outcome.steps == ()
 
@@ -200,7 +200,7 @@ def test_prefix_full_proof_is_immediately_proved(demo_theory):
 def test_prefix_replay_failure_raises(demo_theory):
     with pytest.raises(ReplayError):
         best_first_search(
-            demo_theory, "t2", ToyProver(), FixedPoolGenerator([]), SearchConfig(),
+            demo_theory, "t2", ToyProver(), FixedPoolGenerator([]), EngineConfig(),
             prefix_steps=(parse_step("split"),))
 
 
@@ -210,16 +210,16 @@ def test_revision_flips_outcome_on_corrupted_scripts():
     theory = _chain_theory("chain", 6, 0)
     for enabled, expected in ((True, True), (False, False)):
         generator = CorruptedScriptGenerator(theory, "goal", seed=13)
-        config = SearchConfig(max_iterations=12, revision_enabled=enabled)
-        outcome = best_first_search(theory, "goal", ToyProver(), generator, config,
-                                    RevisionConfig())
+        config = EngineConfig(max_iterations=12, revision_enabled=enabled,
+                              tactic_set=DEFAULT_TACTIC_SET)
+        outcome = best_first_search(theory, "goal", ToyProver(), generator, config)
         assert outcome.proved is expected
 
 
 def test_duplicate_filtering_preserves_provability(demo_theory):
     for filtering in (True, False):
-        generator = MockGenerator(GeneratorConfig(seed=8))
-        config = SearchConfig(max_iterations=10, node_budget=500,
+        generator = MockGenerator(EngineConfig(seed=8))
+        config = EngineConfig(max_iterations=10, node_budget=500,
                               filtering_enabled=filtering)
         outcome = best_first_search(demo_theory, "t1", ToyProver(), generator, config)
         assert outcome.proved
@@ -238,10 +238,10 @@ def test_dedup_does_not_change_success_set_on_corpus_sample():
     ]
     outcomes = {}
     for filtering in (True, False):
-        generator = MockGenerator(GeneratorConfig(seed=6, temperature=0.3))
+        generator = MockGenerator(EngineConfig(seed=6, temperature=0.3))
         # without dedup the frontier floods with near-duplicates; the node
         # budget caps it and the iteration allowance exhausts what remains
-        config = SearchConfig(max_iterations=150, node_budget=400,
+        config = EngineConfig(max_iterations=150, node_budget=400,
                               filtering_enabled=filtering)
         outcomes[filtering] = {
             t.name: best_first_search(t, "goal", ToyProver(), generator, config).proved
@@ -405,12 +405,12 @@ def test_prefix_replay_opens_only_what_the_search_releases(prover_server):
         for backend in (ToyProver(), remote):
             outcome = best_first_search(
                 theory, "t2", backend, FixedPoolGenerator([("assumption", -0.2)]),
-                SearchConfig(top_k=1), prefix_steps=(parse_step("intro"),))
+                EngineConfig(top_k=1), prefix_steps=(parse_step("intro"),))
             assert outcome.proved and len(outcome.opened) == 3  # root, prefix, winner
             backend.release(outcome.opened)
             with pytest.raises(ReplayError, match="tactic_failure"):
                 best_first_search(theory, "t2", backend, FixedPoolGenerator([]),
-                                  SearchConfig(), prefix_steps=(parse_step("split"),))
+                                  EngineConfig(), prefix_steps=(parse_step("split"),))
             stats = backend.stats()
             assert (stats["sessions"], stats["snapshots"]) == (0, 0)
     finally:
@@ -421,7 +421,7 @@ def test_search_alone_keeps_its_tree_tokens(demo_theory):
     prover = ToyProver()
     generator = FixedPoolGenerator([("apply [f2]", -0.1), ("intro", -0.2)])
     outcome = best_first_search(demo_theory, "t1", prover, generator,
-                                SearchConfig(max_iterations=1, revision_enabled=False))
+                                EngineConfig(max_iterations=1, revision_enabled=False))
     for n in outcome.tree:
         assert n.token in outcome.opened
         assert prover.counterexample_at(n.token).kind == "none"
@@ -463,7 +463,7 @@ def test_a_repeated_candidate_reuses_the_first_result(demo_theory):
     prover = _RecordingProver()
     generator = FixedPoolGenerator([("apply [f2]", -0.1), ("intro", -0.2), ("apply [f2]", -0.3)])
     outcome = best_first_search(demo_theory, "t1", prover, generator,
-                                SearchConfig(max_iterations=1, revision_enabled=False))
+                                EngineConfig(max_iterations=1, revision_enabled=False))
     assert [step for _, step in prover.applied] == ["apply [f2]", "intro"]
     assert outcome.stats.nodes_filtered_dup == 1
     assert [n.producing_step.log_prob for n in outcome.tree[1:]] == [-0.1]
