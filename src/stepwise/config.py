@@ -81,6 +81,8 @@ class EngineConfig:
             if not endpoint or ":" not in endpoint:
                 raise ConfigError("remote backend needs --endpoint host:port")
             host, port = endpoint.rsplit(":", 1)
+            if not (port.isdecimal() and int(port) <= 65535):
+                raise ConfigError(f"endpoint {endpoint!r} needs a port in 0..65535, got {port!r}")
             return RemoteProver.connect_tcp(host, int(port))
         raise ConfigError(f"unknown backend {self.backend!r}")
 
@@ -102,10 +104,12 @@ def _coerce(name: str, value: str):
     if field is None:
         raise ConfigError(f"unknown config key {name!r}")
     text = value.strip()
-    if field.type in ("int", int):
-        return int(text)
-    if field.type in ("float", float):
-        return float(text)
+    for kind in (int, float):
+        if field.type in (kind.__name__, kind):
+            try:
+                return kind(text)
+            except ValueError:
+                raise ConfigError(f"{name} expects {kind.__name__}, got {text!r}") from None
     if field.type in ("bool", bool):
         if text.lower() in ("true", "1", "yes", "on"):
             return True

@@ -7,7 +7,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .formulas import PARSE_CACHE_SIZE, Formula, ParseError, atoms, parse_formula, render
+from .formulas import PARSE_CACHE_SIZE, Formula, Implies, ParseError, atoms, parse_formula, render
 
 TACTICS = ("assumption", "intro", "split", "left", "right", "simp", "auto", "elim", "apply")
 FACT_REQUIRED = ("elim", "apply")
@@ -71,22 +71,24 @@ class FactContext:
     ``facts`` maps fact name to statement; ``usage_counts`` records how often
     each name appears in the ground-truth proofs preceding the owner entry
     (the usage-frequency signal for premise ranking). Lookup of an undefined
-    name is an explicit miss, never a default. The atom and statement
-    indexes below are built on first use and rely on ``facts`` never
-    changing.
+    name is an explicit miss, never a default. The indexes and caches below
+    are filled on first use, live as long as the context (so a theorem's
+    states free them) and rely on ``facts`` never changing.
     """
 
-    __slots__ = ("facts", "usage_counts", "_atom_cache", "_auto_cache",
-                 "_statements", "_fact_atoms", "_atom_index")
+    __slots__ = ("facts", "usage_counts", "_atom_cache", "_auto_cache", "_rankings",
+                 "_statements", "_fact_atoms", "_atom_index", "_spine_index")
 
     def __init__(self, facts: dict[str, Formula], usage_counts: dict[str, int] | None = None):
         self.facts = dict(facts)
         self.usage_counts = dict(usage_counts or {})
         self._atom_cache: tuple[str, ...] | None = None
         self._auto_cache: dict = {}
+        self._rankings: dict[frozenset[str], list[str]] = {}  # see relevance_filter
         self._statements: frozenset[Formula] | None = None
         self._fact_atoms: dict[str, frozenset[str]] | None = None
         self._atom_index: dict[str, tuple[str, ...]] | None = None
+        self._spine_index: dict[Formula, frozenset[str]] | None = None
 
     def atom_names(self) -> tuple[str, ...]:
         if self._atom_cache is None:
@@ -115,6 +117,18 @@ class FactContext:
                     index.setdefault(a, []).append(name)
             self._atom_index = {a: tuple(names) for a, names in index.items()}
         return self._atom_index
+
+    def spine_index(self) -> dict[Formula, frozenset[str]]:
+        """Formula -> the names of the facts whose implication right spine
+        passes through it: the only goals ``apply [f]`` can conclude."""
+        if self._spine_index is None:
+            index: dict[Formula, set[str]] = {}
+            for name, node in self.facts.items():
+                while node is not None:
+                    index.setdefault(node, set()).add(name)
+                    node = node.right if isinstance(node, Implies) else None
+            self._spine_index = {f: frozenset(names) for f, names in index.items()}
+        return self._spine_index
 
     def __contains__(self, name: str) -> bool:
         return name in self.facts

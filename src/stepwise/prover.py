@@ -503,19 +503,31 @@ def toy_hammer(state: ProofState, config: HammerConfig = HammerConfig(),
     moves = [ProofStep(tactic) for tactic in _HAMMER_TACTICS]
     moves += [ProofStep("elim", (fname,)) for fname in pool
               if isinstance(ctx.facts.get(fname), Or)]
-    # `apply [f]` succeeds only on a goal on f's implication right spine,
-    # so index the apply moves by those formulas, in pool order
+    spines = ctx.spine_index()
     applies: dict[Formula, list[ProofStep]] = {}
-    for fname in pool:
-        node = ctx.facts.get(fname)
-        step = ProofStep("apply", (fname,))
-        while node is not None:
-            applies.setdefault(node, []).append(step)
-            node = node.right if isinstance(node, Implies) else None
+
+    def successors(current: ProofState) -> list[tuple[ProofStep, ProofState]]:
+        # `apply [f]` succeeds only on a goal on f's implication right
+        # spine, so a goal's apply moves are those pool facts, in pool order
+        goal = current.subgoals[0].goal
+        if goal not in applies:
+            names = spines.get(goal, ())
+            applies[goal] = [ProofStep("apply", (f,)) for f in pool if f in names]
+        out = []
+        for step in itertools.chain(moves, applies[goal]):
+            result = apply_step(current, step)
+            if result.ok:
+                out.append((step, result.state))
+        return out
+
+    # every deepening round re-walks the tree, so each state reached keeps
+    # [canonical key, successors once expanded], keyed by its exact
+    # subgoals: apply_step acts on the first one, which the key ignores
+    records: dict[tuple[Subgoal, ...], list] = {}
     deadline = time.monotonic() + config.budget_ms / 1000.0
     try:
         for depth in range(1, config.max_depth + 1):
-            steps = _hammer_dfs(state, moves, applies, depth, deadline, {})
+            steps = _hammer_dfs(state, successors, records, depth, deadline, {})
             if steps is not None:
                 return HammerResult("found", tuple(steps))
     except _BudgetExceeded:
@@ -523,8 +535,7 @@ def toy_hammer(state: ProofState, config: HammerConfig = HammerConfig(),
     return HammerResult("notfound")
 
 
-def _hammer_dfs(state: ProofState, moves: list[ProofStep],
-                applies: dict[Formula, list[ProofStep]], depth: int,
+def _hammer_dfs(state: ProofState, successors, records: dict, depth: int,
                 deadline: float, visited: dict[str, int]) -> list[ProofStep] | None:
     if not state.subgoals:
         return []
@@ -532,15 +543,17 @@ def _hammer_dfs(state: ProofState, moves: list[ProofStep],
         return None
     if time.monotonic() > deadline:
         raise _BudgetExceeded
-    key = canonical_state(state)
+    record = records.get(state.subgoals)
+    if record is None:
+        record = records[state.subgoals] = [canonical_state(state), None]
+    key = record[0]
     if visited.get(key, -1) >= depth:
         return None
     visited[key] = depth
-    for step in itertools.chain(moves, applies.get(state.subgoals[0].goal, ())):
-        result = apply_step(state, step)
-        if not result.ok:
-            continue
-        tail = _hammer_dfs(result.state, moves, applies, depth - 1, deadline, visited)
+    if record[1] is None:
+        record[1] = successors(state)
+    for step, child in record[1]:
+        tail = _hammer_dfs(child, successors, records, depth - 1, deadline, visited)
         if tail is not None:
             return [step] + tail
     return None

@@ -43,6 +43,19 @@ def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> li
     (ties by fact id) and joins its atoms into R. Stops at ``k`` facts or
     when every remaining score is zero.
 
+    No pick depends on ``k``, so the answer is the first ``k`` names of the
+    full ranking, which ``context`` keeps per atom seed.
+    """
+    seed = frozenset().union(*(sub.atom_names() for sub in goal_state.subgoals))
+    ranking = context._rankings.get(seed)
+    if ranking is None:
+        ranking = context._rankings[seed] = _rank_by_relevance(seed, context)
+    return ranking[:max(k, 0)]
+
+
+def _rank_by_relevance(seed: frozenset[str], context: FactContext) -> list[str]:
+    """Every fact ``relevance_filter`` would ever pick from ``seed``, in order.
+
     Each fact's overlap count is kept and raised only for the facts that
     share an atom newly joined into R, each raise pushing a fresh heap entry
     keyed (-score, id). Scores only grow, so a fact's newest entry pops
@@ -64,11 +77,9 @@ def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> li
         for name in raised - chosen:
             heapq.heappush(heap, (-hits[name] / len(fact_atoms[name]), name))
 
-    relevant: set[str] = set()
-    for sub in goal_state.subgoals:
-        relevant |= sub.atom_names()
+    relevant = set(seed)
     join(relevant)
-    while len(selected) < k and heap:
+    while heap:
         _, name = heapq.heappop(heap)
         if name in chosen:
             continue
@@ -81,33 +92,43 @@ def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> li
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Unit-cost Levenshtein distance, by the bit-parallel algorithm of
-    Myers (1999) in Hyyrö's formulation: bit ``i`` of ``vp``/``vn`` says the
-    DP column rises/falls between rows ``i`` and ``i + 1``, one text
-    character advances the whole column, and ``score`` tracks its last row."""
-    if a == b:
-        return 0
+    """Unit-cost Levenshtein distance."""
+    return edit_distances(a, (b,))[0]
+
+
+def edit_distances(a: str, texts) -> list[int]:
+    """``edit_distance(a, b)`` for each ``b`` in ``texts``, by the
+    bit-parallel algorithm of Myers (1999) in Hyyrö's formulation, with
+    ``a``'s match masks built once: bit ``i`` of ``vp``/``vn`` says the DP
+    column rises/falls between rows ``i`` and ``i + 1``, one text character
+    advances the whole column, and ``score`` tracks its last row."""
     if not a:
-        return len(b)
+        return [len(b) for b in texts]
     peq: dict[str, int] = {}
     for i, ch in enumerate(a):
         peq[ch] = peq.get(ch, 0) | (1 << i)
     mask = (1 << len(a)) - 1
     last = 1 << (len(a) - 1)
-    vp, vn, score = mask, 0, len(a)
-    for ch in b:
-        x = peq.get(ch, 0) | vn
-        d0 = ((((x & vp) + vp) ^ vp) | x) & mask
-        hp = vn | (~(d0 | vp) & mask)
-        hn = vp & d0
-        if hp & last:
-            score += 1
-        elif hn & last:
-            score -= 1
-        hp = (hp << 1) | 1
-        vn = hp & d0
-        vp = ((hn << 1) | ~(d0 | hp)) & mask
-    return score
+    out = []
+    for b in texts:
+        if a == b:
+            out.append(0)
+            continue
+        vp, vn, score = mask, 0, len(a)
+        for ch in b:
+            x = peq.get(ch, 0) | vn
+            d0 = ((((x & vp) + vp) ^ vp) | x) & mask
+            hp = vn | (~(d0 | vp) & mask)
+            hn = vp & d0
+            if hp & last:
+                score += 1
+            elif hn & last:
+                score -= 1
+            hp = (hp << 1) | 1
+            vn = hp & d0
+            vp = ((hn << 1) | ~(d0 | hp)) & mask
+        out.append(score)
+    return out
 
 
 def tactic_repair(attempt: FailedAttempt, tactic_set: tuple[str, ...]) -> list[Candidate]:
@@ -141,11 +162,9 @@ def premise_repair(attempt: FailedAttempt, pool: list[str],
         return []
     replacements: list[list[str]] = []
     for u in undefined:
-        scored = []
-        for order, name in enumerate(pool):
-            d = edit_distance(u, name)
-            if d <= config.max_edit_distance:
-                scored.append((d, order, name))
+        scored = [(d, order, name)
+                  for order, (d, name) in enumerate(zip(edit_distances(u, pool), pool))
+                  if d <= config.max_edit_distance]
         scored.sort()
         matches = [name for _, _, name in scored[:config.top_matches]]
         if not matches:

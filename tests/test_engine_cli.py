@@ -217,6 +217,27 @@ def test_invalid_config_value_is_rejected_before_any_theorem(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,named", [
+    (["--config", "seed = abc"], ("seed", "'abc'")),
+    (["--config", "mesh_weight = half"], ("mesh_weight", "'half'")),
+    (["--backend", "remote", "--endpoint", "localhost:abc"], ("'localhost:abc'",)),
+    (["--backend", "remote", "--endpoint", "localhost:99999"], ("'localhost:99999'",)),
+], ids=["int_field", "float_field", "port_not_a_number", "port_out_of_range"])
+def test_unparsable_config_value_is_one_error_line(args, named, theory_file, tmp_path, capsys):
+    if args[0] == "--config":
+        path = tmp_path / "engine.cfg"
+        path.write_text(args[1] + "\n")
+        args = ["--config", str(path)]
+    out = tmp_path / "reports"
+    code = main(["prove", "--theory", str(theory_file), *args, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert all(text in captured.err for text in named)
+    assert not out.exists()
+
+
 def test_readme_config_keys_equal_engine_config_fields():
     text = README.read_text()
     section = text.split("### Configuration file", 1)[1].split("\n## ", 1)[0]

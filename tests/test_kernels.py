@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stepwise.formulas import And, Atom, Const, Implies, Not, Or, atoms, evaluate, parse_formula
 from stepwise.prover import first_counterexample, row_masks
-from stepwise.revision import edit_distance
+from stepwise.revision import edit_distance, edit_distances
 
 
 def pure_levenshtein(a: str, b: str) -> int:
@@ -196,3 +196,17 @@ def test_levenshtein_long_and_non_ascii_property(a, b):
     expected = pure_levenshtein(a, b)
     assert edit_distance(a, b) == expected
     assert edit_distance(b, a) == expected
+
+
+# a pool scored with one pattern per name: short texts over a small alphabet,
+# texts past one 64-bit word, and always the name itself and the empty text
+pool_texts = st.one_of(st.text("abc", max_size=8), st.text("ab", min_size=60, max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_texts, st.lists(pool_texts, max_size=6))
+def test_edit_distances_scores_a_pool_pair_by_pair(a, texts):
+    texts = texts + [a, ""]
+    expected = [pure_levenshtein(a, b) for b in texts]
+    assert [edit_distance(a, b) for b in texts] == expected
+    assert edit_distances(a, texts) == expected

@@ -517,10 +517,7 @@ def random_fact(rng):
 FACT_NAMES = ("d", "f1", "f2", "f3", "g")
 
 
-def random_state(rng):
-    """A random state whose goals mostly conclude a suffix of some fact's
-    implication spine, with most of the premises that suffix skips as
-    hypotheses, so that proofs through `apply` are common."""
+def random_context(rng):
     facts = {}
     for name in FACT_NAMES:
         if rng.random() < 0.7:
@@ -528,7 +525,15 @@ def random_state(rng):
             # which of them a proof uses
             repeat = facts and rng.random() < 0.25
             facts[name] = rng.choice(list(facts.values())) if repeat else random_fact(rng)
-    ctx = FactContext(facts)
+    return FactContext(facts)
+
+
+def random_state(rng, ctx=None):
+    """A random state whose goals mostly conclude a suffix of some fact's
+    implication spine, with most of the premises that suffix skips as
+    hypotheses, so that proofs through `apply` are common."""
+    if ctx is None:
+        ctx = random_context(rng)
     subgoals = []
     for _ in range(1 if rng.random() < 0.7 else 2):
         if not ctx.facts or rng.random() < 0.2:
@@ -560,6 +565,52 @@ def test_hammer_matches_all_pool_apply_reference():
         assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
         via_apply += any(step.tactic == "apply" for step in ours.steps)
     assert via_apply >= 15  # 26 of the 400 cases
+
+
+def test_hammer_with_a_warm_context_matches_reference():
+    # each context serves many hammer calls, so its indexes and rankings are
+    # warm; pools are shuffled or repeat and misname facts, and each state is
+    # also tried with its subgoals swapped (same canonical key, other first goal)
+    rng = random.Random(23)
+    calls = 0
+    for _ in range(8):
+        ctx = random_context(rng)
+        for _ in range(6):
+            state = random_state(rng, ctx)
+            names = list(ctx.facts)
+            rng.shuffle(names)
+            pool = rng.choice((None, names, names + names[:2] + ["zz"]))
+            config = HammerConfig(max_depth=rng.randint(2, 4))
+            swapped = ProofState(state.subgoals[::-1], ctx)
+            extra = Subgoal((), random_formula(rng, 2))
+            for s in (state, swapped, ProofState((extra,) + state.subgoals, ctx),
+                      ProofState(state.subgoals + (extra,), ctx)):
+                ours = toy_hammer(s, config, pool)
+                expected = reference_hammer(s, config, pool)
+                assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
+                calls += 1
+    assert calls >= 50
+
+
+def test_hammer_applies_each_move_to_each_state_once():
+    # iterative deepening re-walks the shallower rounds' tree each round
+    ctx = ctx_of(ab="a | b", pa="a -> c", pb="b -> c", m="c -> d -> e", n="e -> f")
+    config = HammerConfig(max_depth=4)
+    for goal, hyps, kind in (("a -> e", ("c", "d"), "found"),
+                             ("(a -> f) & (b -> e)", ("d",), "notfound")):
+        state = state_of(goal, hyps, ctx)
+        seen = []
+
+        def recording(current, step, *args):
+            seen.append((current.subgoals, step))
+            return apply_step(current, step, *args)
+
+        with mock.patch.object(prover, "apply_step", recording):
+            result = toy_hammer(state, config, sorted(ctx.facts))
+        assert result.kind == kind
+        assert result == toy_hammer(state, config, sorted(ctx.facts))
+        assert len(seen) > 20
+        assert len(set(seen)) == len(seen)
 
 
 def test_no_progress_verdict_matches_canonical_keys():

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -100,6 +101,26 @@ def test_relevance_filter_matches_greedy_reference(facts, goals, k):
     context = FactContext(facts)
     state = ProofState(tuple(Subgoal((), g) for g in goals), context)
     assert relevance_filter(state, context, k) == greedy_relevance_reference(state, context, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text("abxy", min_size=1, max_size=3), relevance_formulas, max_size=12),
+       st.lists(st.lists(relevance_formulas, min_size=1, max_size=3), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 14)), min_size=1, max_size=12))
+def test_relevance_filter_warm_context_matches_greedy_reference(facts, goal_lists, queries):
+    # one context answers every query, so its memo is warm; each goal list
+    # gives three states with one atom seed but different goals, and the
+    # queries run forwards then backwards, so each k meets both a larger and
+    # a smaller k already asked of the same seed
+    context = FactContext(facts)
+    states = []
+    for goals in goal_lists:
+        states.append(ProofState(tuple(Subgoal((), g) for g in goals), context))
+        states.append(ProofState(tuple(Subgoal((), g) for g in reversed(goals)), context))
+        states.append(ProofState((Subgoal((), functools.reduce(And, goals)),), context))
+    for i, k in queries + queries[::-1]:
+        state = states[i % len(states)]
+        assert relevance_filter(state, context, k) == greedy_relevance_reference(state, context, k)
 
 
 # -- edit distance -----------------------------------------------------------
