@@ -21,6 +21,7 @@ from .engine import prove_theorem
 from .formulas import And, Atom, Implies, Or, TRUE, parse_formula
 from .hammer import hammer_state
 from .prover import ToyProver, apply_step, init_goal
+from .search import replay_from_root
 
 FAMILY_SIZES = {
     "case": 60,       # elim-requiring case splits, depth 4
@@ -188,12 +189,7 @@ def arm_auto(theory: Theory, backend) -> bool:
     from .prover import render_theory
 
     backend.load_theory(render_theory(theory))
-    token, _ = backend.start(theory.name, "goal")
-    sid = backend.restore(token)
-    try:
-        result = backend.apply(sid, ProofStep("auto"), 5000)
-    finally:
-        backend.release([sid, token])
+    _, [result], _ = replay_from_root(backend, theory.name, "goal", [ProofStep("auto")], 5000)
     return bool(result.ok and result.state.qed)
 
 

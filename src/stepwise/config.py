@@ -70,6 +70,8 @@ class EngineConfig:
             raise ConfigError("hammer_states must be >= 1")
         if not 0 <= self.mesh_weight <= 1:
             raise ConfigError("mesh_weight must be in [0, 1]")
+        if self.step_timeout_ms < 1:
+            raise ConfigError(f"step_timeout_ms must be >= 1, got {self.step_timeout_ms}")
         if not 0 <= self.atom_limit <= MAX_ATOM_LIMIT:
             raise ConfigError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {self.atom_limit}")
 

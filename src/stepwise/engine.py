@@ -29,8 +29,8 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
                   backend=None, generator=None,
                   prefix_steps: tuple = ()) -> ProveResult:
     """Search, then the hammer fallback if the search failed; every backend
-    session and snapshot the two opened is released before returning, and a
-    backend made here from ``config`` is closed.
+    snapshot the two opened is released before returning, and a backend
+    made here from ``config`` is closed.
     ``prefix_steps`` are replayed first (``ReplayError`` if one fails)."""
     if backend is None:
         backend = config.make_backend()

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .core import Theory, render_state
+from .search import replay_from_root
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,7 @@ def extract_pairs(theory: Theory, backend) -> ExtractionResult:
     """Replay every entry that has a ground-truth proof, recording the state
     before each step. An entry whose replay breaks (a failing step, or a
     proof that does not end at zero subgoals) contributes no pairs and is
-    reported instead. Each entry's session and root snapshot are released
-    once it is replayed."""
+    reported instead. Each entry is one backend ``replay``."""
     from .prover import render_theory
 
     backend.load_theory(render_theory(theory))
@@ -36,27 +36,19 @@ def extract_pairs(theory: Theory, backend) -> ExtractionResult:
     for entry in theory.entries:
         if entry.proof is None:
             continue
-        token, state = backend.start(theory.name, entry.name)
-        sid = backend.restore(token)
-        entry_pairs: list[StatePair] = []
-        broken = None
-        try:
-            for index, step in enumerate(entry.proof):
-                entry_pairs.append(StatePair(
-                    theory.name, entry.name, index, render_state(state), step.text()))
-                outcome = backend.apply(sid, step, None)
-                if not outcome.ok:
-                    broken = f"step {index} ({step.text()}): {outcome.category} {outcome.detail}"
-                    break
-                state = outcome.state
-        finally:
-            backend.release([sid, token])
-        if broken is None and not state.qed:
-            broken = "proof ends with open subgoals"
-        if broken is None:
-            result.pairs.extend(entry_pairs)
+        root, outcomes, ok = replay_from_root(backend, theory.name, entry.name, entry.proof)
+        states = [root] + [outcome.state for outcome in outcomes if outcome.ok]
+        if not ok:
+            index = len(outcomes) - 1
+            failed = outcomes[index]
+            result.failures.append((entry.name, f"step {index} ({entry.proof[index].text()}): "
+                                                 f"{failed.category} {failed.detail}"))
+        elif not states[-1].qed:
+            result.failures.append((entry.name, "proof ends with open subgoals"))
         else:
-            result.failures.append((entry.name, broken))
+            result.pairs.extend(
+                StatePair(theory.name, entry.name, index, render_state(state), step.text())
+                for index, (state, step) in enumerate(zip(states, entry.proof)))
     return result
 
 

@@ -2,21 +2,20 @@
 
 Framing is newline-delimited JSON over a byte stream (pipe or TCP): one
 request object per line, one response per line, ordered per connection.
-Requests carry a monotonically increasing ``id`` echoed by the response;
-``session`` addresses a server-side session and ``timeout_ms`` bounds the
-command. Set ``STEPWISE_PROTOCOL_TRACE=1`` to dump every frame to stderr.
+Requests carry a monotonically increasing ``id`` echoed by the response,
+and ``timeout_ms`` bounds the command. Set ``STEPWISE_PROTOCOL_TRACE=1`` to
+dump every frame to stderr.
 
 The toy prover is the reference server; ``RemoteProver`` exposes the same
-method surface as the in-process backend, so either can sit behind the
-engine. The search addresses immutable snapshot tokens (``start`` returns
-the root's, ``apply_batch`` one per success, and ``counterexample`` and
-``hammer`` take them), so a missed deadline there loses only that reply;
-the snapshots a late ``apply_batch`` reply names are released with the
-client's next ``release``. An ``apply_batch`` that carries an ``atom_limit``
-gets each open success's counterexample verdict with it, which the client
-keeps until the token is released. A missed ``apply`` deadline marks the
-session poisoned: further ``apply`` calls are rejected locally until a
-``restore`` names the session.
+token surface as the in-process backend, so either can sit behind the
+engine. Every command addresses immutable snapshot tokens: ``start`` returns
+the root's, ``apply_batch`` one per success and ``replay`` the end of a step
+chain, and ``counterexample`` and ``hammer`` take them. So a missed deadline
+loses only that reply; the snapshots a late ``apply_batch`` or ``replay``
+reply names are released with the client's next ``release``. An
+``apply_batch`` that carries an ``atom_limit`` gets each open success's
+counterexample verdict with it, which the client keeps until the token is
+released.
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ from .core import (
     ERROR_CATEGORIES,
     EMPTY_CONTEXT,
     ProofState,
-    ProofStep,
     StepResult,
-    canonical_state,
+    parse_step,
     state_from_wire,
     state_to_wire,
 )
@@ -56,11 +54,10 @@ from .formulas import ParseError
 
 TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
-COMMANDS = ("init", "load_theory", "start", "apply", "apply_batch", "state",
-            "clone", "restore", "release", "counterexample", "hammer", "stats",
-            "shutdown")
+COMMANDS = ("init", "load_theory", "start", "apply_batch", "replay", "release",
+            "counterexample", "hammer", "stats", "shutdown")
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 
 class ProtocolError(Exception):
@@ -92,7 +89,6 @@ class BackendError(Exception):
 class Request:
     id: int
     cmd: str
-    session: str | None = None
     payload: dict = field(default_factory=dict)
     timeout_ms: int | None = None
 
@@ -113,8 +109,6 @@ class Response:
 
 def encode_request(req: Request) -> str:
     obj: dict = {"id": req.id, "cmd": req.cmd, "payload": req.payload}
-    if req.session is not None:
-        obj["session"] = req.session
     if req.timeout_ms is not None:
         obj["timeout_ms"] = req.timeout_ms
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
@@ -133,13 +127,10 @@ def decode_request(line: str) -> Request:
     payload = obj.get("payload", {})
     if not isinstance(payload, dict):
         raise ProtocolError("payload must be an object", offending_id=obj["id"])
-    session = obj.get("session")
-    if session is not None and not isinstance(session, str):
-        raise ProtocolError("session must be a string", offending_id=obj["id"])
     timeout_ms = obj.get("timeout_ms")
     if timeout_ms is not None and not _is_int(timeout_ms):
         raise ProtocolError("timeout_ms must be an integer", offending_id=obj["id"])
-    return Request(obj["id"], cmd, session, payload, timeout_ms)
+    return Request(obj["id"], cmd, payload, timeout_ms)
 
 
 def _is_int(value) -> bool:
@@ -186,7 +177,7 @@ def encode_response(resp: Response) -> str:
 def decode_response(line: str) -> Response:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ProtocolError(f"malformed response line: {line[:80]!r} ({e})") from e
     if not isinstance(obj, dict) or not isinstance(obj.get("id"), int):
         raise ProtocolError(f"response without an integer id: {line[:80]!r}")
@@ -300,17 +291,6 @@ class ProverServer:
         if cmd == "start":
             token, state = prover.start(_text(payload, "theory"), _text(payload, "theorem"))
             return {"token": token, "state": state_to_wire(state)}, False
-        if cmd == "apply":
-            sid = self._require_session(req)
-            result = prover.apply(sid, _text(payload, "step"), req.timeout_ms)
-            if not result.ok:
-                raise _StepFailure(result)
-            reply = {"subgoals": len(result.state.subgoals),
-                     "key": canonical_state(result.state),
-                     "depth": result.state.depth}
-            if payload.get("full_state"):
-                reply["state"] = state_to_wire(result.state)
-            return reply, False
         if cmd == "apply_batch":
             token, steps = _text(payload, "token"), _texts(payload, "steps")
             atom_limit = _atom_limit(payload) if "atom_limit" in payload else None
@@ -324,27 +304,21 @@ class ProverServer:
                     item["cex"] = _cex_to_wire(prover.counterexample_at(new_token, atom_limit))
                 results.append(item)
             return {"results": results}, False
-        if cmd == "state":
-            sid = self._require_session(req)
-            state = prover.state(sid)
-            return {"state": state_to_wire(state), "key": canonical_state(state),
-                    "subgoals": len(state.subgoals)}, False
-        if cmd == "clone":
-            sid = self._require_session(req)
-            return {"token": prover.clone(sid)}, False
-        if cmd == "restore":
-            sid = prover.restore(_text(payload, "token"), req.session)
-            return {"session": sid}, False
+        if cmd == "replay":
+            results, token = prover.replay(_text(payload, "token"), _texts(payload, "steps"),
+                                           req.timeout_ms)
+            reply: dict = {"results": [state_to_wire(r.state) if r.ok else
+                                       {"category": r.category, "detail": r.detail}
+                                       for r in results]}
+            if token is not None:
+                reply["token"] = token
+            return reply, False
         if cmd == "release":
             prover.release(_texts(payload, "ids"))
             return {}, False
         if cmd == "counterexample":
-            atom_limit = _atom_limit(payload)
-            if "tokens" in payload:
-                verdicts = prover.counterexamples_at(_texts(payload, "tokens"), atom_limit)
-                return {"results": [_cex_to_wire(v) for v in verdicts]}, False
-            verdict = prover.counterexample(self._require_session(req), atom_limit)
-            return _cex_to_wire(verdict), False
+            verdicts = prover.counterexamples_at(_texts(payload, "tokens"), _atom_limit(payload))
+            return {"results": [_cex_to_wire(v) for v in verdicts]}, False
         if cmd == "hammer":
             config = HammerConfig(
                 max_depth=_int(payload, "max_depth", HammerConfig.max_depth),
@@ -352,11 +326,8 @@ class ProverServer:
                 budget_ms=_int(payload, "budget_ms", HammerConfig.budget_ms),
             )
             pool = _texts(payload, "pool") if payload.get("pool") is not None else None
-            if "token" in payload:
-                result = prover.hammer_at(_text(payload, "token"), config, pool)
-            else:
-                result = prover.hammer(self._require_session(req), config, pool)
-            reply: dict = {"result": result.kind}
+            result = prover.hammer_at(_text(payload, "token"), config, pool)
+            reply = {"result": result.kind}
             if result.found:
                 reply["steps"] = [s.text() for s in result.steps]
             return reply, False
@@ -368,11 +339,6 @@ class ProverServer:
         if cmd == "shutdown":
             return {}, True
         raise ProverError(f"unknown command {cmd!r}")
-
-    def _require_session(self, req: Request) -> str:
-        if req.session is None:
-            raise ProverError(f"{req.cmd} requires a session")
-        return req.session
 
     # -- entry points ----------------------------------------------------------
 
@@ -402,10 +368,8 @@ class ProverServer:
         return Server((host, port), Handler)
 
 
-class _StepFailure(ProverError):
-    def __init__(self, result: StepResult):
-        super().__init__(result.detail)
-        self.category = result.category
+def _step_texts(steps) -> list[str]:
+    return [s if isinstance(s, str) else (s.raw or s.text()) for s in steps]
 
 
 def _cex_to_wire(verdict: CexResult) -> dict:
@@ -523,17 +487,16 @@ class PipeTransport:
 # ---------------------------------------------------------------------------
 
 class RemoteProver:
-    """Protocol client with the same surface as the in-process backend.
+    """Protocol client with the token surface of the in-process backend.
 
-    A missed ``apply`` deadline poisons the session the request addressed;
-    poisoned sessions reject ``apply`` locally until a restore names them.
-    A missed ``apply_batch`` deadline poisons nothing: its token is
-    immutable, so only that batch's results are lost. Stale frames (ids
-    below the pending request) are discarded, anything else out of order is
-    a protocol error naming the offending id. The tokens in a discarded
-    ``apply_batch`` reply are kept and named by the next ``release``. The
-    counterexample verdicts an ``apply_batch`` reply carries are kept until
-    their tokens are released and answer ``counterexamples_at`` locally.
+    A missed ``apply_batch`` or ``replay`` deadline loses only that reply:
+    the addressed token is immutable, so the next call on it needs no
+    recovery. Stale frames (ids below the pending request) are discarded,
+    anything else out of order is a protocol error naming the offending id.
+    The tokens in a discarded ``apply_batch`` or ``replay`` reply are kept
+    and named by the next ``release``. The counterexample verdicts an
+    ``apply_batch`` reply carries are kept until their tokens are released
+    and answer ``counterexamples_at`` locally.
     """
 
     def __init__(self, transport, grace_ms: int = 1000, trace: bool | None = None):
@@ -541,8 +504,7 @@ class RemoteProver:
         self.grace_ms = grace_ms
         self.trace = _trace_enabled(trace)
         self._ids = itertools.count(1)
-        self._poisoned: set[str] = set()
-        self._missed_batches: set[int] = set()  # ids of apply_batch requests given up on
+        self._missed: set[int] = set()  # ids of apply_batch and replay requests given up on
         self._orphans: list[str] = []  # tokens from their late replies
         self._verdicts: dict[str, tuple[int, CexResult]] = {}  # token -> (atom_limit, verdict)
         self._proc: subprocess.Popen | None = None
@@ -565,12 +527,12 @@ class RemoteProver:
 
     # -- plumbing --------------------------------------------------------------
 
-    def _call(self, cmd: str, session: str | None = None, payload: dict | None = None,
+    def _call(self, cmd: str, payload: dict | None = None,
               timeout_ms: int | None = None, wait_ms: int | None = None) -> Response:
         """One round trip. The reply must arrive within ``wait_ms`` (default
         ``timeout_ms``) plus the grace interval, else ``DeadlineMiss``."""
         rid = next(self._ids)
-        req = Request(rid, cmd, session, payload or {}, timeout_ms)
+        req = Request(rid, cmd, payload or {}, timeout_ms)
         line = encode_request(req)
         if self.trace:
             _trace("send", line)
@@ -584,8 +546,8 @@ class RemoteProver:
             try:
                 raw = self.transport.recv_line(deadline)
             except DeadlineMiss:
-                if cmd == "apply_batch":
-                    self._missed_batches.add(rid)
+                if cmd in ("apply_batch", "replay"):
+                    self._missed.add(rid)
                 raise
             if self.trace:
                 _trace("recv", raw)
@@ -593,10 +555,14 @@ class RemoteProver:
             if resp.id == rid:
                 return resp
             if resp.id < rid:  # stale reply from an abandoned exchange
-                if resp.ok and resp.id in self._missed_batches:
-                    self._orphans.extend(item["token"] for item in resp.payload["results"]
-                                         if isinstance(item, dict))
-                self._missed_batches.discard(resp.id)
+                if resp.ok and resp.id in self._missed:
+                    # a replay reply's token is top-level, an apply_batch
+                    # reply's are in its success items
+                    named = [resp.payload.get("token")] + [
+                        item.get("token") for item in resp.payload["results"]
+                        if isinstance(item, dict)]
+                    self._orphans.extend(t for t in named if t is not None)
+                self._missed.discard(resp.id)
                 continue
             raise ProtocolError(
                 f"response id {resp.id} arrived while waiting for {rid}",
@@ -623,33 +589,6 @@ class RemoteProver:
             "start", payload={"theory": theory_name, "theorem": theorem_id}))
         return payload["token"], state_from_wire(payload["state"], EMPTY_CONTEXT)
 
-    def state(self, sid: str) -> ProofState:
-        payload = self._expect(self._call("state", session=sid))
-        return state_from_wire(payload["state"], EMPTY_CONTEXT)
-
-    def apply(self, sid: str, step: ProofStep | str,
-              timeout_ms: int | None = None) -> StepResult:
-        if sid in self._poisoned:
-            return StepResult.failure(
-                "timeout", "session poisoned by a missed deadline; restore it first")
-        step_text = step if isinstance(step, str) else (step.raw or step.text())
-        try:
-            resp = self._call("apply", session=sid,
-                              payload={"step": step_text, "full_state": True},
-                              timeout_ms=timeout_ms)
-        except DeadlineMiss:
-            self._poisoned.add(sid)
-            return StepResult.failure("timeout", f"no response within {timeout_ms} ms")
-        if resp.ok:
-            assert resp.payload is not None
-            return StepResult.success(
-                state_from_wire(resp.payload["state"], EMPTY_CONTEXT))
-        error = resp.error or {}
-        category = error.get("category", "")
-        if category in ERROR_CATEGORIES:
-            return StepResult.failure(category, error.get("detail", ""))
-        raise BackendError(category or "protocol_error", error.get("detail", ""))
-
     def apply_batch(self, token: str, steps, timeout_ms: int | None = None,
                     atom_limit: int | None = None) -> list[tuple[StepResult, str | None]]:
         """One round trip for ``steps`` on snapshot ``token`` (see
@@ -657,7 +596,7 @@ class RemoteProver:
         counterexample verdict of each success with open subgoals, kept for
         ``counterexamples_at``. The reply is awaited for the sum of the step
         budgets plus grace; on a miss every step reports ``timeout``."""
-        texts = [s if isinstance(s, str) else (s.raw or s.text()) for s in steps]
+        texts = _step_texts(steps)
         request = {"token": token, "steps": texts}
         if atom_limit is not None:
             request["atom_limit"] = atom_limit
@@ -681,32 +620,41 @@ class RemoteProver:
                 self._verdicts[new_token] = (atom_limit, _cex_from_wire(item["cex"]))
         return out
 
-    def clone(self, sid: str) -> str:
-        return self._expect(self._call("clone", session=sid))["token"]
-
-    def restore(self, token: str, session: str | None = None) -> str:
-        payload = self._expect(self._call(
-            "restore", session=session, payload={"token": token}))
-        sid = payload["session"]
-        self._poisoned.discard(sid)
-        return sid
+    def replay(self, token: str, steps, timeout_ms: int | None = None
+               ) -> tuple[list[StepResult], str | None]:
+        """One round trip for ``steps`` chained from snapshot ``token`` (see
+        ``ToyProver.replay``). The reply is awaited for the sum of the step
+        budgets plus grace; a miss gives one ``timeout`` result and no
+        token."""
+        texts = _step_texts(steps)
+        wait_ms = None if timeout_ms is None else timeout_ms * len(texts)
+        try:
+            payload = self._expect(self._call(
+                "replay", payload={"token": token, "steps": texts},
+                timeout_ms=timeout_ms, wait_ms=wait_ms))
+        except DeadlineMiss:
+            return [StepResult.failure("timeout", f"no response within {wait_ms} ms")], None
+        results = []
+        for item in payload["results"]:
+            if "category" not in item:
+                results.append(StepResult.success(state_from_wire(item, EMPTY_CONTEXT)))
+            elif item["category"] in ERROR_CATEGORIES:
+                results.append(StepResult.failure(item["category"], item["detail"]))
+            else:
+                raise ProtocolError(f"unknown failure category {item['category']!r}")
+        return results, payload.get("token")
 
     def release(self, ids) -> None:
-        """Release ``ids`` and every snapshot a late ``apply_batch`` reply
-        has named since the last release."""
+        """Release ``ids`` and every snapshot a late ``apply_batch`` or
+        ``replay`` reply has named since the last release."""
         ids = list(ids)
         orphans, self._orphans = self._orphans, []
         self._expect(self._call("release", payload={"ids": ids + orphans}))
-        self._poisoned.difference_update(ids)
         for name in ids:
             self._verdicts.pop(name, None)
 
     def stats(self) -> dict:
         return self._expect(self._call("stats"))
-
-    def counterexample(self, sid: str, atom_limit: int = 16) -> CexResult:
-        return _cex_from_wire(self._expect(self._call(
-            "counterexample", session=sid, payload={"atom_limit": atom_limit})))
 
     def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
         return self.counterexamples_at([token], atom_limit)[0]
@@ -726,26 +674,16 @@ class RemoteProver:
             verdicts = [v if v is not None else _cex_from_wire(next(fetched)) for v in verdicts]
         return verdicts
 
-    def hammer(self, sid: str, config: HammerConfig = HammerConfig(),
-               pool: list[str] | None = None) -> HammerResult:
-        return self._hammer({}, config, pool, session=sid)
-
     def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
                   pool: list[str] | None = None) -> HammerResult:
-        return self._hammer({"token": token}, config, pool)
-
-    def _hammer(self, payload: dict, config: HammerConfig, pool: list[str] | None,
-                session: str | None = None) -> HammerResult:
-        payload.update(max_depth=config.max_depth, premise_limit=config.premise_limit,
-                       budget_ms=config.budget_ms)
+        payload: dict = {"token": token, "max_depth": config.max_depth,
+                         "premise_limit": config.premise_limit,
+                         "budget_ms": config.budget_ms}
         if pool is not None:
             payload["pool"] = list(pool)
         reply = self._expect(self._call(
-            "hammer", session=session, payload=payload,
-            timeout_ms=config.budget_ms + 5000))
+            "hammer", payload=payload, timeout_ms=config.budget_ms + 5000))
         if reply["result"] == "found":
-            from .core import parse_step
-
             return HammerResult("found", tuple(parse_step(s) for s in reply["steps"]))
         return HammerResult(reply["result"])
 

@@ -1,11 +1,11 @@
 """Deterministic miniature interactive prover.
 
 Implements the backend surface the search engine drives: theory loading,
-goal initialisation, step execution, a truth-table counterexample oracle,
-a depth-bounded proof hammer, immutable snapshot tokens that ``start``
-returns and ``apply_batch`` and the ``*_at`` oracles address directly, and
-sessions restored from a snapshot for step-by-step replay. All tactics act
-on the first subgoal.
+goal initialisation, step execution, a truth-table counterexample oracle
+and a depth-bounded proof hammer, all addressed by immutable snapshot
+tokens: ``start`` returns the root's, ``apply_batch`` one per success and
+``replay`` the end of a step chain, and the ``*_at`` oracles take them. All
+tactics act on the first subgoal.
 """
 
 from __future__ import annotations
@@ -560,7 +560,7 @@ def _hammer_dfs(state: ProofState, successors, records: dict, depth: int,
 
 
 # ---------------------------------------------------------------------------
-# Sessions and the in-process backend
+# The in-process backend
 # ---------------------------------------------------------------------------
 
 def _apply_text_or_step(state: ProofState, step: ProofStep | str,
@@ -577,6 +577,9 @@ def _apply_text_or_step(state: ProofState, step: ProofStep | str,
     return apply_step(state, step, timeout_ms or DEFAULT_STEP_BUDGET_MS)
 
 
+# Sessions serve no backend caller; ``Session`` and ``ToyProver.state``,
+# ``apply``, ``clone`` and ``restore`` stay because the benchmark's tracer
+# (``pipebench/tracing.py``) looks them up by name.
 @dataclass
 class Session:
     id: str
@@ -594,9 +597,9 @@ class ToyProver:
     """In-process reference backend.
 
     The wire protocol server wraps an instance of this class; a remote client
-    exposes the same methods, so the search engine is backend-agnostic.
-    Theories are cached by content digest; sessions are single-owner but the
-    registry itself is safe to share across threads.
+    exposes the same token surface, so the search engine is backend-agnostic.
+    Theories are cached by content digest; snapshots are immutable and the
+    registry is safe to share across threads.
     """
 
     def __init__(self):
@@ -632,7 +635,7 @@ class ToyProver:
                 raise UnknownTheoremError(f"theory {name!r} is not loaded")
             return self._theories[name]
 
-    # -- sessions ----------------------------------------------------------
+    # -- snapshots and sessions ---------------------------------------------
 
     def _new_id(self, prefix: str) -> str:
         return f"{prefix}{next(self._counter)}"
@@ -644,14 +647,17 @@ class ToyProver:
             raise UnknownSessionError(f"no session {sid!r}")
         return session
 
-    def start(self, theory_name: str, theorem_id: str) -> tuple[str, ProofState]:
-        """The theorem's initial goal, stored as a snapshot: its token and
-        state. ``restore`` opens a session on it."""
-        state = init_goal(self.theory(theory_name), theorem_id)
+    def _store(self, theory_name: str, state: ProofState) -> str:
         token = self._new_id("c")
         with self._lock:
             self._snapshots[token] = _Snapshot(theory_name, state)
-        return token, state
+        return token
+
+    def start(self, theory_name: str, theorem_id: str) -> tuple[str, ProofState]:
+        """The theorem's initial goal, stored as a snapshot: its token and
+        state."""
+        state = init_goal(self.theory(theory_name), theorem_id)
+        return self._store(theory_name, state), state
 
     def state(self, sid: str) -> ProofState:
         return self._session(sid).current
@@ -680,20 +686,32 @@ class ToyProver:
             if not result.ok:
                 out.append((BARE_FAILURES[result.category], None))
                 continue
-            new_token = self._new_id("c")
-            with self._lock:
-                self._snapshots[new_token] = _Snapshot(snap.theory, result.state)
-            out.append((result, new_token))
+            out.append((result, self._store(snap.theory, result.state)))
             if result.state.qed:
                 break
         return out
 
+    def replay(self, token: str, steps, timeout_ms: int | None = None
+               ) -> tuple[list[StepResult], str | None]:
+        """Apply ``steps`` in a chain from the snapshot ``token``, each to
+        the previous one's result and with its own ``timeout_ms`` budget,
+        stopping after the first failure. Returns every result, failures
+        with their detail, and, when all succeeded, the token of a snapshot
+        of the final state; no intermediate state is stored."""
+        snap = self._snapshot(token)
+        state = snap.state
+        results: list[StepResult] = []
+        for step in steps:
+            result = _apply_text_or_step(state, step, timeout_ms)
+            results.append(result)
+            if not result.ok:
+                return results, None
+            state = result.state
+        return results, self._store(snap.theory, state)
+
     def clone(self, sid: str) -> str:
         session = self._session(sid)
-        token = self._new_id("c")
-        with self._lock:
-            self._snapshots[token] = _Snapshot(session.theory, session.current)
-        return token
+        return self._store(session.theory, session.current)
 
     def _snapshot(self, token: str) -> _Snapshot:
         with self._lock:
@@ -716,19 +734,12 @@ class ToyProver:
 
     # -- oracles -----------------------------------------------------------
 
-    def counterexample(self, sid: str, atom_limit: int = 16) -> CexResult:
-        return check_counterexample(self._session(sid).current, atom_limit)
-
     def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
         return check_counterexample(self._snapshot(token).state, atom_limit)
 
     def counterexamples_at(self, tokens, atom_limit: int = 16) -> list[CexResult]:
         """``counterexample_at`` for each token, in order."""
         return [self.counterexample_at(token, atom_limit) for token in tokens]
-
-    def hammer(self, sid: str, config: HammerConfig = HammerConfig(),
-               pool: list[str] | None = None) -> HammerResult:
-        return toy_hammer(self._session(sid).current, config, pool)
 
     def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
                   pool: list[str] | None = None) -> HammerResult:

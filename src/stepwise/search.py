@@ -119,13 +119,15 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
     backend.load_theory(render_theory(theory))
     token, root_state = backend.start(theory.name, theorem_id)
     opened = [token]
-    for step in prefix_steps:
-        [(result, token)] = backend.apply_batch(token, [step], config.step_timeout_ms)
-        if not result.ok:
+    if prefix_steps:
+        results, final = backend.replay(token, prefix_steps, config.step_timeout_ms)
+        if final is None:
             backend.release(opened)
-            raise ReplayError(f"prefix step {step.text()!r} failed: {result.category}")
+            step = prefix_steps[len(results) - 1]
+            raise ReplayError(f"prefix step {step.text()!r} failed: {results[-1].category}")
+        token = final
         opened.append(token)
-        root_state = result.state
+        root_state = results[-1].state
     root_state = root_state.with_context(context)
     root = SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0, token=token)
     tree = [root]
@@ -235,22 +237,27 @@ def frontier_summary(outcome: SearchOutcome) -> dict:
     }
 
 
+def replay_from_root(backend, theory_name: str, theorem_id: str, steps,
+                     timeout_ms: int | None = None
+                     ) -> tuple[ProofState, list[StepResult], bool]:
+    """``steps`` chained from the theorem's root snapshot in one backend
+    ``replay``: the root state, the results up to the first failure, and
+    whether every step succeeded. Both snapshots are released."""
+    token, root = backend.start(theory_name, theorem_id)
+    final = None
+    try:
+        results, final = backend.replay(token, steps, timeout_ms)
+    finally:
+        backend.release([token] if final is None else [token, final])
+    return root, results, final is not None
+
+
 def replay_steps(theory: Theory, theorem_id: str, backend,
                  steps: list[ProofStep] | tuple[ProofStep, ...]) -> bool:
-    """Replay a step list on a fresh session; True iff it ends with zero
-    subgoals (the soundness check for Proved outcomes). The session and its
-    root snapshot are released before returning."""
+    """True iff the step list replays from the theorem's root and ends with
+    zero subgoals (the soundness check for Proved outcomes)."""
     from .prover import render_theory
 
     backend.load_theory(render_theory(theory))
-    token, state = backend.start(theory.name, theorem_id)
-    sid = backend.restore(token)
-    try:
-        for step in steps:
-            result = backend.apply(sid, step, None)
-            if not result.ok:
-                return False
-            state = result.state
-        return state.qed
-    finally:
-        backend.release([sid, token])
+    root, results, ok = replay_from_root(backend, theory.name, theorem_id, steps)
+    return ok and (results[-1].state if results else root).qed

@@ -52,11 +52,18 @@ def naive_first_counterexample(state: ProofState):
     return None
 
 
-def open_session(backend, theory_name, theorem_id):
-    """A session on the theorem's initial goal: ``start`` opens only the
-    root snapshot, ``restore`` a session on it."""
-    token, _ = backend.start(theory_name, theorem_id)
-    return backend.restore(token)
+def replay_chain(backend, token, steps, timeout_ms=None):
+    """Each step as a one-step ``replay`` on the token the last success
+    returned (a failure leaves it in place): the results, and the tokens
+    the successes returned, in order."""
+    results, tokens = [], []
+    for step in steps:
+        [result], new_token = backend.replay(token, [step], timeout_ms)
+        results.append(result)
+        if new_token is not None:
+            token = new_token
+            tokens.append(token)
+    return results, tokens
 
 
 def random_formula(rng, leaves=3):

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import BENCH_SEED, naive_first_counterexample
+from conftest import BENCH_SEED, naive_first_counterexample, replay_chain
 from stepwise.bench import revision_recovery, run_bench
 from stepwise.config import EngineConfig
 from stepwise.core import canonical_state, parse_step
@@ -209,14 +209,15 @@ def test_criterion_8_protocol_differential(bench_corpus):
             local_token, local_root = local.start(theory.name, "goal")
             assert canonical_state(remote_root) == canonical_state(local_root)
             assert remote_root.depth == local_root.depth
-            remote_sid = client.restore(remote_token)
-            local_sid = local.restore(local_token)
             steps = list(theory.entry("goal").proof)
             # also exercise failing steps mid-sequence
             probes = [parse_step("apply [no_such_fact]"), parse_step("simp")]
-            for step in probes + steps:
-                remote_result = client.apply(remote_sid, step, timeout_ms=10_000)
-                local_result = local.apply(local_sid, step)
+            remote_results, remote_tokens = replay_chain(
+                client, remote_token, probes + steps, timeout_ms=10_000)
+            local_results, _ = replay_chain(local, local_token, probes + steps)
+            assert len(remote_results) == len(local_results) == len(probes + steps)
+            for step, remote_result, local_result in zip(
+                    probes + steps, remote_results, local_results):
                 assert remote_result.ok == local_result.ok, (theory.name, step.text())
                 if remote_result.ok:
                     assert canonical_state(remote_result.state) == \
@@ -225,28 +226,39 @@ def test_criterion_8_protocol_differential(bench_corpus):
                     assert (remote_result.category, remote_result.detail) == \
                         (local_result.category, local_result.detail)
                 compared += 1
-            assert client.state(remote_sid).qed and local.state(local_sid).qed
+            assert remote_results[-1].state.qed and local_results[-1].state.qed
+            client.release([remote_token] + remote_tokens)
+        stats = client.stats()
+        assert (stats["sessions"], stats["snapshots"]) == (0, 0)
     finally:
         client.close()
         tcp.shutdown()
         tcp.server_close()
 
-    # deadline-miss poisoning (fake server that answers too late)
+    # deadline misses on the token surface (fake server that answers late)
     from test_protocol import _SlowServer
     from stepwise.protocol import TcpTransport
 
-    slow = _SlowServer(delay_s=1.0)
-    poisoned_client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
-    miss = poisoned_client.apply("s0", "intro", timeout_ms=50)
-    assert miss.category == "timeout"
-    rejected = poisoned_client.apply("s0", "intro", timeout_ms=5000)
-    assert "poisoned" in rejected.detail
-    assert poisoned_client.restore("c0", session="s0") == "s0"
-    assert poisoned_client.apply("s0", "intro", timeout_ms=5000).ok
-    poisoned_client.transport.close()
+    slow = _SlowServer(delay_s=0.5)
+    late_client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
+    [(missed_batch, none)] = late_client.apply_batch("c0", ["intro"], timeout_ms=50)
+    assert (missed_batch.category, none) == ("timeout", None)
+    [missed_replay], none = late_client.replay("c0", ["intro"], timeout_ms=50)
+    assert (missed_replay.category, none) == ("timeout", None)
+    # the next call on the same token succeeds with no restore in between
+    [(result, token)] = late_client.apply_batch("c0", ["intro"], timeout_ms=5000)
+    assert result.ok and token == "r3.0"
+    [result], final = late_client.replay("c0", ["intro"], timeout_ms=5000)
+    assert result.ok and final == "r4"
+    late_client.release([token, final])
+    # the release names both late replies' tokens
+    [release] = [r for r in slow.requests if r["cmd"] == "release"]
+    assert release["payload"]["ids"] == ["r3.0", "r4", "r1.0", "r2"]
+    assert slow.commands == ["apply_batch", "replay", "apply_batch", "replay", "release"]
+    late_client.transport.close()
     slow.close()
     verdict(8, "protocol differential",
-            f"50 theorems, {compared} step results identical; poisoning verified")
+            f"50 theorems, {compared} step results identical; deadline misses verified")
 
 
 def test_criterion_9_bench_determinism(bench_result):

@@ -194,6 +194,8 @@ INVALID_VALUES = [
     ("top_p", 1.5), ("top_matches", 0), ("hammer_states", 0),
     ("mesh_weight", -0.1), ("mesh_weight", 1.5), ("atom_limit", -1),
     ("atom_limit", MAX_ATOM_LIMIT + 1),
+    # a zero budget is not "no budget": the prover reads 0 as its 10 s default
+    ("step_timeout_ms", 0), ("step_timeout_ms", -1),
 ]
 
 

@@ -1,4 +1,3 @@
-from conftest import open_session
 from stepwise.core import FactContext, ProofState, Subgoal
 from stepwise.filtering import FilterStats
 from stepwise.formulas import parse_formula
@@ -63,17 +62,16 @@ def _failed_tree_one_apply_away():
     theory = load_theory(THEORY)
     prover.load_theory(render_theory(theory))
     context = theory.context_for("t1")
-    sid = open_session(prover, "fb", "t1")
-    root_state = prover.state(sid).with_context(context)
-    root = SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0,
-                      token=prover.clone(sid))
-    step = prover.apply(sid, "apply [f2]")
+    token, root_state = prover.start("fb", "t1")
+    root = SearchNode(root_state.with_context(context), None, None, 0.0, 0, 0.0, order=0,
+                      token=token)
+    [(step, child_token)] = prover.apply_batch(token, ["apply [f2]"])
     assert step.ok
     from stepwise.core import Candidate, parse_step
 
     child = SearchNode(step.state.with_context(context), root,
                        Candidate(parse_step("apply [f2]"), -0.5), -0.5, 1, -0.5,
-                       order=1, token=prover.clone(sid))
+                       order=1, token=child_token)
     outcome = SearchOutcome(False, (), SearchStats(), [root, child], FilterStats())
     return prover, theory, outcome
 
@@ -91,9 +89,9 @@ def test_fallback_dead_tree_returns_none():
     prover = ToyProver()
     theory = load_theory("theory dead\ntheorem bad: false\nend\n")
     prover.load_theory(render_theory(theory))
-    sid = open_session(prover, "dead", "bad")
-    state = prover.state(sid).with_context(theory.context_for("bad"))
-    root = SearchNode(state, None, None, 0.0, 0, 0.0, order=0, token=prover.clone(sid))
+    token, state = prover.start("dead", "bad")
+    root = SearchNode(state.with_context(theory.context_for("bad")), None, None, 0.0, 0, 0.0,
+                      order=0, token=token)
     outcome = SearchOutcome(False, (), SearchStats(), [root], FilterStats())
     assert hammer_fallback(outcome, prover,
                            EngineConfig(hammer_timeout_s=2)) is None

@@ -9,10 +9,10 @@ import time
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_first_counterexample, open_session, random_formula
+from conftest import naive_first_counterexample, random_formula, replay_chain
 from stepwise.core import ERROR_CATEGORIES, ProofStep, canonical_state
 from stepwise.formulas import render
 from stepwise.prover import ToyProver, load_theory
@@ -67,12 +67,11 @@ payloads = st.dictionaries(st.text(min_size=1, max_size=8), json_scalars, max_si
 
 @settings(max_examples=150)
 @given(st.integers(min_value=0, max_value=10**9),
-       st.sampled_from(("init", "apply", "clone", "hammer")),
-       st.one_of(st.none(), st.text(min_size=1, max_size=8)),
+       st.sampled_from(("init", "apply_batch", "replay", "hammer")),
        payloads,
        st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)))
-def test_request_codec_round_trip(rid, cmd, session, payload, timeout_ms):
-    req = Request(rid, cmd, session, payload, timeout_ms)
+def test_request_codec_round_trip(rid, cmd, payload, timeout_ms):
+    req = Request(rid, cmd, payload, timeout_ms)
     line = encode_request(req)
     assert "\n" not in line
     assert decode_request(line) == req
@@ -92,10 +91,10 @@ def test_response_codec_round_trip(rid, ok, payload, detail):
 
 
 def test_encode_escapes_embedded_newlines():
-    req = Request(1, "apply", "s0", {"step": "intro\nassumption"})
+    req = Request(1, "replay", {"token": "c0", "steps": ["intro\nassumption"]})
     line = encode_request(req)
     assert "\n" not in line
-    assert decode_request(line).payload["step"] == "intro\nassumption"
+    assert decode_request(line).payload["steps"] == ["intro\nassumption"]
 
 
 def test_response_exactly_one_of_payload_error():
@@ -114,19 +113,31 @@ def test_decode_rejects_garbage():
         decode_response('{"ok": true}')
 
 
+def test_deeply_nested_lines_are_protocol_errors_both_ways():
+    """The JSON decoder recurses per nesting level; a reply nested past the
+    interpreter's limit is a malformed line, as a request is."""
+    for nested in ("[" * 200_000, "[" * 200_000 + "]" * 200_000):
+        with pytest.raises(ProtocolError):
+            decode_response('{"id": 1, "ok": true, "payload": ' + nested + "}")
+        with pytest.raises(ProtocolError):
+            decode_request('{"id": 1, "cmd": "init", "payload": ' + nested + "}")
+
+
 # -- server behaviour over TCP ---------------------------------------------------
 
 def test_apply_matches_in_process_results(client):
+    """Steps chained one ``replay`` at a time give the same results, with
+    the same failure details, on both paths."""
     local = ToyProver()
     local.load_theory(THEORY)
     name = client.load_theory(THEORY)
     assert name == "proto"
 
-    remote_sid = open_session(client, "proto", "t1")
-    local_sid = open_session(local, "proto", "t1")
-    for text in ("intro", "apply [f2]", "apply [ghost]", "elim [d]", "simp"):
-        remote_result = client.apply(remote_sid, text, timeout_ms=3000)
-        local_result = local.apply(local_sid, text)
+    texts = ("intro", "apply [f2]", "apply [ghost]", "elim [d]", "simp")
+    remote, _ = replay_chain(client, client.start("proto", "t1")[0], texts, 3000)
+    here, _ = replay_chain(local, local.start("proto", "t1")[0], texts)
+    assert [r.ok for r in here] == [False, True, False, True, False]
+    for remote_result, local_result in zip(remote, here):
         assert remote_result.ok == local_result.ok
         if remote_result.ok:
             assert canonical_state(remote_result.state) \
@@ -138,45 +149,50 @@ def test_apply_matches_in_process_results(client):
 
 def test_undefined_fact_error_echoes_the_name(client):
     client.load_theory(THEORY)
-    sid = open_session(client, "proto", "t1")
-    result = client.apply(sid, "apply [missing_lemma]", timeout_ms=3000)
-    assert result.category == "undefined_fact"
+    token, _ = client.start("proto", "t1")
+    [result], final = client.replay(token, ["apply [missing_lemma]"], timeout_ms=3000)
+    assert result.category == "undefined_fact" and final is None
     assert "missing_lemma" in result.detail
 
 
-def test_clone_restore_and_state_round_trip(client):
+def test_replay_tokens_round_trip(client):
+    """``replay`` leaves the addressed snapshot as it was, and its token
+    addresses the chain's final state."""
     client.load_theory(THEORY)
-    sid = open_session(client, "proto", "t1")
-    token = client.clone(sid)
-    before = canonical_state(client.state(sid))
-    assert client.apply(sid, "apply [f2]", timeout_ms=3000).ok
-    restored = client.restore(token)
-    assert canonical_state(client.state(restored)) == before
+    root, root_state = client.start("proto", "t1")
+    first, mid = client.replay(root, ["apply [f2]"], timeout_ms=3000)
+    again, other = client.replay(root, ["apply [f2]"], timeout_ms=3000)
+    assert canonical_state(first[0].state) == canonical_state(again[0].state) \
+        != canonical_state(root_state)
+    assert mid != other
+    [closed], final = client.replay(mid, ["apply [f1]"], timeout_ms=3000)
+    assert closed.state.qed and final is not None
+    assert client.replay(final, [], timeout_ms=3000)[0] == []
+    client.release([root, mid, other, final])
+    assert client.stats()["snapshots"] == 1  # the empty replay's
 
 
 def test_counterexample_and_hammer_over_wire(client):
     client.load_theory(THEORY)
-    sid = open_session(client, "proto", "t1")
-    verdict = client.counterexample(sid)
+    token, _ = client.start("proto", "t1")
+    verdict = client.counterexample_at(token)
     assert verdict.kind == "none"  # q follows from f1, f2
-    result = client.hammer(sid)
+    result = client.hammer_at(token)
     assert result.found
-    replayed = client.restore(client.clone(sid))
-    for step in result.steps:
-        assert client.apply(replayed, step, timeout_ms=3000).ok
-    assert client.state(replayed).qed
+    replayed, final = client.replay(token, result.steps, timeout_ms=3000)
+    assert all(r.ok for r in replayed) and replayed[-1].state.qed and final is not None
 
 
 def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
     client.load_theory("theory tiny\naxiom f: p\ntheorem t: p -> q\nend\n")
-    sid = open_session(client, "tiny", "t")
+    token, _ = client.start("tiny", "t")
     with pytest.raises(BackendError) as err:
         client._expect(client._call(
-            "counterexample", session=sid, payload={"atom_limit": 1_000_000}))
+            "counterexample", payload={"tokens": [token], "atom_limit": 1_000_000}))
     assert err.value.category == "protocol_error"
     assert "atom_limit" in str(err.value)
-    # the connection and the session still work
-    verdict = client.counterexample(sid)
+    # the connection and the snapshot still work
+    verdict = client.counterexample_at(token)
     assert verdict.kind == "counterexample" and verdict.assignment == {"p": True, "q": False}
 
 
@@ -190,8 +206,12 @@ def test_theory_cache_reported(tcp_server):
 
 
 def test_unknown_session_is_backend_error(client):
-    with pytest.raises(BackendError):
-        client.state("nonexistent")
+    """An unknown token fails the whole command with ``unknown_session``."""
+    for call in (lambda: client.replay("nonexistent", ["intro"], timeout_ms=3000),
+                 lambda: client.hammer_at("nonexistent")):
+        with pytest.raises(BackendError) as err:
+            call()
+        assert err.value.category == "unknown_session"
 
 
 def test_stats_command_reports_live_objects_and_commands(client):
@@ -306,16 +326,20 @@ def test_malformed_request_line_gets_protocol_error():
     assert response.error["category"] == "protocol_error"
 
 
-def test_full_state_flag_controls_apply_payload(client):
+def test_replay_reply_carries_states_and_failure_details(client):
     client.load_theory(THEORY)
-    sid = open_session(client, "proto", "t1")
-    slim = client._expect(client._call(
-        "apply", session=sid, payload={"step": "apply [f2]"}, timeout_ms=3000))
-    assert "state" not in slim and "key" in slim and slim["subgoals"] == 1
-    full = client._expect(client._call(
-        "apply", session=sid, payload={"step": "apply [f1]", "full_state": True},
-        timeout_ms=3000))
-    assert "state" in full
+    token, _ = client.start("proto", "t1")
+    reply = client._expect(client._call("replay", payload={
+        "token": token, "steps": ["apply [f2]", "apply [ghost]", "apply [f1]"]}))
+    opened, failed = reply["results"]  # the step after the failure never runs
+    assert opened == {"subgoals": [{"hyps": [], "goal": "p"}], "depth": 1}
+    assert failed["category"] == "undefined_fact" and "ghost" in failed["detail"]
+    assert "token" not in reply
+    done = client._expect(client._call("replay", payload={
+        "token": token, "steps": ["apply [f2]", "apply [f1]"]}))
+    assert done["results"][-1]["subgoals"] == [] and isinstance(done["token"], str)
+    # only the final state is stored
+    assert client.stats()["snapshots"] == 2
 
 
 def test_factless_apply_and_elim_text_fail_as_the_step_does(client):
@@ -324,20 +348,132 @@ def test_factless_apply_and_elim_text_fail_as_the_step_does(client):
     local = ToyProver()
     local.load_theory(THEORY)
     client.load_theory(THEORY)
-    local_sid = open_session(local, "proto", "t1")
-    remote_sid = open_session(client, "proto", "t1")
+    local_token, _ = local.start("proto", "t1")
     token, _ = client.start("proto", "t1")
     for tactic in ("apply", "elim"):
-        expected = local.apply(local_sid, ProofStep(tactic))
+        [expected], _ = local.replay(local_token, [ProofStep(tactic)])
         assert expected.category == "tactic_failure"
         for text in (tactic, f" {tactic} "):
-            assert local.apply(local_sid, text) == expected
-            assert client.apply(remote_sid, text, timeout_ms=3000) == expected
+            assert local.replay(local_token, [text]) == ([expected], None)
+            assert client.replay(token, [text], timeout_ms=3000) == ([expected], None)
         [(batched, _)] = client.apply_batch(token, [ProofStep(tactic)], timeout_ms=3000)
         assert batched.category == "tactic_failure"
     # every other text the parser rejects stays a parse error
     for text in ("apply []", "apply [f2", "elim [,]"):
-        assert client.apply(remote_sid, text, timeout_ms=3000).category == "parse_error"
+        [result], _ = client.replay(token, [text], timeout_ms=3000)
+        assert result.category == "parse_error"
+
+
+@pytest.fixture(scope="module")
+def both_paths():
+    """Every tenth bench-corpus theory, loaded into an in-process prover and
+    into a TCP server behind a client."""
+    from stepwise.bench import generate_corpus
+    from stepwise.prover import render_theory
+
+    tcp = ProverServer(trace=False).tcp_server(port=0)
+    threading.Thread(target=tcp.serve_forever, daemon=True).start()
+    remote = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1])
+    local = ToyProver()
+    theories = generate_corpus(0)[::10]
+    for theory in theories:
+        local.load_theory(render_theory(theory))
+        remote.load_theory(render_theory(theory))
+    yield theories, local, remote
+    remote.close()
+    tcp.shutdown()
+    tcp.server_close()
+
+
+TACTICS = ("assumption", "intro", "split", "left", "right", "simp", "auto", "apply", "elim")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths, data):
+    """Each step the mock generator, premise repair or tactic repair builds
+    on a state of a bench-corpus proof either comes back from its text
+    (``parse_step(step.text()) == step``) or gets the same verdict from the
+    in-process ``replay``, which takes the step itself, as from
+    ``RemoteProver.replay``, which sends its text."""
+    from stepwise.config import EngineConfig
+    from stepwise.core import parse_step
+    from stepwise.formulas import ParseError
+    from stepwise.generator import mock_generate
+    from stepwise.revision import FailedAttempt, premise_repair, relevance_filter, tactic_repair
+
+    theories, local, remote = both_paths
+    theory = data.draw(st.sampled_from(theories))
+    proof = theory.entry("goal").proof
+    prefix = proof[:data.draw(st.integers(0, len(proof) - 1))]
+    local_token, state = local.start(theory.name, "goal")
+    remote_token, _ = remote.start(theory.name, "goal")
+    opened = {local: [local_token], remote: [remote_token]}
+    try:
+        if prefix:
+            results, local_token = local.replay(local_token, prefix)
+            remote_token = remote.replay(remote_token, prefix, timeout_ms=10_000)[1]
+            opened[local].append(local_token)
+            opened[remote].append(remote_token)
+            state = results[-1].state
+        config = EngineConfig(seed=data.draw(st.integers(0, 9)))
+        generated = [cand.step for cand in mock_generate(state, config)]
+        source = data.draw(st.sampled_from(("generator", "premise_repair", "tactic_repair")))
+        if source == "generator":
+            steps = generated
+        elif source == "premise_repair":
+            with_facts = [step for step in generated if step.facts]
+            assume(with_facts)
+            base = data.draw(st.sampled_from(with_facts))
+            name = base.facts[0]
+            cut = data.draw(st.integers(0, len(name)))
+            typo = data.draw(st.sampled_from((name[:cut] + name[cut + 1:],
+                                              name[:cut] + "x" + name[cut:])))
+            assume(typo.isidentifier() and typo not in state.context)
+            attempt = FailedAttempt(state, ProofStep(base.tactic, (typo,) + base.facts[1:]),
+                                    -1.0, "undefined_fact")
+            pool = relevance_filter(state, state.context, config.premise_pool_size)
+            steps = [cand.step for cand in premise_repair(attempt, pool, config)]
+        else:
+            category = data.draw(st.sampled_from(("tactic_failure", "no_progress")))
+            attempt = FailedAttempt(state, data.draw(st.sampled_from(generated)), -1.0, category)
+            tactic_set = tuple(data.draw(st.lists(st.sampled_from(TACTICS), unique=True)))
+            steps = [cand.step for cand in tactic_repair(attempt, tactic_set)]
+        for step in steps:
+            try:
+                if parse_step(step.text()) == step:
+                    continue
+            except ParseError:
+                pass
+            [here], here_token = local.replay(local_token, [step])
+            [there], there_token = remote.replay(remote_token, [step], timeout_ms=10_000)
+            opened[local].append(here_token)
+            opened[remote].append(there_token)
+            assert here.ok == there.ok, step
+            if here.ok:
+                assert canonical_state(here.state) == canonical_state(there.state), step
+            else:
+                assert (here.category, here.detail) == (there.category, there.detail), step
+    finally:
+        for backend, tokens in opened.items():
+            backend.release([token for token in tokens if token is not None])
+    assert local.stats()["snapshots"] == remote.stats()["snapshots"] == 0
+
+
+@pytest.mark.parametrize("cmd", ["apply", "state", "clone", "restore"])
+def test_removed_session_commands_are_errors_that_keep_the_connection(client, cmd):
+    client.load_theory(THEORY)
+    token, _ = client.start("proto", "t1")
+    with pytest.raises(BackendError) as err:
+        client._expect(client._call(cmd, payload={"token": token, "step": "intro"}))
+    assert err.value.category == "prover_error" and cmd in err.value.detail
+    # the session forms of the oracles are gone: each needs its token
+    for oracle in ("counterexample", "hammer"):
+        with pytest.raises(BackendError) as err:
+            client._expect(client._call(oracle, payload={"atom_limit": 16}))
+        assert err.value.category == "protocol_error"
+    assert client.init()["protocol"] == 5
+    assert client.stats()["snapshots"] == 1
 
 
 # -- oracle verdicts on apply_batch ---------------------------------------------------
@@ -414,20 +550,21 @@ def test_bad_atom_limit_in_apply_batch_is_protocol_error_and_opens_nothing(clien
 def test_malformed_payload_keeps_the_connection(client):
     for cmd, payload in (("load_theory", {"source": 5}), ("start", {"theory": ["proto"]}),
                          ("start", {"theory": "proto"}), ("release", {"ids": "c0"}),
-                         ("apply_batch", {"token": "c0", "steps": ["intro", 5]})):
+                         ("apply_batch", {"token": "c0", "steps": ["intro", 5]}),
+                         ("replay", {"token": "c0", "steps": "intro"})):
         with pytest.raises(BackendError) as err:
             client._expect(client._call(cmd, payload=payload))
         assert err.value.category == "protocol_error", (cmd, payload)
-    assert client.init()["protocol"] == 4
+    assert client.init()["protocol"] == 5
 
 
 # -- fuzzed requests -------------------------------------------------------------------
 
 RESPONSE_CATEGORIES = set(ERROR_CATEGORIES) | {
     "protocol_error", "prover_error", "unknown_theorem", "unknown_session"}
-PAYLOAD_KEYS = ("source", "theory", "theorem", "step", "full_state", "token", "steps",
-                "atom_limit", "ids", "tokens", "max_depth", "premise_limit", "budget_ms",
-                "pool")
+PAYLOAD_KEYS = ("source", "theory", "theorem", "token", "steps", "atom_limit", "ids",
+                "tokens", "max_depth", "premise_limit", "budget_ms", "pool")
+REMOVED_COMMANDS = ("apply", "state", "clone", "restore")
 
 
 def _json_values(live):
@@ -443,8 +580,8 @@ def _json_values(live):
 
 
 def _named_ids(payload):
-    """The session and snapshot ids a success reply names."""
-    names = {payload.get(key) for key in ("token", "session")}
+    """The snapshot ids a success reply names."""
+    names = {payload.get("token")}
     for item in payload.get("results", ()):
         if isinstance(item, dict):
             names.add(item.get("token"))
@@ -456,10 +593,9 @@ def _well_formed_payload(cmd, token):
     return {
         "load_theory": {"source": THEORY},
         "start": {"theory": "proto", "theorem": "t1"},
-        "apply": {"step": "intro", "full_state": True},
         "apply_batch": {"token": token, "steps": ["intro", "apply [f2]", "apply"],
                         "atom_limit": 16},
-        "restore": {"token": token},
+        "replay": {"token": token, "steps": ["apply [f2]", "apply [f1]"]},
         "release": {"ids": [token]},
         "counterexample": {"tokens": [token], "atom_limit": 16},
         "hammer": {"token": "c404", "max_depth": 2, "premise_limit": 8, "budget_ms": 1000,
@@ -467,7 +603,7 @@ def _well_formed_payload(cmd, token):
     }.get(cmd, {})
 
 
-@pytest.mark.parametrize("cmd", COMMANDS + ("frobnicate",))
+@pytest.mark.parametrize("cmd", COMMANDS + REMOVED_COMMANDS + ("frobnicate",))
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
@@ -475,15 +611,15 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
     entries or values set to wrong types, nulls, and huge or deeply nested
     texts, or with no object payload at all: a categorised answer comes
     back, and once the ids a success names are released, no live object
-    count has grown. No hammer request names a live snapshot or session: a
-    hammer's run time is bounded by its own budget, which the fuzzer picks."""
+    count has grown. No hammer request names a live snapshot: a hammer's run
+    time is bounded by its own budget, which the fuzzer picks. A request may
+    carry the ``session`` field of older versions, which is ignored."""
     server = ProverServer(ToyProver(), trace=False)
     server.prover.load_theory(THEORY)
     token, _ = server.prover.start("proto", "t1")
-    session = server.prover.restore(token)
     live = ["proto", "t1", "intro", "apply", "elim", "auto", "apply [f2]", THEORY]
     if cmd != "hammer":
-        live += [token, session]
+        live += [token]
     values = _json_values(live)
     payload = _well_formed_payload(cmd, token)
     own_keys = st.sampled_from(tuple(payload) or PAYLOAD_KEYS)
@@ -499,8 +635,6 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
     if data.draw(st.integers(0, 9)) == 0:
         payload = data.draw(values)
     request = {"id": 1, "cmd": cmd, "payload": payload}
-    if cmd != "hammer" and data.draw(st.booleans()):
-        request["session"] = session
     for key in ("session", "timeout_ms"):
         if data.draw(st.integers(0, 3)) == 0:
             request[key] = data.draw(values)
@@ -508,7 +642,7 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
     response, _ = server.handle_line(json.dumps(request))
     assert response.id == 1
     if response.ok:
-        server.prover.release(_named_ids(response.payload) - {token, session})
+        server.prover.release(_named_ids(response.payload) - {token})
     else:
         assert response.error["category"] in RESPONSE_CATEGORIES, response.error
     after = server.prover.stats()
@@ -531,11 +665,16 @@ def test_non_string_theory_source_is_protocol_error():
     assert response.error["category"] == "protocol_error"
 
 
-# -- deadline misses and poisoning --------------------------------------------------
+# -- deadline misses ----------------------------------------------------------------
+
+LATE_STATE = {"subgoals": [{"hyps": [], "goal": "p"}], "depth": 1}
+
 
 class _SlowServer:
-    """Accepts one connection; delays the response to any apply or
-    apply_batch command and records every request it receives."""
+    """Accepts one connection; delays the response to any apply_batch or
+    replay command and records every request it receives. Each success
+    token names its request: ``r<id>.<step>`` in a batch, ``r<id>`` for a
+    replay."""
 
     def __init__(self, delay_s=1.5):
         self.delay_s = delay_s
@@ -563,24 +702,18 @@ class _SlowServer:
                     request = json.loads(line)
                     self.commands.append(request["cmd"])
                     self.requests.append(request)
+                    steps = request["payload"].get("steps", ())
                     if request["cmd"] == "apply_batch":
                         time.sleep(self.delay_s)
-                        # one success per step, each token naming its request
                         payload = {"results": [
-                            {"token": f"r{request['id']}.{i}",
-                             "state": {"subgoals": [{"hyps": [], "goal": "p"}], "depth": 1}}
-                            for i, _ in enumerate(request["payload"]["steps"])]}
-                    elif request["cmd"] == "apply":
+                            {"token": f"r{request['id']}.{i}", "state": LATE_STATE}
+                            for i, _ in enumerate(steps)]}
+                    elif request["cmd"] == "replay":
                         time.sleep(self.delay_s)
-                        payload = {"subgoals": 1, "key": "late", "depth": 1,
-                                   "state": {"subgoals": [{"hyps": [], "goal": "p"}],
-                                             "depth": 1}}
-                    elif request["cmd"] == "restore":
-                        payload = {"session": request.get("session") or "s0"}
+                        payload = {"results": [LATE_STATE] * len(steps),
+                                   "token": f"r{request['id']}"}
                     else:
-                        payload = {"session": "s0", "subgoals": 1, "key": "k",
-                                   "token": "c0", "theory": "proto", "entries": 0,
-                                   "cached": False}
+                        payload = {}
                     out = {"id": request["id"], "ok": True, "payload": payload}
                     try:
                         conn.sendall((json.dumps(out) + "\n").encode())
@@ -591,23 +724,23 @@ class _SlowServer:
         self.sock.close()
 
 
-def test_deadline_miss_poisons_session_until_restore():
-    slow = _SlowServer(delay_s=1.2)
-    client = RemoteProver(transport=None, grace_ms=100)
+def test_replay_deadline_miss_gives_one_timeout_and_needs_no_recovery():
     from stepwise.protocol import TcpTransport
 
-    client.transport = TcpTransport("127.0.0.1", slow.port)
-    result = client.apply("s0", "intro", timeout_ms=50)
-    assert result.category == "timeout"
-    # poisoned: rejected locally, no wire round trip
-    rejected = client.apply("s0", "intro", timeout_ms=5000)
-    assert rejected.category == "timeout"
-    assert "poisoned" in rejected.detail
-    # restore clears the poison; the stale late reply is skipped transparently
-    sid = client.restore("c0", session="s0")
-    assert sid == "s0"
-    recovered = client.apply("s0", "intro", timeout_ms=5000)
-    assert recovered.ok
+    slow = _SlowServer(delay_s=0.6)
+    client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
+    # a budget of 50 ms per step: the reply is awaited 3 * 50 + 100 ms
+    results, token = client.replay("c0", ["intro", "split", "simp"], timeout_ms=50)
+    assert [r.category for r in results] == ["timeout"] and token is None
+    assert "150 ms" in results[0].detail
+    # the next replay on the same token gets its own reply; the late reply
+    # to the missed request (id 1) is skipped by its id, its token kept
+    results, token = client.replay("c0", ["intro"], timeout_ms=5000)
+    assert [r.ok for r in results] == [True] and token == "r2"
+    client.release(["c0", token])
+    releases = [r["payload"]["ids"] for r in slow.requests if r["cmd"] == "release"]
+    assert releases == [["c0", "r2", "r1"]]
+    assert slow.commands == ["replay", "replay", "release"]
     client.transport.close()
     slow.close()
 
@@ -651,6 +784,10 @@ class _SlowBatchProver(ToyProver):
         time.sleep(self.delay_s)
         return super().apply_batch(token, steps, timeout_ms)
 
+    def replay(self, token, steps, timeout_ms=None):
+        time.sleep(self.delay_s)
+        return super().replay(token, steps, timeout_ms)
+
 
 def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
     prover = _SlowBatchProver()
@@ -693,6 +830,29 @@ def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
         assert client.counterexamples_at([child], 16)[0].kind == "none"
         assert _oracle_requests(client) == 1
         client.release([token, child])
+        stats = client.stats()
+        assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+    finally:
+        client.close()
+        tcp.shutdown()
+        tcp.server_close()
+
+
+def test_missed_replay_leaves_no_server_objects_once_its_reply_is_read():
+    prover = _SlowBatchProver()
+    tcp = ProverServer(prover, trace=False).tcp_server(port=0)
+    threading.Thread(target=tcp.serve_forever, daemon=True).start()
+    client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
+    try:
+        client.load_theory(THEORY)
+        token, _ = client.start("proto", "t1")
+        prover.delay_s = 0.5
+        assert client.replay(token, ["apply [f2]"], timeout_ms=1)[1] is None
+        prover.delay_s = 0.0
+        results, final = client.replay(token, ["apply [f2]", "apply [f1]"], timeout_ms=3000)
+        assert results[-1].state.qed
+        assert client.stats()["snapshots"] == 3  # the token, the missed and this final
+        client.release([token, final])
         stats = client.stats()
         assert (stats["sessions"], stats["snapshots"]) == (0, 0)
     finally:
@@ -748,10 +908,11 @@ def test_stdio_subprocess_server_round_trip():
         [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"])
     try:
         name = client.load_theory(THEORY)
-        sid = open_session(client, name, "t2")
-        result = client.apply(sid, "intro", timeout_ms=10_000)
+        token, _ = client.start(name, "t2")
+        [result], token = client.replay(token, ["intro"], timeout_ms=10_000)
         assert result.ok
-        assert client.apply(sid, "assumption", timeout_ms=10_000).state.qed
+        [result], token = client.replay(token, ["assumption"], timeout_ms=10_000)
+        assert result.state.qed and token is not None
     finally:
         client.close()
 
@@ -760,7 +921,7 @@ def test_stdio_close_closes_each_pipe_once():
     client = RemoteProver.spawn_stdio(
         [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"])
     proc, transport = client._proc, client.transport
-    assert client.init()["protocol"] == 4
+    assert client.init()["protocol"] == 5
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         client.close()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import open_session
 from stepwise import prover
 from stepwise.core import (
     FACT_REQUIRED,
@@ -635,12 +634,12 @@ def test_no_progress_verdict_matches_canonical_keys():
     assert unchanged_seen >= 12  # 24 of the steps tried
 
 
-# -- sessions ----------------------------------------------------------------------
+# -- snapshots and sessions -------------------------------------------------------
 
 def test_session_clone_restore_round_trip(chain_theory):
     prover = ToyProver()
     prover.load_theory(render_theory(chain_theory))
-    sid = open_session(prover, "demo", "t1")
+    sid = prover.restore(prover.start("demo", "t1")[0])
     token = prover.clone(sid)
     key_at_clone = canonical_state(prover.state(sid))
     assert prover.apply(sid, "apply [f2]").ok
@@ -711,9 +710,9 @@ def test_theory_digest_cache(chain_theory):
 def test_apply_parse_error_category(chain_theory):
     prover = ToyProver()
     prover.load_theory(render_theory(chain_theory))
-    sid = open_session(prover, "demo", "t1")
-    result = prover.apply(sid, "frobnicate hard")
-    assert result.category == "parse_error"
+    token, _ = prover.start("demo", "t1")
+    [result], final = prover.replay(token, ["frobnicate hard"])
+    assert result.category == "parse_error" and final is None
 
 
 def test_replay_soundness_for_all_ground_truth(chain_theory):
@@ -721,18 +720,44 @@ def test_replay_soundness_for_all_ground_truth(chain_theory):
     prover.load_theory(render_theory(chain_theory))
     for entry in chain_theory.provable_entries():
         assert entry.proof is not None
-        sid = open_session(prover, "demo", entry.name)
-        for step in entry.proof:
-            assert prover.apply(sid, step).ok
-        assert prover.state(sid).qed
+        token, _ = prover.start("demo", entry.name)
+        results, final = prover.replay(token, entry.proof)
+        assert all(r.ok for r in results) and final is not None
+        assert results[-1].state.qed
+
+
+def test_replay_matches_session_apply_and_stores_only_the_final_state(chain_theory):
+    """``replay`` gives what stepping a session gives, failure details
+    included, stops after the first failure, and stores one snapshot."""
+    prover = ToyProver()
+    prover.load_theory(render_theory(chain_theory))
+    for steps in (["apply [f2]", "apply [f1]"], ["apply [f2]", "apply [f9]", "apply [f1]"],
+                  ["simp", "apply [f2]"], [], ["apply [f2]", "apply [f1]", "intro"]):
+        token, _ = prover.start("demo", "t1")
+        sid = prover.restore(token)
+        expected = []
+        for step in steps:
+            expected.append(prover.apply(sid, step))
+            if not expected[-1].ok:
+                break
+        results, final = prover.replay(token, steps)
+        assert results == expected
+        assert prover.stats()["snapshots"] == 1 + (final is not None)
+        assert (final is not None) == all(r.ok for r in expected)
+        if final is not None:
+            assert prover.replay(final, [])[0] == []
+            assert canonical_state(prover.state(prover.restore(final))) \
+                == canonical_state(prover.state(sid))
+        prover.close()
 
 
 def test_filter_soundness_on_ground_truth_paths(chain_theory):
     prover = ToyProver()
     prover.load_theory(render_theory(chain_theory))
     for entry in chain_theory.provable_entries():
-        sid = open_session(prover, "demo", entry.name)
-        assert prover.counterexample(sid).kind == "none"
+        token, _ = prover.start("demo", entry.name)
+        assert prover.counterexample_at(token).kind == "none"
         for step in entry.proof:
-            assert prover.apply(sid, step).ok
-            assert prover.counterexample(sid).kind == "none"
+            [result], token = prover.replay(token, [step])
+            assert result.ok
+            assert prover.counterexample_at(token).kind == "none"

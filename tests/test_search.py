@@ -382,6 +382,11 @@ def test_replay_and_extraction_leave_no_backend_objects(prover_server, transport
         stats = backend.stats()
         return stats["sessions"], stats["snapshots"]
 
+    def replays():
+        if transport == "in_process":
+            return 0
+        return backend.stats()["commands"].get("replay", {"count": 0})["count"]
+
     try:
         theory = generate_corpus(0)[0]
         proof = theory.entry("goal").proof
@@ -389,8 +394,11 @@ def test_replay_and_extraction_leave_no_backend_objects(prover_server, transport
         assert live() == (0, 0)
         assert not replay_steps(theory, "goal", backend, proof[:1] + proof[:1])
         assert live() == (0, 0)
+        before = replays()
         assert len(extract_pairs(theory, backend).pairs) == len(proof)
         assert live() == (0, 0)
+        if transport == "tcp":  # one replay per theorem, and per entry with a proof
+            assert (before, replays()) == (2, 3)
     finally:
         if transport == "tcp":
             backend.close()
