@@ -1,5 +1,10 @@
 """Candidate step generation: a seeded deterministic mock and an HTTP client
-for a remote completion endpoint."""
+for a remote completion endpoint.
+
+A generator is any object with ``generate(state) -> list[Candidate]``. Its
+output must depend on the state alone: the search generates for every node
+of an iteration before it commits any of them, and drops the candidates of
+nodes after the one that closes the goal."""
 
 from __future__ import annotations
 

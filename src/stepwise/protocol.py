@@ -3,19 +3,21 @@
 Framing is newline-delimited JSON over a byte stream (pipe or TCP): one
 request object per line, one response per line, ordered per connection.
 Requests carry a monotonically increasing ``id`` echoed by the response,
-and ``timeout_ms`` bounds the command. Set ``STEPWISE_PROTOCOL_TRACE=1`` to
-dump every frame to stderr.
+``timeout_ms`` bounds the command, and ``release`` names snapshots to drop
+before it runs. Set ``STEPWISE_PROTOCOL_TRACE=1`` to dump every frame to
+stderr.
 
 The toy prover is the reference server; ``RemoteProver`` exposes the same
 token surface as the in-process backend, so either can sit behind the
-engine. Every command addresses immutable snapshot tokens: ``start`` returns
-the root's, ``apply_batch`` one per success and ``replay`` the end of a step
-chain, and ``counterexample`` and ``hammer`` take them. So a missed deadline
-loses only that reply; the snapshots a late ``apply_batch`` or ``replay``
-reply names are released with the client's next ``release``. An
-``apply_batch`` that carries an ``atom_limit`` gets each open success's
-counterexample verdict with it, which the client keeps until the token is
-released.
+engine. Every command addresses immutable snapshot tokens: ``start``
+carries the theory source and returns the root's, ``apply_batch`` one per
+success in each of its ``(token, steps)`` groups and ``replay`` the end of
+a step chain, and ``counterexample`` and ``hammer`` take them. So a missed
+deadline loses only that reply; the snapshots a late ``apply_batch`` or
+``replay`` reply names ride, like every release, on the client's next
+request. An ``apply_batch`` that carries an ``atom_limit`` gets each open
+success's counterexample verdict with it, which the client keeps until the
+token is released.
 """
 
 from __future__ import annotations
@@ -49,15 +51,16 @@ from .prover import (
     HammerResult,
     ProverError,
     ToyProver,
+    theory_name,
 )
 from .formulas import ParseError
 
 TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
-COMMANDS = ("init", "load_theory", "start", "apply_batch", "replay", "release",
-            "counterexample", "hammer", "stats", "shutdown")
+COMMANDS = ("init", "start", "apply_batch", "replay", "counterexample", "hammer",
+            "stats", "shutdown")
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 
 class ProtocolError(Exception):
@@ -91,6 +94,7 @@ class Request:
     cmd: str
     payload: dict = field(default_factory=dict)
     timeout_ms: int | None = None
+    release: tuple[str, ...] = ()  # snapshots to drop before the command runs
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,8 @@ def encode_request(req: Request) -> str:
     obj: dict = {"id": req.id, "cmd": req.cmd, "payload": req.payload}
     if req.timeout_ms is not None:
         obj["timeout_ms"] = req.timeout_ms
+    if req.release:
+        obj["release"] = list(req.release)
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
@@ -128,9 +134,13 @@ def decode_request(line: str) -> Request:
     if not isinstance(payload, dict):
         raise ProtocolError("payload must be an object", offending_id=obj["id"])
     timeout_ms = obj.get("timeout_ms")
-    if timeout_ms is not None and not _is_int(timeout_ms):
-        raise ProtocolError("timeout_ms must be an integer", offending_id=obj["id"])
-    return Request(obj["id"], cmd, payload, timeout_ms)
+    if timeout_ms is not None and not (_is_int(timeout_ms) and timeout_ms >= 1):
+        raise ProtocolError("timeout_ms must be an integer of at least 1",
+                            offending_id=obj["id"])
+    release = obj.get("release", [])
+    if not isinstance(release, list) or not all(isinstance(r, str) for r in release):
+        raise ProtocolError("release must be a list of strings", offending_id=obj["id"])
+    return Request(obj["id"], cmd, payload, timeout_ms, tuple(release))
 
 
 def _is_int(value) -> bool:
@@ -148,6 +158,13 @@ def _texts(payload: dict, key: str) -> list[str]:
     value = payload[key]
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"{key} must be a list of strings")
+    return value
+
+
+def _dicts(payload: dict, key: str) -> list[dict]:
+    value = payload[key]
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise TypeError(f"{key} must be a list of objects")
     return value
 
 
@@ -215,9 +232,9 @@ class ProverServer:
     """Reference protocol server over a shared in-process toy prover.
 
     One connection is one serial request stream; parallel clients use
-    separate connections. Theory loading is cached by content digest. The
-    server counts each known command and its cumulative dispatch time for
-    ``stats``.
+    separate connections. Each ``start`` starts from the theory its own
+    source parses to, parsed once per digest. The server counts each known
+    command and its cumulative dispatch time for ``stats``.
     """
 
     def __init__(self, prover: ToyProver | None = None, trace: bool | None = None):
@@ -253,6 +270,8 @@ class ProverServer:
                             {"category": "protocol_error", "detail": str(e)}), False
         started = time.perf_counter()
         try:
+            # released first, so the ids go even when the command then fails
+            self.prover.release(req.release)
             payload, shutdown = self.dispatch(req)
             return Response(req.id, True, payload), shutdown
         except ProverError as e:
@@ -282,28 +301,18 @@ class ProverServer:
         if cmd == "init":
             return {"protocol": PROTOCOL_VERSION, "server": "stepwise-toy-prover",
                     "commands": list(COMMANDS)}, False
-        if cmd == "load_theory":
-            source = _text(payload, "source")
-            cached = prover.has_theory_digest(source)
-            name = prover.load_theory(source)
-            return {"theory": name, "entries": len(prover.theory(name).entries),
-                    "cached": cached}, False
         if cmd == "start":
-            token, state = prover.start(_text(payload, "theory"), _text(payload, "theorem"))
+            token, state = prover.start_source(_text(payload, "source"),
+                                               _text(payload, "theorem"))
             return {"token": token, "state": state_to_wire(state)}, False
         if cmd == "apply_batch":
-            token, steps = _text(payload, "token"), _texts(payload, "steps")
+            groups = [(_text(group, "token"), _texts(group, "steps"))
+                      for group in _dicts(payload, "groups")]
             atom_limit = _atom_limit(payload) if "atom_limit" in payload else None
-            results: list = []
-            for result, new_token in prover.apply_batch(token, steps, req.timeout_ms):
-                if not result.ok:
-                    results.append(result.category)
-                    continue
-                item = {"token": new_token, "state": state_to_wire(result.state)}
-                if atom_limit is not None and not result.state.qed:
-                    item["cex"] = _cex_to_wire(prover.counterexample_at(new_token, atom_limit))
-                results.append(item)
-            return {"results": results}, False
+            return {"results": [[_batch_item(prover, result, new_token, atom_limit)
+                                 for result, new_token in results]
+                                for results in prover.apply_batch(groups, req.timeout_ms)]
+                    }, False
         if cmd == "replay":
             results, token = prover.replay(_text(payload, "token"), _texts(payload, "steps"),
                                            req.timeout_ms)
@@ -313,9 +322,6 @@ class ProverServer:
             if token is not None:
                 reply["token"] = token
             return reply, False
-        if cmd == "release":
-            prover.release(_texts(payload, "ids"))
-            return {}, False
         if cmd == "counterexample":
             verdicts = prover.counterexamples_at(_texts(payload, "tokens"), _atom_limit(payload))
             return {"results": [_cex_to_wire(v) for v in verdicts]}, False
@@ -366,6 +372,19 @@ class ProverServer:
             daemon_threads = True
 
         return Server((host, port), Handler)
+
+
+def _batch_item(prover: ToyProver, result: StepResult, token: str | None,
+                atom_limit: int | None):
+    """One ``apply_batch`` result on the wire: a failure's bare category, or
+    a success's token and state, with the verdict on it given ``atom_limit``
+    when it has open subgoals."""
+    if not result.ok:
+        return result.category
+    item = {"token": token, "state": state_to_wire(result.state)}
+    if atom_limit is not None and not result.state.qed:
+        item["cex"] = _cex_to_wire(prover.counterexample_at(token, atom_limit))
+    return item
 
 
 def _step_texts(steps) -> list[str]:
@@ -489,14 +508,17 @@ class PipeTransport:
 class RemoteProver:
     """Protocol client with the token surface of the in-process backend.
 
+    ``load_theory`` sends nothing: it keeps the source, which ``start``
+    sends with the theorem id. ``release`` sends nothing either: the ids
+    wait for the next request, which carries them in its ``release`` field.
     A missed ``apply_batch`` or ``replay`` deadline loses only that reply:
-    the addressed token is immutable, so the next call on it needs no
+    the addressed tokens are immutable, so the next call on them needs no
     recovery. Stale frames (ids below the pending request) are discarded,
     anything else out of order is a protocol error naming the offending id.
-    The tokens in a discarded ``apply_batch`` or ``replay`` reply are kept
-    and named by the next ``release``. The counterexample verdicts an
-    ``apply_batch`` reply carries are kept until their tokens are released
-    and answer ``counterexamples_at`` locally.
+    The tokens in a discarded ``apply_batch`` or ``replay`` reply are
+    released like any others. The counterexample verdicts an ``apply_batch``
+    reply carries are kept until their tokens are released and answer
+    ``counterexamples_at`` locally.
     """
 
     def __init__(self, transport, grace_ms: int = 1000, trace: bool | None = None):
@@ -504,8 +526,9 @@ class RemoteProver:
         self.grace_ms = grace_ms
         self.trace = _trace_enabled(trace)
         self._ids = itertools.count(1)
-        self._missed: set[int] = set()  # ids of apply_batch and replay requests given up on
-        self._orphans: list[str] = []  # tokens from their late replies
+        self._missed: dict[int, str] = {}  # id -> cmd of apply_batch and replay requests given up on
+        self._release: list[str] = []  # ids for the next request to release
+        self._sources: dict[str, str] = {}  # theory name -> source, for start
         self._verdicts: dict[str, tuple[int, CexResult]] = {}  # token -> (atom_limit, verdict)
         self._proc: subprocess.Popen | None = None
 
@@ -529,11 +552,12 @@ class RemoteProver:
 
     def _call(self, cmd: str, payload: dict | None = None,
               timeout_ms: int | None = None, wait_ms: int | None = None) -> Response:
-        """One round trip. The reply must arrive within ``wait_ms`` (default
-        ``timeout_ms``) plus the grace interval, else ``DeadlineMiss``."""
+        """One round trip, carrying every pending release. The reply must
+        arrive within ``wait_ms`` (default ``timeout_ms``) plus the grace
+        interval, else ``DeadlineMiss``."""
         rid = next(self._ids)
-        req = Request(rid, cmd, payload or {}, timeout_ms)
-        line = encode_request(req)
+        release, self._release = tuple(self._release), []
+        line = encode_request(Request(rid, cmd, payload or {}, timeout_ms, release))
         if self.trace:
             _trace("send", line)
         self.transport.send_line(line)
@@ -547,7 +571,7 @@ class RemoteProver:
                 raw = self.transport.recv_line(deadline)
             except DeadlineMiss:
                 if cmd in ("apply_batch", "replay"):
-                    self._missed.add(rid)
+                    self._missed[rid] = cmd
                 raise
             if self.trace:
                 _trace("recv", raw)
@@ -555,14 +579,9 @@ class RemoteProver:
             if resp.id == rid:
                 return resp
             if resp.id < rid:  # stale reply from an abandoned exchange
-                if resp.ok and resp.id in self._missed:
-                    # a replay reply's token is top-level, an apply_batch
-                    # reply's are in its success items
-                    named = [resp.payload.get("token")] + [
-                        item.get("token") for item in resp.payload["results"]
-                        if isinstance(item, dict)]
-                    self._orphans.extend(t for t in named if t is not None)
-                self._missed.discard(resp.id)
+                missed = self._missed.pop(resp.id, None)
+                if resp.ok and missed is not None:
+                    self._release.extend(_reply_tokens(missed, resp.payload))
                 continue
             raise ProtocolError(
                 f"response id {resp.id} arrived while waiting for {rid}",
@@ -582,42 +601,55 @@ class RemoteProver:
         return self._expect(self._call("init"))
 
     def load_theory(self, source: str) -> str:
-        return self._expect(self._call("load_theory", payload={"source": source}))["theory"]
+        """The theory's name, read from its header (``TheoryParseError`` if
+        the header is bad); the source is kept for ``start`` to send, and
+        the server parses the rest."""
+        name = theory_name(source)
+        self._sources[name] = source
+        return name
 
     def start(self, theory_name: str, theorem_id: str) -> tuple[str, ProofState]:
+        source = self._sources.get(theory_name)
+        if source is None:
+            raise BackendError("unknown_theorem", f"theory {theory_name!r} is not loaded")
         payload = self._expect(self._call(
-            "start", payload={"theory": theory_name, "theorem": theorem_id}))
+            "start", payload={"source": source, "theorem": theorem_id}))
         return payload["token"], state_from_wire(payload["state"], EMPTY_CONTEXT)
 
-    def apply_batch(self, token: str, steps, timeout_ms: int | None = None,
-                    atom_limit: int | None = None) -> list[tuple[StepResult, str | None]]:
-        """One round trip for ``steps`` on snapshot ``token`` (see
+    def apply_batch(self, groups, timeout_ms: int | None = None,
+                    atom_limit: int | None = None) -> list[list[tuple[StepResult, str | None]]]:
+        """One round trip for every ``(token, steps)`` group (see
         ``ToyProver.apply_batch``). With ``atom_limit`` the reply carries the
         counterexample verdict of each success with open subgoals, kept for
-        ``counterexamples_at``. The reply is awaited for the sum of the step
-        budgets plus grace; on a miss every step reports ``timeout``."""
-        texts = _step_texts(steps)
-        request = {"token": token, "steps": texts}
+        ``counterexamples_at``. The reply is awaited for the sum of all the
+        step budgets plus grace; on a miss every step reports ``timeout``."""
+        wire = [{"token": token, "steps": _step_texts(steps)} for token, steps in groups]
+        request: dict = {"groups": wire}
         if atom_limit is not None:
             request["atom_limit"] = atom_limit
-        wait_ms = None if timeout_ms is None else timeout_ms * len(texts)
+        wait_ms = None
+        if timeout_ms is not None:
+            wait_ms = timeout_ms * sum(len(group["steps"]) for group in wire)
         try:
             payload = self._expect(self._call(
                 "apply_batch", payload=request, timeout_ms=timeout_ms, wait_ms=wait_ms))
         except DeadlineMiss:
-            return [(BARE_FAILURES["timeout"], None)] * len(texts)
-        out: list[tuple[StepResult, str | None]] = []
-        for item in payload["results"]:
-            if isinstance(item, str):
-                if item not in BARE_FAILURES:
-                    raise ProtocolError(f"unknown failure category {item!r}")
-                out.append((BARE_FAILURES[item], None))
-                continue
-            new_token = item["token"]
-            out.append((StepResult.success(state_from_wire(item["state"], EMPTY_CONTEXT)),
-                        new_token))
-            if "cex" in item:
-                self._verdicts[new_token] = (atom_limit, _cex_from_wire(item["cex"]))
+            return [[(BARE_FAILURES["timeout"], None)] * len(group["steps"]) for group in wire]
+        out: list[list[tuple[StepResult, str | None]]] = []
+        for items in payload["results"]:
+            results: list[tuple[StepResult, str | None]] = []
+            for item in items:
+                if isinstance(item, str):
+                    if item not in BARE_FAILURES:
+                        raise ProtocolError(f"unknown failure category {item!r}")
+                    results.append((BARE_FAILURES[item], None))
+                    continue
+                new_token = item["token"]
+                results.append((StepResult.success(
+                    state_from_wire(item["state"], EMPTY_CONTEXT)), new_token))
+                if "cex" in item:
+                    self._verdicts[new_token] = (atom_limit, _cex_from_wire(item["cex"]))
+            out.append(results)
         return out
 
     def replay(self, token: str, steps, timeout_ms: int | None = None
@@ -645,12 +677,10 @@ class RemoteProver:
         return results, payload.get("token")
 
     def release(self, ids) -> None:
-        """Release ``ids`` and every snapshot a late ``apply_batch`` or
-        ``replay`` reply has named since the last release."""
-        ids = list(ids)
-        orphans, self._orphans = self._orphans, []
-        self._expect(self._call("release", payload={"ids": ids + orphans}))
+        """Queue ``ids`` for the next request to release, and forget their
+        verdicts."""
         for name in ids:
+            self._release.append(name)
             self._verdicts.pop(name, None)
 
     def stats(self) -> dict:
@@ -688,6 +718,8 @@ class RemoteProver:
         return HammerResult(reply["result"])
 
     def close(self) -> None:
+        """Send ``shutdown``, which carries any release still pending, and
+        close the transport."""
         try:
             self._call("shutdown")
         except (TransportError, DeadlineMiss, ProtocolError):
@@ -698,3 +730,13 @@ class RemoteProver:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+
+
+def _reply_tokens(cmd: str, payload: dict) -> list[str]:
+    """The snapshots a successful ``apply_batch`` or ``replay`` reply names."""
+    if cmd == "replay":
+        named = [payload.get("token")]
+    else:
+        named = [item.get("token") for items in payload["results"]
+                 for item in items if isinstance(item, dict)]
+    return [token for token in named if token is not None]

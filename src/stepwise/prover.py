@@ -3,9 +3,9 @@
 Implements the backend surface the search engine drives: theory loading,
 goal initialisation, step execution, a truth-table counterexample oracle
 and a depth-bounded proof hammer, all addressed by immutable snapshot
-tokens: ``start`` returns the root's, ``apply_batch`` one per success and
-``replay`` the end of a step chain, and the ``*_at`` oracles take them. All
-tactics act on the first subgoal.
+tokens: ``start`` returns the root's, ``apply_batch`` one per success of
+each ``(token, steps)`` group and ``replay`` the end of a step chain, and
+the ``*_at`` oracles take them. All tactics act on the first subgoal.
 """
 
 from __future__ import annotations
@@ -78,9 +78,25 @@ class UnknownSessionError(ProverError):
 # Theory files
 # ---------------------------------------------------------------------------
 
+def theory_name(source: str) -> str:
+    """The name in the source's ``theory <name>`` header, checked as
+    ``load_theory`` checks it; the rest of the source is not parsed."""
+    for lineno, raw_line in enumerate(source.splitlines(), 1):
+        parts = raw_line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] != "theory":
+            raise TheoryParseError("expected a theory header first", lineno)
+        if len(parts) != 2:
+            raise TheoryParseError("expected: theory <name>", lineno)
+        return parts[1]
+    raise TheoryParseError("empty source", 1)
+
+
 def load_theory(source: str) -> Theory:
     """Parse the line-oriented theory format (see the format reference)."""
-    name: str | None = None
+    name = theory_name(source)
+    header_seen = False
     entries: list[TheoryEntry] = []
     seen: set[str] = set()
     pending: tuple[str, str, Formula] | None = None
@@ -113,15 +129,10 @@ def load_theory(source: str) -> Theory:
                     raise TheoryParseError(str(e), lineno) from e
             continue
         if word == "theory":
-            if name is not None:
+            if header_seen:
                 raise TheoryParseError("duplicate theory header", lineno)
-            parts = line.split()
-            if len(parts) != 2:
-                raise TheoryParseError("expected: theory <name>", lineno)
-            name = parts[1]
+            header_seen = True
             continue
-        if name is None:
-            raise TheoryParseError("expected a theory header first", lineno)
         if word == "end":
             flush()
             ended = True
@@ -153,8 +164,6 @@ def load_theory(source: str) -> Theory:
             continue
         raise TheoryParseError(f"unrecognised line {line!r}", lineno)
 
-    if name is None:
-        raise TheoryParseError("empty source", 1)
     if proof_steps is not None:
         raise TheoryParseError("unterminated proof block", len(source.splitlines()))
     if not ended:
@@ -604,7 +613,7 @@ class ToyProver:
 
     def __init__(self):
         self._theories: dict[str, Theory] = {}
-        self._digests: dict[str, str] = {}
+        self._digests: dict[str, Theory] = {}
         self._sessions: dict[str, Session] = {}
         self._snapshots: dict[str, _Snapshot] = {}
         self._counter = itertools.count()
@@ -613,21 +622,19 @@ class ToyProver:
     # -- theories ----------------------------------------------------------
 
     def load_theory(self, source: str) -> str:
-        digest = hashlib.sha256(source.encode()).hexdigest()
-        with self._lock:
-            cached = self._digests.get(digest)
-            if cached is not None:
-                return cached
-        theory = load_theory(source)
-        with self._lock:
-            self._digests[digest] = theory.name
-            self._theories[theory.name] = theory
-        return theory.name
+        """Parse ``source`` (cached by digest) and make it the theory its
+        name refers to, even when a same-named one was loaded since."""
+        return self._parse(source).name
 
-    def has_theory_digest(self, source: str) -> bool:
+    def _parse(self, source: str) -> Theory:
         digest = hashlib.sha256(source.encode()).hexdigest()
         with self._lock:
-            return digest in self._digests
+            theory = self._digests.get(digest)
+        if theory is None:
+            theory = load_theory(source)
+        with self._lock:
+            self._digests[digest] = self._theories[theory.name] = theory
+        return theory
 
     def theory(self, name: str) -> Theory:
         with self._lock:
@@ -656,8 +663,16 @@ class ToyProver:
     def start(self, theory_name: str, theorem_id: str) -> tuple[str, ProofState]:
         """The theorem's initial goal, stored as a snapshot: its token and
         state."""
-        state = init_goal(self.theory(theory_name), theorem_id)
-        return self._store(theory_name, state), state
+        return self._start(self.theory(theory_name), theorem_id)
+
+    def start_source(self, source: str, theorem_id: str) -> tuple[str, ProofState]:
+        """``start`` in the theory ``source`` parses to, whatever theory its
+        name refers to now (the wire ``start``)."""
+        return self._start(self._parse(source), theorem_id)
+
+    def _start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
+        state = init_goal(theory, theorem_id)
+        return self._store(theory.name, state), state
 
     def state(self, sid: str) -> ProofState:
         return self._session(sid).current
@@ -670,25 +685,30 @@ class ToyProver:
             session.current = result.state
         return result
 
-    def apply_batch(self, token: str, steps, timeout_ms: int | None = None,
-                    atom_limit: int | None = None) -> list[tuple[StepResult, str | None]]:
-        """Apply each step, in order and with its own ``timeout_ms`` budget,
-        to the snapshot ``token``; each success is stored as a new snapshot
-        whose token comes back with its result, each failure reports its
-        category alone. Stops after the first success with zero subgoals.
-        ``atom_limit`` is ignored: a remote backend prefetches its oracle
-        verdicts with it, while in-process a verdict asked for later costs
-        the same."""
-        snap = self._snapshot(token)
-        out: list[tuple[StepResult, str | None]] = []
-        for step in steps:
-            result = _apply_text_or_step(snap.state, step, timeout_ms)
-            if not result.ok:
-                out.append((BARE_FAILURES[result.category], None))
-                continue
-            out.append((result, self._store(snap.theory, result.state)))
-            if result.state.qed:
-                break
+    def apply_batch(self, groups, timeout_ms: int | None = None,
+                    atom_limit: int | None = None) -> list[list[tuple[StepResult, str | None]]]:
+        """For each ``(token, steps)`` group, in order, apply each step, in
+        order and with its own ``timeout_ms`` budget, to the snapshot
+        ``token``; each success is stored as a new snapshot whose token comes
+        back with its result, each failure reports its category alone. A
+        group stops after its first success with zero subgoals. Returns one
+        result list per group; an unknown token fails the whole call before
+        any step runs. ``atom_limit`` is ignored: a remote backend prefetches
+        its oracle verdicts with it, while in-process a verdict asked for
+        later costs the same."""
+        snapshots = [(self._snapshot(token), steps) for token, steps in groups]
+        out: list[list[tuple[StepResult, str | None]]] = []
+        for snap, steps in snapshots:
+            results: list[tuple[StepResult, str | None]] = []
+            for step in steps:
+                result = _apply_text_or_step(snap.state, step, timeout_ms)
+                if not result.ok:
+                    results.append((BARE_FAILURES[result.category], None))
+                    continue
+                results.append((result, self._store(snap.theory, result.state)))
+                if result.state.qed:
+                    break
+            out.append(results)
         return out
 
     def replay(self, token: str, steps, timeout_ms: int | None = None

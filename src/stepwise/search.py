@@ -1,14 +1,19 @@
 """Best-first proof search: scoring, frontier management, and the main loop.
 
 The loop generalises single-node expansion to a top-k batch per iteration
-(k = 1 recovers plain best-first). Per node: generate candidates, apply them
-to the node's snapshot token in one backend batch, revise the failures and
-apply the repairs as another batch, stop on the first zero-subgoal success,
-filter the surviving states (one oracle batch), score and insert. Applying
-a step to an immutable snapshot is a pure function, so each distinct step
-goes to the backend once per expansion; a repeat reuses its first result.
-When filtering is on, each batch asks for its successes' oracle verdicts
-too, so a remote backend answers the filter without another round trip.
+(k = 1 recovers plain best-first). Each iteration generates candidates for
+every selected node, applies them all in one backend batch (one group per
+node's snapshot token), revises each node's failures and applies every
+node's repairs as one more batch per repair round. Then it commits the
+nodes in order: the first whose steps closed the goal wins, and each node
+before it has its surviving states filtered (one oracle batch), scored and
+inserted. Generation, applying a step to an immutable snapshot and revision
+are pure in the node's state, so batching across nodes leaves the result of
+the node-by-node loop unchanged; only the commit sees the other nodes. Each
+distinct step goes to the backend once per node and iteration; a repeat
+reuses its first result. When filtering is on, each batch asks for its
+successes' oracle verdicts too, so a remote backend answers the filter
+without another round trip.
 """
 
 from __future__ import annotations
@@ -50,6 +55,17 @@ class SearchStats:
         out = self.__dict__.copy()
         out.pop("wall_time")
         return out
+
+
+@dataclass(slots=True)
+class _Expansion:
+    """One selected node's work in an iteration, kept until its commit."""
+    node: SearchNode
+    memo: dict = field(default_factory=dict)  # step -> (result, token)
+    successes: list = field(default_factory=list)  # (state, candidate, token)
+    failures: list = field(default_factory=list)  # the last round's
+    revisions_tried: int = 0
+    winner: SearchNode | None = None
 
 
 @dataclass
@@ -140,33 +156,47 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
         stats.wall_time = time.monotonic() - start_time
         return SearchOutcome(True, (), stats, tree, seen.stats, opened)
 
-    def expand(node: SearchNode, cands: list[Candidate], memo, successes, failures):
-        """Apply ``cands`` to the node's snapshot, recording successes and
-        failures in candidate order; returns the winning node (the first
-        zero-subgoal success) or None. One batch carries the steps ``memo``
-        (step -> result and token, for this node) has not seen yet."""
-        fresh = list(dict.fromkeys(c.step for c in cands if c.step not in memo))
-        if fresh:
-            results = backend.apply_batch(node.token, fresh, config.step_timeout_ms,
+    def expand_round(expansions: list[_Expansion], tried: list[list[Candidate]]) -> int | None:
+        """Apply each expansion's ``tried`` candidates to its node's snapshot:
+        one backend batch carries every step that no expansion's memo (step
+        -> result and token, per node) has seen yet. Then record each
+        expansion's successes and this round's failures in candidate order,
+        up to its first zero-subgoal success. Returns the index of the first
+        expansion that closed the goal, or None; later ones are left as
+        they are."""
+        groups, fresh_of = [], []
+        for exp, cands in zip(expansions, tried):
+            memo = exp.memo
+            fresh = list(dict.fromkeys(c.step for c in cands if c.step not in memo))
+            if fresh:
+                groups.append((exp.node.token, fresh))
+                fresh_of.append((memo, fresh))
+        if groups:
+            replies = backend.apply_batch(groups, config.step_timeout_ms,
                                           atom_limit=oracle_limit)
-            for step, (result, token) in zip(fresh, results):
-                memo[step] = (result, token)
-                if token is not None:
-                    opened.append(token)
-        for cand in cands:
-            # a memoised step never closed the goal, and the batch only
-            # stops short after the winner, so every step before it is here
-            result, token = memo[cand.step]
-            if not result.ok:
-                failures.append(FailedAttempt(
-                    node.state, cand.step, cand.log_prob, result.category))
-                continue
-            new_state = result.state.with_context(context)
-            if new_state.qed:
-                return SearchNode(new_state, node, cand,
-                                  node.path_log_prob + cand.log_prob,
-                                  node.length + 1, 0.0, order=-1, token=token)
-            successes.append((new_state, cand, token))
+            for (memo, fresh), results in zip(fresh_of, replies):
+                for step, (result, token) in zip(fresh, results):
+                    memo[step] = (result, token)
+                    if token is not None:
+                        opened.append(token)
+        for index, (exp, cands) in enumerate(zip(expansions, tried)):
+            node, memo, successes = exp.node, exp.memo, exp.successes
+            failures = exp.failures = []
+            for cand in cands:
+                # a memoised step never closed the goal, and a group only
+                # stops short after the winner, so every step before it is here
+                result, token = memo[cand.step]
+                if not result.ok:
+                    failures.append(FailedAttempt(
+                        node.state, cand.step, cand.log_prob, result.category))
+                    continue
+                new_state = result.state.with_context(context)
+                if new_state.qed:
+                    exp.winner = SearchNode(new_state, node, cand,
+                                            node.path_log_prob + cand.log_prob,
+                                            node.length + 1, 0.0, order=-1, token=token)
+                    return index
+                successes.append((new_state, cand, token))
         return None
 
     while (stats.iterations < config.max_iterations
@@ -175,27 +205,39 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
         if not batch:
             break
         stats.iterations += 1
-        for node in batch:
-            candidates = generator.generate(node.state)[:config.candidates_per_state]
+        # Expand every selected node at once, one backend batch per round:
+        # each node's generation, applies and repairs are pure in its state,
+        # so only the commit below, in node order, sees the others. The
+        # first node that closes the goal ends the commit; the nodes after
+        # it are dropped uncommitted, their snapshots released with the rest.
+        expansions = [_Expansion(node) for node in batch]
+        tried = [generator.generate(node.state)[:config.candidates_per_state]
+                 for node in batch]
+        live = expansions
+        for repair_round in range(config.repair_rounds + 1):
+            won = expand_round(live, tried)
+            if won is not None:  # only the nodes before the winner go on
+                live = live[:won]
+            if repair_round == config.repair_rounds or not config.revision_enabled:
+                break
+            repairing, tried = [], []
+            for exp in live:
+                repaired = revise(exp.failures, context, tactic_set, config)
+                if repaired:
+                    exp.revisions_tried += len(repaired)
+                    repairing.append(exp)
+                    tried.append(repaired)
+            live = repairing
+            if not live:
+                break
+
+        for exp in expansions:
+            node, successes = exp.node, exp.successes
             stats.generator_calls += 1
-            memo: dict[ProofStep, tuple[StepResult, str | None]] = {}
-            successes: list[tuple[ProofState, Candidate, str]] = []
-            failures: list[FailedAttempt] = []
-            winner = expand(node, candidates, memo, successes, failures)
-            if winner is None and config.revision_enabled:
-                round_failures = failures
-                for _ in range(config.repair_rounds):
-                    repaired = revise(round_failures, context, tactic_set, config)
-                    if not repaired:
-                        break
-                    stats.revisions_tried += len(repaired)
-                    round_failures = []
-                    winner = expand(node, repaired, memo, successes, round_failures)
-                    if winner is not None:
-                        break
-            if winner is not None:
+            stats.revisions_tried += exp.revisions_tried
+            if exp.winner is not None:
                 stats.wall_time = time.monotonic() - start_time
-                return SearchOutcome(True, tuple(reconstruct_proof(winner)), stats,
+                return SearchOutcome(True, tuple(reconstruct_proof(exp.winner)), stats,
                                      tree, seen.stats, opened)
 
             if config.filtering_enabled:

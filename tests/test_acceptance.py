@@ -241,20 +241,21 @@ def test_criterion_8_protocol_differential(bench_corpus):
 
     slow = _SlowServer(delay_s=0.5)
     late_client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
-    [(missed_batch, none)] = late_client.apply_batch("c0", ["intro"], timeout_ms=50)
+    [[(missed_batch, none)]] = late_client.apply_batch([("c0", ["intro"])], timeout_ms=50)
     assert (missed_batch.category, none) == ("timeout", None)
     [missed_replay], none = late_client.replay("c0", ["intro"], timeout_ms=50)
     assert (missed_replay.category, none) == ("timeout", None)
     # the next call on the same token succeeds with no restore in between
-    [(result, token)] = late_client.apply_batch("c0", ["intro"], timeout_ms=5000)
-    assert result.ok and token == "r3.0"
+    [[(result, token)]] = late_client.apply_batch([("c0", ["intro"])], timeout_ms=5000)
+    assert result.ok and token == "r3.0.0"
     [result], final = late_client.replay("c0", ["intro"], timeout_ms=5000)
     assert result.ok and final == "r4"
     late_client.release([token, final])
-    # the release names both late replies' tokens
-    [release] = [r for r in slow.requests if r["cmd"] == "release"]
-    assert release["payload"]["ids"] == ["r3.0", "r4", "r1.0", "r2"]
-    assert slow.commands == ["apply_batch", "replay", "apply_batch", "replay", "release"]
+    late_client.init()
+    # the third request reads both late replies; their tokens ride on the
+    # fourth, and the released ones on the next
+    assert slow.releases() == [[], [], [], ["r1.0.0", "r2"], ["r3.0.0", "r4"]]
+    assert slow.commands == ["apply_batch", "replay", "apply_batch", "replay", "init"]
     late_client.transport.close()
     slow.close()
     verdict(8, "protocol differential",

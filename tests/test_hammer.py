@@ -65,7 +65,7 @@ def _failed_tree_one_apply_away():
     token, root_state = prover.start("fb", "t1")
     root = SearchNode(root_state.with_context(context), None, None, 0.0, 0, 0.0, order=0,
                       token=token)
-    [(step, child_token)] = prover.apply_batch(token, ["apply [f2]"])
+    [[(step, child_token)]] = prover.apply_batch([(token, ["apply [f2]"])])
     assert step.ok
     from stepwise.core import Candidate, parse_step
 

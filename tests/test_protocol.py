@@ -69,9 +69,10 @@ payloads = st.dictionaries(st.text(min_size=1, max_size=8), json_scalars, max_si
 @given(st.integers(min_value=0, max_value=10**9),
        st.sampled_from(("init", "apply_batch", "replay", "hammer")),
        payloads,
-       st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)))
-def test_request_codec_round_trip(rid, cmd, payload, timeout_ms):
-    req = Request(rid, cmd, payload, timeout_ms)
+       st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)),
+       st.lists(st.text(max_size=8), max_size=3).map(tuple))
+def test_request_codec_round_trip(rid, cmd, payload, timeout_ms, release):
+    req = Request(rid, cmd, payload, timeout_ms, release)
     line = encode_request(req)
     assert "\n" not in line
     assert decode_request(line) == req
@@ -111,6 +112,31 @@ def test_decode_rejects_garbage():
         decode_request("not json at all")
     with pytest.raises(ProtocolError):
         decode_response('{"ok": true}')
+
+
+@pytest.mark.parametrize("timeout_ms", [0, -1])
+def test_timeout_below_one_ms_is_protocol_error(timeout_ms):
+    """A budget of 0 would read as the 10 s default and -1 as a budget
+    already spent; neither is a budget, so the request names its id."""
+    line = json.dumps({"id": 7, "cmd": "replay", "payload": {"token": "c0", "steps": ["auto"]},
+                       "timeout_ms": timeout_ms})
+    with pytest.raises(ProtocolError) as err:
+        decode_request(line)
+    assert err.value.offending_id == 7 and "timeout_ms" in str(err.value)
+    server = ProverServer(trace=False)
+    token, _ = server.prover.start_source(THEORY, "t2")
+    response, _ = server.handle_line(line.replace('"c0"', json.dumps(token)))
+    assert (response.id, response.ok) == (7, False)
+    assert response.error["category"] == "protocol_error"
+    assert server.prover.stats()["snapshots"] == 1
+
+
+@pytest.mark.parametrize("release", ["c0", [1], ["c0", None], {"c0": 1}])
+def test_malformed_release_field_is_protocol_error(release):
+    line = json.dumps({"id": 3, "cmd": "init", "payload": {}, "release": release})
+    with pytest.raises(ProtocolError) as err:
+        decode_request(line)
+    assert err.value.offending_id == 3
 
 
 def test_deeply_nested_lines_are_protocol_errors_both_ways():
@@ -196,13 +222,68 @@ def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
     assert verdict.kind == "counterexample" and verdict.assignment == {"p": True, "q": False}
 
 
-def test_theory_cache_reported(tcp_server):
-    client = RemoteProver.connect_tcp("127.0.0.1", tcp_server)
-    first = client._expect(client._call("load_theory", payload={"source": THEORY}))
-    second = client._expect(client._call("load_theory", payload={"source": THEORY}))
-    assert first["cached"] is False
-    assert second["cached"] is True
-    client.close()
+def test_theory_cache_reported():
+    """``start`` carries its theory's source, and the server parses each
+    distinct source once."""
+    server = ProverServer(trace=False)
+    tcp = server.tcp_server(port=0)
+    threading.Thread(target=tcp.serve_forever, daemon=True).start()
+    client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1])
+    try:
+        assert client.load_theory(THEORY) == "proto"
+        assert client.stats()["commands"] == {}  # loading sends nothing
+        client.start("proto", "t1")
+        client.start("proto", "t2")
+        assert len(server.prover._digests) == 1
+        client.load_theory(THEORY.replace("t2: p -> p", "t2: q -> q"))
+        client.start("proto", "t2")
+        assert len(server.prover._digests) == 2
+        assert _counts(client) == {"start": 3, "stats": 1}
+    finally:
+        client.close()
+        tcp.shutdown()
+        tcp.server_close()
+
+
+def _counts(client):
+    """Requests per command the server has answered before this ``stats``."""
+    return {cmd: entry["count"] for cmd, entry in client.stats()["commands"].items()}
+
+
+def test_load_theory_checks_the_header_locally_and_start_the_body(client):
+    from stepwise.prover import TheoryParseError
+
+    with pytest.raises(TheoryParseError, match="expected: theory <name>"):
+        client.load_theory("theory a b\ntheorem g: p\nend\n")
+    with pytest.raises(BackendError) as err:
+        client.start("nowhere", "g")
+    assert err.value.category == "unknown_theorem"
+    assert client.load_theory("theory broken\ntheorem g: p ->\nend\n") == "broken"
+    with pytest.raises(BackendError) as err:
+        client.start("broken", "g")
+    assert err.value.category == "parse_error" and "line 2" in err.value.detail
+    assert _counts(client) == {"start": 1}
+
+
+def test_theory_names_do_not_collide_across_connections(tcp_server):
+    """Two clients load different theories both named ``t``, the first
+    again after the second: each starts from its own source's goal."""
+    from test_prover import COLLIDING
+
+    clients = [RemoteProver.connect_tcp("127.0.0.1", tcp_server) for _ in COLLIDING]
+    try:
+        for _ in range(2):
+            for client, source, goal in zip(clients, COLLIDING, ("p", "q -> q")):
+                assert client.load_theory(source) == "t"
+                token, state = client.start("t", "g")
+                assert render(state.subgoals[0].goal) == goal
+                # the server's snapshot holds the same goal: p is falsifiable
+                verdict = client.counterexample_at(token).kind
+                assert verdict == ("counterexample" if goal == "p" else "none")
+                client.release([token])
+    finally:
+        for client in clients:
+            client.close()
 
 
 def test_unknown_session_is_backend_error(client):
@@ -219,14 +300,14 @@ def test_stats_command_reports_live_objects_and_commands(client):
     assert (before["sessions"], before["snapshots"]) == (0, 0)
     client.load_theory(THEORY)
     token, _ = client.start("proto", "t1")
-    client.apply_batch(token, ["intro", "apply [f2]"], timeout_ms=3000)
+    client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=3000)
     stats = client.stats()
     assert (stats["sessions"], stats["snapshots"]) == (0, 2)
     commands = stats["commands"]
-    for cmd in ("load_theory", "start", "apply_batch"):
+    for cmd in ("start", "apply_batch"):
         assert commands[cmd]["count"] == 1 and commands[cmd]["ms"] >= 0.0
     assert commands["stats"]["count"] == 1  # the earlier call, not this one
-    assert "restore" not in commands
+    assert "restore" not in commands and "load_theory" not in commands
 
 
 def test_apply_batch_over_wire_matches_in_process(client):
@@ -234,8 +315,8 @@ def test_apply_batch_over_wire_matches_in_process(client):
     local.load_theory(THEORY)
     client.load_theory(THEORY)
     steps = ["intro", "apply [ghost]", "elim [d]", "simp", "apply [f2]", "apply [f1]"]
-    remote = client.apply_batch(client.start("proto", "t1")[0], steps, timeout_ms=3000)
-    here = local.apply_batch(local.start("proto", "t1")[0], steps, 3000)
+    [remote] = client.apply_batch([(client.start("proto", "t1")[0], steps)], timeout_ms=3000)
+    [here] = local.apply_batch([(local.start("proto", "t1")[0], steps)], 3000)
     assert len(remote) == len(here) == len(steps)
     for (r, r_token), (h, h_token) in zip(remote, here):
         assert r.ok == h.ok and (r_token is None) == (h_token is None)
@@ -244,12 +325,34 @@ def test_apply_batch_over_wire_matches_in_process(client):
         else:
             assert r.category == h.category and r.detail == h.detail == ""
     # a success token addresses its state, and a zero-subgoal success ends the batch
-    [(closed, closed_token)] = client.apply_batch(remote[4][1], ["apply [f1]", "intro"],
-                                                  timeout_ms=3000)
+    [[(closed, closed_token)]] = client.apply_batch(
+        [(remote[4][1], ["apply [f1]", "intro"])], timeout_ms=3000)
     assert closed.state.qed and closed_token is not None
     with pytest.raises(BackendError) as err:
-        client.apply_batch("c404", ["intro"], timeout_ms=3000)
+        client.apply_batch([(remote[4][1], ["intro"]), ("c404", ["intro"])], timeout_ms=3000)
     assert err.value.category == "unknown_session"
+
+
+def test_grouped_apply_batch_over_wire_matches_in_process(client):
+    """One request for several snapshots gives each group what in-process
+    gives it, and an empty group an empty list."""
+    local = ToyProver()
+    local.load_theory(THEORY)
+    client.load_theory(THEORY)
+    remote_roots = [client.start("proto", t)[0] for t in ("t1", "t2")]
+    local_roots = [local.start("proto", t)[0] for t in ("t1", "t2")]
+    steps = (["apply [f2]", "intro", "apply [f1]"], ["intro", "auto", "simp"], [])
+    remote = client.apply_batch(list(zip(remote_roots + remote_roots[:1], steps)),
+                                timeout_ms=3000, atom_limit=16)
+    here = local.apply_batch(list(zip(local_roots + local_roots[:1], steps)), 3000)
+    assert [len(group) for group in remote] == [len(group) for group in here] == [3, 2, 0]
+    for remote_group, local_group in zip(remote, here):
+        for (r, r_token), (h, h_token) in zip(remote_group, local_group):
+            assert (r.ok, r.category) == (h.ok, h.category)
+            assert (r_token is None) == (h_token is None)
+            if r.ok:
+                assert canonical_state(r.state) == canonical_state(h.state)
+    assert _counts(client)["apply_batch"] == 1
 
 
 def test_token_addressed_oracles_open_no_session(client):
@@ -282,8 +385,9 @@ def test_counterexample_batch_over_wire_matches_in_process(client):
         remote_tokens.append(there)
         states.append(state)
         steps = ["intro", "split", "elim [f0]", "left", "right", "simp"]
-        for (h, h_token), (_, t_token) in zip(local.apply_batch(here, steps, 3000),
-                                              client.apply_batch(there, steps, timeout_ms=3000)):
+        [local_results] = local.apply_batch([(here, steps)], 3000)
+        [remote_results] = client.apply_batch([(there, steps)], timeout_ms=3000)
+        for (h, h_token), (_, t_token) in zip(local_results, remote_results):
             if h_token is not None:
                 local_tokens.append(h_token)
                 remote_tokens.append(t_token)
@@ -356,7 +460,7 @@ def test_factless_apply_and_elim_text_fail_as_the_step_does(client):
         for text in (tactic, f" {tactic} "):
             assert local.replay(local_token, [text]) == ([expected], None)
             assert client.replay(token, [text], timeout_ms=3000) == ([expected], None)
-        [(batched, _)] = client.apply_batch(token, [ProofStep(tactic)], timeout_ms=3000)
+        [[(batched, _)]] = client.apply_batch([(token, [ProofStep(tactic)])], timeout_ms=3000)
         assert batched.category == "tactic_failure"
     # every other text the parser rejects stays a parse error
     for text in ("apply []", "apply [f2", "elim [,]"):
@@ -460,7 +564,7 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
     assert local.stats()["snapshots"] == remote.stats()["snapshots"] == 0
 
 
-@pytest.mark.parametrize("cmd", ["apply", "state", "clone", "restore"])
+@pytest.mark.parametrize("cmd", ["apply", "state", "clone", "restore", "load_theory", "release"])
 def test_removed_session_commands_are_errors_that_keep_the_connection(client, cmd):
     client.load_theory(THEORY)
     token, _ = client.start("proto", "t1")
@@ -472,7 +576,7 @@ def test_removed_session_commands_are_errors_that_keep_the_connection(client, cm
         with pytest.raises(BackendError) as err:
             client._expect(client._call(oracle, payload={"atom_limit": 16}))
         assert err.value.category == "protocol_error"
-    assert client.init()["protocol"] == 5
+    assert client.init()["protocol"] == 6
     assert client.stats()["snapshots"] == 1
 
 
@@ -489,8 +593,8 @@ def test_apply_batch_verdicts_answer_counterexamples_at_locally(client):
     steps = ["intro", "apply [f2]", "elim [d]", "apply [ghost]"]
     remote_root, _ = client.start("proto", "t1")
     local_root, _ = local.start("proto", "t1")
-    remote = client.apply_batch(remote_root, steps, timeout_ms=3000, atom_limit=16)
-    here = local.apply_batch(local_root, steps, 3000, atom_limit=16)
+    [remote] = client.apply_batch([(remote_root, steps)], timeout_ms=3000, atom_limit=16)
+    [here] = local.apply_batch([(local_root, steps)], 3000, atom_limit=16)
     remote_tokens = [t for _, t in remote if t is not None]
     local_tokens = [t for _, t in here if t is not None]
     assert len(remote_tokens) == 2
@@ -504,7 +608,8 @@ def test_apply_batch_verdicts_answer_counterexamples_at_locally(client):
     assert _oracle_requests(client) == 1
     assert client.counterexamples_at([remote_root] + remote_tokens, 16)[1:] == verdicts
     assert _oracle_requests(client) == 2
-    # release forgets the verdict with its snapshot
+    # release forgets the verdict with its snapshot, and the next request
+    # frees the snapshot before its command runs
     client.release(remote_tokens[:1])
     with pytest.raises(BackendError) as err:
         client.counterexample_at(remote_tokens[0], 16)
@@ -515,21 +620,22 @@ def test_apply_batch_reply_carries_categories_and_open_verdicts_only(client):
     client.load_theory(THEORY)
     token, _ = client.start("proto", "t2")
     reply = client._expect(client._call("apply_batch", payload={
-        "token": token, "steps": ["apply [ghost]", "simp", "intro", "auto"],
+        "groups": [{"token": token, "steps": ["apply [ghost]", "simp", "intro", "auto"]},
+                   {"token": token, "steps": []}],
         "atom_limit": 16}))
-    failure, no_progress, opened, closed = reply["results"]
-    assert (failure, no_progress) == ("undefined_fact", "no_progress")
+    [failure, no_progress, opened, closed], empty = reply["results"]
+    assert (failure, no_progress, empty) == ("undefined_fact", "no_progress", [])
     assert opened["cex"] == {"result": "none"} and "cex" not in closed
     assert closed["state"]["subgoals"] == []
     without = client._expect(client._call("apply_batch", payload={
-        "token": token, "steps": ["intro"]}))
-    assert "cex" not in without["results"][0]
+        "groups": [{"token": token, "steps": ["intro"]}]}))
+    assert "cex" not in without["results"][0][0]
 
 
 def test_counterexamples_at_without_a_stored_verdict_costs_one_request(client):
     client.load_theory(THEORY)
     token, _ = client.start("proto", "t1")
-    [(_, child)] = client.apply_batch(token, ["apply [f2]"], timeout_ms=3000)
+    [[(_, child)]] = client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000)
     verdicts = client.counterexamples_at([token, child, token], 16)
     assert _oracle_requests(client) == 1
     assert client.counterexample_at(child, 16) == verdicts[1]
@@ -542,29 +648,33 @@ def test_bad_atom_limit_in_apply_batch_is_protocol_error_and_opens_nothing(clien
     for atom_limit in (-1, 21, 10**30, "16", 16.0, True, None, [16]):
         with pytest.raises(BackendError) as err:
             client._expect(client._call("apply_batch", payload={
-                "token": token, "steps": ["apply [f2]"], "atom_limit": atom_limit}))
+                "groups": [{"token": token, "steps": ["apply [f2]"]}],
+                "atom_limit": atom_limit}))
         assert err.value.category == "protocol_error", atom_limit
     assert client.stats()["snapshots"] == 1
 
 
 def test_malformed_payload_keeps_the_connection(client):
-    for cmd, payload in (("load_theory", {"source": 5}), ("start", {"theory": ["proto"]}),
-                         ("start", {"theory": "proto"}), ("release", {"ids": "c0"}),
-                         ("apply_batch", {"token": "c0", "steps": ["intro", 5]}),
+    for cmd, payload in (("start", {"source": 5, "theorem": "t1"}),
+                         ("start", {"source": THEORY}), ("start", {"theory": "proto"}),
+                         ("apply_batch", {"groups": [{"token": "c0", "steps": ["intro", 5]}]}),
+                         ("apply_batch", {"groups": {"token": "c0", "steps": ["intro"]}}),
+                         ("apply_batch", {"groups": ["c0"]}),
+                         ("apply_batch", {"token": "c0", "steps": ["intro"]}),
                          ("replay", {"token": "c0", "steps": "intro"})):
         with pytest.raises(BackendError) as err:
             client._expect(client._call(cmd, payload=payload))
         assert err.value.category == "protocol_error", (cmd, payload)
-    assert client.init()["protocol"] == 5
+    assert client.init()["protocol"] == 6
 
 
 # -- fuzzed requests -------------------------------------------------------------------
 
 RESPONSE_CATEGORIES = set(ERROR_CATEGORIES) | {
     "protocol_error", "prover_error", "unknown_theorem", "unknown_session"}
-PAYLOAD_KEYS = ("source", "theory", "theorem", "token", "steps", "atom_limit", "ids",
-                "tokens", "max_depth", "premise_limit", "budget_ms", "pool")
-REMOVED_COMMANDS = ("apply", "state", "clone", "restore")
+PAYLOAD_KEYS = ("source", "theory", "theorem", "groups", "token", "steps", "atom_limit",
+                "ids", "tokens", "max_depth", "premise_limit", "budget_ms", "pool")
+REMOVED_COMMANDS = ("load_theory", "release", "apply", "state", "clone", "restore")
 
 
 def _json_values(live):
@@ -580,11 +690,12 @@ def _json_values(live):
 
 
 def _named_ids(payload):
-    """The snapshot ids a success reply names."""
+    """The snapshot ids a success reply names: a ``start`` or ``replay``
+    token, and the success tokens of each ``apply_batch`` group."""
     names = {payload.get("token")}
-    for item in payload.get("results", ()):
-        if isinstance(item, dict):
-            names.add(item.get("token"))
+    for group in payload.get("results", ()):
+        if isinstance(group, list):
+            names.update(item.get("token") for item in group if isinstance(item, dict))
     return {name for name in names if isinstance(name, str)}
 
 
@@ -592,8 +703,9 @@ def _well_formed_payload(cmd, token):
     """A payload ``cmd`` accepts; the hammer's names no live snapshot."""
     return {
         "load_theory": {"source": THEORY},
-        "start": {"theory": "proto", "theorem": "t1"},
-        "apply_batch": {"token": token, "steps": ["intro", "apply [f2]", "apply"],
+        "start": {"source": THEORY, "theorem": "t1"},
+        "apply_batch": {"groups": [{"token": token, "steps": ["intro", "apply [f2]", "apply"]},
+                                   {"token": token, "steps": ["auto"]}],
                         "atom_limit": 16},
         "replay": {"token": token, "steps": ["apply [f2]", "apply [f1]"]},
         "release": {"ids": [token]},
@@ -613,7 +725,8 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
     back, and once the ids a success names are released, no live object
     count has grown. No hammer request names a live snapshot: a hammer's run
     time is bounded by its own budget, which the fuzzer picks. A request may
-    carry the ``session`` field of older versions, which is ignored."""
+    carry a fuzzed ``release`` field, or the ``session`` field of older
+    versions, which is ignored."""
     server = ProverServer(ToyProver(), trace=False)
     server.prover.load_theory(THEORY)
     token, _ = server.prover.start("proto", "t1")
@@ -635,7 +748,7 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
     if data.draw(st.integers(0, 9)) == 0:
         payload = data.draw(values)
     request = {"id": 1, "cmd": cmd, "payload": payload}
-    for key in ("session", "timeout_ms"):
+    for key in ("session", "timeout_ms", "release"):
         if data.draw(st.integers(0, 3)) == 0:
             request[key] = data.draw(values)
     before = server.prover.stats()
@@ -660,7 +773,8 @@ def test_fuzzed_request_lines_get_protocol_errors(line):
 
 def test_non_string_theory_source_is_protocol_error():
     server = ProverServer(trace=False)
-    response, _ = server.handle_line('{"id":1,"cmd":"load_theory","payload":{"source":5}}')
+    response, _ = server.handle_line(
+        '{"id":1,"cmd":"start","payload":{"source":5,"theorem":"t1"}}')
     assert (response.id, response.ok) == (1, False)
     assert response.error["category"] == "protocol_error"
 
@@ -673,8 +787,8 @@ LATE_STATE = {"subgoals": [{"hyps": [], "goal": "p"}], "depth": 1}
 class _SlowServer:
     """Accepts one connection; delays the response to any apply_batch or
     replay command and records every request it receives. Each success
-    token names its request: ``r<id>.<step>`` in a batch, ``r<id>`` for a
-    replay."""
+    token names its request: ``r<id>.<group>.<step>`` in a batch, ``r<id>``
+    for a replay."""
 
     def __init__(self, delay_s=1.5):
         self.delay_s = delay_s
@@ -684,6 +798,10 @@ class _SlowServer:
         self.port = self.sock.getsockname()[1]
         self.thread = threading.Thread(target=self._run, daemon=True)
         self.thread.start()
+
+    def releases(self):
+        """Each request's ``release`` field, empty where it has none."""
+        return [r.get("release", []) for r in self.requests]
 
     def _run(self):
         conn, _ = self.sock.accept()
@@ -702,19 +820,20 @@ class _SlowServer:
                     request = json.loads(line)
                     self.commands.append(request["cmd"])
                     self.requests.append(request)
-                    steps = request["payload"].get("steps", ())
+                    rid = request["id"]
                     if request["cmd"] == "apply_batch":
                         time.sleep(self.delay_s)
                         payload = {"results": [
-                            {"token": f"r{request['id']}.{i}", "state": LATE_STATE}
-                            for i, _ in enumerate(steps)]}
+                            [{"token": f"r{rid}.{g}.{i}", "state": LATE_STATE}
+                             for i, _ in enumerate(group["steps"])]
+                            for g, group in enumerate(request["payload"]["groups"])]}
                     elif request["cmd"] == "replay":
                         time.sleep(self.delay_s)
-                        payload = {"results": [LATE_STATE] * len(steps),
-                                   "token": f"r{request['id']}"}
+                        steps = request["payload"]["steps"]
+                        payload = {"results": [LATE_STATE] * len(steps), "token": f"r{rid}"}
                     else:
                         payload = {}
-                    out = {"id": request["id"], "ok": True, "payload": payload}
+                    out = {"id": rid, "ok": True, "payload": payload}
                     try:
                         conn.sendall((json.dumps(out) + "\n").encode())
                     except OSError:
@@ -738,9 +857,9 @@ def test_replay_deadline_miss_gives_one_timeout_and_needs_no_recovery():
     results, token = client.replay("c0", ["intro"], timeout_ms=5000)
     assert [r.ok for r in results] == [True] and token == "r2"
     client.release(["c0", token])
-    releases = [r["payload"]["ids"] for r in slow.requests if r["cmd"] == "release"]
-    assert releases == [["c0", "r2", "r1"]]
-    assert slow.commands == ["replay", "replay", "release"]
+    client.init()
+    assert slow.releases() == [[], [], ["r1", "c0", "r2"]]
+    assert slow.commands == ["replay", "replay", "init"]
     client.transport.close()
     slow.close()
 
@@ -750,39 +869,71 @@ def test_batch_deadline_miss_times_out_every_step_and_needs_no_restore():
 
     slow = _SlowServer(delay_s=0.6)
     client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
-    # a budget of 50 ms per step: the reply is awaited 2 * 50 + 100 ms
-    missed = client.apply_batch("c0", ["intro", "split"], timeout_ms=50)
-    assert [(r.category, token) for r, token in missed] == [("timeout", None)] * 2
-    # the next batch on the same token gets its own reply; the late reply to
+    # a budget of 50 ms per step: the reply is awaited 3 * 50 + 100 ms
+    missed = client.apply_batch([("c0", ["intro", "split"]), ("c1", ["simp"]), ("c2", [])],
+                                timeout_ms=50)
+    assert [[(r.category, token) for r, token in group] for group in missed] \
+        == [[("timeout", None)] * 2, [("timeout", None)], []]
+    # the next batch on the same tokens gets its own reply; the late reply to
     # the missed request (id 1) is skipped by its id
-    results = client.apply_batch("c0", ["intro"], timeout_ms=5000)
-    assert [(r.ok, token) for r, token in results] == [(True, "r2.0")]
+    results = client.apply_batch([("c0", ["intro"]), ("c1", ["simp"])], timeout_ms=5000)
+    assert [[(r.ok, token) for r, token in group] for group in results] \
+        == [[(True, "r2.0.0")], [(True, "r2.1.0")]]
     assert slow.commands == ["apply_batch", "apply_batch"]
     client.transport.close()
     slow.close()
 
 
-def test_missed_batch_snapshots_are_named_by_the_next_release():
+def test_missed_batch_snapshots_ride_on_the_next_request():
+    """The late reply's tokens, read while the next request waits, go with
+    the request after it, ahead of what ``release`` queued since."""
     from stepwise.protocol import TcpTransport
 
     slow = _SlowServer(delay_s=0.6)
     client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
-    client.apply_batch("c0", ["intro", "split"], timeout_ms=50)  # request 1 misses
-    client.apply_batch("c0", ["intro"], timeout_ms=5000)  # reads the late reply to 1
-    client.release(["c0", "r2.0"])
-    client.release([])
-    releases = [r["payload"]["ids"] for r in slow.requests if r["cmd"] == "release"]
-    assert releases == [["c0", "r2.0", "r1.0", "r1.1"], []]
-    client.transport.close()
+    client.apply_batch([("c0", ["intro", "split"]), ("c1", ["simp"])],
+                       timeout_ms=50)  # request 1 misses
+    client.apply_batch([("c0", ["intro"])], timeout_ms=5000)  # reads the late reply to 1
+    client.release(["c0", "r2.0.0"])
+    client.stats()
+    client.close()
+    assert slow.releases() == [[], [], ["r1.0.0", "r1.0.1", "r1.1.0", "c0", "r2.0.0"], []]
+    assert slow.commands == ["apply_batch", "apply_batch", "stats", "shutdown"]
     slow.close()
+
+
+def test_pending_releases_ride_on_shutdown():
+    from stepwise.protocol import TcpTransport
+
+    slow = _SlowServer()
+    client = RemoteProver(TcpTransport("127.0.0.1", slow.port))
+    client.release(["c0"])
+    client.release(["c1", "c2"])
+    client.close()
+    assert (slow.commands, slow.releases()) == (["shutdown"], [["c0", "c1", "c2"]])
+    slow.close()
+
+
+def test_release_field_applies_before_the_command_even_one_that_fails():
+    server = ProverServer(trace=False)
+    root, _ = server.prover.start_source(THEORY, "t1")
+    other, _ = server.prover.start_source(THEORY, "t2")
+    response, _ = server.handle_line(json.dumps(
+        {"id": 1, "cmd": "replay", "payload": {"token": root, "steps": ["intro"]},
+         "release": [root, "never_issued"]}))
+    assert response.error["category"] == "unknown_session"
+    response, _ = server.handle_line(json.dumps(
+        {"id": 2, "cmd": "frobnicate", "payload": {}, "release": [other]}))
+    assert response.error["category"] == "prover_error"
+    assert server.prover.stats()["snapshots"] == 0
 
 
 class _SlowBatchProver(ToyProver):
     delay_s = 0.0
 
-    def apply_batch(self, token, steps, timeout_ms=None):
+    def apply_batch(self, groups, timeout_ms=None, atom_limit=None):
         time.sleep(self.delay_s)
-        return super().apply_batch(token, steps, timeout_ms)
+        return super().apply_batch(groups, timeout_ms, atom_limit)
 
     def replay(self, token, steps, timeout_ms=None):
         time.sleep(self.delay_s)
@@ -798,11 +949,12 @@ def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
         client.load_theory(THEORY)
         token, _ = client.start("proto", "t1")
         prover.delay_s = 0.5
-        missed = client.apply_batch(token, ["intro", "apply [f2]"], timeout_ms=1)
+        [missed] = client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=1)
         assert [r.category for r, _ in missed] == ["timeout", "timeout"]
         prover.delay_s = 0.0
         assert client.counterexample_at(token).kind == "none"  # reads the late reply
-        assert client.stats()["snapshots"] == 2  # the token and the missed success
+        # this request frees the missed success, which leaves the token
+        assert client.stats()["snapshots"] == 1
         client.release([token])
         stats = client.stats()
         assert (stats["sessions"], stats["snapshots"]) == (0, 0)
@@ -821,11 +973,12 @@ def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
         client.load_theory(THEORY)
         token, _ = client.start("proto", "t1")
         prover.delay_s = 0.5
-        missed = client.apply_batch(token, ["intro", "apply [f2]"], timeout_ms=1, atom_limit=16)
+        [missed] = client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=1,
+                                      atom_limit=16)
         assert [r.category for r, _ in missed] == ["timeout", "timeout"]
         prover.delay_s = 0.0
         # the late reply, with the verdict of its success, is read and dropped here
-        [(_, child)] = client.apply_batch(token, ["apply [f2]"], timeout_ms=3000)
+        [[(_, child)]] = client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000)
         assert client._verdicts == {}
         assert client.counterexamples_at([child], 16)[0].kind == "none"
         assert _oracle_requests(client) == 1
@@ -851,7 +1004,8 @@ def test_missed_replay_leaves_no_server_objects_once_its_reply_is_read():
         prover.delay_s = 0.0
         results, final = client.replay(token, ["apply [f2]", "apply [f1]"], timeout_ms=3000)
         assert results[-1].state.qed
-        assert client.stats()["snapshots"] == 3  # the token, the missed and this final
+        # this request frees the missed replay's final state
+        assert client.stats()["snapshots"] == 2  # the token and this final
         client.release([token, final])
         stats = client.stats()
         assert (stats["sessions"], stats["snapshots"]) == (0, 0)
@@ -921,7 +1075,7 @@ def test_stdio_close_closes_each_pipe_once():
     client = RemoteProver.spawn_stdio(
         [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"])
     proc, transport = client._proc, client.transport
-    assert client.init()["protocol"] == 5
+    assert client.init()["protocol"] == 6
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         client.close()

@@ -18,7 +18,7 @@ from stepwise.core import (
     canonical_state,
     parse_step,
 )
-from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, Or, parse_formula
+from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, Or, parse_formula, render
 from stepwise.prover import (
     MAX_ATOM_LIMIT,
     HammerConfig,
@@ -657,7 +657,7 @@ def test_apply_batch_matches_apply_and_stops_at_the_winner(chain_theory):
     prover.load_theory(render_theory(chain_theory))
     root, _ = prover.start("demo", "t1")
     steps = ["apply [ghost]", "apply [f2]", "frobnicate hard", "simp", "auto", "intro"]
-    results = prover.apply_batch(root, steps)
+    [results] = prover.apply_batch([(root, steps)])
     assert len(results) == 5  # "intro" after the closing "auto" never runs
     for text, (result, token) in zip(steps, results):
         single = prover.restore(root)
@@ -672,9 +672,27 @@ def test_apply_batch_matches_apply_and_stops_at_the_winner(chain_theory):
             assert result.category == expected.category and result.detail == ""
     assert results[-1][0].state.qed
     # the addressed snapshot is immutable: the same batch gives the same results
-    again = prover.apply_batch(root, steps)
+    [again] = prover.apply_batch([(root, steps)])
     assert [(r.ok, r.category) for r, _ in again] == [(r.ok, r.category) for r, _ in results]
 
+
+def test_apply_batch_groups_are_independent_batches(chain_theory):
+    """Each group gets what a batch of its own gets: its own snapshot, its
+    own stop after the first zero-subgoal success."""
+    prover = ToyProver()
+    prover.load_theory(render_theory(chain_theory))
+    root, _ = prover.start("demo", "t1")
+    [(_, child)] = prover.apply_batch([(root, ["apply [f2]"])])[0]
+    groups = [(root, ["apply [f1]", "apply [f2]"]), (child, ["apply [f1]", "intro"]),
+              (root, []), (root, ["apply [f2]"])]
+    grouped = prover.apply_batch(groups)
+    alone = [prover.apply_batch([group])[0] for group in groups]
+    assert [len(results) for results in grouped] == [2, 1, 0, 1]
+    for got, want in zip(grouped, alone):
+        assert [(r.ok, r.category, r.state and canonical_state(r.state))
+                for r, _ in got] == [(r.ok, r.category, r.state and canonical_state(r.state))
+                                     for r, _ in want]
+    assert grouped[1][0][0].state.qed
 
 def test_apply_batch_unknown_token_raises(chain_theory):
     from stepwise.prover import UnknownSessionError
@@ -682,7 +700,12 @@ def test_apply_batch_unknown_token_raises(chain_theory):
     prover = ToyProver()
     prover.load_theory(render_theory(chain_theory))
     with pytest.raises(UnknownSessionError):
-        prover.apply_batch("c404", ["intro"])
+        prover.apply_batch([("c404", ["intro"])])
+    # an unknown token in any group fails the call before a step runs
+    token, _ = prover.start("demo", "t1")
+    with pytest.raises(UnknownSessionError):
+        prover.apply_batch([(token, ["apply [f2]"]), ("c404", ["intro"])])
+    assert prover.stats()["snapshots"] == 1
 
 
 def test_release_drops_named_objects_and_ignores_unknown_ids(chain_theory):
@@ -690,7 +713,7 @@ def test_release_drops_named_objects_and_ignores_unknown_ids(chain_theory):
     prover.load_theory(render_theory(chain_theory))
     token, _ = prover.start("demo", "t1")
     sid = prover.restore(token)
-    [(_, child)] = prover.apply_batch(token, ["apply [f2]"])
+    [[(_, child)]] = prover.apply_batch([(token, ["apply [f2]"])])
     assert prover.stats() == {"sessions": 1, "snapshots": 2}
     prover.release([token, "no_such_id", sid])
     assert prover.stats() == {"sessions": 0, "snapshots": 1}
@@ -702,9 +725,39 @@ def test_release_drops_named_objects_and_ignores_unknown_ids(chain_theory):
 def test_theory_digest_cache(chain_theory):
     prover = ToyProver()
     source = render_theory(chain_theory)
-    assert not prover.has_theory_digest(source)
-    prover.load_theory(source)
-    assert prover.has_theory_digest(source)
+    assert prover.load_theory(source) == "demo"
+    theory = prover.theory("demo")
+    assert prover.load_theory(source) == "demo"
+    assert prover.theory("demo") is theory  # a digest hit parses nothing
+
+
+COLLIDING = ("theory t\ntheorem g: p\nend\n", "theory t\ntheorem g: q -> q\nend\n")
+
+
+def test_reloaded_source_is_current_for_its_name():
+    """Load ``t`` with goal ``p``, another ``t`` with goal ``q -> q``, then
+    the first source again: ``t`` names the first theory, although its
+    source was a digest hit; ``start_source`` ignores what ``t`` names."""
+    first, second = COLLIDING
+    prover = ToyProver()
+    for source, goal in ((first, "p"), (second, "q -> q"), (first, "p")):
+        assert prover.load_theory(source) == "t"
+        _, state = prover.start("t", "g")
+        assert render(state.subgoals[0].goal) == goal
+    _, state = prover.start_source(second, "g")
+    assert render(state.subgoals[0].goal) == "q -> q"
+
+
+def test_theory_name_reads_the_header_as_load_theory_checks_it():
+    from stepwise.prover import theory_name
+
+    assert theory_name("# c\n\n theory  abc # x\nbroken body") == "abc"
+    for source in ("", "  # only a comment\n", "axiom f: p\n", "theory\n", "theory a b\n"):
+        with pytest.raises(TheoryParseError) as got:
+            theory_name(source)
+        with pytest.raises(TheoryParseError) as want:
+            load_theory(source)
+        assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
 
 
 def test_apply_parse_error_category(chain_theory):

@@ -3,7 +3,7 @@ import pytest
 
 from stepwise.config import EngineConfig
 from stepwise.core import Candidate, ProofState, Subgoal, parse_step
-from stepwise.formulas import parse_formula
+from stepwise.formulas import parse_formula, render
 from stepwise.generator import MockGenerator
 from stepwise.prover import ToyProver, apply_step, init_goal, load_theory
 from stepwise.revision import DEFAULT_TACTIC_SET
@@ -328,9 +328,10 @@ def test_prove_theorem_leaves_no_backend_objects(prover_server):
                                       generator=config.make_generator()).via)
                 assert local.stats() == {"sessions": 0, "snapshots": 0}
         assert {"search", "fallback"} <= via
+        # the releases ride on this request, which sees none alive
         stats = remote.stats()
         assert (stats["sessions"], stats["snapshots"]) == (0, 0)
-        assert stats["commands"]["release"]["count"] == len(sample)
+        assert "release" not in stats["commands"]
     finally:
         remote.close()
 
@@ -440,15 +441,18 @@ def test_search_alone_keeps_its_tree_tokens(demo_theory):
 # -- each distinct step and oracle query crosses once per expansion -------------
 
 class _RecordingProver(ToyProver):
-    """Records every (token, step text) pair an ``apply_batch`` carries."""
+    """Records every (token, step text) pair an ``apply_batch`` carries, and
+    each call's groups."""
 
     def __init__(self):
         super().__init__()
         self.applied = []
+        self.calls = []
 
-    def apply_batch(self, token, steps, timeout_ms=None, atom_limit=None):
-        self.applied.extend((token, s.text()) for s in steps)
-        return super().apply_batch(token, steps, timeout_ms, atom_limit)
+    def apply_batch(self, groups, timeout_ms=None, atom_limit=None):
+        self.calls.append(groups)
+        self.applied.extend((token, s.text()) for token, steps in groups for s in steps)
+        return super().apply_batch(groups, timeout_ms, atom_limit)
 
 
 def test_expansion_applies_each_step_to_a_token_once():
@@ -478,9 +482,11 @@ def test_a_repeated_candidate_reuses_the_first_result(demo_theory):
 
 
 def test_prove_theorem_over_tcp_sends_no_oracle_or_root_fetch_requests(prover_server):
-    """The oracle verdicts ride on ``apply_batch`` and ``start`` returns the
-    root, so a remote search sends no ``counterexample``, ``state`` or
-    ``clone`` request and at most 12 requests per theorem."""
+    """The oracle verdicts ride on ``apply_batch``, ``start`` carries the
+    theory and returns the root, and releases ride on the next request, so
+    a remote search sends no ``counterexample``, ``state``, ``clone``,
+    ``load_theory`` or ``release`` request, one ``apply_batch`` per search
+    round at most, and at most 7 requests per theorem."""
     from collections import Counter
 
     from stepwise.bench import bench_engine_config, generate_corpus
@@ -499,14 +505,201 @@ def test_prove_theorem_over_tcp_sends_no_oracle_or_root_fetch_requests(prover_se
         sent = Counter()
         for theory in sample:
             before = requests()
-            prove_theorem(theory, "goal", config, backend=remote,
-                          generator=config.make_generator())
-            sent += requests() - before
+            result = prove_theorem(theory, "goal", config, backend=remote,
+                                   generator=config.make_generator())
+            these = requests() - before
+            rounds = result.outcome.stats.iterations * (1 + config.repair_rounds)
+            assert these["apply_batch"] <= rounds, theory.name
+            sent += these
         assert sent["apply_batch"] > len(sample)
-        assert sent["counterexample"] == sent["state"] == sent["clone"] == 0
-        assert sum(sent.values()) <= 12 * len(sample)
+        assert sent["start"] == len(sample)
+        for cmd in ("counterexample", "state", "clone", "load_theory", "release"):
+            assert sent[cmd] == 0, cmd
+        assert sum(sent.values()) <= 7 * len(sample)
     finally:
         remote.close()
+
+
+# -- the round order against a node-by-node reference ---------------------------
+
+def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineConfig(),
+                         prefix_steps=()):
+    """The search loop as it ran before rounds were batched across nodes:
+    each selected node is generated, applied, revised, filtered and
+    inserted before the next one is generated. One ``apply_batch`` group
+    per node and round. Kept here as the reference the batched loop must
+    match."""
+    import time
+
+    from stepwise.filtering import SeenSet, filter_states
+    from stepwise.prover import render_theory
+    from stepwise.revision import FailedAttempt, revise, tactic_frequencies
+    from stepwise.search import SearchOutcome, SearchStats, reconstruct_proof
+
+    assert not prefix_steps
+    start_time = time.monotonic()
+    deadline = start_time + config.time_limit_s
+    stats = SearchStats()
+    context = theory.context_for(theorem_id)
+    tactic_set = config.tactic_set or tactic_frequencies(theory)
+    backend.load_theory(render_theory(theory))
+    token, root_state = backend.start(theory.name, theorem_id)
+    opened = [token]
+    root_state = root_state.with_context(context)
+    tree = [SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0, token=token)]
+    stats.nodes_created = 1
+    seen = SeenSet()
+    seen.insert(root_state)
+    oracle_limit = config.atom_limit if config.filtering_enabled else None
+    if root_state.qed:
+        return SearchOutcome(True, (), stats, tree, seen.stats, opened)
+
+    def expand(node, cands, memo, successes, failures):
+        fresh = list(dict.fromkeys(c.step for c in cands if c.step not in memo))
+        if fresh:
+            [results] = backend.apply_batch([(node.token, fresh)], config.step_timeout_ms,
+                                            atom_limit=oracle_limit)
+            for step, (result, token) in zip(fresh, results):
+                memo[step] = (result, token)
+                if token is not None:
+                    opened.append(token)
+        for cand in cands:
+            result, token = memo[cand.step]
+            if not result.ok:
+                failures.append(FailedAttempt(node.state, cand.step, cand.log_prob,
+                                              result.category))
+                continue
+            new_state = result.state.with_context(context)
+            if new_state.qed:
+                return SearchNode(new_state, node, cand, node.path_log_prob + cand.log_prob,
+                                  node.length + 1, 0.0, order=-1, token=token)
+            successes.append((new_state, cand, token))
+        return None
+
+    while stats.iterations < config.max_iterations and time.monotonic() < deadline:
+        batch = select_top_k(tree, config.top_k)
+        if not batch:
+            break
+        stats.iterations += 1
+        for node in batch:
+            candidates = generator.generate(node.state)[:config.candidates_per_state]
+            stats.generator_calls += 1
+            memo, successes, failures = {}, [], []
+            winner = expand(node, candidates, memo, successes, failures)
+            if winner is None and config.revision_enabled:
+                round_failures = failures
+                for _ in range(config.repair_rounds):
+                    repaired = revise(round_failures, context, tactic_set, config)
+                    if not repaired:
+                        break
+                    stats.revisions_tried += len(repaired)
+                    round_failures = []
+                    winner = expand(node, repaired, memo, successes, round_failures)
+                    if winner is not None:
+                        break
+            if winner is not None:
+                return SearchOutcome(True, tuple(reconstruct_proof(winner)), stats, tree,
+                                     seen.stats, opened)
+            if config.filtering_enabled:
+                token_of = {id(state): token for state, _, token in successes}
+
+                def oracle(states):
+                    return backend.counterexamples_at([token_of[id(s)] for s in states],
+                                                      config.atom_limit)
+
+                kept_pairs, delta = filter_states(
+                    [(state, cand) for state, cand, _ in successes], seen, oracle)
+                stats.nodes_filtered_dup += delta.duplicates_rejected
+                stats.nodes_filtered_cex += delta.counterexamples_rejected
+                kept = [(state, cand, token_of[id(state)]) for state, cand in kept_pairs]
+            else:
+                kept = successes
+            for state, cand, token in kept:
+                if stats.nodes_created >= config.node_budget:
+                    break
+                length = node.length + 1
+                path_lp = node.path_log_prob + cand.log_prob
+                tree.append(SearchNode(state, node, cand, path_lp, length,
+                                       score_node(path_lp, length, config.alpha),
+                                       order=stats.nodes_created, token=token))
+                stats.nodes_created += 1
+    return SearchOutcome(False, (), stats, tree, seen.stats, opened)
+
+
+@pytest.mark.parametrize("top_k", [1, 5])
+@pytest.mark.parametrize("filtering", [True, False])
+@pytest.mark.parametrize("repair_rounds", [1, 2])
+def test_round_order_matches_the_node_by_node_reference(
+        monkeypatch, repair_rounds, filtering, top_k):
+    from dataclasses import replace
+
+    from stepwise import engine
+    from stepwise.bench import bench_engine_config, generate_corpus
+
+    config = replace(bench_engine_config(0), repair_rounds=repair_rounds,
+                     filtering_enabled=filtering, top_k=top_k)
+    prover = ToyProver()
+    sample = _stride_sample(generate_corpus(0), 30)
+    ours = [engine.prove_theorem(theory, "goal", config, backend=prover,
+                                 generator=config.make_generator()).report
+            for theory in sample]
+    monkeypatch.setattr(engine, "best_first_search", _node_by_node_search)
+    reference = [engine.prove_theorem(theory, "goal", config, backend=prover,
+                                      generator=config.make_generator()).report
+                 for theory in sample]
+    assert [_timeless(r) for r in ours] == [_timeless(r) for r in reference]
+    assert prover.stats()["snapshots"] == 0
+
+
+CROSSED = """theory crossed
+axiom fa: a
+axiom fb: b
+axiom ga: a -> c
+axiom gb: b -> c
+theorem goal: c
+end
+"""
+
+
+class _CrossedGenerator:
+    """At the root, ``apply [ga]`` (goal ``a``, the better child) and
+    ``apply [gb]`` (goal ``b``). Under ``a`` only a misspelt ``apply [fx]``,
+    which premise repair mends; under ``b`` the closing ``apply [fb]``."""
+
+    def generate(self, state):
+        goal = render(state.subgoals[0].goal)
+        if goal == "c":
+            return [Candidate(parse_step("apply [ga]"), -0.1),
+                    Candidate(parse_step("apply [gb]"), -0.2)]
+        return [Candidate(parse_step("apply [fx]" if goal == "a" else "apply [fb]"), -0.1)]
+
+
+def test_a_node_winning_in_repair_beats_a_later_node_winning_at_once():
+    """In one iteration node 1 closes the goal only in its repair round and
+    node 2 closes it in round 0: the proof is node 1's, and node 2 is never
+    committed, so that iteration adds one generator call to the root's."""
+    theory = load_theory(CROSSED)
+    config = EngineConfig(top_k=2, repair_rounds=1)
+    outcomes = {}
+    for search in (best_first_search, _node_by_node_search):
+        prover = _RecordingProver()
+        outcome = outcomes[search] = search(theory, "goal", prover, _CrossedGenerator(), config)
+        assert outcome.proved, search
+        assert [s.text() for s in outcome.steps] == ["apply [ga]", "apply [fa]"]
+        assert outcome.stats.iterations == 2
+        assert outcome.stats.generator_calls == 2  # the root, then node 1 alone
+        prover.release(outcome.opened)
+        assert prover.stats()["snapshots"] == 0
+        if search is best_first_search:
+            # node 2's closing step went in the same request as node 1's
+            # failing one; node 1's repairs went alone after it
+            a_node, b_node = outcome.tree[1:3]
+            assert [[(token, [s.text() for s in steps]) for token, steps in groups]
+                    for groups in prover.calls[1:]] == [
+                [(a_node.token, ["apply [fx]"]), (b_node.token, ["apply [fb]"])],
+                [(a_node.token, ["apply [fa]", "apply [fb]", "apply [ga]"])]]
+    batched, reference = outcomes.values()
+    assert batched.stats.deterministic_view() == reference.stats.deterministic_view()
 
 
 def test_seed_0_bench_totals_are_pinned():
