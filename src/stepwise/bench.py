@@ -176,8 +176,8 @@ def generate_corpus(seed: int, sizes: dict[str, int] | None = None) -> list[Theo
     return corpus
 
 
-def family_of(theory_name: str) -> str:
-    return theory_name.rsplit("_", 1)[0]
+def family_of(name: str) -> str:
+    return name.rsplit("_", 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +186,13 @@ def family_of(theory_name: str) -> str:
 
 def arm_auto(theory: Theory, backend) -> bool:
     """Baseline: a single ``auto`` invocation on the initial goal."""
-    from .prover import render_theory
-
-    backend.load_theory(render_theory(theory))
-    _, [result], _ = replay_from_root(backend, theory.name, "goal", [ProofStep("auto")], 5000)
+    _, [result], _ = replay_from_root(backend, theory, "goal", [ProofStep("auto")], 5000)
     return bool(result.ok and result.state.qed)
 
 
 def arm_hammer_root(theory: Theory, backend, config: EngineConfig) -> bool:
     """Baseline: the fallback hammer applied to the root state only."""
-    from .prover import render_theory
-
-    backend.load_theory(render_theory(theory))
-    token, state = backend.start(theory.name, "goal")
+    token, state = backend.start(theory, "goal")
     try:
         result = hammer_state(state.with_context(theory.context_for("goal")),
                               token, backend, config)

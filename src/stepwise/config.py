@@ -58,6 +58,10 @@ class EngineConfig:
     def __post_init__(self):
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
+        if self.candidates_per_state < 1:
+            raise ConfigError(f"candidates_per_state must be >= 1, got {self.candidates_per_state}")
+        if self.repair_rounds < 0:
+            raise ConfigError(f"repair_rounds must be >= 0, got {self.repair_rounds}")
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
         if self.n_candidates < 1:
@@ -68,6 +72,8 @@ class EngineConfig:
             raise ConfigError("top_matches must be >= 1")
         if self.hammer_states < 1:
             raise ConfigError("hammer_states must be >= 1")
+        if self.hammer_timeout_s < 0.001:  # the hammer's budget is whole ms
+            raise ConfigError(f"hammer_timeout_s must be >= 0.001, got {self.hammer_timeout_s}")
         if not 0 <= self.mesh_weight <= 1:
             raise ConfigError("mesh_weight must be in [0, 1]")
         if self.step_timeout_ms < 1:

@@ -29,8 +29,8 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
                   backend=None, generator=None,
                   prefix_steps: tuple = ()) -> ProveResult:
     """Search, then the hammer fallback if the search failed; every backend
-    snapshot the two opened is released before returning, and a backend
-    made here from ``config`` is closed.
+    snapshot the two opened is released before returning or raising, and a
+    backend made here from ``config`` is closed.
     ``prefix_steps`` are replayed first (``ReplayError`` if one fails)."""
     if backend is None:
         backend = config.make_backend()
@@ -44,14 +44,16 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
     via: str | None = "search" if outcome.proved else None
     steps = outcome.steps if outcome.proved else None
     fallback_attempts: list | None = None
-    if outcome.failed and config.fallback_enabled:
-        fallback_attempts = []
-        fallback_steps = hammer_fallback(outcome, backend, config,
-                                         attempts=fallback_attempts)
-        if fallback_steps is not None:
-            via = "fallback"
-            steps = tuple(fallback_steps)
-    backend.release(outcome.opened)
+    try:
+        if outcome.failed and config.fallback_enabled:
+            fallback_attempts = []
+            fallback_steps = hammer_fallback(outcome, backend, config,
+                                             attempts=fallback_attempts)
+            if fallback_steps is not None:
+                via = "fallback"
+                steps = tuple(fallback_steps)
+    finally:
+        backend.release(outcome.opened)
     proved = steps is not None
     entry = theory.entry(theorem_id)
     report = {

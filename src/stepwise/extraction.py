@@ -29,14 +29,11 @@ def extract_pairs(theory: Theory, backend) -> ExtractionResult:
     before each step. An entry whose replay breaks (a failing step, or a
     proof that does not end at zero subgoals) contributes no pairs and is
     reported instead. Each entry is one backend ``replay``."""
-    from .prover import render_theory
-
-    backend.load_theory(render_theory(theory))
     result = ExtractionResult([], [])
     for entry in theory.entries:
         if entry.proof is None:
             continue
-        root, outcomes, ok = replay_from_root(backend, theory.name, entry.name, entry.proof)
+        root, outcomes, ok = replay_from_root(backend, theory, entry.name, entry.proof)
         states = [root] + [outcome.state for outcome in outcomes if outcome.ok]
         if not ok:
             index = len(outcomes) - 1

@@ -10,18 +10,20 @@ stderr.
 The toy prover is the reference server; ``RemoteProver`` exposes the same
 token surface as the in-process backend, so either can sit behind the
 engine. Every command addresses immutable snapshot tokens: ``start``
-carries the theory source and returns the root's, ``apply_batch`` one per
-success in each of its ``(token, steps)`` groups and ``replay`` the end of
-a step chain, and ``counterexample`` and ``hammer`` take them. So a missed
-deadline loses only that reply; the snapshots a late ``apply_batch`` or
-``replay`` reply names ride, like every release, on the client's next
-request. An ``apply_batch`` that carries an ``atom_limit`` gets each open
-success's counterexample verdict with it, which the client keeps until the
-token is released.
+carries the theory source, which the server parses once per digest, and
+returns the root's, ``apply_batch`` one per success in each of its
+``(token, steps)`` groups and ``replay`` the end of a step chain, and
+``counterexample`` and ``hammer`` take them. So a missed deadline loses
+only that reply; the snapshots a late ``apply_batch`` or ``replay`` reply
+names ride, like every release, on the client's next request. An
+``apply_batch`` that carries an ``atom_limit`` gets each open success's
+counterexample verdict with it, which the client keeps until the token is
+released.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -40,6 +42,7 @@ from .core import (
     EMPTY_CONTEXT,
     ProofState,
     StepResult,
+    Theory,
     parse_step,
     state_from_wire,
     state_to_wire,
@@ -51,7 +54,8 @@ from .prover import (
     HammerResult,
     ProverError,
     ToyProver,
-    theory_name,
+    load_theory,
+    render_theory,
 )
 from .formulas import ParseError
 
@@ -125,7 +129,7 @@ def decode_request(line: str) -> Request:
         obj = json.loads(line)
     except (ValueError, RecursionError) as e:
         raise ProtocolError(f"malformed request line: {e}") from e
-    if not isinstance(obj, dict) or not isinstance(obj.get("id"), int):
+    if not isinstance(obj, dict) or not _is_int(obj.get("id")):
         raise ProtocolError("request must be an object with an integer id")
     cmd = obj.get("cmd")
     if not isinstance(cmd, str):
@@ -168,16 +172,18 @@ def _dicts(payload: dict, key: str) -> list[dict]:
     return value
 
 
-def _int(payload: dict, key: str, default: int) -> int:
+def _int(payload: dict, key: str, default: int, least: int) -> int:
     value = payload.get(key, default)
     if not _is_int(value):
         raise TypeError(f"{key} must be an integer")
+    if value < least:
+        raise ValueError(f"{key} must be at least {least}, got {value}")
     return value
 
 
 def _atom_limit(payload: dict) -> int:
-    limit = _int(payload, "atom_limit", 16)
-    if not 0 <= limit <= MAX_ATOM_LIMIT:
+    limit = _int(payload, "atom_limit", 16, 0)
+    if limit > MAX_ATOM_LIMIT:
         raise ValueError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {limit}")
     return limit
 
@@ -196,7 +202,7 @@ def decode_response(line: str) -> Response:
         obj = json.loads(line)
     except (ValueError, RecursionError) as e:
         raise ProtocolError(f"malformed response line: {line[:80]!r} ({e})") from e
-    if not isinstance(obj, dict) or not isinstance(obj.get("id"), int):
+    if not isinstance(obj, dict) or not _is_int(obj.get("id")):
         raise ProtocolError(f"response without an integer id: {line[:80]!r}")
     rid = obj["id"]
     ok = obj.get("ok")
@@ -233,13 +239,15 @@ class ProverServer:
 
     One connection is one serial request stream; parallel clients use
     separate connections. Each ``start`` starts from the theory its own
-    source parses to, parsed once per digest. The server counts each known
-    command and its cumulative dispatch time for ``stats``.
+    source parses to; the server is the one place that parses theory text
+    for a backend, once per source digest. It counts each known command and
+    its cumulative dispatch time for ``stats``.
     """
 
     def __init__(self, prover: ToyProver | None = None, trace: bool | None = None):
         self.prover = prover or ToyProver()
         self.trace = _trace_enabled(trace)
+        self._theories: dict[str, Theory] = {}  # source digest -> parsed theory
         self._commands: dict[str, list] = {}  # cmd -> [count, seconds]
         self._commands_lock = threading.Lock()
 
@@ -302,8 +310,8 @@ class ProverServer:
             return {"protocol": PROTOCOL_VERSION, "server": "stepwise-toy-prover",
                     "commands": list(COMMANDS)}, False
         if cmd == "start":
-            token, state = prover.start_source(_text(payload, "source"),
-                                               _text(payload, "theorem"))
+            token, state = prover.start(self._theory(_text(payload, "source")),
+                                        _text(payload, "theorem"))
             return {"token": token, "state": state_to_wire(state)}, False
         if cmd == "apply_batch":
             groups = [(_text(group, "token"), _texts(group, "steps"))
@@ -327,9 +335,9 @@ class ProverServer:
             return {"results": [_cex_to_wire(v) for v in verdicts]}, False
         if cmd == "hammer":
             config = HammerConfig(
-                max_depth=_int(payload, "max_depth", HammerConfig.max_depth),
-                premise_limit=_int(payload, "premise_limit", HammerConfig.premise_limit),
-                budget_ms=_int(payload, "budget_ms", HammerConfig.budget_ms),
+                max_depth=_int(payload, "max_depth", HammerConfig.max_depth, 0),
+                premise_limit=_int(payload, "premise_limit", HammerConfig.premise_limit, 0),
+                budget_ms=_int(payload, "budget_ms", HammerConfig.budget_ms, 1),
             )
             pool = _texts(payload, "pool") if payload.get("pool") is not None else None
             result = prover.hammer_at(_text(payload, "token"), config, pool)
@@ -345,6 +353,16 @@ class ProverServer:
         if cmd == "shutdown":
             return {}, True
         raise ProverError(f"unknown command {cmd!r}")
+
+    def _theory(self, source: str) -> Theory:
+        """``source`` parsed, once per digest. Connections share the cache:
+        of two racing first parses of one source, both get the one that
+        ``setdefault`` (atomic on a dict) stored first."""
+        digest = hashlib.sha256(source.encode()).hexdigest()
+        theory = self._theories.get(digest)
+        if theory is None:
+            theory = self._theories.setdefault(digest, load_theory(source))
+        return theory
 
     # -- entry points ----------------------------------------------------------
 
@@ -508,9 +526,9 @@ class PipeTransport:
 class RemoteProver:
     """Protocol client with the token surface of the in-process backend.
 
-    ``load_theory`` sends nothing: it keeps the source, which ``start``
-    sends with the theorem id. ``release`` sends nothing either: the ids
-    wait for the next request, which carries them in its ``release`` field.
+    ``start`` sends the theory's rendered source with the theorem id, and
+    the server parses it. ``release`` sends nothing: the ids wait for the
+    next request, which carries them in its ``release`` field.
     A missed ``apply_batch`` or ``replay`` deadline loses only that reply:
     the addressed tokens are immutable, so the next call on them needs no
     recovery. Stale frames (ids below the pending request) are discarded,
@@ -528,7 +546,6 @@ class RemoteProver:
         self._ids = itertools.count(1)
         self._missed: dict[int, str] = {}  # id -> cmd of apply_batch and replay requests given up on
         self._release: list[str] = []  # ids for the next request to release
-        self._sources: dict[str, str] = {}  # theory name -> source, for start
         self._verdicts: dict[str, tuple[int, CexResult]] = {}  # token -> (atom_limit, verdict)
         self._proc: subprocess.Popen | None = None
 
@@ -600,20 +617,9 @@ class RemoteProver:
     def init(self) -> dict:
         return self._expect(self._call("init"))
 
-    def load_theory(self, source: str) -> str:
-        """The theory's name, read from its header (``TheoryParseError`` if
-        the header is bad); the source is kept for ``start`` to send, and
-        the server parses the rest."""
-        name = theory_name(source)
-        self._sources[name] = source
-        return name
-
-    def start(self, theory_name: str, theorem_id: str) -> tuple[str, ProofState]:
-        source = self._sources.get(theory_name)
-        if source is None:
-            raise BackendError("unknown_theorem", f"theory {theory_name!r} is not loaded")
+    def start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
         payload = self._expect(self._call(
-            "start", payload={"source": source, "theorem": theorem_id}))
+            "start", payload={"source": render_theory(theory), "theorem": theorem_id}))
         return payload["token"], state_from_wire(payload["state"], EMPTY_CONTEXT)
 
     def apply_batch(self, groups, timeout_ms: int | None = None,

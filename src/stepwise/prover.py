@@ -1,16 +1,16 @@
 """Deterministic miniature interactive prover.
 
-Implements the backend surface the search engine drives: theory loading,
-goal initialisation, step execution, a truth-table counterexample oracle
-and a depth-bounded proof hammer, all addressed by immutable snapshot
-tokens: ``start`` returns the root's, ``apply_batch`` one per success of
-each ``(token, steps)`` group and ``replay`` the end of a step chain, and
-the ``*_at`` oracles take them. All tactics act on the first subgoal.
+Implements the theory format and the backend surface the search engine
+drives: goal initialisation, step execution, a truth-table counterexample
+oracle and a depth-bounded proof hammer, all addressed by immutable
+snapshot tokens: ``start`` takes a parsed ``Theory`` and returns the
+root's, ``apply_batch`` one per success of each ``(token, steps)`` group
+and ``replay`` the end of a step chain, and the ``*_at`` oracles take
+them. All tactics act on the first subgoal.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 import time
@@ -78,25 +78,9 @@ class UnknownSessionError(ProverError):
 # Theory files
 # ---------------------------------------------------------------------------
 
-def theory_name(source: str) -> str:
-    """The name in the source's ``theory <name>`` header, checked as
-    ``load_theory`` checks it; the rest of the source is not parsed."""
-    for lineno, raw_line in enumerate(source.splitlines(), 1):
-        parts = raw_line.split("#", 1)[0].split()
-        if not parts:
-            continue
-        if parts[0] != "theory":
-            raise TheoryParseError("expected a theory header first", lineno)
-        if len(parts) != 2:
-            raise TheoryParseError("expected: theory <name>", lineno)
-        return parts[1]
-    raise TheoryParseError("empty source", 1)
-
-
 def load_theory(source: str) -> Theory:
     """Parse the line-oriented theory format (see the format reference)."""
-    name = theory_name(source)
-    header_seen = False
+    name: str | None = None
     entries: list[TheoryEntry] = []
     seen: set[str] = set()
     pending: tuple[str, str, Formula] | None = None
@@ -129,10 +113,15 @@ def load_theory(source: str) -> Theory:
                     raise TheoryParseError(str(e), lineno) from e
             continue
         if word == "theory":
-            if header_seen:
+            if name is not None:
                 raise TheoryParseError("duplicate theory header", lineno)
-            header_seen = True
+            parts = line.split()
+            if len(parts) != 2:
+                raise TheoryParseError("expected: theory <name>", lineno)
+            name = parts[1]
             continue
+        if name is None:
+            raise TheoryParseError("expected a theory header first", lineno)
         if word == "end":
             flush()
             ended = True
@@ -164,6 +153,8 @@ def load_theory(source: str) -> Theory:
             continue
         raise TheoryParseError(f"unrecognised line {line!r}", lineno)
 
+    if name is None:
+        raise TheoryParseError("empty source", 1)
     if proof_steps is not None:
         raise TheoryParseError("unterminated proof block", len(source.splitlines()))
     if not ended:
@@ -586,20 +577,13 @@ def _apply_text_or_step(state: ProofState, step: ProofStep | str,
     return apply_step(state, step, timeout_ms or DEFAULT_STEP_BUDGET_MS)
 
 
-# Sessions serve no backend caller; ``Session`` and ``ToyProver.state``,
-# ``apply``, ``clone`` and ``restore`` stay because the benchmark's tracer
-# (``pipebench/tracing.py``) looks them up by name.
+# Sessions serve no backend caller; ``Session``, ``ToyProver.load_theory``,
+# ``state``, ``apply``, ``clone`` and ``restore`` stay because the
+# benchmark's tracer (``pipebench/tracing.py``) looks them up by name.
 @dataclass
 class Session:
     id: str
-    theory: str
     current: ProofState
-
-
-@dataclass(frozen=True)
-class _Snapshot:
-    theory: str
-    state: ProofState
 
 
 class ToyProver:
@@ -607,40 +591,18 @@ class ToyProver:
 
     The wire protocol server wraps an instance of this class; a remote client
     exposes the same token surface, so the search engine is backend-agnostic.
-    Theories are cached by content digest; snapshots are immutable and the
+    ``start`` takes the ``Theory`` itself; snapshots are immutable and the
     registry is safe to share across threads.
     """
 
     def __init__(self):
-        self._theories: dict[str, Theory] = {}
-        self._digests: dict[str, Theory] = {}
         self._sessions: dict[str, Session] = {}
-        self._snapshots: dict[str, _Snapshot] = {}
+        self._snapshots: dict[str, ProofState] = {}
         self._counter = itertools.count()
         self._lock = threading.Lock()
 
-    # -- theories ----------------------------------------------------------
-
     def load_theory(self, source: str) -> str:
-        """Parse ``source`` (cached by digest) and make it the theory its
-        name refers to, even when a same-named one was loaded since."""
-        return self._parse(source).name
-
-    def _parse(self, source: str) -> Theory:
-        digest = hashlib.sha256(source.encode()).hexdigest()
-        with self._lock:
-            theory = self._digests.get(digest)
-        if theory is None:
-            theory = load_theory(source)
-        with self._lock:
-            self._digests[digest] = self._theories[theory.name] = theory
-        return theory
-
-    def theory(self, name: str) -> Theory:
-        with self._lock:
-            if name not in self._theories:
-                raise UnknownTheoremError(f"theory {name!r} is not loaded")
-            return self._theories[name]
+        return load_theory(source).name
 
     # -- snapshots and sessions ---------------------------------------------
 
@@ -654,25 +616,17 @@ class ToyProver:
             raise UnknownSessionError(f"no session {sid!r}")
         return session
 
-    def _store(self, theory_name: str, state: ProofState) -> str:
+    def _store(self, state: ProofState) -> str:
         token = self._new_id("c")
         with self._lock:
-            self._snapshots[token] = _Snapshot(theory_name, state)
+            self._snapshots[token] = state
         return token
 
-    def start(self, theory_name: str, theorem_id: str) -> tuple[str, ProofState]:
-        """The theorem's initial goal, stored as a snapshot: its token and
-        state."""
-        return self._start(self.theory(theory_name), theorem_id)
-
-    def start_source(self, source: str, theorem_id: str) -> tuple[str, ProofState]:
-        """``start`` in the theory ``source`` parses to, whatever theory its
-        name refers to now (the wire ``start``)."""
-        return self._start(self._parse(source), theorem_id)
-
-    def _start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
+    def start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
+        """The theorem's initial goal in ``theory``, stored as a snapshot:
+        its token and state."""
         state = init_goal(theory, theorem_id)
-        return self._store(theory.name, state), state
+        return self._store(state), state
 
     def state(self, sid: str) -> ProofState:
         return self._session(sid).current
@@ -698,14 +652,14 @@ class ToyProver:
         later costs the same."""
         snapshots = [(self._snapshot(token), steps) for token, steps in groups]
         out: list[list[tuple[StepResult, str | None]]] = []
-        for snap, steps in snapshots:
+        for state, steps in snapshots:
             results: list[tuple[StepResult, str | None]] = []
             for step in steps:
-                result = _apply_text_or_step(snap.state, step, timeout_ms)
+                result = _apply_text_or_step(state, step, timeout_ms)
                 if not result.ok:
                     results.append((BARE_FAILURES[result.category], None))
                     continue
-                results.append((result, self._store(snap.theory, result.state)))
+                results.append((result, self._store(result.state)))
                 if result.state.qed:
                     break
             out.append(results)
@@ -718,8 +672,7 @@ class ToyProver:
         stopping after the first failure. Returns every result, failures
         with their detail, and, when all succeeded, the token of a snapshot
         of the final state; no intermediate state is stored."""
-        snap = self._snapshot(token)
-        state = snap.state
+        state = self._snapshot(token)
         results: list[StepResult] = []
         for step in steps:
             result = _apply_text_or_step(state, step, timeout_ms)
@@ -727,35 +680,32 @@ class ToyProver:
             if not result.ok:
                 return results, None
             state = result.state
-        return results, self._store(snap.theory, state)
+        return results, self._store(state)
 
     def clone(self, sid: str) -> str:
-        session = self._session(sid)
-        return self._store(session.theory, session.current)
+        return self._store(self._session(sid).current)
 
-    def _snapshot(self, token: str) -> _Snapshot:
+    def _snapshot(self, token: str) -> ProofState:
         with self._lock:
-            snap = self._snapshots.get(token)
-        if snap is None:
+            state = self._snapshots.get(token)
+        if state is None:
             raise UnknownSessionError(f"no snapshot {token!r}")
-        return snap
+        return state
 
     def restore(self, token: str, session: str | None = None) -> str:
-        snap = self._snapshot(token)
+        state = self._snapshot(token)
         if session is None:
             sid = self._new_id("s")
             with self._lock:
-                self._sessions[sid] = Session(sid, snap.theory, snap.state)
+                self._sessions[sid] = Session(sid, state)
             return sid
-        target = self._session(session)
-        target.current = snap.state
-        target.theory = snap.theory
+        self._session(session).current = state
         return session
 
     # -- oracles -----------------------------------------------------------
 
     def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
-        return check_counterexample(self._snapshot(token).state, atom_limit)
+        return check_counterexample(self._snapshot(token), atom_limit)
 
     def counterexamples_at(self, tokens, atom_limit: int = 16) -> list[CexResult]:
         """``counterexample_at`` for each token, in order."""
@@ -763,7 +713,7 @@ class ToyProver:
 
     def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
                   pool: list[str] | None = None) -> HammerResult:
-        return toy_hammer(self._snapshot(token).state, config, pool)
+        return toy_hammer(self._snapshot(token), config, pool)
 
     # -- lifetime ----------------------------------------------------------
 

@@ -9,7 +9,9 @@ nodes in order: the first whose steps closed the goal wins, and each node
 before it has its surviving states filtered (one oracle batch), scored and
 inserted. Generation, applying a step to an immutable snapshot and revision
 are pure in the node's state, so batching across nodes leaves the result of
-the node-by-node loop unchanged; only the commit sees the other nodes. Each
+the node-by-node loop unchanged; only the commit sees the other nodes. The
+backend is handed the ``Theory`` itself at ``start``, and every later call
+addresses the snapshot tokens it returns. Each
 distinct step goes to the backend once per node and iteration; a repeat
 reuses its first result. When filtering is on, each batch asks for its
 successes' oracle verdicts too, so a remote backend answers the filter
@@ -121,24 +123,31 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
                       prefix_steps: tuple[ProofStep, ...] = ()) -> SearchOutcome:
     """Search for a proof of ``theorem_id``; deterministic given a
     deterministic generator such as the seeded mock. Returns Failed (never
-    raises) on budget exhaustion; backend transport errors propagate.
+    raises) on budget exhaustion; backend transport errors and generator
+    errors propagate, after every snapshot the search opened is released.
     ``prefix_steps`` are replayed before the search starts (completion
     experiments)."""
-    from .prover import render_theory
+    opened: list[str] = []
+    try:
+        return _search(theory, theorem_id, backend, generator, config, prefix_steps, opened)
+    except BaseException:
+        backend.release(opened)
+        raise
 
+
+def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineConfig,
+            prefix_steps: tuple[ProofStep, ...], opened: list[str]) -> SearchOutcome:
     start_time = time.monotonic()
     deadline = start_time + config.time_limit_s
     stats = SearchStats()
     context = theory.context_for(theorem_id)
     tactic_set = config.tactic_set or tactic_frequencies(theory)
 
-    backend.load_theory(render_theory(theory))
-    token, root_state = backend.start(theory.name, theorem_id)
-    opened = [token]
+    token, root_state = backend.start(theory, theorem_id)
+    opened.append(token)
     if prefix_steps:
         results, final = backend.replay(token, prefix_steps, config.step_timeout_ms)
         if final is None:
-            backend.release(opened)
             step = prefix_steps[len(results) - 1]
             raise ReplayError(f"prefix step {step.text()!r} failed: {results[-1].category}")
         token = final
@@ -279,13 +288,13 @@ def frontier_summary(outcome: SearchOutcome) -> dict:
     }
 
 
-def replay_from_root(backend, theory_name: str, theorem_id: str, steps,
+def replay_from_root(backend, theory: Theory, theorem_id: str, steps,
                      timeout_ms: int | None = None
                      ) -> tuple[ProofState, list[StepResult], bool]:
     """``steps`` chained from the theorem's root snapshot in one backend
     ``replay``: the root state, the results up to the first failure, and
     whether every step succeeded. Both snapshots are released."""
-    token, root = backend.start(theory_name, theorem_id)
+    token, root = backend.start(theory, theorem_id)
     final = None
     try:
         results, final = backend.replay(token, steps, timeout_ms)
@@ -298,8 +307,5 @@ def replay_steps(theory: Theory, theorem_id: str, backend,
                  steps: list[ProofStep] | tuple[ProofStep, ...]) -> bool:
     """True iff the step list replays from the theorem's root and ends with
     zero subgoals (the soundness check for Proved outcomes)."""
-    from .prover import render_theory
-
-    backend.load_theory(render_theory(theory))
-    root, results, ok = replay_from_root(backend, theory.name, theorem_id, steps)
+    root, results, ok = replay_from_root(backend, theory, theorem_id, steps)
     return ok and (results[-1].state if results else root).qed

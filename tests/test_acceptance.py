@@ -31,7 +31,6 @@ from stepwise.prover import (
     apply_step,
     check_counterexample,
     init_goal,
-    render_theory,
 )
 from stepwise.protocol import ProverServer, RemoteProver
 from stepwise.search import replay_steps, score_node
@@ -202,11 +201,8 @@ def test_criterion_8_protocol_differential(bench_corpus):
     compared = 0
     try:
         for theory in sample:
-            source = render_theory(theory)
-            client.load_theory(source)
-            local.load_theory(source)
-            remote_token, remote_root = client.start(theory.name, "goal")
-            local_token, local_root = local.start(theory.name, "goal")
+            remote_token, remote_root = client.start(theory, "goal")
+            local_token, local_root = local.start(theory, "goal")
             assert canonical_state(remote_root) == canonical_state(local_root)
             assert remote_root.depth == local_root.depth
             steps = list(theory.entry("goal").proof)

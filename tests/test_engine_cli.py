@@ -196,7 +196,15 @@ INVALID_VALUES = [
     ("atom_limit", MAX_ATOM_LIMIT + 1),
     # a zero budget is not "no budget": the prover reads 0 as its 10 s default
     ("step_timeout_ms", 0), ("step_timeout_ms", -1),
+    # each of these would let the search or the hammer skip its work silently
+    ("repair_rounds", -1), ("candidates_per_state", 0), ("hammer_timeout_s", -1),
+    ("hammer_timeout_s", 0), ("hammer_timeout_s", 0.0005),
 ]
+
+
+def test_least_valid_search_and_hammer_budgets_are_accepted():
+    config = EngineConfig(repair_rounds=0, candidates_per_state=1, hammer_timeout_s=0.001)
+    assert (config.repair_rounds, config.candidates_per_state) == (0, 1)
 
 
 @pytest.mark.parametrize("name,value", INVALID_VALUES)

@@ -3,7 +3,7 @@ from stepwise.filtering import FilterStats
 from stepwise.formulas import parse_formula
 from stepwise.config import ConfigError, EngineConfig
 from stepwise.hammer import hammer_fallback, mesh_rank
-from stepwise.prover import ToyProver, load_theory, render_theory
+from stepwise.prover import ToyProver, load_theory
 from stepwise.revision import relevance_filter
 from stepwise.search import SearchNode, SearchOutcome, SearchStats
 
@@ -60,9 +60,8 @@ def _failed_tree_one_apply_away():
     """A search tree whose best non-root state closes in one hammer step."""
     prover = ToyProver()
     theory = load_theory(THEORY)
-    prover.load_theory(render_theory(theory))
     context = theory.context_for("t1")
-    token, root_state = prover.start("fb", "t1")
+    token, root_state = prover.start(theory, "t1")
     root = SearchNode(root_state.with_context(context), None, None, 0.0, 0, 0.0, order=0,
                       token=token)
     [[(step, child_token)]] = prover.apply_batch([(token, ["apply [f2]"])])
@@ -88,8 +87,7 @@ def test_fallback_returns_full_replayable_proof():
 def test_fallback_dead_tree_returns_none():
     prover = ToyProver()
     theory = load_theory("theory dead\ntheorem bad: false\nend\n")
-    prover.load_theory(render_theory(theory))
-    token, state = prover.start("dead", "bad")
+    token, state = prover.start(theory, "bad")
     root = SearchNode(state.with_context(theory.context_for("bad")), None, None, 0.0, 0, 0.0,
                       order=0, token=token)
     outcome = SearchOutcome(False, (), SearchStats(), [root], FilterStats())

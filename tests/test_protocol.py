@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import naive_first_counterexample, random_formula, replay_chain
 from stepwise.core import ERROR_CATEGORIES, ProofStep, canonical_state
 from stepwise.formulas import render
-from stepwise.prover import ToyProver, load_theory
+from stepwise.prover import ToyProver, TheoryParseError, load_theory, render_theory
 from stepwise.protocol import (
     COMMANDS,
     BackendError,
@@ -38,6 +38,7 @@ theorem t1: q
 theorem t2: p -> p
 end
 """
+PROTO = load_theory(THEORY)
 
 
 @pytest.fixture
@@ -124,7 +125,7 @@ def test_timeout_below_one_ms_is_protocol_error(timeout_ms):
         decode_request(line)
     assert err.value.offending_id == 7 and "timeout_ms" in str(err.value)
     server = ProverServer(trace=False)
-    token, _ = server.prover.start_source(THEORY, "t2")
+    token, _ = server.prover.start(PROTO, "t2")
     response, _ = server.handle_line(line.replace('"c0"', json.dumps(token)))
     assert (response.id, response.ok) == (7, False)
     assert response.error["category"] == "protocol_error"
@@ -155,13 +156,9 @@ def test_apply_matches_in_process_results(client):
     """Steps chained one ``replay`` at a time give the same results, with
     the same failure details, on both paths."""
     local = ToyProver()
-    local.load_theory(THEORY)
-    name = client.load_theory(THEORY)
-    assert name == "proto"
-
     texts = ("intro", "apply [f2]", "apply [ghost]", "elim [d]", "simp")
-    remote, _ = replay_chain(client, client.start("proto", "t1")[0], texts, 3000)
-    here, _ = replay_chain(local, local.start("proto", "t1")[0], texts)
+    remote, _ = replay_chain(client, client.start(PROTO, "t1")[0], texts, 3000)
+    here, _ = replay_chain(local, local.start(PROTO, "t1")[0], texts)
     assert [r.ok for r in here] == [False, True, False, True, False]
     for remote_result, local_result in zip(remote, here):
         assert remote_result.ok == local_result.ok
@@ -174,8 +171,7 @@ def test_apply_matches_in_process_results(client):
 
 
 def test_undefined_fact_error_echoes_the_name(client):
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t1")
+    token, _ = client.start(PROTO, "t1")
     [result], final = client.replay(token, ["apply [missing_lemma]"], timeout_ms=3000)
     assert result.category == "undefined_fact" and final is None
     assert "missing_lemma" in result.detail
@@ -184,8 +180,7 @@ def test_undefined_fact_error_echoes_the_name(client):
 def test_replay_tokens_round_trip(client):
     """``replay`` leaves the addressed snapshot as it was, and its token
     addresses the chain's final state."""
-    client.load_theory(THEORY)
-    root, root_state = client.start("proto", "t1")
+    root, root_state = client.start(PROTO, "t1")
     first, mid = client.replay(root, ["apply [f2]"], timeout_ms=3000)
     again, other = client.replay(root, ["apply [f2]"], timeout_ms=3000)
     assert canonical_state(first[0].state) == canonical_state(again[0].state) \
@@ -199,8 +194,7 @@ def test_replay_tokens_round_trip(client):
 
 
 def test_counterexample_and_hammer_over_wire(client):
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t1")
+    token, _ = client.start(PROTO, "t1")
     verdict = client.counterexample_at(token)
     assert verdict.kind == "none"  # q follows from f1, f2
     result = client.hammer_at(token)
@@ -210,8 +204,7 @@ def test_counterexample_and_hammer_over_wire(client):
 
 
 def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
-    client.load_theory("theory tiny\naxiom f: p\ntheorem t: p -> q\nend\n")
-    token, _ = client.start("tiny", "t")
+    token, _ = client.start(load_theory("theory tiny\naxiom f: p\ntheorem t: p -> q\nend\n"), "t")
     with pytest.raises(BackendError) as err:
         client._expect(client._call(
             "counterexample", payload={"tokens": [token], "atom_limit": 1_000_000}))
@@ -222,25 +215,31 @@ def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
     assert verdict.kind == "counterexample" and verdict.assignment == {"p": True, "q": False}
 
 
-def test_theory_cache_reported():
-    """``start`` carries its theory's source, and the server parses each
-    distinct source once."""
+def test_theory_cache_reported(monkeypatch):
+    """``start`` carries its theory's rendered source, and the server
+    parses each distinct source once, whichever connection sends it."""
+    import stepwise.protocol as protocol
+
+    parsed = []
+    monkeypatch.setattr(protocol, "load_theory",
+                        lambda source: parsed.append(source) or load_theory(source))
+    other = load_theory(THEORY.replace("t2: p -> p", "t2: q -> q"))
     server = ProverServer(trace=False)
     tcp = server.tcp_server(port=0)
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
-    client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1])
+    clients = [RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1]) for _ in range(2)]
     try:
-        assert client.load_theory(THEORY) == "proto"
-        assert client.stats()["commands"] == {}  # loading sends nothing
-        client.start("proto", "t1")
-        client.start("proto", "t2")
-        assert len(server.prover._digests) == 1
-        client.load_theory(THEORY.replace("t2: p -> p", "t2: q -> q"))
-        client.start("proto", "t2")
-        assert len(server.prover._digests) == 2
-        assert _counts(client) == {"start": 3, "stats": 1}
+        for client in clients:
+            client.start(PROTO, "t1")
+            client.start(PROTO, "t2")
+        assert parsed == [render_theory(PROTO)]
+        _, state = clients[0].start(other, "t2")
+        assert render(state.subgoals[0].goal) == "q -> q"
+        assert parsed == [render_theory(PROTO), render_theory(other)]
+        assert _counts(clients[0]) == {"start": 5}
     finally:
-        client.close()
+        for client in clients:
+            client.close()
         tcp.shutdown()
         tcp.server_close()
 
@@ -250,32 +249,35 @@ def _counts(client):
     return {cmd: entry["count"] for cmd, entry in client.stats()["commands"].items()}
 
 
-def test_load_theory_checks_the_header_locally_and_start_the_body(client):
-    from stepwise.prover import TheoryParseError
-
-    with pytest.raises(TheoryParseError, match="expected: theory <name>"):
-        client.load_theory("theory a b\ntheorem g: p\nend\n")
+def test_malformed_start_source_is_a_parse_error_naming_its_line(client):
+    """The server parses what ``start`` carries, header and body alike, and
+    answers a bad source with the parser's message and line."""
+    for source, detail in (
+            ("theory a b\ntheorem g: p\nend\n", "line 1: expected: theory <name>"),
+            ("theory broken\ntheorem g: p ->\nend\n", "line 2: ")):
+        with pytest.raises(TheoryParseError) as want:
+            load_theory(source)
+        with pytest.raises(BackendError) as err:
+            client._expect(client._call("start", payload={"source": source, "theorem": "g"}))
+        assert (err.value.category, err.value.detail) == ("parse_error", str(want.value))
+        assert err.value.detail.startswith(detail)
     with pytest.raises(BackendError) as err:
-        client.start("nowhere", "g")
+        client.start(PROTO, "nowhere")
     assert err.value.category == "unknown_theorem"
-    assert client.load_theory("theory broken\ntheorem g: p ->\nend\n") == "broken"
-    with pytest.raises(BackendError) as err:
-        client.start("broken", "g")
-    assert err.value.category == "parse_error" and "line 2" in err.value.detail
-    assert _counts(client) == {"start": 1}
+    assert _counts(client) == {"start": 3}
+    assert client.stats()["snapshots"] == 0
 
 
 def test_theory_names_do_not_collide_across_connections(tcp_server):
-    """Two clients load different theories both named ``t``, the first
-    again after the second: each starts from its own source's goal."""
+    """Two clients start from different theories both named ``t``, the
+    first again after the second: each starts from its own theory's goal."""
     from test_prover import COLLIDING
 
     clients = [RemoteProver.connect_tcp("127.0.0.1", tcp_server) for _ in COLLIDING]
     try:
         for _ in range(2):
             for client, source, goal in zip(clients, COLLIDING, ("p", "q -> q")):
-                assert client.load_theory(source) == "t"
-                token, state = client.start("t", "g")
+                token, state = client.start(load_theory(source), "g")
                 assert render(state.subgoals[0].goal) == goal
                 # the server's snapshot holds the same goal: p is falsifiable
                 verdict = client.counterexample_at(token).kind
@@ -298,8 +300,7 @@ def test_unknown_session_is_backend_error(client):
 def test_stats_command_reports_live_objects_and_commands(client):
     before = client.stats()
     assert (before["sessions"], before["snapshots"]) == (0, 0)
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t1")
+    token, _ = client.start(PROTO, "t1")
     client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=3000)
     stats = client.stats()
     assert (stats["sessions"], stats["snapshots"]) == (0, 2)
@@ -312,11 +313,9 @@ def test_stats_command_reports_live_objects_and_commands(client):
 
 def test_apply_batch_over_wire_matches_in_process(client):
     local = ToyProver()
-    local.load_theory(THEORY)
-    client.load_theory(THEORY)
     steps = ["intro", "apply [ghost]", "elim [d]", "simp", "apply [f2]", "apply [f1]"]
-    [remote] = client.apply_batch([(client.start("proto", "t1")[0], steps)], timeout_ms=3000)
-    [here] = local.apply_batch([(local.start("proto", "t1")[0], steps)], 3000)
+    [remote] = client.apply_batch([(client.start(PROTO, "t1")[0], steps)], timeout_ms=3000)
+    [here] = local.apply_batch([(local.start(PROTO, "t1")[0], steps)], 3000)
     assert len(remote) == len(here) == len(steps)
     for (r, r_token), (h, h_token) in zip(remote, here):
         assert r.ok == h.ok and (r_token is None) == (h_token is None)
@@ -337,10 +336,8 @@ def test_grouped_apply_batch_over_wire_matches_in_process(client):
     """One request for several snapshots gives each group what in-process
     gives it, and an empty group an empty list."""
     local = ToyProver()
-    local.load_theory(THEORY)
-    client.load_theory(THEORY)
-    remote_roots = [client.start("proto", t)[0] for t in ("t1", "t2")]
-    local_roots = [local.start("proto", t)[0] for t in ("t1", "t2")]
+    remote_roots = [client.start(PROTO, t)[0] for t in ("t1", "t2")]
+    local_roots = [local.start(PROTO, t)[0] for t in ("t1", "t2")]
     steps = (["apply [f2]", "intro", "apply [f1]"], ["intro", "auto", "simp"], [])
     remote = client.apply_batch(list(zip(remote_roots + remote_roots[:1], steps)),
                                 timeout_ms=3000, atom_limit=16)
@@ -356,8 +353,7 @@ def test_grouped_apply_batch_over_wire_matches_in_process(client):
 
 
 def test_token_addressed_oracles_open_no_session(client):
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t1")
+    token, _ = client.start(PROTO, "t1")
     assert client.counterexample_at(token).kind == "none"
     result = client.hammer_at(token)
     assert result.found
@@ -377,10 +373,9 @@ def test_counterexample_batch_over_wire_matches_in_process(client):
                   for k in range(rng.randint(0, 3))]
         goal = render(random_formula(rng, rng.randint(1, 5)))
         source = "\n".join([f"theory rand{i}", *axioms, f"theorem t: {goal}", "end"]) + "\n"
-        local.load_theory(source)
-        client.load_theory(source)
-        here, state = local.start(f"rand{i}", "t")
-        there, _ = client.start(f"rand{i}", "t")
+        theory = load_theory(source)
+        here, state = local.start(theory, "t")
+        there, _ = client.start(theory, "t")
         local_tokens.append(here)
         remote_tokens.append(there)
         states.append(state)
@@ -406,8 +401,7 @@ def test_counterexample_batch_over_wire_matches_in_process(client):
 
 
 def test_counterexample_batch_with_an_unknown_token_fails_whole(client):
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t1")
+    token, _ = client.start(PROTO, "t1")
     with pytest.raises(BackendError) as err:
         client.counterexamples_at([token, "c404", token])
     assert err.value.category == "unknown_session"
@@ -431,8 +425,7 @@ def test_malformed_request_line_gets_protocol_error():
 
 
 def test_replay_reply_carries_states_and_failure_details(client):
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t1")
+    token, _ = client.start(PROTO, "t1")
     reply = client._expect(client._call("replay", payload={
         "token": token, "steps": ["apply [f2]", "apply [ghost]", "apply [f1]"]}))
     opened, failed = reply["results"]  # the step after the failure never runs
@@ -450,10 +443,8 @@ def test_factless_apply_and_elim_text_fail_as_the_step_does(client):
     """``parse_step`` rejects a bare ``apply``/``elim``, but tactic repair
     builds such steps directly; their text gets the same verdict."""
     local = ToyProver()
-    local.load_theory(THEORY)
-    client.load_theory(THEORY)
-    local_token, _ = local.start("proto", "t1")
-    token, _ = client.start("proto", "t1")
+    local_token, _ = local.start(PROTO, "t1")
+    token, _ = client.start(PROTO, "t1")
     for tactic in ("apply", "elim"):
         [expected], _ = local.replay(local_token, [ProofStep(tactic)])
         assert expected.category == "tactic_failure"
@@ -470,19 +461,15 @@ def test_factless_apply_and_elim_text_fail_as_the_step_does(client):
 
 @pytest.fixture(scope="module")
 def both_paths():
-    """Every tenth bench-corpus theory, loaded into an in-process prover and
-    into a TCP server behind a client."""
+    """Every tenth bench-corpus theory, an in-process prover and a client of
+    a TCP server."""
     from stepwise.bench import generate_corpus
-    from stepwise.prover import render_theory
 
     tcp = ProverServer(trace=False).tcp_server(port=0)
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     remote = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1])
     local = ToyProver()
     theories = generate_corpus(0)[::10]
-    for theory in theories:
-        local.load_theory(render_theory(theory))
-        remote.load_theory(render_theory(theory))
     yield theories, local, remote
     remote.close()
     tcp.shutdown()
@@ -510,8 +497,8 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
     theory = data.draw(st.sampled_from(theories))
     proof = theory.entry("goal").proof
     prefix = proof[:data.draw(st.integers(0, len(proof) - 1))]
-    local_token, state = local.start(theory.name, "goal")
-    remote_token, _ = remote.start(theory.name, "goal")
+    local_token, state = local.start(theory, "goal")
+    remote_token, _ = remote.start(theory, "goal")
     opened = {local: [local_token], remote: [remote_token]}
     try:
         if prefix:
@@ -566,8 +553,7 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
 
 @pytest.mark.parametrize("cmd", ["apply", "state", "clone", "restore", "load_theory", "release"])
 def test_removed_session_commands_are_errors_that_keep_the_connection(client, cmd):
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t1")
+    token, _ = client.start(PROTO, "t1")
     with pytest.raises(BackendError) as err:
         client._expect(client._call(cmd, payload={"token": token, "step": "intro"}))
     assert err.value.category == "prover_error" and cmd in err.value.detail
@@ -588,11 +574,9 @@ def _oracle_requests(client):
 
 def test_apply_batch_verdicts_answer_counterexamples_at_locally(client):
     local = ToyProver()
-    local.load_theory(THEORY)
-    client.load_theory(THEORY)
     steps = ["intro", "apply [f2]", "elim [d]", "apply [ghost]"]
-    remote_root, _ = client.start("proto", "t1")
-    local_root, _ = local.start("proto", "t1")
+    remote_root, _ = client.start(PROTO, "t1")
+    local_root, _ = local.start(PROTO, "t1")
     [remote] = client.apply_batch([(remote_root, steps)], timeout_ms=3000, atom_limit=16)
     [here] = local.apply_batch([(local_root, steps)], 3000, atom_limit=16)
     remote_tokens = [t for _, t in remote if t is not None]
@@ -617,8 +601,7 @@ def test_apply_batch_verdicts_answer_counterexamples_at_locally(client):
 
 
 def test_apply_batch_reply_carries_categories_and_open_verdicts_only(client):
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t2")
+    token, _ = client.start(PROTO, "t2")
     reply = client._expect(client._call("apply_batch", payload={
         "groups": [{"token": token, "steps": ["apply [ghost]", "simp", "intro", "auto"]},
                    {"token": token, "steps": []}],
@@ -633,8 +616,7 @@ def test_apply_batch_reply_carries_categories_and_open_verdicts_only(client):
 
 
 def test_counterexamples_at_without_a_stored_verdict_costs_one_request(client):
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t1")
+    token, _ = client.start(PROTO, "t1")
     [[(_, child)]] = client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000)
     verdicts = client.counterexamples_at([token, child, token], 16)
     assert _oracle_requests(client) == 1
@@ -643,8 +625,7 @@ def test_counterexamples_at_without_a_stored_verdict_costs_one_request(client):
 
 
 def test_bad_atom_limit_in_apply_batch_is_protocol_error_and_opens_nothing(client):
-    client.load_theory(THEORY)
-    token, _ = client.start("proto", "t1")
+    token, _ = client.start(PROTO, "t1")
     for atom_limit in (-1, 21, 10**30, "16", 16.0, True, None, [16]):
         with pytest.raises(BackendError) as err:
             client._expect(client._call("apply_batch", payload={
@@ -661,11 +642,72 @@ def test_malformed_payload_keeps_the_connection(client):
                          ("apply_batch", {"groups": {"token": "c0", "steps": ["intro"]}}),
                          ("apply_batch", {"groups": ["c0"]}),
                          ("apply_batch", {"token": "c0", "steps": ["intro"]}),
-                         ("replay", {"token": "c0", "steps": "intro"})):
+                         ("replay", {"token": "c0", "steps": "intro"}),
+                         ("hammer", {"token": "c0", "max_depth": -3}),
+                         ("hammer", {"token": "c0", "premise_limit": -1}),
+                         ("hammer", {"token": "c0", "budget_ms": 0})):
         with pytest.raises(BackendError) as err:
             client._expect(client._call(cmd, payload=payload))
         assert err.value.category == "protocol_error", (cmd, payload)
     assert client.init()["protocol"] == 6
+
+
+@pytest.mark.parametrize("key,value", [("max_depth", -3), ("premise_limit", -1),
+                                       ("budget_ms", -5), ("budget_ms", 0)])
+def test_out_of_range_hammer_integers_are_protocol_errors(key, value):
+    """A negative premise limit would drop the pool's last facts, and a
+    negative depth or a budget below 1 ms would answer ``notfound`` or
+    ``timeout`` without searching; none of them is a hammer setting."""
+    server = ProverServer(trace=False)
+    token, _ = server.prover.start(PROTO, "t1")
+    payload = {"token": token, "max_depth": 2, "premise_limit": 8, "budget_ms": 1000,
+               "pool": ["f1", "f2"], key: value}
+    response, _ = server.handle_line(json.dumps({"id": 4, "cmd": "hammer", "payload": payload}))
+    assert (response.id, response.ok) == (4, False)
+    assert response.error["category"] == "protocol_error" and key in response.error["detail"]
+
+
+@pytest.mark.parametrize("key,value,kinds", [("max_depth", 0, ("notfound",)),
+                                             ("premise_limit", 0, ("notfound",)),
+                                             ("budget_ms", 1, ("found", "timeout"))])
+def test_least_hammer_integers_are_accepted(key, value, kinds):
+    """No depth, or no premises for a goal that needs ``apply [f2]``, finds
+    nothing; a 1 ms budget runs."""
+    server = ProverServer(trace=False)
+    token, _ = server.prover.start(PROTO, "t1")
+    payload = {"token": token, "max_depth": 2, "premise_limit": 8, "budget_ms": 1000,
+               "pool": ["f1", "f2"], key: value}
+    response, _ = server.handle_line(json.dumps({"id": 5, "cmd": "hammer", "payload": payload}))
+    assert response.ok and response.payload["result"] in kinds
+
+
+@pytest.mark.parametrize("line", ['{"id": true, "cmd": "init"}',
+                                  '{"id": false, "cmd": "init", "payload": {}}'])
+def test_boolean_request_id_is_protocol_error(line):
+    with pytest.raises(ProtocolError):
+        decode_request(line)
+    response, _ = ProverServer(trace=False).handle_line(line)
+    assert (response.id, response.ok) == (0, False)
+    assert response.error["category"] == "protocol_error"
+
+
+def test_boolean_response_id_does_not_answer_request_1():
+    """``True == 1`` in Python, so a reply with id ``true`` must not be
+    taken for the reply to request 1."""
+    class OneLine:
+        def send_line(self, line):
+            pass
+
+        def recv_line(self, deadline):
+            return '{"id": true, "ok": true, "payload": {"protocol": 6}}'
+
+        def close(self):
+            pass
+
+    with pytest.raises(ProtocolError):
+        decode_response('{"id": true, "ok": true, "payload": {}}')
+    with pytest.raises(ProtocolError):
+        RemoteProver(OneLine()).init()
 
 
 # -- fuzzed requests -------------------------------------------------------------------
@@ -728,9 +770,8 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
     carry a fuzzed ``release`` field, or the ``session`` field of older
     versions, which is ignored."""
     server = ProverServer(ToyProver(), trace=False)
-    server.prover.load_theory(THEORY)
-    token, _ = server.prover.start("proto", "t1")
-    live = ["proto", "t1", "intro", "apply", "elim", "auto", "apply [f2]", THEORY]
+    token, _ = server.prover.start(PROTO, "t1")
+    live = ["proto", "t1", "intro", "apply", "elim", "auto", "apply [f2]", THEORY, -1, 0]
     if cmd != "hammer":
         live += [token]
     values = _json_values(live)
@@ -916,8 +957,8 @@ def test_pending_releases_ride_on_shutdown():
 
 def test_release_field_applies_before_the_command_even_one_that_fails():
     server = ProverServer(trace=False)
-    root, _ = server.prover.start_source(THEORY, "t1")
-    other, _ = server.prover.start_source(THEORY, "t2")
+    root, _ = server.prover.start(PROTO, "t1")
+    other, _ = server.prover.start(PROTO, "t2")
     response, _ = server.handle_line(json.dumps(
         {"id": 1, "cmd": "replay", "payload": {"token": root, "steps": ["intro"]},
          "release": [root, "never_issued"]}))
@@ -946,8 +987,7 @@ def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
     try:
-        client.load_theory(THEORY)
-        token, _ = client.start("proto", "t1")
+        token, _ = client.start(PROTO, "t1")
         prover.delay_s = 0.5
         [missed] = client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=1)
         assert [r.category for r, _ in missed] == ["timeout", "timeout"]
@@ -970,8 +1010,7 @@ def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
     try:
-        client.load_theory(THEORY)
-        token, _ = client.start("proto", "t1")
+        token, _ = client.start(PROTO, "t1")
         prover.delay_s = 0.5
         [missed] = client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=1,
                                       atom_limit=16)
@@ -997,8 +1036,7 @@ def test_missed_replay_leaves_no_server_objects_once_its_reply_is_read():
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
     try:
-        client.load_theory(THEORY)
-        token, _ = client.start("proto", "t1")
+        token, _ = client.start(PROTO, "t1")
         prover.delay_s = 0.5
         assert client.replay(token, ["apply [f2]"], timeout_ms=1)[1] is None
         prover.delay_s = 0.0
@@ -1061,8 +1099,7 @@ def test_stdio_subprocess_server_round_trip():
     client = RemoteProver.spawn_stdio(
         [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"])
     try:
-        name = client.load_theory(THEORY)
-        token, _ = client.start(name, "t2")
+        token, _ = client.start(PROTO, "t2")
         [result], token = client.replay(token, ["intro"], timeout_ms=10_000)
         assert result.ok
         [result], token = client.replay(token, ["assumption"], timeout_ms=10_000)

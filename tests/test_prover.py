@@ -638,8 +638,7 @@ def test_no_progress_verdict_matches_canonical_keys():
 
 def test_session_clone_restore_round_trip(chain_theory):
     prover = ToyProver()
-    prover.load_theory(render_theory(chain_theory))
-    sid = prover.restore(prover.start("demo", "t1")[0])
+    sid = prover.restore(prover.start(chain_theory, "t1")[0])
     token = prover.clone(sid)
     key_at_clone = canonical_state(prover.state(sid))
     assert prover.apply(sid, "apply [f2]").ok
@@ -654,8 +653,7 @@ def test_session_clone_restore_round_trip(chain_theory):
 
 def test_apply_batch_matches_apply_and_stops_at_the_winner(chain_theory):
     prover = ToyProver()
-    prover.load_theory(render_theory(chain_theory))
-    root, _ = prover.start("demo", "t1")
+    root, _ = prover.start(chain_theory, "t1")
     steps = ["apply [ghost]", "apply [f2]", "frobnicate hard", "simp", "auto", "intro"]
     [results] = prover.apply_batch([(root, steps)])
     assert len(results) == 5  # "intro" after the closing "auto" never runs
@@ -680,8 +678,7 @@ def test_apply_batch_groups_are_independent_batches(chain_theory):
     """Each group gets what a batch of its own gets: its own snapshot, its
     own stop after the first zero-subgoal success."""
     prover = ToyProver()
-    prover.load_theory(render_theory(chain_theory))
-    root, _ = prover.start("demo", "t1")
+    root, _ = prover.start(chain_theory, "t1")
     [(_, child)] = prover.apply_batch([(root, ["apply [f2]"])])[0]
     groups = [(root, ["apply [f1]", "apply [f2]"]), (child, ["apply [f1]", "intro"]),
               (root, []), (root, ["apply [f2]"])]
@@ -698,11 +695,10 @@ def test_apply_batch_unknown_token_raises(chain_theory):
     from stepwise.prover import UnknownSessionError
 
     prover = ToyProver()
-    prover.load_theory(render_theory(chain_theory))
     with pytest.raises(UnknownSessionError):
         prover.apply_batch([("c404", ["intro"])])
     # an unknown token in any group fails the call before a step runs
-    token, _ = prover.start("demo", "t1")
+    token, _ = prover.start(chain_theory, "t1")
     with pytest.raises(UnknownSessionError):
         prover.apply_batch([(token, ["apply [f2]"]), ("c404", ["intro"])])
     assert prover.stats()["snapshots"] == 1
@@ -710,8 +706,7 @@ def test_apply_batch_unknown_token_raises(chain_theory):
 
 def test_release_drops_named_objects_and_ignores_unknown_ids(chain_theory):
     prover = ToyProver()
-    prover.load_theory(render_theory(chain_theory))
-    token, _ = prover.start("demo", "t1")
+    token, _ = prover.start(chain_theory, "t1")
     sid = prover.restore(token)
     [[(_, child)]] = prover.apply_batch([(token, ["apply [f2]"])])
     assert prover.stats() == {"sessions": 1, "snapshots": 2}
@@ -722,58 +717,55 @@ def test_release_drops_named_objects_and_ignores_unknown_ids(chain_theory):
     assert prover.stats() == {"sessions": 0, "snapshots": 0}
 
 
-def test_theory_digest_cache(chain_theory):
-    prover = ToyProver()
-    source = render_theory(chain_theory)
-    assert prover.load_theory(source) == "demo"
-    theory = prover.theory("demo")
-    assert prover.load_theory(source) == "demo"
-    assert prover.theory("demo") is theory  # a digest hit parses nothing
-
-
 COLLIDING = ("theory t\ntheorem g: p\nend\n", "theory t\ntheorem g: q -> q\nend\n")
 
 
-def test_reloaded_source_is_current_for_its_name():
-    """Load ``t`` with goal ``p``, another ``t`` with goal ``q -> q``, then
-    the first source again: ``t`` names the first theory, although its
-    source was a digest hit; ``start_source`` ignores what ``t`` names."""
-    first, second = COLLIDING
+def test_same_named_theories_start_from_their_own_goals():
+    """Two different theories named ``t``, started in turn and then the
+    first again: each start is from its own theory's goal."""
+    first, second = (load_theory(source) for source in COLLIDING)
     prover = ToyProver()
-    for source, goal in ((first, "p"), (second, "q -> q"), (first, "p")):
-        assert prover.load_theory(source) == "t"
-        _, state = prover.start("t", "g")
+    for theory, goal in ((first, "p"), (second, "q -> q"), (first, "p")):
+        _, state = prover.start(theory, "g")
         assert render(state.subgoals[0].goal) == goal
-    _, state = prover.start_source(second, "g")
-    assert render(state.subgoals[0].goal) == "q -> q"
 
 
-def test_theory_name_reads_the_header_as_load_theory_checks_it():
-    from stepwise.prover import theory_name
+@pytest.mark.parametrize("source,line,message", [
+    ("", 1, "empty source"),
+    ("  # only a comment\n\n", 1, "empty source"),
+    ("# c\n\naxiom f: p\n", 3, "expected a theory header first"),
+    ("theory\n", 1, "expected: theory <name>"),
+    ("\ntheory a b\nend\n", 2, "expected: theory <name>"),
+])
+def test_header_errors_keep_their_message_and_line(source, line, message):
+    with pytest.raises(TheoryParseError) as error:
+        load_theory(source)
+    assert (str(error.value), error.value.line) == (f"line {line}: {message}", line)
 
-    assert theory_name("# c\n\n theory  abc # x\nbroken body") == "abc"
-    for source in ("", "  # only a comment\n", "axiom f: p\n", "theory\n", "theory a b\n"):
-        with pytest.raises(TheoryParseError) as got:
-            theory_name(source)
-        with pytest.raises(TheoryParseError) as want:
-            load_theory(source)
-        assert (str(got.value), got.value.line) == (str(want.value), want.value.line)
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_rendered_bench_corpus_parses_back_to_itself(seed):
+    """The in-process ``start`` takes the ``Theory`` as built; the wire
+    ``start`` takes what its rendering parses to. They agree because
+    rendering round-trips."""
+    from stepwise.bench import generate_corpus
+
+    for theory in generate_corpus(seed):
+        assert load_theory(render_theory(theory)) == theory
 
 
 def test_apply_parse_error_category(chain_theory):
     prover = ToyProver()
-    prover.load_theory(render_theory(chain_theory))
-    token, _ = prover.start("demo", "t1")
+    token, _ = prover.start(chain_theory, "t1")
     [result], final = prover.replay(token, ["frobnicate hard"])
     assert result.category == "parse_error" and final is None
 
 
 def test_replay_soundness_for_all_ground_truth(chain_theory):
     prover = ToyProver()
-    prover.load_theory(render_theory(chain_theory))
     for entry in chain_theory.provable_entries():
         assert entry.proof is not None
-        token, _ = prover.start("demo", entry.name)
+        token, _ = prover.start(chain_theory, entry.name)
         results, final = prover.replay(token, entry.proof)
         assert all(r.ok for r in results) and final is not None
         assert results[-1].state.qed
@@ -783,10 +775,9 @@ def test_replay_matches_session_apply_and_stores_only_the_final_state(chain_theo
     """``replay`` gives what stepping a session gives, failure details
     included, stops after the first failure, and stores one snapshot."""
     prover = ToyProver()
-    prover.load_theory(render_theory(chain_theory))
     for steps in (["apply [f2]", "apply [f1]"], ["apply [f2]", "apply [f9]", "apply [f1]"],
                   ["simp", "apply [f2]"], [], ["apply [f2]", "apply [f1]", "intro"]):
-        token, _ = prover.start("demo", "t1")
+        token, _ = prover.start(chain_theory, "t1")
         sid = prover.restore(token)
         expected = []
         for step in steps:
@@ -806,9 +797,8 @@ def test_replay_matches_session_apply_and_stores_only_the_final_state(chain_theo
 
 def test_filter_soundness_on_ground_truth_paths(chain_theory):
     prover = ToyProver()
-    prover.load_theory(render_theory(chain_theory))
     for entry in chain_theory.provable_entries():
-        token, _ = prover.start("demo", entry.name)
+        token, _ = prover.start(chain_theory, entry.name)
         assert prover.counterexample_at(token).kind == "none"
         for step in entry.proof:
             [result], token = prover.replay(token, [step])

@@ -336,6 +336,39 @@ def test_prove_theorem_leaves_no_backend_objects(prover_server):
         remote.close()
 
 
+class _DownOnSecondCall(FixedPoolGenerator):
+    calls = 0
+
+    def generate(self, state):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("generator down")
+        return super().generate(state)
+
+
+class _HammerDown(ToyProver):
+    def hammer_at(self, token, config, pool=None):
+        raise RuntimeError("hammer down")
+
+
+@pytest.mark.parametrize("broken", ["generator", "fallback"])
+def test_a_raising_search_or_fallback_leaves_no_snapshots(demo_theory, broken):
+    """``intro`` opens a child of the root of ``p -> p`` that is not closed;
+    then the generator's second call, or the fallback's hammer, raises. The
+    error reaches the caller and the backend holds nothing, so a run that
+    goes on with the same backend does not pile up snapshots."""
+    from stepwise.engine import prove_theorem
+
+    config = EngineConfig(top_k=1, revision_enabled=False,
+                          max_iterations=1 if broken == "fallback" else 100)
+    prover = _HammerDown() if broken == "fallback" else ToyProver()
+    generator = (FixedPoolGenerator if broken == "fallback" else _DownOnSecondCall)(
+        [("intro", -0.1)])
+    with pytest.raises(RuntimeError, match="down"):
+        prove_theorem(demo_theory, "t2", config, backend=prover, generator=generator)
+    assert prover.stats() == {"sessions": 0, "snapshots": 0}
+
+
 def _timeless(report):
     return {**report, "stats": {k: v for k, v in report["stats"].items() if k != "wall_time"}}
 
@@ -532,7 +565,6 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
     import time
 
     from stepwise.filtering import SeenSet, filter_states
-    from stepwise.prover import render_theory
     from stepwise.revision import FailedAttempt, revise, tactic_frequencies
     from stepwise.search import SearchOutcome, SearchStats, reconstruct_proof
 
@@ -542,8 +574,7 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
     stats = SearchStats()
     context = theory.context_for(theorem_id)
     tactic_set = config.tactic_set or tactic_frequencies(theory)
-    backend.load_theory(render_theory(theory))
-    token, root_state = backend.start(theory.name, theorem_id)
+    token, root_state = backend.start(theory, theorem_id)
     opened = [token]
     root_state = root_state.with_context(context)
     tree = [SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0, token=token)]
