@@ -58,7 +58,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         "top_k": args.top_k,
         "alpha": args.alpha,
         "candidates_per_state": args.candidates,
-        "n_candidates": args.candidates,
         "max_iterations": args.max_iterations,
         "time_limit_s": args.time_limit,
         "node_budget": args.node_budget,

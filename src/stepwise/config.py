@@ -32,7 +32,6 @@ class EngineConfig:
     step_timeout_ms: int = 10_000
     # generator
     generator: str = "mock"  # mock | http
-    n_candidates: int = 128
     temperature: float = 1.0
     top_p: float = 0.95
     max_tokens: int = 2048
@@ -64,8 +63,6 @@ class EngineConfig:
             raise ConfigError(f"repair_rounds must be >= 0, got {self.repair_rounds}")
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
-        if self.n_candidates < 1:
-            raise ConfigError("n_candidates must be >= 1")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
         if self.top_matches < 1:

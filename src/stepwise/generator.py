@@ -83,7 +83,7 @@ def mock_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
     scored.sort(key=lambda item: (-item[0], item[1]))
     return [
         Candidate(step, min(lp, 0.0), "generated")
-        for lp, _, step in scored[:config.n_candidates]
+        for lp, _, step in scored[:config.candidates_per_state]
     ]
 
 
@@ -110,7 +110,7 @@ def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
         raise GeneratorError(f"no generator endpoint configured (set {ENDPOINT_ENV})")
     body = json.dumps({
         "prompt": build_prompt(state),
-        "n": config.n_candidates,
+        "n": config.candidates_per_state,
         "temperature": config.temperature,
         "top_p": config.top_p,
         "max_tokens": config.max_tokens,

@@ -1,16 +1,16 @@
 """Wire protocol between the search engine and a prover.
 
-Framing is newline-delimited JSON over a byte stream (pipe or TCP): one
-request object per line, one response per line, ordered per connection.
-Requests carry a monotonically increasing ``id`` echoed by the response,
-``timeout_ms`` bounds the command, and ``release`` names snapshots to drop
-before it runs. Set ``STEPWISE_PROTOCOL_TRACE=1`` to dump every frame to
-stderr.
+Framing is newline-delimited JSON over a byte stream (a TCP connection, or
+a socket pair to a child serving on its stdio): one request object per
+line, one response per line, ordered per connection. Requests carry a
+monotonically increasing ``id`` echoed by the response, ``timeout_ms``
+bounds the command, and ``release`` names snapshots to drop before it
+runs. Set ``STEPWISE_PROTOCOL_TRACE=1`` to dump every frame to stderr.
 
 The toy prover is the reference server; ``RemoteProver`` exposes the same
 token surface as the in-process backend, so either can sit behind the
 engine. Every command addresses immutable snapshot tokens: ``start``
-carries the theory source, which the server parses once per digest, and
+carries the theory source, which the server parses on each call, and
 returns the root's, ``apply_batch`` one per success in each of its
 ``(token, steps)`` groups and ``replay`` the end of a step chain, and
 ``counterexample`` and ``hammer`` take them. So a missed deadline loses
@@ -23,11 +23,10 @@ released.
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import itertools
 import json
 import os
-import select
 import socket
 import socketserver
 import subprocess
@@ -238,16 +237,15 @@ class ProverServer:
     """Reference protocol server over a shared in-process toy prover.
 
     One connection is one serial request stream; parallel clients use
-    separate connections. Each ``start`` starts from the theory its own
-    source parses to; the server is the one place that parses theory text
-    for a backend, once per source digest. It counts each known command and
-    its cumulative dispatch time for ``stats``.
+    separate connections. Each ``start`` parses its own source and starts
+    from that theory; the server keeps no theory, so one lives only as long
+    as something refers to it. It counts each known command and its
+    cumulative dispatch time for ``stats``.
     """
 
     def __init__(self, prover: ToyProver | None = None, trace: bool | None = None):
         self.prover = prover or ToyProver()
         self.trace = _trace_enabled(trace)
-        self._theories: dict[str, Theory] = {}  # source digest -> parsed theory
         self._commands: dict[str, list] = {}  # cmd -> [count, seconds]
         self._commands_lock = threading.Lock()
 
@@ -310,7 +308,7 @@ class ProverServer:
             return {"protocol": PROTOCOL_VERSION, "server": "stepwise-toy-prover",
                     "commands": list(COMMANDS)}, False
         if cmd == "start":
-            token, state = prover.start(self._theory(_text(payload, "source")),
+            token, state = prover.start(load_theory(_text(payload, "source")),
                                         _text(payload, "theorem"))
             return {"token": token, "state": state_to_wire(state)}, False
         if cmd == "apply_batch":
@@ -354,26 +352,10 @@ class ProverServer:
             return {}, True
         raise ProverError(f"unknown command {cmd!r}")
 
-    def _theory(self, source: str) -> Theory:
-        """``source`` parsed, once per digest. Connections share the cache:
-        of two racing first parses of one source, both get the one that
-        ``setdefault`` (atomic on a dict) stored first."""
-        digest = hashlib.sha256(source.encode()).hexdigest()
-        theory = self._theories.get(digest)
-        if theory is None:
-            theory = self._theories.setdefault(digest, load_theory(source))
-        return theory
-
     # -- entry points ----------------------------------------------------------
 
     def serve_stdio(self) -> None:
         self.handle_stream(sys.stdin.buffer, sys.stdout.buffer)
-
-    def serve_tcp(self, host: str = "127.0.0.1", port: int = 0):
-        """Blocking TCP loop; returns only when shut down externally."""
-        server = self.tcp_server(host, port)
-        with server:
-            server.serve_forever()
 
     def tcp_server(self, host: str = "127.0.0.1", port: int = 0) -> socketserver.ThreadingTCPServer:
         outer = self
@@ -429,12 +411,15 @@ def _cex_from_wire(obj: dict) -> CexResult:
 
 
 # ---------------------------------------------------------------------------
-# Client transports
+# Client transport
 # ---------------------------------------------------------------------------
 
-class TcpTransport:
-    def __init__(self, host: str, port: int):
-        self._sock = socket.create_connection((host, port))
+class SocketTransport:
+    """Line transport over a connected stream socket: a TCP connection or
+    one end of a socket pair whose other end is a child's stdin and stdout."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
         self._buffer = bytearray()
 
     def send_line(self, line: str) -> None:
@@ -444,19 +429,20 @@ class TcpTransport:
             raise TransportError(f"send failed: {e}") from e
 
     def recv_line(self, deadline: float | None) -> str:
+        """The next line; a line that is not UTF-8 raises
+        ``UnicodeDecodeError`` and is dropped."""
         while True:
             nl = self._buffer.find(b"\n")
             if nl >= 0:
-                line = self._buffer[:nl].decode("utf-8")
+                line = bytes(self._buffer[:nl])
                 del self._buffer[:nl + 1]
-                return line
+                return line.decode("utf-8")
+            timeout = None
             if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                timeout = deadline - time.monotonic()
+                if timeout <= 0:
                     raise DeadlineMiss
-                self._sock.settimeout(remaining)
-            else:
-                self._sock.settimeout(None)
+            self._sock.settimeout(timeout)
             try:
                 chunk = self._sock.recv(65536)
             except socket.timeout:
@@ -468,55 +454,7 @@ class TcpTransport:
             self._buffer.extend(chunk)
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-class PipeTransport:
-    """Line transport over a pair of file descriptors (e.g. a subprocess)."""
-
-    def __init__(self, read_fd: int, write_fd: int):
-        self._read_fd = read_fd
-        self._write_fd = write_fd
-        self._buffer = bytearray()
-
-    def send_line(self, line: str) -> None:
-        data = (line + "\n").encode("utf-8")
-        try:
-            while data:
-                written = os.write(self._write_fd, data)
-                data = data[written:]
-        except OSError as e:
-            raise TransportError(f"send failed: {e}") from e
-
-    def recv_line(self, deadline: float | None) -> str:
-        while True:
-            nl = self._buffer.find(b"\n")
-            if nl >= 0:
-                line = self._buffer[:nl].decode("utf-8")
-                del self._buffer[:nl + 1]
-                return line
-            timeout = None
-            if deadline is not None:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    raise DeadlineMiss
-            ready, _, _ = select.select([self._read_fd], [], [], timeout)
-            if not ready:
-                raise DeadlineMiss
-            chunk = os.read(self._read_fd, 65536)
-            if not chunk:
-                raise TransportError("connection lost")
-            self._buffer.extend(chunk)
-
-    def close(self) -> None:
-        for fd in (self._read_fd, self._write_fd):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
+        self._sock.close()
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +474,8 @@ class RemoteProver:
     The tokens in a discarded ``apply_batch`` or ``replay`` reply are
     released like any others. The counterexample verdicts an ``apply_batch``
     reply carries are kept until their tokens are released and answer
-    ``counterexamples_at`` locally.
+    ``counterexamples_at`` locally. A reply that is not UTF-8 or lacks
+    what its command promises raises ``ProtocolError`` naming its request.
     """
 
     def __init__(self, transport, grace_ms: int = 1000, trace: bool | None = None):
@@ -551,17 +490,20 @@ class RemoteProver:
 
     @classmethod
     def connect_tcp(cls, host: str, port: int, **kwargs) -> "RemoteProver":
-        return cls(TcpTransport(host, port), **kwargs)
+        return cls(SocketTransport(socket.create_connection((host, port))), **kwargs)
 
     @classmethod
     def spawn_stdio(cls, argv: list[str], **kwargs) -> "RemoteProver":
-        proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        # the transport closes its own copies of the pipe fds; the file
-        # objects close theirs here, so each fd is closed exactly once
-        with proc.stdout, proc.stdin:
-            transport = PipeTransport(os.dup(proc.stdout.fileno()),
-                                      os.dup(proc.stdin.fileno()))
-        client = cls(transport, **kwargs)
+        """Run ``argv`` with one end of a socket pair as its stdin and
+        stdout, and talk over the other."""
+        ours, theirs = socket.socketpair()
+        try:
+            with theirs:  # the child has its own copy
+                proc = subprocess.Popen(argv, stdin=theirs, stdout=theirs)
+        except BaseException:
+            ours.close()
+            raise
+        client = cls(SocketTransport(ours), **kwargs)
         client._proc = proc
         return client
 
@@ -590,6 +532,9 @@ class RemoteProver:
                 if cmd in ("apply_batch", "replay"):
                     self._missed[rid] = cmd
                 raise
+            except UnicodeDecodeError as e:
+                raise ProtocolError(f"reply to request {rid} is not UTF-8: {e}",
+                                    offending_id=rid) from e
             if self.trace:
                 _trace("recv", raw)
             resp = decode_response(raw)
@@ -598,7 +543,8 @@ class RemoteProver:
             if resp.id < rid:  # stale reply from an abandoned exchange
                 missed = self._missed.pop(resp.id, None)
                 if resp.ok and missed is not None:
-                    self._release.extend(_reply_tokens(missed, resp.payload))
+                    with _reply_to(resp.id):
+                        self._release.extend(_reply_tokens(missed, resp.payload))
                 continue
             raise ProtocolError(
                 f"response id {resp.id} arrived while waiting for {rid}",
@@ -618,9 +564,11 @@ class RemoteProver:
         return self._expect(self._call("init"))
 
     def start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
-        payload = self._expect(self._call(
-            "start", payload={"source": render_theory(theory), "theorem": theorem_id}))
-        return payload["token"], state_from_wire(payload["state"], EMPTY_CONTEXT)
+        resp = self._call(
+            "start", payload={"source": render_theory(theory), "theorem": theorem_id})
+        payload = self._expect(resp)
+        with _reply_to(resp.id):
+            return payload["token"], state_from_wire(payload["state"], EMPTY_CONTEXT)
 
     def apply_batch(self, groups, timeout_ms: int | None = None,
                     atom_limit: int | None = None) -> list[list[tuple[StepResult, str | None]]]:
@@ -637,25 +585,29 @@ class RemoteProver:
         if timeout_ms is not None:
             wait_ms = timeout_ms * sum(len(group["steps"]) for group in wire)
         try:
-            payload = self._expect(self._call(
-                "apply_batch", payload=request, timeout_ms=timeout_ms, wait_ms=wait_ms))
+            resp = self._call(
+                "apply_batch", payload=request, timeout_ms=timeout_ms, wait_ms=wait_ms)
         except DeadlineMiss:
             return [[(BARE_FAILURES["timeout"], None)] * len(group["steps"]) for group in wire]
+        payload = self._expect(resp)
         out: list[list[tuple[StepResult, str | None]]] = []
-        for items in payload["results"]:
-            results: list[tuple[StepResult, str | None]] = []
-            for item in items:
-                if isinstance(item, str):
-                    if item not in BARE_FAILURES:
-                        raise ProtocolError(f"unknown failure category {item!r}")
-                    results.append((BARE_FAILURES[item], None))
-                    continue
-                new_token = item["token"]
-                results.append((StepResult.success(
-                    state_from_wire(item["state"], EMPTY_CONTEXT)), new_token))
-                if "cex" in item:
-                    self._verdicts[new_token] = (atom_limit, _cex_from_wire(item["cex"]))
-            out.append(results)
+        with _reply_to(resp.id):
+            groups = payload["results"]
+            if len(groups) != len(wire) or any(
+                    len(items) > len(group["steps"]) for items, group in zip(groups, wire)):
+                raise ValueError("results do not match the groups sent")
+            for items in groups:
+                results: list[tuple[StepResult, str | None]] = []
+                for item in items:
+                    if isinstance(item, str):
+                        results.append((BARE_FAILURES[item], None))
+                        continue
+                    new_token = item["token"]
+                    results.append((StepResult.success(
+                        state_from_wire(item["state"], EMPTY_CONTEXT)), new_token))
+                    if "cex" in item:
+                        self._verdicts[new_token] = (atom_limit, _cex_from_wire(item["cex"]))
+                out.append(results)
         return out
 
     def replay(self, token: str, steps, timeout_ms: int | None = None
@@ -667,19 +619,20 @@ class RemoteProver:
         texts = _step_texts(steps)
         wait_ms = None if timeout_ms is None else timeout_ms * len(texts)
         try:
-            payload = self._expect(self._call(
-                "replay", payload={"token": token, "steps": texts},
-                timeout_ms=timeout_ms, wait_ms=wait_ms))
+            resp = self._call("replay", payload={"token": token, "steps": texts},
+                              timeout_ms=timeout_ms, wait_ms=wait_ms)
         except DeadlineMiss:
             return [StepResult.failure("timeout", f"no response within {wait_ms} ms")], None
+        payload = self._expect(resp)
         results = []
-        for item in payload["results"]:
-            if "category" not in item:
-                results.append(StepResult.success(state_from_wire(item, EMPTY_CONTEXT)))
-            elif item["category"] in ERROR_CATEGORIES:
-                results.append(StepResult.failure(item["category"], item["detail"]))
-            else:
-                raise ProtocolError(f"unknown failure category {item['category']!r}")
+        with _reply_to(resp.id):
+            for item in payload["results"]:
+                if "category" not in item:
+                    results.append(StepResult.success(state_from_wire(item, EMPTY_CONTEXT)))
+                elif item["category"] in ERROR_CATEGORIES:
+                    results.append(StepResult.failure(item["category"], item["detail"]))
+                else:
+                    raise ValueError(f"unknown failure category {item['category']!r}")
         return results, payload.get("token")
 
     def release(self, ids) -> None:
@@ -704,10 +657,14 @@ class RemoteProver:
         verdicts = [v[1] if v is not None and v[0] == atom_limit else None for v in kept]
         missing = [token for token, v in zip(tokens, verdicts) if v is None]
         if missing:
-            reply = self._expect(self._call(
-                "counterexample", payload={"tokens": missing, "atom_limit": atom_limit}))
-            fetched = iter(reply["results"])
-            verdicts = [v if v is not None else _cex_from_wire(next(fetched)) for v in verdicts]
+            resp = self._call(
+                "counterexample", payload={"tokens": missing, "atom_limit": atom_limit})
+            reply = self._expect(resp)
+            with _reply_to(resp.id):
+                if len(reply["results"]) != len(missing):
+                    raise ValueError(f"not one verdict for each of {len(missing)} tokens")
+                fetched = iter([_cex_from_wire(v) for v in reply["results"]])
+            verdicts = [v if v is not None else next(fetched) for v in verdicts]
         return verdicts
 
     def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
@@ -717,11 +674,12 @@ class RemoteProver:
                          "budget_ms": config.budget_ms}
         if pool is not None:
             payload["pool"] = list(pool)
-        reply = self._expect(self._call(
-            "hammer", payload=payload, timeout_ms=config.budget_ms + 5000))
-        if reply["result"] == "found":
-            return HammerResult("found", tuple(parse_step(s) for s in reply["steps"]))
-        return HammerResult(reply["result"])
+        resp = self._call("hammer", payload=payload, timeout_ms=config.budget_ms + 5000)
+        reply = self._expect(resp)
+        with _reply_to(resp.id):
+            if reply["result"] == "found":
+                return HammerResult("found", tuple(parse_step(s) for s in reply["steps"]))
+            return HammerResult(reply["result"])
 
     def close(self) -> None:
         """Send ``shutdown``, which carries any release still pending, and
@@ -736,6 +694,17 @@ class RemoteProver:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+
+
+@contextlib.contextmanager
+def _reply_to(rid: int):
+    """Reading the payload of the reply to request ``rid``: a reply without
+    the shape its command promises raises ``ProtocolError`` naming ``rid``."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
+        raise ProtocolError(f"malformed reply to request {rid}: {e!r}",
+                            offending_id=rid) from e
 
 
 def _reply_tokens(cmd: str, payload: dict) -> list[str]:

@@ -233,10 +233,9 @@ def test_criterion_8_protocol_differential(bench_corpus):
 
     # deadline misses on the token surface (fake server that answers late)
     from test_protocol import _SlowServer
-    from stepwise.protocol import TcpTransport
 
     slow = _SlowServer(delay_s=0.5)
-    late_client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
+    late_client = RemoteProver.connect_tcp("127.0.0.1", slow.port, grace_ms=100)
     [[(missed_batch, none)]] = late_client.apply_batch([("c0", ["intro"])], timeout_ms=50)
     assert (missed_batch.category, none) == ("timeout", None)
     [missed_replay], none = late_client.replay("c0", ["intro"], timeout_ms=50)

@@ -58,7 +58,6 @@ def test_defaults_match_module_declarations():
     assert config.alpha == 1.0
     assert config.top_k == 5
     assert config.candidates_per_state == 128
-    assert config.n_candidates == 128
     assert config.temperature == 1.0
     assert config.top_p == 0.95
     assert config.max_tokens == 2048
@@ -140,7 +139,6 @@ FIELD_SAMPLES = {
     "atom_limit": ("12", 12),
     "step_timeout_ms": ("500", 500),
     "generator": ("http", "http"),
-    "n_candidates": ("8", 8),
     "temperature": ("0.3", 0.3),
     "top_p": ("0.5", 0.5),
     "max_tokens": ("64", 64),
@@ -190,7 +188,7 @@ def test_config_file_jobs_key_is_unknown(tmp_path):
 
 
 INVALID_VALUES = [
-    ("top_k", 0), ("alpha", -0.5), ("n_candidates", 0), ("top_p", 0.0),
+    ("top_k", 0), ("alpha", -0.5), ("top_p", 0.0),
     ("top_p", 1.5), ("top_matches", 0), ("hammer_states", 0),
     ("mesh_weight", -0.1), ("mesh_weight", 1.5), ("atom_limit", -1),
     ("atom_limit", MAX_ATOM_LIMIT + 1),

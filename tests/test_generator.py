@@ -72,7 +72,7 @@ def test_mock_overlap_weighting_without_perturbation():
 def test_mock_top1_is_max_weight():
     ctx = ctx_of(f1="p -> q", f2="r")
     out = mock_generate(state_of("q", ctx),
-                        EngineConfig(seed=0, temperature=0.0, n_candidates=1))
+                        EngineConfig(seed=0, temperature=0.0, candidates_per_state=1))
     assert len(out) == 1
     assert out[0].step.text() in ("apply [f1]", "elim [f1]")
 
@@ -118,7 +118,7 @@ def test_mock_is_function_of_canonical_state():
 def test_generator_config_validation():
     # the generator's fields are checked where the one config is built
     with pytest.raises(ConfigError):
-        EngineConfig(n_candidates=0)
+        EngineConfig(candidates_per_state=0)
     with pytest.raises(ConfigError):
         EngineConfig(top_p=0.0)
 
@@ -195,7 +195,7 @@ def test_llm_rank_fallback_without_logprobs(fake_llm):
 def test_llm_sends_sampling_parameters(fake_llm):
     _, endpoint = fake_llm
     _FakeCompletionHandler.choices = [{"text": "intro", "token_logprobs": [-1.0]}]
-    config = EngineConfig(endpoint=endpoint, n_candidates=32,
+    config = EngineConfig(endpoint=endpoint, candidates_per_state=32,
                           temperature=0.7, top_p=0.9, max_tokens=512)
     llm_generate(state_of("p"), config)
     sent = _FakeCompletionHandler.requests[-1]
@@ -220,6 +220,6 @@ def test_llm_endpoint_from_environment(fake_llm, monkeypatch):
 
 
 def test_mock_generator_wrapper_applies_config():
-    gen = MockGenerator(EngineConfig(seed=2, n_candidates=3))
+    gen = MockGenerator(EngineConfig(seed=2, candidates_per_state=3))
     out = gen.generate(state_of("p"))
     assert len(out) == 3

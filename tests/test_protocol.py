@@ -1,23 +1,26 @@
 import gc
 import json
-import os
 import random
+import re
 import socket
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_first_counterexample, random_formula, replay_chain
-from stepwise.core import ERROR_CATEGORIES, ProofStep, canonical_state
+from stepwise.core import ERROR_CATEGORIES, ProofStep, Theory, canonical_state
 from stepwise.formulas import render
-from stepwise.prover import ToyProver, TheoryParseError, load_theory, render_theory
+from stepwise.prover import ToyProver, TheoryParseError, load_theory
 from stepwise.protocol import (
     COMMANDS,
+    PROTOCOL_VERSION,
     BackendError,
     ProtocolError,
     ProverServer,
@@ -215,35 +218,6 @@ def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
     assert verdict.kind == "counterexample" and verdict.assignment == {"p": True, "q": False}
 
 
-def test_theory_cache_reported(monkeypatch):
-    """``start`` carries its theory's rendered source, and the server
-    parses each distinct source once, whichever connection sends it."""
-    import stepwise.protocol as protocol
-
-    parsed = []
-    monkeypatch.setattr(protocol, "load_theory",
-                        lambda source: parsed.append(source) or load_theory(source))
-    other = load_theory(THEORY.replace("t2: p -> p", "t2: q -> q"))
-    server = ProverServer(trace=False)
-    tcp = server.tcp_server(port=0)
-    threading.Thread(target=tcp.serve_forever, daemon=True).start()
-    clients = [RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1]) for _ in range(2)]
-    try:
-        for client in clients:
-            client.start(PROTO, "t1")
-            client.start(PROTO, "t2")
-        assert parsed == [render_theory(PROTO)]
-        _, state = clients[0].start(other, "t2")
-        assert render(state.subgoals[0].goal) == "q -> q"
-        assert parsed == [render_theory(PROTO), render_theory(other)]
-        assert _counts(clients[0]) == {"start": 5}
-    finally:
-        for client in clients:
-            client.close()
-        tcp.shutdown()
-        tcp.server_close()
-
-
 def _counts(client):
     """Requests per command the server has answered before this ``stats``."""
     return {cmd: entry["count"] for cmd, entry in client.stats()["commands"].items()}
@@ -270,7 +244,8 @@ def test_malformed_start_source_is_a_parse_error_naming_its_line(client):
 
 def test_theory_names_do_not_collide_across_connections(tcp_server):
     """Two clients start from different theories both named ``t``, the
-    first again after the second: each starts from its own theory's goal."""
+    first again after the second: each starts from its own theory's goal.
+    ``stats`` counts the requests of both connections."""
     from test_prover import COLLIDING
 
     clients = [RemoteProver.connect_tcp("127.0.0.1", tcp_server) for _ in COLLIDING]
@@ -283,6 +258,7 @@ def test_theory_names_do_not_collide_across_connections(tcp_server):
                 verdict = client.counterexample_at(token).kind
                 assert verdict == ("counterexample" if goal == "p" else "none")
                 client.release([token])
+        assert _counts(clients[0]) == {"start": 4, "counterexample": 4}
     finally:
         for client in clients:
             client.close()
@@ -885,10 +861,8 @@ class _SlowServer:
 
 
 def test_replay_deadline_miss_gives_one_timeout_and_needs_no_recovery():
-    from stepwise.protocol import TcpTransport
-
     slow = _SlowServer(delay_s=0.6)
-    client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
+    client = RemoteProver.connect_tcp("127.0.0.1", slow.port, grace_ms=100)
     # a budget of 50 ms per step: the reply is awaited 3 * 50 + 100 ms
     results, token = client.replay("c0", ["intro", "split", "simp"], timeout_ms=50)
     assert [r.category for r in results] == ["timeout"] and token is None
@@ -906,10 +880,8 @@ def test_replay_deadline_miss_gives_one_timeout_and_needs_no_recovery():
 
 
 def test_batch_deadline_miss_times_out_every_step_and_needs_no_restore():
-    from stepwise.protocol import TcpTransport
-
     slow = _SlowServer(delay_s=0.6)
-    client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
+    client = RemoteProver.connect_tcp("127.0.0.1", slow.port, grace_ms=100)
     # a budget of 50 ms per step: the reply is awaited 3 * 50 + 100 ms
     missed = client.apply_batch([("c0", ["intro", "split"]), ("c1", ["simp"]), ("c2", [])],
                                 timeout_ms=50)
@@ -928,10 +900,8 @@ def test_batch_deadline_miss_times_out_every_step_and_needs_no_restore():
 def test_missed_batch_snapshots_ride_on_the_next_request():
     """The late reply's tokens, read while the next request waits, go with
     the request after it, ahead of what ``release`` queued since."""
-    from stepwise.protocol import TcpTransport
-
     slow = _SlowServer(delay_s=0.6)
-    client = RemoteProver(TcpTransport("127.0.0.1", slow.port), grace_ms=100)
+    client = RemoteProver.connect_tcp("127.0.0.1", slow.port, grace_ms=100)
     client.apply_batch([("c0", ["intro", "split"]), ("c1", ["simp"])],
                        timeout_ms=50)  # request 1 misses
     client.apply_batch([("c0", ["intro"])], timeout_ms=5000)  # reads the late reply to 1
@@ -944,10 +914,8 @@ def test_missed_batch_snapshots_ride_on_the_next_request():
 
 
 def test_pending_releases_ride_on_shutdown():
-    from stepwise.protocol import TcpTransport
-
     slow = _SlowServer()
-    client = RemoteProver(TcpTransport("127.0.0.1", slow.port))
+    client = RemoteProver.connect_tcp("127.0.0.1", slow.port, grace_ms=100)
     client.release(["c0"])
     client.release(["c1", "c2"])
     client.close()
@@ -1054,50 +1022,112 @@ def test_missed_replay_leaves_no_server_objects_once_its_reply_is_read():
 
 
 class _GarbageServer:
-    def __init__(self, line: bytes):
+    """Accepts one connection and answers its requests, in order, with the
+    given raw bytes (``b""`` answers nothing), then closes it."""
+
+    def __init__(self, *replies: bytes):
         self.sock = socket.create_server(("127.0.0.1", 0))
         self.port = self.sock.getsockname()[1]
-        self.line = line
+        self.replies = replies
         threading.Thread(target=self._run, daemon=True).start()
 
     def _run(self):
         conn, _ = self.sock.accept()
         with conn:
-            conn.recv(65536)
-            conn.sendall(self.line)
+            for reply in self.replies:
+                conn.recv(65536)
+                conn.sendall(reply)
 
     def close(self):
         self.sock.close()
 
 
-def test_malformed_response_line_is_protocol_error():
-    garbage = _GarbageServer(b"!!not json!!\n")
-    from stepwise.protocol import TcpTransport
+@pytest.fixture
+def garbage_client():
+    """Connects a client to a ``_GarbageServer`` sending ``replies``."""
+    opened = []
 
-    client = RemoteProver(TcpTransport("127.0.0.1", garbage.port))
+    def connect(*replies, **kwargs):
+        garbage = _GarbageServer(*replies)
+        client = RemoteProver.connect_tcp("127.0.0.1", garbage.port, **kwargs)
+        opened.append((garbage, client))
+        return client
+
+    yield connect
+    for garbage, client in opened:
+        client.transport.close()
+        garbage.close()
+
+
+def test_malformed_response_line_is_protocol_error(garbage_client):
+    client = garbage_client(b"!!not json!!\n")
     with pytest.raises(ProtocolError):
         client.init()
-    client.transport.close()
-    garbage.close()
 
 
-def test_mismatched_future_id_names_the_offender():
-    garbage = _GarbageServer(b'{"id": 99, "ok": true, "payload": {}}\n')
-    from stepwise.protocol import TcpTransport
-
-    client = RemoteProver(TcpTransport("127.0.0.1", garbage.port))
+def test_mismatched_future_id_names_the_offender(garbage_client):
+    client = garbage_client(b'{"id": 99, "ok": true, "payload": {}}\n')
     with pytest.raises(ProtocolError) as err:
         client.init()
     assert err.value.offending_id == 99
-    client.transport.close()
-    garbage.close()
+
+
+def test_reply_that_is_not_utf8_is_protocol_error_naming_the_request(garbage_client):
+    client = garbage_client(b'{"id": 1, "ok": true, "payload": {"server": "\xff"}}\n')
+    with pytest.raises(ProtocolError) as err:
+        client.init()
+    assert err.value.offending_id == 1 and "request 1" in str(err.value)
+
+
+def test_start_reply_without_token_is_protocol_error_naming_the_request(garbage_client):
+    state = json.dumps({"subgoals": [{"hyps": [], "goal": "q"}], "depth": 0})
+    client = garbage_client(b'{"id": 1, "ok": true, "payload": {"state": %s}}\n'
+                            % state.encode())
+    with pytest.raises(ProtocolError) as err:
+        client.start(PROTO, "t1")
+    assert err.value.offending_id == 1 and "request 1" in str(err.value)
+
+
+@pytest.mark.parametrize("results", [
+    None,  # no results at all
+    [[]],  # one result list for two groups
+    [["timeout", "timeout"], []],  # two results for a group of one step
+])
+def test_malformed_apply_batch_reply_is_protocol_error_naming_the_request(
+        garbage_client, results):
+    payload = {} if results is None else {"results": results}
+    client = garbage_client(json.dumps({"id": 1, "ok": True, "payload": payload}).encode()
+                            + b"\n")
+    with pytest.raises(ProtocolError) as err:
+        client.apply_batch([("c0", ["intro"]), ("c1", ["simp"])])
+    assert err.value.offending_id == 1 and "request 1" in str(err.value)
+
+
+def test_stale_batch_reply_without_results_is_protocol_error_naming_it(garbage_client):
+    client = garbage_client(b"", b'{"id": 1, "ok": true, "payload": {}}\n'
+                                 b'{"id": 2, "ok": true, "payload": {}}\n', grace_ms=100)
+    [[(missed, _)]] = client.apply_batch([("c0", ["intro"])], timeout_ms=1)
+    assert missed.category == "timeout"
+    with pytest.raises(ProtocolError) as err:
+        client.init()  # reads the late reply to request 1 first
+    assert err.value.offending_id == 1 and "request 1" in str(err.value)
+
+
+def test_counterexample_reply_short_of_verdicts_is_protocol_error(garbage_client):
+    client = garbage_client(b'{"id": 1, "ok": true, "payload": '
+                            b'{"results": [{"result": "none"}]}}\n')
+    with pytest.raises(ProtocolError) as err:
+        client.counterexamples_at(["c0", "c1"])
+    assert err.value.offending_id == 1 and "request 1" in str(err.value)
 
 
 # -- stdio transport ------------------------------------------------------------------
 
+SERVE_STDIO = [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"]
+
+
 def test_stdio_subprocess_server_round_trip():
-    client = RemoteProver.spawn_stdio(
-        [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"])
+    client = RemoteProver.spawn_stdio(SERVE_STDIO)
     try:
         token, _ = client.start(PROTO, "t2")
         [result], token = client.replay(token, ["intro"], timeout_ms=10_000)
@@ -1108,21 +1138,58 @@ def test_stdio_subprocess_server_round_trip():
         client.close()
 
 
-def test_stdio_close_closes_each_pipe_once():
-    client = RemoteProver.spawn_stdio(
-        [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"])
-    proc, transport = client._proc, client.transport
-    assert client.init()["protocol"] == 6
+def test_stdio_close_closes_the_socket_and_the_child():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
+        client = RemoteProver.spawn_stdio(SERVE_STDIO)
+        proc, sock = client._proc, client.transport._sock
+        assert client.init()["protocol"] == PROTOCOL_VERSION
         client.close()
-        assert proc.stdin.closed and proc.stdout.closed
-        for fd in (transport._read_fd, transport._write_fd):
-            with pytest.raises(OSError):
-                os.fstat(fd)
-        del client, proc, transport
+        assert sock.fileno() == -1 and proc.returncode == 0
+        del client, proc, sock
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_stdio_server_over_os_pipes():
+    """``serve --stdio`` answers on plain pipes, not only on a socket pair."""
+    requests = [{"id": 1, "cmd": "init"},
+                {"id": 2, "cmd": "start", "payload": {"source": THEORY, "theorem": "t2"}},
+                {"id": 3, "cmd": "shutdown"}]
+    done = subprocess.run(SERVE_STDIO, capture_output=True, timeout=60,
+                          input="".join(json.dumps(r) + "\n" for r in requests).encode())
+    assert done.returncode == 0
+    replies = [json.loads(line) for line in done.stdout.decode().splitlines()]
+    assert [(r["id"], r["ok"]) for r in replies] == [(1, True), (2, True), (3, True)]
+    assert replies[0]["payload"]["protocol"] == PROTOCOL_VERSION
+    assert replies[1]["payload"]["state"]["subgoals"] == [{"hyps": [], "goal": "p -> p"}]
+    assert replies[2]["payload"] == {}
+
+
+def test_started_theories_are_freed_once_their_tokens_are_released():
+    """The server keeps no parsed theory: once the snapshots of 50
+    distinct sources are released, none of their theories is alive."""
+    server = ProverServer(trace=False)
+    names = {f"proto{i}" for i in range(50)}
+    tokens = []
+    for rid, name in enumerate(sorted(names), 1):
+        source = THEORY.replace("theory proto", f"theory {name}")
+        response, _ = server.handle_line(json.dumps(
+            {"id": rid, "cmd": "start", "payload": {"source": source, "theorem": "t1"}}))
+        tokens.append(response.payload["token"])
+    response, _ = server.handle_line(json.dumps(
+        {"id": 51, "cmd": "stats", "payload": {}, "release": tokens}))
+    assert response.payload["snapshots"] == 0
+    gc.collect()
+    assert [t for t in gc.get_objects() if isinstance(t, Theory) and t.name in names] == []
+
+
+def test_protocol_doc_covers_every_command_and_the_version():
+    """docs/protocol.md has one section per command, no other, and names
+    the current version first."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
+    assert sorted(re.findall(r"^### `([^`]*)`", doc, re.MULTILINE)) == sorted(COMMANDS)
+    assert re.search(r"\bversion (\d+)\b", doc).group(1) == str(PROTOCOL_VERSION)
 
 
 def test_trace_env_dumps_frames(tcp_server, monkeypatch, capsys):
