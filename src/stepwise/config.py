@@ -69,6 +69,12 @@ class EngineConfig:
             raise ConfigError("top_matches must be >= 1")
         if self.hammer_states < 1:
             raise ConfigError("hammer_states must be >= 1")
+        # the server's bounds: a negative premise limit would cut the pool's last facts
+        if self.hammer_depth < 0:
+            raise ConfigError(f"hammer_depth must be >= 0, got {self.hammer_depth}")
+        if self.hammer_premise_limit < 0:
+            raise ConfigError(
+                f"hammer_premise_limit must be >= 0, got {self.hammer_premise_limit}")
         if self.hammer_timeout_s < 0.001:  # the hammer's budget is whole ms
             raise ConfigError(f"hammer_timeout_s must be >= 0.001, got {self.hammer_timeout_s}")
         if not 0 <= self.mesh_weight <= 1:

@@ -1,15 +1,14 @@
-"""Proof-state filtering: duplicate detection and counterexample pruning."""
+"""Proof-state filtering: duplicate detection and counterexample pruning.
+
+The counterexample verdicts come with the states: the backend's
+``apply_batch`` computes one for each success with open subgoals.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .core import Candidate, ProofState, canonical_state
-from .prover import CexResult
-
-# one call per filter pass: a verdict for each state, in order
-Oracle = Callable[[list[ProofState]], list[CexResult]]
+from .core import ProofState, canonical_state
 
 
 @dataclass
@@ -44,29 +43,23 @@ def is_duplicate(state: ProofState, seen: SeenSet) -> bool:
     return False
 
 
-def filter_states(candidates: list[tuple[ProofState, Candidate]], seen: SeenSet,
-                  oracle: Oracle) -> tuple[list[tuple[ProofState, Candidate]], FilterStats]:
-    """Drop duplicates first (cheap key lookup), then the states the oracle
-    falsifies, asking it once about every survivor of the first check;
-    Unknown verdicts keep the state and are counted. Survivor order is
-    preserved. Returns the kept list and this call's stats delta; the
-    SeenSet accumulates totals."""
+def filter_states(items: list[tuple], seen: SeenSet) -> tuple[list[tuple], FilterStats]:
+    """Each item is a tuple whose first two entries are a state and its
+    ``CexResult`` verdict. Drop the duplicates (cheap key lookup), then the
+    states their verdict falsifies; Unknown verdicts keep the state and are
+    counted. Kept items come back as given, in order. Returns the kept list
+    and this call's stats delta; the SeenSet accumulates totals."""
     delta = FilterStats()
-    fresh: list[tuple[ProofState, Candidate]] = []
-    for state, cand in candidates:
+    kept = []
+    for item in items:
+        state, verdict = item[0], item[1]
         if is_duplicate(state, seen):
             delta.duplicates_rejected += 1
-            continue
-        fresh.append((state, cand))
-    kept = []
-    verdicts = oracle([state for state, _ in fresh]) if fresh else []
-    for pair, verdict in zip(fresh, verdicts, strict=True):
-        if verdict.kind == "counterexample":
+        elif verdict.kind == "counterexample":
             delta.counterexamples_rejected += 1
-            continue
-        if verdict.kind == "unknown":
-            delta.unknown_oracle += 1
-        kept.append(pair)
+        else:
+            delta.unknown_oracle += verdict.kind == "unknown"
+            kept.append(item)
     seen.stats.merge(delta)
     return kept, delta
 

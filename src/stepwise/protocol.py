@@ -13,12 +13,11 @@ engine. Every command addresses immutable snapshot tokens: ``start``
 carries the theory source, which the server parses on each call, and
 returns the root's, ``apply_batch`` one per success in each of its
 ``(token, steps)`` groups and ``replay`` the end of a step chain, and
-``counterexample`` and ``hammer`` take them. So a missed deadline loses
-only that reply; the snapshots a late ``apply_batch`` or ``replay`` reply
-names ride, like every release, on the client's next request. An
-``apply_batch`` that carries an ``atom_limit`` gets each open success's
-counterexample verdict with it, which the client keeps until the token is
-released.
+``hammer`` takes one. So a missed deadline loses only that reply; the
+snapshots a late ``apply_batch`` or ``replay`` reply names ride, like every
+release, on the client's next request. An ``apply_batch`` that carries an
+``atom_limit`` gets each open success's counterexample verdict with it,
+which is the only way a verdict crosses the wire.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .core import (
     state_to_wire,
 )
 from .prover import (
-    MAX_ATOM_LIMIT,
     CexResult,
     HammerConfig,
     HammerResult,
@@ -60,10 +58,9 @@ from .formulas import ParseError
 
 TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
-COMMANDS = ("init", "start", "apply_batch", "replay", "counterexample", "hammer",
-            "stats", "shutdown")
+COMMANDS = ("init", "start", "apply_batch", "replay", "hammer", "stats", "shutdown")
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 
 class ProtocolError(Exception):
@@ -180,13 +177,6 @@ def _int(payload: dict, key: str, default: int, least: int) -> int:
     return value
 
 
-def _atom_limit(payload: dict) -> int:
-    limit = _int(payload, "atom_limit", 16, 0)
-    if limit > MAX_ATOM_LIMIT:
-        raise ValueError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {limit}")
-    return limit
-
-
 def encode_response(resp: Response) -> str:
     obj: dict = {"id": resp.id, "ok": resp.ok}
     if resp.ok:
@@ -253,12 +243,16 @@ class ProverServer:
 
     def handle_stream(self, rfile, wfile) -> None:
         for raw in rfile:
-            line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
-            if not line.strip():
-                continue
-            if self.trace:
-                _trace("recv", line)
-            response, shutdown = self.handle_line(line)
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as e:  # answered as an undecodable line, never run
+                response, shutdown = _protocol_error(0, f"request line is not UTF-8: {e}"), False
+            else:
+                if not line.strip():
+                    continue
+                if self.trace:
+                    _trace("recv", line)
+                response, shutdown = self.handle_line(line)
             out = encode_response(response)
             if self.trace:
                 _trace("send", out)
@@ -272,8 +266,7 @@ class ProverServer:
             req = decode_request(line)
         except ProtocolError as e:
             rid = e.offending_id if e.offending_id is not None else 0
-            return Response(rid, False, None,
-                            {"category": "protocol_error", "detail": str(e)}), False
+            return _protocol_error(rid, str(e)), False
         started = time.perf_counter()
         try:
             # released first, so the ids go even when the command then fails
@@ -287,9 +280,7 @@ class ProverServer:
             return Response(req.id, False, None,
                             {"category": "parse_error", "detail": str(e)}), False
         except (KeyError, TypeError, ValueError, RecursionError) as e:
-            return Response(req.id, False, None,
-                            {"category": "protocol_error",
-                             "detail": f"bad payload for {req.cmd}: {e}"}), False
+            return _protocol_error(req.id, f"bad payload for {req.cmd}: {e}"), False
         finally:
             if req.cmd in COMMANDS:
                 elapsed = time.perf_counter() - started
@@ -314,10 +305,9 @@ class ProverServer:
         if cmd == "apply_batch":
             groups = [(_text(group, "token"), _texts(group, "steps"))
                       for group in _dicts(payload, "groups")]
-            atom_limit = _atom_limit(payload) if "atom_limit" in payload else None
-            return {"results": [[_batch_item(prover, result, new_token, atom_limit)
-                                 for result, new_token in results]
-                                for results in prover.apply_batch(groups, req.timeout_ms)]
+            atom_limit = _int(payload, "atom_limit", 0, 0) if "atom_limit" in payload else None
+            return {"results": [[_batch_item(*item) for item in results] for results
+                                in prover.apply_batch(groups, req.timeout_ms, atom_limit)]
                     }, False
         if cmd == "replay":
             results, token = prover.replay(_text(payload, "token"), _texts(payload, "steps"),
@@ -328,9 +318,6 @@ class ProverServer:
             if token is not None:
                 reply["token"] = token
             return reply, False
-        if cmd == "counterexample":
-            verdicts = prover.counterexamples_at(_texts(payload, "tokens"), _atom_limit(payload))
-            return {"results": [_cex_to_wire(v) for v in verdicts]}, False
         if cmd == "hammer":
             config = HammerConfig(
                 max_depth=_int(payload, "max_depth", HammerConfig.max_depth, 0),
@@ -374,16 +361,18 @@ class ProverServer:
         return Server((host, port), Handler)
 
 
-def _batch_item(prover: ToyProver, result: StepResult, token: str | None,
-                atom_limit: int | None):
+def _protocol_error(rid: int, detail: str) -> Response:
+    return Response(rid, False, None, {"category": "protocol_error", "detail": detail})
+
+
+def _batch_item(result: StepResult, token: str | None, verdict: CexResult | None):
     """One ``apply_batch`` result on the wire: a failure's bare category, or
-    a success's token and state, with the verdict on it given ``atom_limit``
-    when it has open subgoals."""
+    a success's token and state, with its verdict when it has one."""
     if not result.ok:
         return result.category
     item = {"token": token, "state": state_to_wire(result.state)}
-    if atom_limit is not None and not result.state.qed:
-        item["cex"] = _cex_to_wire(prover.counterexample_at(token, atom_limit))
+    if verdict is not None:
+        item["cex"] = _cex_to_wire(verdict)
     return item
 
 
@@ -407,7 +396,9 @@ def _cex_from_wire(obj: dict) -> CexResult:
                                int(obj["subgoal_index"]))
     if kind == "unknown":
         return CexResult.unknown(obj.get("reason", ""))
-    return CexResult.none()
+    if kind == "none":
+        return CexResult.none()
+    raise ValueError(f"unknown verdict {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +463,8 @@ class RemoteProver:
     recovery. Stale frames (ids below the pending request) are discarded,
     anything else out of order is a protocol error naming the offending id.
     The tokens in a discarded ``apply_batch`` or ``replay`` reply are
-    released like any others. The counterexample verdicts an ``apply_batch``
-    reply carries are kept until their tokens are released and answer
-    ``counterexamples_at`` locally. A reply that is not UTF-8 or lacks
-    what its command promises raises ``ProtocolError`` naming its request.
+    released like any others. A reply that is not UTF-8 or lacks what its
+    command promises raises ``ProtocolError`` naming its request.
     """
 
     def __init__(self, transport, grace_ms: int = 1000, trace: bool | None = None):
@@ -485,7 +474,6 @@ class RemoteProver:
         self._ids = itertools.count(1)
         self._missed: dict[int, str] = {}  # id -> cmd of apply_batch and replay requests given up on
         self._release: list[str] = []  # ids for the next request to release
-        self._verdicts: dict[str, tuple[int, CexResult]] = {}  # token -> (atom_limit, verdict)
         self._proc: subprocess.Popen | None = None
 
     @classmethod
@@ -570,13 +558,13 @@ class RemoteProver:
         with _reply_to(resp.id):
             return payload["token"], state_from_wire(payload["state"], EMPTY_CONTEXT)
 
-    def apply_batch(self, groups, timeout_ms: int | None = None,
-                    atom_limit: int | None = None) -> list[list[tuple[StepResult, str | None]]]:
+    def apply_batch(self, groups, timeout_ms: int | None = None, atom_limit: int | None = None
+                    ) -> list[list[tuple[StepResult, str | None, CexResult | None]]]:
         """One round trip for every ``(token, steps)`` group (see
-        ``ToyProver.apply_batch``). With ``atom_limit`` the reply carries the
-        counterexample verdict of each success with open subgoals, kept for
-        ``counterexamples_at``. The reply is awaited for the sum of all the
-        step budgets plus grace; on a miss every step reports ``timeout``."""
+        ``ToyProver.apply_batch``). With ``atom_limit`` the reply must carry
+        the counterexample verdict of each success with open subgoals. The
+        reply is awaited for the sum of all the step budgets plus grace; on
+        a miss every step reports ``timeout``."""
         wire = [{"token": token, "steps": _step_texts(steps)} for token, steps in groups]
         request: dict = {"groups": wire}
         if atom_limit is not None:
@@ -588,25 +576,26 @@ class RemoteProver:
             resp = self._call(
                 "apply_batch", payload=request, timeout_ms=timeout_ms, wait_ms=wait_ms)
         except DeadlineMiss:
-            return [[(BARE_FAILURES["timeout"], None)] * len(group["steps"]) for group in wire]
+            return [[(BARE_FAILURES["timeout"], None, None)] * len(group["steps"])
+                    for group in wire]
         payload = self._expect(resp)
-        out: list[list[tuple[StepResult, str | None]]] = []
+        out: list[list[tuple[StepResult, str | None, CexResult | None]]] = []
         with _reply_to(resp.id):
             groups = payload["results"]
             if len(groups) != len(wire) or any(
                     len(items) > len(group["steps"]) for items, group in zip(groups, wire)):
                 raise ValueError("results do not match the groups sent")
             for items in groups:
-                results: list[tuple[StepResult, str | None]] = []
+                results: list[tuple[StepResult, str | None, CexResult | None]] = []
                 for item in items:
                     if isinstance(item, str):
-                        results.append((BARE_FAILURES[item], None))
+                        results.append((BARE_FAILURES[item], None, None))
                         continue
-                    new_token = item["token"]
-                    results.append((StepResult.success(
-                        state_from_wire(item["state"], EMPTY_CONTEXT)), new_token))
-                    if "cex" in item:
-                        self._verdicts[new_token] = (atom_limit, _cex_from_wire(item["cex"]))
+                    state = state_from_wire(item["state"], EMPTY_CONTEXT)
+                    verdict = None
+                    if atom_limit is not None and not state.qed:
+                        verdict = _cex_from_wire(item["cex"])
+                    results.append((StepResult.success(state), item["token"], verdict))
                 out.append(results)
         return out
 
@@ -636,36 +625,11 @@ class RemoteProver:
         return results, payload.get("token")
 
     def release(self, ids) -> None:
-        """Queue ``ids`` for the next request to release, and forget their
-        verdicts."""
-        for name in ids:
-            self._release.append(name)
-            self._verdicts.pop(name, None)
+        """Queue ``ids`` for the next request to release."""
+        self._release.extend(ids)
 
     def stats(self) -> dict:
         return self._expect(self._call("stats"))
-
-    def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
-        return self.counterexamples_at([token], atom_limit)[0]
-
-    def counterexamples_at(self, tokens, atom_limit: int = 16) -> list[CexResult]:
-        """The verdicts on every snapshot in ``tokens``: those an
-        ``apply_batch`` reply carried for this ``atom_limit``, and the rest
-        in one round trip."""
-        tokens = list(tokens)
-        kept = [self._verdicts.get(token) for token in tokens]
-        verdicts = [v[1] if v is not None and v[0] == atom_limit else None for v in kept]
-        missing = [token for token, v in zip(tokens, verdicts) if v is None]
-        if missing:
-            resp = self._call(
-                "counterexample", payload={"tokens": missing, "atom_limit": atom_limit})
-            reply = self._expect(resp)
-            with _reply_to(resp.id):
-                if len(reply["results"]) != len(missing):
-                    raise ValueError(f"not one verdict for each of {len(missing)} tokens")
-                fetched = iter([_cex_from_wire(v) for v in reply["results"]])
-            verdicts = [v if v is not None else next(fetched) for v in verdicts]
-        return verdicts
 
     def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
                   pool: list[str] | None = None) -> HammerResult:
@@ -677,9 +641,12 @@ class RemoteProver:
         resp = self._call("hammer", payload=payload, timeout_ms=config.budget_ms + 5000)
         reply = self._expect(resp)
         with _reply_to(resp.id):
-            if reply["result"] == "found":
+            kind = reply["result"]
+            if kind == "found":
                 return HammerResult("found", tuple(parse_step(s) for s in reply["steps"]))
-            return HammerResult(reply["result"])
+            if kind not in ("notfound", "timeout"):
+                raise ValueError(f"unknown hammer result {kind!r}")
+            return HammerResult(kind)
 
     def close(self) -> None:
         """Send ``shutdown``, which carries any release still pending, and

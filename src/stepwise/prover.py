@@ -4,9 +4,9 @@ Implements the theory format and the backend surface the search engine
 drives: goal initialisation, step execution, a truth-table counterexample
 oracle and a depth-bounded proof hammer, all addressed by immutable
 snapshot tokens: ``start`` takes a parsed ``Theory`` and returns the
-root's, ``apply_batch`` one per success of each ``(token, steps)`` group
-and ``replay`` the end of a step chain, and the ``*_at`` oracles take
-them. All tactics act on the first subgoal.
+root's, ``apply_batch`` one per success of each ``(token, steps)`` group,
+with the counterexample verdict on it, and ``replay`` the end of a step
+chain, and ``hammer_at`` takes one. All tactics act on the first subgoal.
 """
 
 from __future__ import annotations
@@ -426,6 +426,11 @@ def first_counterexample(premises: list[Formula], goal: Formula, names: list[str
     return (sat & -sat).bit_length() - 1
 
 
+def _check_atom_limit(atom_limit: int) -> None:
+    if not 0 <= atom_limit <= MAX_ATOM_LIMIT:
+        raise ValueError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {atom_limit}")
+
+
 def check_counterexample(state: ProofState, atom_limit: int = 16) -> CexResult:
     """Exhaustive truth-table scan per subgoal, in subgoal order.
 
@@ -436,8 +441,7 @@ def check_counterexample(state: ProofState, atom_limit: int = 16) -> CexResult:
     falsifiable the verdict is Unknown. ``atom_limit`` must lie in
     ``0..MAX_ATOM_LIMIT``.
     """
-    if not 0 <= atom_limit <= MAX_ATOM_LIMIT:
-        raise ValueError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {atom_limit}")
+    _check_atom_limit(atom_limit)
     ctx = state.context
     ctx_atoms = set(ctx.atom_names())
     context_facts = list(ctx.facts.values())
@@ -578,8 +582,9 @@ def _apply_text_or_step(state: ProofState, step: ProofStep | str,
 
 
 # Sessions serve no backend caller; ``Session``, ``ToyProver.load_theory``,
-# ``state``, ``apply``, ``clone`` and ``restore`` stay because the
-# benchmark's tracer (``pipebench/tracing.py``) looks them up by name.
+# ``state``, ``apply``, ``clone``, ``restore`` and ``counterexample_at`` stay
+# because the benchmark's tracer (``pipebench/tracing.py``) looks them up
+# by name.
 @dataclass
 class Session:
     id: str
@@ -639,28 +644,34 @@ class ToyProver:
             session.current = result.state
         return result
 
-    def apply_batch(self, groups, timeout_ms: int | None = None,
-                    atom_limit: int | None = None) -> list[list[tuple[StepResult, str | None]]]:
+    def apply_batch(self, groups, timeout_ms: int | None = None, atom_limit: int | None = None
+                    ) -> list[list[tuple[StepResult, str | None, CexResult | None]]]:
         """For each ``(token, steps)`` group, in order, apply each step, in
         order and with its own ``timeout_ms`` budget, to the snapshot
         ``token``; each success is stored as a new snapshot whose token comes
-        back with its result, each failure reports its category alone. A
-        group stops after its first success with zero subgoals. Returns one
-        result list per group; an unknown token fails the whole call before
-        any step runs. ``atom_limit`` is ignored: a remote backend prefetches
-        its oracle verdicts with it, while in-process a verdict asked for
-        later costs the same."""
+        back with its result, each failure reports its category alone. Given
+        ``atom_limit``, a success with open subgoals comes with
+        ``check_counterexample`` on its state; every other step's verdict is
+        None. A group stops after its first success with zero subgoals.
+        Returns one ``(result, token, verdict)`` list per group; an unknown
+        token or an ``atom_limit`` outside ``0..MAX_ATOM_LIMIT`` fails the
+        whole call before any step runs."""
+        if atom_limit is not None:
+            _check_atom_limit(atom_limit)
         snapshots = [(self._snapshot(token), steps) for token, steps in groups]
-        out: list[list[tuple[StepResult, str | None]]] = []
+        out: list[list[tuple[StepResult, str | None, CexResult | None]]] = []
         for state, steps in snapshots:
-            results: list[tuple[StepResult, str | None]] = []
+            results: list[tuple[StepResult, str | None, CexResult | None]] = []
             for step in steps:
                 result = _apply_text_or_step(state, step, timeout_ms)
                 if not result.ok:
-                    results.append((BARE_FAILURES[result.category], None))
+                    results.append((BARE_FAILURES[result.category], None, None))
                     continue
-                results.append((result, self._store(result.state)))
-                if result.state.qed:
+                closed = result.state.qed
+                verdict = (None if atom_limit is None or closed
+                           else check_counterexample(result.state, atom_limit))
+                results.append((result, self._store(result.state), verdict))
+                if closed:
                     break
             out.append(results)
         return out
@@ -706,10 +717,6 @@ class ToyProver:
 
     def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
         return check_counterexample(self._snapshot(token), atom_limit)
-
-    def counterexamples_at(self, tokens, atom_limit: int = 16) -> list[CexResult]:
-        """``counterexample_at`` for each token, in order."""
-        return [self.counterexample_at(token, atom_limit) for token in tokens]
 
     def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
                   pool: list[str] | None = None) -> HammerResult:

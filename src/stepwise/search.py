@@ -6,16 +6,15 @@ every selected node, applies them all in one backend batch (one group per
 node's snapshot token), revises each node's failures and applies every
 node's repairs as one more batch per repair round. Then it commits the
 nodes in order: the first whose steps closed the goal wins, and each node
-before it has its surviving states filtered (one oracle batch), scored and
-inserted. Generation, applying a step to an immutable snapshot and revision
-are pure in the node's state, so batching across nodes leaves the result of
-the node-by-node loop unchanged; only the commit sees the other nodes. The
+before it has its surviving states filtered, scored and inserted.
+Generation, applying a step to an immutable snapshot and revision are pure
+in the node's state, so batching across nodes leaves the result of the
+node-by-node loop unchanged; only the commit sees the other nodes. The
 backend is handed the ``Theory`` itself at ``start``, and every later call
-addresses the snapshot tokens it returns. Each
-distinct step goes to the backend once per node and iteration; a repeat
-reuses its first result. When filtering is on, each batch asks for its
-successes' oracle verdicts too, so a remote backend answers the filter
-without another round trip.
+addresses the snapshot tokens it returns. Each distinct step goes to the
+backend once per node and iteration; a repeat reuses its first result.
+When filtering is on, each batch returns its open successes' counterexample
+verdicts with them, which the filter reads; no other call asks for one.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ class SearchStats:
 class _Expansion:
     """One selected node's work in an iteration, kept until its commit."""
     node: SearchNode
-    memo: dict = field(default_factory=dict)  # step -> (result, token)
-    successes: list = field(default_factory=list)  # (state, candidate, token)
+    memo: dict = field(default_factory=dict)  # step -> (result, token, verdict)
+    successes: list = field(default_factory=list)  # (state, verdict, candidate, token)
     failures: list = field(default_factory=list)  # the last round's
     revisions_tried: int = 0
     winner: SearchNode | None = None
@@ -168,7 +167,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
     def expand_round(expansions: list[_Expansion], tried: list[list[Candidate]]) -> int | None:
         """Apply each expansion's ``tried`` candidates to its node's snapshot:
         one backend batch carries every step that no expansion's memo (step
-        -> result and token, per node) has seen yet. Then record each
+        -> result, token and verdict, per node) has seen yet. Then record each
         expansion's successes and this round's failures in candidate order,
         up to its first zero-subgoal success. Returns the index of the first
         expansion that closed the goal, or None; later ones are left as
@@ -184,8 +183,8 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
             replies = backend.apply_batch(groups, config.step_timeout_ms,
                                           atom_limit=oracle_limit)
             for (memo, fresh), results in zip(fresh_of, replies):
-                for step, (result, token) in zip(fresh, results):
-                    memo[step] = (result, token)
+                for step, (result, token, verdict) in zip(fresh, results):
+                    memo[step] = (result, token, verdict)
                     if token is not None:
                         opened.append(token)
         for index, (exp, cands) in enumerate(zip(expansions, tried)):
@@ -194,7 +193,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
             for cand in cands:
                 # a memoised step never closed the goal, and a group only
                 # stops short after the winner, so every step before it is here
-                result, token = memo[cand.step]
+                result, token, verdict = memo[cand.step]
                 if not result.ok:
                     failures.append(FailedAttempt(
                         node.state, cand.step, cand.log_prob, result.category))
@@ -205,7 +204,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
                                             node.path_log_prob + cand.log_prob,
                                             node.length + 1, 0.0, order=-1, token=token)
                     return index
-                successes.append((new_state, cand, token))
+                successes.append((new_state, verdict, cand, token))
         return None
 
     while (stats.iterations < config.max_iterations
@@ -250,20 +249,12 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
                                      tree, seen.stats, opened)
 
             if config.filtering_enabled:
-                token_of = {id(state): token for state, _, token in successes}
-
-                def oracle(states: list[ProofState]):
-                    return backend.counterexamples_at(
-                        [token_of[id(s)] for s in states], config.atom_limit)
-
-                pairs = [(state, cand) for state, cand, _ in successes]
-                kept_pairs, delta = filter_states(pairs, seen, oracle)
+                kept, delta = filter_states(successes, seen)
                 stats.nodes_filtered_dup += delta.duplicates_rejected
                 stats.nodes_filtered_cex += delta.counterexamples_rejected
-                kept = [(state, cand, token_of[id(state)]) for state, cand in kept_pairs]
             else:
                 kept = successes
-            for state, cand, token in kept:
+            for state, _, cand, token in kept:
                 if stats.nodes_created >= config.node_budget:
                     break
                 length = node.length + 1

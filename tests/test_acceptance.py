@@ -80,11 +80,10 @@ def test_criterion_3_filter_soundness(bench_corpus):
             states.append(state)
         assert state.qed
         seen = SeenSet()
-        pairs = [(s, _dummy_candidate()) for s in states if not s.qed]
-        kept, stats = filter_states(
-            pairs, seen, lambda states: [check_counterexample(s) for s in states])
+        items = [(s, check_counterexample(s), _dummy_candidate()) for s in states if not s.qed]
+        kept, stats = filter_states(items, seen)
         assert stats.counterexamples_rejected == 0, theory.name
-        on_path_states += len(pairs)
+        on_path_states += len(items)
 
     # every returned assignment must verify under the independent evaluator
     verified = 0
@@ -236,12 +235,12 @@ def test_criterion_8_protocol_differential(bench_corpus):
 
     slow = _SlowServer(delay_s=0.5)
     late_client = RemoteProver.connect_tcp("127.0.0.1", slow.port, grace_ms=100)
-    [[(missed_batch, none)]] = late_client.apply_batch([("c0", ["intro"])], timeout_ms=50)
+    [[(missed_batch, none, _)]] = late_client.apply_batch([("c0", ["intro"])], timeout_ms=50)
     assert (missed_batch.category, none) == ("timeout", None)
     [missed_replay], none = late_client.replay("c0", ["intro"], timeout_ms=50)
     assert (missed_replay.category, none) == ("timeout", None)
     # the next call on the same token succeeds with no restore in between
-    [[(result, token)]] = late_client.apply_batch([("c0", ["intro"])], timeout_ms=5000)
+    [[(result, token, _)]] = late_client.apply_batch([("c0", ["intro"])], timeout_ms=5000)
     assert result.ok and token == "r3.0.0"
     [result], final = late_client.replay("c0", ["intro"], timeout_ms=5000)
     assert result.ok and final == "r4"

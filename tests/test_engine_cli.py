@@ -196,13 +196,16 @@ INVALID_VALUES = [
     ("step_timeout_ms", 0), ("step_timeout_ms", -1),
     # each of these would let the search or the hammer skip its work silently
     ("repair_rounds", -1), ("candidates_per_state", 0), ("hammer_timeout_s", -1),
-    ("hammer_timeout_s", 0), ("hammer_timeout_s", 0.0005),
+    ("hammer_timeout_s", 0), ("hammer_timeout_s", 0.0005), ("hammer_depth", -1),
+    ("hammer_premise_limit", -1),
 ]
 
 
 def test_least_valid_search_and_hammer_budgets_are_accepted():
-    config = EngineConfig(repair_rounds=0, candidates_per_state=1, hammer_timeout_s=0.001)
+    config = EngineConfig(repair_rounds=0, candidates_per_state=1, hammer_timeout_s=0.001,
+                          hammer_depth=0, hammer_premise_limit=0)
     assert (config.repair_rounds, config.candidates_per_state) == (0, 1)
+    assert (config.hammer_depth, config.hammer_premise_limit) == (0, 0)
 
 
 @pytest.mark.parametrize("name,value", INVALID_VALUES)

@@ -34,14 +34,19 @@ def test_is_duplicate_distinguishes_hypotheses():
     assert not is_duplicate(state_of("r", ["q"]), seen)
 
 
+def verdicts(items, atom_limit=16):
+    """Each ``(state, candidate)`` pair as a filter item, with the verdict
+    ``apply_batch`` would return for the state."""
+    return [(state, check_counterexample(state, atom_limit), c) for state, c in items]
+
+
 def test_filter_drops_duplicates_then_counterexamples():
     seen = SeenSet()
     valid = state_of("p", ["p"])
     falsifiable = state_of("q")
-    items = [(valid, cand(0)), (valid, cand(1)), (falsifiable, cand(2))]
-    kept, stats = filter_states(
-        items, seen, lambda states: [check_counterexample(s) for s in states])
-    assert [c.log_prob for _, c in kept] == [-1.0]
+    items = verdicts([(valid, cand(0)), (valid, cand(1)), (falsifiable, cand(2))])
+    kept, stats = filter_states(items, seen)
+    assert [c.log_prob for _, _, c in kept] == [-1.0]
     assert stats.duplicates_rejected == 1
     assert stats.counterexamples_rejected == 1
     assert stats.unknown_oracle == 0
@@ -51,18 +56,16 @@ def test_filter_drops_duplicates_then_counterexamples():
 def test_filter_keeps_unknown_and_counts_it():
     seen = SeenSet()
     wide = state_of("y", [f"x{i}" for i in range(6)])
-    oracle = lambda states: [check_counterexample(s, atom_limit=3) for s in states]
-    kept, stats = filter_states([(wide, cand())], seen, oracle)
+    kept, stats = filter_states(verdicts([(wide, cand())], atom_limit=3), seen)
     assert len(kept) == 1
     assert stats.unknown_oracle == 1
 
 
 def test_filter_all_fresh_valid_kept_in_order():
     seen = SeenSet()
-    items = [(state_of("p", ["p"]), cand(0)), (state_of("q", ["q"]), cand(1))]
-    kept, stats = filter_states(
-        items, seen, lambda states: [check_counterexample(s) for s in states])
-    assert [c.log_prob for _, c in kept] == [-1.0, -2.0]
+    items = verdicts([(state_of("p", ["p"]), cand(0)), (state_of("q", ["q"]), cand(1))])
+    kept, stats = filter_states(items, seen)
+    assert kept == items
     assert stats.duplicates_rejected == stats.counterexamples_rejected == 0
 
 
@@ -72,26 +75,20 @@ def test_filter_drop_is_order_monotone():
         seen = SeenSet()
         items = [(state_of(f"g{i}", [f"g{i}"]), cand(i)) for i in range(3)]
         items.insert(position, (falsifiable, cand(9)))
-        kept, stats = filter_states(
-            items, seen, lambda states: [check_counterexample(s) for s in states])
+        kept, stats = filter_states(verdicts(items), seen)
         assert stats.counterexamples_rejected == 1
-        assert all(s is not falsifiable for s, _ in kept)
+        assert all(s is not falsifiable for s, _, _ in kept)
 
 
-def test_filter_asks_the_oracle_once_about_the_non_duplicates():
+def test_filter_reads_the_verdict_of_non_duplicates_only():
+    """A duplicate is counted as one whatever its verdict says, and a
+    falsified state is still seen: a later copy of it is a duplicate."""
     seen = SeenSet()
-    calls = []
-
-    def oracle(states):
-        calls.append(list(states))
-        return [check_counterexample(s) for s in states]
-
     valid, falsifiable = state_of("p", ["p"]), state_of("q")
-    items = [(valid, cand(0)), (falsifiable, cand(1)), (valid, cand(2))]
-    kept, stats = filter_states(items, seen, oracle)
-    assert calls == [[valid, falsifiable]]
-    assert [c.log_prob for _, c in kept] == [-1.0]
-    kept, stats = filter_states(items, seen, oracle)
-    assert len(calls) == 1 and kept == []  # all duplicates: no oracle call
-    assert stats.duplicates_rejected == 3
-
+    items = verdicts([(valid, cand(0)), (falsifiable, cand(1)), (valid, cand(2))])
+    kept, stats = filter_states(items, seen)
+    assert [c.log_prob for _, _, c in kept] == [-1.0]
+    assert (stats.duplicates_rejected, stats.counterexamples_rejected) == (1, 1)
+    kept, stats = filter_states(items, seen)
+    assert kept == []
+    assert (stats.duplicates_rejected, stats.counterexamples_rejected) == (3, 0)

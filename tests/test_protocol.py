@@ -1,4 +1,6 @@
 import gc
+import inspect
+import io
 import json
 import random
 import re
@@ -17,7 +19,13 @@ from hypothesis import strategies as st
 from conftest import naive_first_counterexample, random_formula, replay_chain
 from stepwise.core import ERROR_CATEGORIES, ProofStep, Theory, canonical_state
 from stepwise.formulas import render
-from stepwise.prover import ToyProver, TheoryParseError, load_theory
+from stepwise.prover import (
+    CexResult,
+    ToyProver,
+    TheoryParseError,
+    check_counterexample,
+    load_theory,
+)
 from stepwise.protocol import (
     COMMANDS,
     PROTOCOL_VERSION,
@@ -198,8 +206,10 @@ def test_replay_tokens_round_trip(client):
 
 def test_counterexample_and_hammer_over_wire(client):
     token, _ = client.start(PROTO, "t1")
-    verdict = client.counterexample_at(token)
-    assert verdict.kind == "none"  # q follows from f1, f2
+    [[(_, child, verdict)]] = client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000,
+                                                  atom_limit=16)
+    assert verdict.kind == "none"  # p follows from f1
+    client.release([child])
     result = client.hammer_at(token)
     assert result.found
     replayed, final = client.replay(token, result.steps, timeout_ms=3000)
@@ -209,12 +219,12 @@ def test_counterexample_and_hammer_over_wire(client):
 def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
     token, _ = client.start(load_theory("theory tiny\naxiom f: p\ntheorem t: p -> q\nend\n"), "t")
     with pytest.raises(BackendError) as err:
-        client._expect(client._call(
-            "counterexample", payload={"tokens": [token], "atom_limit": 1_000_000}))
+        client.apply_batch([(token, ["intro"])], timeout_ms=3000, atom_limit=1_000_000)
     assert err.value.category == "protocol_error"
     assert "atom_limit" in str(err.value)
     # the connection and the snapshot still work
-    verdict = client.counterexample_at(token)
+    [[(_, _, verdict)]] = client.apply_batch([(token, ["intro"])], timeout_ms=3000,
+                                             atom_limit=16)
     assert verdict.kind == "counterexample" and verdict.assignment == {"p": True, "q": False}
 
 
@@ -254,11 +264,13 @@ def test_theory_names_do_not_collide_across_connections(tcp_server):
             for client, source, goal in zip(clients, COLLIDING, ("p", "q -> q")):
                 token, state = client.start(load_theory(source), "g")
                 assert render(state.subgoals[0].goal) == goal
-                # the server's snapshot holds the same goal: p is falsifiable
-                verdict = client.counterexample_at(token).kind
-                assert verdict == ("counterexample" if goal == "p" else "none")
-                client.release([token])
-        assert _counts(clients[0]) == {"start": 4, "counterexample": 4}
+                # the server's snapshot holds the same goal: only q -> q takes intro
+                [[(result, child, verdict)]] = client.apply_batch(
+                    [(token, ["intro"])], timeout_ms=3000, atom_limit=16)
+                assert (result.ok, verdict) == ((False, None) if goal == "p"
+                                                else (True, CexResult.none()))
+                client.release([t for t in (token, child) if t is not None])
+        assert _counts(clients[0]) == {"start": 4, "apply_batch": 4}
     finally:
         for client in clients:
             client.close()
@@ -293,14 +305,14 @@ def test_apply_batch_over_wire_matches_in_process(client):
     [remote] = client.apply_batch([(client.start(PROTO, "t1")[0], steps)], timeout_ms=3000)
     [here] = local.apply_batch([(local.start(PROTO, "t1")[0], steps)], 3000)
     assert len(remote) == len(here) == len(steps)
-    for (r, r_token), (h, h_token) in zip(remote, here):
+    for (r, r_token, _), (h, h_token, _) in zip(remote, here):
         assert r.ok == h.ok and (r_token is None) == (h_token is None)
         if r.ok:
             assert canonical_state(r.state) == canonical_state(h.state)
         else:
             assert r.category == h.category and r.detail == h.detail == ""
     # a success token addresses its state, and a zero-subgoal success ends the batch
-    [[(closed, closed_token)]] = client.apply_batch(
+    [[(closed, closed_token, _)]] = client.apply_batch(
         [(remote[4][1], ["apply [f1]", "intro"])], timeout_ms=3000)
     assert closed.state.qed and closed_token is not None
     with pytest.raises(BackendError) as err:
@@ -317,11 +329,11 @@ def test_grouped_apply_batch_over_wire_matches_in_process(client):
     steps = (["apply [f2]", "intro", "apply [f1]"], ["intro", "auto", "simp"], [])
     remote = client.apply_batch(list(zip(remote_roots + remote_roots[:1], steps)),
                                 timeout_ms=3000, atom_limit=16)
-    here = local.apply_batch(list(zip(local_roots + local_roots[:1], steps)), 3000)
+    here = local.apply_batch(list(zip(local_roots + local_roots[:1], steps)), 3000, 16)
     assert [len(group) for group in remote] == [len(group) for group in here] == [3, 2, 0]
     for remote_group, local_group in zip(remote, here):
-        for (r, r_token), (h, h_token) in zip(remote_group, local_group):
-            assert (r.ok, r.category) == (h.ok, h.category)
+        for (r, r_token, r_verdict), (h, h_token, h_verdict) in zip(remote_group, local_group):
+            assert (r.ok, r.category, r_verdict) == (h.ok, h.category, h_verdict)
             assert (r_token is None) == (h_token is None)
             if r.ok:
                 assert canonical_state(r.state) == canonical_state(h.state)
@@ -330,7 +342,6 @@ def test_grouped_apply_batch_over_wire_matches_in_process(client):
 
 def test_token_addressed_oracles_open_no_session(client):
     token, _ = client.start(PROTO, "t1")
-    assert client.counterexample_at(token).kind == "none"
     result = client.hammer_at(token)
     assert result.found
     stats = client.stats()
@@ -341,50 +352,38 @@ def test_token_addressed_oracles_open_no_session(client):
 
 
 def test_counterexample_batch_over_wire_matches_in_process(client):
+    """On the successes of random theories, the verdicts ``apply_batch``
+    returns are the same on both paths and agree with the naive oracle."""
     rng = random.Random(5)
     local = ToyProver()
-    local_tokens, remote_tokens, states = [], [], []
+    steps = ["intro", "split", "elim [f0]", "left", "right", "simp"]
+    kinds = set()
     for i in range(25):
         axioms = [f"axiom f{k}: {render(random_formula(rng, rng.randint(1, 3)))}"
                   for k in range(rng.randint(0, 3))]
         goal = render(random_formula(rng, rng.randint(1, 5)))
         source = "\n".join([f"theory rand{i}", *axioms, f"theorem t: {goal}", "end"]) + "\n"
         theory = load_theory(source)
-        here, state = local.start(theory, "t")
+        here, _ = local.start(theory, "t")
         there, _ = client.start(theory, "t")
-        local_tokens.append(here)
-        remote_tokens.append(there)
-        states.append(state)
-        steps = ["intro", "split", "elim [f0]", "left", "right", "simp"]
-        [local_results] = local.apply_batch([(here, steps)], 3000)
-        [remote_results] = client.apply_batch([(there, steps)], timeout_ms=3000)
-        for (h, h_token), (_, t_token) in zip(local_results, remote_results):
-            if h_token is not None:
-                local_tokens.append(h_token)
-                remote_tokens.append(t_token)
-                states.append(h.state)
-    kinds = set()
-    for atom_limit in (2, 16):
-        verdicts = client.counterexamples_at(remote_tokens, atom_limit)
-        assert verdicts == [local.counterexample_at(t, atom_limit) for t in local_tokens]
-        for state, verdict in zip(states, verdicts):
-            kinds.add(verdict.kind)
-            if verdict.kind == "counterexample":
-                assert (verdict.assignment, verdict.subgoal_index) \
-                    == naive_first_counterexample(state)
+        for atom_limit in (2, 16):
+            [local_results] = local.apply_batch([(here, steps)], 3000, atom_limit)
+            [remote_results] = client.apply_batch([(there, steps)], timeout_ms=3000,
+                                                  atom_limit=atom_limit)
+            assert [v for _, _, v in remote_results] == [v for _, _, v in local_results]
+            for result, _, verdict in local_results:
+                if verdict is None:
+                    continue
+                kinds.add(verdict.kind)
+                if verdict.kind == "counterexample":
+                    assert (verdict.assignment, verdict.subgoal_index) \
+                        == naive_first_counterexample(result.state)
+                elif verdict.kind == "none":
+                    assert naive_first_counterexample(result.state) is None
+            local.release([t for _, t, _ in local_results if t is not None])
+            client.release([t for _, t, _ in remote_results if t is not None])
     assert kinds == {"none", "counterexample", "unknown"}
-    assert client.stats()["commands"]["counterexample"]["count"] == 2
-
-
-def test_counterexample_batch_with_an_unknown_token_fails_whole(client):
-    token, _ = client.start(PROTO, "t1")
-    with pytest.raises(BackendError) as err:
-        client.counterexamples_at([token, "c404", token])
-    assert err.value.category == "unknown_session"
-    with pytest.raises(BackendError) as err:
-        client._expect(client._call("counterexample", payload={"tokens": token}))
-    assert err.value.category == "protocol_error"
-    assert client.counterexamples_at([token, token])[1].kind == "none"
+    assert "counterexample" not in client.stats()["commands"]
 
 
 def test_unknown_command_rejected(client):
@@ -427,7 +426,7 @@ def test_factless_apply_and_elim_text_fail_as_the_step_does(client):
         for text in (tactic, f" {tactic} "):
             assert local.replay(local_token, [text]) == ([expected], None)
             assert client.replay(token, [text], timeout_ms=3000) == ([expected], None)
-        [[(batched, _)]] = client.apply_batch([(token, [ProofStep(tactic)])], timeout_ms=3000)
+        [[(batched, _, _)]] = client.apply_batch([(token, [ProofStep(tactic)])], timeout_ms=3000)
         assert batched.category == "tactic_failure"
     # every other text the parser rejects stays a parse error
     for text in ("apply []", "apply [f2", "elim [,]"):
@@ -527,53 +526,65 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
     assert local.stats()["snapshots"] == remote.stats()["snapshots"] == 0
 
 
-@pytest.mark.parametrize("cmd", ["apply", "state", "clone", "restore", "load_theory", "release"])
+@pytest.mark.parametrize("cmd", ["apply", "state", "clone", "restore", "load_theory", "release",
+                                 "counterexample"])
 def test_removed_session_commands_are_errors_that_keep_the_connection(client, cmd):
     token, _ = client.start(PROTO, "t1")
     with pytest.raises(BackendError) as err:
-        client._expect(client._call(cmd, payload={"token": token, "step": "intro"}))
+        client._expect(client._call(cmd, payload={"token": token, "step": "intro",
+                                                  "tokens": [token], "atom_limit": 16}))
     assert err.value.category == "prover_error" and cmd in err.value.detail
-    # the session forms of the oracles are gone: each needs its token
-    for oracle in ("counterexample", "hammer"):
-        with pytest.raises(BackendError) as err:
-            client._expect(client._call(oracle, payload={"atom_limit": 16}))
-        assert err.value.category == "protocol_error"
-    assert client.init()["protocol"] == 6
+    # the session form of the hammer is gone: it needs its token
+    with pytest.raises(BackendError) as err:
+        client._expect(client._call("hammer", payload={"atom_limit": 16}))
+    assert err.value.category == "protocol_error"
+    assert client.init()["protocol"] == 7
     assert client.stats()["snapshots"] == 1
 
 
 # -- oracle verdicts on apply_batch ---------------------------------------------------
 
-def _oracle_requests(client):
-    return client.stats()["commands"].get("counterexample", {"count": 0})["count"]
+VERDICTS = """theory verdicts
+axiom d: a | b
+theorem g: c -> a | c
+end
+"""
 
 
-def test_apply_batch_verdicts_answer_counterexamples_at_locally(client):
+def test_apply_batch_verdicts_agree_in_process_and_over_tcp(client):
+    """Both paths return the same verdict for each step: for an open
+    success, given ``atom_limit``, ``check_counterexample`` on its state;
+    for a failure, a closed success or a batch without ``atom_limit``,
+    None. The search reads these verdicts; no other request asks."""
+    theory = load_theory(VERDICTS)
     local = ToyProver()
-    steps = ["intro", "apply [f2]", "elim [d]", "apply [ghost]"]
-    remote_root, _ = client.start(PROTO, "t1")
-    local_root, _ = local.start(PROTO, "t1")
-    [remote] = client.apply_batch([(remote_root, steps)], timeout_ms=3000, atom_limit=16)
-    [here] = local.apply_batch([(local_root, steps)], 3000, atom_limit=16)
-    remote_tokens = [t for _, t in remote if t is not None]
-    local_tokens = [t for _, t in here if t is not None]
-    assert len(remote_tokens) == 2
-    verdicts = client.counterexamples_at(remote_tokens, 16)
-    assert verdicts == local.counterexamples_at(local_tokens, 16)
-    assert client.counterexample_at(remote_tokens[1], 16) == verdicts[1]
-    assert _oracle_requests(client) == 0
-    # another atom limit, or a token the batch did not return, costs one request
-    assert client.counterexamples_at(remote_tokens, 2) \
-        == local.counterexamples_at(local_tokens, 2)
-    assert _oracle_requests(client) == 1
-    assert client.counterexamples_at([remote_root] + remote_tokens, 16)[1:] == verdicts
-    assert _oracle_requests(client) == 2
-    # release forgets the verdict with its snapshot, and the next request
-    # frees the snapshot before its command runs
-    client.release(remote_tokens[:1])
-    with pytest.raises(BackendError) as err:
-        client.counterexample_at(remote_tokens[0], 16)
-    assert err.value.category == "unknown_session"
+    kinds = set()
+    for atom_limit in (None, 2, 3):
+        paths = []
+        for backend, kwargs in ((local, {}), (client, {"timeout_ms": 3000})):
+            root, _ = backend.start(theory, "g")
+            [first] = backend.apply_batch([(root, ["split", "intro"])],
+                                          atom_limit=atom_limit, **kwargs)
+            child = first[1][1]
+            # "intro" after the closing "auto" never runs
+            second = backend.apply_batch(
+                [(child, ["left", "right", "apply [ghost]", "auto", "intro"]), (root, ["simp"])],
+                atom_limit=atom_limit, **kwargs)
+            results = first + [item for group in second for item in group]
+            backend.release([root] + [token for _, token, _ in results if token is not None])
+            paths.append(results)
+        here, there = paths
+        assert [v for _, _, v in here] == [v for _, _, v in there]
+        assert [r.ok for r, _, _ in here] == [False, True, True, True, False, True, False]
+        for result, _, verdict in here:
+            if atom_limit is None or not result.ok or result.state.qed:
+                assert verdict is None
+            else:
+                assert verdict == check_counterexample(result.state, atom_limit)
+                kinds.add(verdict.kind)
+    assert kinds == {"none", "counterexample", "unknown"}
+    assert local.stats()["snapshots"] == client.stats()["snapshots"] == 0
+    assert "counterexample" not in client.stats()["commands"]
 
 
 def test_apply_batch_reply_carries_categories_and_open_verdicts_only(client):
@@ -589,15 +600,6 @@ def test_apply_batch_reply_carries_categories_and_open_verdicts_only(client):
     without = client._expect(client._call("apply_batch", payload={
         "groups": [{"token": token, "steps": ["intro"]}]}))
     assert "cex" not in without["results"][0][0]
-
-
-def test_counterexamples_at_without_a_stored_verdict_costs_one_request(client):
-    token, _ = client.start(PROTO, "t1")
-    [[(_, child)]] = client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000)
-    verdicts = client.counterexamples_at([token, child, token], 16)
-    assert _oracle_requests(client) == 1
-    assert client.counterexample_at(child, 16) == verdicts[1]
-    assert _oracle_requests(client) == 2
 
 
 def test_bad_atom_limit_in_apply_batch_is_protocol_error_and_opens_nothing(client):
@@ -625,7 +627,7 @@ def test_malformed_payload_keeps_the_connection(client):
         with pytest.raises(BackendError) as err:
             client._expect(client._call(cmd, payload=payload))
         assert err.value.category == "protocol_error", (cmd, payload)
-    assert client.init()["protocol"] == 6
+    assert client.init()["protocol"] == 7
 
 
 @pytest.mark.parametrize("key,value", [("max_depth", -3), ("premise_limit", -1),
@@ -692,7 +694,8 @@ RESPONSE_CATEGORIES = set(ERROR_CATEGORIES) | {
     "protocol_error", "prover_error", "unknown_theorem", "unknown_session"}
 PAYLOAD_KEYS = ("source", "theory", "theorem", "groups", "token", "steps", "atom_limit",
                 "ids", "tokens", "max_depth", "premise_limit", "budget_ms", "pool")
-REMOVED_COMMANDS = ("load_theory", "release", "apply", "state", "clone", "restore")
+REMOVED_COMMANDS = ("load_theory", "release", "apply", "state", "clone", "restore",
+                    "counterexample")
 
 
 def _json_values(live):
@@ -885,12 +888,12 @@ def test_batch_deadline_miss_times_out_every_step_and_needs_no_restore():
     # a budget of 50 ms per step: the reply is awaited 3 * 50 + 100 ms
     missed = client.apply_batch([("c0", ["intro", "split"]), ("c1", ["simp"]), ("c2", [])],
                                 timeout_ms=50)
-    assert [[(r.category, token) for r, token in group] for group in missed] \
+    assert [[(r.category, token) for r, token, _ in group] for group in missed] \
         == [[("timeout", None)] * 2, [("timeout", None)], []]
     # the next batch on the same tokens gets its own reply; the late reply to
     # the missed request (id 1) is skipped by its id
     results = client.apply_batch([("c0", ["intro"]), ("c1", ["simp"])], timeout_ms=5000)
-    assert [[(r.ok, token) for r, token in group] for group in results] \
+    assert [[(r.ok, token) for r, token, _ in group] for group in results] \
         == [[(True, "r2.0.0")], [(True, "r2.1.0")]]
     assert slow.commands == ["apply_batch", "apply_batch"]
     client.transport.close()
@@ -958,9 +961,9 @@ def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
         token, _ = client.start(PROTO, "t1")
         prover.delay_s = 0.5
         [missed] = client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=1)
-        assert [r.category for r, _ in missed] == ["timeout", "timeout"]
+        assert [r.category for r, _, _ in missed] == ["timeout", "timeout"]
         prover.delay_s = 0.0
-        assert client.counterexample_at(token).kind == "none"  # reads the late reply
+        client.init()  # reads the late reply
         # this request frees the missed success, which leaves the token
         assert client.stats()["snapshots"] == 1
         client.release([token])
@@ -982,13 +985,14 @@ def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
         prover.delay_s = 0.5
         [missed] = client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=1,
                                       atom_limit=16)
-        assert [r.category for r, _ in missed] == ["timeout", "timeout"]
+        assert [r.category for r, _, _ in missed] == ["timeout", "timeout"]
         prover.delay_s = 0.0
-        # the late reply, with the verdict of its success, is read and dropped here
-        [[(_, child)]] = client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000)
-        assert client._verdicts == {}
-        assert client.counterexamples_at([child], 16)[0].kind == "none"
-        assert _oracle_requests(client) == 1
+        # the late reply, with the verdict of its success, is read and dropped
+        # here; this batch's verdict comes with its own reply
+        [[(_, child, verdict)]] = client.apply_batch([(token, ["apply [f2]"])],
+                                                     timeout_ms=3000, atom_limit=16)
+        assert verdict.kind == "none"
+        assert "counterexample" not in client.stats()["commands"]
         client.release([token, child])
         stats = client.stats()
         assert (stats["sessions"], stats["snapshots"]) == (0, 0)
@@ -1106,19 +1110,79 @@ def test_malformed_apply_batch_reply_is_protocol_error_naming_the_request(
 def test_stale_batch_reply_without_results_is_protocol_error_naming_it(garbage_client):
     client = garbage_client(b"", b'{"id": 1, "ok": true, "payload": {}}\n'
                                  b'{"id": 2, "ok": true, "payload": {}}\n', grace_ms=100)
-    [[(missed, _)]] = client.apply_batch([("c0", ["intro"])], timeout_ms=1)
+    [[(missed, _, _)]] = client.apply_batch([("c0", ["intro"])], timeout_ms=1)
     assert missed.category == "timeout"
     with pytest.raises(ProtocolError) as err:
         client.init()  # reads the late reply to request 1 first
     assert err.value.offending_id == 1 and "request 1" in str(err.value)
 
 
+def _batch_reply(rid, *items):
+    return json.dumps({"id": rid, "ok": True, "payload": {"results": [list(items)]}}).encode() \
+        + b"\n"
+
+
+OPEN = {"token": "c1", "state": LATE_STATE}
+CLOSED = {"token": "c2", "state": {"subgoals": [], "depth": 2}}
+
+
 def test_counterexample_reply_short_of_verdicts_is_protocol_error(garbage_client):
-    client = garbage_client(b'{"id": 1, "ok": true, "payload": '
-                            b'{"results": [{"result": "none"}]}}\n')
+    """An ``apply_batch`` sent with ``atom_limit`` must get a verdict on
+    each open success; a closed success, or a batch sent without
+    ``atom_limit``, needs none."""
+    client = garbage_client(_batch_reply(1, OPEN, CLOSED), _batch_reply(2, OPEN, CLOSED))
     with pytest.raises(ProtocolError) as err:
-        client.counterexamples_at(["c0", "c1"])
+        client.apply_batch([("c0", ["intro", "auto"])], atom_limit=16)
     assert err.value.offending_id == 1 and "request 1" in str(err.value)
+    [[(_, _, none), (_, _, closed)]] = client.apply_batch([("c0", ["intro", "auto"])])
+    assert none is closed is None
+
+
+def test_unknown_verdict_kind_is_protocol_error_naming_the_request(garbage_client):
+    client = garbage_client(_batch_reply(1, {**OPEN, "cex": {"result": "bogus"}}),
+                            _batch_reply(2, {**OPEN, "cex": {"result": "none"}}))
+    with pytest.raises(ProtocolError) as err:
+        client.apply_batch([("c0", ["intro"])], atom_limit=16)
+    assert err.value.offending_id == 1 and "bogus" in str(err.value)
+    [[(_, _, verdict)]] = client.apply_batch([("c0", ["intro"])], atom_limit=16)
+    assert verdict == CexResult.none()
+
+
+def test_unknown_hammer_result_is_protocol_error_naming_the_request(garbage_client):
+    client = garbage_client(b'{"id": 1, "ok": true, "payload": {"result": "timeout"}}\n',
+                            b'{"id": 2, "ok": true, "payload": {"result": "maybe"}}\n')
+    assert client.hammer_at("c0").kind == "timeout"
+    with pytest.raises(ProtocolError) as err:
+        client.hammer_at("c0")
+    assert err.value.offending_id == 2 and "maybe" in str(err.value)
+
+
+def test_request_line_that_is_not_utf8_is_protocol_error_and_is_not_run():
+    """A ``start`` whose source holds byte 0xff in a fact name is answered
+    like an undecodable line (id 0), and the stream goes on."""
+    start = json.dumps({"id": 1, "cmd": "start", "payload": {
+        "source": THEORY.replace("axiom f1:", "axiom f1@@:"), "theorem": "t1"}})
+    lines = [start.encode().replace(b"@@", b"\xff"),
+             json.dumps({"id": 2, "cmd": "stats"}).encode()]
+    server = ProverServer(trace=False)
+    out = io.BytesIO()
+    server.handle_stream(io.BytesIO(b"\n".join(lines) + b"\n"), out)
+    bad, stats = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert (bad["id"], bad["ok"], bad["error"]["category"]) == (0, False, "protocol_error")
+    assert "UTF-8" in bad["error"]["detail"]
+    assert (stats["id"], stats["ok"]) == (2, True)
+    assert stats["payload"]["snapshots"] == 0 and "start" not in stats["payload"]["commands"]
+
+
+def test_both_backends_expose_the_same_surface():
+    """``ToyProver`` and ``RemoteProver`` take the same parameters, with the
+    same defaults, on every call the product makes, and the remote side has
+    no counterexample call: a verdict comes only with ``apply_batch``."""
+    for name in ("start", "apply_batch", "replay", "hammer_at", "release", "stats", "close"):
+        here, there = (inspect.signature(getattr(cls, name)).parameters.values()
+                       for cls in (ToyProver, RemoteProver))
+        assert [(p.name, p.default) for p in here] == [(p.name, p.default) for p in there], name
+    assert [name for name in dir(RemoteProver) if name.startswith("counterexample")] == []
 
 
 # -- stdio transport ------------------------------------------------------------------

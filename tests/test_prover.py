@@ -657,7 +657,8 @@ def test_apply_batch_matches_apply_and_stops_at_the_winner(chain_theory):
     steps = ["apply [ghost]", "apply [f2]", "frobnicate hard", "simp", "auto", "intro"]
     [results] = prover.apply_batch([(root, steps)])
     assert len(results) == 5  # "intro" after the closing "auto" never runs
-    for text, (result, token) in zip(steps, results):
+    for text, (result, token, verdict) in zip(steps, results):
+        assert verdict is None  # no atom_limit, no verdict
         single = prover.restore(root)
         expected = prover.apply(single, text)
         assert result.ok == expected.ok
@@ -671,7 +672,8 @@ def test_apply_batch_matches_apply_and_stops_at_the_winner(chain_theory):
     assert results[-1][0].state.qed
     # the addressed snapshot is immutable: the same batch gives the same results
     [again] = prover.apply_batch([(root, steps)])
-    assert [(r.ok, r.category) for r, _ in again] == [(r.ok, r.category) for r, _ in results]
+    assert [(r.ok, r.category) for r, _, _ in again] \
+        == [(r.ok, r.category) for r, _, _ in results]
 
 
 def test_apply_batch_groups_are_independent_batches(chain_theory):
@@ -679,7 +681,7 @@ def test_apply_batch_groups_are_independent_batches(chain_theory):
     own stop after the first zero-subgoal success."""
     prover = ToyProver()
     root, _ = prover.start(chain_theory, "t1")
-    [(_, child)] = prover.apply_batch([(root, ["apply [f2]"])])[0]
+    [(_, child, _)] = prover.apply_batch([(root, ["apply [f2]"])])[0]
     groups = [(root, ["apply [f1]", "apply [f2]"]), (child, ["apply [f1]", "intro"]),
               (root, []), (root, ["apply [f2]"])]
     grouped = prover.apply_batch(groups)
@@ -687,8 +689,8 @@ def test_apply_batch_groups_are_independent_batches(chain_theory):
     assert [len(results) for results in grouped] == [2, 1, 0, 1]
     for got, want in zip(grouped, alone):
         assert [(r.ok, r.category, r.state and canonical_state(r.state))
-                for r, _ in got] == [(r.ok, r.category, r.state and canonical_state(r.state))
-                                     for r, _ in want]
+                for r, _, _ in got] == [(r.ok, r.category, r.state and canonical_state(r.state))
+                                        for r, _, _ in want]
     assert grouped[1][0][0].state.qed
 
 def test_apply_batch_unknown_token_raises(chain_theory):
@@ -701,6 +703,10 @@ def test_apply_batch_unknown_token_raises(chain_theory):
     token, _ = prover.start(chain_theory, "t1")
     with pytest.raises(UnknownSessionError):
         prover.apply_batch([(token, ["apply [f2]"]), ("c404", ["intro"])])
+    # so does an atom limit the truth table cannot take
+    for atom_limit in (-1, MAX_ATOM_LIMIT + 1):
+        with pytest.raises(ValueError, match="atom_limit"):
+            prover.apply_batch([(token, ["apply [f2]"])], atom_limit=atom_limit)
     assert prover.stats()["snapshots"] == 1
 
 
@@ -708,7 +714,7 @@ def test_release_drops_named_objects_and_ignores_unknown_ids(chain_theory):
     prover = ToyProver()
     token, _ = prover.start(chain_theory, "t1")
     sid = prover.restore(token)
-    [[(_, child)]] = prover.apply_batch([(token, ["apply [f2]"])])
+    [[(_, child, _)]] = prover.apply_batch([(token, ["apply [f2]"])])
     assert prover.stats() == {"sessions": 1, "snapshots": 2}
     prover.release([token, "no_such_id", sid])
     assert prover.stats() == {"sessions": 0, "snapshots": 1}

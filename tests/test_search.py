@@ -590,12 +590,12 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
         if fresh:
             [results] = backend.apply_batch([(node.token, fresh)], config.step_timeout_ms,
                                             atom_limit=oracle_limit)
-            for step, (result, token) in zip(fresh, results):
-                memo[step] = (result, token)
+            for step, (result, token, verdict) in zip(fresh, results):
+                memo[step] = (result, token, verdict)
                 if token is not None:
                     opened.append(token)
         for cand in cands:
-            result, token = memo[cand.step]
+            result, token, verdict = memo[cand.step]
             if not result.ok:
                 failures.append(FailedAttempt(node.state, cand.step, cand.log_prob,
                                               result.category))
@@ -604,7 +604,7 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
             if new_state.qed:
                 return SearchNode(new_state, node, cand, node.path_log_prob + cand.log_prob,
                                   node.length + 1, 0.0, order=-1, token=token)
-            successes.append((new_state, cand, token))
+            successes.append((new_state, verdict, cand, token))
         return None
 
     while stats.iterations < config.max_iterations and time.monotonic() < deadline:
@@ -632,20 +632,12 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
                 return SearchOutcome(True, tuple(reconstruct_proof(winner)), stats, tree,
                                      seen.stats, opened)
             if config.filtering_enabled:
-                token_of = {id(state): token for state, _, token in successes}
-
-                def oracle(states):
-                    return backend.counterexamples_at([token_of[id(s)] for s in states],
-                                                      config.atom_limit)
-
-                kept_pairs, delta = filter_states(
-                    [(state, cand) for state, cand, _ in successes], seen, oracle)
+                kept, delta = filter_states(successes, seen)
                 stats.nodes_filtered_dup += delta.duplicates_rejected
                 stats.nodes_filtered_cex += delta.counterexamples_rejected
-                kept = [(state, cand, token_of[id(state)]) for state, cand in kept_pairs]
             else:
                 kept = successes
-            for state, cand, token in kept:
+            for state, _, cand, token in kept:
                 if stats.nodes_created >= config.node_budget:
                     break
                 length = node.length + 1
