@@ -14,6 +14,7 @@ from .engine import prove_theorem, write_report
 from .evaluation import (
     RunRecord,
     aes,
+    check_fractions,
     completion_experiment,
     coverage_lines,
     jaccard_similarity,
@@ -184,15 +185,22 @@ def _rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fractions(text: str) -> list[float]:
+    try:
+        return check_fractions([float(x) for x in text.split(",") if x.strip()])
+    except ValueError as e:
+        raise ConfigError(f"--fractions {text!r}: {e}") from None
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     output: dict = {}
     if args.completion:
         if not args.theory:
             print("--completion requires --theory", file=sys.stderr)
             return 2
+        fractions = _fractions(args.fractions)  # checked before any proof runs
         config = _engine_config(args)
         theory = _load_theory_file(args.theory)
-        fractions = [float(x) for x in args.fractions.split(",") if x.strip()]
         generator = config.make_generator()
         backend = config.make_backend()
 

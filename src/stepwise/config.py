@@ -59,6 +59,8 @@ class EngineConfig:
             raise ConfigError("top_k must be >= 1")
         if self.candidates_per_state < 1:
             raise ConfigError(f"candidates_per_state must be >= 1, got {self.candidates_per_state}")
+        if self.revision_budget < 0:  # it would cut the ranked repairs' last ones
+            raise ConfigError(f"revision_budget must be >= 0, got {self.revision_budget}")
         if self.repair_rounds < 0:
             raise ConfigError(f"repair_rounds must be >= 0, got {self.repair_rounds}")
         if self.alpha < 0:
@@ -69,10 +71,9 @@ class EngineConfig:
             raise ConfigError("top_matches must be >= 1")
         if self.hammer_states < 1:
             raise ConfigError("hammer_states must be >= 1")
-        # the server's bounds: a negative premise limit would cut the pool's last facts
-        if self.hammer_depth < 0:
+        if self.hammer_depth < 0:  # the wire's bound on the hammer's max_depth
             raise ConfigError(f"hammer_depth must be >= 0, got {self.hammer_depth}")
-        if self.hammer_premise_limit < 0:
+        if self.hammer_premise_limit < 0:  # it would cut the ranked pool's last facts
             raise ConfigError(
                 f"hammer_premise_limit must be >= 0, got {self.hammer_premise_limit}")
         if self.hammer_timeout_s < 0.001:  # the hammer's budget is whole ms

@@ -106,6 +106,17 @@ class CompletionCurve:
                 raise ValueError("curve points must lie in [0, 1]")
 
 
+def check_fractions(fractions: list[float]) -> list[float]:
+    """Completion fractions: at least one, strictly ascending, in [0, 1]."""
+    if not fractions:
+        raise ValueError("fractions must name at least one fraction")
+    if any(b <= a for a, b in zip(fractions, fractions[1:])):
+        raise ValueError("fractions must be strictly ascending")
+    if not all(0 <= s <= 1 for s in fractions):
+        raise ValueError("fractions must lie in [0, 1]")
+    return fractions
+
+
 ProveWithPrefix = Callable[[Theory, str, tuple[ProofStep, ...]], bool]
 
 
@@ -117,8 +128,7 @@ def completion_experiment(corpus: list[Theory], fractions: list[float],
     Returns the curve and the skipped (theorem, reason) list."""
     from .search import ReplayError
 
-    if any(b <= a for a, b in zip(fractions, fractions[1:])):
-        raise ValueError("fractions must be strictly ascending")
+    check_fractions(fractions)
     tasks = [(theory, entry) for theory in corpus
              for entry in theory.provable_entries() if entry.proof]
     skipped: list[tuple[str, str]] = []

@@ -1,7 +1,8 @@
 """Proof-state filtering: duplicate detection and counterexample pruning.
 
 The counterexample verdicts come with the states: the backend's
-``apply_batch`` computes one for each success with open subgoals.
+``apply_batch`` returns the kind of one (``none``, ``counterexample`` or
+``unknown``) for each success with open subgoals.
 """
 
 from __future__ import annotations
@@ -45,20 +46,20 @@ def is_duplicate(state: ProofState, seen: SeenSet) -> bool:
 
 def filter_states(items: list[tuple], seen: SeenSet) -> tuple[list[tuple], FilterStats]:
     """Each item is a tuple whose first two entries are a state and its
-    ``CexResult`` verdict. Drop the duplicates (cheap key lookup), then the
+    verdict kind. Drop the duplicates (cheap key lookup), then the
     states their verdict falsifies; Unknown verdicts keep the state and are
     counted. Kept items come back as given, in order. Returns the kept list
     and this call's stats delta; the SeenSet accumulates totals."""
     delta = FilterStats()
     kept = []
     for item in items:
-        state, verdict = item[0], item[1]
+        state, kind = item[0], item[1]
         if is_duplicate(state, seen):
             delta.duplicates_rejected += 1
-        elif verdict.kind == "counterexample":
+        elif kind == "counterexample":
             delta.counterexamples_rejected += 1
         else:
-            delta.unknown_oracle += verdict.kind == "unknown"
+            delta.unknown_oracle += kind == "unknown"
             kept.append(item)
     seen.stats.merge(delta)
     return kept, delta

@@ -38,12 +38,8 @@ def hammer_state(state: ProofState, token: str, backend,
                  config: EngineConfig) -> HammerResult:
     """One hammer call on the snapshot ``token`` of ``state``, with the
     ``mesh_rank`` premise pool capped at ``hammer_premise_limit``."""
-    context = state.context
-    pool = mesh_rank(state, context, min(config.hammer_premise_limit, len(context.facts)),
-                     config.mesh_weight)
-    hammer_config = HammerConfig(max_depth=config.hammer_depth,
-                                 premise_limit=config.hammer_premise_limit,
-                                 budget_ms=int(config.hammer_timeout_s * 1000))
+    pool = mesh_rank(state, state.context, config.hammer_premise_limit, config.mesh_weight)
+    hammer_config = HammerConfig(config.hammer_depth, int(config.hammer_timeout_s * 1000))
     return backend.hammer_at(token, hammer_config, pool)
 
 

@@ -13,10 +13,11 @@ engine. Every command addresses immutable snapshot tokens: ``start``
 carries the theory source, which the server parses on each call, and
 returns the root's, ``apply_batch`` one per success in each of its
 ``(token, steps)`` groups and ``replay`` the end of a step chain, and
-``hammer`` takes one. So a missed deadline loses only that reply; the
-snapshots a late ``apply_batch`` or ``replay`` reply names ride, like every
-release, on the client's next request. An ``apply_batch`` that carries an
-``atom_limit`` gets each open success's counterexample verdict with it,
+``hammer`` takes one with the engine's premise pool and budgets. So a
+missed deadline loses only that reply; the snapshots a late
+``apply_batch`` or ``replay`` reply names ride, like every release, on the
+client's next request. An ``apply_batch`` that carries an ``atom_limit``
+gets the kind of each open success's counterexample verdict with it,
 which is the only way a verdict crosses the wire.
 """
 
@@ -46,7 +47,6 @@ from .core import (
     state_to_wire,
 )
 from .prover import (
-    CexResult,
     HammerConfig,
     HammerResult,
     ProverError,
@@ -60,7 +60,7 @@ TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
 COMMANDS = ("init", "start", "apply_batch", "replay", "hammer", "stats", "shutdown")
 
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 
 class ProtocolError(Exception):
@@ -168,8 +168,8 @@ def _dicts(payload: dict, key: str) -> list[dict]:
     return value
 
 
-def _int(payload: dict, key: str, default: int, least: int) -> int:
-    value = payload.get(key, default)
+def _int(payload: dict, key: str, least: int) -> int:
+    value = payload[key]
     if not _is_int(value):
         raise TypeError(f"{key} must be an integer")
     if value < least:
@@ -305,7 +305,7 @@ class ProverServer:
         if cmd == "apply_batch":
             groups = [(_text(group, "token"), _texts(group, "steps"))
                       for group in _dicts(payload, "groups")]
-            atom_limit = _int(payload, "atom_limit", 0, 0) if "atom_limit" in payload else None
+            atom_limit = _int(payload, "atom_limit", 0) if "atom_limit" in payload else None
             return {"results": [[_batch_item(*item) for item in results] for results
                                 in prover.apply_batch(groups, req.timeout_ms, atom_limit)]
                     }, False
@@ -319,13 +319,8 @@ class ProverServer:
                 reply["token"] = token
             return reply, False
         if cmd == "hammer":
-            config = HammerConfig(
-                max_depth=_int(payload, "max_depth", HammerConfig.max_depth, 0),
-                premise_limit=_int(payload, "premise_limit", HammerConfig.premise_limit, 0),
-                budget_ms=_int(payload, "budget_ms", HammerConfig.budget_ms, 1),
-            )
-            pool = _texts(payload, "pool") if payload.get("pool") is not None else None
-            result = prover.hammer_at(_text(payload, "token"), config, pool)
+            config = HammerConfig(_int(payload, "max_depth", 0), _int(payload, "budget_ms", 1))
+            result = prover.hammer_at(_text(payload, "token"), config, _texts(payload, "pool"))
             reply = {"result": result.kind}
             if result.found:
                 reply["steps"] = [s.text() for s in result.steps]
@@ -365,40 +360,19 @@ def _protocol_error(rid: int, detail: str) -> Response:
     return Response(rid, False, None, {"category": "protocol_error", "detail": detail})
 
 
-def _batch_item(result: StepResult, token: str | None, verdict: CexResult | None):
+def _batch_item(result: StepResult, token: str | None, kind: str | None):
     """One ``apply_batch`` result on the wire: a failure's bare category, or
-    a success's token and state, with its verdict when it has one."""
+    a success's token and state, with its verdict kind when it has one."""
     if not result.ok:
         return result.category
     item = {"token": token, "state": state_to_wire(result.state)}
-    if verdict is not None:
-        item["cex"] = _cex_to_wire(verdict)
+    if kind is not None:
+        item["cex"] = kind
     return item
 
 
 def _step_texts(steps) -> list[str]:
     return [s if isinstance(s, str) else (s.raw or s.text()) for s in steps]
-
-
-def _cex_to_wire(verdict: CexResult) -> dict:
-    if verdict.kind == "counterexample":
-        return {"result": "counterexample", "assignment": verdict.assignment,
-                "subgoal_index": verdict.subgoal_index}
-    if verdict.kind == "unknown":
-        return {"result": "unknown", "reason": verdict.reason}
-    return {"result": "none"}
-
-
-def _cex_from_wire(obj: dict) -> CexResult:
-    kind = obj["result"]
-    if kind == "counterexample":
-        return CexResult.found({k: bool(v) for k, v in obj["assignment"].items()},
-                               int(obj["subgoal_index"]))
-    if kind == "unknown":
-        return CexResult.unknown(obj.get("reason", ""))
-    if kind == "none":
-        return CexResult.none()
-    raise ValueError(f"unknown verdict {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +533,10 @@ class RemoteProver:
             return payload["token"], state_from_wire(payload["state"], EMPTY_CONTEXT)
 
     def apply_batch(self, groups, timeout_ms: int | None = None, atom_limit: int | None = None
-                    ) -> list[list[tuple[StepResult, str | None, CexResult | None]]]:
+                    ) -> list[list[tuple[StepResult, str | None, str | None]]]:
         """One round trip for every ``(token, steps)`` group (see
         ``ToyProver.apply_batch``). With ``atom_limit`` the reply must carry
-        the counterexample verdict of each success with open subgoals. The
+        the verdict kind of each success with open subgoals. The
         reply is awaited for the sum of all the step budgets plus grace; on
         a miss every step reports ``timeout``."""
         wire = [{"token": token, "steps": _step_texts(steps)} for token, steps in groups]
@@ -579,23 +553,25 @@ class RemoteProver:
             return [[(BARE_FAILURES["timeout"], None, None)] * len(group["steps"])
                     for group in wire]
         payload = self._expect(resp)
-        out: list[list[tuple[StepResult, str | None, CexResult | None]]] = []
+        out: list[list[tuple[StepResult, str | None, str | None]]] = []
         with _reply_to(resp.id):
             groups = payload["results"]
             if len(groups) != len(wire) or any(
                     len(items) > len(group["steps"]) for items, group in zip(groups, wire)):
                 raise ValueError("results do not match the groups sent")
             for items in groups:
-                results: list[tuple[StepResult, str | None, CexResult | None]] = []
+                results: list[tuple[StepResult, str | None, str | None]] = []
                 for item in items:
                     if isinstance(item, str):
                         results.append((BARE_FAILURES[item], None, None))
                         continue
                     state = state_from_wire(item["state"], EMPTY_CONTEXT)
-                    verdict = None
+                    kind = None
                     if atom_limit is not None and not state.qed:
-                        verdict = _cex_from_wire(item["cex"])
-                    results.append((StepResult.success(state), item["token"], verdict))
+                        kind = item["cex"]
+                        if kind not in ("none", "counterexample", "unknown"):
+                            raise ValueError(f"unknown verdict {kind!r}")
+                    results.append((StepResult.success(state), item["token"], kind))
                 out.append(results)
         return out
 
@@ -631,13 +607,9 @@ class RemoteProver:
     def stats(self) -> dict:
         return self._expect(self._call("stats"))
 
-    def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
-                  pool: list[str] | None = None) -> HammerResult:
-        payload: dict = {"token": token, "max_depth": config.max_depth,
-                         "premise_limit": config.premise_limit,
-                         "budget_ms": config.budget_ms}
-        if pool is not None:
-            payload["pool"] = list(pool)
+    def hammer_at(self, token: str, config: HammerConfig, pool: list[str]) -> HammerResult:
+        payload = {"token": token, "max_depth": config.max_depth,
+                   "budget_ms": config.budget_ms, "pool": pool}
         resp = self._call("hammer", payload=payload, timeout_ms=config.budget_ms + 5000)
         reply = self._expect(resp)
         with _reply_to(resp.id):

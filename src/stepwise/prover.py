@@ -5,8 +5,9 @@ drives: goal initialisation, step execution, a truth-table counterexample
 oracle and a depth-bounded proof hammer, all addressed by immutable
 snapshot tokens: ``start`` takes a parsed ``Theory`` and returns the
 root's, ``apply_batch`` one per success of each ``(token, steps)`` group,
-with the counterexample verdict on it, and ``replay`` the end of a step
-chain, and ``hammer_at`` takes one. All tactics act on the first subgoal.
+with the kind of the counterexample verdict on it, and ``replay`` the end
+of a step chain, and ``hammer_at`` takes one with the caller's premise
+pool and budgets. All tactics act on the first subgoal.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ def load_theory(source: str) -> Theory:
             parts = line.split()
             if len(parts) != 2:
                 raise TheoryParseError("expected: theory <name>", lineno)
+            if not IDENT_RE.fullmatch(parts[1]):  # reports are named after it
+                raise TheoryParseError(f"invalid theory name {parts[1]!r}", lineno)
             name = parts[1]
             continue
         if name is None:
@@ -467,9 +470,8 @@ def check_counterexample(state: ProofState, atom_limit: int = 16) -> CexResult:
 
 @dataclass(frozen=True)
 class HammerConfig:
-    max_depth: int = 4
-    premise_limit: int = 2048
-    budget_ms: int = 60_000
+    max_depth: int
+    budget_ms: int
 
 
 @dataclass(frozen=True)
@@ -485,25 +487,17 @@ class HammerResult:
 _HAMMER_TACTICS = ("assumption", "intro", "split", "left", "right")
 
 
-def toy_hammer(state: ProofState, config: HammerConfig = HammerConfig(),
-               pool: list[str] | None = None) -> HammerResult:
+def toy_hammer(state: ProofState, config: HammerConfig, pool: list[str]) -> HammerResult:
     """Iterative-deepening search for a full closing step sequence.
 
-    Tactics are tried in a fixed order with facts in relevance order
-    (``pool`` overrides the default relevance filtering): the fact-free
-    tactics, ``elim`` over the pool's disjunctions, then ``apply`` over the
-    pool facts. Deterministic for fixed inputs; Timeout when the budget runs
-    out.
+    Tactics are tried in a fixed order with facts in ``pool`` order, the
+    caller's relevance ranking: the fact-free tactics, ``elim`` over the
+    pool's disjunctions, then ``apply`` over the pool facts. Deterministic
+    for fixed inputs; Timeout when the budget runs out.
     """
     if not state.subgoals:
         return HammerResult("found", ())
-    from .revision import relevance_filter
-
     ctx = state.context
-    if pool is None:
-        pool = relevance_filter(state, ctx, config.premise_limit)
-    else:
-        pool = list(pool)[:config.premise_limit]
     moves = [ProofStep(tactic) for tactic in _HAMMER_TACTICS]
     moves += [ProofStep("elim", (fname,)) for fname in pool
               if isinstance(ctx.facts.get(fname), Or)]
@@ -645,32 +639,32 @@ class ToyProver:
         return result
 
     def apply_batch(self, groups, timeout_ms: int | None = None, atom_limit: int | None = None
-                    ) -> list[list[tuple[StepResult, str | None, CexResult | None]]]:
+                    ) -> list[list[tuple[StepResult, str | None, str | None]]]:
         """For each ``(token, steps)`` group, in order, apply each step, in
         order and with its own ``timeout_ms`` budget, to the snapshot
         ``token``; each success is stored as a new snapshot whose token comes
         back with its result, each failure reports its category alone. Given
-        ``atom_limit``, a success with open subgoals comes with
-        ``check_counterexample`` on its state; every other step's verdict is
-        None. A group stops after its first success with zero subgoals.
-        Returns one ``(result, token, verdict)`` list per group; an unknown
-        token or an ``atom_limit`` outside ``0..MAX_ATOM_LIMIT`` fails the
-        whole call before any step runs."""
+        ``atom_limit``, a success with open subgoals comes with the kind of
+        ``check_counterexample`` on its state (``none``, ``counterexample``
+        or ``unknown``); every other step's kind is None. A group stops after
+        its first success with zero subgoals. Returns one ``(result, token,
+        kind)`` list per group; an unknown token or an ``atom_limit`` outside
+        ``0..MAX_ATOM_LIMIT`` fails the whole call before any step runs."""
         if atom_limit is not None:
             _check_atom_limit(atom_limit)
         snapshots = [(self._snapshot(token), steps) for token, steps in groups]
-        out: list[list[tuple[StepResult, str | None, CexResult | None]]] = []
+        out: list[list[tuple[StepResult, str | None, str | None]]] = []
         for state, steps in snapshots:
-            results: list[tuple[StepResult, str | None, CexResult | None]] = []
+            results: list[tuple[StepResult, str | None, str | None]] = []
             for step in steps:
                 result = _apply_text_or_step(state, step, timeout_ms)
                 if not result.ok:
                     results.append((BARE_FAILURES[result.category], None, None))
                     continue
                 closed = result.state.qed
-                verdict = (None if atom_limit is None or closed
-                           else check_counterexample(result.state, atom_limit))
-                results.append((result, self._store(result.state), verdict))
+                kind = (None if atom_limit is None or closed
+                        else check_counterexample(result.state, atom_limit).kind)
+                results.append((result, self._store(result.state), kind))
                 if closed:
                     break
             out.append(results)
@@ -718,8 +712,7 @@ class ToyProver:
     def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
         return check_counterexample(self._snapshot(token), atom_limit)
 
-    def hammer_at(self, token: str, config: HammerConfig = HammerConfig(),
-                  pool: list[str] | None = None) -> HammerResult:
+    def hammer_at(self, token: str, config: HammerConfig, pool: list[str]) -> HammerResult:
         return toy_hammer(self._snapshot(token), config, pool)
 
     # -- lifetime ----------------------------------------------------------

@@ -80,7 +80,8 @@ def test_criterion_3_filter_soundness(bench_corpus):
             states.append(state)
         assert state.qed
         seen = SeenSet()
-        items = [(s, check_counterexample(s), _dummy_candidate()) for s in states if not s.qed]
+        items = [(s, check_counterexample(s).kind, _dummy_candidate())
+                 for s in states if not s.qed]
         kept, stats = filter_states(items, seen)
         assert stats.counterexamples_rejected == 0, theory.name
         on_path_states += len(items)

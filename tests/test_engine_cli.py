@@ -197,14 +197,15 @@ INVALID_VALUES = [
     # each of these would let the search or the hammer skip its work silently
     ("repair_rounds", -1), ("candidates_per_state", 0), ("hammer_timeout_s", -1),
     ("hammer_timeout_s", 0), ("hammer_timeout_s", 0.0005), ("hammer_depth", -1),
-    ("hammer_premise_limit", -1),
+    ("hammer_premise_limit", -1), ("revision_budget", -1),
 ]
 
 
 def test_least_valid_search_and_hammer_budgets_are_accepted():
     config = EngineConfig(repair_rounds=0, candidates_per_state=1, hammer_timeout_s=0.001,
-                          hammer_depth=0, hammer_premise_limit=0)
-    assert (config.repair_rounds, config.candidates_per_state) == (0, 1)
+                          hammer_depth=0, hammer_premise_limit=0, revision_budget=0)
+    assert (config.repair_rounds, config.candidates_per_state, config.revision_budget) \
+        == (0, 1, 0)
     assert (config.hammer_depth, config.hammer_premise_limit) == (0, 0)
 
 
@@ -328,6 +329,19 @@ def test_cli_prove_remote_closes_its_one_connection(theory_file, tmp_path, capsy
     assert {p.name for p in out.glob("*.json")} == {"clidemo.t1.json", "clidemo.t2.json"}
 
 
+def test_cli_prove_writes_nothing_outside_out_for_a_path_like_theory_name(tmp_path, capsys):
+    """Reports are named after the theory, so ``theory ../escaped`` must
+    not put one beside ``--out``: the header is a parse error."""
+    source = tmp_path / "in" / "escaped.thy"
+    source.parent.mkdir()
+    source.write_text(THEORY.replace("theory clidemo", "theory ../escaped"))
+    code = main(["prove", "--theory", str(source), "--out", str(tmp_path / "out" / "reports")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "invalid theory name" in captured.err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [source]
+
+
 def test_cli_prove_missing_theory_file(tmp_path):
     assert main(["prove", "--theory", str(tmp_path / "nope.thy")]) == 1
 
@@ -370,6 +384,26 @@ def test_cli_eval_completion(theory_file, capsys):
     assert points[-1] == {"sigma": 1.0, "rate": 1.0}
     assert "aes_literal" in payload["completion"]
     assert "aes_saved" in payload["completion"]
+
+
+@pytest.mark.parametrize("fractions,message", [
+    ("abc", "could not convert"), ("0.5,0.25", "strictly ascending"),
+    ("0.0,1.5", "lie in [0, 1]"), (",", "at least one")],
+    ids=["not_a_number", "descending", "out_of_range", "empty"])
+def test_cli_eval_bad_fractions_are_one_error_line_before_any_proof(
+        fractions, message, theory_file, capsys, monkeypatch):
+    import stepwise.cli as cli
+
+    def no_proof(*args, **kwargs):
+        raise AssertionError("a proof ran before --fractions was checked")
+
+    monkeypatch.setattr(cli, "prove_theorem", no_proof)
+    code = main(["eval", "--completion", "--theory", str(theory_file),
+                 "--fractions", fractions])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "--fractions" in captured.err and message in captured.err
 
 
 def test_cli_eval_nothing_requested_exits_2():

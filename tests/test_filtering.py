@@ -36,8 +36,8 @@ def test_is_duplicate_distinguishes_hypotheses():
 
 def verdicts(items, atom_limit=16):
     """Each ``(state, candidate)`` pair as a filter item, with the verdict
-    ``apply_batch`` would return for the state."""
-    return [(state, check_counterexample(state, atom_limit), c) for state, c in items]
+    kind ``apply_batch`` would return for the state."""
+    return [(state, check_counterexample(state, atom_limit).kind, c) for state, c in items]
 
 
 def test_filter_drops_duplicates_then_counterexamples():

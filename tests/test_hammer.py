@@ -100,7 +100,7 @@ class _RecordingBackend:
         self.inner = inner
         self.tokens = []
 
-    def hammer_at(self, token, config, pool=None):
+    def hammer_at(self, token, config, pool):
         self.tokens.append(token)
         return self.inner.hammer_at(token, config, pool)
 
@@ -142,7 +142,7 @@ def test_fallback_only_consulted_after_search_failure():
             super().__init__()
             self.hammer_calls = 0
 
-        def hammer_at(self, token, config, pool=None):
+        def hammer_at(self, token, config, pool):
             self.hammer_calls += 1
             return super().hammer_at(token, config, pool)
 

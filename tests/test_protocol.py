@@ -20,7 +20,7 @@ from conftest import naive_first_counterexample, random_formula, replay_chain
 from stepwise.core import ERROR_CATEGORIES, ProofStep, Theory, canonical_state
 from stepwise.formulas import render
 from stepwise.prover import (
-    CexResult,
+    HammerConfig,
     ToyProver,
     TheoryParseError,
     check_counterexample,
@@ -50,6 +50,8 @@ theorem t2: p -> p
 end
 """
 PROTO = load_theory(THEORY)
+HAMMER = HammerConfig(4, 60_000)
+POOL = ["f1", "f2", "d"]
 
 
 @pytest.fixture
@@ -208,9 +210,9 @@ def test_counterexample_and_hammer_over_wire(client):
     token, _ = client.start(PROTO, "t1")
     [[(_, child, verdict)]] = client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000,
                                                   atom_limit=16)
-    assert verdict.kind == "none"  # p follows from f1
+    assert verdict == "none"  # p follows from f1
     client.release([child])
-    result = client.hammer_at(token)
+    result = client.hammer_at(token, HAMMER, POOL)
     assert result.found
     replayed, final = client.replay(token, result.steps, timeout_ms=3000)
     assert all(r.ok for r in replayed) and replayed[-1].state.qed and final is not None
@@ -225,7 +227,7 @@ def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
     # the connection and the snapshot still work
     [[(_, _, verdict)]] = client.apply_batch([(token, ["intro"])], timeout_ms=3000,
                                              atom_limit=16)
-    assert verdict.kind == "counterexample" and verdict.assignment == {"p": True, "q": False}
+    assert verdict == "counterexample"
 
 
 def _counts(client):
@@ -268,7 +270,7 @@ def test_theory_names_do_not_collide_across_connections(tcp_server):
                 [[(result, child, verdict)]] = client.apply_batch(
                     [(token, ["intro"])], timeout_ms=3000, atom_limit=16)
                 assert (result.ok, verdict) == ((False, None) if goal == "p"
-                                                else (True, CexResult.none()))
+                                                else (True, "none"))
                 client.release([t for t in (token, child) if t is not None])
         assert _counts(clients[0]) == {"start": 4, "apply_batch": 4}
     finally:
@@ -279,7 +281,7 @@ def test_theory_names_do_not_collide_across_connections(tcp_server):
 def test_unknown_session_is_backend_error(client):
     """An unknown token fails the whole command with ``unknown_session``."""
     for call in (lambda: client.replay("nonexistent", ["intro"], timeout_ms=3000),
-                 lambda: client.hammer_at("nonexistent")):
+                 lambda: client.hammer_at("nonexistent", HAMMER, POOL)):
         with pytest.raises(BackendError) as err:
             call()
         assert err.value.category == "unknown_session"
@@ -342,7 +344,7 @@ def test_grouped_apply_batch_over_wire_matches_in_process(client):
 
 def test_token_addressed_oracles_open_no_session(client):
     token, _ = client.start(PROTO, "t1")
-    result = client.hammer_at(token)
+    result = client.hammer_at(token, HAMMER, POOL)
     assert result.found
     stats = client.stats()
     assert (stats["sessions"], stats["snapshots"]) == (0, 1)
@@ -371,14 +373,16 @@ def test_counterexample_batch_over_wire_matches_in_process(client):
             [remote_results] = client.apply_batch([(there, steps)], timeout_ms=3000,
                                                   atom_limit=atom_limit)
             assert [v for _, _, v in remote_results] == [v for _, _, v in local_results]
-            for result, _, verdict in local_results:
-                if verdict is None:
+            for result, _, kind in local_results:
+                if kind is None:
                     continue
-                kinds.add(verdict.kind)
-                if verdict.kind == "counterexample":
+                kinds.add(kind)
+                verdict = check_counterexample(result.state, atom_limit)
+                assert verdict.kind == kind
+                if kind == "counterexample":
                     assert (verdict.assignment, verdict.subgoal_index) \
                         == naive_first_counterexample(result.state)
-                elif verdict.kind == "none":
+                elif kind == "none":
                     assert naive_first_counterexample(result.state) is None
             local.release([t for _, t, _ in local_results if t is not None])
             client.release([t for _, t, _ in remote_results if t is not None])
@@ -538,7 +542,7 @@ def test_removed_session_commands_are_errors_that_keep_the_connection(client, cm
     with pytest.raises(BackendError) as err:
         client._expect(client._call("hammer", payload={"atom_limit": 16}))
     assert err.value.category == "protocol_error"
-    assert client.init()["protocol"] == 7
+    assert client.init()["protocol"] == 8
     assert client.stats()["snapshots"] == 1
 
 
@@ -552,10 +556,11 @@ end
 
 
 def test_apply_batch_verdicts_agree_in_process_and_over_tcp(client):
-    """Both paths return the same verdict for each step: for an open
-    success, given ``atom_limit``, ``check_counterexample`` on its state;
-    for a failure, a closed success or a batch without ``atom_limit``,
-    None. The search reads these verdicts; no other request asks."""
+    """Both paths return the same verdict kind for each step: for an open
+    success, given ``atom_limit``, the kind of ``check_counterexample`` on
+    its state; for a failure, a closed success or a batch without
+    ``atom_limit``, None. The search reads these kinds; no other request
+    asks. The oracle's own verdict names the first counterexample."""
     theory = load_theory(VERDICTS)
     local = ToyProver()
     kinds = set()
@@ -576,12 +581,16 @@ def test_apply_batch_verdicts_agree_in_process_and_over_tcp(client):
         here, there = paths
         assert [v for _, _, v in here] == [v for _, _, v in there]
         assert [r.ok for r, _, _ in here] == [False, True, True, True, False, True, False]
-        for result, _, verdict in here:
+        for result, _, kind in here:
             if atom_limit is None or not result.ok or result.state.qed:
-                assert verdict is None
-            else:
-                assert verdict == check_counterexample(result.state, atom_limit)
-                kinds.add(verdict.kind)
+                assert kind is None
+                continue
+            verdict = check_counterexample(result.state, atom_limit)
+            assert kind == verdict.kind
+            kinds.add(kind)
+            if kind == "counterexample":
+                assert (verdict.assignment, verdict.subgoal_index) \
+                    == naive_first_counterexample(result.state)
     assert kinds == {"none", "counterexample", "unknown"}
     assert local.stats()["snapshots"] == client.stats()["snapshots"] == 0
     assert "counterexample" not in client.stats()["commands"]
@@ -595,11 +604,28 @@ def test_apply_batch_reply_carries_categories_and_open_verdicts_only(client):
         "atom_limit": 16}))
     [failure, no_progress, opened, closed], empty = reply["results"]
     assert (failure, no_progress, empty) == ("undefined_fact", "no_progress", [])
-    assert opened["cex"] == {"result": "none"} and "cex" not in closed
+    assert opened["cex"] == "none" and "cex" not in closed
     assert closed["state"]["subgoals"] == []
     without = client._expect(client._call("apply_batch", payload={
         "groups": [{"token": token, "steps": ["intro"]}]}))
     assert "cex" not in without["results"][0][0]
+
+
+def test_apply_batch_reply_verdicts_are_bare_kinds(client):
+    """On the wire an open success's ``cex`` is its verdict's kind alone:
+    no assignment, subgoal index or reason travels with it."""
+    root, _ = client.start(load_theory(VERDICTS), "g")
+    [[(_, child, _)]] = client.apply_batch([(root, ["intro"])], timeout_ms=3000)
+    kinds = []
+    for atom_limit in (2, 3):
+        reply = client._expect(client._call("apply_batch", payload={
+            "groups": [{"token": child, "steps": ["left", "right"]}], "atom_limit": atom_limit}))
+        [items] = reply["results"]
+        kinds += [item["cex"] for item in items]
+        client.release([item["token"] for item in items])
+    assert kinds == ["unknown", "unknown", "counterexample", "none"]
+    client.release([root, child])
+    assert client.stats()["snapshots"] == 0
 
 
 def test_bad_atom_limit_in_apply_batch_is_protocol_error_and_opens_nothing(client):
@@ -622,39 +648,55 @@ def test_malformed_payload_keeps_the_connection(client):
                          ("apply_batch", {"token": "c0", "steps": ["intro"]}),
                          ("replay", {"token": "c0", "steps": "intro"}),
                          ("hammer", {"token": "c0", "max_depth": -3}),
-                         ("hammer", {"token": "c0", "premise_limit": -1}),
-                         ("hammer", {"token": "c0", "budget_ms": 0})):
+                         ("hammer", {"token": "c0", "budget_ms": 0}),
+                         ("hammer", {"token": "c0", "max_depth": 2, "budget_ms": 1000,
+                                     "pool": None}),
+                         ("hammer", {"token": "c0", "max_depth": 2.0, "budget_ms": 1000,
+                                     "pool": ["f1"]})):
         with pytest.raises(BackendError) as err:
             client._expect(client._call(cmd, payload=payload))
         assert err.value.category == "protocol_error", (cmd, payload)
-    assert client.init()["protocol"] == 7
+    assert client.init()["protocol"] == 8
 
 
-@pytest.mark.parametrize("key,value", [("max_depth", -3), ("premise_limit", -1),
-                                       ("budget_ms", -5), ("budget_ms", 0)])
+@pytest.mark.parametrize("key,value", [("max_depth", -3), ("budget_ms", -5), ("budget_ms", 0)])
 def test_out_of_range_hammer_integers_are_protocol_errors(key, value):
-    """A negative premise limit would drop the pool's last facts, and a
-    negative depth or a budget below 1 ms would answer ``notfound`` or
-    ``timeout`` without searching; none of them is a hammer setting."""
+    """A negative depth or a budget below 1 ms would answer ``notfound`` or
+    ``timeout`` without searching; neither is a hammer setting."""
     server = ProverServer(trace=False)
     token, _ = server.prover.start(PROTO, "t1")
-    payload = {"token": token, "max_depth": 2, "premise_limit": 8, "budget_ms": 1000,
-               "pool": ["f1", "f2"], key: value}
+    payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"],
+               key: value}
     response, _ = server.handle_line(json.dumps({"id": 4, "cmd": "hammer", "payload": payload}))
     assert (response.id, response.ok) == (4, False)
     assert response.error["category"] == "protocol_error" and key in response.error["detail"]
 
 
+@pytest.mark.parametrize("missing", ["pool", "max_depth", "budget_ms"])
+def test_hammer_without_its_pool_or_budgets_is_protocol_error(client, missing):
+    """The engine owns the hammer's premise pool and budgets, so ``hammer``
+    requires all three; a request that lacks one runs nothing and keeps the
+    connection."""
+    token, _ = client.start(PROTO, "t1")
+    payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"]}
+    del payload[missing]
+    with pytest.raises(BackendError) as err:
+        client._expect(client._call("hammer", payload=payload))
+    assert err.value.category == "protocol_error" and missing in err.value.detail
+    assert client.hammer_at(token, HAMMER, POOL).found
+    assert _counts(client) == {"start": 1, "hammer": 2}
+
+
 @pytest.mark.parametrize("key,value,kinds", [("max_depth", 0, ("notfound",)),
-                                             ("premise_limit", 0, ("notfound",)),
+                                             ("pool", [], ("notfound",)),
                                              ("budget_ms", 1, ("found", "timeout"))])
 def test_least_hammer_integers_are_accepted(key, value, kinds):
-    """No depth, or no premises for a goal that needs ``apply [f2]``, finds
-    nothing; a 1 ms budget runs."""
+    """No depth, or an empty pool for a goal that needs ``apply [f2]``,
+    finds nothing; a 1 ms budget runs."""
     server = ProverServer(trace=False)
     token, _ = server.prover.start(PROTO, "t1")
-    payload = {"token": token, "max_depth": 2, "premise_limit": 8, "budget_ms": 1000,
-               "pool": ["f1", "f2"], key: value}
+    payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"],
+               key: value}
     response, _ = server.handle_line(json.dumps({"id": 5, "cmd": "hammer", "payload": payload}))
     assert response.ok and response.payload["result"] in kinds
 
@@ -731,8 +773,7 @@ def _well_formed_payload(cmd, token):
         "replay": {"token": token, "steps": ["apply [f2]", "apply [f1]"]},
         "release": {"ids": [token]},
         "counterexample": {"tokens": [token], "atom_limit": 16},
-        "hammer": {"token": "c404", "max_depth": 2, "premise_limit": 8, "budget_ms": 1000,
-                   "pool": ["f2"]},
+        "hammer": {"token": "c404", "max_depth": 2, "budget_ms": 1000, "pool": ["f2"]},
     }.get(cmd, {})
 
 
@@ -991,7 +1032,7 @@ def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
         # here; this batch's verdict comes with its own reply
         [[(_, child, verdict)]] = client.apply_batch([(token, ["apply [f2]"])],
                                                      timeout_ms=3000, atom_limit=16)
-        assert verdict.kind == "none"
+        assert verdict == "none"
         assert "counterexample" not in client.stats()["commands"]
         client.release([token, child])
         stats = client.stats()
@@ -1139,21 +1180,25 @@ def test_counterexample_reply_short_of_verdicts_is_protocol_error(garbage_client
 
 
 def test_unknown_verdict_kind_is_protocol_error_naming_the_request(garbage_client):
-    client = garbage_client(_batch_reply(1, {**OPEN, "cex": {"result": "bogus"}}),
-                            _batch_reply(2, {**OPEN, "cex": {"result": "none"}}))
-    with pytest.raises(ProtocolError) as err:
-        client.apply_batch([("c0", ["intro"])], atom_limit=16)
-    assert err.value.offending_id == 1 and "bogus" in str(err.value)
+    """A ``cex`` is one of three bare strings; another string, or a
+    version-7 verdict object, is not a verdict."""
+    client = garbage_client(_batch_reply(1, {**OPEN, "cex": "bogus"}),
+                            _batch_reply(2, {**OPEN, "cex": {"result": "none"}}),
+                            _batch_reply(3, {**OPEN, "cex": "none"}))
+    for rid, shown in ((1, "bogus"), (2, "result")):
+        with pytest.raises(ProtocolError) as err:
+            client.apply_batch([("c0", ["intro"])], atom_limit=16)
+        assert err.value.offending_id == rid and shown in str(err.value)
     [[(_, _, verdict)]] = client.apply_batch([("c0", ["intro"])], atom_limit=16)
-    assert verdict == CexResult.none()
+    assert verdict == "none"
 
 
 def test_unknown_hammer_result_is_protocol_error_naming_the_request(garbage_client):
     client = garbage_client(b'{"id": 1, "ok": true, "payload": {"result": "timeout"}}\n',
                             b'{"id": 2, "ok": true, "payload": {"result": "maybe"}}\n')
-    assert client.hammer_at("c0").kind == "timeout"
+    assert client.hammer_at("c0", HAMMER, POOL).kind == "timeout"
     with pytest.raises(ProtocolError) as err:
-        client.hammer_at("c0")
+        client.hammer_at("c0", HAMMER, POOL)
     assert err.value.offending_id == 2 and "maybe" in str(err.value)
 
 
@@ -1248,12 +1293,32 @@ def test_started_theories_are_freed_once_their_tokens_are_released():
     assert [t for t in gc.get_objects() if isinstance(t, Theory) and t.name in names] == []
 
 
+class _ReadKeys(dict):
+    """A payload that records which keys the server reads by subscript."""
+
+    read: set = set()
+
+    def __getitem__(self, key):
+        self.read = self.read | {key}
+        return super().__getitem__(key)
+
+
 def test_protocol_doc_covers_every_command_and_the_version():
-    """docs/protocol.md has one section per command, no other, and names
-    the current version first."""
+    """docs/protocol.md has one section per command, no other, names the
+    current version first, and lists exactly the ``hammer`` request fields
+    the server reads."""
     doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
     assert sorted(re.findall(r"^### `([^`]*)`", doc, re.MULTILINE)) == sorted(COMMANDS)
     assert re.search(r"\bversion (\d+)\b", doc).group(1) == str(PROTOCOL_VERSION)
+    server = ProverServer(trace=False)
+    token, _ = server.prover.start(PROTO, "t1")
+    payload = _ReadKeys({"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1"],
+                         "premise_limit": 8})  # the last is not a field: nothing reads it
+    server.dispatch(Request(1, "hammer", payload))
+    section = doc.split("### `hammer`", 1)[1].split("\n### ", 1)[0]
+    fields = re.search(r"In: `?\{([^}]*)\}", section).group(1)
+    assert {f.strip() for f in fields.split(",")} == payload.read == {
+        "token", "max_depth", "budget_ms", "pool"}
 
 
 def test_trace_env_dumps_frames(tcp_server, monkeypatch, capsys):

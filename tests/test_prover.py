@@ -398,10 +398,16 @@ def bfs_proof_oracle(state, pool, max_depth):
     return None
 
 
+def hammer(state, max_depth, budget_ms=60_000):
+    """``toy_hammer`` with the full symbol-overlap ranking as its pool."""
+    pool = relevance_filter(state, state.context, len(state.context.facts))
+    return toy_hammer(state, HammerConfig(max_depth, budget_ms), pool)
+
+
 def test_hammer_two_step_chain():
     ctx = ctx_of(f1="p", f2="p -> q")
     state = state_of("q", (), ctx)
-    result = toy_hammer(state, HammerConfig(max_depth=2))
+    result = hammer(state, 2)
     assert result.found
     # the oracle agrees a depth-2 proof exists; assumption-first ordering
     # closes the p subgoal from the context fact
@@ -411,21 +417,21 @@ def test_hammer_two_step_chain():
 
 
 def test_hammer_false_goal_not_found():
-    result = toy_hammer(state_of("false"), HammerConfig(max_depth=4))
+    result = hammer(state_of("false"), 4)
     assert result.kind == "notfound"
     assert bfs_proof_oracle(state_of("false"), [], 4) is None
 
 
 def test_hammer_assumption_first_by_tactic_order():
     ctx = ctx_of(f1="p")
-    result = toy_hammer(state_of("p", (), ctx), HammerConfig(max_depth=2))
+    result = hammer(state_of("p", (), ctx), 2)
     assert result.found and [s.text() for s in result.steps] == ["assumption"]
 
 
 def test_hammer_found_steps_replay_to_qed():
     ctx = ctx_of(d="a | g", lift="a -> g")
     state = state_of("g", (), ctx)
-    result = toy_hammer(state, HammerConfig(max_depth=4))
+    result = hammer(state, 4)
     assert result.found
     replay = state
     for step in result.steps:
@@ -438,7 +444,7 @@ def test_hammer_found_steps_replay_to_qed():
 def test_hammer_timeout():
     hyps = []
     ctx = ctx_of(**{f"h{i}": f"a{i} -> a{i + 1}" for i in range(8)})
-    result = toy_hammer(state_of("a8", hyps, ctx), HammerConfig(max_depth=4, budget_ms=0))
+    result = hammer(state_of("a8", hyps, ctx), 4, budget_ms=0)
     assert result.kind == "timeout"
 
 
@@ -458,7 +464,7 @@ def test_hammer_matches_bfs_oracle_on_small_states():
             state = state_of(goal, (), ctx)
             pool = relevance_filter(state, ctx, 128)
             for depth in (1, 2, 3, 4):
-                ours = toy_hammer(state, HammerConfig(max_depth=depth))
+                ours = hammer(state, depth)
                 oracle = bfs_proof_oracle(state, pool, depth)
                 assert ours.found == (oracle is not None), (goal, ctx.facts, depth)
                 checked += 1
@@ -471,10 +477,6 @@ def reference_hammer(state, config, pool):
     if not state.subgoals:
         return HammerResult("found", ())
     ctx = state.context
-    if pool is None:
-        pool = relevance_filter(state, ctx, config.premise_limit)
-    else:
-        pool = list(pool)[:config.premise_limit]
 
     def dfs(current, depth, visited):
         if not current.subgoals:
@@ -557,8 +559,9 @@ def test_hammer_matches_all_pool_apply_reference():
         # pools may repeat a name or name an undefined fact
         pool = None if rng.random() < 0.4 else [
             rng.choice(FACT_NAMES + ("zz",)) for _ in range(rng.randint(0, 9))]
-        config = HammerConfig(max_depth=rng.randint(2, 4),
-                              premise_limit=rng.choice((1, 2, 2048)))
+        max_depth, limit = rng.randint(2, 4), rng.choice((1, 2, 2048))
+        pool = relevance_filter(state, state.context, limit) if pool is None else pool[:limit]
+        config = HammerConfig(max_depth, 60_000)
         ours = toy_hammer(state, config, pool)
         expected = reference_hammer(state, config, pool)
         assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
@@ -579,13 +582,14 @@ def test_hammer_with_a_warm_context_matches_reference():
             names = list(ctx.facts)
             rng.shuffle(names)
             pool = rng.choice((None, names, names + names[:2] + ["zz"]))
-            config = HammerConfig(max_depth=rng.randint(2, 4))
+            config = HammerConfig(rng.randint(2, 4), 60_000)
             swapped = ProofState(state.subgoals[::-1], ctx)
             extra = Subgoal((), random_formula(rng, 2))
             for s in (state, swapped, ProofState((extra,) + state.subgoals, ctx),
                       ProofState(state.subgoals + (extra,), ctx)):
-                ours = toy_hammer(s, config, pool)
-                expected = reference_hammer(s, config, pool)
+                s_pool = relevance_filter(s, ctx, len(ctx.facts)) if pool is None else pool
+                ours = toy_hammer(s, config, s_pool)
+                expected = reference_hammer(s, config, s_pool)
                 assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
                 calls += 1
     assert calls >= 50
@@ -594,7 +598,7 @@ def test_hammer_with_a_warm_context_matches_reference():
 def test_hammer_applies_each_move_to_each_state_once():
     # iterative deepening re-walks the shallower rounds' tree each round
     ctx = ctx_of(ab="a | b", pa="a -> c", pb="b -> c", m="c -> d -> e", n="e -> f")
-    config = HammerConfig(max_depth=4)
+    config = HammerConfig(4, 60_000)
     for goal, hyps, kind in (("a -> e", ("c", "d"), "found"),
                              ("(a -> f) & (b -> e)", ("d",), "notfound")):
         state = state_of(goal, hyps, ctx)
@@ -742,6 +746,10 @@ def test_same_named_theories_start_from_their_own_goals():
     ("# c\n\naxiom f: p\n", 3, "expected a theory header first"),
     ("theory\n", 1, "expected: theory <name>"),
     ("\ntheory a b\nend\n", 2, "expected: theory <name>"),
+    # reports are named after the theory, so its name must not be a path
+    ("theory ../escaped\nend\n", 1, "invalid theory name '../escaped'"),
+    ("theory a.b\nend\n", 1, "invalid theory name 'a.b'"),
+    ("theory 1abc\nend\n", 1, "invalid theory name '1abc'"),
 ])
 def test_header_errors_keep_their_message_and_line(source, line, message):
     with pytest.raises(TheoryParseError) as error:

@@ -347,7 +347,7 @@ class _DownOnSecondCall(FixedPoolGenerator):
 
 
 class _HammerDown(ToyProver):
-    def hammer_at(self, token, config, pool=None):
+    def hammer_at(self, token, config, pool):
         raise RuntimeError("hammer down")
 
 
