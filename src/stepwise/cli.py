@@ -270,6 +270,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.stdio:
         server.serve_stdio()
         return 0
+    if not 0 <= args.port <= 65535:
+        raise ConfigError(f"--port needs a port in 0..65535, got {args.port}")
     tcp = server.tcp_server(port=args.port)
     host, port = tcp.server_address[:2]
     print(f"listening on {host}:{port}", flush=True)

@@ -162,7 +162,6 @@ class ProofState:
 
     subgoals: tuple[Subgoal, ...]
     context: FactContext = field(default=EMPTY_CONTEXT, compare=False, repr=False)
-    depth: int = field(default=0, compare=False)
 
     @property
     def qed(self) -> bool:
@@ -186,8 +185,9 @@ def canonical_state(state: ProofState) -> str:
 
 
 def render_state(state: ProofState) -> str:
-    """Display form, one subgoal per line in order; also the serialization
-    used for dataset emission (``parse_state`` inverts it)."""
+    """Display form, one subgoal per line in order, ``QED`` when none is
+    left; also the prompt's, the dataset's and the wire's form of a state
+    (``parse_state`` inverts it)."""
     if not state.subgoals:
         return QED_KEY
     lines = []
@@ -197,10 +197,12 @@ def render_state(state: ProofState) -> str:
     return "\n".join(lines)
 
 
-def parse_state(text: str, context: FactContext = EMPTY_CONTEXT, depth: int = 0) -> ProofState:
+def parse_state(text: str, context: FactContext = EMPTY_CONTEXT) -> ProofState:
+    """The state ``render_state`` printed as ``text``, also off the wire;
+    a text with no subgoal line and not ``QED`` is a ``ParseError``."""
     stripped = text.strip()
     if stripped == QED_KEY:
-        return ProofState((), context, depth)
+        return ProofState((), context)
     subgoals = []
     for line in stripped.splitlines():
         line = line.strip()
@@ -209,27 +211,12 @@ def parse_state(text: str, context: FactContext = EMPTY_CONTEXT, depth: int = 0)
         if "⊢" not in line:
             raise ParseError(f"subgoal line without turnstile: {line!r}", 1)
         hyp_part, goal_part = line.split("⊢", 1)
-        hyps = tuple(parse_formula(h) for h in hyp_part.split(",") if h.strip())
-        subgoals.append(Subgoal(hyps, parse_formula(goal_part)))
-    return ProofState(tuple(subgoals), context, depth)
-
-
-def state_to_wire(state: ProofState) -> dict:
-    return {
-        "subgoals": [
-            {"hyps": [render(h) for h in s.hypotheses], "goal": render(s.goal)}
-            for s in state.subgoals
-        ],
-        "depth": state.depth,
-    }
-
-
-def state_from_wire(obj: dict, context: FactContext = EMPTY_CONTEXT) -> ProofState:
-    subgoals = tuple(
-        Subgoal(tuple(parse_formula(h) for h in s["hyps"]), parse_formula(s["goal"]))
-        for s in obj["subgoals"]
-    )
-    return ProofState(subgoals, context, int(obj.get("depth", 0)))
+        hyps = (tuple(parse_formula(h.strip()) for h in hyp_part.split(","))
+                if hyp_part.strip() else ())
+        subgoals.append(Subgoal(hyps, parse_formula(goal_part.strip())))
+    if not subgoals:
+        raise ParseError("state text without a subgoal line", 1, expected=QED_KEY)
+    return ProofState(tuple(subgoals), context)
 
 
 @dataclass(frozen=True, slots=True)

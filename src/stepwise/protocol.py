@@ -18,7 +18,9 @@ missed deadline loses only that reply; the snapshots a late
 ``apply_batch`` or ``replay`` reply names ride, like every release, on the
 client's next request. An ``apply_batch`` that carries an ``atom_limit``
 gets the kind of each open success's counterexample verdict with it,
-which is the only way a verdict crosses the wire.
+which is the only way a verdict crosses the wire. A state crosses it as
+its ``render_state`` text, which the client reads back with
+``parse_state``.
 """
 
 from __future__ import annotations
@@ -38,13 +40,12 @@ from dataclasses import dataclass, field
 from .core import (
     BARE_FAILURES,
     ERROR_CATEGORIES,
-    EMPTY_CONTEXT,
     ProofState,
     StepResult,
     Theory,
+    parse_state,
     parse_step,
-    state_from_wire,
-    state_to_wire,
+    render_state,
 )
 from .prover import (
     HammerConfig,
@@ -60,7 +61,10 @@ TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
 COMMANDS = ("init", "start", "apply_batch", "replay", "hammer", "stats", "shutdown")
 
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
+
+# the wait, before grace, of ``init``, ``stats`` and ``shutdown``, which carry no budget
+CONTROL_WAIT_MS = 10_000
 
 
 class ProtocolError(Exception):
@@ -301,7 +305,7 @@ class ProverServer:
         if cmd == "start":
             token, state = prover.start(load_theory(_text(payload, "source")),
                                         _text(payload, "theorem"))
-            return {"token": token, "state": state_to_wire(state)}, False
+            return {"token": token, "state": render_state(state)}, False
         if cmd == "apply_batch":
             groups = [(_text(group, "token"), _texts(group, "steps"))
                       for group in _dicts(payload, "groups")]
@@ -312,7 +316,7 @@ class ProverServer:
         if cmd == "replay":
             results, token = prover.replay(_text(payload, "token"), _texts(payload, "steps"),
                                            req.timeout_ms)
-            reply: dict = {"results": [state_to_wire(r.state) if r.ok else
+            reply: dict = {"results": [render_state(r.state) if r.ok else
                                        {"category": r.category, "detail": r.detail}
                                        for r in results]}
             if token is not None:
@@ -365,7 +369,7 @@ def _batch_item(result: StepResult, token: str | None, kind: str | None):
     a success's token and state, with its verdict kind when it has one."""
     if not result.ok:
         return result.category
-    item = {"token": token, "state": state_to_wire(result.state)}
+    item = {"token": token, "state": render_state(result.state)}
     if kind is not None:
         item["cex"] = kind
     return item
@@ -432,13 +436,15 @@ class RemoteProver:
     ``start`` sends the theory's rendered source with the theorem id, and
     the server parses it. ``release`` sends nothing: the ids wait for the
     next request, which carries them in its ``release`` field.
+    ``init``, ``stats`` and ``shutdown`` wait ``CONTROL_WAIT_MS`` plus grace.
     A missed ``apply_batch`` or ``replay`` deadline loses only that reply:
     the addressed tokens are immutable, so the next call on them needs no
     recovery. Stale frames (ids below the pending request) are discarded,
     anything else out of order is a protocol error naming the offending id.
     The tokens in a discarded ``apply_batch`` or ``replay`` reply are
-    released like any others. A reply that is not UTF-8 or lacks what its
-    command promises raises ``ProtocolError`` naming its request.
+    released like any others. A reply that is not UTF-8, lacks what its
+    command promises or holds a state text that does not parse raises
+    ``ProtocolError`` naming its request.
     """
 
     def __init__(self, transport, grace_ms: int = 1000, trace: bool | None = None):
@@ -523,14 +529,14 @@ class RemoteProver:
     # -- backend surface ---------------------------------------------------------
 
     def init(self) -> dict:
-        return self._expect(self._call("init"))
+        return self._expect(self._call("init", wait_ms=CONTROL_WAIT_MS))
 
     def start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
         resp = self._call(
             "start", payload={"source": render_theory(theory), "theorem": theorem_id})
         payload = self._expect(resp)
         with _reply_to(resp.id):
-            return payload["token"], state_from_wire(payload["state"], EMPTY_CONTEXT)
+            return payload["token"], parse_state(payload["state"])
 
     def apply_batch(self, groups, timeout_ms: int | None = None, atom_limit: int | None = None
                     ) -> list[list[tuple[StepResult, str | None, str | None]]]:
@@ -565,7 +571,7 @@ class RemoteProver:
                     if isinstance(item, str):
                         results.append((BARE_FAILURES[item], None, None))
                         continue
-                    state = state_from_wire(item["state"], EMPTY_CONTEXT)
+                    state = parse_state(item["state"])
                     kind = None
                     if atom_limit is not None and not state.qed:
                         kind = item["cex"]
@@ -592,8 +598,8 @@ class RemoteProver:
         results = []
         with _reply_to(resp.id):
             for item in payload["results"]:
-                if "category" not in item:
-                    results.append(StepResult.success(state_from_wire(item, EMPTY_CONTEXT)))
+                if isinstance(item, str):
+                    results.append(StepResult.success(parse_state(item)))
                 elif item["category"] in ERROR_CATEGORIES:
                     results.append(StepResult.failure(item["category"], item["detail"]))
                 else:
@@ -605,7 +611,7 @@ class RemoteProver:
         self._release.extend(ids)
 
     def stats(self) -> dict:
-        return self._expect(self._call("stats"))
+        return self._expect(self._call("stats", wait_ms=CONTROL_WAIT_MS))
 
     def hammer_at(self, token: str, config: HammerConfig, pool: list[str]) -> HammerResult:
         payload = {"token": token, "max_depth": config.max_depth,
@@ -624,7 +630,7 @@ class RemoteProver:
         """Send ``shutdown``, which carries any release still pending, and
         close the transport."""
         try:
-            self._call("shutdown")
+            self._call("shutdown", wait_ms=CONTROL_WAIT_MS)
         except (TransportError, DeadlineMiss, ProtocolError):
             pass
         self.transport.close()

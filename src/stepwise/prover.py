@@ -182,7 +182,7 @@ def init_goal(theory: Theory, theorem_id: str) -> ProofState:
     if entry is None or entry.kind == "axiom":
         raise UnknownTheoremError(f"no provable entry named {theorem_id!r} in {theory.name}")
     context = theory.context_for(theorem_id)
-    return ProofState((Subgoal((), entry.statement),), context, 0)
+    return ProofState((Subgoal((), entry.statement),), context)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ def apply_step(state: ProofState, step: ProofStep,
                budget_ms: int = DEFAULT_STEP_BUDGET_MS) -> StepResult:
     """Execute one tactic on the first subgoal.
 
-    Returns Success with depth+1 and the same context, or a categorised
+    Returns Success with the same context, or a categorised
     failure; a success state always differs canonically from the input.
     """
     if not state.subgoals:
@@ -294,7 +294,7 @@ def apply_step(state: ProofState, step: ProofStep,
     # unchanged iff that subgoal came back alone and canonically equal
     if len(new_subgoals) == 1 and _same_subgoal(new_subgoals[0], sub):
         return StepResult.failure("no_progress", "state unchanged")
-    return StepResult.success(ProofState(new_subgoals + rest, ctx, state.depth + 1))
+    return StepResult.success(ProofState(new_subgoals + rest, ctx))
 
 
 def _same_subgoal(a: Subgoal, b: Subgoal) -> bool:

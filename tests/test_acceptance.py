@@ -13,7 +13,7 @@ import pytest
 from conftest import BENCH_SEED, naive_first_counterexample, replay_chain
 from stepwise.bench import revision_recovery, run_bench
 from stepwise.config import EngineConfig
-from stepwise.core import canonical_state, parse_step
+from stepwise.core import canonical_state, parse_step, render_state
 from stepwise.evaluation import (
     CompletionCurve,
     RunRecord,
@@ -204,7 +204,7 @@ def test_criterion_8_protocol_differential(bench_corpus):
             remote_token, remote_root = client.start(theory, "goal")
             local_token, local_root = local.start(theory, "goal")
             assert canonical_state(remote_root) == canonical_state(local_root)
-            assert remote_root.depth == local_root.depth
+            assert render_state(remote_root) == render_state(local_root)
             steps = list(theory.entry("goal").proof)
             # also exercise failing steps mid-sequence
             probes = [parse_step("apply [no_such_fact]"), parse_step("simp")]
@@ -216,8 +216,8 @@ def test_criterion_8_protocol_differential(bench_corpus):
                     probes + steps, remote_results, local_results):
                 assert remote_result.ok == local_result.ok, (theory.name, step.text())
                 if remote_result.ok:
-                    assert canonical_state(remote_result.state) == \
-                        canonical_state(local_result.state)
+                    assert render_state(remote_result.state) == \
+                        render_state(local_result.state)
                 else:
                     assert (remote_result.category, remote_result.detail) == \
                         (local_result.category, local_result.detail)

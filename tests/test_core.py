@@ -1,12 +1,14 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_formula
 from stepwise.core import (
+    QED_KEY,
     Candidate,
-    EMPTY_CONTEXT,
     FactContext,
     ProofState,
     ProofStep,
@@ -15,10 +17,8 @@ from stepwise.core import (
     parse_state,
     parse_step,
     render_state,
-    state_from_wire,
-    state_to_wire,
 )
-from stepwise.formulas import Atom, ParseError, parse_formula
+from stepwise.formulas import Atom, Implies, Or, ParseError, parse_formula, render
 
 
 def sg(goal, *hyps):
@@ -137,11 +137,60 @@ def test_render_state_empty():
     assert parse_state("QED").qed
 
 
-def test_wire_round_trip_preserves_depth():
-    state = ProofState((sg("p", "q"),), EMPTY_CONTEXT, depth=3)
-    back = state_from_wire(state_to_wire(state))
-    assert back.depth == 3
-    assert canonical_state(back) == canonical_state(state)
+def random_subgoal(rng):
+    """Random hypotheses, one of them a nested implication and one a
+    disjunction of implications, and a random goal."""
+    hyps = [random_formula(rng, rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.8:
+        hyps.append(Implies(Implies(random_formula(rng, 2), random_formula(rng, 2)),
+                            random_formula(rng, 3)))
+        hyps.append(Or(Implies(random_formula(rng, 2), random_formula(rng, 1)),
+                       random_formula(rng, 2)))
+        rng.shuffle(hyps)
+    return Subgoal(tuple(hyps), random_formula(rng, rng.randint(1, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_parse_state_inverts_render_state(seed, count):
+    """The state text is the wire's, the prompt's and the dataset's form;
+    ``parse_state`` splits it on newlines, on the first ``⊢`` of each line
+    and on ``,`` between hypotheses, which holds while no rendered formula
+    contains any of the three."""
+    rng = random.Random(seed)
+    state = ProofState(tuple(random_subgoal(rng) for _ in range(count)))
+    text = render_state(state)
+    assert parse_state(text).subgoals == state.subgoals
+    for sub in state.subgoals:
+        for formula in (*sub.hypotheses, sub.goal):
+            assert not any(mark in render(formula) for mark in (",", "⊢", "\n"))
+    assert (text == QED_KEY) == (count == 0)
+    assert len(text.splitlines()) == max(count, 1)
+
+
+@pytest.mark.parametrize("text", [
+    "p",  # a subgoal line without a turnstile
+    "⊢ p q",  # two formulas for one goal
+    "p ⊢",  # no goal
+    "p,, q ⊢ r",  # an empty hypothesis
+    ", ⊢ r",
+    "QED\n⊢ p",  # QED is the whole text or none of it
+    "",  # neither QED nor a subgoal
+    " \n ",
+])
+def test_malformed_state_text_is_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_state(text)
+
+
+def test_parse_state_memoises_the_rendered_formula():
+    """Each hypothesis and goal is stripped before ``parse_formula``, so
+    the memo holds ``q``, not ``" q "``."""
+    parse_formula.cache_clear()
+    parse_state("p ,  q ⊢  q ")
+    parse_formula("p")
+    parse_formula("q")
+    assert parse_formula.cache_info().currsize == 2
 
 
 # -- candidates -------------------------------------------------------------------

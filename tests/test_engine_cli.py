@@ -250,6 +250,16 @@ def test_unparsable_config_value_is_one_error_line(args, named, theory_file, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("port", ["99999", "-1"])
+def test_serve_port_out_of_range_is_one_error_line(port, capsys):
+    code = main(["serve", "--port", port])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert port in captured.err
+
+
 def test_readme_config_keys_equal_engine_config_fields():
     text = README.read_text()
     section = text.split("### Configuration file", 1)[1].split("\n## ", 1)[0]

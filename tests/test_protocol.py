@@ -30,6 +30,7 @@ from stepwise.protocol import (
     COMMANDS,
     PROTOCOL_VERSION,
     BackendError,
+    DeadlineMiss,
     ProtocolError,
     ProverServer,
     RemoteProver,
@@ -408,12 +409,12 @@ def test_replay_reply_carries_states_and_failure_details(client):
     reply = client._expect(client._call("replay", payload={
         "token": token, "steps": ["apply [f2]", "apply [ghost]", "apply [f1]"]}))
     opened, failed = reply["results"]  # the step after the failure never runs
-    assert opened == {"subgoals": [{"hyps": [], "goal": "p"}], "depth": 1}
+    assert opened == "⊢ p"
     assert failed["category"] == "undefined_fact" and "ghost" in failed["detail"]
     assert "token" not in reply
     done = client._expect(client._call("replay", payload={
         "token": token, "steps": ["apply [f2]", "apply [f1]"]}))
-    assert done["results"][-1]["subgoals"] == [] and isinstance(done["token"], str)
+    assert done["results"][-1] == "QED" and isinstance(done["token"], str)
     # only the final state is stored
     assert client.stats()["snapshots"] == 2
 
@@ -542,7 +543,7 @@ def test_removed_session_commands_are_errors_that_keep_the_connection(client, cm
     with pytest.raises(BackendError) as err:
         client._expect(client._call("hammer", payload={"atom_limit": 16}))
     assert err.value.category == "protocol_error"
-    assert client.init()["protocol"] == 8
+    assert client.init()["protocol"] == 9
     assert client.stats()["snapshots"] == 1
 
 
@@ -605,7 +606,7 @@ def test_apply_batch_reply_carries_categories_and_open_verdicts_only(client):
     [failure, no_progress, opened, closed], empty = reply["results"]
     assert (failure, no_progress, empty) == ("undefined_fact", "no_progress", [])
     assert opened["cex"] == "none" and "cex" not in closed
-    assert closed["state"]["subgoals"] == []
+    assert closed["state"] == "QED"
     without = client._expect(client._call("apply_batch", payload={
         "groups": [{"token": token, "steps": ["intro"]}]}))
     assert "cex" not in without["results"][0][0]
@@ -656,7 +657,7 @@ def test_malformed_payload_keeps_the_connection(client):
         with pytest.raises(BackendError) as err:
             client._expect(client._call(cmd, payload=payload))
         assert err.value.category == "protocol_error", (cmd, payload)
-    assert client.init()["protocol"] == 8
+    assert client.init()["protocol"] == 9
 
 
 @pytest.mark.parametrize("key,value", [("max_depth", -3), ("budget_ms", -5), ("budget_ms", 0)])
@@ -842,7 +843,7 @@ def test_non_string_theory_source_is_protocol_error():
 
 # -- deadline misses ----------------------------------------------------------------
 
-LATE_STATE = {"subgoals": [{"hyps": [], "goal": "p"}], "depth": 1}
+LATE_STATE = "⊢ p"
 
 
 class _SlowServer:
@@ -965,6 +966,44 @@ def test_pending_releases_ride_on_shutdown():
     client.close()
     assert (slow.commands, slow.releases()) == (["shutdown"], [["c0", "c1", "c2"]])
     slow.close()
+
+
+def test_silent_server_cannot_hang_control_commands_or_close(monkeypatch):
+    """``init``, ``stats`` and ``shutdown`` carry no budget, and each waits
+    ``CONTROL_WAIT_MS`` plus grace: against a server that takes the
+    connection and never answers, each ends in ``DeadlineMiss``, and
+    ``close`` still closes the socket."""
+    monkeypatch.setattr("stepwise.protocol.CONTROL_WAIT_MS", 200)
+    silent = socket.create_server(("127.0.0.1", 0))  # never accepts or answers
+    outcomes = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        client = RemoteProver.connect_tcp("127.0.0.1", silent.getsockname()[1], grace_ms=100)
+        sock = client.transport._sock
+
+        def run():
+            for call in (client.init, client.stats):
+                try:
+                    call()
+                except DeadlineMiss:
+                    outcomes.append(call.__name__)
+            client.close()
+            outcomes.append("closed")
+
+        thread = threading.Thread(target=run, daemon=True)
+        started = time.monotonic()
+        thread.start()
+        thread.join(timeout=5)
+        elapsed = time.monotonic() - started
+        silent.close()  # resets the connection of a call still waiting
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert outcomes == ["init", "stats", "closed"]
+        assert elapsed < 3 * 0.3 + 1.0  # three waits of 200 ms plus 100 ms grace
+        assert sock.fileno() == -1
+        del client, sock, run, thread
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_release_field_applies_before_the_command_even_one_that_fails():
@@ -1125,9 +1164,7 @@ def test_reply_that_is_not_utf8_is_protocol_error_naming_the_request(garbage_cli
 
 
 def test_start_reply_without_token_is_protocol_error_naming_the_request(garbage_client):
-    state = json.dumps({"subgoals": [{"hyps": [], "goal": "q"}], "depth": 0})
-    client = garbage_client(b'{"id": 1, "ok": true, "payload": {"state": %s}}\n'
-                            % state.encode())
+    client = garbage_client(_reply(1, {"state": "⊢ q"}))
     with pytest.raises(ProtocolError) as err:
         client.start(PROTO, "t1")
     assert err.value.offending_id == 1 and "request 1" in str(err.value)
@@ -1158,13 +1195,47 @@ def test_stale_batch_reply_without_results_is_protocol_error_naming_it(garbage_c
     assert err.value.offending_id == 1 and "request 1" in str(err.value)
 
 
+def _reply(rid, payload):
+    return json.dumps({"id": rid, "ok": True, "payload": payload}).encode() + b"\n"
+
+
 def _batch_reply(rid, *items):
-    return json.dumps({"id": rid, "ok": True, "payload": {"results": [list(items)]}}).encode() \
-        + b"\n"
+    return _reply(rid, {"results": [list(items)]})
+
+
+@pytest.mark.parametrize("state", [
+    "p",
+    "⊢ p q",
+    "",
+    {"subgoals": [{"hyps": [], "goal": "q"}], "depth": 0},
+], ids=["no_turnstile", "two_goals", "empty", "version_8_object"])
+def test_state_that_does_not_parse_is_protocol_error_naming_the_request(
+        garbage_client, state):
+    """Every state on the wire is its ``render_state`` text: one that
+    ``parse_state`` rejects, or a version-8 state object, in a ``start``,
+    ``apply_batch`` or ``replay`` reply names that request."""
+    client = garbage_client(_reply(1, {"token": "c0", "state": state}),
+                            _batch_reply(2, {"token": "c1", "state": state}),
+                            _reply(3, {"results": [state], "token": "c2"}))
+    calls = (lambda: client.start(PROTO, "t1"),
+             lambda: client.apply_batch([("c0", ["intro"])]),
+             lambda: client.replay("c0", ["intro"]))
+    for rid, call in enumerate(calls, 1):
+        with pytest.raises(ProtocolError) as err:
+            call()
+        assert err.value.offending_id == rid and f"request {rid}" in str(err.value)
+
+
+@pytest.mark.parametrize("entry", [5, None, ["⊢ p"], {"detail": "no category"}])
+def test_replay_entry_neither_state_nor_failure_is_protocol_error(garbage_client, entry):
+    client = garbage_client(_reply(1, {"results": ["⊢ p", entry]}))
+    with pytest.raises(ProtocolError) as err:
+        client.replay("c0", ["intro", "intro"])
+    assert err.value.offending_id == 1 and "request 1" in str(err.value)
 
 
 OPEN = {"token": "c1", "state": LATE_STATE}
-CLOSED = {"token": "c2", "state": {"subgoals": [], "depth": 2}}
+CLOSED = {"token": "c2", "state": "QED"}
 
 
 def test_counterexample_reply_short_of_verdicts_is_protocol_error(garbage_client):
@@ -1271,7 +1342,7 @@ def test_stdio_server_over_os_pipes():
     replies = [json.loads(line) for line in done.stdout.decode().splitlines()]
     assert [(r["id"], r["ok"]) for r in replies] == [(1, True), (2, True), (3, True)]
     assert replies[0]["payload"]["protocol"] == PROTOCOL_VERSION
-    assert replies[1]["payload"]["state"]["subgoals"] == [{"hyps": [], "goal": "p -> p"}]
+    assert replies[1]["payload"]["state"] == "⊢ p -> p"
     assert replies[2]["payload"] == {}
 
 

@@ -113,7 +113,7 @@ def test_init_goal_single_subgoal(chain_theory):
     state = init_goal(chain_theory, "t2")
     assert len(state.subgoals) == 1
     assert state.subgoals[0].hypotheses == ()
-    assert state.depth == 0
+    assert state.subgoals[0].goal == chain_theory.entry("t2").statement
 
 
 def test_init_goal_unknown_theorem(chain_theory):
@@ -130,10 +130,11 @@ def test_init_goal_context_has_preceding_entries():
 # -- tactic semantics --------------------------------------------------------------
 
 def test_intro_implication():
-    result = apply_step(state_of("p -> q"), parse_step("intro"))
+    state = state_of("p -> q")
+    result = apply_step(state, parse_step("intro"))
     assert result.ok
     assert canonical_state(result.state) == "p ⊢ q"
-    assert result.state.depth == 1
+    assert result.state.context is state.context
 
 
 def test_intro_negation_gives_false_goal():
