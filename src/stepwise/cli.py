@@ -25,7 +25,7 @@ from .evaluation import (
 )
 from .extraction import extract_pairs, write_dataset
 from .prover import ProverError, ToyProver, load_theory, render_theory
-from .protocol import ProverServer
+from .protocol import ProverServer, tcp_server
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -266,13 +266,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    server = ProverServer()
     if args.stdio:
-        server.serve_stdio()
+        ProverServer().serve_stdio()
         return 0
     if not 0 <= args.port <= 65535:
         raise ConfigError(f"--port needs a port in 0..65535, got {args.port}")
-    tcp = server.tcp_server(port=args.port)
+    tcp = tcp_server(port=args.port)
     host, port = tcp.server_address[:2]
     print(f"listening on {host}:{port}", flush=True)
     try:

@@ -2,21 +2,22 @@
 
 Framing is newline-delimited JSON over a byte stream (a TCP connection, or
 a socket pair to a child serving on its stdio): one request object per
-line, one response per line, ordered per connection. Requests carry a
-monotonically increasing ``id`` echoed by the response, ``timeout_ms``
+line of at most ``MAX_LINE_BYTES``, one response per line, in order. Each
+request carries an increasing ``id`` echoed by the response, ``timeout_ms``
 bounds the command, and ``release`` names snapshots to drop before it
 runs. Set ``STEPWISE_PROTOCOL_TRACE=1`` to dump every frame to stderr.
 
 The toy prover is the reference server; ``RemoteProver`` exposes the same
 token surface as the in-process backend, so either can sit behind the
-engine. Every command addresses immutable snapshot tokens: ``start``
-carries the theory source, which the server parses on each call, and
-returns the root's, ``apply_batch`` one per success in each of its
-``(token, steps)`` groups and ``replay`` the end of a step chain, and
-``hammer`` takes one with the engine's premise pool and budgets. So a
-missed deadline loses only that reply; the snapshots a late
-``apply_batch`` or ``replay`` reply names ride, like every release, on the
-client's next request. An ``apply_batch`` that carries an ``atom_limit``
+engine. A connection owns the snapshots it opens, and they end with it.
+Every command addresses immutable snapshot tokens: ``start`` carries the
+theory source, which the server parses on each call, and returns the
+root's, ``apply_batch`` one per success in each of its ``(token, steps)``
+groups and ``replay`` the end of a step chain, and ``hammer`` takes one
+with the engine's premise pool and budgets. So a missed deadline loses
+only that reply; the snapshots a late ``start``, ``apply_batch`` or
+``replay`` reply names ride, like every release, on the client's next
+request. An ``apply_batch`` that carries an ``atom_limit``
 gets the kind of each open success's counterexample verdict with it,
 which is the only way a verdict crosses the wire. A state crosses it as
 its ``render_state`` text, which the client reads back with
@@ -33,7 +34,6 @@ import socket
 import socketserver
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -48,6 +48,7 @@ from .core import (
     render_state,
 )
 from .prover import (
+    DEFAULT_STEP_BUDGET_MS,
     HammerConfig,
     HammerResult,
     ProverError,
@@ -61,10 +62,12 @@ TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
 COMMANDS = ("init", "start", "apply_batch", "replay", "hammer", "stats", "shutdown")
 
-PROTOCOL_VERSION = 9
+PROTOCOL_VERSION = 10
 
-# the wait, before grace, of ``init``, ``stats`` and ``shutdown``, which carry no budget
+# the wait, before grace, of a request that carries no budget
 CONTROL_WAIT_MS = 10_000
+
+MAX_LINE_BYTES = 16 << 20  # the longest request line served, its newline included
 
 
 class ProtocolError(Exception):
@@ -228,42 +231,48 @@ def _trace(direction: str, line: str) -> None:
 # ---------------------------------------------------------------------------
 
 class ProverServer:
-    """Reference protocol server over a shared in-process toy prover.
+    """Reference protocol server for one connection, over its own toy prover.
 
-    One connection is one serial request stream; parallel clients use
-    separate connections. Each ``start`` parses its own source and starts
-    from that theory; the server keeps no theory, so one lives only as long
-    as something refers to it. It counts each known command and its
-    cumulative dispatch time for ``stats``.
+    A connection is one serial request stream, so nothing here is shared or
+    locked, and the prover is closed, its snapshots with it, when the stream
+    ends. Each ``start`` parses its own source; the server keeps no theory.
+    It counts each known command and its dispatch time for ``stats``.
     """
 
     def __init__(self, prover: ToyProver | None = None, trace: bool | None = None):
         self.prover = prover or ToyProver()
         self.trace = _trace_enabled(trace)
         self._commands: dict[str, list] = {}  # cmd -> [count, seconds]
-        self._commands_lock = threading.Lock()
 
     # -- stream handling -----------------------------------------------------
 
     def handle_stream(self, rfile, wfile) -> None:
-        for raw in rfile:
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError as e:  # answered as an undecodable line, never run
-                response, shutdown = _protocol_error(0, f"request line is not UTF-8: {e}"), False
-            else:
-                if not line.strip():
-                    continue
+        try:
+            while raw := rfile.readline(MAX_LINE_BYTES + 1):
+                shutdown = len(raw) > MAX_LINE_BYTES
+                if shutdown:  # the rest of the line is never read
+                    response = _protocol_error(
+                        0, f"request line exceeds MAX_LINE_BYTES ({MAX_LINE_BYTES} bytes)")
+                else:
+                    try:
+                        line = raw.decode("utf-8").rstrip("\r\n")
+                    except UnicodeDecodeError as e:  # answered as undecodable, never run
+                        response = _protocol_error(0, f"request line is not UTF-8: {e}")
+                    else:
+                        if not line.strip():
+                            continue
+                        if self.trace:
+                            _trace("recv", line)
+                        response, shutdown = self.handle_line(line)
+                out = encode_response(response)
                 if self.trace:
-                    _trace("recv", line)
-                response, shutdown = self.handle_line(line)
-            out = encode_response(response)
-            if self.trace:
-                _trace("send", out)
-            wfile.write((out + "\n").encode("utf-8"))
-            wfile.flush()
-            if shutdown:
-                break
+                    _trace("send", out)
+                wfile.write((out + "\n").encode("utf-8"))
+                wfile.flush()
+                if shutdown:
+                    break
+        finally:
+            self.prover.close()
 
     def handle_line(self, line: str) -> tuple[Response, bool]:
         try:
@@ -287,11 +296,9 @@ class ProverServer:
             return _protocol_error(req.id, f"bad payload for {req.cmd}: {e}"), False
         finally:
             if req.cmd in COMMANDS:
-                elapsed = time.perf_counter() - started
-                with self._commands_lock:
-                    entry = self._commands.setdefault(req.cmd, [0, 0.0])
-                    entry[0] += 1
-                    entry[1] += elapsed
+                entry = self._commands.setdefault(req.cmd, [0, 0.0])
+                entry[0] += 1
+                entry[1] += time.perf_counter() - started
 
     # -- command dispatch ------------------------------------------------------
 
@@ -330,9 +337,8 @@ class ProverServer:
                 reply["steps"] = [s.text() for s in result.steps]
             return reply, False
         if cmd == "stats":
-            with self._commands_lock:
-                commands = {name: {"count": count, "ms": seconds * 1000.0}
-                            for name, (count, seconds) in sorted(self._commands.items())}
+            commands = {name: {"count": count, "ms": seconds * 1000.0}
+                        for name, (count, seconds) in sorted(self._commands.items())}
             return {**prover.stats(), "commands": commands}, False
         if cmd == "shutdown":
             return {}, True
@@ -343,21 +349,23 @@ class ProverServer:
     def serve_stdio(self) -> None:
         self.handle_stream(sys.stdin.buffer, sys.stdout.buffer)
 
-    def tcp_server(self, host: str = "127.0.0.1", port: int = 0) -> socketserver.ThreadingTCPServer:
-        outer = self
 
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self):
-                try:
-                    outer.handle_stream(self.rfile, self.wfile)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
+def tcp_server(host: str = "127.0.0.1", port: int = 0,
+               trace: bool | None = None) -> socketserver.ThreadingTCPServer:
+    """Serves each TCP connection on its own thread with a fresh ``ProverServer``."""
 
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            try:
+                ProverServer(trace=trace).handle_stream(self.rfile, self.wfile)
+            except (BrokenPipeError, ConnectionResetError):
+                pass
 
-        return Server((host, port), Handler)
+    class Server(socketserver.ThreadingTCPServer):
+        allow_reuse_address = True
+        daemon_threads = True
+
+    return Server((host, port), Handler)
 
 
 def _protocol_error(rid: int, detail: str) -> Response:
@@ -397,20 +405,18 @@ class SocketTransport:
         except OSError as e:
             raise TransportError(f"send failed: {e}") from e
 
-    def recv_line(self, deadline: float | None) -> str:
-        """The next line; a line that is not UTF-8 raises
-        ``UnicodeDecodeError`` and is dropped."""
+    def recv_line(self, deadline: float) -> str:
+        """The next line, by the ``time.monotonic()`` deadline; a line that
+        is not UTF-8 raises ``UnicodeDecodeError`` and is dropped."""
         while True:
             nl = self._buffer.find(b"\n")
             if nl >= 0:
                 line = bytes(self._buffer[:nl])
                 del self._buffer[:nl + 1]
                 return line.decode("utf-8")
-            timeout = None
-            if deadline is not None:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    raise DeadlineMiss
+            timeout = deadline - time.monotonic()
+            if timeout <= 0:
+                raise DeadlineMiss
             self._sock.settimeout(timeout)
             try:
                 chunk = self._sock.recv(65536)
@@ -436,14 +442,16 @@ class RemoteProver:
     ``start`` sends the theory's rendered source with the theorem id, and
     the server parses it. ``release`` sends nothing: the ids wait for the
     next request, which carries them in its ``release`` field.
-    ``init``, ``stats`` and ``shutdown`` wait ``CONTROL_WAIT_MS`` plus grace.
-    A missed ``apply_batch`` or ``replay`` deadline loses only that reply:
-    the addressed tokens are immutable, so the next call on them needs no
-    recovery. Stale frames (ids below the pending request) are discarded,
-    anything else out of order is a protocol error naming the offending id.
-    The tokens in a discarded ``apply_batch`` or ``replay`` reply are
-    released like any others. A reply that is not UTF-8, lacks what its
-    command promises or holds a state text that does not parse raises
+    No request waits without a deadline: ``init``, ``start``, ``stats`` and
+    ``shutdown`` wait ``CONTROL_WAIT_MS`` plus grace, and a step without a
+    ``timeout_ms`` is awaited for the server's ``DEFAULT_STEP_BUDGET_MS``.
+    A missed deadline loses only that reply: the addressed tokens are
+    immutable, so the next call on them needs no recovery. Stale frames
+    (ids below the pending request) are discarded, anything else out of
+    order is a protocol error naming the offending id. The tokens in a
+    discarded ``start``, ``apply_batch`` or ``replay`` reply are released
+    like any others. A reply that is not UTF-8, lacks what its command
+    promises or holds a state text that does not parse raises
     ``ProtocolError`` naming its request.
     """
 
@@ -452,7 +460,7 @@ class RemoteProver:
         self.grace_ms = grace_ms
         self.trace = _trace_enabled(trace)
         self._ids = itertools.count(1)
-        self._missed: dict[int, str] = {}  # id -> cmd of apply_batch and replay requests given up on
+        self._missed: dict[int, str] = {}  # id -> cmd of each request given up on
         self._release: list[str] = []  # ids for the next request to release
         self._proc: subprocess.Popen | None = None
 
@@ -480,8 +488,8 @@ class RemoteProver:
     def _call(self, cmd: str, payload: dict | None = None,
               timeout_ms: int | None = None, wait_ms: int | None = None) -> Response:
         """One round trip, carrying every pending release. The reply must
-        arrive within ``wait_ms`` (default ``timeout_ms``) plus the grace
-        interval, else ``DeadlineMiss``."""
+        arrive within ``wait_ms`` (default ``timeout_ms``, else
+        ``CONTROL_WAIT_MS``) plus the grace interval, else ``DeadlineMiss``."""
         rid = next(self._ids)
         release, self._release = tuple(self._release), []
         line = encode_request(Request(rid, cmd, payload or {}, timeout_ms, release))
@@ -489,17 +497,15 @@ class RemoteProver:
             _trace("send", line)
         self.transport.send_line(line)
         if wait_ms is None:
-            wait_ms = timeout_ms
-        deadline = None
-        if wait_ms is not None:
-            deadline = time.monotonic() + (wait_ms + self.grace_ms) / 1000.0
+            wait_ms = CONTROL_WAIT_MS if timeout_ms is None else timeout_ms
+        deadline = time.monotonic() + (wait_ms + self.grace_ms) / 1000.0
         while True:
             try:
                 raw = self.transport.recv_line(deadline)
             except DeadlineMiss:
-                if cmd in ("apply_batch", "replay"):
-                    self._missed[rid] = cmd
-                raise
+                self._missed[rid] = cmd
+                raise DeadlineMiss(f"no reply to {cmd} request {rid} within {wait_ms} ms "
+                                   f"plus {self.grace_ms} ms grace") from None
             except UnicodeDecodeError as e:
                 raise ProtocolError(f"reply to request {rid} is not UTF-8: {e}",
                                     offending_id=rid) from e
@@ -529,7 +535,7 @@ class RemoteProver:
     # -- backend surface ---------------------------------------------------------
 
     def init(self) -> dict:
-        return self._expect(self._call("init", wait_ms=CONTROL_WAIT_MS))
+        return self._expect(self._call("init"))
 
     def start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
         resp = self._call(
@@ -549,9 +555,7 @@ class RemoteProver:
         request: dict = {"groups": wire}
         if atom_limit is not None:
             request["atom_limit"] = atom_limit
-        wait_ms = None
-        if timeout_ms is not None:
-            wait_ms = timeout_ms * sum(len(group["steps"]) for group in wire)
+        wait_ms = (timeout_ms or DEFAULT_STEP_BUDGET_MS) * sum(len(g["steps"]) for g in wire)
         try:
             resp = self._call(
                 "apply_batch", payload=request, timeout_ms=timeout_ms, wait_ms=wait_ms)
@@ -588,7 +592,7 @@ class RemoteProver:
         budgets plus grace; a miss gives one ``timeout`` result and no
         token."""
         texts = _step_texts(steps)
-        wait_ms = None if timeout_ms is None else timeout_ms * len(texts)
+        wait_ms = (timeout_ms or DEFAULT_STEP_BUDGET_MS) * len(texts)
         try:
             resp = self._call("replay", payload={"token": token, "steps": texts},
                               timeout_ms=timeout_ms, wait_ms=wait_ms)
@@ -611,7 +615,7 @@ class RemoteProver:
         self._release.extend(ids)
 
     def stats(self) -> dict:
-        return self._expect(self._call("stats", wait_ms=CONTROL_WAIT_MS))
+        return self._expect(self._call("stats"))
 
     def hammer_at(self, token: str, config: HammerConfig, pool: list[str]) -> HammerResult:
         payload = {"token": token, "max_depth": config.max_depth,
@@ -630,7 +634,7 @@ class RemoteProver:
         """Send ``shutdown``, which carries any release still pending, and
         close the transport."""
         try:
-            self._call("shutdown", wait_ms=CONTROL_WAIT_MS)
+            self._call("shutdown")
         except (TransportError, DeadlineMiss, ProtocolError):
             pass
         self.transport.close()
@@ -653,10 +657,11 @@ def _reply_to(rid: int):
 
 
 def _reply_tokens(cmd: str, payload: dict) -> list[str]:
-    """The snapshots a successful ``apply_batch`` or ``replay`` reply names."""
-    if cmd == "replay":
-        named = [payload.get("token")]
-    else:
+    """The snapshots a successful reply names: each ``apply_batch``
+    success's, or the ``token`` of a ``start`` or ``replay``."""
+    if cmd == "apply_batch":
         named = [item.get("token") for items in payload["results"]
                  for item in items if isinstance(item, dict)]
+    else:
+        named = [payload.get("token")]
     return [token for token in named if token is not None]

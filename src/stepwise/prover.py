@@ -13,7 +13,6 @@ pool and budgets. All tactics act on the first subgoal.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -588,17 +587,17 @@ class Session:
 class ToyProver:
     """In-process reference backend.
 
-    The wire protocol server wraps an instance of this class; a remote client
-    exposes the same token surface, so the search engine is backend-agnostic.
-    ``start`` takes the ``Theory`` itself; snapshots are immutable and the
-    registry is safe to share across threads.
+    The wire protocol server gives each connection its own instance, and a
+    remote client exposes the same token surface, so the search engine is
+    backend-agnostic. ``start`` takes the ``Theory`` itself; snapshots are
+    immutable. One instance serves one serial caller (one connection, or
+    one in-process search), so its registry takes no lock.
     """
 
     def __init__(self):
         self._sessions: dict[str, Session] = {}
         self._snapshots: dict[str, ProofState] = {}
         self._counter = itertools.count()
-        self._lock = threading.Lock()
 
     def load_theory(self, source: str) -> str:
         return load_theory(source).name
@@ -609,16 +608,14 @@ class ToyProver:
         return f"{prefix}{next(self._counter)}"
 
     def _session(self, sid: str) -> Session:
-        with self._lock:
-            session = self._sessions.get(sid)
+        session = self._sessions.get(sid)
         if session is None:
             raise UnknownSessionError(f"no session {sid!r}")
         return session
 
     def _store(self, state: ProofState) -> str:
         token = self._new_id("c")
-        with self._lock:
-            self._snapshots[token] = state
+        self._snapshots[token] = state
         return token
 
     def start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
@@ -691,8 +688,7 @@ class ToyProver:
         return self._store(self._session(sid).current)
 
     def _snapshot(self, token: str) -> ProofState:
-        with self._lock:
-            state = self._snapshots.get(token)
+        state = self._snapshots.get(token)
         if state is None:
             raise UnknownSessionError(f"no snapshot {token!r}")
         return state
@@ -701,8 +697,7 @@ class ToyProver:
         state = self._snapshot(token)
         if session is None:
             sid = self._new_id("s")
-            with self._lock:
-                self._sessions[sid] = Session(sid, state)
+            self._sessions[sid] = Session(sid, state)
             return sid
         self._session(session).current = state
         return session
@@ -719,17 +714,14 @@ class ToyProver:
 
     def release(self, ids) -> None:
         """Drop the named sessions and snapshots; unknown ids are ignored."""
-        with self._lock:
-            for name in ids:
-                self._sessions.pop(name, None)
-                self._snapshots.pop(name, None)
+        for name in ids:
+            self._sessions.pop(name, None)
+            self._snapshots.pop(name, None)
 
     def stats(self) -> dict:
         """Live object counts."""
-        with self._lock:
-            return {"sessions": len(self._sessions), "snapshots": len(self._snapshots)}
+        return {"sessions": len(self._sessions), "snapshots": len(self._snapshots)}
 
     def close(self) -> None:
-        with self._lock:
-            self._sessions.clear()
-            self._snapshots.clear()
+        self._sessions.clear()
+        self._snapshots.clear()

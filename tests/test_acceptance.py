@@ -32,7 +32,7 @@ from stepwise.prover import (
     check_counterexample,
     init_goal,
 )
-from stepwise.protocol import ProverServer, RemoteProver
+from stepwise.protocol import RemoteProver, tcp_server
 from stepwise.search import replay_steps, score_node
 
 
@@ -190,8 +190,7 @@ def test_criterion_7_extraction_law(bench_corpus):
 
 
 def test_criterion_8_protocol_differential(bench_corpus):
-    server = ProverServer(trace=False)
-    tcp = server.tcp_server(port=0)
+    tcp = tcp_server(trace=False)
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1])
     local = ToyProver()

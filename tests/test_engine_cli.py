@@ -13,7 +13,7 @@ from stepwise.cli import main
 from stepwise.config import ConfigError, EngineConfig, build_config, load_config_file
 from stepwise.engine import prove_theorem, write_report
 from stepwise.prover import MAX_ATOM_LIMIT, ToyProver, load_theory
-from stepwise.protocol import ProverServer
+from stepwise.protocol import tcp_server
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,7 +44,7 @@ def theory_file(tmp_path):
 @pytest.fixture
 def prover_endpoint():
     """host:port of a reference server running in a thread."""
-    tcp = ProverServer(trace=False).tcp_server(port=0)
+    tcp = tcp_server(trace=False)
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     yield f"127.0.0.1:{tcp.server_address[1]}"
     tcp.shutdown()

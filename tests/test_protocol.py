@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import inspect
 import io
@@ -36,10 +37,12 @@ from stepwise.protocol import (
     RemoteProver,
     Request,
     Response,
+    SocketTransport,
     decode_request,
     decode_response,
     encode_request,
     encode_response,
+    tcp_server,
 )
 
 THEORY = """theory proto
@@ -56,9 +59,9 @@ POOL = ["f1", "f2", "d"]
 
 
 @pytest.fixture
-def tcp_server():
-    server = ProverServer(trace=False)
-    tcp = server.tcp_server(port=0)
+def server_port():
+    """The port of a reference TCP server running in a thread."""
+    tcp = tcp_server(trace=False)
     thread = threading.Thread(target=tcp.serve_forever, daemon=True)
     thread.start()
     yield tcp.server_address[1]
@@ -67,10 +70,33 @@ def tcp_server():
 
 
 @pytest.fixture
-def client(tcp_server):
-    remote = RemoteProver.connect_tcp("127.0.0.1", tcp_server)
+def client(server_port):
+    remote = RemoteProver.connect_tcp("127.0.0.1", server_port)
     yield remote
     remote.close()
+
+
+@contextlib.contextmanager
+def _connection(prover, **kwargs):
+    """A client of ``ProverServer(prover).handle_stream`` over a socket
+    pair, served on a thread. On exit the client drops its socket without
+    a ``shutdown`` and the thread is joined."""
+    ours, theirs = socket.socketpair()
+
+    def serve():
+        with theirs, theirs.makefile("rb") as rfile, theirs.makefile("wb") as wfile:
+            with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+                ProverServer(prover, trace=False).handle_stream(rfile, wfile)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    client = RemoteProver(SocketTransport(ours), **kwargs)
+    try:
+        yield client
+    finally:
+        client.transport.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 # -- codec ---------------------------------------------------------------------
@@ -255,13 +281,13 @@ def test_malformed_start_source_is_a_parse_error_naming_its_line(client):
     assert client.stats()["snapshots"] == 0
 
 
-def test_theory_names_do_not_collide_across_connections(tcp_server):
+def test_theory_names_do_not_collide_across_connections(server_port):
     """Two clients start from different theories both named ``t``, the
     first again after the second: each starts from its own theory's goal.
-    ``stats`` counts the requests of both connections."""
+    ``stats`` counts each connection's own requests."""
     from test_prover import COLLIDING
 
-    clients = [RemoteProver.connect_tcp("127.0.0.1", tcp_server) for _ in COLLIDING]
+    clients = [RemoteProver.connect_tcp("127.0.0.1", server_port) for _ in COLLIDING]
     try:
         for _ in range(2):
             for client, source, goal in zip(clients, COLLIDING, ("p", "q -> q")):
@@ -273,7 +299,8 @@ def test_theory_names_do_not_collide_across_connections(tcp_server):
                 assert (result.ok, verdict) == ((False, None) if goal == "p"
                                                 else (True, "none"))
                 client.release([t for t in (token, child) if t is not None])
-        assert _counts(clients[0]) == {"start": 4, "apply_batch": 4}
+        for client in clients:
+            assert _counts(client) == {"start": 2, "apply_batch": 2}
     finally:
         for client in clients:
             client.close()
@@ -445,7 +472,7 @@ def both_paths():
     a TCP server."""
     from stepwise.bench import generate_corpus
 
-    tcp = ProverServer(trace=False).tcp_server(port=0)
+    tcp = tcp_server(trace=False)
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     remote = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1])
     local = ToyProver()
@@ -543,7 +570,7 @@ def test_removed_session_commands_are_errors_that_keep_the_connection(client, cm
     with pytest.raises(BackendError) as err:
         client._expect(client._call("hammer", payload={"atom_limit": 16}))
     assert err.value.category == "protocol_error"
-    assert client.init()["protocol"] == 9
+    assert client.init()["protocol"] == PROTOCOL_VERSION
     assert client.stats()["snapshots"] == 1
 
 
@@ -657,7 +684,7 @@ def test_malformed_payload_keeps_the_connection(client):
         with pytest.raises(BackendError) as err:
             client._expect(client._call(cmd, payload=payload))
         assert err.value.category == "protocol_error", (cmd, payload)
-    assert client.init()["protocol"] == 9
+    assert client.init()["protocol"] == PROTOCOL_VERSION
 
 
 @pytest.mark.parametrize("key,value", [("max_depth", -3), ("budget_ms", -5), ("budget_ms", 0)])
@@ -1020,8 +1047,12 @@ def test_release_field_applies_before_the_command_even_one_that_fails():
     assert server.prover.stats()["snapshots"] == 0
 
 
-class _SlowBatchProver(ToyProver):
+class _SlowProver(ToyProver):
     delay_s = 0.0
+
+    def start(self, theory, theorem_id):
+        time.sleep(self.delay_s)
+        return super().start(theory, theorem_id)
 
     def apply_batch(self, groups, timeout_ms=None, atom_limit=None):
         time.sleep(self.delay_s)
@@ -1033,11 +1064,8 @@ class _SlowBatchProver(ToyProver):
 
 
 def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
-    prover = _SlowBatchProver()
-    tcp = ProverServer(prover, trace=False).tcp_server(port=0)
-    threading.Thread(target=tcp.serve_forever, daemon=True).start()
-    client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
-    try:
+    prover = _SlowProver()
+    with _connection(prover, grace_ms=100) as client:
         token, _ = client.start(PROTO, "t1")
         prover.delay_s = 0.5
         [missed] = client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=1)
@@ -1049,18 +1077,11 @@ def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
         client.release([token])
         stats = client.stats()
         assert (stats["sessions"], stats["snapshots"]) == (0, 0)
-    finally:
-        client.close()
-        tcp.shutdown()
-        tcp.server_close()
 
 
 def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
-    prover = _SlowBatchProver()
-    tcp = ProverServer(prover, trace=False).tcp_server(port=0)
-    threading.Thread(target=tcp.serve_forever, daemon=True).start()
-    client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
-    try:
+    prover = _SlowProver()
+    with _connection(prover, grace_ms=100) as client:
         token, _ = client.start(PROTO, "t1")
         prover.delay_s = 0.5
         [missed] = client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=1,
@@ -1076,18 +1097,11 @@ def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
         client.release([token, child])
         stats = client.stats()
         assert (stats["sessions"], stats["snapshots"]) == (0, 0)
-    finally:
-        client.close()
-        tcp.shutdown()
-        tcp.server_close()
 
 
 def test_missed_replay_leaves_no_server_objects_once_its_reply_is_read():
-    prover = _SlowBatchProver()
-    tcp = ProverServer(prover, trace=False).tcp_server(port=0)
-    threading.Thread(target=tcp.serve_forever, daemon=True).start()
-    client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1], grace_ms=100)
-    try:
+    prover = _SlowProver()
+    with _connection(prover, grace_ms=100) as client:
         token, _ = client.start(PROTO, "t1")
         prover.delay_s = 0.5
         assert client.replay(token, ["apply [f2]"], timeout_ms=1)[1] is None
@@ -1099,10 +1113,116 @@ def test_missed_replay_leaves_no_server_objects_once_its_reply_is_read():
         client.release([token, final])
         stats = client.stats()
         assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+
+
+def test_missed_start_leaves_no_server_objects_once_its_reply_is_read(monkeypatch):
+    """``start`` waits ``CONTROL_WAIT_MS`` plus grace; the root of a reply
+    that comes later is released with the request after the one that reads
+    it."""
+    monkeypatch.setattr("stepwise.protocol.CONTROL_WAIT_MS", 100)
+    prover = _SlowProver()
+    with _connection(prover, grace_ms=100) as client:
+        prover.delay_s = 0.5
+        with pytest.raises(DeadlineMiss):
+            client.start(PROTO, "t1")
+        prover.delay_s = 0.0
+        monkeypatch.setattr("stepwise.protocol.CONTROL_WAIT_MS", 5000)
+        client.init()  # reads the late reply
+        stats = client.stats()
+        assert (stats["commands"]["start"]["count"], stats["snapshots"]) == (1, 0)
+
+
+def test_start_and_replay_without_a_budget_cannot_hang_on_a_silent_server(
+        garbage_client, monkeypatch):
+    """Against a server that reads requests and never answers, ``start``
+    ends in ``DeadlineMiss`` after ``CONTROL_WAIT_MS`` plus grace, and a
+    ``replay`` sent without ``timeout_ms`` gives one ``timeout`` after the
+    server's default budget per step plus grace."""
+    monkeypatch.setattr("stepwise.protocol.CONTROL_WAIT_MS", 200)
+    monkeypatch.setattr("stepwise.protocol.DEFAULT_STEP_BUDGET_MS", 100)
+    client = garbage_client(b"", b"", b"", grace_ms=100)
+    outcomes = []
+
+    def run():
+        started = time.monotonic()
+        try:
+            client.start(PROTO, "t1")
+        except DeadlineMiss as e:
+            outcomes.append((str(e), time.monotonic() - started))
+        started = time.monotonic()
+        [result], token = client.replay("c0", ["intro", "split"])
+        outcomes.append((result.category, token, result.detail,
+                         time.monotonic() - started))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=5)
+    if thread.is_alive():  # unblock the call still waiting
+        client.transport._sock.shutdown(socket.SHUT_RDWR)
+        thread.join(timeout=5)
+    [(miss, start_s), (category, token, detail, replay_s)] = outcomes
+    assert miss == "no reply to start request 1 within 200 ms plus 100 ms grace"
+    assert (category, token) == ("timeout", None)
+    assert "200 ms" in detail  # two steps of 100 ms
+    assert 0.3 <= start_s < 0.3 + 1.0 and 0.3 <= replay_s < 0.3 + 1.0
+
+
+def test_dropped_connection_leaves_no_snapshots():
+    """A client that drops its socket without releasing anything leaves its
+    server's prover empty once the stream ends."""
+    prover = ToyProver()
+    with _connection(prover) as client:
+        token, _ = client.start(PROTO, "t1")
+        client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000)
+        assert client.stats()["snapshots"] == 2
+    assert prover.stats()["snapshots"] == 0
+
+
+def test_connections_cannot_reach_each_others_snapshots(server_port):
+    """On one TCP server, a second connection's ``replay`` or ``hammer`` of
+    the first one's token is ``unknown_session``, and its ``release`` of
+    the first one's tokens leaves them live."""
+    a = RemoteProver.connect_tcp("127.0.0.1", server_port)
+    b = RemoteProver.connect_tcp("127.0.0.1", server_port)
+    try:
+        root, _ = a.start(PROTO, "t1")
+        [[(_, child, _)]] = a.apply_batch([(root, ["apply [f2]"])], timeout_ms=3000)
+        before = a.stats()["snapshots"]
+        assert before == 2
+        for call in (lambda: b.replay(root, ["apply [f1]"], timeout_ms=3000),
+                     lambda: b.hammer_at(child, HAMMER, POOL)):
+            with pytest.raises(BackendError) as err:
+                call()
+            assert err.value.category == "unknown_session"
+        b.release([root, child])
+        assert b.stats()["snapshots"] == 0
+        assert a.stats()["snapshots"] == before
+        assert a.replay(child, ["apply [f1]"], timeout_ms=3000)[0][-1].state.qed
     finally:
-        client.close()
-        tcp.shutdown()
-        tcp.server_close()
+        a.close()
+        b.close()
+
+
+def _padded(request: dict, size: int) -> bytes:
+    """``request`` as a line of exactly ``size`` bytes, its newline included."""
+    line = json.dumps(request).encode()
+    return line + b" " * (size - 1 - len(line)) + b"\n"
+
+
+def test_over_long_request_line_is_protocol_error_and_ends_the_stream(monkeypatch):
+    """A line of ``MAX_LINE_BYTES`` is served; one byte more gets
+    ``protocol_error`` naming the cap, and nothing after it is read."""
+    monkeypatch.setattr("stepwise.protocol.MAX_LINE_BYTES", 64)
+    prover = ToyProver()
+    stream = io.BytesIO(_padded({"id": 1, "cmd": "init"}, 64)
+                        + _padded({"id": 2, "cmd": "init"}, 65)
+                        + _padded({"id": 3, "cmd": "init"}, 20))
+    out = io.BytesIO()
+    ProverServer(prover, trace=False).handle_stream(stream, out)
+    replies = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [(r["id"], r["ok"]) for r in replies] == [(1, True), (0, False)]
+    assert replies[1]["error"]["category"] == "protocol_error"
+    assert "MAX_LINE_BYTES (64 bytes)" in replies[1]["error"]["detail"]
 
 
 class _GarbageServer:
@@ -1116,11 +1236,14 @@ class _GarbageServer:
         threading.Thread(target=self._run, daemon=True).start()
 
     def _run(self):
-        conn, _ = self.sock.accept()
-        with conn:
-            for reply in self.replies:
-                conn.recv(65536)
-                conn.sendall(reply)
+        try:
+            conn, _ = self.sock.accept()
+            with conn:
+                for reply in self.replies:
+                    conn.recv(65536)
+                    conn.sendall(reply)
+        except OSError:  # the client or the test closed first
+            return
 
     def close(self):
         self.sock.close()
@@ -1392,9 +1515,9 @@ def test_protocol_doc_covers_every_command_and_the_version():
         "token", "max_depth", "budget_ms", "pool"}
 
 
-def test_trace_env_dumps_frames(tcp_server, monkeypatch, capsys):
+def test_trace_env_dumps_frames(server_port, monkeypatch, capsys):
     monkeypatch.setenv("STEPWISE_PROTOCOL_TRACE", "1")
-    client = RemoteProver.connect_tcp("127.0.0.1", tcp_server)
+    client = RemoteProver.connect_tcp("127.0.0.1", server_port)
     client.init()
     client.close()
     err = capsys.readouterr().err

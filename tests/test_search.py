@@ -255,15 +255,14 @@ def test_dedup_does_not_change_success_set_on_corpus_sample():
 
 @pytest.fixture
 def prover_server():
+    """The port of a reference TCP server running in a thread."""
     import threading
 
-    from stepwise.protocol import ProverServer
+    from stepwise.protocol import tcp_server
 
-    server = ProverServer(trace=False)
-    tcp = server.tcp_server(port=0)
+    tcp = tcp_server(trace=False)
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
-    server.port = tcp.server_address[1]
-    yield server
+    yield tcp.server_address[1]
     tcp.shutdown()
     tcp.server_close()
 
@@ -288,7 +287,7 @@ def test_prove_theorem_remote_equals_in_process(prover_server):
 
     config = bench_engine_config(0)
     local = ToyProver()
-    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server)
     try:
         sample = _stride_sample(generate_corpus(0), 30)
         via = set()
@@ -319,7 +318,7 @@ def test_prove_theorem_leaves_no_backend_objects(prover_server):
         by_family.setdefault(_family(theory), []).append(theory)
     sample = [family[0] for family in by_family.values()]
     local = ToyProver()
-    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server)
     try:
         via = set()
         for theory in sample:
@@ -389,7 +388,7 @@ def test_prove_theorem_remote_equals_in_process_across_configs(
     config = replace(bench_engine_config(0), repair_rounds=repair_rounds,
                      filtering_enabled=filtering, top_k=top_k)
     local = ToyProver()
-    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server)
     try:
         for theory in _stride_sample(generate_corpus(0), 22):
             ours = prove_theorem(theory, "goal", config, backend=local,
@@ -408,7 +407,7 @@ def test_replay_and_extraction_leave_no_backend_objects(prover_server, transport
     from stepwise.protocol import RemoteProver
 
     if transport == "tcp":
-        backend = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+        backend = RemoteProver.connect_tcp("127.0.0.1", prover_server)
     else:
         backend = ToyProver()
 
@@ -441,7 +440,7 @@ def test_replay_and_extraction_leave_no_backend_objects(prover_server, transport
 def test_prefix_replay_opens_only_what_the_search_releases(prover_server):
     from stepwise.protocol import RemoteProver
 
-    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server)
     theory = load_theory(DEMO)
     try:
         for backend in (ToyProver(), remote):
@@ -532,7 +531,7 @@ def test_prove_theorem_over_tcp_sends_no_oracle_or_root_fetch_requests(prover_se
                         if cmd != "stats"})
 
     config = bench_engine_config(0)
-    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server.port)
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server)
     try:
         sample = _stride_sample(generate_corpus(0), 30)
         sent = Counter()
