@@ -163,17 +163,20 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def _records_from_reports(directory: str) -> list[RunRecord]:
     records = []
     for path in sorted(Path(directory).glob("*.json")):
-        report = json.loads(path.read_text())
-        steps = report.get("steps")
-        records.append(RunRecord(
-            theorem=f"{report['theory']}.{report['theorem']}",
-            split=report.get("split", "all"),
-            ground_truth_length=int(report.get("ground_truth_length", 0)),
-            proved=bool(report.get("proved")),
-            generated_proof=tuple(steps) if steps is not None else None,
-            wall_time=float(report.get("stats", {}).get("wall_time", 0.0)),
-            session=report.get("session", ""),
-        ))
+        try:
+            report = json.loads(path.read_text())
+            steps = report.get("steps")
+            records.append(RunRecord(
+                theorem=f"{report['theory']}.{report['theorem']}",
+                split=report.get("split", "all"),
+                ground_truth_length=int(report.get("ground_truth_length", 0)),
+                proved=bool(report.get("proved")),
+                generated_proof=tuple(steps) if steps is not None else None,
+                wall_time=float(report.get("stats", {}).get("wall_time", 0.0)),
+                session=report.get("session", ""),
+            ))
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise ConfigError(f"malformed report {path}: {type(e).__name__}: {e}") from None
     return records
 
 

@@ -10,14 +10,20 @@ left-associative, ``~`` binds tightest)::
 
 Identifiers match ``[a-zA-Z_][a-zA-Z0-9_']*``; ``true`` and ``false`` are
 reserved constants and never atoms. ``render`` emits minimal parentheses and
-``parse_formula(render(f))`` reconstructs ``f`` exactly.
+``parse_formula(render(f))`` returns ``f`` itself.
+
+Formulas are hash-consed (Filliâtre & Conchon, 2006): build them only
+through their constructors, which return the one live node of each
+structure, so equality is object identity. ``copy``, ``deepcopy`` and
+``pickle`` give back the same node.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+import threading
+import weakref
 
 # distinct texts remembered by ``parse_formula`` (and by ``core.parse_step``)
 PARSE_CACHE_SIZE = 4096
@@ -38,46 +44,94 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True, slots=True)
+# structure -> its one live node; the lock serialises misses, since
+# ``stepwise serve`` builds formulas on one thread per connection
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_TABLE_LOCK = threading.Lock()
+
+
+def _intern(cls, fields: tuple) -> "Formula":
+    key = (cls, *fields)
+    with _TABLE_LOCK:
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_text", None)
+            object.__setattr__(node, "_atoms", None)
+            _TABLE[key] = node
+    return node
+
+
 class Formula:
-    """Base class; concrete nodes are Atom, Const, Not, And, Or, Implies."""
+    """Base class; concrete nodes are Atom, Const, Not, And, Or, Implies.
+
+    Nodes are hash-consed: a constructor returns the one live node of its
+    structure, so equality and hashing are object identity. Each node keeps
+    its ``render`` text and ``atoms`` set once computed.
+    """
+
+    __slots__ = ("_text", "_atoms", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if not IDENT_RE.fullmatch(self.name) or self.name in RESERVED:
-            raise ValueError(f"invalid atom name: {self.name!r}")
+    def __new__(cls, name: str):
+        node = _TABLE.get((cls, name))
+        if node is None and not (isinstance(name, str) and IDENT_RE.fullmatch(name)
+                                 and name not in RESERVED):
+            raise ValueError(f"invalid atom name: {name!r}")
+        return node or _intern(cls, (name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Formula):
-    value: bool
+    __slots__ = __match_args__ = ("value",)
+
+    def __new__(cls, value: bool):
+        if not isinstance(value, bool):
+            raise TypeError(f"Const takes a bool, got {value!r}")
+        return _TABLE.get((cls, value)) or _intern(cls, (value,))
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
+
+    def __new__(cls, operand: Formula):
+        return _TABLE.get((cls, operand)) or _intern(cls, (operand,))
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _TABLE.get((cls, left, right)) or _intern(cls, (left, right))
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
 
 
 TRUE = Const(True)
@@ -201,54 +255,50 @@ def parse_formula(text: str) -> Formula:
 
 # Precedence levels used for minimal parenthesisation.
 _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, Implies):
-        return _PREC_IMP
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    return _PREC_UNARY
+_PREC = {Implies: _PREC_IMP, Or: _PREC_OR, And: _PREC_AND}
 
 
 def _render_at(f: Formula, min_prec: int) -> str:
-    text = _render(f)
-    if _prec(f) < min_prec:
-        return f"({text})"
-    return text
-
-
-def _render(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
-    if isinstance(f, Not):
-        return "~" + _render_at(f.operand, _PREC_UNARY)
-    if isinstance(f, And):
-        return f"{_render_at(f.left, _PREC_AND)} & {_render_at(f.right, _PREC_AND + 1)}"
-    if isinstance(f, Or):
-        return f"{_render_at(f.left, _PREC_OR)} | {_render_at(f.right, _PREC_OR + 1)}"
-    if isinstance(f, Implies):
-        return f"{_render_at(f.left, _PREC_IMP + 1)} -> {_render_at(f.right, _PREC_IMP)}"
-    raise TypeError(f"not a formula: {f!r}")
+    text = render(f)
+    return f"({text})" if _PREC.get(type(f), _PREC_UNARY) < min_prec else text
 
 
 def render(f: Formula) -> str:
-    """Minimal-parenthesis text form; reparses to a structurally equal tree."""
-    return _render(f)
+    """Minimal-parenthesis text form; reparses to the same node. Kept on
+    the node once computed."""
+    text = f._text
+    if text is not None:
+        return text
+    if isinstance(f, Atom):
+        text = f.name
+    elif isinstance(f, Const):
+        text = "true" if f.value else "false"
+    elif isinstance(f, Not):
+        text = "~" + _render_at(f.operand, _PREC_UNARY)
+    elif isinstance(f, And):
+        text = f"{_render_at(f.left, _PREC_AND)} & {_render_at(f.right, _PREC_AND + 1)}"
+    elif isinstance(f, Or):
+        text = f"{_render_at(f.left, _PREC_OR)} | {_render_at(f.right, _PREC_OR + 1)}"
+    else:
+        text = f"{_render_at(f.left, _PREC_IMP + 1)} -> {_render_at(f.right, _PREC_IMP)}"
+    object.__setattr__(f, "_text", text)
+    return text
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, Const):
-        return frozenset()
-    if isinstance(f, Not):
-        return atoms(f.operand)
-    return atoms(f.left) | atoms(f.right)  # type: ignore[union-attr]
+    """The atom names in ``f``; kept on the node once computed."""
+    names = f._atoms
+    if names is None:
+        if isinstance(f, Atom):
+            names = frozenset((f.name,))
+        elif isinstance(f, Const):
+            names = frozenset()
+        elif isinstance(f, Not):
+            names = atoms(f.operand)
+        else:
+            names = atoms(f.left) | atoms(f.right)  # type: ignore[union-attr]
+        object.__setattr__(f, "_atoms", names)
+    return names
 
 
 def evaluate(f: Formula, assignment: dict[str, bool]) -> bool:

@@ -632,9 +632,9 @@ class RemoteProver:
 
     def close(self) -> None:
         """Send ``shutdown``, which carries any release still pending, and
-        close the transport."""
+        close the transport; after a missed reply, await it for the grace only."""
         try:
-            self._call("shutdown")
+            self._call("shutdown", wait_ms=0 if self._missed else None)
         except (TransportError, DeadlineMiss, ProtocolError):
             pass
         self.transport.close()

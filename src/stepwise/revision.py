@@ -97,38 +97,63 @@ def edit_distance(a: str, b: str) -> int:
 
 
 def edit_distances(a: str, texts) -> list[int]:
-    """``edit_distance(a, b)`` for each ``b`` in ``texts``, by the
-    bit-parallel algorithm of Myers (1999) in Hyyrö's formulation, with
-    ``a``'s match masks built once: bit ``i`` of ``vp``/``vn`` says the DP
-    column rises/falls between rows ``i`` and ``i + 1``, one text character
-    advances the whole column, and ``score`` tracks its last row."""
-    if not a:
-        return [len(b) for b in texts]
+    """``edit_distance(a, b)`` for each ``b`` in ``texts``, in one pass over ``a``."""
+    return _scan(a, *_pack_texts(texts))
+
+
+def _pack_texts(texts) -> tuple:
+    """Every text as one block of a wide int (Hyyrö, Fredriksson & Navarro,
+    2005), text ``j`` in bits ``[off_j, off_j + len_j)`` under a zero guard
+    bit: the match masks, the mask of all text bits and the bottom bit of
+    every block, then each text's ``(off_j, block mask)``."""
     peq: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-    mask = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    out = []
-    for b in texts:
-        if a == b:
-            out.append(0)
-            continue
-        vp, vn, score = mask, 0, len(a)
-        for ch in b:
-            x = peq.get(ch, 0) | vn
-            d0 = ((((x & vp) + vp) ^ vp) | x) & mask
-            hp = vn | (~(d0 | vp) & mask)
-            hn = vp & d0
-            if hp & last:
-                score += 1
-            elif hn & last:
-                score -= 1
-            hp = (hp << 1) | 1
-            vn = hp & d0
-            vp = ((hn << 1) | ~(d0 | hp)) & mask
-        out.append(score)
-    return out
+    blocks = []
+    mask = low = off = 0
+    for text in texts:
+        for i, ch in enumerate(text):
+            peq[ch] = peq.get(ch, 0) | (1 << (off + i))
+        block = (1 << len(text)) - 1
+        blocks.append((off, block))
+        if text:
+            mask |= block << off
+            low |= 1 << off
+            off += len(text) + 1
+    return (peq, mask, low), blocks
+
+
+def _scan(a: str, packed: tuple, blocks) -> list[int]:
+    """The distance from ``a`` to each packed text in ``blocks``: the
+    bit-parallel Levenshtein of Myers (1999) in Hyyrö's formulation, over
+    all blocks at once. Bit ``i`` of a block of ``vp``/``vn`` says its DP
+    column rises/falls between rows ``i`` and ``i + 1``; guard bits absorb
+    the carries of ``+`` and ``<< 1``, and ``low`` feeds each block its top
+    row's +1. The last row is ``len(a)`` plus the rises minus the falls."""
+    peq, mask, low = packed
+    vp, vn = mask, 0
+    for ch in a:
+        x = peq.get(ch, 0) | vn
+        d0 = ((((x & vp) + vp) ^ vp) | x) & mask
+        hp = vn | (~(d0 | vp) & mask)
+        hn = vp & d0
+        hp = (hp << 1) | low
+        vn = hp & d0
+        vp = ((hn << 1) | ~(d0 | hp)) & mask
+    n = len(a)
+    return [n + ((vp >> off) & block).bit_count() - ((vn >> off) & block).bit_count()
+            for off, block in blocks]
+
+
+def _pool_distances(u: str, pool: list[str], context: FactContext) -> list[int]:
+    """``edit_distances(u, pool)``, read off one pass over the context's
+    packed names, built once per context; a pool that names a fact outside
+    the context is packed on its own."""
+    if context._name_table is None:
+        packed, blocks = _pack_texts(context.facts)
+        context._name_table = packed, dict(zip(context.facts, blocks))
+    packed, by_name = context._name_table
+    if not all(name in by_name for name in pool):
+        return edit_distances(u, pool)
+    return _scan(u, packed, [by_name[name] for name in pool])
 
 
 def tactic_repair(attempt: FailedAttempt, tactic_set: tuple[str, ...]) -> list[Candidate]:
@@ -163,7 +188,7 @@ def premise_repair(attempt: FailedAttempt, pool: list[str],
     replacements: list[list[str]] = []
     for u in undefined:
         scored = [(d, order, name)
-                  for order, (d, name) in enumerate(zip(edit_distances(u, pool), pool))
+                  for order, (d, name) in enumerate(zip(_pool_distances(u, pool, context), pool))
                   if d <= config.max_edit_distance]
         scored.sort()
         matches = [name for _, _, name in scored[:config.top_matches]]

@@ -5,6 +5,7 @@ stream; the shared bench corpus fixtures are session-scoped, so the corpus
 and the three-arm comparison run once.
 """
 
+import hashlib
 import threading
 
 import numpy as np
@@ -261,6 +262,21 @@ def test_criterion_9_bench_determinism(bench_result):
     assert again.table_text().encode() == bench_result.table_text().encode()
     assert again.csv_text().encode() == bench_result.csv_text().encode()
     verdict(9, "determinism", "tables byte-identical across runs")
+
+
+# sha256 of the bench table at each seed; a kernel change that alters what
+# the pipeline proves, or how, fails here first
+PINNED_TABLE_DIGESTS = {
+    0: "d32ed4dfa596dedfc769e01b8b6845ddb2a78880c802f5062fd0244476d70cc4",
+    BENCH_SEED: "cfb8dc983a725fe872616380111c84c61970c7e72ff96a4280909ffe241cf7da",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_TABLE_DIGESTS))
+def test_bench_tables_match_their_pinned_digests(seed, bench_result):
+    result = bench_result if seed == BENCH_SEED else run_bench(seed)
+    digest = hashlib.sha256(result.table_text().encode()).hexdigest()
+    assert digest == PINNED_TABLE_DIGESTS[seed]
 
 
 def test_criterion_10_hammer_complementarity(bench_result):

@@ -385,6 +385,24 @@ def test_cli_eval_over_reports(theory_file, tmp_path, capsys):
     assert payload["similarity"]
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda text: text[:len(text) // 2],
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "theory"}),
+], ids=["truncated", "no_theory"])
+def test_cli_eval_malformed_report_is_one_error_line_naming_the_file(
+        mangle, theory_file, tmp_path, capsys):
+    reports = tmp_path / "reports"
+    main(["prove", "--theory", str(theory_file), "--out", str(reports)])
+    capsys.readouterr()
+    bad = sorted(reports.glob("*.json"))[0]
+    bad.write_text(mangle(bad.read_text()))
+    code = main(["eval", "--reports", str(reports)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert str(bad) in captured.err
+
+
 def test_cli_eval_completion(theory_file, capsys):
     code = main(["eval", "--completion", "--theory", str(theory_file),
                  "--fractions", "0.0,1.0", "--seed", "3"])

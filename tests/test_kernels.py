@@ -10,12 +10,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stepwise.config import EngineConfig
+from stepwise.core import FactContext, ProofState, ProofStep, Subgoal
 from stepwise.formulas import And, Atom, Const, Implies, Not, Or, atoms, evaluate, parse_formula
 from stepwise.prover import first_counterexample, row_masks
-from stepwise.revision import edit_distance, edit_distances
+from stepwise.revision import FailedAttempt, edit_distance, edit_distances, premise_repair
 
 
 def pure_levenshtein(a: str, b: str) -> int:
@@ -210,3 +212,75 @@ def test_edit_distances_scores_a_pool_pair_by_pair(a, texts):
     expected = [pure_levenshtein(a, b) for b in texts]
     assert [edit_distance(a, b) for b in texts] == expected
     assert edit_distances(a, texts) == expected
+
+
+# The packed kernel: every text is one block of a wide int, so many blocks
+# straddle 64-bit words. Texts share prefixes, repeat characters and go
+# past ASCII, and ``a`` may be empty.
+PACKED_ALPHABET = "aab_⊢é"
+
+
+@st.composite
+def packed_cases(draw):
+    prefix = draw(st.text(PACKED_ALPHABET, max_size=12))
+    text = st.text(PACKED_ALPHABET, max_size=90)
+    texts = draw(st.lists(st.one_of(text, text.map(lambda s: (prefix + s)[:90])), max_size=80))
+    a = draw(st.one_of(st.just(""), text, text.map(lambda s: prefix + s[:8])))
+    return a, texts
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_cases())
+@example(("", ["⊢" * 90] * 80))
+@example(("ab" * 45, ["a" * 90, "b" * 63, "", "ab" * 32, "⊢" * 64] * 16))
+def test_packed_edit_distances_match_the_full_matrix(case):
+    a, texts = case
+    assert edit_distances(a, texts) == [pure_levenshtein(a, b) for b in texts]
+
+
+def reference_premise_repair(attempt, pool, config):
+    """Premise repair from its definition: each undefined name's nearest
+    pool names by the full-matrix distance, ties by pool order."""
+    undefined = list(dict.fromkeys(
+        name for name in attempt.step.facts if name not in attempt.state.context))
+    if not undefined:
+        return []
+    replacements = []
+    for u in undefined:
+        scored = sorted((pure_levenshtein(u, name), order, name)
+                        for order, name in enumerate(pool))
+        matches = [name for d, _, name in scored
+                   if d <= config.max_edit_distance][:config.top_matches]
+        if not matches:
+            return []
+        replacements.append(matches)
+    texts = []
+    for combo in itertools.product(*replacements):
+        mapping = dict(zip(undefined, combo))
+        text = ProofStep(attempt.step.tactic,
+                         tuple(mapping.get(f, f) for f in attempt.step.facts)).text()
+        if text not in texts:
+            texts.append(text)
+    return texts
+
+
+fact_names = st.text("ab_1", max_size=5).map(lambda s: "f" + s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(fact_names, min_size=1, max_size=40, unique=True),
+       st.lists(fact_names, min_size=1, max_size=3),
+       st.lists(fact_names, max_size=4),
+       st.randoms(use_true_random=False),
+       st.integers(0, 3), st.integers(1, 3))
+def test_premise_repair_matches_a_full_matrix_reference(names, step_facts, outside, rng,
+                                                        max_edit_distance, top_matches):
+    context = FactContext({name: Atom(name) for name in names})
+    pool = rng.sample(names, rng.randint(0, len(names))) + outside
+    rng.shuffle(pool)
+    state = ProofState((Subgoal((), Atom("g")),), context)
+    attempt = FailedAttempt(state, ProofStep("apply", tuple(step_facts)), -0.5, "undefined_fact")
+    config = EngineConfig(max_edit_distance=max_edit_distance, top_matches=top_matches)
+    out = premise_repair(attempt, pool, config)
+    assert [c.step.text() for c in out] == reference_premise_repair(attempt, pool, config)
+    assert all(c.origin == "premise_repair" and c.log_prob == -0.5 for c in out)

@@ -1033,6 +1033,20 @@ def test_silent_server_cannot_hang_control_commands_or_close(monkeypatch):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_close_after_a_missed_reply_waits_only_the_grace(monkeypatch):
+    """Once a reply was missed, ``close`` awaits its ``shutdown`` for the
+    grace interval alone, not a second ``CONTROL_WAIT_MS``."""
+    monkeypatch.setattr("stepwise.protocol.CONTROL_WAIT_MS", 2000)
+    with socket.create_server(("127.0.0.1", 0)) as silent:  # never accepts
+        client = RemoteProver.connect_tcp("127.0.0.1", silent.getsockname()[1], grace_ms=100)
+        with pytest.raises(DeadlineMiss):
+            client.start(PROTO, "t1")
+        started = time.monotonic()
+        client.close()
+        assert time.monotonic() - started < 1.0
+        assert client.transport._sock.fileno() == -1
+
+
 def test_release_field_applies_before_the_command_even_one_that_fails():
     server = ProverServer(trace=False)
     root, _ = server.prover.start(PROTO, "t1")
