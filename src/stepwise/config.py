@@ -67,6 +67,10 @@ class EngineConfig:
             raise ConfigError("alpha must be >= 0")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
+        if self.premise_pool_size < 0:  # either would turn premise repair off silently
+            raise ConfigError(f"premise_pool_size must be >= 0, got {self.premise_pool_size}")
+        if self.max_edit_distance < 0:
+            raise ConfigError(f"max_edit_distance must be >= 0, got {self.max_edit_distance}")
         if self.top_matches < 1:
             raise ConfigError("top_matches must be >= 1")
         if self.hammer_states < 1:

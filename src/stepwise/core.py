@@ -76,16 +76,15 @@ class FactContext:
     states free them) and rely on ``facts`` never changing.
     """
 
-    __slots__ = ("facts", "usage_counts", "_atom_cache", "_auto_cache", "_rankings",
-                 "_name_table", "_statements", "_fact_atoms", "_atom_index", "_spine_index")
+    __slots__ = ("facts", "usage_counts", "_atom_cache", "_auto_cache", "_repair",
+                 "_statements", "_fact_atoms", "_atom_index", "_spine_index")
 
     def __init__(self, facts: dict[str, Formula], usage_counts: dict[str, int] | None = None):
         self.facts = dict(facts)
         self.usage_counts = dict(usage_counts or {})
         self._atom_cache: tuple[str, ...] | None = None
         self._auto_cache: dict = {}
-        self._rankings: dict[frozenset[str], list[str]] = {}  # see relevance_filter
-        self._name_table: tuple | None = None  # see revision._pool_distances
+        self._repair = None  # see revision._RepairTables
         self._statements: frozenset[Formula] | None = None
         self._fact_atoms: dict[str, frozenset[str]] | None = None
         self._atom_index: dict[str, tuple[str, ...]] | None = None

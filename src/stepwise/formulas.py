@@ -1,4 +1,4 @@
-"""Propositional formulas: syntax tree, parser, renderer, and evaluation.
+"""Propositional formulas: syntax tree, parser, renderer and simplifier.
 
 Grammar (lowest precedence first, ``->`` right-associative, ``&``/``|``
 left-associative, ``~`` binds tightest)::
@@ -299,23 +299,6 @@ def atoms(f: Formula) -> frozenset[str]:
             names = atoms(f.left) | atoms(f.right)  # type: ignore[union-attr]
         object.__setattr__(f, "_atoms", names)
     return names
-
-
-def evaluate(f: Formula, assignment: dict[str, bool]) -> bool:
-    """Truth value under a total assignment of the formula's atoms."""
-    if isinstance(f, Atom):
-        return assignment[f.name]
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Not):
-        return not evaluate(f.operand, assignment)
-    if isinstance(f, And):
-        return evaluate(f.left, assignment) and evaluate(f.right, assignment)
-    if isinstance(f, Or):
-        return evaluate(f.left, assignment) or evaluate(f.right, assignment)
-    if isinstance(f, Implies):
-        return (not evaluate(f.left, assignment)) or evaluate(f.right, assignment)
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def fold_constants(f: Formula) -> Formula:

@@ -483,35 +483,47 @@ class HammerResult:
         return self.kind == "found"
 
 
-_HAMMER_TACTICS = ("assumption", "intro", "split", "left", "right")
+# ``assumption`` reads the hypotheses, so the hammer tries it on every
+# goal; the other fact-free moves only on the goal classes that admit them
+_ASSUMPTION = ProofStep("assumption")
+_SHAPE_MOVES = {
+    Implies: (ProofStep("intro"),),
+    Not: (ProofStep("intro"),),
+    And: (ProofStep("split"),),
+    Or: (ProofStep("left"), ProofStep("right")),
+}
 
 
 def toy_hammer(state: ProofState, config: HammerConfig, pool: list[str]) -> HammerResult:
     """Iterative-deepening search for a full closing step sequence.
 
     Tactics are tried in a fixed order with facts in ``pool`` order, the
-    caller's relevance ranking: the fact-free tactics, ``elim`` over the
-    pool's disjunctions, then ``apply`` over the pool facts. Deterministic
-    for fixed inputs; Timeout when the budget runs out.
+    caller's relevance ranking: ``assumption``, ``intro``, ``split``,
+    ``left``, ``right``, ``elim`` over the pool's disjunctions, then
+    ``apply`` over the pool facts. Deterministic for fixed inputs; Timeout
+    when the budget runs out.
     """
     if not state.subgoals:
         return HammerResult("found", ())
     ctx = state.context
-    moves = [ProofStep(tactic) for tactic in _HAMMER_TACTICS]
-    moves += [ProofStep("elim", (fname,)) for fname in pool
-              if isinstance(ctx.facts.get(fname), Or)]
+    elims = [ProofStep("elim", (fname,)) for fname in pool
+             if isinstance(ctx.facts.get(fname), Or)]
     spines = ctx.spine_index()
-    applies: dict[Formula, list[ProofStep]] = {}
+    moves: dict[Formula, list[ProofStep]] = {}
 
     def successors(current: ProofState) -> list[tuple[ProofStep, ProofState]]:
-        # `apply [f]` succeeds only on a goal on f's implication right
-        # spine, so a goal's apply moves are those pool facts, in pool order
+        # a goal's moves, built once: the fact-free moves its class admits,
+        # every elim, then `apply [f]` for the pool facts whose implication
+        # right spine passes through it (the only goals f concludes)
         goal = current.subgoals[0].goal
-        if goal not in applies:
+        goal_moves = moves.get(goal)
+        if goal_moves is None:
             names = spines.get(goal, ())
-            applies[goal] = [ProofStep("apply", (f,)) for f in pool if f in names]
+            goal_moves = moves[goal] = [_ASSUMPTION, *_SHAPE_MOVES.get(type(goal), ()),
+                                        *elims,
+                                        *(ProofStep("apply", (f,)) for f in pool if f in names)]
         out = []
-        for step in itertools.chain(moves, applies[goal]):
+        for step in goal_moves:
             result = apply_step(current, step)
             if result.ok:
                 out.append((step, result.state))

@@ -35,6 +35,43 @@ def tactic_frequencies(theory: Theory, limit: int = TACTIC_SET_LIMIT) -> tuple[s
     return tuple(ranked[:limit])
 
 
+class _RepairTables:
+    """What premise repair reads of one ``FactContext``, made on first use
+    (the first ranking) and kept in its ``_repair`` slot: the integer
+    relevance table, the rankings per atom seed, and the packed fact names,
+    built on the first edit-distance pass. Facts are numbered in name
+    order, so a tie by id is a tie by name."""
+
+    __slots__ = ("names", "atom_ids", "atom_facts", "fact_atoms", "sizes",
+                 "rankings", "packed_names")
+
+    def __init__(self, context: FactContext):
+        self.names = sorted(context.facts)
+        self.atom_ids: dict[str, int] = {}      # atom name -> atom id
+        self.atom_facts: list[list[int]] = []   # atom id -> fact ids
+        self.fact_atoms: list[list[int]] = []   # fact id -> atom ids
+        atom_sets = context.fact_atoms()
+        for i, name in enumerate(self.names):
+            ids = []
+            for a in atom_sets[name]:
+                j = self.atom_ids.get(a)
+                if j is None:
+                    j = self.atom_ids[a] = len(self.atom_facts)
+                    self.atom_facts.append([])
+                self.atom_facts[j].append(i)
+                ids.append(j)
+            self.fact_atoms.append(ids)
+        self.sizes = [len(ids) for ids in self.fact_atoms]
+        self.rankings: dict[frozenset[str], list[str]] = {}
+        self.packed_names: tuple | None = None
+
+    @classmethod
+    def of(cls, context: FactContext) -> "_RepairTables":
+        if context._repair is None:
+            context._repair = cls(context)
+        return context._repair
+
+
 def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> list[str]:
     """Iterative symbol-overlap premise selection.
 
@@ -47,48 +84,45 @@ def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> li
     full ranking, which ``context`` keeps per atom seed.
     """
     seed = frozenset().union(*(sub.atom_names() for sub in goal_state.subgoals))
-    ranking = context._rankings.get(seed)
+    tables = _RepairTables.of(context)
+    ranking = tables.rankings.get(seed)
     if ranking is None:
-        ranking = context._rankings[seed] = _rank_by_relevance(seed, context)
+        ranking = tables.rankings[seed] = _rank_by_relevance(seed, tables)
     return ranking[:max(k, 0)]
 
 
-def _rank_by_relevance(seed: frozenset[str], context: FactContext) -> list[str]:
+def _rank_by_relevance(seed: frozenset[str], tables: _RepairTables) -> list[str]:
     """Every fact ``relevance_filter`` would ever pick from ``seed``, in order.
 
-    Each fact's overlap count is kept and raised only for the facts that
-    share an atom newly joined into R, each raise pushing a fresh heap entry
-    keyed (-score, id). Scores only grow, so a fact's newest entry pops
-    before its older ones, which are skipped once the fact is selected.
+    Each unchosen fact's overlap count is kept and raised only when an atom
+    it mentions joins R, each raise pushing a fresh heap entry keyed
+    (-score, id). Scores only grow, so a fact's newest entry pops before its
+    older ones, which are skipped once the fact is chosen.
     """
-    fact_atoms = context.fact_atoms()
-    index = context.atom_index()
-    hits: dict[str, int] = {}
-    heap: list[tuple[float, str]] = []
-    selected: list[str] = []
-    chosen: set[str] = set()
-
-    def join(new_atoms) -> None:
-        raised = set()
+    atom_facts, fact_atoms, sizes = tables.atom_facts, tables.fact_atoms, tables.sizes
+    hits = [0] * len(sizes)
+    chosen = [False] * len(sizes)
+    relevant = [False] * len(atom_facts)
+    heap: list[tuple[float, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
+    selected: list[int] = []
+    new_atoms = [tables.atom_ids[a] for a in seed if a in tables.atom_ids]
+    while True:
         for a in new_atoms:
-            for name in index.get(a, ()):
-                hits[name] = hits.get(name, 0) + 1
-                raised.add(name)
-        for name in raised - chosen:
-            heapq.heappush(heap, (-hits[name] / len(fact_atoms[name]), name))
-
-    relevant = set(seed)
-    join(relevant)
-    while heap:
-        _, name = heapq.heappop(heap)
-        if name in chosen:
-            continue
-        selected.append(name)
-        chosen.add(name)
-        new_atoms = fact_atoms[name] - relevant
-        relevant |= new_atoms
-        join(new_atoms)
-    return selected
+            relevant[a] = True
+            for i in atom_facts[a]:
+                if not chosen[i]:
+                    hits[i] += 1
+                    push(heap, (-hits[i] / sizes[i], i))
+        while heap:
+            i = pop(heap)[1]
+            if not chosen[i]:
+                break
+        else:
+            return [tables.names[i] for i in selected]
+        selected.append(i)
+        chosen[i] = True
+        new_atoms = [a for a in fact_atoms[i] if not relevant[a]]
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -147,10 +181,11 @@ def _pool_distances(u: str, pool: list[str], context: FactContext) -> list[int]:
     """``edit_distances(u, pool)``, read off one pass over the context's
     packed names, built once per context; a pool that names a fact outside
     the context is packed on its own."""
-    if context._name_table is None:
+    tables = _RepairTables.of(context)
+    if tables.packed_names is None:
         packed, blocks = _pack_texts(context.facts)
-        context._name_table = packed, dict(zip(context.facts, blocks))
-    packed, by_name = context._name_table
+        tables.packed_names = packed, dict(zip(context.facts, blocks))
+    packed, by_name = tables.packed_names
     if not all(name in by_name for name in pool):
         return edit_distances(u, pool)
     return _scan(u, packed, [by_name[name] for name in pool])

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from stepwise.core import ProofState
-from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, Or, evaluate
+from stepwise.formulas import FALSE, TRUE, And, Atom, Const, Implies, Not, Or, atoms
 from stepwise.prover import load_theory
 
 BENCH_SEED = 11
@@ -31,13 +31,30 @@ def chain_theory():
     return load_theory(CHAIN_SRC)
 
 
+def evaluate(f, assignment: dict[str, bool]) -> bool:
+    """Naive reference: the truth value of ``f`` under a total assignment
+    of its atoms, by recursion over the tree."""
+    if isinstance(f, Atom):
+        return assignment[f.name]
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Not):
+        return not evaluate(f.operand, assignment)
+    if isinstance(f, And):
+        return evaluate(f.left, assignment) and evaluate(f.right, assignment)
+    if isinstance(f, Or):
+        return evaluate(f.left, assignment) or evaluate(f.right, assignment)
+    if isinstance(f, Implies):
+        return (not evaluate(f.left, assignment)) or evaluate(f.right, assignment)
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def naive_first_counterexample(state: ProofState):
     """Independent oracle: enumerate assignments over sorted atoms with the
     recursive evaluator, false before true, subgoals in order."""
     ctx = state.context
     ctx_atoms = set()
     for f in ctx.facts.values():
-        from stepwise.formulas import atoms
         ctx_atoms |= atoms(f)
     for idx, sub in enumerate(state.subgoals):
         names = sorted(ctx_atoms | sub.atom_names())

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import BENCH_SEED, naive_first_counterexample, replay_chain
+from conftest import BENCH_SEED, evaluate, naive_first_counterexample, replay_chain
 from stepwise.bench import revision_recovery, run_bench
 from stepwise.config import EngineConfig
 from stepwise.core import canonical_state, parse_step, render_state
@@ -25,7 +25,6 @@ from stepwise.evaluation import (
 )
 from stepwise.extraction import extract_pairs
 from stepwise.filtering import SeenSet, filter_states
-from stepwise.formulas import evaluate
 from stepwise.generator import mock_generate
 from stepwise.prover import (
     ToyProver,

@@ -198,15 +198,18 @@ INVALID_VALUES = [
     ("repair_rounds", -1), ("candidates_per_state", 0), ("hammer_timeout_s", -1),
     ("hammer_timeout_s", 0), ("hammer_timeout_s", 0.0005), ("hammer_depth", -1),
     ("hammer_premise_limit", -1), ("revision_budget", -1),
+    ("max_edit_distance", -1), ("premise_pool_size", -5),
 ]
 
 
 def test_least_valid_search_and_hammer_budgets_are_accepted():
     config = EngineConfig(repair_rounds=0, candidates_per_state=1, hammer_timeout_s=0.001,
-                          hammer_depth=0, hammer_premise_limit=0, revision_budget=0)
+                          hammer_depth=0, hammer_premise_limit=0, revision_budget=0,
+                          max_edit_distance=0, premise_pool_size=0)
     assert (config.repair_rounds, config.candidates_per_state, config.revision_budget) \
         == (0, 1, 0)
     assert (config.hammer_depth, config.hammer_premise_limit) == (0, 0)
+    assert (config.max_edit_distance, config.premise_pool_size) == (0, 0)
 
 
 @pytest.mark.parametrize("name,value", INVALID_VALUES)

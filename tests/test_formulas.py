@@ -23,11 +23,11 @@ from stepwise.formulas import (
     Or,
     ParseError,
     atoms,
-    evaluate,
     fold_constants,
     parse_formula,
     render,
 )
+from conftest import evaluate
 
 names = st.from_regex(r"[a-z_][a-z0-9_']{0,3}", fullmatch=True).filter(
     lambda s: s not in ("true", "false"))

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from stepwise.config import EngineConfig
 from stepwise.core import FactContext, ProofState, ProofStep, Subgoal
-from stepwise.formulas import And, Atom, Const, Implies, Not, Or, atoms, evaluate, parse_formula
+from stepwise.formulas import And, Atom, Const, Implies, Not, Or, atoms, parse_formula
 from stepwise.prover import first_counterexample, row_masks
 from stepwise.revision import FailedAttempt, edit_distance, edit_distances, premise_repair
+from conftest import evaluate
 
 
 def pure_levenshtein(a: str, b: str) -> int:

@@ -1,8 +1,11 @@
 """The benchmark in ``pipebench/`` drives the product through its public
 surface and, in traced mode, wraps parts of it by name. These runs keep a
 product change that breaks the traced mode from going unnoticed. Each is a
-one-second run that writes only under the ignored ``pipebench/out/``."""
+one-second run that writes only under the ignored ``pipebench/out/``.
+The benchmark's inputs also pin what the program proves, and how."""
 
+import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -13,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["corpus_inproc", "corpus_tcp"])
+@pytest.mark.parametrize("workload", ["corpus_inproc", "corpus_tcp", "repair_wide"])
 def test_traced_benchmark_run_passes_its_checks(workload):
     proc = subprocess.run(
         [sys.executable, "pipebench/run.py", "--workload", workload,
@@ -23,3 +26,26 @@ def test_traced_benchmark_run_passes_its_checks(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["attempted"] > 0 and result["failed"] == 0
+
+
+# sha256 of every seed-0 repair_wide report, wall time left out; a change to
+# premise repair or the hammer that alters any search or fallback fails here
+PINNED_REPAIR_WIDE_REPORTS = "7cc7530d4bbcfde28cf6764203ddc30e03c08f5e86dab98d08219171137b620d"
+
+
+def test_repair_wide_reports_match_their_pinned_digest(monkeypatch):
+    from stepwise.engine import prove_theorem
+
+    monkeypatch.syspath_prepend(str(ROOT / "pipebench"))
+    workloads = importlib.import_module("workloads")
+    config = workloads.engine_config()
+    backend, mock = config.make_backend(), config.make_generator()
+    lines = []
+    for item in workloads.WORKLOADS["repair_wide"].build(0):
+        report = prove_theorem(item.theory, "goal", config, backend=backend,
+                               generator=item.generator or mock).report
+        report["stats"] = {k: v for k, v in report["stats"].items() if k != "wall_time"}
+        lines.append(json.dumps(report, sort_keys=True))
+    assert len(lines) == 400
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_REPAIR_WIDE_REPORTS

@@ -18,7 +18,7 @@ from stepwise.core import (
     canonical_state,
     parse_step,
 )
-from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, Or, parse_formula, render
+from stepwise.formulas import FALSE, TRUE, And, Atom, Const, Implies, Not, Or, parse_formula, render
 from stepwise.prover import (
     MAX_ATOM_LIMIT,
     HammerConfig,
@@ -615,6 +615,43 @@ def test_hammer_applies_each_move_to_each_state_once():
         assert result == toy_hammer(state, config, sorted(ctx.facts))
         assert len(seen) > 20
         assert len(set(seen)) == len(seen)
+
+
+# the goal classes each fact-free move can act on; the hammer tries no
+# other pairing, and tries `assumption` everywhere
+SHAPED_TACTICS = {"intro": (Implies, Not), "split": (And,), "left": (Or,), "right": (Or,)}
+GOAL_CLASSES = (Atom, Const, Not, And, Or, Implies)
+
+
+def test_hammer_tries_only_the_moves_its_goal_class_admits():
+    rng = random.Random(25)
+    tried = {cls: set() for cls in GOAL_CLASSES}
+    for cls in GOAL_CLASSES * 25:
+        ctx = random_context(rng)
+        goal = random_formula(rng, rng.randint(1, 4))
+        while type(goal) is not cls:
+            goal = random_formula(rng, rng.randint(1, 4))
+        hyps = tuple(random_formula(rng, 2) for _ in range(rng.randint(0, 2)))
+        state = ProofState((Subgoal(hyps, goal),) + random_state(rng, ctx).subgoals[:1], ctx)
+        pool = relevance_filter(state, ctx, len(ctx.facts))
+        config = HammerConfig(rng.randint(2, 4), 60_000)
+        seen = []
+
+        def recording(current, step, *args):
+            seen.append((type(current.subgoals[0].goal), step.tactic))
+            return apply_step(current, step, *args)
+
+        with mock.patch.object(prover, "apply_step", recording):
+            ours = toy_hammer(state, config, pool)
+        expected = reference_hammer(state, config, pool)
+        assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
+        for goal_cls, tactic in seen:
+            assert goal_cls in SHAPED_TACTICS.get(tactic, GOAL_CLASSES), (goal_cls, tactic)
+            tried[goal_cls].add(tactic)
+    for cls in GOAL_CLASSES:
+        assert "assumption" in tried[cls]
+    for tactic, classes in SHAPED_TACTICS.items():
+        assert all(tactic in tried[cls] for cls in classes)
 
 
 def test_no_progress_verdict_matches_canonical_keys():
