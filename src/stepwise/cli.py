@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -34,40 +35,30 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--seed", type=int)
     group.add_argument("--generator", choices=("mock", "http"))
     group.add_argument("--backend", choices=("in_process", "remote"))
-    group.add_argument("--endpoint", help="host:port of a remote prover server")
+    group.add_argument("--endpoint", dest="backend_endpoint", metavar="ENDPOINT",
+                       help="host:port of a remote prover server")
     group.add_argument("--k", type=int, dest="top_k", help="states expanded per iteration")
     group.add_argument("--alpha", type=float, help="length-normalisation exponent")
-    group.add_argument("--candidates", type=int, help="candidate steps per state")
+    group.add_argument("--candidates", type=int, dest="candidates_per_state",
+                       metavar="CANDIDATES", help="candidate steps per state")
     group.add_argument("--max-iterations", type=int)
-    group.add_argument("--time-limit", type=float, help="search time limit in seconds")
+    group.add_argument("--time-limit", type=float, dest="time_limit_s", metavar="TIME_LIMIT",
+                       help="search time limit in seconds")
     group.add_argument("--node-budget", type=int)
     group.add_argument("--no-revision", action="store_const", const=False,
                        dest="revision_enabled")
     group.add_argument("--no-filtering", action="store_const", const=False,
                        dest="filtering_enabled")
-    group.add_argument("--hammer-timeout", type=float, help="fallback seconds per state")
+    group.add_argument("--hammer-timeout", type=float, dest="hammer_timeout_s",
+                       metavar="HAMMER_TIMEOUT", help="fallback seconds per state")
     group.add_argument("--hammer-states", type=int, help="fallback states to try")
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
+    """Each engine flag's ``dest`` is the ``EngineConfig`` field it sets."""
     file_values = load_config_file(args.config) if args.config else {}
-    flags = {
-        "seed": args.seed,
-        "generator": args.generator,
-        "backend": args.backend,
-        "backend_endpoint": args.endpoint,
-        "top_k": args.top_k,
-        "alpha": args.alpha,
-        "candidates_per_state": args.candidates,
-        "max_iterations": args.max_iterations,
-        "time_limit_s": args.time_limit,
-        "node_budget": args.node_budget,
-        "revision_enabled": args.revision_enabled,
-        "filtering_enabled": args.filtering_enabled,
-        "hammer_timeout_s": args.hammer_timeout,
-        "hammer_states": args.hammer_states,
-    }
-    return build_config(file_values, flags)
+    fields = {f.name for f in dataclasses.fields(EngineConfig)}
+    return build_config(file_values, {k: v for k, v in vars(args).items() if k in fields})
 
 
 def build_parser() -> argparse.ArgumentParser:

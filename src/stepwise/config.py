@@ -8,7 +8,7 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .prover import MAX_ATOM_LIMIT, ToyProver
+from .prover import DEFAULT_ATOM_LIMIT, DEFAULT_STEP_BUDGET_MS, MAX_ATOM_LIMIT, ToyProver
 from .protocol import RemoteProver
 
 
@@ -28,8 +28,8 @@ class EngineConfig:
     node_budget: int = 10_000
     revision_enabled: bool = True
     filtering_enabled: bool = True
-    atom_limit: int = 16
-    step_timeout_ms: int = 10_000
+    atom_limit: int = DEFAULT_ATOM_LIMIT
+    step_timeout_ms: int = DEFAULT_STEP_BUDGET_MS
     # generator
     generator: str = "mock"  # mock | http
     temperature: float = 1.0
@@ -57,6 +57,9 @@ class EngineConfig:
     def __post_init__(self):
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
+        for name in ("max_iterations", "time_limit_s", "node_budget"):
+            if getattr(self, name) < 0:  # each would turn the search off silently
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.candidates_per_state < 1:
             raise ConfigError(f"candidates_per_state must be >= 1, got {self.candidates_per_state}")
         if self.revision_budget < 0:  # it would cut the ranked repairs' last ones

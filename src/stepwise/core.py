@@ -25,17 +25,14 @@ _STEP_RE = re.compile(
 
 @dataclass(frozen=True, slots=True)
 class ProofStep:
-    """A tactic invocation with optional fact arguments.
-
-    ``raw`` preserves the text a step was parsed from and is excluded from
-    equality; synthesized steps leave it empty and render canonically. The
-    parser enforces that ``elim``/``apply`` carry at least one fact; directly
-    constructed steps may violate this and simply fail at execution.
+    """A tactic invocation with optional fact arguments, written out by
+    ``text``. The parser enforces that ``elim``/``apply`` carry at least one
+    fact; directly constructed steps may violate this and simply fail at
+    execution.
     """
 
     tactic: str
     facts: tuple[str, ...] = ()
-    raw: str = field(default="", compare=False)
 
     def text(self) -> str:
         if self.facts:
@@ -62,7 +59,7 @@ def parse_step(text: str) -> ProofStep:
         facts = tuple(names)
     if tactic in FACT_REQUIRED and not facts:
         raise ParseError(f"{tactic} requires a fact list", 1, expected="[fact]")
-    return ProofStep(tactic, facts, raw=text.strip())
+    return ProofStep(tactic, facts)
 
 
 class FactContext:
@@ -76,14 +73,13 @@ class FactContext:
     states free them) and rely on ``facts`` never changing.
     """
 
-    __slots__ = ("facts", "usage_counts", "_atom_cache", "_auto_cache", "_repair",
-                 "_statements", "_fact_atoms", "_atom_index", "_spine_index")
+    __slots__ = ("facts", "usage_counts", "_atom_cache", "_repair", "_statements",
+                 "_fact_atoms", "_atom_index", "_spine_index")
 
     def __init__(self, facts: dict[str, Formula], usage_counts: dict[str, int] | None = None):
         self.facts = dict(facts)
         self.usage_counts = dict(usage_counts or {})
         self._atom_cache: tuple[str, ...] | None = None
-        self._auto_cache: dict = {}
         self._repair = None  # see revision._RepairTables
         self._statements: frozenset[Formula] | None = None
         self._fact_atoms: dict[str, frozenset[str]] | None = None
@@ -171,17 +167,16 @@ class ProofState:
         return replace(self, context=context)
 
 
-def canonical_subgoal(sub: Subgoal) -> str:
-    hyps = ", ".join(sorted(render(h) for h in sub.hypotheses))
-    return f"{hyps} ⊢ {render(sub.goal)}" if hyps else f"⊢ {render(sub.goal)}"
-
-
 def canonical_state(state: ProofState) -> str:
     """Deterministic dedup key: invariant under subgoal and hypothesis
     permutation, distinct for structurally different subgoal multisets."""
     if not state.subgoals:
         return QED_KEY
-    return " || ".join(sorted(canonical_subgoal(s) for s in state.subgoals))
+    keys = []
+    for sub in state.subgoals:
+        hyps = ", ".join(sorted(render(h) for h in sub.hypotheses))
+        keys.append(f"{hyps} ⊢ {render(sub.goal)}" if hyps else f"⊢ {render(sub.goal)}")
+    return " || ".join(sorted(keys))
 
 
 def render_state(state: ProofState) -> str:

@@ -384,7 +384,7 @@ def _batch_item(result: StepResult, token: str | None, kind: str | None):
 
 
 def _step_texts(steps) -> list[str]:
-    return [s if isinstance(s, str) else (s.raw or s.text()) for s in steps]
+    return [s if isinstance(s, str) else s.text() for s in steps]
 
 
 # ---------------------------------------------------------------------------

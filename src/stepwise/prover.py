@@ -28,7 +28,6 @@ from .core import (
     Theory,
     TheoryEntry,
     canonical_state,
-    canonical_subgoal,
     parse_step,
 )
 from .formulas import (
@@ -50,6 +49,7 @@ from .formulas import (
 )
 
 DEFAULT_STEP_BUDGET_MS = 10_000
+DEFAULT_ATOM_LIMIT = 16  # the counterexample oracle's default
 AUTO_DEPTH = 5
 MAX_ATOM_LIMIT = 20  # a truth table over n atoms has 2**n rows
 
@@ -308,17 +308,6 @@ def _auto_close(sub: Subgoal, ctx: FactContext, depth: int, deadline: float) -> 
         raise _BudgetExceeded
     if depth <= 0:
         return False
-    cache = ctx._auto_cache
-    key = (canonical_subgoal(sub), depth)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    result = _auto_close_uncached(sub, ctx, depth, deadline)
-    cache[key] = result
-    return result
-
-
-def _auto_close_uncached(sub: Subgoal, ctx: FactContext, depth: int, deadline: float) -> bool:
     goal = sub.goal
     if goal in sub.hypotheses or goal in ctx.statements():
         return True
@@ -433,7 +422,7 @@ def _check_atom_limit(atom_limit: int) -> None:
         raise ValueError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {atom_limit}")
 
 
-def check_counterexample(state: ProofState, atom_limit: int = 16) -> CexResult:
+def check_counterexample(state: ProofState, atom_limit: int = DEFAULT_ATOM_LIMIT) -> CexResult:
     """Exhaustive truth-table scan per subgoal, in subgoal order.
 
     A counterexample satisfies every context fact and hypothesis of the
@@ -716,7 +705,7 @@ class ToyProver:
 
     # -- oracles -----------------------------------------------------------
 
-    def counterexample_at(self, token: str, atom_limit: int = 16) -> CexResult:
+    def counterexample_at(self, token: str, atom_limit: int = DEFAULT_ATOM_LIMIT) -> CexResult:
         return check_counterexample(self._snapshot(token), atom_limit)
 
     def hammer_at(self, token: str, config: HammerConfig, pool: list[str]) -> HammerResult:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stepwise.cli import main
+from stepwise.cli import build_parser, main
 from stepwise.config import ConfigError, EngineConfig, build_config, load_config_file
 from stepwise.engine import prove_theorem, write_report
 from stepwise.prover import MAX_ATOM_LIMIT, ToyProver, load_theory
@@ -199,17 +199,54 @@ INVALID_VALUES = [
     ("hammer_timeout_s", 0), ("hammer_timeout_s", 0.0005), ("hammer_depth", -1),
     ("hammer_premise_limit", -1), ("revision_budget", -1),
     ("max_edit_distance", -1), ("premise_pool_size", -5),
+    ("max_iterations", -1), ("time_limit_s", -1.0), ("node_budget", -3),
 ]
 
 
 def test_least_valid_search_and_hammer_budgets_are_accepted():
     config = EngineConfig(repair_rounds=0, candidates_per_state=1, hammer_timeout_s=0.001,
                           hammer_depth=0, hammer_premise_limit=0, revision_budget=0,
-                          max_edit_distance=0, premise_pool_size=0)
+                          max_edit_distance=0, premise_pool_size=0,
+                          max_iterations=0, time_limit_s=0.0, node_budget=0)
     assert (config.repair_rounds, config.candidates_per_state, config.revision_budget) \
         == (0, 1, 0)
     assert (config.hammer_depth, config.hammer_premise_limit) == (0, 0)
     assert (config.max_edit_distance, config.premise_pool_size) == (0, 0)
+    assert (config.max_iterations, config.time_limit_s, config.node_budget) == (0, 0.0, 0)
+
+
+def test_negative_max_iterations_flag_is_one_error_line(theory_file, tmp_path, capsys):
+    out = tmp_path / "reports"
+    code = main(["prove", "--theory", str(theory_file), "--max-iterations", "-1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert "max_iterations" in captured.err
+    assert not out.exists()
+
+
+def test_each_engine_flag_sets_the_config_field_its_dest_names():
+    prove = build_parser()._subparsers._group_actions[0].choices["prove"]
+    engine = next(g for g in prove._action_groups if g.title == "engine")
+    dests = {a.dest for a in engine._group_actions} - {"config"}
+    assert len(dests) == 14
+    assert dests <= {f.name for f in dataclasses.fields(EngineConfig)}
+
+
+def test_renamed_flags_override_the_config_file(tmp_path):
+    from stepwise.cli import _engine_config
+
+    path = tmp_path / "engine.cfg"
+    path.write_text("candidates_per_state = 9\ntime_limit_s = 9\nhammer_states = 9\n")
+    args = build_parser().parse_args([
+        "prove", "--theory", "t.thy", "--config", str(path), "--candidates", "7",
+        "--time-limit", "3", "--hammer-timeout", "2", "--endpoint", "h:1"])
+    config = _engine_config(args)
+    assert (config.candidates_per_state, config.time_limit_s) == (7, 3.0)
+    assert (config.hammer_timeout_s, config.backend_endpoint) == (2.0, "h:1")
+    assert config.hammer_states == 9 and config.endpoint is None
 
 
 @pytest.mark.parametrize("name,value", INVALID_VALUES)

@@ -1,3 +1,5 @@
+import pytest
+
 from stepwise.core import FactContext, ProofState, Subgoal
 from stepwise.filtering import FilterStats
 from stepwise.formulas import parse_formula
@@ -125,8 +127,6 @@ def test_fallback_attempts_in_score_order_and_stops_at_first_hit():
 
 
 def test_fallback_config_validation():
-    import pytest
-
     # the fallback's fields are checked where the one config is built
     with pytest.raises(ConfigError):
         EngineConfig(hammer_states=0)
@@ -160,3 +160,18 @@ def test_fallback_only_consulted_after_search_failure():
                             backend=spy2)
     assert not result2.proved
     assert spy2.hammer_calls >= 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_fallback_enabled_decides_whether_a_stalled_search_is_hammered(chain_theory, enabled):
+    from stepwise.engine import prove_theorem
+
+    # no iteration runs, so only the fallback can prove t1
+    result = prove_theorem(chain_theory, "t1",
+                           EngineConfig(max_iterations=0, fallback_enabled=enabled))
+    if enabled:
+        assert result.proved and result.via == "fallback"
+        assert len(result.report["fallback_attempts"]) == 1
+    else:
+        assert not result.proved and result.via is None
+        assert "fallback_attempts" not in result.report

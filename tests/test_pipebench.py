@@ -28,12 +28,16 @@ def test_traced_benchmark_run_passes_its_checks(workload):
     assert result["attempted"] > 0 and result["failed"] == 0
 
 
-# sha256 of every seed-0 repair_wide report, wall time left out; a change to
-# premise repair or the hammer that alters any search or fallback fails here
-PINNED_REPAIR_WIDE_REPORTS = "7cc7530d4bbcfde28cf6764203ddc30e03c08f5e86dab98d08219171137b620d"
+# sha256 of every seed-0 report, wall time left out; a change to the search,
+# premise repair, the oracle or the hammer that alters any search or fallback
+# fails here
+PINNED_REPORTS = {
+    "corpus_inproc": "548590c50cdf04755a732f17226c1e28e6719b3620462d1e6dcabc4a5aec2f77",
+    "repair_wide": "7cc7530d4bbcfde28cf6764203ddc30e03c08f5e86dab98d08219171137b620d",
+}
 
 
-def test_repair_wide_reports_match_their_pinned_digest(monkeypatch):
+def seed_zero_report_digest(monkeypatch, workload: str) -> str:
     from stepwise.engine import prove_theorem
 
     monkeypatch.syspath_prepend(str(ROOT / "pipebench"))
@@ -41,11 +45,18 @@ def test_repair_wide_reports_match_their_pinned_digest(monkeypatch):
     config = workloads.engine_config()
     backend, mock = config.make_backend(), config.make_generator()
     lines = []
-    for item in workloads.WORKLOADS["repair_wide"].build(0):
+    for item in workloads.WORKLOADS[workload].build(0):
         report = prove_theorem(item.theory, "goal", config, backend=backend,
                                generator=item.generator or mock).report
         report["stats"] = {k: v for k, v in report["stats"].items() if k != "wall_time"}
         lines.append(json.dumps(report, sort_keys=True))
-    assert len(lines) == 400
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == PINNED_REPAIR_WIDE_REPORTS
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_repair_wide_reports_match_their_pinned_digest(monkeypatch):
+    assert seed_zero_report_digest(monkeypatch, "repair_wide") == PINNED_REPORTS["repair_wide"]
+
+
+def test_corpus_inproc_reports_match_their_pinned_digest(monkeypatch):
+    assert (seed_zero_report_digest(monkeypatch, "corpus_inproc")
+            == PINNED_REPORTS["corpus_inproc"])
