@@ -194,8 +194,7 @@ def arm_hammer_root(theory: Theory, backend, config: EngineConfig) -> bool:
     """Baseline: the fallback hammer applied to the root state only."""
     token, state = backend.start(theory, "goal")
     try:
-        result = hammer_state(state.with_context(theory.context_for("goal")),
-                              token, backend, config)
+        result = hammer_state(state, token, backend, config)
     finally:
         backend.release([token])
     return result.found
@@ -291,7 +290,6 @@ class CorruptedScriptGenerator:
 
     def __init__(self, theory: Theory, theorem_id: str, seed: int):
         self.script: dict[str, Candidate] = {}
-        context = theory.context_for(theorem_id)
         state = init_goal(theory, theorem_id)
         entry = theory.entry(theorem_id)
         assert entry is not None and entry.proof
@@ -299,7 +297,7 @@ class CorruptedScriptGenerator:
         for step in entry.proof:
             emitted = step
             if step.facts:
-                bad = _corrupt_name(step.facts[0], context, rng)
+                bad = _corrupt_name(step.facts[0], state.context, rng)
                 emitted = ProofStep(step.tactic, (bad,) + step.facts[1:])
             self.script[canonical_state(state)] = Candidate(emitted, -0.1, "generated")
             result = apply_step(state, step)

@@ -5,6 +5,7 @@ command-line flags."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +56,11 @@ class EngineConfig:
     backend_endpoint: str | None = None
 
     def __post_init__(self):
+        for name, spec in _FIELDS.items():  # NaN passes every comparison below
+            value = getattr(self, name)
+            if spec.type == "float" and not math.isfinite(value):
+                if name != "time_limit_s" or value != math.inf:  # inf: no time limit
+                    raise ConfigError(f"{name} must be finite, got {value}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
         for name in ("max_iterations", "time_limit_s", "node_budget"):

@@ -68,69 +68,76 @@ class FactContext:
     ``facts`` maps fact name to statement; ``usage_counts`` records how often
     each name appears in the ground-truth proofs preceding the owner entry
     (the usage-frequency signal for premise ranking). Lookup of an undefined
-    name is an explicit miss, never a default. The indexes and caches below
-    are filled on first use, live as long as the context (so a theorem's
-    states free them) and rely on ``facts`` never changing.
+    name is an explicit miss, never a default. Every table derived from the
+    pool lives in its ``FactIndex``, which relies on ``facts`` never changing.
     """
 
-    __slots__ = ("facts", "usage_counts", "_atom_cache", "_repair", "_statements",
-                 "_fact_atoms", "_atom_index", "_spine_index")
+    __slots__ = ("facts", "usage_counts", "_index")
 
     def __init__(self, facts: dict[str, Formula], usage_counts: dict[str, int] | None = None):
         self.facts = dict(facts)
         self.usage_counts = dict(usage_counts or {})
-        self._atom_cache: tuple[str, ...] | None = None
-        self._repair = None  # see revision._RepairTables
-        self._statements: frozenset[Formula] | None = None
-        self._fact_atoms: dict[str, frozenset[str]] | None = None
-        self._atom_index: dict[str, tuple[str, ...]] | None = None
-        self._spine_index: dict[Formula, frozenset[str]] | None = None
+        self._index: FactIndex | None = None
 
-    def atom_names(self) -> tuple[str, ...]:
-        if self._atom_cache is None:
-            self._atom_cache = tuple(sorted(self.atom_index()))
-        return self._atom_cache
-
-    def statements(self) -> frozenset[Formula]:
-        """Every fact statement, for membership tests."""
-        if self._statements is None:
-            self._statements = frozenset(self.facts.values())
-        return self._statements
-
-    def fact_atoms(self) -> dict[str, frozenset[str]]:
-        """Each fact's atom set, by fact name."""
-        if self._fact_atoms is None:
-            self._fact_atoms = {name: atoms(f) for name, f in self.facts.items()}
-        return self._fact_atoms
-
-    def atom_index(self) -> dict[str, tuple[str, ...]]:
-        """Atom name -> the names of the facts that mention it, in name order."""
-        if self._atom_index is None:
-            fact_atoms = self.fact_atoms()
-            index: dict[str, list[str]] = {}
-            for name in sorted(fact_atoms):
-                for a in fact_atoms[name]:
-                    index.setdefault(a, []).append(name)
-            self._atom_index = {a: tuple(names) for a, names in index.items()}
-        return self._atom_index
-
-    def spine_index(self) -> dict[Formula, frozenset[str]]:
-        """Formula -> the names of the facts whose implication right spine
-        passes through it: the only goals ``apply [f]`` can conclude."""
-        if self._spine_index is None:
-            index: dict[Formula, set[str]] = {}
-            for name, node in self.facts.items():
-                while node is not None:
-                    index.setdefault(node, set()).add(name)
-                    node = node.right if isinstance(node, Implies) else None
-            self._spine_index = {f: frozenset(names) for f, names in index.items()}
-        return self._spine_index
+    def index(self) -> "FactIndex":
+        """The pool's tables, built on first use and kept as long as the
+        context lives (so a theorem's states free them)."""
+        if self._index is None:
+            self._index = FactIndex(self)
+        return self._index
 
     def __contains__(self, name: str) -> bool:
         return name in self.facts
 
     def __repr__(self) -> str:
         return f"FactContext({len(self.facts)} facts)"
+
+
+class FactIndex:
+    """Every table the engine reads of one ``FactContext``. By fact id
+    (name order, so a tie by id is a tie by name): ``names``,
+    ``fact_atoms``, ``usage_shares`` (the usage count over the largest, 0
+    when no fact is used), and premise repair's ``fact_atom_ids`` and
+    ``sizes``; by atom, ``atom_ids`` and ``atom_facts``. ``statements`` and
+    ``atoms`` hold every statement and atom, and ``spine`` maps a formula to
+    the facts, in name order, whose implication right spine passes through
+    it: the only goals ``apply [f]`` can conclude. ``rankings`` (premise
+    repair's, per atom seed) and ``packed_names`` are filled on use.
+    """
+
+    __slots__ = ("statements", "spine", "atoms", "names", "fact_atoms", "usage_shares",
+                 "atom_ids", "atom_facts", "fact_atom_ids", "sizes", "rankings", "packed_names")
+
+    def __init__(self, context: FactContext):
+        facts, usage = context.facts, context.usage_counts
+        self.statements = frozenset(facts.values())
+        self.names = names = sorted(facts)
+        self.fact_atoms = fact_atoms = [atoms(facts[name]) for name in names]
+        most = max(usage.values(), default=0)
+        self.usage_shares = [usage.get(name, 0) / most if most else 0.0 for name in names]
+        self.spine: dict[Formula, list[str]] = {}
+        self.atom_ids: dict[str, int] = {}
+        self.atom_facts: list[list[int]] = []
+        self.fact_atom_ids: list[list[int]] = []
+        spine, atom_ids, atom_facts = self.spine, self.atom_ids, self.atom_facts
+        for i, name in enumerate(names):
+            node = facts[name]
+            while node is not None:
+                spine.setdefault(node, []).append(name)
+                node = node.right if isinstance(node, Implies) else None
+            ids = []
+            for a in fact_atoms[i]:
+                j = atom_ids.get(a)
+                if j is None:
+                    j = atom_ids[a] = len(atom_facts)
+                    atom_facts.append([])
+                atom_facts[j].append(i)
+                ids.append(j)
+            self.fact_atom_ids.append(ids)
+        self.atoms = frozenset(atom_ids)
+        self.sizes = [len(a) for a in fact_atoms]
+        self.rankings: dict[frozenset[str], list[str]] = {}
+        self.packed_names: tuple | None = None
 
 
 EMPTY_CONTEXT = FactContext({})

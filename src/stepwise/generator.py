@@ -63,13 +63,13 @@ def mock_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
     """
     if state.qed:
         return []
-    fact_atoms = state.context.fact_atoms()
+    index = state.context.index()
     goal_atoms = atoms(state.subgoals[0].goal)
     pool: list[tuple[ProofStep, float]] = []
     for tactic in ("assumption", "intro", "split", "left", "right", "simp", "auto"):
         pool.append((ProofStep(tactic), 1.0))
-    for name in sorted(fact_atoms):
-        overlap = len(fact_atoms[name] & goal_atoms)
+    for name, fact_atoms in zip(index.names, index.fact_atoms):
+        overlap = len(fact_atoms & goal_atoms)
         pool.append((ProofStep("apply", (name,)), 1.0 + overlap))
         pool.append((ProofStep("elim", (name,)), 1.0 + overlap))
     key = canonical_state(state)

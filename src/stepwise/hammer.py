@@ -22,15 +22,11 @@ def mesh_rank(state: ProofState, context: FactContext, k: int, w: float) -> list
     usage count normalised by the maximum (0 when the corpus is empty).
     Combined score: ``w * overlap + (1 - w) * usage``; ties break by fact id.
     """
-    overlap_order = relevance_filter(state, context, len(context.facts))
+    index = context.index()
+    overlap_order = relevance_filter(state, context, len(index.names))
     overlap_score = {name: 1.0 / (rank + 1) for rank, name in enumerate(overlap_order)}
-    max_usage = max(context.usage_counts.values(), default=0)
-    scored = []
-    for name in sorted(context.facts):
-        usage = (context.usage_counts.get(name, 0) / max_usage) if max_usage else 0.0
-        combined = w * overlap_score.get(name, 0.0) + (1 - w) * usage
-        scored.append((-combined, name))
-    scored.sort()
+    scored = sorted((-(w * overlap_score.get(name, 0.0) + (1 - w) * usage), name)
+                    for name, usage in zip(index.names, index.usage_shares))
     return [name for _, name in scored[:k]]
 
 

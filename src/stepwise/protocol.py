@@ -440,7 +440,9 @@ class RemoteProver:
     """Protocol client with the token surface of the in-process backend.
 
     ``start`` sends the theory's rendered source with the theorem id, and
-    the server parses it. ``release`` sends nothing: the ids wait for the
+    the server parses it; the root it returns carries the theorem's fact
+    context, as the in-process backend's does, while the states of later
+    replies carry none. ``release`` sends nothing: the ids wait for the
     next request, which carries them in its ``release`` field.
     No request waits without a deadline: ``init``, ``start``, ``stats`` and
     ``shutdown`` wait ``CONTROL_WAIT_MS`` plus grace, and a step without a
@@ -542,7 +544,7 @@ class RemoteProver:
             "start", payload={"source": render_theory(theory), "theorem": theorem_id})
         payload = self._expect(resp)
         with _reply_to(resp.id):
-            return payload["token"], parse_state(payload["state"])
+            return payload["token"], parse_state(payload["state"], theory.context_for(theorem_id))
 
     def apply_batch(self, groups, timeout_ms: int | None = None, atom_limit: int | None = None
                     ) -> list[list[tuple[StepResult, str | None, str | None]]]:

@@ -230,7 +230,7 @@ def apply_step(state: ProofState, step: ProofStep,
 
     new_subgoals: tuple[Subgoal, ...] | None = None
     if tactic == "assumption":
-        if goal in sub.hypotheses or goal in ctx.statements():
+        if goal in sub.hypotheses or goal in ctx.index().statements:
             new_subgoals = ()
         else:
             return StepResult.failure("tactic_failure", "goal is not an assumption or fact")
@@ -303,13 +303,15 @@ def _same_subgoal(a: Subgoal, b: Subgoal) -> bool:
 
 def _auto_close(sub: Subgoal, ctx: FactContext, depth: int, deadline: float) -> bool:
     """Depth-bounded deterministic backtracking over assumption, intro,
-    split, left, right, and apply with goal-sharing facts in id order."""
+    split, left, right, and apply with the facts that conclude the goal, in
+    name order; a goal without atoms (``false``, say) gets no apply."""
     if time.monotonic() > deadline:
         raise _BudgetExceeded
     if depth <= 0:
         return False
     goal = sub.goal
-    if goal in sub.hypotheses or goal in ctx.statements():
+    index = ctx.index()
+    if goal in sub.hypotheses or goal in index.statements:
         return True
     if isinstance(goal, Implies):
         if _auto_close(Subgoal(_with_hypothesis(sub.hypotheses, goal.left), goal.right),
@@ -328,11 +330,8 @@ def _auto_close(sub: Subgoal, ctx: FactContext, depth: int, deadline: float) -> 
             return True
         if _auto_close(Subgoal(sub.hypotheses, goal.right), ctx, depth - 1, deadline):
             return True
-    index = ctx.atom_index()
-    for fname in sorted({name for a in atoms(goal) for name in index.get(a, ())}):
+    for fname in index.spine.get(goal, ()) if atoms(goal) else ():
         premises = _match_apply(ctx.facts[fname], goal)
-        if premises is None:
-            continue
         if all(_auto_close(Subgoal(sub.hypotheses, p), ctx, depth - 1, deadline)
                for p in premises):
             return True
@@ -433,9 +432,8 @@ def check_counterexample(state: ProofState, atom_limit: int = DEFAULT_ATOM_LIMIT
     ``0..MAX_ATOM_LIMIT``.
     """
     _check_atom_limit(atom_limit)
-    ctx = state.context
-    ctx_atoms = set(ctx.atom_names())
-    context_facts = list(ctx.facts.values())
+    ctx_atoms = state.context.index().atoms
+    context_facts = list(state.context.facts.values())
     unknown_reason = ""
     for idx, sub in enumerate(state.subgoals):
         names = sorted(ctx_atoms | sub.atom_names())
@@ -497,7 +495,7 @@ def toy_hammer(state: ProofState, config: HammerConfig, pool: list[str]) -> Hamm
     ctx = state.context
     elims = [ProofStep("elim", (fname,)) for fname in pool
              if isinstance(ctx.facts.get(fname), Or)]
-    spines = ctx.spine_index()
+    spines = ctx.index().spine
     moves: dict[Formula, list[ProofStep]] = {}
 
     def successors(current: ProofState) -> list[tuple[ProofStep, ProofState]]:
@@ -590,9 +588,10 @@ class ToyProver:
 
     The wire protocol server gives each connection its own instance, and a
     remote client exposes the same token surface, so the search engine is
-    backend-agnostic. ``start`` takes the ``Theory`` itself; snapshots are
-    immutable. One instance serves one serial caller (one connection, or
-    one in-process search), so its registry takes no lock.
+    backend-agnostic. ``start`` takes the ``Theory`` itself and returns
+    the root with the theorem's fact context; snapshots are immutable. One
+    instance serves one serial caller (one connection, or one in-process
+    search), so its registry takes no lock.
     """
 
     def __init__(self):
@@ -621,7 +620,8 @@ class ToyProver:
 
     def start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
         """The theorem's initial goal in ``theory``, stored as a snapshot:
-        its token and state."""
+        its token and state. The state carries the theorem's fact context,
+        which every state stepped from it shares."""
         state = init_goal(theory, theorem_id)
         return self._store(state), state
 

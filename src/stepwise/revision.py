@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 
 from .config import EngineConfig
-from .core import TACTICS, Candidate, FactContext, ProofState, ProofStep, Theory
+from .core import TACTICS, Candidate, FactContext, FactIndex, ProofState, ProofStep, Theory
 
 DEFAULT_TACTIC_SET = TACTICS
 TACTIC_SET_LIMIT = 12
@@ -35,43 +35,6 @@ def tactic_frequencies(theory: Theory, limit: int = TACTIC_SET_LIMIT) -> tuple[s
     return tuple(ranked[:limit])
 
 
-class _RepairTables:
-    """What premise repair reads of one ``FactContext``, made on first use
-    (the first ranking) and kept in its ``_repair`` slot: the integer
-    relevance table, the rankings per atom seed, and the packed fact names,
-    built on the first edit-distance pass. Facts are numbered in name
-    order, so a tie by id is a tie by name."""
-
-    __slots__ = ("names", "atom_ids", "atom_facts", "fact_atoms", "sizes",
-                 "rankings", "packed_names")
-
-    def __init__(self, context: FactContext):
-        self.names = sorted(context.facts)
-        self.atom_ids: dict[str, int] = {}      # atom name -> atom id
-        self.atom_facts: list[list[int]] = []   # atom id -> fact ids
-        self.fact_atoms: list[list[int]] = []   # fact id -> atom ids
-        atom_sets = context.fact_atoms()
-        for i, name in enumerate(self.names):
-            ids = []
-            for a in atom_sets[name]:
-                j = self.atom_ids.get(a)
-                if j is None:
-                    j = self.atom_ids[a] = len(self.atom_facts)
-                    self.atom_facts.append([])
-                self.atom_facts[j].append(i)
-                ids.append(j)
-            self.fact_atoms.append(ids)
-        self.sizes = [len(ids) for ids in self.fact_atoms]
-        self.rankings: dict[frozenset[str], list[str]] = {}
-        self.packed_names: tuple | None = None
-
-    @classmethod
-    def of(cls, context: FactContext) -> "_RepairTables":
-        if context._repair is None:
-            context._repair = cls(context)
-        return context._repair
-
-
 def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> list[str]:
     """Iterative symbol-overlap premise selection.
 
@@ -81,17 +44,17 @@ def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> li
     when every remaining score is zero.
 
     No pick depends on ``k``, so the answer is the first ``k`` names of the
-    full ranking, which ``context`` keeps per atom seed.
+    full ranking, which the context's index keeps per atom seed.
     """
     seed = frozenset().union(*(sub.atom_names() for sub in goal_state.subgoals))
-    tables = _RepairTables.of(context)
-    ranking = tables.rankings.get(seed)
+    index = context.index()
+    ranking = index.rankings.get(seed)
     if ranking is None:
-        ranking = tables.rankings[seed] = _rank_by_relevance(seed, tables)
+        ranking = index.rankings[seed] = _rank_by_relevance(seed, index)
     return ranking[:max(k, 0)]
 
 
-def _rank_by_relevance(seed: frozenset[str], tables: _RepairTables) -> list[str]:
+def _rank_by_relevance(seed: frozenset[str], index: FactIndex) -> list[str]:
     """Every fact ``relevance_filter`` would ever pick from ``seed``, in order.
 
     Each unchosen fact's overlap count is kept and raised only when an atom
@@ -99,14 +62,14 @@ def _rank_by_relevance(seed: frozenset[str], tables: _RepairTables) -> list[str]
     (-score, id). Scores only grow, so a fact's newest entry pops before its
     older ones, which are skipped once the fact is chosen.
     """
-    atom_facts, fact_atoms, sizes = tables.atom_facts, tables.fact_atoms, tables.sizes
+    atom_facts, fact_atoms, sizes = index.atom_facts, index.fact_atom_ids, index.sizes
     hits = [0] * len(sizes)
     chosen = [False] * len(sizes)
     relevant = [False] * len(atom_facts)
     heap: list[tuple[float, int]] = []
     push, pop = heapq.heappush, heapq.heappop
     selected: list[int] = []
-    new_atoms = [tables.atom_ids[a] for a in seed if a in tables.atom_ids]
+    new_atoms = [index.atom_ids[a] for a in seed if a in index.atom_ids]
     while True:
         for a in new_atoms:
             relevant[a] = True
@@ -119,7 +82,7 @@ def _rank_by_relevance(seed: frozenset[str], tables: _RepairTables) -> list[str]
             if not chosen[i]:
                 break
         else:
-            return [tables.names[i] for i in selected]
+            return [index.names[i] for i in selected]
         selected.append(i)
         chosen[i] = True
         new_atoms = [a for a in fact_atoms[i] if not relevant[a]]
@@ -181,11 +144,11 @@ def _pool_distances(u: str, pool: list[str], context: FactContext) -> list[int]:
     """``edit_distances(u, pool)``, read off one pass over the context's
     packed names, built once per context; a pool that names a fact outside
     the context is packed on its own."""
-    tables = _RepairTables.of(context)
-    if tables.packed_names is None:
+    index = context.index()
+    if index.packed_names is None:
         packed, blocks = _pack_texts(context.facts)
-        tables.packed_names = packed, dict(zip(context.facts, blocks))
-    packed, by_name = tables.packed_names
+        index.packed_names = packed, dict(zip(context.facts, blocks))
+    packed, by_name = index.packed_names
     if not all(name in by_name for name in pool):
         return edit_distances(u, pool)
     return _scan(u, packed, [by_name[name] for name in pool])

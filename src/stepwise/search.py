@@ -11,8 +11,11 @@ Generation, applying a step to an immutable snapshot and revision are pure
 in the node's state, so batching across nodes leaves the result of the
 node-by-node loop unchanged; only the commit sees the other nodes. The
 backend is handed the ``Theory`` itself at ``start``, and every later call
-addresses the snapshot tokens it returns. Each distinct step goes to the
-backend once per node and iteration; a repeat reuses its first result.
+addresses the snapshot tokens it returns. The root ``start`` returns
+carries the theorem's fact context, and every state in the tree shares it
+(a remote backend's later states are read back without one). Each
+distinct step goes to the backend once per node and iteration; a repeat
+reuses its first result.
 When filtering is on, each batch returns its open successes' counterexample
 verdicts with them, which the filter reads; no other call asks for one.
 """
@@ -139,11 +142,11 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
     start_time = time.monotonic()
     deadline = start_time + config.time_limit_s
     stats = SearchStats()
-    context = theory.context_for(theorem_id)
     tactic_set = config.tactic_set or tactic_frequencies(theory)
 
     token, root_state = backend.start(theory, theorem_id)
     opened.append(token)
+    context = root_state.context
     if prefix_steps:
         results, final = backend.replay(token, prefix_steps, config.step_timeout_ms)
         if final is None:
@@ -151,8 +154,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
             raise ReplayError(f"prefix step {step.text()!r} failed: {results[-1].category}")
         token = final
         opened.append(token)
-        root_state = results[-1].state
-    root_state = root_state.with_context(context)
+        root_state = results[-1].state.with_context(context)
     root = SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0, token=token)
     tree = [root]
     stats.nodes_created = 1

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from stepwise.core import ProofState
+from stepwise.core import ProofState, Subgoal
 from stepwise.formulas import FALSE, TRUE, And, Atom, Const, Implies, Not, Or, atoms
 from stepwise.prover import load_theory
 
@@ -67,6 +67,38 @@ def naive_first_counterexample(state: ProofState):
             if not evaluate(sub.goal, assignment):
                 return assignment, idx
     return None
+
+
+def naive_auto_close(sub, ctx, depth: int) -> bool:
+    """Reference ``auto``: the same backtracking as the prover's, but its
+    ``apply`` candidates come from a scan of every fact that shares an atom
+    with the goal, in name order, each kept only if ``_match_apply`` finds
+    premises for it."""
+    from stepwise.prover import _match_apply, _with_hypothesis
+
+    if depth <= 0:
+        return False
+    goal, hyps = sub.goal, sub.hypotheses
+    if goal in hyps or goal in ctx.facts.values():
+        return True
+    if isinstance(goal, Implies) and naive_auto_close(
+            Subgoal(_with_hypothesis(hyps, goal.left), goal.right), ctx, depth - 1):
+        return True
+    if isinstance(goal, Not) and naive_auto_close(
+            Subgoal(_with_hypothesis(hyps, goal.operand), FALSE), ctx, depth - 1):
+        return True
+    if isinstance(goal, And) and all(
+            naive_auto_close(Subgoal(hyps, g), ctx, depth - 1) for g in (goal.left, goal.right)):
+        return True
+    if isinstance(goal, Or) and any(
+            naive_auto_close(Subgoal(hyps, g), ctx, depth - 1) for g in (goal.left, goal.right)):
+        return True
+    for name in sorted(n for n, f in ctx.facts.items() if atoms(f) & atoms(goal)):
+        premises = _match_apply(ctx.facts[name], goal)
+        if premises is not None and all(
+                naive_auto_close(Subgoal(hyps, p), ctx, depth - 1) for p in premises):
+            return True
+    return False
 
 
 def replay_chain(backend, token, steps, timeout_ms=None):

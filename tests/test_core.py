@@ -230,5 +230,9 @@ def test_context_lookup_distinguishes_undefined():
 
 
 def test_context_atom_names_sorted():
-    ctx = FactContext({"a": parse_formula("z & y"), "b": parse_formula("x")})
-    assert ctx.atom_names() == ("x", "y", "z")
+    ctx = FactContext({"b": parse_formula("x"), "a": parse_formula("z & y")})
+    index = ctx.index()
+    assert index is ctx.index()  # built once, then kept
+    assert index.atoms == {"x", "y", "z"}
+    assert index.names == ["a", "b"]
+    assert index.fact_atoms == [{"y", "z"}, {"x"}]

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import re
 import subprocess
 import sys
@@ -200,6 +201,11 @@ INVALID_VALUES = [
     ("hammer_premise_limit", -1), ("revision_budget", -1),
     ("max_edit_distance", -1), ("premise_pool_size", -5),
     ("max_iterations", -1), ("time_limit_s", -1.0), ("node_budget", -3),
+    # NaN passes every comparison: no search, "cannot convert float NaN",
+    # a failed log_prob or NaN scores; an infinite budget is not whole ms
+    ("time_limit_s", math.nan), ("time_limit_s", -math.inf), ("hammer_timeout_s", math.nan),
+    ("hammer_timeout_s", math.inf), ("temperature", math.nan), ("temperature", math.inf),
+    ("alpha", math.nan), ("alpha", math.inf), ("top_p", math.nan), ("mesh_weight", math.nan),
 ]
 
 
@@ -225,6 +231,18 @@ def test_negative_max_iterations_flag_is_one_error_line(theory_file, tmp_path, c
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert "max_iterations" in captured.err
     assert not out.exists()
+
+
+def test_infinite_time_limit_means_no_limit(theory_file, tmp_path, capsys):
+    assert EngineConfig(time_limit_s=math.inf).time_limit_s == math.inf
+    out = tmp_path / "reports"
+    code = main(["prove", "--theory", str(theory_file), "--theorem", "t1",
+                 "--time-limit", "inf", "--out", str(out)])
+    assert code == 0
+    assert "PROVED" in capsys.readouterr().out
+    report = json.loads((out / "clidemo.t1.json").read_text())
+    assert report["proved"] is True and report["via"] == "search"
+    assert report["stats"]["iterations"] >= 1
 
 
 def test_each_engine_flag_sets_the_config_field_its_dest_names():

@@ -9,6 +9,7 @@ import importlib
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -37,13 +38,13 @@ PINNED_REPORTS = {
 }
 
 
-def seed_zero_report_digest(monkeypatch, workload: str) -> str:
+def seed_zero_report_digest(monkeypatch, workload: str, backend=None) -> str:
     from stepwise.engine import prove_theorem
 
     monkeypatch.syspath_prepend(str(ROOT / "pipebench"))
     workloads = importlib.import_module("workloads")
     config = workloads.engine_config()
-    backend, mock = config.make_backend(), config.make_generator()
+    backend, mock = backend or config.make_backend(), config.make_generator()
     lines = []
     for item in workloads.WORKLOADS[workload].build(0):
         report = prove_theorem(item.theory, "goal", config, backend=backend,
@@ -60,3 +61,21 @@ def test_repair_wide_reports_match_their_pinned_digest(monkeypatch):
 def test_corpus_inproc_reports_match_their_pinned_digest(monkeypatch):
     assert (seed_zero_report_digest(monkeypatch, "corpus_inproc")
             == PINNED_REPORTS["corpus_inproc"])
+
+
+@pytest.mark.parametrize("workload", ["corpus_inproc", "repair_wide"])
+def test_reports_proved_over_tcp_match_their_pinned_digest(monkeypatch, workload):
+    from stepwise.protocol import RemoteProver, tcp_server
+
+    tcp = tcp_server(trace=False)
+    threading.Thread(target=tcp.serve_forever, daemon=True).start()
+    try:
+        remote = RemoteProver.connect_tcp(*tcp.server_address)
+        try:
+            digest = seed_zero_report_digest(monkeypatch, workload, remote)
+        finally:
+            remote.close()
+    finally:
+        tcp.shutdown()
+        tcp.server_close()
+    assert digest == PINNED_REPORTS[workload]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_first_counterexample, random_formula, replay_chain
+from conftest import CHAIN_SRC, naive_first_counterexample, random_formula, replay_chain
 from stepwise.core import ERROR_CATEGORIES, ProofStep, Theory, canonical_state
 from stepwise.formulas import render
 from stepwise.prover import (
@@ -260,6 +260,15 @@ def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
 def _counts(client):
     """Requests per command the server has answered before this ``stats``."""
     return {cmd: entry["count"] for cmd, entry in client.stats()["commands"].items()}
+
+
+def test_remote_start_root_carries_the_theorys_context(client):
+    theory = load_theory(CHAIN_SRC)
+    token, root = client.start(theory, "t2")
+    expected = theory.context_for("t2")
+    assert root.context.facts == expected.facts
+    assert root.context.usage_counts == expected.usage_counts == {"f1": 1, "f2": 1}
+    client.release([token])
 
 
 def test_malformed_start_source_is_a_parse_error_naming_its_line(client):

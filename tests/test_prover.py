@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from collections import deque
 from unittest import mock
@@ -34,7 +35,7 @@ from stepwise.prover import (
     toy_hammer,
 )
 from stepwise.revision import relevance_filter
-from conftest import CHAIN_SRC, naive_first_counterexample, random_formula
+from conftest import CHAIN_SRC, naive_auto_close, naive_first_counterexample, random_formula
 
 
 def state_of(goal, hyps=(), ctx=None):
@@ -232,6 +233,52 @@ def test_auto_leaves_other_subgoals():
                         Subgoal((), parse_formula("z"))), ctx)
     result = apply_step(state, parse_step("auto"))
     assert result.ok and canonical_state(result.state) == "⊢ z"
+
+
+def test_auto_gives_a_goal_without_atoms_no_apply():
+    # apply [f] would close false from the hypothesis p, but auto offers
+    # apply only on goals with atoms; the hammer does close it
+    state = state_of("~p", (), ctx_of(f="p -> false"))
+    assert apply_step(state, parse_step("auto")).category == "tactic_failure"
+    assert not naive_auto_close(state.subgoals[0], state.context, prover.AUTO_DEPTH)
+    assert hammer(state, 3).found
+
+
+def _parts(f):
+    yield f
+    for child in (getattr(f, "operand", None), getattr(f, "left", None),
+                  getattr(f, "right", None)):
+        if child is not None:
+            yield from _parts(child)
+
+
+atom_free = st.recursive(
+    st.sampled_from((TRUE, FALSE)),
+    lambda sub: st.one_of(sub.map(Not), st.tuples(sub, sub).map(lambda lr: Implies(*lr))),
+    max_leaves=3)
+
+
+@st.composite
+def auto_problems(draw):
+    """A subgoal and a context whose extra facts conclude parts of the goal
+    through one or two premises, so that apply has work to do."""
+    goal = draw(st.one_of(formulas, atom_free))
+    hyps = draw(st.lists(formulas, max_size=2))
+    facts = draw(st.lists(formulas, max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        fact = draw(st.sampled_from(list(_parts(goal))))
+        for premise in draw(st.lists(st.one_of(formulas, atom_free), min_size=1, max_size=2)):
+            fact = Implies(premise, fact)
+        facts.append(fact)
+    names = draw(st.permutations([f"f{i}" for i in range(len(facts))]))
+    return Subgoal(tuple(hyps), goal), FactContext(dict(zip(names, facts)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(auto_problems(), st.integers(1, prover.AUTO_DEPTH))
+def test_auto_matches_naive_reference_on_random_subgoals(problem, depth):
+    sub, ctx = problem
+    assert prover._auto_close(sub, ctx, depth, math.inf) == naive_auto_close(sub, ctx, depth)
 
 
 def test_no_progress_when_state_unchanged():

@@ -307,6 +307,43 @@ def test_prove_theorem_remote_equals_in_process(prover_server):
         remote.close()
 
 
+def test_in_process_theorem_has_one_context_and_builds_one_index(monkeypatch):
+    from stepwise import core
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.engine import prove_theorem
+
+    built = []
+
+    class CountingIndex(core.FactIndex):
+        def __init__(self, context):
+            built.append(context)
+            super().__init__(context)
+
+    monkeypatch.setattr(core, "FactIndex", CountingIndex)
+    config = bench_engine_config(0)
+    backend = ToyProver()
+    start = backend.start
+    roots = []
+
+    def recording_start(theory, theorem_id):
+        token, state = start(theory, theorem_id)
+        roots.append(state.context)
+        return token, state
+
+    backend.start = recording_start
+    via = set()
+    for theory in _stride_sample(generate_corpus(0), 30):
+        built.clear()
+        roots.clear()
+        result = prove_theorem(theory, "goal", config, backend=backend,
+                               generator=config.make_generator())
+        via.add(result.via)
+        [context] = roots
+        assert all(node.state.context is context for node in result.outcome.tree), theory.name
+        assert built == [context], theory.name
+    assert via == {"search", "fallback"}
+
+
 def test_prove_theorem_leaves_no_backend_objects(prover_server):
     from stepwise.bench import bench_engine_config, generate_corpus
     from stepwise.engine import prove_theorem
