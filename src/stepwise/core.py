@@ -102,11 +102,15 @@ class FactIndex:
     ``atoms`` hold every statement and atom, and ``spine`` maps a formula to
     the facts, in name order, whose implication right spine passes through
     it: the only goals ``apply [f]`` can conclude. ``rankings`` (premise
-    repair's, per atom seed) and ``packed_names`` are filled on use.
+    repair's, per atom seed) and ``packed_names`` are filled on use, and so
+    are the counterexample oracle's ``cex_table`` (the sorted atoms and the
+    conjunction table of the statements over them) and ``cex_rows`` (per
+    ``Subgoal`` judged, its sorted atoms and first counterexample row).
     """
 
     __slots__ = ("statements", "spine", "atoms", "names", "fact_atoms", "usage_shares",
-                 "atom_ids", "atom_facts", "fact_atom_ids", "sizes", "rankings", "packed_names")
+                 "atom_ids", "atom_facts", "fact_atom_ids", "sizes", "rankings", "packed_names",
+                 "cex_table", "cex_rows")
 
     def __init__(self, context: FactContext):
         facts, usage = context.facts, context.usage_counts
@@ -138,6 +142,8 @@ class FactIndex:
         self.sizes = [len(a) for a in fact_atoms]
         self.rankings: dict[frozenset[str], list[str]] = {}
         self.packed_names: tuple | None = None
+        self.cex_table: tuple[list[str], int] | None = None
+        self.cex_rows: dict[Subgoal, list] | None = None
 
 
 EMPTY_CONTEXT = FactContext({})

@@ -403,12 +403,14 @@ def _table(f: Formula, masks: dict[str, int], full: int) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def first_counterexample(premises: list[Formula], goal: Formula, names: list[str]) -> int:
-    """Index of the first assignment over ``names`` (see ``row_masks``) that
-    makes every premise true and ``goal`` false, or -1 if there is none."""
+def first_counterexample(premises: tuple[Formula, ...], goal: Formula, names: list[str],
+                         base: int = -1) -> int:
+    """Index of the first assignment over ``names`` (see ``row_masks``)
+    among the rows of the bitset ``base`` (-1: every row) that makes every
+    premise true and ``goal`` false, or -1 if there is none."""
     full = (1 << (1 << len(names))) - 1
     masks = dict(zip(names, row_masks(len(names))))
-    sat = _table(goal, masks, full) ^ full
+    sat = (_table(goal, masks, full) ^ full) & base
     for p in premises:
         if not sat:
             break
@@ -428,19 +430,45 @@ def check_counterexample(state: ProofState, atom_limit: int = DEFAULT_ATOM_LIMIT
     indexed subgoal and falsifies its goal; the first one under lexicographic
     atom order with false before true is returned. Subgoals spanning more
     than ``atom_limit`` atoms cannot be certified; if no other subgoal is
-    falsifiable the verdict is Unknown. ``atom_limit`` must lie in
-    ``0..MAX_ATOM_LIMIT``.
+    falsifiable the verdict is Unknown, at once when the context alone
+    spans more. ``atom_limit`` must lie in ``0..MAX_ATOM_LIMIT``.
+
+    The context's ``FactIndex`` keeps the conjunction table of its facts
+    over its sorted atoms, from which a subgoal that adds no atom starts,
+    and each subgoal's sorted atoms and first counterexample row (-1 if
+    none), so a subgoal is judged once per context whatever the limit.
     """
     _check_atom_limit(atom_limit)
-    ctx_atoms = state.context.index().atoms
-    context_facts = list(state.context.facts.values())
+    if not state.subgoals:
+        return CexResult.none()
+    index = state.context.index()
+    ctx_atoms = index.atoms
+    if len(ctx_atoms) > atom_limit:
+        return CexResult.unknown(f"the context spans {len(ctx_atoms)} atoms (limit {atom_limit})")
+    if index.cex_rows is None:
+        names = sorted(ctx_atoms)
+        full = (1 << (1 << len(names))) - 1
+        masks = dict(zip(names, row_masks(len(names))))
+        table = full
+        for f in index.statements:
+            table &= _table(f, masks, full)
+        index.cex_table, index.cex_rows = (names, table), {}
+    (ctx_names, ctx_table), rows = index.cex_table, index.cex_rows
     unknown_reason = ""
     for idx, sub in enumerate(state.subgoals):
-        names = sorted(ctx_atoms | sub.atom_names())
+        entry = rows.get(sub)
+        if entry is None:
+            extra = sub.atom_names() - ctx_atoms
+            entry = rows[sub] = [sorted(ctx_atoms | extra) if extra else ctx_names, None]
+        names, k = entry
         if len(names) > atom_limit:
             unknown_reason = f"subgoal {idx} spans {len(names)} atoms (limit {atom_limit})"
             continue
-        k = first_counterexample(context_facts + list(sub.hypotheses), sub.goal, names)
+        if k is None:
+            k = entry[1] = (
+                first_counterexample(sub.hypotheses, sub.goal, names, ctx_table)
+                if names is ctx_names else
+                first_counterexample((*index.statements, *sub.hypotheses), sub.goal, names))
         if k >= 0:
             n = len(names)
             return CexResult.found(

@@ -200,7 +200,9 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
                     failures.append(FailedAttempt(
                         node.state, cand.step, cand.log_prob, result.category))
                     continue
-                new_state = result.state.with_context(context)
+                new_state = result.state
+                if new_state.context is not context:  # a remote state comes bare
+                    new_state = new_state.with_context(context)
                 if new_state.qed:
                     exp.winner = SearchNode(new_state, node, cand,
                                             node.path_log_prob + cand.log_prob,

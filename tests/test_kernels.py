@@ -44,8 +44,9 @@ def naive_first_sat(formula_texts, goal_text):
     return -1, None
 
 
-def numpy_first_counterexample(premises, goal, names):
-    # Boolean column per atom over all 2**n rows, atom 0 the most significant bit.
+def numpy_first_counterexample(premises, goal, names, base=-1):
+    # Boolean column per atom over all 2**n rows, atom 0 the most significant
+    # bit; the rows outside the bitset ``base`` are struck out.
     n = len(names)
     rows = np.arange(1 << n)
     columns = {name: ((rows >> (n - 1 - i)) & 1).astype(bool) for i, name in enumerate(names)}
@@ -65,7 +66,7 @@ def numpy_first_counterexample(premises, goal, names):
             return ~table(f.left) | table(f.right)
         raise TypeError(f)
 
-    sat = ~table(goal)
+    sat = ~table(goal) & np.array([(base >> int(k)) & 1 for k in rows], dtype=bool)
     for p in premises:
         sat &= table(p)
     hits = np.flatnonzero(sat)
@@ -133,6 +134,25 @@ def test_backends_agree_on_random_formulas(implementation):
         goal = pool[int(rng.integers(0, len(pool)))]
         expected_idx, _ = naive_first_sat(premises, goal)
         assert table_first_sat(implementation[0], premises, goal) == expected_idx
+
+
+def test_base_rows_act_as_premises(implementation):
+    # the rows of ``extra``'s conjunction, passed as ``base``, give the same
+    # first row as passing ``extra`` among the premises
+    rng = np.random.default_rng(9)
+    pool = ["p", "q", "r", "~p", "p -> q", "q & r", "p | r", "q -> p & r", "false"]
+    for _ in range(40):
+        premises, extra = ([pool[int(i)] for i in rng.integers(0, len(pool), size=int(k))]
+                           for k in rng.integers(0, 3, size=2))
+        goal = pool[int(rng.integers(0, len(pool)))]
+        formulas = [parse_formula(t) for t in premises + extra + [goal]]
+        names = sorted(set().union(*(atoms(f) for f in formulas)))
+        base = sum(1 << k for k, values in enumerate(
+            itertools.product((False, True), repeat=len(names)))
+            if all(evaluate(parse_formula(t), dict(zip(names, values))) for t in extra))
+        expected_idx, _ = naive_first_sat(premises + extra, goal)
+        assert implementation[0]([parse_formula(t) for t in premises], parse_formula(goal),
+                                 names, base) == expected_idx
 
 
 def test_assignment_from_index_bit_order():

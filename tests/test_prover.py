@@ -19,7 +19,8 @@ from stepwise.core import (
     canonical_state,
     parse_step,
 )
-from stepwise.formulas import FALSE, TRUE, And, Atom, Const, Implies, Not, Or, parse_formula, render
+from stepwise.formulas import (
+    FALSE, TRUE, And, Atom, Const, Implies, Not, Or, atoms, parse_formula, render)
 from stepwise.prover import (
     MAX_ATOM_LIMIT,
     HammerConfig,
@@ -408,6 +409,79 @@ def test_cex_atom_limit_outside_range_is_rejected():
             check_counterexample(state, atom_limit=limit)
     assert check_counterexample(state, atom_limit=0).kind == "unknown"
     assert check_counterexample(state, atom_limit=MAX_ATOM_LIMIT).kind == "counterexample"
+
+
+def test_cex_memo_hit_still_applies_the_atom_limit():
+    # the context spans one atom, so only the subgoal's own six pass 3
+    state = state_of("y", [f"x{i}" for i in range(4)], ctx_of(f="p"))
+    limits = (MAX_ATOM_LIMIT, 3, MAX_ATOM_LIMIT)
+    assert [check_counterexample(state, limit).kind for limit in limits] \
+        == ["counterexample", "unknown", "counterexample"]
+    state = state_of("y", [f"x{i}" for i in range(4)], ctx_of(f="p"))
+    assert [check_counterexample(state, limit).kind for limit in limits[1:]] \
+        == ["unknown", "counterexample"]
+
+
+def test_cex_judges_each_subgoal_once_and_tabulates_the_context_once(monkeypatch):
+    evaluated = []
+    table = prover._table
+    monkeypatch.setattr(prover, "_table",
+                        lambda f, masks, full: evaluated.append(f) or table(f, masks, full))
+    facts = {"f1": parse_formula("a -> b"), "f2": parse_formula("b | c")}
+    context = FactContext(facts)
+    tail = Subgoal((), parse_formula("b"))
+    state = ProofState((Subgoal((parse_formula("a"),), parse_formula("b")), tail), context)
+    verdict = check_counterexample(state)
+    assert verdict.kind == "counterexample" and verdict.subgoal_index == 1
+    assert all(evaluated.count(f) == 1 for f in facts.values())
+    evaluated.clear()
+    assert check_counterexample(state) == verdict
+    assert evaluated == []
+    # a successor differs in its first subgoal: only its goal and hypothesis
+    # are tabulated, against the context's kept table
+    goal, hyp = parse_formula("~a"), parse_formula("~b")
+    successor = ProofState((Subgoal((hyp,), goal), tail), context)
+    assert check_counterexample(successor) == verdict
+    assert set(evaluated) <= {goal, hyp, *(Atom(a) for a in "abc")}
+    assert goal in evaluated and hyp in evaluated
+    evaluated.clear()
+    check_counterexample(ProofState(state.subgoals, FactContext(facts)))
+    assert all(evaluated.count(f) == 1 for f in facts.values())
+
+
+def _limit_reference(state, atom_limit):
+    """The contract's verdict, from the naive oracle one subgoal at a time:
+    the first falsifiable subgoal within the limit, else unknown if some
+    subgoal spans more atoms than the limit, else none."""
+    ctx_atoms = frozenset().union(*(atoms(f) for f in state.context.facts.values()))
+    spans_more = False
+    for idx, sub in enumerate(state.subgoals):
+        if len(ctx_atoms | sub.atom_names()) > atom_limit:
+            spans_more = True
+            continue
+        found = naive_first_counterexample(ProofState((sub,), state.context))
+        if found is not None:
+            return "counterexample", found[0], idx
+    return ("unknown" if spans_more else "none"), None, -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(("f1", "f2", "f3")), formulas, max_size=3),
+       st.lists(st.tuples(st.lists(formulas, max_size=2), formulas), min_size=1, max_size=4),
+       st.data())
+def test_cex_with_a_warm_memo_matches_a_fresh_context_and_naive(facts, pool, data):
+    # states drawn from one subgoal pool share one context, so later checks
+    # hit the memo at limits other than the one that filled it
+    pool = [Subgoal(tuple(h), g) for h, g in pool]
+    context = FactContext(facts)
+    for _ in range(6):
+        subgoals = tuple(data.draw(st.lists(st.sampled_from(pool), max_size=3)))
+        limit = data.draw(st.one_of(st.integers(0, 6), st.integers(0, MAX_ATOM_LIMIT)))
+        warm = check_counterexample(ProofState(subgoals, context), limit)
+        fresh = check_counterexample(ProofState(subgoals, FactContext(facts)), limit)
+        got = (warm.kind, warm.assignment, warm.subgoal_index)
+        assert got == (fresh.kind, fresh.assignment, fresh.subgoal_index)
+        assert got == _limit_reference(ProofState(subgoals, context), limit)
 
 
 # -- hammer ------------------------------------------------------------------------

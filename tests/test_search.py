@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stepwise.config import EngineConfig
-from stepwise.core import Candidate, ProofState, Subgoal, parse_step
+from stepwise.core import EMPTY_CONTEXT, Candidate, ProofState, Subgoal, parse_step
 from stepwise.formulas import parse_formula, render
 from stepwise.generator import MockGenerator
 from stepwise.prover import ToyProver, apply_step, init_goal, load_theory
@@ -320,6 +320,10 @@ def test_in_process_theorem_has_one_context_and_builds_one_index(monkeypatch):
             super().__init__(context)
 
     monkeypatch.setattr(core, "FactIndex", CountingIndex)
+    rewrapped = []
+    with_context = core.ProofState.with_context
+    monkeypatch.setattr(core.ProofState, "with_context",
+                        lambda state, context: rewrapped.append(state) or with_context(state, context))
     config = bench_engine_config(0)
     backend = ToyProver()
     start = backend.start
@@ -342,6 +346,30 @@ def test_in_process_theorem_has_one_context_and_builds_one_index(monkeypatch):
         assert all(node.state.context is context for node in result.outcome.tree), theory.name
         assert built == [context], theory.name
     assert via == {"search", "fallback"}
+    assert rewrapped == []  # an in-process state already carries the context
+
+
+def test_remote_tree_states_share_the_root_context(prover_server):
+    """A state comes off the wire without a context; the search gives each
+    the root's, so every node of a remote tree shares that one object."""
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.engine import prove_theorem
+    from stepwise.protocol import RemoteProver
+
+    config = bench_engine_config(0)
+    remote = RemoteProver.connect_tcp("127.0.0.1", prover_server)
+    try:
+        sizes = []
+        for theory in _stride_sample(generate_corpus(0), 30):
+            tree = prove_theorem(theory, "goal", config, backend=remote,
+                                 generator=config.make_generator()).outcome.tree
+            context = tree[0].state.context
+            assert context is not EMPTY_CONTEXT, theory.name
+            assert all(node.state.context is context for node in tree), theory.name
+            sizes.append(len(tree))
+        assert max(sizes) > 1
+    finally:
+        remote.close()
 
 
 def test_prove_theorem_leaves_no_backend_objects(prover_server):
