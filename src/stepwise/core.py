@@ -5,9 +5,20 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .formulas import PARSE_CACHE_SIZE, Formula, Implies, ParseError, atoms, parse_formula, render
+from .formulas import _TABLE as INTERN_TABLE
+from .formulas import (
+    PARSE_CACHE_SIZE,
+    Formula,
+    Implies,
+    Interned,
+    ParseError,
+    atoms,
+    intern,
+    parse_formula,
+    render,
+)
 
 TACTICS = ("assumption", "intro", "split", "left", "right", "simp", "auto", "elim", "apply")
 FACT_REQUIRED = ("elim", "apply")
@@ -23,21 +34,34 @@ _STEP_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ProofStep:
+class ProofStep(Interned):
     """A tactic invocation with optional fact arguments, written out by
     ``text``. The parser enforces that ``elim``/``apply`` carry at least one
     fact; directly constructed steps may violate this and simply fail at
     execution.
+
+    Steps are interned like formulas (``formulas.Interned``): the
+    constructor returns the one live step of each ``(tactic, facts)``, so
+    equality and hashing are object identity, and ``text`` is computed once.
+    ``facts`` may be any iterable of names; it is kept as a tuple.
     """
 
-    tactic: str
-    facts: tuple[str, ...] = ()
+    __match_args__ = ("tactic", "facts")
+    _caches = ("_text",)
+    __slots__ = __match_args__ + _caches
+
+    def __new__(cls, tactic: str, facts: tuple[str, ...] = ()):
+        if type(facts) is not tuple:
+            facts = tuple(facts)
+        ref = INTERN_TABLE.get((cls, tactic, facts))
+        return ref and ref() or intern(cls, (tactic, facts))
 
     def text(self) -> str:
-        if self.facts:
-            return f"{self.tactic} [{', '.join(self.facts)}]"
-        return self.tactic
+        text = self._text
+        if text is None:
+            text = f"{self.tactic} [{', '.join(self.facts)}]" if self.facts else self.tactic
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
@@ -177,7 +201,7 @@ class ProofState:
         return not self.subgoals
 
     def with_context(self, context: FactContext) -> "ProofState":
-        return replace(self, context=context)
+        return ProofState(self.subgoals, context)
 
 
 def canonical_state(state: ProofState) -> str:

@@ -12,18 +12,19 @@ Identifiers match ``[a-zA-Z_][a-zA-Z0-9_']*``; ``true`` and ``false`` are
 reserved constants and never atoms. ``render`` emits minimal parentheses and
 ``parse_formula(render(f))`` returns ``f`` itself.
 
-Formulas are hash-consed (Filliâtre & Conchon, 2006): build them only
-through their constructors, which return the one live node of each
-structure, so equality is object identity. ``copy``, ``deepcopy`` and
-``pickle`` give back the same node.
+Formulas are hash-consed (Filliâtre & Conchon, 2006), as are proof steps
+(``core.ProofStep``), through the one table here: build them only through
+their constructors, which return the one live node of each structure, so
+equality is object identity. ``copy``, ``deepcopy`` and ``pickle`` give
+back the same node.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-import threading
-import weakref
+from _weakref import _remove_dead_weakref
+from weakref import KeyedRef
 
 # distinct texts remembered by ``parse_formula`` (and by ``core.parse_step``)
 PARSE_CACHE_SIZE = 4096
@@ -44,36 +45,50 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-# structure -> its one live node; the lock serialises misses, since
-# ``stepwise serve`` builds formulas on one thread per connection
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_TABLE_LOCK = threading.Lock()
+# hash-consing table for formulas and proof steps: a structure's key (its
+# class, then its fields) -> a weak reference to its one live object. A miss
+# stores its object with one ``dict.setdefault``, which is atomic, so threads
+# that race to build a structure (``stepwise serve`` runs one per
+# connection) all get the object stored first, and takes no lock; a dead
+# object's entry removes itself.
+_TABLE: dict = {}
 
 
-def _intern(cls, fields: tuple) -> "Formula":
+def _forget(ref, table=_TABLE, remove=_remove_dead_weakref) -> None:
+    # the callback of a dead object's reference: drops the entry only if it
+    # still holds a dead reference (a live object may have taken the key);
+    # the defaults keep the names bound while the interpreter shuts down
+    remove(table, ref.key)
+
+
+def intern(cls, fields: tuple):
+    """The one live ``cls`` object of ``fields``: the table's, else a new
+    one with ``fields`` in its ``__match_args__`` slots and ``None`` in its
+    ``_caches``. Constructors look the key up themselves first."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        object.__setattr__(obj, name, value)
+    for name in cls._caches:
+        object.__setattr__(obj, name, None)
     key = (cls, *fields)
-    with _TABLE_LOCK:
-        node = _TABLE.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, fields):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_text", None)
-            object.__setattr__(node, "_atoms", None)
-            _TABLE[key] = node
-    return node
+    ref = KeyedRef(obj, _forget, key)
+    while True:
+        live = _TABLE.setdefault(key, ref)()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_TABLE, key)  # died, its callback not run yet
 
 
-class Formula:
-    """Base class; concrete nodes are Atom, Const, Not, And, Or, Implies.
+class Interned:
+    """Base of the hash-consed types: a constructor returns the one live
+    object of its fields, so equality and hashing are object identity and
+    ``copy``, ``deepcopy`` and ``pickle`` give back the same object. Objects
+    are immutable; the ``_caches`` slots keep values computed from the
+    fields once."""
 
-    Nodes are hash-consed: a constructor returns the one live node of its
-    structure, so equality and hashing are object identity. Each node keeps
-    its ``render`` text and ``atoms`` set once computed.
-    """
-
-    __slots__ = ("_text", "_atoms", "__weakref__")
+    __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
+    _caches: tuple[str, ...] = ()
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -88,15 +103,26 @@ class Formula:
         return f"{type(self).__name__}({args})"
 
 
+class Formula(Interned):
+    """Base class; concrete nodes are Atom, Const, Not, And, Or, Implies.
+
+    Nodes are hash-consed (see ``Interned``). Each node keeps its
+    ``render`` text and ``atoms`` set once computed.
+    """
+
+    __slots__ = _caches = ("_text", "_atoms")
+
+
 class Atom(Formula):
     __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str):
-        node = _TABLE.get((cls, name))
+        ref = _TABLE.get((cls, name))
+        node = ref and ref()
         if node is None and not (isinstance(name, str) and IDENT_RE.fullmatch(name)
                                  and name not in RESERVED):
             raise ValueError(f"invalid atom name: {name!r}")
-        return node or _intern(cls, (name,))
+        return node or intern(cls, (name,))
 
 
 class Const(Formula):
@@ -105,21 +131,24 @@ class Const(Formula):
     def __new__(cls, value: bool):
         if not isinstance(value, bool):
             raise TypeError(f"Const takes a bool, got {value!r}")
-        return _TABLE.get((cls, value)) or _intern(cls, (value,))
+        ref = _TABLE.get((cls, value))
+        return ref and ref() or intern(cls, (value,))
 
 
 class Not(Formula):
     __slots__ = __match_args__ = ("operand",)
 
     def __new__(cls, operand: Formula):
-        return _TABLE.get((cls, operand)) or _intern(cls, (operand,))
+        ref = _TABLE.get((cls, operand))
+        return ref and ref() or intern(cls, (operand,))
 
 
 class _Binary(Formula):
     __slots__ = __match_args__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        return _TABLE.get((cls, left, right)) or _intern(cls, (left, right))
+        ref = _TABLE.get((cls, left, right))
+        return ref and ref() or intern(cls, (left, right))
 
 
 class And(_Binary):

@@ -213,6 +213,23 @@ def _with_hypothesis(hyps: tuple[Formula, ...], extra: Formula) -> tuple[Formula
     return hyps + (extra,)
 
 
+# ``apply_step``'s failures whose detail never varies, by detail: results
+# are immutable, so one instance serves every report of each
+_FAILED = {detail: StepResult.failure(category, detail) for category, detail in (
+    ("tactic_failure", "no open subgoals"),
+    ("tactic_failure", "goal is not an assumption or fact"),
+    ("tactic_failure", "goal is not an implication or negation"),
+    ("tactic_failure", "goal is not a conjunction"),
+    ("tactic_failure", "goal is not a disjunction"),
+    ("tactic_failure", "elim requires a fact argument"),
+    ("tactic_failure", "apply requires a fact argument"),
+    ("no_progress", "goal has no constant redexes"),
+    ("timeout", "auto exceeded its budget"),
+    ("tactic_failure", "auto could not close the first subgoal"),
+    ("no_progress", "state unchanged"),
+)}
+
+
 def apply_step(state: ProofState, step: ProofStep,
                budget_ms: int = DEFAULT_STEP_BUDGET_MS) -> StepResult:
     """Execute one tactic on the first subgoal.
@@ -221,8 +238,7 @@ def apply_step(state: ProofState, step: ProofStep,
     failure; a success state always differs canonically from the input.
     """
     if not state.subgoals:
-        return StepResult.failure("tactic_failure", "no open subgoals")
-    deadline = time.monotonic() + budget_ms / 1000.0
+        return _FAILED["no open subgoals"]
     sub, rest = state.subgoals[0], state.subgoals[1:]
     ctx = state.context
     goal = sub.goal
@@ -233,26 +249,26 @@ def apply_step(state: ProofState, step: ProofStep,
         if goal in sub.hypotheses or goal in ctx.index().statements:
             new_subgoals = ()
         else:
-            return StepResult.failure("tactic_failure", "goal is not an assumption or fact")
+            return _FAILED["goal is not an assumption or fact"]
     elif tactic == "intro":
         if isinstance(goal, Implies):
             new_subgoals = (Subgoal(_with_hypothesis(sub.hypotheses, goal.left), goal.right),)
         elif isinstance(goal, Not):
             new_subgoals = (Subgoal(_with_hypothesis(sub.hypotheses, goal.operand), FALSE),)
         else:
-            return StepResult.failure("tactic_failure", "goal is not an implication or negation")
+            return _FAILED["goal is not an implication or negation"]
     elif tactic == "split":
         if not isinstance(goal, And):
-            return StepResult.failure("tactic_failure", "goal is not a conjunction")
+            return _FAILED["goal is not a conjunction"]
         new_subgoals = (Subgoal(sub.hypotheses, goal.left), Subgoal(sub.hypotheses, goal.right))
     elif tactic in ("left", "right"):
         if not isinstance(goal, Or):
-            return StepResult.failure("tactic_failure", "goal is not a disjunction")
+            return _FAILED["goal is not a disjunction"]
         picked = goal.left if tactic == "left" else goal.right
         new_subgoals = (Subgoal(sub.hypotheses, picked),)
     elif tactic == "elim":
         if not step.facts:
-            return StepResult.failure("tactic_failure", "elim requires a fact argument")
+            return _FAILED["elim requires a fact argument"]
         fname = step.facts[0]
         if fname not in ctx:
             return StepResult.failure("undefined_fact", fname)
@@ -265,7 +281,7 @@ def apply_step(state: ProofState, step: ProofStep,
         )
     elif tactic == "apply":
         if not step.facts:
-            return StepResult.failure("tactic_failure", "apply requires a fact argument")
+            return _FAILED["apply requires a fact argument"]
         fname = step.facts[0]
         if fname not in ctx:
             return StepResult.failure("undefined_fact", fname)
@@ -276,15 +292,15 @@ def apply_step(state: ProofState, step: ProofStep,
     elif tactic == "simp":
         folded = fold_constants(goal)
         if folded == goal:
-            return StepResult.failure("no_progress", "goal has no constant redexes")
+            return _FAILED["goal has no constant redexes"]
         new_subgoals = () if folded == TRUE else (Subgoal(sub.hypotheses, folded),)
     elif tactic == "auto":
         try:
-            closed = _auto_close(sub, ctx, AUTO_DEPTH, deadline)
+            closed = _auto_close(sub, ctx, AUTO_DEPTH, time.monotonic() + budget_ms / 1000.0)
         except _BudgetExceeded:
-            return StepResult.failure("timeout", "auto exceeded its budget")
+            return _FAILED["auto exceeded its budget"]
         if not closed:
-            return StepResult.failure("tactic_failure", "auto could not close the first subgoal")
+            return _FAILED["auto could not close the first subgoal"]
         new_subgoals = ()
     else:
         return StepResult.failure("parse_error", f"unknown tactic {tactic!r}")
@@ -292,7 +308,7 @@ def apply_step(state: ProofState, step: ProofStep,
     # only the first subgoal was replaced, so the state is canonically
     # unchanged iff that subgoal came back alone and canonically equal
     if len(new_subgoals) == 1 and _same_subgoal(new_subgoals[0], sub):
-        return StepResult.failure("no_progress", "state unchanged")
+        return _FAILED["state unchanged"]
     return StepResult.success(ProofState(new_subgoals + rest, ctx))
 
 

@@ -13,7 +13,7 @@ DEFAULT_TACTIC_SET = TACTICS
 TACTIC_SET_LIMIT = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FailedAttempt:
     state: ProofState
     step: ProofStep
@@ -154,25 +154,22 @@ def _pool_distances(u: str, pool: list[str], context: FactContext) -> list[int]:
     return _scan(u, packed, [by_name[name] for name in pool])
 
 
-def tactic_repair(attempt: FailedAttempt, tactic_set: tuple[str, ...]) -> list[Candidate]:
+def tactic_repair(attempt: FailedAttempt, tactic_set: tuple[str, ...]) -> list[ProofStep]:
     """Recombine the failed step's fact list with every tactic in the set,
-    minus the original pairing; scores are inherited unpenalised."""
+    minus the original pairing (``revise`` scores each with the attempt's
+    score, unpenalised)."""
     if attempt.category not in ("tactic_failure", "no_progress"):
         raise ValueError(f"tactic repair does not apply to {attempt.category}")
-    facts = attempt.step.facts
-    out = []
-    for tactic in tactic_set:
-        if tactic == attempt.step.tactic:
-            continue
-        out.append(Candidate(ProofStep(tactic, facts), attempt.log_prob, "tactic_repair"))
-    return out
+    tactic, facts = attempt.step.tactic, attempt.step.facts
+    return [ProofStep(t, facts) for t in tactic_set if t != tactic]
 
 
 def premise_repair(attempt: FailedAttempt, pool: list[str],
-                   config: EngineConfig) -> list[Candidate]:
+                   config: EngineConfig) -> list[ProofStep]:
     """Substitute each undefined fact name with its nearest pool ids by edit
     distance (ties by pool order, cutoff at ``max_edit_distance``), one
-    candidate per substitution combination."""
+    step per distinct substitution combination (``revise`` scores each
+    with the attempt's score)."""
     if attempt.category != "undefined_fact":
         raise ValueError(f"premise repair does not apply to {attempt.category}")
     context = attempt.state.context
@@ -197,33 +194,32 @@ def premise_repair(attempt: FailedAttempt, pool: list[str],
     seen_texts: set[str] = set()
     for combo in itertools.product(*replacements):
         mapping = dict(zip(undefined, combo))
-        new_facts = tuple(mapping.get(f, f) for f in step.facts)
-        new_step = ProofStep(step.tactic, new_facts)
-        if new_step.text() in seen_texts:
-            continue
-        seen_texts.add(new_step.text())
-        out.append(Candidate(new_step, attempt.log_prob, "premise_repair"))
+        new_step = ProofStep(step.tactic, tuple(mapping.get(f, f) for f in step.facts))
+        if new_step.text() not in seen_texts:
+            seen_texts.add(new_step.text())
+            out.append(new_step)
     return out
 
 
 def revise(failures: list[FailedAttempt], context: FactContext,
            tactic_set: tuple[str, ...], config: EngineConfig) -> list[Candidate]:
     """Dispatch failures to the matching repair (tactic repair recombines
-    with ``tactic_set``), then dedup by step text keeping the best score and
-    cap at the revision budget."""
-    raw: list[Candidate] = []
+    with ``tactic_set``), each repaired step scored with its attempt's
+    score, then dedup by step text keeping the best score (the first seen
+    on a tie) and cap at the revision budget, best first, ties by text."""
+    best: dict[str, Candidate] = {}
     for attempt in failures:
         if attempt.category == "undefined_fact":
             pool = relevance_filter(attempt.state, context, config.premise_pool_size)
-            raw.extend(premise_repair(attempt, pool, config))
+            steps, origin = premise_repair(attempt, pool, config), "premise_repair"
         elif attempt.category in ("tactic_failure", "no_progress"):
-            raw.extend(tactic_repair(attempt, tactic_set))
-        # parse_error and timeout failures carry no repairable signal
-    best: dict[str, Candidate] = {}
-    for cand in raw:
-        text = cand.step.text()
-        kept = best.get(text)
-        if kept is None or cand.log_prob > kept.log_prob:
-            best[text] = cand
+            steps, origin = tactic_repair(attempt, tactic_set), "tactic_repair"
+        else:  # parse_error and timeout failures carry no repairable signal
+            continue
+        log_prob = attempt.log_prob
+        for step in steps:
+            kept = best.get(step.text())
+            if kept is None or log_prob > kept.log_prob:
+                best[step.text()] = Candidate(step, log_prob, origin)
     ranked = sorted(best.values(), key=lambda c: (-c.log_prob, c.step.text()))
     return ranked[:config.revision_budget]

@@ -166,14 +166,15 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
         stats.wall_time = time.monotonic() - start_time
         return SearchOutcome(True, (), stats, tree, seen.stats, opened)
 
-    def expand_round(expansions: list[_Expansion], tried: list[list[Candidate]]) -> int | None:
+    def expand_round(expansions: list[_Expansion], tried: list[list[Candidate]],
+                     revising: bool) -> int | None:
         """Apply each expansion's ``tried`` candidates to its node's snapshot:
         one backend batch carries every step that no expansion's memo (step
         -> result, token and verdict, per node) has seen yet. Then record each
-        expansion's successes and this round's failures in candidate order,
-        up to its first zero-subgoal success. Returns the index of the first
-        expansion that closed the goal, or None; later ones are left as
-        they are."""
+        expansion's successes and, when ``revising`` (a repair round
+        follows), this round's failures, in candidate order, up to its first
+        zero-subgoal success. Returns the index of the first expansion that
+        closed the goal, or None; later ones are left as they are."""
         groups, fresh_of = [], []
         for exp, cands in zip(expansions, tried):
             memo = exp.memo
@@ -197,8 +198,9 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
                 # stops short after the winner, so every step before it is here
                 result, token, verdict = memo[cand.step]
                 if not result.ok:
-                    failures.append(FailedAttempt(
-                        node.state, cand.step, cand.log_prob, result.category))
+                    if revising:
+                        failures.append(FailedAttempt(
+                            node.state, cand.step, cand.log_prob, result.category))
                     continue
                 new_state = result.state
                 if new_state.context is not context:  # a remote state comes bare
@@ -227,10 +229,11 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
                  for node in batch]
         live = expansions
         for repair_round in range(config.repair_rounds + 1):
-            won = expand_round(live, tried)
+            revising = repair_round < config.repair_rounds and config.revision_enabled
+            won = expand_round(live, tried, revising)
             if won is not None:  # only the nodes before the winner go on
                 live = live[:won]
-            if repair_round == config.repair_rounds or not config.revision_enabled:
+            if not revising:
                 break
             repairing, tried = [], []
             for exp in live:

@@ -115,6 +115,34 @@ def replay_chain(backend, token, steps, timeout_ms=None):
     return results, tokens
 
 
+def naive_revise(failures, context, tactic_set, config):
+    """Reference ``revise``: every raw repair built as a ``Candidate``, with
+    tactic recombination written out here (premise repair's steps are
+    ``premise_repair``'s, which tests/test_kernels.py checks on its own),
+    then the first best candidate per step text, sorted by
+    ``(-log_prob, text)`` and capped."""
+    from stepwise.core import Candidate, ProofStep
+    from stepwise.revision import premise_repair, relevance_filter
+
+    raw = []
+    for attempt in failures:
+        if attempt.category == "undefined_fact":
+            pool = relevance_filter(attempt.state, context, config.premise_pool_size)
+            raw.extend(Candidate(step, attempt.log_prob, "premise_repair")
+                       for step in premise_repair(attempt, pool, config))
+        elif attempt.category in ("tactic_failure", "no_progress"):
+            raw.extend(Candidate(ProofStep(tactic, attempt.step.facts), attempt.log_prob,
+                                 "tactic_repair")
+                       for tactic in tactic_set if tactic != attempt.step.tactic)
+    best = {}
+    for cand in raw:
+        kept = best.get(cand.step.text())
+        if kept is None or cand.log_prob > kept.log_prob:
+            best[cand.step.text()] = cand
+    ranked = sorted(best.values(), key=lambda c: (-c.log_prob, c.step.text()))
+    return ranked[:config.revision_budget]
+
+
 def random_formula(rng, leaves=3):
     """A random formula over the atoms a-e with ``leaves`` leaves."""
     if leaves <= 1:

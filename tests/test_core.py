@@ -1,5 +1,12 @@
+import copy
+import gc
+import itertools
 import math
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +25,7 @@ from stepwise.core import (
     parse_step,
     render_state,
 )
+from stepwise.formulas import _TABLE as INTERN_TABLE
 from stepwise.formulas import Atom, Implies, Or, ParseError, parse_formula, render
 
 
@@ -60,6 +68,107 @@ def test_parse_step_is_memoised_and_a_bad_text_fails_every_time():
     for _ in range(3):
         with pytest.raises(ParseError, match="unknown tactic"):
             parse_step("megasimp [f1]")
+
+
+# -- interned steps --------------------------------------------------------------
+
+_fresh = itertools.count()
+
+
+def fresh_fact(tag: str) -> str:
+    """A fact name no other test builds a step with, so its steps start
+    uninterned."""
+    return f"{tag}_{next(_fresh)}"
+
+
+def test_equal_steps_are_one_object_and_text_is_kept():
+    name = fresh_fact("same")
+    step = ProofStep("apply", (name, "f2"))
+    assert ProofStep("apply", (name, "f2")) is step
+    assert ProofStep(tactic="apply", facts=(name, "f2")) is step
+    assert parse_step(f"apply [{name}, f2]") is step
+    assert ProofStep("apply", ("f2", name)) is not step
+    assert ProofStep("elim", (name, "f2")) is not step
+    assert step.text() is step.text() == f"apply [{name}, f2]"
+    assert ProofStep("intro") == ProofStep("intro", ()) != ProofStep("intro", ("x",))
+    assert repr(ProofStep("apply", ("f",))) == "ProofStep(tactic='apply', facts=('f',))"
+
+
+def test_a_list_of_facts_is_kept_as_the_tuple_built_step():
+    name = fresh_fact("listed")
+    step = ProofStep("apply", [name])
+    assert step.facts == (name,) and type(step.facts) is tuple
+    assert step is ProofStep("apply", (name,))
+    assert ProofStep("elim", iter([name, "g"])) is ProofStep("elim", (name, "g"))
+
+
+def test_copy_deepcopy_and_pickle_return_the_same_step():
+    step = parse_step("apply [f1, f2]")
+    assert copy.copy(step) is step
+    assert copy.deepcopy(step) is step
+    assert copy.deepcopy([step, step]) == [step, step]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(step, protocol)) is step
+
+
+def test_steps_are_immutable():
+    step = ProofStep("apply", ("f1",))
+    with pytest.raises(AttributeError):
+        step.tactic = "elim"
+    with pytest.raises(AttributeError):
+        step.extra = 1
+    with pytest.raises(AttributeError):
+        del step.facts
+    assert step.text() == "apply [f1]" and step is ProofStep("apply", ("f1",))
+
+
+def test_concurrent_builders_get_one_step():
+    """Threads racing to intern the same fresh steps all get the same
+    objects; a forced-fine switch interval makes the race likely."""
+    names = [fresh_fact("race") for _ in range(40)]
+
+    def build():
+        return [ProofStep(tactic, (a, b)) for a, b in zip(names, names[1:])
+                for tactic in ("apply", "elim")]
+
+    results = [None] * 8
+    barrier = threading.Barrier(len(results))
+
+    def worker(i):
+        barrier.wait()
+        results[i] = build()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    first = results[0]
+    assert len(first) == 78
+    for other in results[1:]:
+        assert len(other) == len(first)
+        assert all(x is y for x, y in zip(first, other))
+
+
+def test_a_dropped_step_leaves_nothing_in_the_intern_table():
+    """The table holds steps weakly, so a server that parses step after
+    step keeps only the live ones."""
+    tag = fresh_fact("dropped")
+    steps = [ProofStep("apply", (f"{tag}_{i}",)) for i in range(30)]
+    assert steps[0].text() == f"apply [{tag}_0]"
+    refs = [weakref.ref(s) for s in steps]
+    del steps
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert not any(key[0] is ProofStep and any(f.startswith(tag) for f in key[2])
+                   for key in list(INTERN_TABLE.keys()))
+    assert ProofStep("apply", (f"{tag}_0",)).text() == f"apply [{tag}_0]"
 
 
 # -- canonical keys ------------------------------------------------------------

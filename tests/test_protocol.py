@@ -2,6 +2,7 @@ import contextlib
 import gc
 import inspect
 import io
+import itertools
 import json
 import random
 import re
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -18,12 +20,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CHAIN_SRC, naive_first_counterexample, random_formula, replay_chain
-from stepwise.core import ERROR_CATEGORIES, ProofStep, Theory, canonical_state
+from stepwise.core import ERROR_CATEGORIES, ProofStep, Theory, canonical_state, parse_step
 from stepwise.formulas import render
 from stepwise.prover import (
     HammerConfig,
     ToyProver,
     TheoryParseError,
+    apply_step,
     check_counterexample,
     load_theory,
 )
@@ -455,6 +458,90 @@ def test_replay_reply_carries_states_and_failure_details(client):
     assert client.stats()["snapshots"] == 2
 
 
+BRANCHES = load_theory("""theory branches
+axiom f1: p
+axiom f2: p -> q
+axiom loop: p -> p
+theorem goal_p: p
+theorem goal_r: r
+end
+""")
+
+# every failure branch of ``apply_step``: (theorem, steps that succeed
+# first, the failing step's text, its category and detail); ``extract_pairs``
+# quotes the detail, so each text is pinned
+FAILURE_BRANCHES = [
+    ("goal_p", ["assumption"], "intro", "tactic_failure", "no open subgoals"),
+    ("goal_r", [], "assumption", "tactic_failure", "goal is not an assumption or fact"),
+    ("goal_r", [], "intro", "tactic_failure", "goal is not an implication or negation"),
+    ("goal_r", [], "split", "tactic_failure", "goal is not a conjunction"),
+    ("goal_r", [], "left", "tactic_failure", "goal is not a disjunction"),
+    ("goal_r", [], "right", "tactic_failure", "goal is not a disjunction"),
+    ("goal_r", [], "elim", "tactic_failure", "elim requires a fact argument"),
+    ("goal_r", [], "elim [ghost]", "undefined_fact", "ghost"),
+    ("goal_r", [], "elim [f1, f2]", "tactic_failure", "f1 is not a disjunction"),
+    ("goal_r", [], "apply", "tactic_failure", "apply requires a fact argument"),
+    ("goal_r", [], "apply [ghost, f1]", "undefined_fact", "ghost"),
+    ("goal_r", [], "apply [f2]", "tactic_failure", "f2 does not conclude the goal"),
+    ("goal_r", [], "simp", "no_progress", "goal has no constant redexes"),
+    ("goal_r", [], "auto", "tactic_failure", "auto could not close the first subgoal"),
+    ("goal_p", [], "apply [loop]", "no_progress", "state unchanged"),
+    # texts the parser rejects never reach apply_step
+    ("goal_r", [], "bogus [f1]", "parse_error", "unknown tactic 'bogus' at position 1"),
+    ("goal_r", [], "apply [", "parse_error",
+     "malformed step 'apply [' at position 1 (expected tactic [facts])"),
+]
+
+
+def _failure_on_every_path(client, theorem, before, text, timeout_ms=3000):
+    """The failing step's ``(category, detail)`` from ``RemoteProver.replay``
+    and ``ToyProver.replay`` of its text, and from ``apply_step`` and
+    ``ToyProver.replay`` of the built step where the text builds one."""
+    local = ToyProver()
+    pairs = []
+    for backend in (client, local):
+        token, _ = backend.start(BRANCHES, theorem)
+        results, final = backend.replay(token, before + [text], timeout_ms)
+        assert final is None and all(r.ok for r in results[:-1])
+        assert len(results) == len(before) + 1
+        pairs.append((results[-1].category, results[-1].detail))
+    try:
+        step = parse_step(text) if text.strip() not in ("apply", "elim") else ProofStep(text)
+    except ValueError:
+        return pairs
+    token, _ = local.start(BRANCHES, theorem)
+    results, _ = local.replay(token, [parse_step(t) for t in before] + [step], timeout_ms)
+    pairs.append((results[-1].category, results[-1].detail))
+    state = results[-2].state if before else local.start(BRANCHES, theorem)[1]
+    result = apply_step(state, step, timeout_ms)
+    pairs.append((result.category, result.detail))
+    return pairs
+
+
+@pytest.mark.parametrize("theorem, before, text, category, detail", FAILURE_BRANCHES)
+def test_each_failure_branch_keeps_its_category_and_detail_on_both_paths(
+        client, theorem, before, text, category, detail):
+    pairs = _failure_on_every_path(client, theorem, before, text)
+    assert pairs == [(category, detail)] * len(pairs)
+
+
+def test_auto_timeout_and_an_unknown_built_tactic_keep_their_details(client, monkeypatch):
+    """The two branches the table cannot reach: ``auto`` past its deadline
+    (a clock that jumps a second per reading; the TCP server runs in this
+    process), and a built step with an unknown tactic, which only the
+    in-process path can send (its text fails the parser)."""
+    import stepwise.prover as prover
+
+    clock = itertools.count(0.0, 1.0)
+    monkeypatch.setattr(prover, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    pairs = _failure_on_every_path(client, "goal_r", [], "auto", timeout_ms=500)
+    assert pairs == [("timeout", "auto exceeded its budget")] * 4
+    monkeypatch.undo()
+    state = ToyProver().start(BRANCHES, "goal_r")[1]
+    result = apply_step(state, ProofStep("bogus"))
+    assert (result.category, result.detail) == ("parse_error", "unknown tactic 'bogus'")
+
+
 def test_factless_apply_and_elim_text_fail_as_the_step_does(client):
     """``parse_step`` rejects a bare ``apply``/``elim``, but tactic repair
     builds such steps directly; their text gets the same verdict."""
@@ -540,12 +627,12 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
             attempt = FailedAttempt(state, ProofStep(base.tactic, (typo,) + base.facts[1:]),
                                     -1.0, "undefined_fact")
             pool = relevance_filter(state, state.context, config.premise_pool_size)
-            steps = [cand.step for cand in premise_repair(attempt, pool, config)]
+            steps = premise_repair(attempt, pool, config)
         else:
             category = data.draw(st.sampled_from(("tactic_failure", "no_progress")))
             attempt = FailedAttempt(state, data.draw(st.sampled_from(generated)), -1.0, category)
             tactic_set = tuple(data.draw(st.lists(st.sampled_from(TACTICS), unique=True)))
-            steps = [cand.step for cand in tactic_repair(attempt, tactic_set)]
+            steps = tactic_repair(attempt, tactic_set)
         for step in steps:
             try:
                 if parse_step(step.text()) == step:

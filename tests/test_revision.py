@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_revise
 from stepwise.config import EngineConfig
-from stepwise.core import FactContext, ProofState, ProofStep, Subgoal
+from stepwise.core import ERROR_CATEGORIES, FactContext, ProofState, ProofStep, Subgoal
 from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, atoms, parse_formula
 from stepwise.prover import load_theory
 from stepwise.revision import (
@@ -152,16 +153,14 @@ def test_tactic_repair_cross_product_minus_original():
     ctx = ctx_of(f1="p")
     tactic_set = ("simp", "auto", "apply")
     out = tactic_repair(fail(state_of("p", ctx), "simp [f1]", "tactic_failure"), tactic_set)
-    assert [(c.step.tactic, c.step.facts) for c in out] == [
-        ("auto", ("f1",)), ("apply", ("f1",))]
-    assert all(c.origin == "tactic_repair" and c.log_prob == -1.0 for c in out)
+    assert [(s.tactic, s.facts) for s in out] == [("auto", ("f1",)), ("apply", ("f1",))]
 
 
 def test_tactic_repair_empty_fact_list():
     ctx = ctx_of()
     tactic_set = ("intro", "split", "simp")
     out = tactic_repair(fail(state_of("p", ctx), "simp", "no_progress"), tactic_set)
-    assert [(c.step.tactic, c.step.facts) for c in out] == [("intro", ()), ("split", ())]
+    assert [(s.tactic, s.facts) for s in out] == [("intro", ()), ("split", ())]
 
 
 def test_tactic_repair_size_law():
@@ -186,8 +185,7 @@ def test_premise_repair_nearest_name():
     state = state_of("p", ctx)
     attempt = fail(state, "apply [set_cap_valid_obj]", "undefined_fact")
     out = premise_repair(attempt, ["set_cap_valid_objs"], EngineConfig())
-    assert [c.step.text() for c in out] == ["apply [set_cap_valid_objs]"]
-    assert out[0].origin == "premise_repair"
+    assert [s.text() for s in out] == ["apply [set_cap_valid_objs]"]
 
 
 def test_premise_repair_distance_cutoff():
@@ -201,22 +199,22 @@ def test_premise_repair_top_matches_and_tie_order():
     attempt = fail(state_of("p", ctx), "apply [f_]", "undefined_fact")
     out = premise_repair(attempt, ["fz", "fy", "fx"], EngineConfig(top_matches=2))
     # all three are distance 1; pool order breaks the tie
-    assert [c.step.facts[0] for c in out] == ["fz", "fy"]
+    assert [s.facts[0] for s in out] == ["fz", "fy"]
 
 
 def test_premise_repair_multiple_undefined_names_cross_product():
     ctx = ctx_of(aa="p", bb="q")
     attempt = fail(state_of("p", ctx), "apply [a, b]", "undefined_fact")
     out = premise_repair(attempt, ["aa", "bb"], EngineConfig(top_matches=1))
-    assert [c.step.facts for c in out] == [("aa", "bb")]
+    assert [s.facts for s in out] == [("aa", "bb")]
 
 
 def test_premise_repair_output_only_defined_names():
     ctx = ctx_of(aa="p")
     attempt = fail(state_of("p", ctx), "elim [ab, aa]", "undefined_fact")
     out = premise_repair(attempt, ["aa"], EngineConfig())
-    for cand in out:
-        assert all(f in ctx for f in cand.step.facts)
+    for step in out:
+        assert all(f in ctx for f in step.facts)
 
 
 def test_premise_repair_recovery_after_random_edits():
@@ -237,7 +235,7 @@ def test_premise_repair_recovery_after_random_edits():
             continue
         attempt = fail(state, f"apply [{corrupted}]", "undefined_fact")
         out = premise_repair(attempt, names, EngineConfig())
-        if any(c.step.facts == (original,) for c in out):
+        if any(s.facts == (original,) for s in out):
             recovered += 1
         else:
             # the corruption must have landed within reach of the original
@@ -267,6 +265,19 @@ def test_revise_dispatch_union():
     assert any(c.origin == "premise_repair" for c in out)
 
 
+def test_revise_scores_each_repair_with_its_attempt_and_names_its_origin():
+    ctx = ctx_of(set_cap_valid_objs="p", f1="p")
+    state = state_of("p", ctx)
+    failures = [fail(state, "simp [f1]", "tactic_failure", lp=-1.5),
+                fail(state, "apply [set_cap_valid_obj]", "undefined_fact", lp=-0.5)]
+    out = revise(failures, ctx, ("simp", "auto", "apply"), EngineConfig())
+    assert [(c.step.text(), c.log_prob, c.origin) for c in out] == [
+        ("apply [set_cap_valid_objs]", -0.5, "premise_repair"),
+        ("apply [f1]", -1.5, "tactic_repair"),
+        ("auto [f1]", -1.5, "tactic_repair"),
+    ]
+
+
 def test_revise_drops_parse_and_timeout_failures():
     ctx = ctx_of()
     state = state_of("p", ctx)
@@ -284,6 +295,18 @@ def test_revise_dedups_keeping_max_logprob():
     out = revise(failures, ctx, ("simp", "auto"), EngineConfig())
     by_text = {c.step.text(): c for c in out}
     assert by_text["auto [f1]"].log_prob == -1.0
+
+
+def test_revise_keeps_the_first_origin_of_a_tied_text():
+    ctx = ctx_of(aa="p")
+    state = state_of("p", ctx)
+    typo = fail(state, "apply [ab]", "undefined_fact", lp=-1.0)
+    wrong = fail(state, "elim [aa]", "tactic_failure", lp=-1.0)
+    for failures, origin in (([typo, wrong], "premise_repair"),
+                             ([wrong, typo], "tactic_repair")):
+        out = revise(failures, ctx, ("apply",), EngineConfig())
+        assert [(c.step.text(), c.log_prob, c.origin) for c in out] == [
+            ("apply [aa]", -1.0, origin)]
 
 
 def test_revise_budget_cap_orders_by_logprob_then_text():
@@ -307,6 +330,36 @@ def test_revise_determinism():
     second = [(c.step.text(), c.log_prob, c.origin)
               for c in revise(failures, ctx, DEFAULT_TACTIC_SET, config)]
     assert first == second
+
+
+_REVISE_CTX = ctx_of(aa="p", ab="p -> q", ba="q | r", bb="r & p", abc="s")
+_REVISE_STATES = [state_of(goal, _REVISE_CTX) for goal in ("q", "p & r", "s -> t")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(failures=st.lists(st.tuples(
+           st.sampled_from(_REVISE_STATES),
+           st.sampled_from(("apply", "elim", "simp")),
+           st.lists(st.sampled_from(("aa", "ab", "ac", "ba", "zz")), max_size=2),
+           st.sampled_from((0.0, -1.0, -1.0, -2.5)),
+           st.sampled_from(ERROR_CATEGORIES)), max_size=8),
+       tactic_set=st.lists(st.sampled_from(("apply", "elim", "intro", "simp")),
+                           max_size=5).map(tuple),
+       budget=st.integers(0, 30), top_matches=st.integers(1, 3),
+       pool_size=st.integers(0, 5))
+def test_revise_matches_a_naive_reference(failures, tactic_set, budget, top_matches,
+                                          pool_size):
+    """Mixed categories, tied scores and duplicate fact tuples: ``revise``
+    keeps the same steps, scores and origins, in the same order, as the
+    build-everything reference."""
+    attempts = [FailedAttempt(state, ProofStep(tactic, facts), lp, category)
+                for state, tactic, facts, lp, category in failures]
+    config = EngineConfig(revision_budget=budget, top_matches=top_matches,
+                          premise_pool_size=pool_size)
+    got = revise(attempts, _REVISE_CTX, tactic_set, config)
+    want = naive_revise(attempts, _REVISE_CTX, tactic_set, config)
+    assert [(c.step, c.log_prob, c.origin) for c in got] == \
+        [(c.step, c.log_prob, c.origin) for c in want]
 
 
 # -- tactic frequencies ----------------------------------------------------------------

@@ -578,6 +578,34 @@ def test_a_repeated_candidate_reuses_the_first_result(demo_theory):
     assert [n.producing_step.log_prob for n in outcome.tree[1:]] == [-0.1]
 
 
+@pytest.mark.parametrize("repair_rounds, revision", [(0, True), (1, True), (2, True), (1, False)])
+def test_only_failures_that_revise_reads_become_failed_attempts(
+        monkeypatch, demo_theory, repair_rounds, revision):
+    """A node's last round is never repaired, so on a goal no round closes
+    the search builds exactly the attempts ``revise`` is handed."""
+    from stepwise import search
+
+    built, revised = [], []
+    attempt_cls, revise_fn = search.FailedAttempt, search.revise
+
+    def counting_attempt(*args):
+        built.append(args)
+        return attempt_cls(*args)
+
+    def counting_revise(failures, *args):
+        revised.extend(failures)
+        return revise_fn(failures, *args)
+
+    monkeypatch.setattr(search, "FailedAttempt", counting_attempt)
+    monkeypatch.setattr(search, "revise", counting_revise)
+    config = EngineConfig(max_iterations=4, top_k=2, repair_rounds=repair_rounds,
+                          revision_enabled=revision, tactic_set=DEFAULT_TACTIC_SET)
+    outcome = best_first_search(demo_theory, "bad", ToyProver(), MockGenerator(config), config)
+    assert not outcome.proved
+    assert len(built) == len(revised)
+    assert (len(revised) > 0) == (repair_rounds > 0 and revision)
+
+
 def test_prove_theorem_over_tcp_sends_no_oracle_or_root_fetch_requests(prover_server):
     """The oracle verdicts ride on ``apply_batch``, ``start`` carries the
     theory and returns the root, and releases ride on the next request, so
