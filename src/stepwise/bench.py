@@ -343,7 +343,7 @@ def revision_recovery(corpus: list[Theory], solved_names: list[str], seed: int,
     base = bench_engine_config(seed)
     result = RecoveryResult(attempted=picked)
     for revision_on in (True, False):
-        config = replace(base, revision_enabled=revision_on)
+        config = base if revision_on else replace(base, repair_rounds=0)
         backend = ToyProver()
         for name in picked:
             theory = by_name[name]

@@ -45,8 +45,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--time-limit", type=float, dest="time_limit_s", metavar="TIME_LIMIT",
                        help="search time limit in seconds")
     group.add_argument("--node-budget", type=int)
-    group.add_argument("--no-revision", action="store_const", const=False,
-                       dest="revision_enabled")
+    group.add_argument("--no-revision", action="store_const", const=0,
+                       dest="repair_rounds")
     group.add_argument("--no-filtering", action="store_const", const=False,
                        dest="filtering_enabled")
     group.add_argument("--hammer-timeout", type=float, dest="hammer_timeout_s",
@@ -152,6 +152,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _records_from_reports(directory: str) -> list[RunRecord]:
+    if not Path(directory).is_dir():  # a typo must not read as "no theorems"
+        raise ConfigError(f"--reports {directory!r} is not a directory")
     records = []
     for path in sorted(Path(directory).glob("*.json")):
         try:
@@ -163,7 +165,6 @@ def _records_from_reports(directory: str) -> list[RunRecord]:
                 ground_truth_length=int(report.get("ground_truth_length", 0)),
                 proved=bool(report.get("proved")),
                 generated_proof=tuple(steps) if steps is not None else None,
-                wall_time=float(report.get("stats", {}).get("wall_time", 0.0)),
                 session=report.get("session", ""),
             ))
         except (ValueError, KeyError, TypeError, AttributeError) as e:

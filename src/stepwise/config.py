@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .core import TACTICS
 from .prover import DEFAULT_ATOM_LIMIT, DEFAULT_STEP_BUDGET_MS, MAX_ATOM_LIMIT, ToyProver
 from .protocol import RemoteProver
 
@@ -27,7 +28,6 @@ class EngineConfig:
     max_iterations: int = 100
     time_limit_s: float = 7200.0
     node_budget: int = 10_000
-    revision_enabled: bool = True
     filtering_enabled: bool = True
     atom_limit: int = DEFAULT_ATOM_LIMIT
     step_timeout_ms: int = DEFAULT_STEP_BUDGET_MS
@@ -70,8 +70,11 @@ class EngineConfig:
             raise ConfigError(f"candidates_per_state must be >= 1, got {self.candidates_per_state}")
         if self.revision_budget < 0:  # it would cut the ranked repairs' last ones
             raise ConfigError(f"revision_budget must be >= 0, got {self.revision_budget}")
-        if self.repair_rounds < 0:
+        if self.repair_rounds < 0:  # 0 switches revision off
             raise ConfigError(f"repair_rounds must be >= 0, got {self.repair_rounds}")
+        unknown = [t for t in self.tactic_set if t not in TACTICS]
+        if unknown:  # tactic repair would build steps no prover can parse
+            raise ConfigError(f"tactic_set names unknown tactic {unknown[0]!r}")
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
         if not 0 < self.top_p <= 1:

@@ -16,8 +16,6 @@ from .search import SearchOutcome, best_first_search, frontier_summary
 
 @dataclass
 class ProveResult:
-    theory: str
-    theorem: str
     proved: bool
     via: str | None  # search | fallback | None
     steps: tuple | None
@@ -56,6 +54,7 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
         backend.release(outcome.opened)
     proved = steps is not None
     entry = theory.entry(theorem_id)
+    filtered = outcome.filter_stats
     report = {
         "theory": theory.name,
         "theorem": theorem_id,
@@ -64,14 +63,16 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
         "steps": [s.text() for s in steps] if steps is not None else None,
         "ground_truth_length": len(entry.proof) if entry and entry.proof else 0,
         "seed": config.seed,
-        "stats": dict(outcome.stats.__dict__),
-        "filtering": dict(outcome.filter_stats.__dict__),
+        "stats": {**outcome.stats.__dict__,
+                  "nodes_filtered_dup": filtered.duplicates_rejected,
+                  "nodes_filtered_cex": filtered.counterexamples_rejected},
+        "filtering": dict(filtered.__dict__),
     }
     if not outcome.proved:
         report["frontier"] = frontier_summary(outcome)
     if fallback_attempts is not None:
         report["fallback_attempts"] = fallback_attempts
-    return ProveResult(theory.name, theorem_id, proved, via, steps, outcome, report)
+    return ProveResult(proved, via, steps, outcome, report)
 
 
 def write_report(report: dict, directory, filename: str | None = None) -> Path:

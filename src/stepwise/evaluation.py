@@ -23,7 +23,6 @@ class RunRecord:
     ground_truth_length: int
     proved: bool
     generated_proof: tuple[str, ...] | None = None
-    wall_time: float = 0.0
     session: str = ""
 
     def __post_init__(self):
@@ -81,14 +80,12 @@ def success_rate(records: Iterable[RunRecord], group_by: str = "split",
     return rows
 
 
-def coverage_lines(records: Iterable[RunRecord],
-                   total_lines: int | None = None) -> tuple[int, float]:
+def coverage_lines(records: Iterable[RunRecord]) -> tuple[int, float]:
     """Ground-truth lines belonging to proved theorems, and their share of
     all ground-truth lines (percent)."""
     records = list(records)
     covered = sum(r.ground_truth_length for r in records if r.proved)
-    denominator = total_lines if total_lines is not None else sum(
-        r.ground_truth_length for r in records)
+    denominator = sum(r.ground_truth_length for r in records)
     percent = 100.0 * covered / denominator if denominator else 0.0
     return covered, percent
 

@@ -1,15 +1,18 @@
 """Proof-state filtering: duplicate detection and counterexample pruning.
 
-The counterexample verdicts come with the states: the backend's
-``apply_batch`` returns the kind of one (``none``, ``counterexample`` or
-``unknown``) for each success with open subgoals.
+A state is a duplicate when its canonical key is already in the caller's
+set of seen keys; the search keeps that set and one ``FilterStats`` total,
+to which it adds each call's counts. The counterexample verdicts come with
+the states: the backend's ``apply_batch`` returns the kind of one
+(``none``, ``counterexample`` or ``unknown``) for each success with open
+subgoals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ProofState, canonical_state
+from .core import canonical_state
 
 
 @dataclass
@@ -24,43 +27,25 @@ class FilterStats:
         self.unknown_oracle += other.unknown_oracle
 
 
-class SeenSet:
-    """Canonical keys of every state already admitted to the search tree."""
-
-    def __init__(self):
-        self.keys: set[str] = set()
-        self.stats = FilterStats()
-
-    def insert(self, state: ProofState) -> None:
-        self.keys.add(canonical_state(state))
-
-
-def is_duplicate(state: ProofState, seen: SeenSet) -> bool:
-    """True iff the state's canonical key was seen before; a miss inserts it."""
-    key = canonical_state(state)
-    if key in seen.keys:
-        return True
-    seen.keys.add(key)
-    return False
-
-
-def filter_states(items: list[tuple], seen: SeenSet) -> tuple[list[tuple], FilterStats]:
+def filter_states(items: list[tuple], seen: set[str]) -> tuple[list[tuple], FilterStats]:
     """Each item is a tuple whose first two entries are a state and its
-    verdict kind. Drop the duplicates (cheap key lookup), then the
-    states their verdict falsifies; Unknown verdicts keep the state and are
-    counted. Kept items come back as given, in order. Returns the kept list
-    and this call's stats delta; the SeenSet accumulates totals."""
+    verdict kind. Drop the duplicates (a canonical key already in ``seen``;
+    a miss adds it), then the states their verdict falsifies; Unknown
+    verdicts keep the state and are counted. Kept items come back as
+    given, in order. Returns the kept list and this call's counts."""
     delta = FilterStats()
     kept = []
     for item in items:
         state, kind = item[0], item[1]
-        if is_duplicate(state, seen):
+        key = canonical_state(state)
+        if key in seen:
             delta.duplicates_rejected += 1
-        elif kind == "counterexample":
+            continue
+        seen.add(key)
+        if kind == "counterexample":
             delta.counterexamples_rejected += 1
         else:
             delta.unknown_oracle += kind == "unknown"
             kept.append(item)
-    seen.stats.merge(delta)
     return kept, delta
 

@@ -8,13 +8,13 @@ filter never entered the tree) with a combined-relevance premise pool.
 from __future__ import annotations
 
 from .config import EngineConfig
-from .core import FactContext, ProofState, ProofStep
+from .core import ProofState, ProofStep
 from .prover import HammerConfig, HammerResult
 from .revision import relevance_filter
 from .search import SearchNode, SearchOutcome, reconstruct_proof
 
 
-def mesh_rank(state: ProofState, context: FactContext, k: int, w: float) -> list[str]:
+def mesh_rank(state: ProofState, k: int, w: float) -> list[str]:
     """Premises ranked by a blend of symbol overlap and proof usage.
 
     The overlap component is the reciprocal rank from ``relevance_filter``
@@ -22,8 +22,8 @@ def mesh_rank(state: ProofState, context: FactContext, k: int, w: float) -> list
     usage count normalised by the maximum (0 when the corpus is empty).
     Combined score: ``w * overlap + (1 - w) * usage``; ties break by fact id.
     """
-    index = context.index()
-    overlap_order = relevance_filter(state, context, len(index.names))
+    index = state.context.index()
+    overlap_order = relevance_filter(state, len(index.names))
     overlap_score = {name: 1.0 / (rank + 1) for rank, name in enumerate(overlap_order)}
     scored = sorted((-(w * overlap_score.get(name, 0.0) + (1 - w) * usage), name)
                     for name, usage in zip(index.names, index.usage_shares))
@@ -34,7 +34,7 @@ def hammer_state(state: ProofState, token: str, backend,
                  config: EngineConfig) -> HammerResult:
     """One hammer call on the snapshot ``token`` of ``state``, with the
     ``mesh_rank`` premise pool capped at ``hammer_premise_limit``."""
-    pool = mesh_rank(state, state.context, config.hammer_premise_limit, config.mesh_weight)
+    pool = mesh_rank(state, config.hammer_premise_limit, config.mesh_weight)
     hammer_config = HammerConfig(config.hammer_depth, int(config.hammer_timeout_s * 1000))
     return backend.hammer_at(token, hammer_config, pool)
 

@@ -9,9 +9,6 @@ from dataclasses import dataclass
 from .config import EngineConfig
 from .core import TACTICS, Candidate, FactContext, FactIndex, ProofState, ProofStep, Theory
 
-DEFAULT_TACTIC_SET = TACTICS
-TACTIC_SET_LIMIT = 12
-
 
 @dataclass(frozen=True, slots=True)
 class FailedAttempt:
@@ -21,21 +18,19 @@ class FailedAttempt:
     category: str
 
 
-def tactic_frequencies(theory: Theory, limit: int = TACTIC_SET_LIMIT) -> tuple[str, ...]:
-    """Tactics ranked by frequency in the theory's ground-truth proofs,
-    capped at ``limit``; falls back to the full tactic set when no proofs
-    exist."""
+def tactic_frequencies(theory: Theory) -> tuple[str, ...]:
+    """Tactics ranked by frequency in the theory's ground-truth proofs;
+    falls back to the full tactic set when no proofs exist."""
     counts: dict[str, int] = {}
     for entry in theory.entries:
         for step in entry.proof or ():
             counts[step.tactic] = counts.get(step.tactic, 0) + 1
     if not counts:
-        return DEFAULT_TACTIC_SET[:limit]
-    ranked = sorted(counts, key=lambda t: (-counts[t], t))
-    return tuple(ranked[:limit])
+        return TACTICS
+    return tuple(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
-def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> list[str]:
+def relevance_filter(goal_state: ProofState, k: int) -> list[str]:
     """Iterative symbol-overlap premise selection.
 
     Grows a relevant-atom set seeded from the state's subgoals; each round
@@ -44,10 +39,10 @@ def relevance_filter(goal_state: ProofState, context: FactContext, k: int) -> li
     when every remaining score is zero.
 
     No pick depends on ``k``, so the answer is the first ``k`` names of the
-    full ranking, which the context's index keeps per atom seed.
+    full ranking, which the state's context's index keeps per atom seed.
     """
     seed = frozenset().union(*(sub.atom_names() for sub in goal_state.subgoals))
-    index = context.index()
+    index = goal_state.context.index()
     ranking = index.rankings.get(seed)
     if ranking is None:
         ranking = index.rankings[seed] = _rank_by_relevance(seed, index)
@@ -201,8 +196,8 @@ def premise_repair(attempt: FailedAttempt, pool: list[str],
     return out
 
 
-def revise(failures: list[FailedAttempt], context: FactContext,
-           tactic_set: tuple[str, ...], config: EngineConfig) -> list[Candidate]:
+def revise(failures: list[FailedAttempt], tactic_set: tuple[str, ...],
+           config: EngineConfig) -> list[Candidate]:
     """Dispatch failures to the matching repair (tactic repair recombines
     with ``tactic_set``), each repaired step scored with its attempt's
     score, then dedup by step text keeping the best score (the first seen
@@ -210,7 +205,7 @@ def revise(failures: list[FailedAttempt], context: FactContext,
     best: dict[str, Candidate] = {}
     for attempt in failures:
         if attempt.category == "undefined_fact":
-            pool = relevance_filter(attempt.state, context, config.premise_pool_size)
+            pool = relevance_filter(attempt.state, config.premise_pool_size)
             steps, origin = premise_repair(attempt, pool, config), "premise_repair"
         elif attempt.category in ("tactic_failure", "no_progress"):
             steps, origin = tactic_repair(attempt, tactic_set), "tactic_repair"

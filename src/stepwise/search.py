@@ -26,8 +26,8 @@ import time
 from dataclasses import dataclass, field
 
 from .config import EngineConfig
-from .core import Candidate, ProofState, ProofStep, StepResult, Theory
-from .filtering import FilterStats, SeenSet, filter_states
+from .core import Candidate, ProofState, ProofStep, StepResult, Theory, canonical_state
+from .filtering import FilterStats, filter_states
 from .revision import FailedAttempt, revise, tactic_frequencies
 
 
@@ -48,8 +48,6 @@ class SearchNode:
 class SearchStats:
     iterations: int = 0
     nodes_created: int = 0
-    nodes_filtered_dup: int = 0
-    nodes_filtered_cex: int = 0
     generator_calls: int = 0
     revisions_tried: int = 0
     wall_time: float = 0.0
@@ -129,18 +127,20 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
     errors propagate, after every snapshot the search opened is released.
     ``prefix_steps`` are replayed before the search starts (completion
     experiments)."""
+    start_time = time.monotonic()
     opened: list[str] = []
     try:
-        return _search(theory, theorem_id, backend, generator, config, prefix_steps, opened)
+        outcome = _search(theory, theorem_id, backend, generator, config, prefix_steps, opened)
     except BaseException:
         backend.release(opened)
         raise
+    outcome.stats.wall_time = time.monotonic() - start_time
+    return outcome
 
 
 def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineConfig,
             prefix_steps: tuple[ProofStep, ...], opened: list[str]) -> SearchOutcome:
-    start_time = time.monotonic()
-    deadline = start_time + config.time_limit_s
+    deadline = time.monotonic() + config.time_limit_s
     stats = SearchStats()
     tactic_set = config.tactic_set or tactic_frequencies(theory)
 
@@ -158,13 +158,12 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
     root = SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0, token=token)
     tree = [root]
     stats.nodes_created = 1
-    seen = SeenSet()
-    seen.insert(root_state)
+    seen = {canonical_state(root_state)}  # the key of every state admitted to the tree
+    filtered = FilterStats()
     oracle_limit = config.atom_limit if config.filtering_enabled else None
 
     if root_state.qed:
-        stats.wall_time = time.monotonic() - start_time
-        return SearchOutcome(True, (), stats, tree, seen.stats, opened)
+        return SearchOutcome(True, (), stats, tree, filtered, opened)
 
     def expand_round(expansions: list[_Expansion], tried: list[list[Candidate]],
                      revising: bool) -> int | None:
@@ -229,7 +228,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
                  for node in batch]
         live = expansions
         for repair_round in range(config.repair_rounds + 1):
-            revising = repair_round < config.repair_rounds and config.revision_enabled
+            revising = repair_round < config.repair_rounds
             won = expand_round(live, tried, revising)
             if won is not None:  # only the nodes before the winner go on
                 live = live[:won]
@@ -237,7 +236,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
                 break
             repairing, tried = [], []
             for exp in live:
-                repaired = revise(exp.failures, context, tactic_set, config)
+                repaired = revise(exp.failures, tactic_set, config)
                 if repaired:
                     exp.revisions_tried += len(repaired)
                     repairing.append(exp)
@@ -251,14 +250,12 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
             stats.generator_calls += 1
             stats.revisions_tried += exp.revisions_tried
             if exp.winner is not None:
-                stats.wall_time = time.monotonic() - start_time
                 return SearchOutcome(True, tuple(reconstruct_proof(exp.winner)), stats,
-                                     tree, seen.stats, opened)
+                                     tree, filtered, opened)
 
             if config.filtering_enabled:
                 kept, delta = filter_states(successes, seen)
-                stats.nodes_filtered_dup += delta.duplicates_rejected
-                stats.nodes_filtered_cex += delta.counterexamples_rejected
+                filtered.merge(delta)
             else:
                 kept = successes
             for state, _, cand, token in kept:
@@ -272,8 +269,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
                 tree.append(child)
                 stats.nodes_created += 1
 
-    stats.wall_time = time.monotonic() - start_time
-    return SearchOutcome(False, (), stats, tree, seen.stats, opened)
+    return SearchOutcome(False, (), stats, tree, filtered, opened)
 
 
 def frontier_summary(outcome: SearchOutcome) -> dict:

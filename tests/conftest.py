@@ -115,7 +115,7 @@ def replay_chain(backend, token, steps, timeout_ms=None):
     return results, tokens
 
 
-def naive_revise(failures, context, tactic_set, config):
+def naive_revise(failures, tactic_set, config):
     """Reference ``revise``: every raw repair built as a ``Candidate``, with
     tactic recombination written out here (premise repair's steps are
     ``premise_repair``'s, which tests/test_kernels.py checks on its own),
@@ -127,7 +127,7 @@ def naive_revise(failures, context, tactic_set, config):
     raw = []
     for attempt in failures:
         if attempt.category == "undefined_fact":
-            pool = relevance_filter(attempt.state, context, config.premise_pool_size)
+            pool = relevance_filter(attempt.state, config.premise_pool_size)
             raw.extend(Candidate(step, attempt.log_prob, "premise_repair")
                        for step in premise_repair(attempt, pool, config))
         elif attempt.category in ("tactic_failure", "no_progress"):

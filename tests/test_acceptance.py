@@ -24,7 +24,7 @@ from stepwise.evaluation import (
     sequence_similarity,
 )
 from stepwise.extraction import extract_pairs
-from stepwise.filtering import SeenSet, filter_states
+from stepwise.filtering import filter_states
 from stepwise.generator import mock_generate
 from stepwise.prover import (
     ToyProver,
@@ -79,10 +79,9 @@ def test_criterion_3_filter_soundness(bench_corpus):
             state = result.state
             states.append(state)
         assert state.qed
-        seen = SeenSet()
         items = [(s, check_counterexample(s).kind, _dummy_candidate())
                  for s in states if not s.qed]
-        kept, stats = filter_states(items, seen)
+        kept, stats = filter_states(items, set())
         assert stats.counterexamples_rejected == 0, theory.name
         on_path_states += len(items)
 
@@ -271,11 +270,27 @@ PINNED_TABLE_DIGESTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def bench_by_seed(bench_result):
+    return {BENCH_SEED: bench_result, 0: run_bench(0)}
+
+
 @pytest.mark.parametrize("seed", sorted(PINNED_TABLE_DIGESTS))
-def test_bench_tables_match_their_pinned_digests(seed, bench_result):
-    result = bench_result if seed == BENCH_SEED else run_bench(seed)
-    digest = hashlib.sha256(result.table_text().encode()).hexdigest()
+def test_bench_tables_match_their_pinned_digests(seed, bench_by_seed):
+    digest = hashlib.sha256(bench_by_seed[seed].table_text().encode()).hexdigest()
     assert digest == PINNED_TABLE_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_TABLE_DIGESTS))
+def test_each_report_counts_its_filter_drops_once(seed, bench_by_seed):
+    """The stats' filter counts are the filtering section's, on every report."""
+    reports = bench_by_seed[seed].reports
+    for report in reports:
+        stats, filtering = report["stats"], report["filtering"]
+        assert stats["nodes_filtered_dup"] == filtering["duplicates_rejected"]
+        assert stats["nodes_filtered_cex"] == filtering["counterexamples_rejected"]
+    assert sum(r["stats"]["nodes_filtered_dup"] for r in reports) > 0
+    assert sum(r["stats"]["nodes_filtered_cex"] for r in reports) > 0
 
 
 def test_criterion_10_hammer_complementarity(bench_result):

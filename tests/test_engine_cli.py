@@ -71,17 +71,17 @@ def test_defaults_match_module_declarations():
     assert config.hammer_premise_limit == 2048
     assert config.hammer_timeout_s == 60.0
     assert config.mesh_weight == 0.5
-    assert config.revision_enabled and config.filtering_enabled
+    assert config.repair_rounds == 1 and config.filtering_enabled
     assert config.atom_limit == 16
 
 
 def test_config_file_overrides_defaults(tmp_path):
     path = tmp_path / "engine.cfg"
-    path.write_text("alpha = 0.5\ntop_k = 2\nrevision_enabled = false\n# comment\n")
+    path.write_text("alpha = 0.5\ntop_k = 2\nrepair_rounds = 0\n# comment\n")
     values = load_config_file(path)
     config = build_config(values, {})
     assert config.alpha == 0.5 and config.top_k == 2
-    assert config.revision_enabled is False
+    assert config.repair_rounds == 0
 
 
 def test_flags_override_config_file(tmp_path):
@@ -135,7 +135,6 @@ FIELD_SAMPLES = {
     "max_iterations": ("9", 9),
     "time_limit_s": ("12.5", 12.5),
     "node_budget": ("77", 77),
-    "revision_enabled": ("false", False),
     "filtering_enabled": ("off", False),
     "atom_limit": ("12", 12),
     "step_timeout_ms": ("500", 500),
@@ -206,6 +205,8 @@ INVALID_VALUES = [
     ("time_limit_s", math.nan), ("time_limit_s", -math.inf), ("hammer_timeout_s", math.nan),
     ("hammer_timeout_s", math.inf), ("temperature", math.nan), ("temperature", math.inf),
     ("alpha", math.nan), ("alpha", math.inf), ("top_p", math.nan), ("mesh_weight", math.nan),
+    # tactic repair would build steps no prover parses, such as ``t00 [f]``
+    ("tactic_set", ("intro", "t00")),
 ]
 
 
@@ -275,7 +276,8 @@ def test_invalid_config_value_is_rejected_before_any_theorem(
     with pytest.raises(ConfigError, match=name):
         build_config({}, {name: value})
     path = tmp_path / "engine.cfg"
-    path.write_text(f"{name} = {value}\n")
+    text = ", ".join(value) if isinstance(value, tuple) else value
+    path.write_text(f"{name} = {text}\n")
     out = tmp_path / "reports"
     code = main(["prove", "--theory", str(theory_file), "--config", str(path),
                  "--out", str(out)])
@@ -285,6 +287,63 @@ def test_invalid_config_value_is_rejected_before_any_theorem(
     assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
     assert name in captured.err
     assert not out.exists()
+
+
+def test_an_unknown_tactic_in_tactic_set_is_named_in_one_error_line(
+        theory_file, tmp_path, capsys):
+    path = tmp_path / "engine.cfg"
+    path.write_text("tactic_set = intro, t00, t01\n")
+    code = main(["prove", "--theory", str(theory_file), "--config", str(path),
+                 "--out", str(tmp_path / "reports")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: tactic_set names unknown tactic 't00'\n"
+
+
+def test_a_revision_enabled_key_is_an_unknown_config_key(theory_file, tmp_path, capsys):
+    path = tmp_path / "engine.cfg"
+    path.write_text("revision_enabled = false\n")
+    code = main(["prove", "--theory", str(theory_file), "--config", str(path),
+                 "--out", str(tmp_path / "reports")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: unknown config key 'revision_enabled'\n"
+
+
+def test_no_revision_flag_equals_zero_repair_rounds_on_the_bench_corpus(tmp_path, capsys):
+    """``--no-revision`` stores 0 into ``repair_rounds``: on every seed-0
+    bench theory, under the bench's budgets, the flag and a config file
+    with ``repair_rounds = 0`` write the same report, wall time left out."""
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.prover import render_theory
+
+    bench, default = bench_engine_config(0), EngineConfig()
+    budgets = "".join(f"{f.name} = {getattr(bench, f.name)}\n"
+                      for f in dataclasses.fields(EngineConfig)
+                      if getattr(bench, f.name) != getattr(default, f.name))
+    (tmp_path / "flag.cfg").write_text(budgets)
+    (tmp_path / "file.cfg").write_text(budgets + "repair_rounds = 0\n")
+    arms = {"flag": ["--no-revision"], "file": []}
+    corpus = generate_corpus(0)
+    for theory in corpus:
+        path = tmp_path / f"{theory.name}.thy"
+        path.write_text(render_theory(theory))
+        for arm, extra in arms.items():
+            assert main(["prove", "--theory", str(path), "--out", str(tmp_path / arm),
+                         "--config", str(tmp_path / f"{arm}.cfg"), *extra]) == 0
+    capsys.readouterr()
+
+    def timeless(path):
+        report = json.loads(path.read_text())
+        del report["stats"]["wall_time"]
+        return report
+
+    flag_reports = sorted((tmp_path / "flag").glob("*.json"))
+    assert len(flag_reports) == len(corpus)
+    for path in flag_reports:
+        assert timeless(path) == timeless(tmp_path / "file" / path.name), path.name
+    assert any(timeless(path)["proved"] for path in flag_reports)
+    assert all(timeless(path)["stats"]["revisions_tried"] == 0 for path in flag_reports)
 
 
 @pytest.mark.parametrize("args,named", [
@@ -459,6 +518,23 @@ def test_cli_eval_malformed_report_is_one_error_line_naming_the_file(
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert str(bad) in captured.err
+
+
+def test_cli_eval_reports_path_that_is_not_a_directory_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    (tmp_path / "file.json").write_text("{}")
+    for path in (missing, tmp_path / "file.json"):
+        code = main(["eval", "--reports", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: --reports {str(path)!r} is not a directory\n"
+
+
+def test_cli_eval_empty_reports_directory_gives_empty_tables(tmp_path, capsys):
+    assert main(["eval", "--reports", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"coverage": {"lines": 0, "percent": 0.0}, "success_by_length": [],
+                       "success_by_session": [], "success_by_split": []}
 
 
 def test_cli_eval_completion(theory_file, capsys):

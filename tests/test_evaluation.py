@@ -20,7 +20,7 @@ from stepwise.prover import load_theory
 
 def rec(theorem, proved, length, split="all", session=""):
     return RunRecord(theorem, split, length, proved,
-                     ("auto",) if proved else None, 0.0, session)
+                     ("auto",) if proved else None, session)
 
 
 # -- success tables -------------------------------------------------------------
@@ -214,7 +214,7 @@ def _prove_with_budget(budget_iterations):
         outcome = best_first_search(
             theory, name, ToyProver(), MockGenerator(EngineConfig(seed=2)),
             EngineConfig(max_iterations=budget_iterations,
-                         revision_enabled=False),
+                         repair_rounds=0),
             prefix_steps=tuple(prefix))
         return outcome.proved
 

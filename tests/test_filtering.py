@@ -1,5 +1,5 @@
-from stepwise.core import Candidate, FactContext, ProofState, ProofStep, Subgoal
-from stepwise.filtering import SeenSet, filter_states, is_duplicate
+from stepwise.core import Candidate, FactContext, ProofState, ProofStep, Subgoal, canonical_state
+from stepwise.filtering import filter_states
 from stepwise.formulas import parse_formula
 from stepwise.prover import check_counterexample
 
@@ -13,25 +13,31 @@ def cand(n=0):
     return Candidate(ProofStep("intro"), -float(n + 1))
 
 
-def test_is_duplicate_inserts_on_miss():
-    seen = SeenSet()
+def duplicates(states, seen):
+    """How many of ``states``, filtered in order against ``seen`` with no
+    counterexample among them, are duplicates."""
+    return filter_states([(state, "none") for state in states], seen)[1].duplicates_rejected
+
+
+def test_duplicate_filter_inserts_on_miss():
+    seen = set()
     state = state_of("p")
-    assert is_duplicate(state, seen) is False
-    assert is_duplicate(state, seen) is True
+    assert duplicates([state], seen) == 0
+    assert seen == {canonical_state(state)}
+    assert duplicates([state], seen) == 1
 
 
-def test_is_duplicate_catches_permuted_subgoals():
-    seen = SeenSet()
+def test_duplicate_filter_catches_permuted_subgoals():
+    seen = set()
     a = ProofState((Subgoal((), parse_formula("p")), Subgoal((), parse_formula("q"))))
     b = ProofState((Subgoal((), parse_formula("q")), Subgoal((), parse_formula("p"))))
-    assert not is_duplicate(a, seen)
-    assert is_duplicate(b, seen)
+    assert duplicates([a], seen) == 0
+    assert duplicates([b], seen) == 1
 
 
-def test_is_duplicate_distinguishes_hypotheses():
-    seen = SeenSet()
-    assert not is_duplicate(state_of("r", ["p"]), seen)
-    assert not is_duplicate(state_of("r", ["q"]), seen)
+def test_duplicate_filter_distinguishes_hypotheses():
+    seen = set()
+    assert duplicates([state_of("r", ["p"]), state_of("r", ["q"])], seen) == 0
 
 
 def verdicts(items, atom_limit=16):
@@ -41,7 +47,7 @@ def verdicts(items, atom_limit=16):
 
 
 def test_filter_drops_duplicates_then_counterexamples():
-    seen = SeenSet()
+    seen = set()
     valid = state_of("p", ["p"])
     falsifiable = state_of("q")
     items = verdicts([(valid, cand(0)), (valid, cand(1)), (falsifiable, cand(2))])
@@ -50,11 +56,11 @@ def test_filter_drops_duplicates_then_counterexamples():
     assert stats.duplicates_rejected == 1
     assert stats.counterexamples_rejected == 1
     assert stats.unknown_oracle == 0
-    assert seen.stats.duplicates_rejected == 1
+    assert seen == {canonical_state(valid), canonical_state(falsifiable)}
 
 
 def test_filter_keeps_unknown_and_counts_it():
-    seen = SeenSet()
+    seen = set()
     wide = state_of("y", [f"x{i}" for i in range(6)])
     kept, stats = filter_states(verdicts([(wide, cand())], atom_limit=3), seen)
     assert len(kept) == 1
@@ -62,7 +68,7 @@ def test_filter_keeps_unknown_and_counts_it():
 
 
 def test_filter_all_fresh_valid_kept_in_order():
-    seen = SeenSet()
+    seen = set()
     items = verdicts([(state_of("p", ["p"]), cand(0)), (state_of("q", ["q"]), cand(1))])
     kept, stats = filter_states(items, seen)
     assert kept == items
@@ -72,7 +78,7 @@ def test_filter_all_fresh_valid_kept_in_order():
 def test_filter_drop_is_order_monotone():
     falsifiable = state_of("q")
     for position in (0, 1, 2):
-        seen = SeenSet()
+        seen = set()
         items = [(state_of(f"g{i}", [f"g{i}"]), cand(i)) for i in range(3)]
         items.insert(position, (falsifiable, cand(9)))
         kept, stats = filter_states(verdicts(items), seen)
@@ -83,7 +89,7 @@ def test_filter_drop_is_order_monotone():
 def test_filter_reads_the_verdict_of_non_duplicates_only():
     """A duplicate is counted as one whatever its verdict says, and a
     falsified state is still seen: a later copy of it is a duplicate."""
-    seen = SeenSet()
+    seen = set()
     valid, falsifiable = state_of("p", ["p"]), state_of("q")
     items = verdicts([(valid, cand(0)), (falsifiable, cand(1)), (valid, cand(2))])
     kept, stats = filter_states(items, seen)

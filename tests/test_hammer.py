@@ -23,14 +23,14 @@ def state_of(goal, ctx):
 def test_mesh_weight_one_matches_relevance_order():
     ctx = ctx_of({"f1": "p -> q", "f2": "q", "f3": "zz"}, {"f3": 10})
     state = state_of("p", ctx)
-    overlap_order = relevance_filter(state, ctx, len(ctx.facts))
-    ranked = mesh_rank(state, ctx, len(overlap_order), 1.0)
+    overlap_order = relevance_filter(state, len(ctx.facts))
+    ranked = mesh_rank(state, len(overlap_order), 1.0)
     assert ranked == overlap_order
 
 
 def test_mesh_weight_zero_is_usage_frequency_order():
     ctx = ctx_of({"f1": "p", "f2": "p"}, {"f1": 4, "f2": 1})
-    ranked = mesh_rank(state_of("p", ctx), ctx, 2, 0.0)
+    ranked = mesh_rank(state_of("p", ctx), 2, 0.0)
     assert ranked == ["f1", "f2"]
 
 
@@ -38,13 +38,13 @@ def test_mesh_half_weight_tie_breaks_by_id():
     # f1: overlap rank 1 (score 1.0), never used; f2: no overlap, max usage.
     # combined scores are both 0.5, so the id order decides.
     ctx = ctx_of({"f1": "p", "f2": "zz"}, {"f2": 7})
-    ranked = mesh_rank(state_of("p", ctx), ctx, 2, 0.5)
+    ranked = mesh_rank(state_of("p", ctx), 2, 0.5)
     assert ranked == ["f1", "f2"]
 
 
 def test_mesh_empty_usage_corpus_scores_zero():
     ctx = ctx_of({"f1": "p", "f2": "q"})
-    ranked = mesh_rank(state_of("p", ctx), ctx, 2, 0.0)
+    ranked = mesh_rank(state_of("p", ctx), 2, 0.0)
     assert ranked == ["f1", "f2"]  # all usage scores 0, id order
 
 

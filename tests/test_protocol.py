@@ -626,7 +626,7 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
             assume(typo.isidentifier() and typo not in state.context)
             attempt = FailedAttempt(state, ProofStep(base.tactic, (typo,) + base.facts[1:]),
                                     -1.0, "undefined_fact")
-            pool = relevance_filter(state, state.context, config.premise_pool_size)
+            pool = relevance_filter(state, config.premise_pool_size)
             steps = premise_repair(attempt, pool, config)
         else:
             category = data.draw(st.sampled_from(("tactic_failure", "no_progress")))

@@ -522,7 +522,7 @@ def bfs_proof_oracle(state, pool, max_depth):
 
 def hammer(state, max_depth, budget_ms=60_000):
     """``toy_hammer`` with the full symbol-overlap ranking as its pool."""
-    pool = relevance_filter(state, state.context, len(state.context.facts))
+    pool = relevance_filter(state, len(state.context.facts))
     return toy_hammer(state, HammerConfig(max_depth, budget_ms), pool)
 
 
@@ -584,7 +584,7 @@ def test_hammer_matches_bfs_oracle_on_small_states():
     for ctx in contexts:
         for goal in goals:
             state = state_of(goal, (), ctx)
-            pool = relevance_filter(state, ctx, 128)
+            pool = relevance_filter(state, 128)
             for depth in (1, 2, 3, 4):
                 ours = hammer(state, depth)
                 oracle = bfs_proof_oracle(state, pool, depth)
@@ -682,7 +682,7 @@ def test_hammer_matches_all_pool_apply_reference():
         pool = None if rng.random() < 0.4 else [
             rng.choice(FACT_NAMES + ("zz",)) for _ in range(rng.randint(0, 9))]
         max_depth, limit = rng.randint(2, 4), rng.choice((1, 2, 2048))
-        pool = relevance_filter(state, state.context, limit) if pool is None else pool[:limit]
+        pool = relevance_filter(state, limit) if pool is None else pool[:limit]
         config = HammerConfig(max_depth, 60_000)
         ours = toy_hammer(state, config, pool)
         expected = reference_hammer(state, config, pool)
@@ -709,7 +709,7 @@ def test_hammer_with_a_warm_context_matches_reference():
             extra = Subgoal((), random_formula(rng, 2))
             for s in (state, swapped, ProofState((extra,) + state.subgoals, ctx),
                       ProofState(state.subgoals + (extra,), ctx)):
-                s_pool = relevance_filter(s, ctx, len(ctx.facts)) if pool is None else pool
+                s_pool = relevance_filter(s, len(ctx.facts)) if pool is None else pool
                 ours = toy_hammer(s, config, s_pool)
                 expected = reference_hammer(s, config, s_pool)
                 assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
@@ -754,7 +754,7 @@ def test_hammer_tries_only_the_moves_its_goal_class_admits():
             goal = random_formula(rng, rng.randint(1, 4))
         hyps = tuple(random_formula(rng, 2) for _ in range(rng.randint(0, 2)))
         state = ProofState((Subgoal(hyps, goal),) + random_state(rng, ctx).subgoals[:1], ctx)
-        pool = relevance_filter(state, ctx, len(ctx.facts))
+        pool = relevance_filter(state, len(ctx.facts))
         config = HammerConfig(rng.randint(2, 4), 60_000)
         seen = []
 

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import naive_revise
 from stepwise.config import EngineConfig
-from stepwise.core import ERROR_CATEGORIES, FactContext, ProofState, ProofStep, Subgoal
+from stepwise.core import ERROR_CATEGORIES, TACTICS, FactContext, ProofState, ProofStep, Subgoal
 from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, atoms, parse_formula
 from stepwise.prover import load_theory
 from stepwise.revision import (
-    DEFAULT_TACTIC_SET,
     FailedAttempt,
     edit_distance,
     premise_repair,
@@ -34,29 +33,29 @@ def state_of(goal, ctx):
 
 def test_relevance_overlap_zero_excluded():
     ctx = ctx_of(f1="p", f2="r")
-    assert relevance_filter(state_of("p & q", ctx), ctx, 10) == ["f1"]
+    assert relevance_filter(state_of("p & q", ctx), 10) == ["f1"]
 
 
 def test_relevance_iterative_expansion():
     ctx = ctx_of(f1="p -> r", f2="r")
     # f2 shares nothing with {p} until f1 joins r into the relevant set
-    assert relevance_filter(state_of("p", ctx), ctx, 10) == ["f1", "f2"]
+    assert relevance_filter(state_of("p", ctx), 10) == ["f1", "f2"]
 
 
 def test_relevance_k_zero():
     ctx = ctx_of(f1="p")
-    assert relevance_filter(state_of("p", ctx), ctx, 0) == []
+    assert relevance_filter(state_of("p", ctx), 0) == []
 
 
 def test_relevance_ties_break_by_id():
     ctx = ctx_of(b="p", a="p")
-    assert relevance_filter(state_of("p", ctx), ctx, 2) == ["a", "b"]
+    assert relevance_filter(state_of("p", ctx), 2) == ["a", "b"]
 
 
 def test_relevance_scores_by_overlap_share():
     # f_pure is fully about p; f_mixed dilutes p with two foreign atoms
     ctx = ctx_of(f_mixed="p & x & y", f_pure="p")
-    assert relevance_filter(state_of("p", ctx), ctx, 1) == ["f_pure"]
+    assert relevance_filter(state_of("p", ctx), 1) == ["f_pure"]
 
 
 def greedy_relevance_reference(goal_state, context, k):
@@ -101,7 +100,7 @@ relevance_formulas = st.recursive(
 def test_relevance_filter_matches_greedy_reference(facts, goals, k):
     context = FactContext(facts)
     state = ProofState(tuple(Subgoal((), g) for g in goals), context)
-    assert relevance_filter(state, context, k) == greedy_relevance_reference(state, context, k)
+    assert relevance_filter(state, k) == greedy_relevance_reference(state, context, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,7 +120,7 @@ def test_relevance_filter_warm_context_matches_greedy_reference(facts, goal_list
         states.append(ProofState((Subgoal((), functools.reduce(And, goals)),), context))
     for i, k in queries + queries[::-1]:
         state = states[i % len(states)]
-        assert relevance_filter(state, context, k) == greedy_relevance_reference(state, context, k)
+        assert relevance_filter(state, k) == greedy_relevance_reference(state, context, k)
 
 
 # -- edit distance -----------------------------------------------------------
@@ -175,7 +174,7 @@ def test_tactic_repair_wrong_category_rejected():
     ctx = ctx_of()
     with pytest.raises(ValueError):
         tactic_repair(fail(state_of("p", ctx), "apply [f]", "undefined_fact"),
-                      DEFAULT_TACTIC_SET)
+                      TACTICS)
 
 
 # -- premise repair -------------------------------------------------------------
@@ -247,7 +246,7 @@ def test_premise_repair_recovery_after_random_edits():
 # -- revise dispatch ----------------------------------------------------------------
 
 def test_revise_empty():
-    assert revise([], FactContext({}), DEFAULT_TACTIC_SET, EngineConfig()) == []
+    assert revise([], TACTICS, EngineConfig()) == []
 
 
 def test_revise_dispatch_union():
@@ -257,7 +256,7 @@ def test_revise_dispatch_union():
         fail(state, "apply [ab]", "undefined_fact"),
         fail(state, "intro", "tactic_failure"),
     ]
-    out = revise(failures, ctx, ("intro", "apply"), EngineConfig())
+    out = revise(failures, ("intro", "apply"), EngineConfig())
     texts = {c.step.text() for c in out}
     assert "apply [aa]" in texts          # premise repair
     assert "apply" not in {t.split()[0] for t in texts} - texts
@@ -270,7 +269,7 @@ def test_revise_scores_each_repair_with_its_attempt_and_names_its_origin():
     state = state_of("p", ctx)
     failures = [fail(state, "simp [f1]", "tactic_failure", lp=-1.5),
                 fail(state, "apply [set_cap_valid_obj]", "undefined_fact", lp=-0.5)]
-    out = revise(failures, ctx, ("simp", "auto", "apply"), EngineConfig())
+    out = revise(failures, ("simp", "auto", "apply"), EngineConfig())
     assert [(c.step.text(), c.log_prob, c.origin) for c in out] == [
         ("apply [set_cap_valid_objs]", -0.5, "premise_repair"),
         ("apply [f1]", -1.5, "tactic_repair"),
@@ -282,7 +281,7 @@ def test_revise_drops_parse_and_timeout_failures():
     ctx = ctx_of()
     state = state_of("p", ctx)
     failures = [fail(state, "simp", "parse_error"), fail(state, "simp", "timeout")]
-    assert revise(failures, ctx, DEFAULT_TACTIC_SET, EngineConfig()) == []
+    assert revise(failures, TACTICS, EngineConfig()) == []
 
 
 def test_revise_dedups_keeping_max_logprob():
@@ -292,7 +291,7 @@ def test_revise_dedups_keeping_max_logprob():
         fail(state, "simp [f1]", "tactic_failure", lp=-2.0),
         fail(state, "intro [f1]", "tactic_failure", lp=-1.0),
     ]
-    out = revise(failures, ctx, ("simp", "auto"), EngineConfig())
+    out = revise(failures, ("simp", "auto"), EngineConfig())
     by_text = {c.step.text(): c for c in out}
     assert by_text["auto [f1]"].log_prob == -1.0
 
@@ -304,7 +303,7 @@ def test_revise_keeps_the_first_origin_of_a_tied_text():
     wrong = fail(state, "elim [aa]", "tactic_failure", lp=-1.0)
     for failures, origin in (([typo, wrong], "premise_repair"),
                              ([wrong, typo], "tactic_repair")):
-        out = revise(failures, ctx, ("apply",), EngineConfig())
+        out = revise(failures, ("apply",), EngineConfig())
         assert [(c.step.text(), c.log_prob, c.origin) for c in out] == [
             ("apply [aa]", -1.0, origin)]
 
@@ -314,7 +313,7 @@ def test_revise_budget_cap_orders_by_logprob_then_text():
     state = state_of("p", ctx)
     tactic_set = tuple(f"t{i:02d}" for i in range(20))
     failures = [fail(state, "simp", "tactic_failure", lp=-1.0)]
-    out = revise(failures, ctx, tactic_set, EngineConfig(revision_budget=5))
+    out = revise(failures, tactic_set, EngineConfig(revision_budget=5))
     assert len(out) == 5
     assert [c.step.tactic for c in out] == ["t00", "t01", "t02", "t03", "t04"]
 
@@ -326,9 +325,9 @@ def test_revise_determinism():
                 fail(state, "simp", "no_progress")]
     config = EngineConfig()
     first = [(c.step.text(), c.log_prob, c.origin)
-             for c in revise(failures, ctx, DEFAULT_TACTIC_SET, config)]
+             for c in revise(failures, TACTICS, config)]
     second = [(c.step.text(), c.log_prob, c.origin)
-              for c in revise(failures, ctx, DEFAULT_TACTIC_SET, config)]
+              for c in revise(failures, TACTICS, config)]
     assert first == second
 
 
@@ -356,15 +355,15 @@ def test_revise_matches_a_naive_reference(failures, tactic_set, budget, top_matc
                 for state, tactic, facts, lp, category in failures]
     config = EngineConfig(revision_budget=budget, top_matches=top_matches,
                           premise_pool_size=pool_size)
-    got = revise(attempts, _REVISE_CTX, tactic_set, config)
-    want = naive_revise(attempts, _REVISE_CTX, tactic_set, config)
+    got = revise(attempts, tactic_set, config)
+    want = naive_revise(attempts, tactic_set, config)
     assert [(c.step, c.log_prob, c.origin) for c in got] == \
         [(c.step, c.log_prob, c.origin) for c in want]
 
 
 # -- tactic frequencies ----------------------------------------------------------------
 
-def test_tactic_frequencies_ranked_and_capped():
+def test_tactic_frequencies_ranked_by_use():
     theory = load_theory(
         "theory t\naxiom f1: p\nlemma l1: p\nproof\napply [f1]\nqed\n"
         "lemma l2: p -> p\nproof\nintro\nassumption\nqed\n"
@@ -376,4 +375,4 @@ def test_tactic_frequencies_ranked_and_capped():
 
 def test_tactic_frequencies_fallback_when_no_proofs():
     theory = load_theory("theory t\ntheorem t1: p\nend\n")
-    assert len(tactic_frequencies(theory)) >= 9
+    assert tactic_frequencies(theory) == TACTICS

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from stepwise.config import EngineConfig
-from stepwise.core import EMPTY_CONTEXT, Candidate, ProofState, Subgoal, parse_step
+from stepwise.core import EMPTY_CONTEXT, TACTICS, Candidate, ProofState, Subgoal, parse_step
 from stepwise.formulas import parse_formula, render
 from stepwise.generator import MockGenerator
 from stepwise.prover import ToyProver, apply_step, init_goal, load_theory
-from stepwise.revision import DEFAULT_TACTIC_SET
 from stepwise.search import (
     ReplayError,
     SearchNode,
@@ -100,7 +99,7 @@ def test_search_intro_assumption_in_two_iterations(demo_theory):
     generator = FixedPoolGenerator([("intro", -0.1), ("assumption", -0.2)])
     outcome = best_first_search(
         demo_theory, "t2", ToyProver(), generator,
-        EngineConfig(top_k=1, max_iterations=10, revision_enabled=False))
+        EngineConfig(top_k=1, max_iterations=10, repair_rounds=0))
     assert outcome.proved
     assert [s.text() for s in outcome.steps] == ["intro", "assumption"]
     assert outcome.stats.iterations == 2
@@ -176,7 +175,7 @@ def test_time_limit_zero_returns_failed_fast(demo_theory):
 def test_reconstruct_proof_orders_root_to_leaf(demo_theory):
     generator = FixedPoolGenerator([("intro", -0.1), ("assumption", -0.2)])
     outcome = best_first_search(demo_theory, "t2", ToyProver(), generator,
-                                EngineConfig(top_k=1, revision_enabled=False))
+                                EngineConfig(top_k=1, repair_rounds=0))
     assert [s.text() for s in outcome.steps] == ["intro", "assumption"]
 
 
@@ -210,8 +209,8 @@ def test_revision_flips_outcome_on_corrupted_scripts():
     theory = _chain_theory("chain", 6, 0)
     for enabled, expected in ((True, True), (False, False)):
         generator = CorruptedScriptGenerator(theory, "goal", seed=13)
-        config = EngineConfig(max_iterations=12, revision_enabled=enabled,
-                              tactic_set=DEFAULT_TACTIC_SET)
+        config = EngineConfig(max_iterations=12, repair_rounds=int(enabled),
+                              tactic_set=TACTICS)
         outcome = best_first_search(theory, "goal", ToyProver(), generator, config)
         assert outcome.proved is expected
 
@@ -423,7 +422,7 @@ def test_a_raising_search_or_fallback_leaves_no_snapshots(demo_theory, broken):
     goes on with the same backend does not pile up snapshots."""
     from stepwise.engine import prove_theorem
 
-    config = EngineConfig(top_k=1, revision_enabled=False,
+    config = EngineConfig(top_k=1, repair_rounds=0,
                           max_iterations=1 if broken == "fallback" else 100)
     prover = _HammerDown() if broken == "fallback" else ToyProver()
     generator = (FixedPoolGenerator if broken == "fallback" else _DownOnSecondCall)(
@@ -527,7 +526,7 @@ def test_search_alone_keeps_its_tree_tokens(demo_theory):
     prover = ToyProver()
     generator = FixedPoolGenerator([("apply [f2]", -0.1), ("intro", -0.2)])
     outcome = best_first_search(demo_theory, "t1", prover, generator,
-                                EngineConfig(max_iterations=1, revision_enabled=False))
+                                EngineConfig(max_iterations=1, repair_rounds=0))
     for n in outcome.tree:
         assert n.token in outcome.opened
         assert prover.counterexample_at(n.token).kind == "none"
@@ -572,15 +571,15 @@ def test_a_repeated_candidate_reuses_the_first_result(demo_theory):
     prover = _RecordingProver()
     generator = FixedPoolGenerator([("apply [f2]", -0.1), ("intro", -0.2), ("apply [f2]", -0.3)])
     outcome = best_first_search(demo_theory, "t1", prover, generator,
-                                EngineConfig(max_iterations=1, revision_enabled=False))
+                                EngineConfig(max_iterations=1, repair_rounds=0))
     assert [step for _, step in prover.applied] == ["apply [f2]", "intro"]
-    assert outcome.stats.nodes_filtered_dup == 1
+    assert outcome.filter_stats.duplicates_rejected == 1
     assert [n.producing_step.log_prob for n in outcome.tree[1:]] == [-0.1]
 
 
-@pytest.mark.parametrize("repair_rounds, revision", [(0, True), (1, True), (2, True), (1, False)])
+@pytest.mark.parametrize("repair_rounds", [0, 1, 2])
 def test_only_failures_that_revise_reads_become_failed_attempts(
-        monkeypatch, demo_theory, repair_rounds, revision):
+        monkeypatch, demo_theory, repair_rounds):
     """A node's last round is never repaired, so on a goal no round closes
     the search builds exactly the attempts ``revise`` is handed."""
     from stepwise import search
@@ -599,11 +598,11 @@ def test_only_failures_that_revise_reads_become_failed_attempts(
     monkeypatch.setattr(search, "FailedAttempt", counting_attempt)
     monkeypatch.setattr(search, "revise", counting_revise)
     config = EngineConfig(max_iterations=4, top_k=2, repair_rounds=repair_rounds,
-                          revision_enabled=revision, tactic_set=DEFAULT_TACTIC_SET)
+                          tactic_set=TACTICS)
     outcome = best_first_search(demo_theory, "bad", ToyProver(), MockGenerator(config), config)
     assert not outcome.proved
     assert len(built) == len(revised)
-    assert (len(revised) > 0) == (repair_rounds > 0 and revision)
+    assert (len(revised) > 0) == (repair_rounds > 0)
 
 
 def test_prove_theorem_over_tcp_sends_no_oracle_or_root_fetch_requests(prover_server):
@@ -656,7 +655,8 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
     match."""
     import time
 
-    from stepwise.filtering import SeenSet, filter_states
+    from stepwise.core import canonical_state
+    from stepwise.filtering import FilterStats, filter_states
     from stepwise.revision import FailedAttempt, revise, tactic_frequencies
     from stepwise.search import SearchOutcome, SearchStats, reconstruct_proof
 
@@ -671,11 +671,10 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
     root_state = root_state.with_context(context)
     tree = [SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0, token=token)]
     stats.nodes_created = 1
-    seen = SeenSet()
-    seen.insert(root_state)
+    seen, filtered = {canonical_state(root_state)}, FilterStats()
     oracle_limit = config.atom_limit if config.filtering_enabled else None
     if root_state.qed:
-        return SearchOutcome(True, (), stats, tree, seen.stats, opened)
+        return SearchOutcome(True, (), stats, tree, filtered, opened)
 
     def expand(node, cands, memo, successes, failures):
         fresh = list(dict.fromkeys(c.step for c in cands if c.step not in memo))
@@ -709,10 +708,10 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
             stats.generator_calls += 1
             memo, successes, failures = {}, [], []
             winner = expand(node, candidates, memo, successes, failures)
-            if winner is None and config.revision_enabled:
+            if winner is None:
                 round_failures = failures
                 for _ in range(config.repair_rounds):
-                    repaired = revise(round_failures, context, tactic_set, config)
+                    repaired = revise(round_failures, tactic_set, config)
                     if not repaired:
                         break
                     stats.revisions_tried += len(repaired)
@@ -722,11 +721,10 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
                         break
             if winner is not None:
                 return SearchOutcome(True, tuple(reconstruct_proof(winner)), stats, tree,
-                                     seen.stats, opened)
+                                     filtered, opened)
             if config.filtering_enabled:
                 kept, delta = filter_states(successes, seen)
-                stats.nodes_filtered_dup += delta.duplicates_rejected
-                stats.nodes_filtered_cex += delta.counterexamples_rejected
+                filtered.merge(delta)
             else:
                 kept = successes
             for state, _, cand, token in kept:
@@ -738,7 +736,7 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
                                        score_node(path_lp, length, config.alpha),
                                        order=stats.nodes_created, token=token))
                 stats.nodes_created += 1
-    return SearchOutcome(False, (), stats, tree, seen.stats, opened)
+    return SearchOutcome(False, (), stats, tree, filtered, opened)
 
 
 @pytest.mark.parametrize("top_k", [1, 5])
@@ -827,9 +825,9 @@ def test_seed_0_bench_totals_are_pinned():
                             "nodes_filtered_dup", "nodes_filtered_cex", "revisions_tried"), 0)
     for theory in generate_corpus(0):
         stats = prove_theorem(theory, "goal", config, backend=prover,
-                              generator=config.make_generator()).outcome.stats
+                              generator=config.make_generator()).report["stats"]
         for key in totals:
-            totals[key] += getattr(stats, key)
+            totals[key] += stats[key]
     assert totals == {"iterations": 596, "nodes_created": 1771, "generator_calls": 1026,
                       "nodes_filtered_dup": 1853, "nodes_filtered_cex": 75,
                       "revisions_tried": 15010}
