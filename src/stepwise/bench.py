@@ -151,27 +151,26 @@ def _tautology_theory(name: str, variant: int) -> Theory:
     return Theory(name, (TheoryEntry("theorem", "goal", parse_formula(text), proof),))
 
 
-def generate_corpus(seed: int, sizes: dict[str, int] | None = None) -> list[Theory]:
+def generate_corpus(seed: int) -> list[Theory]:
     """Deterministic corpus; theory names sort fact-bearing families first."""
     rng = random.Random(seed)
-    sizes = dict(FAMILY_SIZES if sizes is None else sizes)
     corpus: list[Theory] = []
-    for i in range(sizes.get("case", 0)):
+    for i in range(FAMILY_SIZES["case"]):
         corpus.append(_case_theory(f"case_{i:03d}"))
-    for i in range(sizes.get("chain_s", 0)):
+    for i in range(FAMILY_SIZES["chain_s"]):
         corpus.append(_chain_theory(f"chain_s{i:03d}", rng.choice((2, 3)), 0))
-    for i in range(sizes.get("chain_m", 0)):
+    for i in range(FAMILY_SIZES["chain_m"]):
         corpus.append(_chain_theory(f"chain_m{i:03d}", 4, 0))
-    for i in range(sizes.get("chain_d", 0)):
+    for i in range(FAMILY_SIZES["chain_d"]):
         corpus.append(_chain_theory(f"chain_d{i:03d}", rng.choice((6, 7, 8, 9)),
                                     rng.choice((1, 2))))
-    for i in range(sizes.get("chain_x", 0)):
+    for i in range(FAMILY_SIZES["chain_x"]):
         corpus.append(_elim_tail_chain_theory(f"chain_x{i:03d}", rng.choice((6, 7))))
-    for i in range(sizes.get("dis", 0)):
+    for i in range(FAMILY_SIZES["dis"]):
         corpus.append(_disjunction_theory(f"dis_{i:03d}"))
-    for i in range(sizes.get("simp", 0)):
+    for i in range(FAMILY_SIZES["simp"]):
         corpus.append(_simp_theory(f"simp_{i:03d}", i))
-    for i in range(sizes.get("taut", 0)):
+    for i in range(FAMILY_SIZES["taut"]):
         corpus.append(_tautology_theory(f"taut_{i:03d}", i))
     return corpus
 
@@ -200,48 +199,43 @@ def arm_hammer_root(theory: Theory, backend, config: EngineConfig) -> bool:
     return result.found
 
 
-@dataclass
-class BenchRow:
-    theory: str
-    family: str
-    ground_truth_length: int
-    auto: bool
-    hammer: bool
-    full: bool
-    via: str | None
-    steps: list[str] | None
+# the table's arm columns, each with the report arm it reads
+TABLE_ARMS = {"auto": "auto", "hammer": "hammer_root", "full": "full"}
 
 
 @dataclass
 class BenchResult:
+    """The reports of one bench pass, one per theorem in corpus order; the
+    tables read them."""
     seed: int
-    rows: list[BenchRow]
     reports: list[dict]
     wall_time: float
 
     def solved(self, arm: str) -> int:
-        return sum(1 for r in self.rows if getattr(r, arm))
+        return sum(1 for r in self.reports if r["arms"][TABLE_ARMS[arm]])
+
+    def _rows(self):
+        for r in self.reports:
+            arms = [_yn(r["arms"][key]) for key in TABLE_ARMS.values()]
+            yield r["theory"], r["session"], r["ground_truth_length"], arms, r["via"]
 
     def table_text(self) -> str:
-        lines = [f"# bench corpus seed={self.seed} theorems={len(self.rows)}",
+        lines = [f"# bench corpus seed={self.seed} theorems={len(self.reports)}",
                  f"{'theory':<16} {'family':<8} {'gt_len':>6} {'auto':<5} {'hammer':<6} {'full':<5} via"]
-        for r in self.rows:
-            lines.append(
-                f"{r.theory:<16} {r.family:<8} {r.ground_truth_length:>6} "
-                f"{_yn(r.auto):<5} {_yn(r.hammer):<6} {_yn(r.full):<5} {r.via or '-'}")
-        n = len(self.rows)
+        for theory, family, gt_len, (auto, hammer, full), via in self._rows():
+            lines.append(f"{theory:<16} {family:<8} {gt_len:>6} "
+                         f"{auto:<5} {hammer:<6} {full:<5} {via or '-'}")
+        n = len(self.reports)
         lines.append("")
-        for arm in ("auto", "hammer", "full"):
+        for arm in TABLE_ARMS:
             k = self.solved(arm)
             lines.append(f"TOTAL {arm:<7} {k:>4}/{n}  ({100.0 * k / n:.1f}%)")
         return "\n".join(lines) + "\n"
 
     def csv_text(self) -> str:
         lines = ["theory,family,gt_len,auto,hammer,full,via"]
-        for r in self.rows:
-            lines.append(",".join([
-                r.theory, r.family, str(r.ground_truth_length),
-                _yn(r.auto), _yn(r.hammer), _yn(r.full), r.via or ""]))
+        for theory, family, gt_len, arms, via in self._rows():
+            lines.append(",".join([theory, family, str(gt_len), *arms, via or ""]))
         return "\n".join(lines) + "\n"
 
 
@@ -249,33 +243,24 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def run_bench(seed: int, sizes: dict[str, int] | None = None,
-              config: EngineConfig | None = None) -> BenchResult:
+def run_bench(seed: int) -> BenchResult:
     """Run all three arms over the seeded corpus on a shared in-process
     prover. Reports carry timings; the tables never do."""
     started = time.monotonic()
-    corpus = generate_corpus(seed, sizes)
-    config = config or bench_engine_config(seed)
+    config = bench_engine_config(seed)
     backend = ToyProver()
     generator = config.make_generator()
-    rows: list[BenchRow] = []
     reports: list[dict] = []
-    for theory in corpus:
+    for theory in generate_corpus(seed):
         auto_ok = arm_auto(theory, backend)
         hammer_ok = arm_hammer_root(theory, backend, config)
         result = prove_theorem(theory, "goal", config, backend=backend, generator=generator)
-        entry = theory.entry("goal")
         report = dict(result.report)
         report["split"] = "bench"
         report["session"] = family_of(theory.name)
         report["arms"] = {"auto": auto_ok, "hammer_root": hammer_ok, "full": result.proved}
         reports.append(report)
-        rows.append(BenchRow(
-            theory.name, family_of(theory.name),
-            len(entry.proof) if entry.proof else 0,
-            auto_ok, hammer_ok, result.proved, result.via,
-            report["steps"]))
-    return BenchResult(seed, rows, reports, time.monotonic() - started)
+    return BenchResult(seed, reports, time.monotonic() - started)
 
 
 # ---------------------------------------------------------------------------

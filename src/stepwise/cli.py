@@ -226,12 +226,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         output["coverage"] = {"lines": lines, "percent": round(percent, 1)}
         if args.theory:
             theory = _load_theory_file(args.theory)
+            prefix = theory.name + "."
             sims = []
-            for record in records:
-                if not record.proved or record.generated_proof is None:
+            for record in records:  # only this theory's proofs meet its ground truth
+                if (not record.proved or record.generated_proof is None
+                        or not record.theorem.startswith(prefix)):
                     continue
-                name = record.theorem.split(".", 1)[-1]
-                entry = theory.entry(name)
+                entry = theory.entry(record.theorem[len(prefix):])
                 if entry is None or not entry.proof:
                     continue
                 gt = proof_text([s.text() for s in entry.proof])

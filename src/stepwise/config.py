@@ -79,6 +79,10 @@ class EngineConfig:
             raise ConfigError("alpha must be >= 0")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
+        if not 0 <= self.temperature <= 2:  # the range completion APIs accept
+            raise ConfigError(f"temperature must be in [0, 2], got {self.temperature}")
+        if self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.premise_pool_size < 0:  # either would turn premise repair off silently
             raise ConfigError(f"premise_pool_size must be >= 0, got {self.premise_pool_size}")
         if self.max_edit_distance < 0:

@@ -25,7 +25,7 @@ FACT_REQUIRED = ("elim", "apply")
 
 ERROR_CATEGORIES = ("undefined_fact", "tactic_failure", "no_progress", "parse_error", "timeout")
 
-CANDIDATE_ORIGINS = ("generated", "tactic_repair", "premise_repair", "hammer", "ground_truth")
+CANDIDATE_ORIGINS = ("generated", "tactic_repair", "premise_repair")
 
 QED_KEY = "QED"
 

@@ -43,7 +43,7 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
     steps = outcome.steps if outcome.proved else None
     fallback_attempts: list | None = None
     try:
-        if outcome.failed and config.fallback_enabled:
+        if not outcome.proved and config.fallback_enabled:
             fallback_attempts = []
             fallback_steps = hammer_fallback(outcome, backend, config,
                                              attempts=fallback_attempts)

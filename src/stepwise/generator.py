@@ -124,7 +124,7 @@ def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
     except (urllib.error.URLError, OSError, ValueError) as e:
         raise GeneratorError(f"generator endpoint failed: {e}") from e
 
-    parsed: list[tuple[str, Candidate | None, float | None]] = []
+    parsed: list[tuple[ProofStep, float | None]] = []
     have_logprobs = True
     for choice in payload.get("choices", []):
         text = choice.get("text", "")
@@ -138,25 +138,25 @@ def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
         token_logprobs = choice.get("token_logprobs")
         if token_logprobs is None:
             have_logprobs = False
-            parsed.append((step.text(), step, None))
+            parsed.append((step, None))
         else:
-            parsed.append((step.text(), step, float(sum(token_logprobs))))
+            parsed.append((step, float(sum(token_logprobs))))
     if not parsed:
         raise EmptyGenerationError("no sample parsed as a proof step")
 
-    best: dict[str, Candidate] = {}
+    best: dict[ProofStep, Candidate] = {}
     rank = 0
-    for text, step, lp in parsed:
+    for step, lp in parsed:
         if not have_logprobs:
-            if text in best:
+            if step in best:
                 continue
             rank += 1
-            best[text] = Candidate(step, float(-rank), "generated")
+            best[step] = Candidate(step, float(-rank), "generated")
             continue
         score = min(lp, 0.0)  # defensively clamp a misbehaving server
-        kept = best.get(text)
+        kept = best.get(step)
         if kept is None or score > kept.log_prob:
-            best[text] = Candidate(step, score, "generated")
+            best[step] = Candidate(step, score, "generated")
     ranked = sorted(best.values(), key=lambda c: (-c.log_prob, c.step.text()))
     return ranked
 

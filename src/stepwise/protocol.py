@@ -1,7 +1,7 @@
 """Wire protocol between the search engine and a prover.
 
-Framing is newline-delimited JSON over a byte stream (a TCP connection, or
-a socket pair to a child serving on its stdio): one request object per
+Framing is newline-delimited JSON over a byte stream (a TCP connection,
+or the stdio of ``stepwise serve --stdio``): one request object per
 line of at most ``MAX_LINE_BYTES``, one response per line, in order. Each
 request carries an increasing ``id`` echoed by the response, ``timeout_ms``
 bounds the command, and ``release`` names snapshots to drop before it
@@ -32,7 +32,6 @@ import json
 import os
 import socket
 import socketserver
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -215,12 +214,6 @@ def decode_response(line: str) -> Response:
     raise ProtocolError("response without a boolean ok", offending_id=rid)
 
 
-def _trace_enabled(explicit: bool | None) -> bool:
-    if explicit is not None:
-        return explicit
-    return os.environ.get(TRACE_ENV, "") == "1"
-
-
 def _trace(direction: str, line: str) -> None:
     sys.stderr.write(f"[protocol {direction}] {line}\n")
     sys.stderr.flush()
@@ -239,9 +232,9 @@ class ProverServer:
     It counts each known command and its dispatch time for ``stats``.
     """
 
-    def __init__(self, prover: ToyProver | None = None, trace: bool | None = None):
+    def __init__(self, prover: ToyProver | None = None):
         self.prover = prover or ToyProver()
-        self.trace = _trace_enabled(trace)
+        self.trace = os.environ.get(TRACE_ENV) == "1"
         self._commands: dict[str, list] = {}  # cmd -> [count, seconds]
 
     # -- stream handling -----------------------------------------------------
@@ -350,14 +343,13 @@ class ProverServer:
         self.handle_stream(sys.stdin.buffer, sys.stdout.buffer)
 
 
-def tcp_server(host: str = "127.0.0.1", port: int = 0,
-               trace: bool | None = None) -> socketserver.ThreadingTCPServer:
+def tcp_server(host: str = "127.0.0.1", port: int = 0) -> socketserver.ThreadingTCPServer:
     """Serves each TCP connection on its own thread with a fresh ``ProverServer``."""
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
             try:
-                ProverServer(trace=trace).handle_stream(self.rfile, self.wfile)
+                ProverServer().handle_stream(self.rfile, self.wfile)
             except (BrokenPipeError, ConnectionResetError):
                 pass
 
@@ -392,8 +384,7 @@ def _step_texts(steps) -> list[str]:
 # ---------------------------------------------------------------------------
 
 class SocketTransport:
-    """Line transport over a connected stream socket: a TCP connection or
-    one end of a socket pair whose other end is a child's stdin and stdout."""
+    """Line transport over a connected stream socket."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -457,33 +448,17 @@ class RemoteProver:
     ``ProtocolError`` naming its request.
     """
 
-    def __init__(self, transport, grace_ms: int = 1000, trace: bool | None = None):
+    def __init__(self, transport, grace_ms: int = 1000):
         self.transport = transport
         self.grace_ms = grace_ms
-        self.trace = _trace_enabled(trace)
+        self.trace = os.environ.get(TRACE_ENV) == "1"
         self._ids = itertools.count(1)
         self._missed: dict[int, str] = {}  # id -> cmd of each request given up on
         self._release: list[str] = []  # ids for the next request to release
-        self._proc: subprocess.Popen | None = None
 
     @classmethod
     def connect_tcp(cls, host: str, port: int, **kwargs) -> "RemoteProver":
         return cls(SocketTransport(socket.create_connection((host, port))), **kwargs)
-
-    @classmethod
-    def spawn_stdio(cls, argv: list[str], **kwargs) -> "RemoteProver":
-        """Run ``argv`` with one end of a socket pair as its stdin and
-        stdout, and talk over the other."""
-        ours, theirs = socket.socketpair()
-        try:
-            with theirs:  # the child has its own copy
-                proc = subprocess.Popen(argv, stdin=theirs, stdout=theirs)
-        except BaseException:
-            ours.close()
-            raise
-        client = cls(SocketTransport(ours), **kwargs)
-        client._proc = proc
-        return client
 
     # -- plumbing --------------------------------------------------------------
 
@@ -640,11 +615,6 @@ class RemoteProver:
         except (TransportError, DeadlineMiss, ProtocolError):
             pass
         self.transport.close()
-        if self._proc is not None:
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
 
 
 @contextlib.contextmanager

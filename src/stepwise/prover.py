@@ -363,7 +363,6 @@ class CexResult:
     kind: str  # none | counterexample | unknown
     assignment: dict[str, bool] | None = None
     subgoal_index: int = -1
-    reason: str = ""
 
     @classmethod
     def none(cls) -> "CexResult":
@@ -374,8 +373,8 @@ class CexResult:
         return cls("counterexample", assignment, subgoal_index)
 
     @classmethod
-    def unknown(cls, reason: str) -> "CexResult":
-        return cls("unknown", reason=reason)
+    def unknown(cls) -> "CexResult":
+        return cls("unknown")
 
 
 _ROW_MASKS: dict[int, tuple[int, ...]] = {}
@@ -460,7 +459,7 @@ def check_counterexample(state: ProofState, atom_limit: int = DEFAULT_ATOM_LIMIT
     index = state.context.index()
     ctx_atoms = index.atoms
     if len(ctx_atoms) > atom_limit:
-        return CexResult.unknown(f"the context spans {len(ctx_atoms)} atoms (limit {atom_limit})")
+        return CexResult.unknown()
     if index.cex_rows is None:
         names = sorted(ctx_atoms)
         full = (1 << (1 << len(names))) - 1
@@ -470,7 +469,7 @@ def check_counterexample(state: ProofState, atom_limit: int = DEFAULT_ATOM_LIMIT
             table &= _table(f, masks, full)
         index.cex_table, index.cex_rows = (names, table), {}
     (ctx_names, ctx_table), rows = index.cex_table, index.cex_rows
-    unknown_reason = ""
+    unknown = False
     for idx, sub in enumerate(state.subgoals):
         entry = rows.get(sub)
         if entry is None:
@@ -478,7 +477,7 @@ def check_counterexample(state: ProofState, atom_limit: int = DEFAULT_ATOM_LIMIT
             entry = rows[sub] = [sorted(ctx_atoms | extra) if extra else ctx_names, None]
         names, k = entry
         if len(names) > atom_limit:
-            unknown_reason = f"subgoal {idx} spans {len(names)} atoms (limit {atom_limit})"
+            unknown = True
             continue
         if k is None:
             k = entry[1] = (
@@ -489,9 +488,7 @@ def check_counterexample(state: ProofState, atom_limit: int = DEFAULT_ATOM_LIMIT
             n = len(names)
             return CexResult.found(
                 {name: bool((k >> (n - 1 - i)) & 1) for i, name in enumerate(names)}, idx)
-    if unknown_reason:
-        return CexResult.unknown(unknown_reason)
-    return CexResult.none()
+    return CexResult.unknown() if unknown else CexResult.none()
 
 
 # ---------------------------------------------------------------------------

@@ -185,24 +185,20 @@ def premise_repair(attempt: FailedAttempt, pool: list[str],
         if not matches:
             return []
         replacements.append(matches)
-    out = []
-    seen_texts: set[str] = set()
+    out: dict[ProofStep, None] = {}
     for combo in itertools.product(*replacements):
         mapping = dict(zip(undefined, combo))
-        new_step = ProofStep(step.tactic, tuple(mapping.get(f, f) for f in step.facts))
-        if new_step.text() not in seen_texts:
-            seen_texts.add(new_step.text())
-            out.append(new_step)
-    return out
+        out[ProofStep(step.tactic, tuple(mapping.get(f, f) for f in step.facts))] = None
+    return list(out)
 
 
 def revise(failures: list[FailedAttempt], tactic_set: tuple[str, ...],
            config: EngineConfig) -> list[Candidate]:
     """Dispatch failures to the matching repair (tactic repair recombines
     with ``tactic_set``), each repaired step scored with its attempt's
-    score, then dedup by step text keeping the best score (the first seen
-    on a tie) and cap at the revision budget, best first, ties by text."""
-    best: dict[str, Candidate] = {}
+    score, then dedup by step keeping the best score (the first seen on a
+    tie) and cap at the revision budget, best first, ties by text."""
+    best: dict[ProofStep, Candidate] = {}
     for attempt in failures:
         if attempt.category == "undefined_fact":
             pool = relevance_filter(attempt.state, config.premise_pool_size)
@@ -213,8 +209,8 @@ def revise(failures: list[FailedAttempt], tactic_set: tuple[str, ...],
             continue
         log_prob = attempt.log_prob
         for step in steps:
-            kept = best.get(step.text())
+            kept = best.get(step)
             if kept is None or log_prob > kept.log_prob:
-                best[step.text()] = Candidate(step, log_prob, origin)
+                best[step] = Candidate(step, log_prob, origin)
     ranked = sorted(best.values(), key=lambda c: (-c.log_prob, c.step.text()))
     return ranked[:config.revision_budget]

@@ -52,12 +52,6 @@ class SearchStats:
     revisions_tried: int = 0
     wall_time: float = 0.0
 
-    def deterministic_view(self) -> dict:
-        """Stats with the physically nondeterministic wall clock removed."""
-        out = self.__dict__.copy()
-        out.pop("wall_time")
-        return out
-
 
 @dataclass(slots=True)
 class _Expansion:
@@ -80,10 +74,6 @@ class SearchOutcome:
     # every backend snapshot the search opened, tree tokens included; the
     # caller releases them once the fallback is done
     opened: list[str] = field(default_factory=list)
-
-    @property
-    def failed(self) -> bool:
-        return not self.proved
 
 
 def score_node(path_log_prob: float, length: int, alpha: float) -> float:

@@ -42,7 +42,7 @@ def verdict(number: int, name: str, detail: str = "") -> None:
 
 
 def test_criterion_1_baseline_ordering(bench_result):
-    n = len(bench_result.rows)
+    n = len(bench_result.reports)
     assert n >= 200
     auto = bench_result.solved("auto")
     hammer = bench_result.solved("hammer")
@@ -57,13 +57,13 @@ def test_criterion_1_baseline_ordering(bench_result):
 
 def test_criterion_2_soundness_of_proved_outcomes(bench_result, bench_corpus):
     by_name = {t.name: t for t in bench_corpus}
-    proved = [r for r in bench_result.rows if r.full]
+    proved = [r for r in bench_result.reports if r["arms"]["full"]]
     assert proved
-    for row in proved:
-        assert row.steps is not None
+    for report in proved:
+        assert report["steps"] is not None
         fresh = ToyProver()
-        steps = [parse_step(s) for s in row.steps]
-        assert replay_steps(by_name[row.theory], "goal", fresh, steps), row.theory
+        steps = [parse_step(s) for s in report["steps"]]
+        assert replay_steps(by_name[report["theory"]], "goal", fresh, steps), report["theory"]
     verdict(2, "soundness suite", f"{len(proved)} proofs replayed to QED")
 
 
@@ -118,7 +118,7 @@ def _dummy_candidate():
 
 
 def test_criterion_4_revision_recovery(bench_result, bench_corpus):
-    solved = [r.theory for r in bench_result.rows if r.full]
+    solved = [r["theory"] for r in bench_result.reports if r["arms"]["full"]]
     recovery = revision_recovery(bench_corpus, solved, BENCH_SEED, limit=100)
     assert len(recovery.attempted) == 100
     with_revision = len(recovery.solved_with_revision)
@@ -189,7 +189,7 @@ def test_criterion_7_extraction_law(bench_corpus):
 
 
 def test_criterion_8_protocol_differential(bench_corpus):
-    tcp = tcp_server(trace=False)
+    tcp = tcp_server()
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     client = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1])
     local = ToyProver()
@@ -294,12 +294,13 @@ def test_each_report_counts_its_filter_drops_once(seed, bench_by_seed):
 
 
 def test_criterion_10_hammer_complementarity(bench_result):
-    complementary = [r for r in bench_result.rows if not r.hammer and r.full]
+    complementary = [r for r in bench_result.reports
+                     if not r["arms"]["hammer_root"] and r["arms"]["full"]]
     assert complementary
-    via_fallback = [r for r in complementary if r.via == "fallback"]
+    via_fallback = [r for r in complementary if r["via"] == "fallback"]
     assert via_fallback, "expected at least one proof completed by the fallback"
-    for row in via_fallback:
-        assert not row.auto
+    for report in via_fallback:
+        assert not report["arms"]["auto"]
     verdict(10, "hammer complementarity",
             f"{len(complementary)} theorems beyond the root hammer, "
             f"{len(via_fallback)} closed by search+fallback")

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import json
@@ -13,7 +14,7 @@ import pytest
 from stepwise.cli import build_parser, main
 from stepwise.config import ConfigError, EngineConfig, build_config, load_config_file
 from stepwise.engine import prove_theorem, write_report
-from stepwise.prover import MAX_ATOM_LIMIT, ToyProver, load_theory
+from stepwise.prover import MAX_ATOM_LIMIT, ToyProver, load_theory, render_theory
 from stepwise.protocol import tcp_server
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -45,7 +46,7 @@ def theory_file(tmp_path):
 @pytest.fixture
 def prover_endpoint():
     """host:port of a reference server running in a thread."""
-    tcp = tcp_server(trace=False)
+    tcp = tcp_server()
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     yield f"127.0.0.1:{tcp.server_address[1]}"
     tcp.shutdown()
@@ -110,6 +111,38 @@ def test_cli_import_defers_http_and_thread_pool_modules():
             "sys.exit(any(m in sys.modules for m in "
             "('urllib.request', 'http.client', 'concurrent.futures')))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads: not in its code, not in
+    a quoted annotation and not in ``__all__``."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+        annotations = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+        for quoted in [a for a in annotations if isinstance(a, ast.AST)]:
+            for part in ast.walk(quoted):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    used |= {n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
+                             if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert _unused_imports("import os, subprocess\nos.getcwd()\n") == ["subprocess"]
+    assert _unused_imports("from x import A, B\ndef f() -> 'A | None': pass\n") == ["B"]
+    package = Path(__file__).resolve().parents[1] / "src" / "stepwise"
+    unused = {path.name: _unused_imports(path.read_text()) for path in package.glob("*.py")}
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -207,6 +240,9 @@ INVALID_VALUES = [
     ("alpha", math.nan), ("alpha", math.inf), ("top_p", math.nan), ("mesh_weight", math.nan),
     # tactic repair would build steps no prover parses, such as ``t00 [f]``
     ("tactic_set", ("intro", "t00")),
+    # completion APIs accept a temperature in [0, 2]; 2000 overflowed the
+    # mock's perturbation, and a budget below one token asks for nothing
+    ("temperature", -0.5), ("temperature", 2000.0), ("max_tokens", 0),
 ]
 
 
@@ -214,12 +250,15 @@ def test_least_valid_search_and_hammer_budgets_are_accepted():
     config = EngineConfig(repair_rounds=0, candidates_per_state=1, hammer_timeout_s=0.001,
                           hammer_depth=0, hammer_premise_limit=0, revision_budget=0,
                           max_edit_distance=0, premise_pool_size=0,
-                          max_iterations=0, time_limit_s=0.0, node_budget=0)
+                          max_iterations=0, time_limit_s=0.0, node_budget=0,
+                          temperature=0.0, max_tokens=1)
     assert (config.repair_rounds, config.candidates_per_state, config.revision_budget) \
         == (0, 1, 0)
     assert (config.hammer_depth, config.hammer_premise_limit) == (0, 0)
     assert (config.max_edit_distance, config.premise_pool_size) == (0, 0)
     assert (config.max_iterations, config.time_limit_s, config.node_budget) == (0, 0.0, 0)
+    assert (config.temperature, config.max_tokens) == (0.0, 1)
+    assert EngineConfig(temperature=2.0).temperature == 2.0
 
 
 def test_negative_max_iterations_flag_is_one_error_line(theory_file, tmp_path, capsys):
@@ -500,6 +539,26 @@ def test_cli_eval_over_reports(theory_file, tmp_path, capsys):
     assert payload["coverage"]["percent"] == 100.0
     assert (csv_dir / "success_by_split.csv").exists()
     assert payload["similarity"]
+
+
+def test_cli_eval_scores_only_the_given_theory(tmp_path, capsys):
+    """Every bench theorem is named ``goal``: a report of another theory
+    must not be scored against this theory's ground truth."""
+    from stepwise.bench import bench_engine_config, generate_corpus
+
+    config = bench_engine_config(0)
+    by_name = {t.name: t for t in generate_corpus(0)}
+    reports = tmp_path / "reports"
+    for name in ("case_000", "taut_027", "chain_s000"):
+        result = prove_theorem(by_name[name], "goal", config)
+        assert result.proved, name
+        write_report(result.report, reports)
+    theory_file = tmp_path / "case_000.thy"
+    theory_file.write_text(render_theory(by_name["case_000"]))
+    code = main(["eval", "--reports", str(reports), "--theory", str(theory_file)])
+    assert code == 0
+    sims = json.loads(capsys.readouterr().out)["similarity"]
+    assert [s["theorem"] for s in sims] == ["case_000.goal"]
 
 
 @pytest.mark.parametrize("mangle", [

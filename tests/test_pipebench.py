@@ -67,7 +67,7 @@ def test_corpus_inproc_reports_match_their_pinned_digest(monkeypatch):
 def test_reports_proved_over_tcp_match_their_pinned_digest(monkeypatch, workload):
     from stepwise.protocol import RemoteProver, tcp_server
 
-    tcp = tcp_server(trace=False)
+    tcp = tcp_server()
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     try:
         remote = RemoteProver.connect_tcp(*tcp.server_address)

@@ -64,7 +64,7 @@ POOL = ["f1", "f2", "d"]
 @pytest.fixture
 def server_port():
     """The port of a reference TCP server running in a thread."""
-    tcp = tcp_server(trace=False)
+    tcp = tcp_server()
     thread = threading.Thread(target=tcp.serve_forever, daemon=True)
     thread.start()
     yield tcp.server_address[1]
@@ -89,7 +89,7 @@ def _connection(prover, **kwargs):
     def serve():
         with theirs, theirs.makefile("rb") as rfile, theirs.makefile("wb") as wfile:
             with contextlib.suppress(BrokenPipeError, ConnectionResetError):
-                ProverServer(prover, trace=False).handle_stream(rfile, wfile)
+                ProverServer(prover).handle_stream(rfile, wfile)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -167,7 +167,7 @@ def test_timeout_below_one_ms_is_protocol_error(timeout_ms):
     with pytest.raises(ProtocolError) as err:
         decode_request(line)
     assert err.value.offending_id == 7 and "timeout_ms" in str(err.value)
-    server = ProverServer(trace=False)
+    server = ProverServer()
     token, _ = server.prover.start(PROTO, "t2")
     response, _ = server.handle_line(line.replace('"c0"', json.dumps(token)))
     assert (response.id, response.ok) == (7, False)
@@ -436,7 +436,7 @@ def test_unknown_command_rejected(client):
 
 
 def test_malformed_request_line_gets_protocol_error():
-    server = ProverServer(trace=False)
+    server = ProverServer()
     response, shutdown = server.handle_line("this is not json")
     assert not shutdown
     assert response.ok is False
@@ -568,7 +568,7 @@ def both_paths():
     a TCP server."""
     from stepwise.bench import generate_corpus
 
-    tcp = tcp_server(trace=False)
+    tcp = tcp_server()
     threading.Thread(target=tcp.serve_forever, daemon=True).start()
     remote = RemoteProver.connect_tcp("127.0.0.1", tcp.server_address[1])
     local = ToyProver()
@@ -787,7 +787,7 @@ def test_malformed_payload_keeps_the_connection(client):
 def test_out_of_range_hammer_integers_are_protocol_errors(key, value):
     """A negative depth or a budget below 1 ms would answer ``notfound`` or
     ``timeout`` without searching; neither is a hammer setting."""
-    server = ProverServer(trace=False)
+    server = ProverServer()
     token, _ = server.prover.start(PROTO, "t1")
     payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"],
                key: value}
@@ -817,7 +817,7 @@ def test_hammer_without_its_pool_or_budgets_is_protocol_error(client, missing):
 def test_least_hammer_integers_are_accepted(key, value, kinds):
     """No depth, or an empty pool for a goal that needs ``apply [f2]``,
     finds nothing; a 1 ms budget runs."""
-    server = ProverServer(trace=False)
+    server = ProverServer()
     token, _ = server.prover.start(PROTO, "t1")
     payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"],
                key: value}
@@ -830,7 +830,7 @@ def test_least_hammer_integers_are_accepted(key, value, kinds):
 def test_boolean_request_id_is_protocol_error(line):
     with pytest.raises(ProtocolError):
         decode_request(line)
-    response, _ = ProverServer(trace=False).handle_line(line)
+    response, _ = ProverServer().handle_line(line)
     assert (response.id, response.ok) == (0, False)
     assert response.error["category"] == "protocol_error"
 
@@ -913,7 +913,7 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
     time is bounded by its own budget, which the fuzzer picks. A request may
     carry a fuzzed ``release`` field, or the ``session`` field of older
     versions, which is ignored."""
-    server = ProverServer(ToyProver(), trace=False)
+    server = ProverServer(ToyProver())
     token, _ = server.prover.start(PROTO, "t1")
     live = ["proto", "t1", "intro", "apply", "elim", "auto", "apply [f2]", THEORY, -1, 0]
     if cmd != "hammer":
@@ -951,13 +951,13 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.text(max_size=40), st.integers(1, 200_000).map(lambda n: "[" * n)))
 def test_fuzzed_request_lines_get_protocol_errors(line):
-    response, shutdown = ProverServer(trace=False).handle_line(line)
+    response, shutdown = ProverServer().handle_line(line)
     assert not shutdown
     assert response.ok is False and response.error["category"] == "protocol_error"
 
 
 def test_non_string_theory_source_is_protocol_error():
-    server = ProverServer(trace=False)
+    server = ProverServer()
     response, _ = server.handle_line(
         '{"id":1,"cmd":"start","payload":{"source":5,"theorem":"t1"}}')
     assert (response.id, response.ok) == (1, False)
@@ -1144,7 +1144,7 @@ def test_close_after_a_missed_reply_waits_only_the_grace(monkeypatch):
 
 
 def test_release_field_applies_before_the_command_even_one_that_fails():
-    server = ProverServer(trace=False)
+    server = ProverServer()
     root, _ = server.prover.start(PROTO, "t1")
     other, _ = server.prover.start(PROTO, "t2")
     response, _ = server.handle_line(json.dumps(
@@ -1328,7 +1328,7 @@ def test_over_long_request_line_is_protocol_error_and_ends_the_stream(monkeypatc
                         + _padded({"id": 2, "cmd": "init"}, 65)
                         + _padded({"id": 3, "cmd": "init"}, 20))
     out = io.BytesIO()
-    ProverServer(prover, trace=False).handle_stream(stream, out)
+    ProverServer(prover).handle_stream(stream, out)
     replies = [json.loads(line) for line in out.getvalue().splitlines()]
     assert [(r["id"], r["ok"]) for r in replies] == [(1, True), (0, False)]
     assert replies[1]["error"]["category"] == "protocol_error"
@@ -1513,7 +1513,7 @@ def test_request_line_that_is_not_utf8_is_protocol_error_and_is_not_run():
         "source": THEORY.replace("axiom f1:", "axiom f1@@:"), "theorem": "t1"}})
     lines = [start.encode().replace(b"@@", b"\xff"),
              json.dumps({"id": 2, "cmd": "stats"}).encode()]
-    server = ProverServer(trace=False)
+    server = ProverServer()
     out = io.BytesIO()
     server.handle_stream(io.BytesIO(b"\n".join(lines) + b"\n"), out)
     bad, stats = [json.loads(line) for line in out.getvalue().splitlines()]
@@ -1539,31 +1539,6 @@ def test_both_backends_expose_the_same_surface():
 SERVE_STDIO = [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"]
 
 
-def test_stdio_subprocess_server_round_trip():
-    client = RemoteProver.spawn_stdio(SERVE_STDIO)
-    try:
-        token, _ = client.start(PROTO, "t2")
-        [result], token = client.replay(token, ["intro"], timeout_ms=10_000)
-        assert result.ok
-        [result], token = client.replay(token, ["assumption"], timeout_ms=10_000)
-        assert result.state.qed and token is not None
-    finally:
-        client.close()
-
-
-def test_stdio_close_closes_the_socket_and_the_child():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ResourceWarning)
-        client = RemoteProver.spawn_stdio(SERVE_STDIO)
-        proc, sock = client._proc, client.transport._sock
-        assert client.init()["protocol"] == PROTOCOL_VERSION
-        client.close()
-        assert sock.fileno() == -1 and proc.returncode == 0
-        del client, proc, sock
-        gc.collect()
-    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
-
-
 def test_stdio_server_over_os_pipes():
     """``serve --stdio`` answers on plain pipes, not only on a socket pair."""
     requests = [{"id": 1, "cmd": "init"},
@@ -1582,7 +1557,7 @@ def test_stdio_server_over_os_pipes():
 def test_started_theories_are_freed_once_their_tokens_are_released():
     """The server keeps no parsed theory: once the snapshots of 50
     distinct sources are released, none of their theories is alive."""
-    server = ProverServer(trace=False)
+    server = ProverServer()
     names = {f"proto{i}" for i in range(50)}
     tokens = []
     for rid, name in enumerate(sorted(names), 1):
@@ -1614,7 +1589,7 @@ def test_protocol_doc_covers_every_command_and_the_version():
     doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
     assert sorted(re.findall(r"^### `([^`]*)`", doc, re.MULTILINE)) == sorted(COMMANDS)
     assert re.search(r"\bversion (\d+)\b", doc).group(1) == str(PROTOCOL_VERSION)
-    server = ProverServer(trace=False)
+    server = ProverServer()
     token, _ = server.prover.start(PROTO, "t1")
     payload = _ReadKeys({"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1"],
                          "premise_limit": 8})  # the last is not a field: nothing reads it
@@ -1632,3 +1607,22 @@ def test_trace_env_dumps_frames(server_port, monkeypatch, capsys):
     client.close()
     err = capsys.readouterr().err
     assert "[protocol send]" in err and '"cmd": "init"' in err
+
+
+@pytest.mark.parametrize("setting", ["1", None], ids=["set", "unset"])
+def test_trace_env_dumps_the_servers_frames(setting, monkeypatch, capsys):
+    """The environment variable is the server's one trace switch too: set,
+    one request dumps the line received and the line sent; unset, nothing."""
+    if setting is None:
+        monkeypatch.delenv("STEPWISE_PROTOCOL_TRACE", raising=False)
+    else:
+        monkeypatch.setenv("STEPWISE_PROTOCOL_TRACE", setting)
+    request = json.dumps({"id": 1, "cmd": "init"})
+    out = io.BytesIO()
+    ProverServer().handle_stream(io.BytesIO((request + "\n").encode()), out)
+    reply = out.getvalue().decode().rstrip("\n")
+    err = capsys.readouterr().err
+    if setting is None:
+        assert err == ""
+    else:
+        assert err == f"[protocol recv] {request}\n[protocol send] {reply}\n"
