@@ -33,10 +33,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
     group.add_argument("--config", help="flat key = value config file")
     group.add_argument("--seed", type=int)
-    group.add_argument("--generator", choices=("mock", "http"))
-    group.add_argument("--backend", choices=("in_process", "remote"))
     group.add_argument("--endpoint", dest="backend_endpoint", metavar="ENDPOINT",
-                       help="host:port of a remote prover server")
+                       help="host:port of a prover server (default: an in-process prover)")
     group.add_argument("--k", type=int, dest="top_k", help="states expanded per iteration")
     group.add_argument("--alpha", type=float, help="length-normalisation exponent")
     group.add_argument("--candidates", type=int, dest="candidates_per_state",
@@ -175,8 +173,7 @@ def _records_from_reports(directory: str) -> list[RunRecord]:
 def _rows_to_csv(rows) -> str:
     lines = ["group,proved,total,rate"]
     for row in rows:
-        rate = "" if row.rate is None else f"{row.rate}"
-        lines.append(f"{row.group},{row.proved},{row.total},{rate}")
+        lines.append(f"{row.group},{row.proved},{row.total},{row.rate}")
     return "\n".join(lines) + "\n"
 
 

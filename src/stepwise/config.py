@@ -31,8 +31,7 @@ class EngineConfig:
     filtering_enabled: bool = True
     atom_limit: int = DEFAULT_ATOM_LIMIT
     step_timeout_ms: int = DEFAULT_STEP_BUDGET_MS
-    # generator
-    generator: str = "mock"  # mock | http
+    # generator: the HTTP one when an endpoint is set, else the mock
     temperature: float = 1.0
     top_p: float = 0.95
     max_tokens: int = 2048
@@ -51,8 +50,7 @@ class EngineConfig:
     hammer_timeout_s: float = 60.0
     mesh_weight: float = 0.5
     hammer_depth: int = 4
-    # wiring
-    backend: str = "in_process"  # in_process | remote
+    # wiring: a remote prover at host:port when set, else an in-process one
     backend_endpoint: str | None = None
 
     def __post_init__(self):
@@ -106,26 +104,18 @@ class EngineConfig:
             raise ConfigError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {self.atom_limit}")
 
     def make_backend(self):
-        if self.backend == "in_process":
+        endpoint = self.backend_endpoint
+        if endpoint is None:
             return ToyProver()
-        if self.backend == "remote":
-            endpoint = self.backend_endpoint
-            if not endpoint or ":" not in endpoint:
-                raise ConfigError("remote backend needs --endpoint host:port")
-            host, port = endpoint.rsplit(":", 1)
-            if not (port.isdecimal() and int(port) <= 65535):
-                raise ConfigError(f"endpoint {endpoint!r} needs a port in 0..65535, got {port!r}")
-            return RemoteProver.connect_tcp(host, int(port))
-        raise ConfigError(f"unknown backend {self.backend!r}")
+        host, sep, port = endpoint.rpartition(":")
+        if not (sep and port.isdecimal() and int(port) <= 65535):
+            raise ConfigError(f"endpoint {endpoint!r} needs host:port with a port in 0..65535")
+        return RemoteProver.connect_tcp(host, int(port))
 
     def make_generator(self):
         from .generator import HttpGenerator, MockGenerator  # it imports this module
 
-        if self.generator == "mock":
-            return MockGenerator(self)
-        if self.generator == "http":
-            return HttpGenerator(self)
-        raise ConfigError(f"unknown generator {self.generator!r}")
+        return (MockGenerator if self.endpoint is None else HttpGenerator)(self)
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(EngineConfig)}

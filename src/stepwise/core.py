@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from .formulas import _TABLE as INTERN_TABLE
 from .formulas import (
+    IDENT_RE,
     PARSE_CACHE_SIZE,
     Formula,
     Implies,
@@ -30,7 +31,7 @@ CANDIDATE_ORIGINS = ("generated", "tactic_repair", "premise_repair")
 QED_KEY = "QED"
 
 _STEP_RE = re.compile(
-    r"^\s*(?P<tactic>[a-zA-Z_][a-zA-Z0-9_']*)\s*(?:\[(?P<facts>[^\]]*)\]\s*)?$"
+    rf"^\s*(?P<tactic>{IDENT_RE.pattern})\s*(?:\[(?P<facts>[^\]]*)\]\s*)?$"
 )
 
 
@@ -76,10 +77,16 @@ def parse_step(text: str) -> ProofStep:
         raise ParseError(f"unknown tactic {tactic!r}", m.start("tactic") + 1)
     facts: tuple[str, ...] = ()
     if m.group("facts") is not None:
-        names = [n.strip() for n in m.group("facts").split(",") if n.strip()]
-        for n in names:
-            if not re.fullmatch(r"[a-zA-Z_][a-zA-Z0-9_']*", n):
-                raise ParseError(f"invalid fact name {n!r}", text.index(n) + 1)
+        names = []
+        offset = m.start("facts")  # where each part starts in the text
+        for part in m.group("facts").split(","):
+            name = part.strip()
+            if name:
+                if not IDENT_RE.fullmatch(name):
+                    raise ParseError(f"invalid fact name {name!r}",
+                                     offset + len(part) - len(part.lstrip()) + 1)
+                names.append(name)
+            offset += len(part) + 1
         facts = tuple(names)
     if tactic in FACT_REQUIRED and not facts:
         raise ParseError(f"{tactic} requires a fact list", 1, expected="[fact]")

@@ -35,7 +35,7 @@ class SuccessRow:
     group: str
     proved: int
     total: int
-    rate: float | None  # percent rounded to 0.1; None for an empty group
+    rate: float  # percent rounded to 0.1
 
 
 def length_bucket(length: int) -> str:
@@ -45,13 +45,10 @@ def length_bucket(length: int) -> str:
     return "?"
 
 
-def success_rate(records: Iterable[RunRecord], group_by: str = "split",
-                 groups: list[str] | None = None) -> list[SuccessRow]:
+def success_rate(records: Iterable[RunRecord], group_by: str = "split") -> list[SuccessRow]:
     """Proved/total per group, rate as a percent rounded to 0.1.
 
-    ``group_by`` is one of split, length_bucket, session. Groups listed in
-    ``groups`` but absent from the records report total 0 and an undefined
-    rate."""
+    ``group_by`` is one of split, length_bucket, session."""
     if group_by == "split":
         keyed = lambda r: r.split
     elif group_by == "length_bucket":
@@ -66,18 +63,8 @@ def success_rate(records: Iterable[RunRecord], group_by: str = "split",
         key = keyed(record)
         total[key] = total.get(key, 0) + 1
         proved[key] = proved.get(key, 0) + (1 if record.proved else 0)
-    names = list(groups) if groups is not None else sorted(total)
-    for name in sorted(total):
-        if name not in names:
-            names.append(name)
-    rows = []
-    for name in names:
-        n = total.get(name, 0)
-        if n == 0:
-            rows.append(SuccessRow(name, 0, 0, None))
-        else:
-            rows.append(SuccessRow(name, proved[name], n, round(100.0 * proved[name] / n, 1)))
-    return rows
+    return [SuccessRow(name, proved[name], n, round(100.0 * proved[name] / n, 1))
+            for name, n in sorted(total.items())]
 
 
 def coverage_lines(records: Iterable[RunRecord]) -> tuple[int, float]:

@@ -11,13 +11,20 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 
 from .config import EngineConfig
-from .core import Candidate, ProofState, ProofStep, canonical_state, parse_step, render_state
+from .core import (
+    FACT_REQUIRED,
+    TACTICS,
+    Candidate,
+    ProofState,
+    ProofStep,
+    canonical_state,
+    parse_step,
+    render_state,
+)
 from .formulas import ParseError, atoms
 
-ENDPOINT_ENV = "STEPWISE_GENERATOR_ENDPOINT"
 REQUEST_TIMEOUT_S = 60.0
 
 PROMPT_HEADER = (
@@ -65,9 +72,7 @@ def mock_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
         return []
     index = state.context.index()
     goal_atoms = atoms(state.subgoals[0].goal)
-    pool: list[tuple[ProofStep, float]] = []
-    for tactic in ("assumption", "intro", "split", "left", "right", "simp", "auto"):
-        pool.append((ProofStep(tactic), 1.0))
+    pool = [(ProofStep(tactic), 1.0) for tactic in TACTICS if tactic not in FACT_REQUIRED]
     for name, fact_atoms in zip(index.names, index.fact_atoms):
         overlap = len(fact_atoms & goal_atoms)
         pool.append((ProofStep("apply", (name,)), 1.0 + overlap))
@@ -105,9 +110,8 @@ def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
     import urllib.error
     import urllib.request
 
-    endpoint = config.endpoint or os.environ.get(ENDPOINT_ENV)
-    if not endpoint:
-        raise GeneratorError(f"no generator endpoint configured (set {ENDPOINT_ENV})")
+    if not config.endpoint:
+        raise GeneratorError("no generator endpoint configured")
     body = json.dumps({
         "prompt": build_prompt(state),
         "n": config.candidates_per_state,
@@ -117,7 +121,7 @@ def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
         "logprobs": True,
     }).encode()
     request = urllib.request.Request(
-        endpoint, data=body, headers={"Content-Type": "application/json"})
+        config.endpoint, data=body, headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as resp:
             payload = json.loads(resp.read().decode())

@@ -9,7 +9,8 @@ runs. Set ``STEPWISE_PROTOCOL_TRACE=1`` to dump every frame to stderr.
 
 The toy prover is the reference server; ``RemoteProver`` exposes the same
 token surface as the in-process backend, so either can sit behind the
-engine. A connection owns the snapshots it opens, and they end with it.
+engine. A connection owns the snapshots it opens, and they end with it:
+the client ends a connection by closing its stream, and no command does.
 Every command addresses immutable snapshot tokens: ``start`` carries the
 theory source, which the server parses on each call, and returns the
 root's, ``apply_batch`` one per success in each of its ``(token, steps)``
@@ -59,9 +60,9 @@ from .formulas import ParseError
 
 TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
-COMMANDS = ("init", "start", "apply_batch", "replay", "hammer", "stats", "shutdown")
+COMMANDS = ("init", "start", "apply_batch", "replay", "hammer", "stats")
 
-PROTOCOL_VERSION = 10
+PROTOCOL_VERSION = 11
 
 # the wait, before grace, of a request that carries no budget
 CONTROL_WAIT_MS = 10_000
@@ -240,10 +241,12 @@ class ProverServer:
     # -- stream handling -----------------------------------------------------
 
     def handle_stream(self, rfile, wfile) -> None:
+        """Serve until the end of the stream, or until an over-long line has
+        been answered, since the rest of that line is never read."""
         try:
             while raw := rfile.readline(MAX_LINE_BYTES + 1):
-                shutdown = len(raw) > MAX_LINE_BYTES
-                if shutdown:  # the rest of the line is never read
+                over_long = len(raw) > MAX_LINE_BYTES
+                if over_long:
                     response = _protocol_error(
                         0, f"request line exceeds MAX_LINE_BYTES ({MAX_LINE_BYTES} bytes)")
                 else:
@@ -256,37 +259,36 @@ class ProverServer:
                             continue
                         if self.trace:
                             _trace("recv", line)
-                        response, shutdown = self.handle_line(line)
+                        response = self.handle_line(line)
                 out = encode_response(response)
                 if self.trace:
                     _trace("send", out)
                 wfile.write((out + "\n").encode("utf-8"))
                 wfile.flush()
-                if shutdown:
+                if over_long:
                     break
         finally:
             self.prover.close()
 
-    def handle_line(self, line: str) -> tuple[Response, bool]:
+    def handle_line(self, line: str) -> Response:
         try:
             req = decode_request(line)
         except ProtocolError as e:
             rid = e.offending_id if e.offending_id is not None else 0
-            return _protocol_error(rid, str(e)), False
+            return _protocol_error(rid, str(e))
         started = time.perf_counter()
         try:
             # released first, so the ids go even when the command then fails
             self.prover.release(req.release)
-            payload, shutdown = self.dispatch(req)
-            return Response(req.id, True, payload), shutdown
+            return Response(req.id, True, self.dispatch(req))
         except ProverError as e:
             return Response(req.id, False, None,
-                            {"category": e.category, "detail": str(e)}), False
+                            {"category": e.category, "detail": str(e)})
         except ParseError as e:
             return Response(req.id, False, None,
-                            {"category": "parse_error", "detail": str(e)}), False
+                            {"category": "parse_error", "detail": str(e)})
         except (KeyError, TypeError, ValueError, RecursionError) as e:
-            return _protocol_error(req.id, f"bad payload for {req.cmd}: {e}"), False
+            return _protocol_error(req.id, f"bad payload for {req.cmd}: {e}")
         finally:
             if req.cmd in COMMANDS:
                 entry = self._commands.setdefault(req.cmd, [0, 0.0])
@@ -295,24 +297,23 @@ class ProverServer:
 
     # -- command dispatch ------------------------------------------------------
 
-    def dispatch(self, req: Request) -> tuple[dict, bool]:
+    def dispatch(self, req: Request) -> dict:
         cmd = req.cmd
         payload = req.payload
         prover = self.prover
         if cmd == "init":
             return {"protocol": PROTOCOL_VERSION, "server": "stepwise-toy-prover",
-                    "commands": list(COMMANDS)}, False
+                    "commands": list(COMMANDS)}
         if cmd == "start":
             token, state = prover.start(load_theory(_text(payload, "source")),
                                         _text(payload, "theorem"))
-            return {"token": token, "state": render_state(state)}, False
+            return {"token": token, "state": render_state(state)}
         if cmd == "apply_batch":
             groups = [(_text(group, "token"), _texts(group, "steps"))
                       for group in _dicts(payload, "groups")]
             atom_limit = _int(payload, "atom_limit", 0) if "atom_limit" in payload else None
             return {"results": [[_batch_item(*item) for item in results] for results
-                                in prover.apply_batch(groups, req.timeout_ms, atom_limit)]
-                    }, False
+                                in prover.apply_batch(groups, req.timeout_ms, atom_limit)]}
         if cmd == "replay":
             results, token = prover.replay(_text(payload, "token"), _texts(payload, "steps"),
                                            req.timeout_ms)
@@ -321,20 +322,18 @@ class ProverServer:
                                        for r in results]}
             if token is not None:
                 reply["token"] = token
-            return reply, False
+            return reply
         if cmd == "hammer":
             config = HammerConfig(_int(payload, "max_depth", 0), _int(payload, "budget_ms", 1))
             result = prover.hammer_at(_text(payload, "token"), config, _texts(payload, "pool"))
             reply = {"result": result.kind}
             if result.found:
                 reply["steps"] = [s.text() for s in result.steps]
-            return reply, False
+            return reply
         if cmd == "stats":
             commands = {name: {"count": count, "ms": seconds * 1000.0}
                         for name, (count, seconds) in sorted(self._commands.items())}
-            return {**prover.stats(), "commands": commands}, False
-        if cmd == "shutdown":
-            return {}, True
+            return {**prover.stats(), "commands": commands}
         raise ProverError(f"unknown command {cmd!r}")
 
     # -- entry points ----------------------------------------------------------
@@ -435,8 +434,8 @@ class RemoteProver:
     context, as the in-process backend's does, while the states of later
     replies carry none. ``release`` sends nothing: the ids wait for the
     next request, which carries them in its ``release`` field.
-    No request waits without a deadline: ``init``, ``start``, ``stats`` and
-    ``shutdown`` wait ``CONTROL_WAIT_MS`` plus grace, and a step without a
+    No request waits without a deadline: ``init``, ``start`` and ``stats``
+    wait ``CONTROL_WAIT_MS`` plus grace, and a step without a
     ``timeout_ms`` is awaited for the server's ``DEFAULT_STEP_BUDGET_MS``.
     A missed deadline loses only that reply: the addressed tokens are
     immutable, so the next call on them needs no recovery. Stale frames
@@ -608,12 +607,8 @@ class RemoteProver:
             return HammerResult(kind)
 
     def close(self) -> None:
-        """Send ``shutdown``, which carries any release still pending, and
-        close the transport; after a missed reply, await it for the grace only."""
-        try:
-            self._call("shutdown", wait_ms=0 if self._missed else None)
-        except (TransportError, DeadlineMiss, ProtocolError):
-            pass
+        """Close the transport, sending nothing: the server frees every
+        snapshot of the connection when it ends, pending releases included."""
         self.transport.close()
 
 

@@ -63,6 +63,18 @@ def test_unknown_tactic_rejected():
         parse_step("megasimp")
 
 
+@pytest.mark.parametrize("text,name,position", [
+    ("apply [x1a, 1a]", "1a", 13),  # not at the "1a" inside "x1a"
+    ("apply [1a]", "1a", 8),
+    ("elim [ f1 ,  f-2]", "f-2", 14),
+    ("apply [f1, f1 f2]", "f1 f2", 12),
+])
+def test_a_bad_fact_name_is_reported_where_it_stands(text, name, position):
+    with pytest.raises(ParseError, match=f"invalid fact name {name!r}") as err:
+        parse_step(text)
+    assert err.value.position == position and text[position - 1:].startswith(name)
+
+
 def test_parse_step_is_memoised_and_a_bad_text_fails_every_time():
     assert parse_step(" intro ") is parse_step(" intro ")
     for _ in range(3):

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -171,7 +172,6 @@ FIELD_SAMPLES = {
     "filtering_enabled": ("off", False),
     "atom_limit": ("12", 12),
     "step_timeout_ms": ("500", 500),
-    "generator": ("http", "http"),
     "temperature": ("0.3", 0.3),
     "top_p": ("0.5", 0.5),
     "max_tokens": ("64", 64),
@@ -188,7 +188,6 @@ FIELD_SAMPLES = {
     "hammer_timeout_s": ("1.5", 1.5),
     "mesh_weight": ("0.75", 0.75),
     "hammer_depth": ("2", 2),
-    "backend": ("remote", "remote"),
     "backend_endpoint": ("localhost:9171", "localhost:9171"),
 }
 
@@ -289,7 +288,7 @@ def test_each_engine_flag_sets_the_config_field_its_dest_names():
     prove = build_parser()._subparsers._group_actions[0].choices["prove"]
     engine = next(g for g in prove._action_groups if g.title == "engine")
     dests = {a.dest for a in engine._group_actions} - {"config"}
-    assert len(dests) == 14
+    assert len(dests) == 12
     assert dests <= {f.name for f in dataclasses.fields(EngineConfig)}
 
 
@@ -337,6 +336,41 @@ def test_an_unknown_tactic_in_tactic_set_is_named_in_one_error_line(
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: tactic_set names unknown tactic 't00'\n"
+
+
+@pytest.mark.parametrize("line", ["backend = remote", "generator = http"])
+def test_a_backend_or_generator_key_is_an_unknown_config_key(line, theory_file, tmp_path,
+                                                             capsys):
+    """An endpoint picks the backend and the generator; no key restates it."""
+    path = tmp_path / "engine.cfg"
+    path.write_text(line + "\n")
+    code = main(["prove", "--theory", str(theory_file), "--config", str(path),
+                 "--out", str(tmp_path / "reports")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: unknown config key {line.split()[0]!r}\n"
+
+
+@pytest.mark.parametrize("flag", [["--backend", "remote"], ["--generator", "http"]])
+def test_backend_and_generator_flags_are_usage_errors(flag, theory_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["prove", "--theory", str(theory_file), *flag])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_an_endpoint_nothing_listens_on_is_one_error_line(theory_file, tmp_path, capsys):
+    """``--endpoint`` alone selects the remote prover, so a closed port is
+    an error before any theorem, not an in-process run."""
+    with socket.socket() as closed:  # bound and not listening: connections are refused
+        closed.bind(("127.0.0.1", 0))
+        out = tmp_path / "reports"
+        code = main(["prove", "--theory", str(theory_file),
+                     "--endpoint", f"localhost:{closed.getsockname()[1]}", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_a_revision_enabled_key_is_an_unknown_config_key(theory_file, tmp_path, capsys):
@@ -388,9 +422,10 @@ def test_no_revision_flag_equals_zero_repair_rounds_on_the_bench_corpus(tmp_path
 @pytest.mark.parametrize("args,named", [
     (["--config", "seed = abc"], ("seed", "'abc'")),
     (["--config", "mesh_weight = half"], ("mesh_weight", "'half'")),
-    (["--backend", "remote", "--endpoint", "localhost:abc"], ("'localhost:abc'",)),
-    (["--backend", "remote", "--endpoint", "localhost:99999"], ("'localhost:99999'",)),
-], ids=["int_field", "float_field", "port_not_a_number", "port_out_of_range"])
+    (["--endpoint", "localhost:abc"], ("'localhost:abc'",)),
+    (["--endpoint", "localhost:99999"], ("'localhost:99999'",)),
+    (["--endpoint", "localhost"], ("'localhost'", "host:port")),
+], ids=["int_field", "float_field", "port_not_a_number", "port_out_of_range", "no_port"])
 def test_unparsable_config_value_is_one_error_line(args, named, theory_file, tmp_path, capsys):
     if args[0] == "--config":
         path = tmp_path / "engine.cfg"
@@ -439,7 +474,7 @@ def test_prove_theorem_pipeline_report_shape():
 
 
 def test_prove_theorem_closes_the_backend_it_makes(prover_endpoint):
-    config = EngineConfig(seed=4, backend="remote", backend_endpoint=prover_endpoint)
+    config = EngineConfig(seed=4, backend_endpoint=prover_endpoint)
     assert prove_theorem(load_theory(THEORY), "t1", config).proved
     gc.collect()  # an unclosed client socket would warn here
 
@@ -486,8 +521,8 @@ def test_cli_prove_all_theorems(theory_file, tmp_path):
 def test_cli_prove_remote_closes_its_one_connection(theory_file, tmp_path, capsys,
                                                     prover_endpoint):
     out = tmp_path / "reports"
-    code = main(["prove", "--theory", str(theory_file), "--backend", "remote",
-                 "--endpoint", prover_endpoint, "--out", str(out)])
+    code = main(["prove", "--theory", str(theory_file), "--endpoint", prover_endpoint,
+                 "--out", str(out)])
     # an unclosed client socket warns when collected, which fails the test
     gc.collect()
     assert code == 0

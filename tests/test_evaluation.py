@@ -41,12 +41,6 @@ def test_success_rate_group_totals_sum_to_record_count():
     assert sum(r.total for r in rows) == 20
 
 
-def test_success_rate_empty_group_marker():
-    rows = success_rate([rec("t", True, 1, split="val")], groups=["val", "test"])
-    by_name = {r.group: r for r in rows}
-    assert by_name["test"].total == 0 and by_name["test"].rate is None
-
-
 def test_length_buckets():
     assert length_bucket(1) == "1"
     assert length_bucket(2) == "2"

@@ -11,6 +11,7 @@ from stepwise.formulas import parse_formula
 from stepwise.generator import (
     EmptyGenerationError,
     GeneratorError,
+    HttpGenerator,
     MockGenerator,
     build_prompt,
     llm_generate,
@@ -205,18 +206,22 @@ def test_llm_sends_sampling_parameters(fake_llm):
     assert "### Input:" in sent["prompt"]
 
 
-def test_llm_no_endpoint_error(monkeypatch):
-    monkeypatch.delenv("STEPWISE_GENERATOR_ENDPOINT", raising=False)
+def test_llm_no_endpoint_error():
     with pytest.raises(GeneratorError):
         llm_generate(state_of("p"), EngineConfig())
 
 
-def test_llm_endpoint_from_environment(fake_llm, monkeypatch):
+def test_an_endpoint_picks_the_http_generator(fake_llm, monkeypatch):
+    """The ``endpoint`` key is the one place for the completion URL: set,
+    it picks the HTTP generator; unset, the mock, whatever the environment."""
     _, endpoint = fake_llm
     _FakeCompletionHandler.choices = [{"text": "intro", "token_logprobs": [-1.0]}]
+    generator = EngineConfig(endpoint=endpoint).make_generator()
+    assert isinstance(generator, HttpGenerator)
+    assert [c.step.text() for c in generator.generate(state_of("p"))] == ["intro"]
     monkeypatch.setenv("STEPWISE_GENERATOR_ENDPOINT", endpoint)
-    out = llm_generate(state_of("p"), EngineConfig())
-    assert out[0].step.text() == "intro"
+    assert isinstance(EngineConfig().make_generator(), MockGenerator)
+    assert len(_FakeCompletionHandler.requests) == 1
 
 
 def test_mock_generator_wrapper_applies_config():

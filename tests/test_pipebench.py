@@ -1,6 +1,6 @@
 """The benchmark in ``pipebench/`` drives the product through its public
 surface and, in traced mode, wraps parts of it by name. These runs keep a
-product change that breaks the traced mode from going unnoticed. Each is a
+product change that breaks either mode from going unnoticed. Each is a
 one-second run that writes only under the ignored ``pipebench/out/``.
 The benchmark's inputs also pin what the program proves, and how."""
 
@@ -17,16 +17,26 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["corpus_inproc", "corpus_tcp", "repair_wide"])
-def test_traced_benchmark_run_passes_its_checks(workload):
+def run_benchmark_for_a_second(workload: str, trace: str) -> None:
     proc = subprocess.run(
         [sys.executable, "pipebench/run.py", "--workload", workload,
-         "--seconds", "1", "--trace", "1"],
+         "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["attempted"] > 0 and result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["corpus_inproc", "corpus_tcp", "repair_wide"])
+def test_traced_benchmark_run_passes_its_checks(workload):
+    run_benchmark_for_a_second(workload, "1")
+
+
+@pytest.mark.parametrize("workload", ["corpus_inproc", "corpus_tcp", "repair_wide"])
+def test_untraced_benchmark_run_passes_its_checks(workload):
+    """The mode the benchmark's timed runs use."""
+    run_benchmark_for_a_second(workload, "0")
 
 
 # sha256 of every seed-0 report, wall time left out; a change to the search,

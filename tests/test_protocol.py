@@ -82,8 +82,8 @@ def client(server_port):
 @contextlib.contextmanager
 def _connection(prover, **kwargs):
     """A client of ``ProverServer(prover).handle_stream`` over a socket
-    pair, served on a thread. On exit the client drops its socket without
-    a ``shutdown`` and the thread is joined."""
+    pair, served on a thread. On exit the client's socket is closed and
+    the thread is joined."""
     ours, theirs = socket.socketpair()
 
     def serve():
@@ -169,7 +169,7 @@ def test_timeout_below_one_ms_is_protocol_error(timeout_ms):
     assert err.value.offending_id == 7 and "timeout_ms" in str(err.value)
     server = ProverServer()
     token, _ = server.prover.start(PROTO, "t2")
-    response, _ = server.handle_line(line.replace('"c0"', json.dumps(token)))
+    response = server.handle_line(line.replace('"c0"', json.dumps(token)))
     assert (response.id, response.ok) == (7, False)
     assert response.error["category"] == "protocol_error"
     assert server.prover.stats()["snapshots"] == 1
@@ -437,8 +437,7 @@ def test_unknown_command_rejected(client):
 
 def test_malformed_request_line_gets_protocol_error():
     server = ProverServer()
-    response, shutdown = server.handle_line("this is not json")
-    assert not shutdown
+    response = server.handle_line("this is not json")
     assert response.ok is False
     assert response.error["category"] == "protocol_error"
 
@@ -791,7 +790,7 @@ def test_out_of_range_hammer_integers_are_protocol_errors(key, value):
     token, _ = server.prover.start(PROTO, "t1")
     payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"],
                key: value}
-    response, _ = server.handle_line(json.dumps({"id": 4, "cmd": "hammer", "payload": payload}))
+    response = server.handle_line(json.dumps({"id": 4, "cmd": "hammer", "payload": payload}))
     assert (response.id, response.ok) == (4, False)
     assert response.error["category"] == "protocol_error" and key in response.error["detail"]
 
@@ -821,7 +820,7 @@ def test_least_hammer_integers_are_accepted(key, value, kinds):
     token, _ = server.prover.start(PROTO, "t1")
     payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"],
                key: value}
-    response, _ = server.handle_line(json.dumps({"id": 5, "cmd": "hammer", "payload": payload}))
+    response = server.handle_line(json.dumps({"id": 5, "cmd": "hammer", "payload": payload}))
     assert response.ok and response.payload["result"] in kinds
 
 
@@ -830,7 +829,7 @@ def test_least_hammer_integers_are_accepted(key, value, kinds):
 def test_boolean_request_id_is_protocol_error(line):
     with pytest.raises(ProtocolError):
         decode_request(line)
-    response, _ = ProverServer().handle_line(line)
+    response = ProverServer().handle_line(line)
     assert (response.id, response.ok) == (0, False)
     assert response.error["category"] == "protocol_error"
 
@@ -937,7 +936,7 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
         if data.draw(st.integers(0, 3)) == 0:
             request[key] = data.draw(values)
     before = server.prover.stats()
-    response, _ = server.handle_line(json.dumps(request))
+    response = server.handle_line(json.dumps(request))
     assert response.id == 1
     if response.ok:
         server.prover.release(_named_ids(response.payload) - {token})
@@ -951,14 +950,13 @@ def test_fuzzed_requests_get_categorised_answers_and_leak_nothing(cmd, data):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.text(max_size=40), st.integers(1, 200_000).map(lambda n: "[" * n)))
 def test_fuzzed_request_lines_get_protocol_errors(line):
-    response, shutdown = ProverServer().handle_line(line)
-    assert not shutdown
+    response = ProverServer().handle_line(line)
     assert response.ok is False and response.error["category"] == "protocol_error"
 
 
 def test_non_string_theory_source_is_protocol_error():
     server = ProverServer()
-    response, _ = server.handle_line(
+    response = server.handle_line(
         '{"id":1,"cmd":"start","payload":{"source":5,"theorem":"t1"}}')
     assert (response.id, response.ok) == (1, False)
     assert response.error["category"] == "protocol_error"
@@ -1076,26 +1074,16 @@ def test_missed_batch_snapshots_ride_on_the_next_request():
     client.release(["c0", "r2.0.0"])
     client.stats()
     client.close()
-    assert slow.releases() == [[], [], ["r1.0.0", "r1.0.1", "r1.1.0", "c0", "r2.0.0"], []]
-    assert slow.commands == ["apply_batch", "apply_batch", "stats", "shutdown"]
-    slow.close()
-
-
-def test_pending_releases_ride_on_shutdown():
-    slow = _SlowServer()
-    client = RemoteProver.connect_tcp("127.0.0.1", slow.port, grace_ms=100)
-    client.release(["c0"])
-    client.release(["c1", "c2"])
-    client.close()
-    assert (slow.commands, slow.releases()) == (["shutdown"], [["c0", "c1", "c2"]])
+    assert slow.releases() == [[], [], ["r1.0.0", "r1.0.1", "r1.1.0", "c0", "r2.0.0"]]
+    assert slow.commands == ["apply_batch", "apply_batch", "stats"]
     slow.close()
 
 
 def test_silent_server_cannot_hang_control_commands_or_close(monkeypatch):
-    """``init``, ``stats`` and ``shutdown`` carry no budget, and each waits
+    """``init`` and ``stats`` carry no budget, and each waits
     ``CONTROL_WAIT_MS`` plus grace: against a server that takes the
     connection and never answers, each ends in ``DeadlineMiss``, and
-    ``close`` still closes the socket."""
+    ``close`` closes the socket without waiting."""
     monkeypatch.setattr("stepwise.protocol.CONTROL_WAIT_MS", 200)
     silent = socket.create_server(("127.0.0.1", 0))  # never accepts or answers
     outcomes = []
@@ -1122,36 +1110,40 @@ def test_silent_server_cannot_hang_control_commands_or_close(monkeypatch):
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert outcomes == ["init", "stats", "closed"]
-        assert elapsed < 3 * 0.3 + 1.0  # three waits of 200 ms plus 100 ms grace
+        assert elapsed < 2 * 0.3 + 1.0  # two waits of 200 ms plus 100 ms grace
         assert sock.fileno() == -1
         del client, sock, run, thread
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_close_after_a_missed_reply_waits_only_the_grace(monkeypatch):
-    """Once a reply was missed, ``close`` awaits its ``shutdown`` for the
-    grace interval alone, not a second ``CONTROL_WAIT_MS``."""
-    monkeypatch.setattr("stepwise.protocol.CONTROL_WAIT_MS", 2000)
-    with socket.create_server(("127.0.0.1", 0)) as silent:  # never accepts
-        client = RemoteProver.connect_tcp("127.0.0.1", silent.getsockname()[1], grace_ms=100)
-        with pytest.raises(DeadlineMiss):
-            client.start(PROTO, "t1")
-        started = time.monotonic()
-        client.close()
-        assert time.monotonic() - started < 1.0
-        assert client.transport._sock.fileno() == -1
+def test_close_after_a_missed_reply_returns_at_once_and_sends_nothing():
+    """``close`` neither awaits the missed reply nor sends a request, so the
+    server reads one request and then the end of the stream."""
+    slow = _SlowServer(delay_s=1.5)
+    client = RemoteProver.connect_tcp("127.0.0.1", slow.port, grace_ms=300)
+    [[(missed, _, _)]] = client.apply_batch([("c0", ["intro"])], timeout_ms=50)
+    assert missed.category == "timeout"
+    client.release(["c0"])
+    started = time.monotonic()
+    client.close()
+    assert time.monotonic() - started < 0.2  # less than the grace
+    assert client.transport._sock.fileno() == -1
+    slow.thread.join(timeout=5)
+    assert not slow.thread.is_alive()
+    assert slow.commands == ["apply_batch"]
+    slow.close()
 
 
 def test_release_field_applies_before_the_command_even_one_that_fails():
     server = ProverServer()
     root, _ = server.prover.start(PROTO, "t1")
     other, _ = server.prover.start(PROTO, "t2")
-    response, _ = server.handle_line(json.dumps(
+    response = server.handle_line(json.dumps(
         {"id": 1, "cmd": "replay", "payload": {"token": root, "steps": ["intro"]},
          "release": [root, "never_issued"]}))
     assert response.error["category"] == "unknown_session"
-    response, _ = server.handle_line(json.dumps(
+    response = server.handle_line(json.dumps(
         {"id": 2, "cmd": "frobnicate", "payload": {}, "release": [other]}))
     assert response.error["category"] == "prover_error"
     assert server.prover.stats()["snapshots"] == 0
@@ -1278,13 +1270,16 @@ def test_start_and_replay_without_a_budget_cannot_hang_on_a_silent_server(
 
 
 def test_dropped_connection_leaves_no_snapshots():
-    """A client that drops its socket without releasing anything leaves its
-    server's prover empty once the stream ends."""
+    """``close`` only drops the socket. Snapshots the client holds, and the
+    ones it queued for release but never sent, are freed once the stream
+    ends."""
     prover = ToyProver()
     with _connection(prover) as client:
         token, _ = client.start(PROTO, "t1")
-        client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000)
+        [[(_, child, _)]] = client.apply_batch([(token, ["apply [f2]"])], timeout_ms=3000)
         assert client.stats()["snapshots"] == 2
+        client.release([child])
+        client.close()
     assert prover.stats()["snapshots"] == 0
 
 
@@ -1540,18 +1535,24 @@ SERVE_STDIO = [sys.executable, "-m", "stepwise.cli", "serve", "--stdio"]
 
 
 def test_stdio_server_over_os_pipes():
-    """``serve --stdio`` answers on plain pipes, not only on a socket pair."""
+    """``serve --stdio`` answers on plain pipes, not only on a socket pair,
+    and exits at the end of its input. No command ends the connection: a
+    ``shutdown`` is an unknown command, and the next request is served."""
     requests = [{"id": 1, "cmd": "init"},
                 {"id": 2, "cmd": "start", "payload": {"source": THEORY, "theorem": "t2"}},
-                {"id": 3, "cmd": "shutdown"}]
+                {"id": 3, "cmd": "shutdown"},
+                {"id": 4, "cmd": "stats"}]
     done = subprocess.run(SERVE_STDIO, capture_output=True, timeout=60,
                           input="".join(json.dumps(r) + "\n" for r in requests).encode())
     assert done.returncode == 0
     replies = [json.loads(line) for line in done.stdout.decode().splitlines()]
-    assert [(r["id"], r["ok"]) for r in replies] == [(1, True), (2, True), (3, True)]
+    assert [(r["id"], r["ok"]) for r in replies] == [(1, True), (2, True), (3, False), (4, True)]
     assert replies[0]["payload"]["protocol"] == PROTOCOL_VERSION
+    assert "shutdown" not in replies[0]["payload"]["commands"]
     assert replies[1]["payload"]["state"] == "⊢ p -> p"
-    assert replies[2]["payload"] == {}
+    assert replies[2]["error"] == {"category": "prover_error",
+                                   "detail": "unknown command 'shutdown'"}
+    assert replies[3]["payload"]["snapshots"] == 1
 
 
 def test_started_theories_are_freed_once_their_tokens_are_released():
@@ -1562,10 +1563,10 @@ def test_started_theories_are_freed_once_their_tokens_are_released():
     tokens = []
     for rid, name in enumerate(sorted(names), 1):
         source = THEORY.replace("theory proto", f"theory {name}")
-        response, _ = server.handle_line(json.dumps(
+        response = server.handle_line(json.dumps(
             {"id": rid, "cmd": "start", "payload": {"source": source, "theorem": "t1"}}))
         tokens.append(response.payload["token"])
-    response, _ = server.handle_line(json.dumps(
+    response = server.handle_line(json.dumps(
         {"id": 51, "cmd": "stats", "payload": {}, "release": tokens}))
     assert response.payload["snapshots"] == 0
     gc.collect()
