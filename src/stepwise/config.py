@@ -59,47 +59,18 @@ class EngineConfig:
             if spec.type == "float" and not math.isfinite(value):
                 if name != "time_limit_s" or value != math.inf:  # inf: no time limit
                     raise ConfigError(f"{name} must be finite, got {value}")
-        if self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
-        for name in ("max_iterations", "time_limit_s", "node_budget"):
-            if getattr(self, name) < 0:  # each would turn the search off silently
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.candidates_per_state < 1:
-            raise ConfigError(f"candidates_per_state must be >= 1, got {self.candidates_per_state}")
-        if self.revision_budget < 0:  # it would cut the ranked repairs' last ones
-            raise ConfigError(f"revision_budget must be >= 0, got {self.revision_budget}")
-        if self.repair_rounds < 0:  # 0 switches revision off
-            raise ConfigError(f"repair_rounds must be >= 0, got {self.repair_rounds}")
+        for name, least in _MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         unknown = [t for t in self.tactic_set if t not in TACTICS]
         if unknown:  # tactic repair would build steps no prover can parse
             raise ConfigError(f"tactic_set names unknown tactic {unknown[0]!r}")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
         if not 0 <= self.temperature <= 2:  # the range completion APIs accept
             raise ConfigError(f"temperature must be in [0, 2], got {self.temperature}")
-        if self.max_tokens < 1:
-            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.premise_pool_size < 0:  # either would turn premise repair off silently
-            raise ConfigError(f"premise_pool_size must be >= 0, got {self.premise_pool_size}")
-        if self.max_edit_distance < 0:
-            raise ConfigError(f"max_edit_distance must be >= 0, got {self.max_edit_distance}")
-        if self.top_matches < 1:
-            raise ConfigError("top_matches must be >= 1")
-        if self.hammer_states < 1:
-            raise ConfigError("hammer_states must be >= 1")
-        if self.hammer_depth < 0:  # the wire's bound on the hammer's max_depth
-            raise ConfigError(f"hammer_depth must be >= 0, got {self.hammer_depth}")
-        if self.hammer_premise_limit < 0:  # it would cut the ranked pool's last facts
-            raise ConfigError(
-                f"hammer_premise_limit must be >= 0, got {self.hammer_premise_limit}")
-        if self.hammer_timeout_s < 0.001:  # the hammer's budget is whole ms
-            raise ConfigError(f"hammer_timeout_s must be >= 0.001, got {self.hammer_timeout_s}")
         if not 0 <= self.mesh_weight <= 1:
             raise ConfigError("mesh_weight must be in [0, 1]")
-        if self.step_timeout_ms < 1:
-            raise ConfigError(f"step_timeout_ms must be >= 1, got {self.step_timeout_ms}")
         if not 0 <= self.atom_limit <= MAX_ATOM_LIMIT:
             raise ConfigError(f"atom_limit must be in 0..{MAX_ATOM_LIMIT}, got {self.atom_limit}")
 
@@ -119,6 +90,17 @@ class EngineConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(EngineConfig)}
+
+# each field's least value: below it a budget, pool or bound would turn its
+# part of the engine off silently, or cut a ranked list short; the hammer's
+# budget is whole ms, and a zero step budget reads as the prover's default
+_MINIMUMS = {
+    "alpha": 0, "top_k": 1, "max_iterations": 0, "time_limit_s": 0, "node_budget": 0,
+    "step_timeout_ms": 1, "candidates_per_state": 1, "max_tokens": 1,
+    "premise_pool_size": 0, "top_matches": 1, "max_edit_distance": 0, "revision_budget": 0,
+    "repair_rounds": 0, "hammer_states": 1, "hammer_premise_limit": 0,
+    "hammer_timeout_s": 0.001, "hammer_depth": 0,
+}
 
 
 def _coerce(name: str, value: str):

@@ -135,13 +135,14 @@ class FactIndex:
     it: the only goals ``apply [f]`` can conclude. ``rankings`` (premise
     repair's, per atom seed) and ``packed_names`` are filled on use, and so
     are the counterexample oracle's ``cex_table`` (the sorted atoms and the
-    conjunction table of the statements over them) and ``cex_rows`` (per
-    ``Subgoal`` judged, its sorted atoms and first counterexample row).
+    conjunction table of the statements over them), ``cex_rows`` (per
+    ``Subgoal`` judged, its sorted atoms and first counterexample row) and
+    the mock generator's ``mock_pool``.
     """
 
     __slots__ = ("statements", "spine", "atoms", "names", "fact_atoms", "usage_shares",
                  "atom_ids", "atom_facts", "fact_atom_ids", "sizes", "rankings", "packed_names",
-                 "cex_table", "cex_rows")
+                 "cex_table", "cex_rows", "mock_pool")
 
     def __init__(self, context: FactContext):
         facts, usage = context.facts, context.usage_counts
@@ -175,6 +176,7 @@ class FactIndex:
         self.packed_names: tuple | None = None
         self.cex_table: tuple[list[str], int] | None = None
         self.cex_rows: dict[Subgoal, list] | None = None
+        self.mock_pool: list[tuple] | None = None
 
 
 EMPTY_CONTEXT = FactContext({})

@@ -51,37 +51,36 @@ def build_prompt(state: ProofState) -> str:
 # Deterministic mock
 # ---------------------------------------------------------------------------
 
-def _perturbation(seed: int, state_key: str, step_text: str, temperature: float) -> float:
-    """Seeded factor in [0.5, 2.0] at temperature 1; exactly 1.0 at 0."""
-    digest = hashlib.sha256(f"{seed}|{state_key}|{step_text}".encode()).digest()
-    u = int.from_bytes(digest[:8], "big") / 2.0**64
-    return 2.0 ** (temperature * (2.0 * u - 1.0))
-
-
 def mock_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
     """Test double for the step model.
 
     The candidate pool is every fact-free tactic plus apply/elim over the
     context facts. Weights are 1 plus the atom overlap between the fact and
-    the first goal (1 for fact-free steps), scaled by a seeded perturbation;
-    log-probabilities normalise over the whole pool. Output is sorted by
-    score descending, ties by step text, and is a pure function of the
-    canonical state, seed, and config.
+    the first goal (1 for fact-free steps), scaled by a seeded perturbation
+    (from the sha256 of seed, state key and text); log-probabilities
+    normalise over the whole pool. Output is sorted by score descending,
+    ties by step text, and is a pure function of the canonical state, seed,
+    and config. The pool is built once per context, on its ``FactIndex``.
     """
     if state.qed:
         return []
     index = state.context.index()
+    if index.mock_pool is None:  # the fact-free tactics, then apply and elim per name
+        pool = [(ProofStep(t), None) for t in TACTICS if t not in FACT_REQUIRED]
+        pool += [(ProofStep(t, (name,)), fact_atoms) for name, fact_atoms
+                 in zip(index.names, index.fact_atoms) for t in ("apply", "elim")]
+        index.mock_pool = [(step, step.text(), step.text().encode(), fact_atoms)
+                           for step, fact_atoms in pool]
     goal_atoms = atoms(state.subgoals[0].goal)
-    pool = [(ProofStep(tactic), 1.0) for tactic in TACTICS if tactic not in FACT_REQUIRED]
-    for name, fact_atoms in zip(index.names, index.fact_atoms):
-        overlap = len(fact_atoms & goal_atoms)
-        pool.append((ProofStep("apply", (name,)), 1.0 + overlap))
-        pool.append((ProofStep("elim", (name,)), 1.0 + overlap))
-    key = canonical_state(state)
+    prefix = hashlib.sha256(f"{config.seed}|{canonical_state(state)}|".encode())
+    temperature = config.temperature
     weighted = []
-    for step, w in pool:
-        text = step.text()
-        w *= _perturbation(config.seed, key, text, config.temperature)
+    for step, text, data, fact_atoms in index.mock_pool:
+        w = 1.0 if fact_atoms is None else 1.0 + len(fact_atoms & goal_atoms)
+        digest = prefix.copy()
+        digest.update(data)
+        u = int.from_bytes(digest.digest()[:8], "big") / 2.0**64
+        w *= 2.0 ** (temperature * (2.0 * u - 1.0))
         weighted.append((text, step, w))
     total = sum(w for _, _, w in weighted)
     scored = [(math.log(w / total), text, step) for text, step, w in weighted]
@@ -105,7 +104,8 @@ def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
     sample's token log-probabilities, clamped to 0. When any sample lacks
     log-probabilities the whole batch degrades to rank-based scores -1, -2,
     ... over distinct steps in arrival order. Duplicates keep the maximum
-    score. No reasoning flags are sent: the model answers directly.
+    score. No reasoning flags are sent: the model answers directly. A
+    malformed reply raises ``GeneratorError`` naming the fault.
     """
     import urllib.error
     import urllib.request
@@ -128,10 +128,15 @@ def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
     except (urllib.error.URLError, OSError, ValueError) as e:
         raise GeneratorError(f"generator endpoint failed: {e}") from e
 
+    choices = payload.get("choices", []) if isinstance(payload, dict) else None
+    if not isinstance(choices, list):
+        raise GeneratorError("generator reply is not an object with a list of choices")
     parsed: list[tuple[ProofStep, float | None]] = []
     have_logprobs = True
-    for choice in payload.get("choices", []):
-        text = choice.get("text", "")
+    for choice in choices:
+        text = choice.get("text", "") if isinstance(choice, dict) else None
+        if not isinstance(text, str):
+            raise GeneratorError(f"generator choice {choice!r} has no text string")
         first_line = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
         if not first_line:
             continue
@@ -143,8 +148,13 @@ def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
         if token_logprobs is None:
             have_logprobs = False
             parsed.append((step, None))
+        elif not isinstance(token_logprobs, list) or any(
+                type(x) not in (int, float) for x in token_logprobs):
+            raise GeneratorError(f"token_logprobs {token_logprobs!r} is not a list of numbers")
+        elif math.isnan(lp := float(sum(token_logprobs))) or lp == -math.inf:
+            raise GeneratorError(f"token log-probabilities sum to {lp}")
         else:
-            parsed.append((step, float(sum(token_logprobs))))
+            parsed.append((step, lp))
     if not parsed:
         raise EmptyGenerationError("no sample parsed as a proof step")
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
 
 from .config import EngineConfig
 from .core import TACTICS, Candidate, FactContext, FactIndex, ProofState, ProofStep, Theory
+from .formulas import PARSE_CACHE_SIZE
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,8 +157,14 @@ def tactic_repair(attempt: FailedAttempt, tactic_set: tuple[str, ...]) -> list[P
     score, unpenalised)."""
     if attempt.category not in ("tactic_failure", "no_progress"):
         raise ValueError(f"tactic repair does not apply to {attempt.category}")
-    tactic, facts = attempt.step.tactic, attempt.step.facts
-    return [ProofStep(t, facts) for t in tactic_set if t != tactic]
+    return list(_recombine(attempt.step, tactic_set))
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _recombine(step: ProofStep, tactic_set: tuple[str, ...]) -> tuple[ProofStep, ...]:
+    """``step``'s facts under every other tactic of the set, in set order;
+    memoised like ``parse_step``, since a search repairs few distinct steps."""
+    return tuple(ProofStep(t, step.facts) for t in tactic_set if t != step.tactic)
 
 
 def premise_repair(attempt: FailedAttempt, pool: list[str],

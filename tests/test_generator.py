@@ -1,13 +1,27 @@
+import hashlib
 import http.server
+import io
 import json
 import math
 import threading
+import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepwise.config import ConfigError, EngineConfig
-from stepwise.core import FactContext, ProofState, Subgoal, parse_step
-from stepwise.formulas import parse_formula
+from stepwise.core import (
+    FACT_REQUIRED,
+    TACTICS,
+    FactContext,
+    ProofState,
+    ProofStep,
+    Subgoal,
+    canonical_state,
+    parse_step,
+)
+from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, Or, atoms, parse_formula
 from stepwise.generator import (
     EmptyGenerationError,
     GeneratorError,
@@ -116,6 +130,74 @@ def test_mock_is_function_of_canonical_state():
         [(c.step.text(), c.log_prob) for c in mock_generate(b, config)]
 
 
+def naive_mock_generate(state, config):
+    """The per-call reference: rebuild the pool and hash each entry's whole
+    ``"{seed}|{state key}|{step text}"``."""
+    if state.qed:
+        return []
+    context = state.context
+    goal_atoms = atoms(state.subgoals[0].goal)
+    pool = [(ProofStep(tactic), 1.0) for tactic in TACTICS if tactic not in FACT_REQUIRED]
+    for name in sorted(context.facts):
+        overlap = len(atoms(context.facts[name]) & goal_atoms)
+        pool.append((ProofStep("apply", (name,)), 1.0 + overlap))
+        pool.append((ProofStep("elim", (name,)), 1.0 + overlap))
+    key = canonical_state(state)
+    weighted = []
+    for step, w in pool:
+        text = step.text()
+        digest = hashlib.sha256(f"{config.seed}|{key}|{text}".encode()).digest()
+        u = int.from_bytes(digest[:8], "big") / 2.0**64
+        w *= 2.0 ** (config.temperature * (2.0 * u - 1.0))
+        weighted.append((text, step, w))
+    total = sum(w for _, _, w in weighted)
+    scored = [(math.log(w / total), text, step) for text, step, w in weighted]
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [(text, min(lp, 0.0)) for lp, text, _ in scored[:config.candidates_per_state]]
+
+
+mock_formulas = st.recursive(
+    st.one_of(st.sampled_from("pqrs").map(Atom), st.sampled_from((TRUE, FALSE))),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.tuples(sub, sub).map(lambda lr: And(*lr)),
+        st.tuples(sub, sub).map(lambda lr: Or(*lr)),
+        st.tuples(sub, sub).map(lambda lr: Implies(*lr))),
+    max_leaves=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text("abxy", min_size=1, max_size=3), mock_formulas, max_size=10),
+       st.lists(st.lists(st.tuples(st.lists(mock_formulas, max_size=2), mock_formulas),
+                         min_size=1, max_size=3), min_size=1, max_size=4),
+       st.integers(0, 2**32), st.floats(0.0, 2.0), st.integers(1, 40))
+def test_mock_matches_the_per_call_reference(facts, states, seed, temperature, k):
+    """Many states, each of one or more subgoals, over one context whose
+    pool is kept after the first: the same texts and scores, in order."""
+    context = FactContext(facts)
+    config = EngineConfig(seed=seed, temperature=temperature, candidates_per_state=k)
+    for subgoals in states:
+        state = ProofState(tuple(Subgoal(tuple(h), g) for h, g in subgoals), context)
+        got = [(c.step.text(), c.log_prob) for c in mock_generate(state, config)]
+        assert got == naive_mock_generate(state, config)
+
+
+def test_mock_builds_one_pool_per_context():
+    ctx = ctx_of(f1="p -> q", f2="r", f3="q & s")
+    config = EngineConfig(seed=3)
+    pool = None
+    for goal in ("q", "r", "p -> q", "s & r", "p | s"):
+        for extra in ((), ("q",)):
+            state = state_of(goal, ctx, extra)
+            assert [(c.step.text(), c.log_prob) for c in mock_generate(state, config)] == \
+                naive_mock_generate(state, config)
+            pool = pool or ctx.index().mock_pool
+            assert ctx.index().mock_pool is pool
+    assert [text for _, text, _, _ in pool] == [
+        "assumption", "intro", "split", "left", "right", "simp", "auto",
+        "apply [f1]", "elim [f1]", "apply [f2]", "elim [f2]", "apply [f3]", "elim [f3]"]
+
+
 def test_generator_config_validation():
     # the generator's fields are checked where the one config is built
     with pytest.raises(ConfigError):
@@ -222,6 +304,40 @@ def test_an_endpoint_picks_the_http_generator(fake_llm, monkeypatch):
     monkeypatch.setenv("STEPWISE_GENERATOR_ENDPOINT", endpoint)
     assert isinstance(EngineConfig().make_generator(), MockGenerator)
     assert len(_FakeCompletionHandler.requests) == 1
+
+
+class _Reply(io.BytesIO):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.mark.parametrize("payload,fault", [
+    ([1, 2], "list of choices"),
+    ({"choices": "abc"}, "list of choices"),
+    ({"choices": [5]}, "no text string"),
+    ({"choices": [{"text": 7, "token_logprobs": [-1.0]}]}, "no text string"),
+    ({"choices": [{"text": "intro", "token_logprobs": [None, -0.1]}]}, "not a list of numbers"),
+    ({"choices": [{"text": "intro", "token_logprobs": "x"}]}, "not a list of numbers"),
+    ({"choices": [{"text": "intro", "token_logprobs": [-0.5, float("nan")]}]}, "sum to nan"),
+    ({"choices": [{"text": "intro", "token_logprobs": [float("-inf")]}]}, "sum to -inf"),
+])
+def test_llm_malformed_reply_raises_generator_error(monkeypatch, payload, fault):
+    body = json.dumps(payload).encode()
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: _Reply(body))
+    with pytest.raises(GeneratorError, match=fault) as raised:
+        llm_generate(state_of("p"), EngineConfig(endpoint="http://127.0.0.1:9/v1/completions"))
+    assert type(raised.value) is GeneratorError
+
+
+def test_llm_positive_infinite_sum_clamps_to_zero(monkeypatch):
+    body = json.dumps({"choices": [{"text": "intro", "token_logprobs": [1e308, 1e308]}]})
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda request, timeout: _Reply(body.encode()))
+    out = llm_generate(state_of("p"), EngineConfig(endpoint="http://127.0.0.1:9/v1/completions"))
+    assert [(c.step.text(), c.log_prob) for c in out] == [("intro", 0.0)]
 
 
 def test_mock_generator_wrapper_applies_config():

@@ -8,10 +8,21 @@ from hypothesis import strategies as st
 from conftest import naive_revise
 from stepwise.config import EngineConfig
 from stepwise.core import ERROR_CATEGORIES, TACTICS, FactContext, ProofState, ProofStep, Subgoal
-from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, atoms, parse_formula
+from stepwise.formulas import (
+    FALSE,
+    PARSE_CACHE_SIZE,
+    TRUE,
+    And,
+    Atom,
+    Implies,
+    Not,
+    atoms,
+    parse_formula,
+)
 from stepwise.prover import load_theory
 from stepwise.revision import (
     FailedAttempt,
+    _recombine,
     edit_distance,
     premise_repair,
     relevance_filter,
@@ -178,6 +189,34 @@ def test_tactic_repair_wrong_category_rejected():
 
 
 # -- premise repair -------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(TACTICS),
+                          st.lists(st.sampled_from(("f1", "f2", "g")), max_size=3),
+                          st.sampled_from(("tactic_failure", "no_progress")),
+                          st.lists(st.sampled_from(TACTICS), max_size=6).map(tuple)),
+                min_size=1, max_size=6))
+def test_tactic_repair_matches_the_naive_recombination(calls):
+    """Repeated and fresh ``(step, tactic set)`` keys, each answer mutated
+    before the next call: every call returns the comprehension's list."""
+    state = state_of("p", ctx_of(f1="p", f2="q"))
+    for tactic, facts, category, tactic_set in calls + calls:
+        step = ProofStep(tactic, facts)
+        out = tactic_repair(FailedAttempt(state, step, -1.0, category), tactic_set)
+        assert out == [ProofStep(t, tuple(facts)) for t in tactic_set if t != tactic]
+        out.append(step)
+        out.reverse()
+
+
+def test_tactic_repair_returns_a_fresh_list_from_a_bounded_cache():
+    attempt = fail(state_of("p", ctx_of(f1="p")), "simp [f1]", "tactic_failure")
+    first = tactic_repair(attempt, TACTICS)
+    first.clear()
+    again = tactic_repair(attempt, TACTICS)
+    assert again is not first
+    assert [s.text() for s in again] == [f"{t} [f1]" for t in TACTICS if t != "simp"]
+    assert _recombine.cache_info().maxsize == PARSE_CACHE_SIZE
+
 
 def test_premise_repair_nearest_name():
     ctx = ctx_of(set_cap_valid_objs="p")
