@@ -56,57 +56,46 @@ def bench_engine_config(seed: int) -> EngineConfig:
 # Corpus families
 # ---------------------------------------------------------------------------
 
+def _chain(length: int) -> tuple[tuple[TheoryEntry, ...], tuple[ProofStep, ...]]:
+    """The axioms ``imp_NN: p(N-1) -> pN`` up to ``p{length}``, and the
+    steps that apply them back down to ``p0``."""
+    axioms = tuple(TheoryEntry("axiom", f"imp_{i:02d}", Implies(Atom(f"p{i - 1}"), Atom(f"p{i}")))
+                   for i in range(1, length + 1))
+    return axioms, tuple(ProofStep("apply", (f"imp_{i:02d}",)) for i in range(length, 0, -1))
+
+
+def _case_split(goal: str) -> tuple[tuple[TheoryEntry, ...], tuple[ProofStep, ...]]:
+    # branch: a | goal and lift: a -> goal force a case split; one branch
+    # closes by assumption, so the proof fits the default hammer depth.
+    axioms = (TheoryEntry("axiom", "branch", Or(Atom("a"), Atom(goal))),
+              TheoryEntry("axiom", "lift", Implies(Atom("a"), Atom(goal))))
+    proof = (ProofStep("elim", ("branch",)), ProofStep("apply", ("lift",)),
+             ProofStep("assumption"), ProofStep("assumption"))
+    return axioms, proof
+
+
 def _chain_theory(name: str, length: int, decoys: int) -> Theory:
-    entries = [TheoryEntry("axiom", "base", Atom("p0"))]
-    for i in range(1, length + 1):
-        entries.append(TheoryEntry(
-            "axiom", f"imp_{i:02d}", Implies(Atom(f"p{i - 1}"), Atom(f"p{i}"))))
-    for d in range(decoys):
-        target = (d * 2 + 1) % length + 1
-        entries.append(TheoryEntry(
-            "axiom", f"dead_{d}", Implies(Atom(f"z{d}"), Atom(f"p{target}"))))
-    proof = [ProofStep("apply", (f"imp_{i:02d}",)) for i in range(length, 0, -1)]
-    proof.append(ProofStep("assumption"))
-    entries.append(TheoryEntry("theorem", "goal", Atom(f"p{length}"), tuple(proof)))
-    return Theory(name, tuple(entries))
+    axioms, proof = _chain(length)
+    decoy_axioms = tuple(TheoryEntry("axiom", f"dead_{d}",
+                                     Implies(Atom(f"z{d}"), Atom(f"p{(d * 2 + 1) % length + 1}")))
+                         for d in range(decoys))
+    goal = TheoryEntry("theorem", "goal", Atom(f"p{length}"), proof + (ProofStep("assumption"),))
+    return Theory(name, (TheoryEntry("axiom", "base", Atom("p0")), *axioms, *decoy_axioms, goal))
 
 
 def _case_theory(name: str) -> Theory:
-    # d: a | g and fa: a -> g force a case split; one branch closes by
-    # assumption, so the whole proof fits the default hammer depth.
-    entries = (
-        TheoryEntry("axiom", "branch", Or(Atom("a"), Atom("g"))),
-        TheoryEntry("axiom", "lift", Implies(Atom("a"), Atom("g"))),
-        TheoryEntry("theorem", "goal", Atom("g"), (
-            ProofStep("elim", ("branch",)),
-            ProofStep("apply", ("lift",)),
-            ProofStep("assumption"),
-            ProofStep("assumption"),
-        )),
-    )
-    return Theory(name, entries)
+    axioms, proof = _case_split("g")
+    return Theory(name, (*axioms, TheoryEntry("theorem", "goal", Atom("g"), proof)))
 
 
 def _elim_tail_chain_theory(name: str, length: int) -> Theory:
     # A chain whose base atom is only reachable through a case split; the
     # proof outruns the bench iteration budget but a frontier state stays
     # within hammer reach.
-    entries = [
-        TheoryEntry("axiom", "branch", Or(Atom("a"), Atom("p0"))),
-        TheoryEntry("axiom", "lift", Implies(Atom("a"), Atom("p0"))),
-    ]
-    for i in range(1, length + 1):
-        entries.append(TheoryEntry(
-            "axiom", f"imp_{i:02d}", Implies(Atom(f"p{i - 1}"), Atom(f"p{i}"))))
-    proof = [ProofStep("apply", (f"imp_{i:02d}",)) for i in range(length, 0, -1)]
-    proof.extend([
-        ProofStep("elim", ("branch",)),
-        ProofStep("apply", ("lift",)),
-        ProofStep("assumption"),
-        ProofStep("assumption"),
-    ])
-    entries.append(TheoryEntry("theorem", "goal", Atom(f"p{length}"), tuple(proof)))
-    return Theory(name, tuple(entries))
+    case_axioms, case_proof = _case_split("p0")
+    chain_axioms, chain_proof = _chain(length)
+    goal = TheoryEntry("theorem", "goal", Atom(f"p{length}"), chain_proof + case_proof)
+    return Theory(name, (*case_axioms, *chain_axioms, goal))
 
 
 def _disjunction_theory(name: str) -> Theory:

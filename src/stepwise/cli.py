@@ -13,6 +13,7 @@ from .core import Theory
 from .config import ConfigError, EngineConfig, build_config, load_config_file
 from .engine import prove_theorem, write_report
 from .evaluation import (
+    GROUPINGS,
     RunRecord,
     aes,
     check_fractions,
@@ -156,14 +157,25 @@ def _records_from_reports(directory: str) -> list[RunRecord]:
     for path in sorted(Path(directory).glob("*.json")):
         try:
             report = json.loads(path.read_text())
-            steps = report.get("steps")
+            proved, steps = report.get("proved"), report.get("steps")
+            length = report.get("ground_truth_length", 0)
+            if not isinstance(proved, bool):  # bool("false") is True
+                raise TypeError(f"proved must be a bool, got {proved!r}")
+            if type(length) is not int:  # a bool is an int too
+                raise TypeError(f"ground_truth_length must be an int, got {length!r}")
+            if steps is not None and not (isinstance(steps, list)
+                                          and all(isinstance(s, str) for s in steps)):
+                raise TypeError(f"steps must be null or a list of strings, got {steps!r}")
+            split, session = report.get("split", "all"), report.get("session", "")
+            if not (isinstance(split, str) and isinstance(session, str)):  # table keys
+                raise TypeError(f"split and session must be strings, got {split!r}, {session!r}")
             records.append(RunRecord(
                 theorem=f"{report['theory']}.{report['theorem']}",
-                split=report.get("split", "all"),
-                ground_truth_length=int(report.get("ground_truth_length", 0)),
-                proved=bool(report.get("proved")),
+                split=split,
+                ground_truth_length=length,
+                proved=proved,
                 generated_proof=tuple(steps) if steps is not None else None,
-                session=report.get("session", ""),
+                session=session,
             ))
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise ConfigError(f"malformed report {path}: {type(e).__name__}: {e}") from None
@@ -213,13 +225,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         }
     if args.reports:
         records = _records_from_reports(args.reports)
-        by_split = success_rate(records, "split")
-        by_length = success_rate(records, "length_bucket")
-        by_session = success_rate(records, "session")
+        tables = {name: success_rate(records, group_by)
+                  for group_by, (name, _) in GROUPINGS.items()}
+        output.update({name: [row.__dict__ for row in rows] for name, rows in tables.items()})
         lines, percent = coverage_lines(records)
-        output["success_by_split"] = [row.__dict__ for row in by_split]
-        output["success_by_length"] = [row.__dict__ for row in by_length]
-        output["success_by_session"] = [row.__dict__ for row in by_session]
         output["coverage"] = {"lines": lines, "percent": round(percent, 1)}
         if args.theory:
             theory = _load_theory_file(args.theory)
@@ -244,9 +253,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.csv_dir:
             csv_dir = Path(args.csv_dir)
             csv_dir.mkdir(parents=True, exist_ok=True)
-            (csv_dir / "success_by_split.csv").write_text(_rows_to_csv(by_split))
-            (csv_dir / "success_by_length.csv").write_text(_rows_to_csv(by_length))
-            (csv_dir / "success_by_session.csv").write_text(_rows_to_csv(by_session))
+            for name, rows in tables.items():
+                (csv_dir / f"{name}.csv").write_text(_rows_to_csv(rows))
     if not output:
         print("nothing to evaluate: pass --reports and/or --completion", file=sys.stderr)
         return 2

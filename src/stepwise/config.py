@@ -43,8 +43,7 @@ class EngineConfig:
     max_edit_distance: int = 3
     revision_budget: int = 256
     repair_rounds: int = 1
-    # hammer fallback
-    fallback_enabled: bool = True
+    # hammer fallback: hammer_states = 0 switches it off
     hammer_states: int = 16
     hammer_premise_limit: int = 2048
     hammer_timeout_s: float = 60.0
@@ -98,7 +97,7 @@ _MINIMUMS = {
     "alpha": 0, "top_k": 1, "max_iterations": 0, "time_limit_s": 0, "node_budget": 0,
     "step_timeout_ms": 1, "candidates_per_state": 1, "max_tokens": 1,
     "premise_pool_size": 0, "top_matches": 1, "max_edit_distance": 0, "revision_budget": 0,
-    "repair_rounds": 0, "hammer_states": 1, "hammer_premise_limit": 0,
+    "repair_rounds": 0, "hammer_states": 0, "hammer_premise_limit": 0,
     "hammer_timeout_s": 0.001, "hammer_depth": 0,
 }
 
@@ -109,12 +108,12 @@ def _coerce(name: str, value: str):
         raise ConfigError(f"unknown config key {name!r}")
     text = value.strip()
     for kind in (int, float):
-        if field.type in (kind.__name__, kind):
+        if field.type == kind.__name__:  # every annotation is a string here
             try:
                 return kind(text)
             except ValueError:
                 raise ConfigError(f"{name} expects {kind.__name__}, got {text!r}") from None
-    if field.type in ("bool", bool):
+    if field.type == "bool":
         if text.lower() in ("true", "1", "yes", "on"):
             return True
         if text.lower() in ("false", "0", "no", "off"):

@@ -43,7 +43,7 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
     steps = outcome.steps if outcome.proved else None
     fallback_attempts: list | None = None
     try:
-        if not outcome.proved and config.fallback_enabled:
+        if not outcome.proved and config.hammer_states:
             fallback_attempts = []
             fallback_steps = hammer_fallback(outcome, backend, config,
                                              attempts=fallback_attempts)
@@ -54,7 +54,6 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
         backend.release(outcome.opened)
     proved = steps is not None
     entry = theory.entry(theorem_id)
-    filtered = outcome.filter_stats
     report = {
         "theory": theory.name,
         "theorem": theorem_id,
@@ -63,10 +62,8 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
         "steps": [s.text() for s in steps] if steps is not None else None,
         "ground_truth_length": len(entry.proof) if entry and entry.proof else 0,
         "seed": config.seed,
-        "stats": {**outcome.stats.__dict__,
-                  "nodes_filtered_dup": filtered.duplicates_rejected,
-                  "nodes_filtered_cex": filtered.counterexamples_rejected},
-        "filtering": dict(filtered.__dict__),
+        "stats": dict(outcome.stats.__dict__),
+        "filtering": dict(outcome.filter_stats.__dict__),
     }
     if not outcome.proved:
         report["frontier"] = frontier_summary(outcome)

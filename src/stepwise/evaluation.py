@@ -45,18 +45,21 @@ def length_bucket(length: int) -> str:
     return "?"
 
 
+# each grouping of the success tables: its table's name and a record's group
+GROUPINGS: dict[str, tuple[str, Callable[[RunRecord], str]]] = {
+    "split": ("success_by_split", lambda r: r.split),
+    "length_bucket": ("success_by_length", lambda r: length_bucket(r.ground_truth_length)),
+    "session": ("success_by_session", lambda r: r.session),
+}
+
+
 def success_rate(records: Iterable[RunRecord], group_by: str = "split") -> list[SuccessRow]:
     """Proved/total per group, rate as a percent rounded to 0.1.
 
-    ``group_by`` is one of split, length_bucket, session."""
-    if group_by == "split":
-        keyed = lambda r: r.split
-    elif group_by == "length_bucket":
-        keyed = lambda r: length_bucket(r.ground_truth_length)
-    elif group_by == "session":
-        keyed = lambda r: r.session
-    else:
+    ``group_by`` is a key of ``GROUPINGS``."""
+    if group_by not in GROUPINGS:
         raise ValueError(f"unknown grouping {group_by!r}")
+    keyed = GROUPINGS[group_by][1]
     proved: dict[str, int] = {}
     total: dict[str, int] = {}
     for record in records:

@@ -291,7 +291,7 @@ def apply_step(state: ProofState, step: ProofStep,
         new_subgoals = tuple(Subgoal(sub.hypotheses, p) for p in premises)
     elif tactic == "simp":
         folded = fold_constants(goal)
-        if folded == goal:
+        if folded == goal != TRUE:  # ``true`` itself has no redex, and closes
             return _FAILED["goal has no constant redexes"]
         new_subgoals = () if folded == TRUE else (Subgoal(sub.hypotheses, folded),)
     elif tactic == "auto":

@@ -283,14 +283,12 @@ def test_bench_tables_match_their_pinned_digests(seed, bench_by_seed):
 
 @pytest.mark.parametrize("seed", sorted(PINNED_TABLE_DIGESTS))
 def test_each_report_counts_its_filter_drops_once(seed, bench_by_seed):
-    """The stats' filter counts are the filtering section's, on every report."""
+    """The filter counts live in the filtering section alone, on every report."""
     reports = bench_by_seed[seed].reports
     for report in reports:
-        stats, filtering = report["stats"], report["filtering"]
-        assert stats["nodes_filtered_dup"] == filtering["duplicates_rejected"]
-        assert stats["nodes_filtered_cex"] == filtering["counterexamples_rejected"]
-    assert sum(r["stats"]["nodes_filtered_dup"] for r in reports) > 0
-    assert sum(r["stats"]["nodes_filtered_cex"] for r in reports) > 0
+        assert not any(key.startswith("nodes_filtered") for key in report["stats"])
+    assert sum(r["filtering"]["duplicates_rejected"] for r in reports) > 0
+    assert sum(r["filtering"]["counterexamples_rejected"] for r in reports) > 0
 
 
 def test_criterion_10_hammer_complementarity(bench_result):

@@ -182,7 +182,6 @@ FIELD_SAMPLES = {
     "max_edit_distance": ("1", 1),
     "revision_budget": ("10", 10),
     "repair_rounds": ("2", 2),
-    "fallback_enabled": ("no", False),
     "hammer_states": ("4", 4),
     "hammer_premise_limit": ("100", 100),
     "hammer_timeout_s": ("1.5", 1.5),
@@ -221,7 +220,7 @@ def test_config_file_jobs_key_is_unknown(tmp_path):
 
 INVALID_VALUES = [
     ("top_k", 0), ("alpha", -0.5), ("top_p", 0.0),
-    ("top_p", 1.5), ("top_matches", 0), ("hammer_states", 0),
+    ("top_p", 1.5), ("top_matches", 0), ("hammer_states", -1),
     ("mesh_weight", -0.1), ("mesh_weight", 1.5), ("atom_limit", -1),
     ("atom_limit", MAX_ATOM_LIMIT + 1),
     # a zero budget is not "no budget": the prover reads 0 as its 10 s default
@@ -250,13 +249,14 @@ def test_least_valid_search_and_hammer_budgets_are_accepted():
                           hammer_depth=0, hammer_premise_limit=0, revision_budget=0,
                           max_edit_distance=0, premise_pool_size=0,
                           max_iterations=0, time_limit_s=0.0, node_budget=0,
-                          temperature=0.0, max_tokens=1)
+                          temperature=0.0, max_tokens=1, hammer_states=0)
     assert (config.repair_rounds, config.candidates_per_state, config.revision_budget) \
         == (0, 1, 0)
     assert (config.hammer_depth, config.hammer_premise_limit) == (0, 0)
     assert (config.max_edit_distance, config.premise_pool_size) == (0, 0)
     assert (config.max_iterations, config.time_limit_s, config.node_budget) == (0, 0.0, 0)
     assert (config.temperature, config.max_tokens) == (0.0, 1)
+    assert config.hammer_states == 0  # the fallback's off switch
     assert EngineConfig(temperature=2.0).temperature == 2.0
 
 
@@ -304,6 +304,27 @@ def test_renamed_flags_override_the_config_file(tmp_path):
     assert (config.candidates_per_state, config.time_limit_s) == (7, 3.0)
     assert (config.hammer_timeout_s, config.backend_endpoint) == (2.0, "h:1")
     assert config.hammer_states == 9 and config.endpoint is None
+
+
+def test_hammer_states_zero_flag_switches_the_fallback_off(theory_file, tmp_path, capsys):
+    from stepwise.cli import _engine_config
+
+    args = build_parser().parse_args(["prove", "--theory", "t.thy", "--hammer-states", "0"])
+    assert _engine_config(args).hammer_states == 0
+    out = tmp_path / "reports"
+    code = main(["prove", "--theory", str(theory_file), "--theorem", "t1",
+                 "--max-iterations", "0", "--hammer-states", "0", "--out", str(out)])
+    assert code == 0 and "FAILED" in capsys.readouterr().out
+    report = json.loads((out / "clidemo.t1.json").read_text())
+    assert report["via"] is None and "fallback_attempts" not in report
+
+
+def test_prove_closes_a_theorem_that_is_already_true(tmp_path, capsys):
+    path = tmp_path / "top.thy"
+    path.write_text("theory T\ntheorem t: true\nend\n")
+    code = main(["prove", "--theory", str(path), "--out", str(tmp_path / "reports")])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("T.t: PROVED")
 
 
 @pytest.mark.parametrize("name,value", INVALID_VALUES)
@@ -459,6 +480,23 @@ def test_readme_config_keys_equal_engine_config_fields():
     assert set(keys) == {f.name for f in dataclasses.fields(EngineConfig)}
 
 
+def test_readme_config_defaults_and_least_values_match_the_code():
+    """Each ``(default)`` reads back through the config file's parser as the
+    field's default, and a field states "must be >= N" exactly when N is its
+    least value in the code."""
+    from stepwise.config import _MINIMUMS, _coerce
+
+    section = README.read_text().split("### Configuration file", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- `(\w+)` \(([^)]*)\) - (.*?)(?=^- |^$|\Z)", section,
+                       re.MULTILINE | re.DOTALL)
+    assert {name for name, _, _ in items} == {f.name for f in dataclasses.fields(EngineConfig)}
+    for name, default, text in items:
+        value = _coerce(name, "" if default == "empty" else default)
+        assert value == getattr(EngineConfig(), name), name
+        stated = re.findall(r"must\s+be\s+>=\s+(\d+(?:\.\d+)?)", text)
+        assert stated == ([str(_MINIMUMS[name])] if name in _MINIMUMS else []), name
+
+
 def test_prove_theorem_pipeline_report_shape():
     theory = load_theory(THEORY)
     result = prove_theorem(theory, "t1", EngineConfig(seed=4), backend=ToyProver())
@@ -466,9 +504,8 @@ def test_prove_theorem_pipeline_report_shape():
     report = result.report
     assert report["theory"] == "clidemo" and report["theorem"] == "t1"
     assert report["ground_truth_length"] == 2
-    assert set(report["stats"]) >= {"iterations", "nodes_created", "generator_calls",
-                                    "revisions_tried", "wall_time",
-                                    "nodes_filtered_dup", "nodes_filtered_cex"}
+    assert set(report["stats"]) == {"iterations", "nodes_created", "generator_calls",
+                                    "revisions_tried", "wall_time"}
     assert set(report["filtering"]) == {"duplicates_rejected",
                                         "counterexamples_rejected", "unknown_oracle"}
 
@@ -596,10 +633,23 @@ def test_cli_eval_scores_only_the_given_theory(tmp_path, capsys):
     assert [s["theorem"] for s in sims] == ["case_000.goal"]
 
 
+def _setting(field, value):
+    return lambda text: json.dumps({**json.loads(text), field: value})
+
+
+# bool("false") is True, a bool is an int, and a table cannot sort an int
+# group among strings, so each field's type is checked
+WRONG_TYPES = [("proved", "false"), ("proved", 1), ("proved", None),
+               ("ground_truth_length", True), ("ground_truth_length", "2"),
+               ("ground_truth_length", 2.0), ("steps", "apply [f2]"), ("steps", [1, 2]),
+               ("split", 5), ("session", ["a"])]
+
+
 @pytest.mark.parametrize("mangle", [
     lambda text: text[:len(text) // 2],
     lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "theory"}),
-], ids=["truncated", "no_theory"])
+    *(_setting(field, value) for field, value in WRONG_TYPES),
+], ids=["truncated", "no_theory", *(f"{field}={value!r}" for field, value in WRONG_TYPES)])
 def test_cli_eval_malformed_report_is_one_error_line_naming_the_file(
         mangle, theory_file, tmp_path, capsys):
     reports = tmp_path / "reports"

@@ -129,22 +129,23 @@ def test_fallback_attempts_in_score_order_and_stops_at_first_hit():
 def test_fallback_config_validation():
     # the fallback's fields are checked where the one config is built
     with pytest.raises(ConfigError):
-        EngineConfig(hammer_states=0)
+        EngineConfig(hammer_states=-1)
     with pytest.raises(ConfigError):
         EngineConfig(mesh_weight=1.5)
 
 
+class _Spy(ToyProver):
+    def __init__(self):
+        super().__init__()
+        self.hammer_calls = 0
+
+    def hammer_at(self, token, config, pool):
+        self.hammer_calls += 1
+        return super().hammer_at(token, config, pool)
+
+
 def test_fallback_only_consulted_after_search_failure():
     from stepwise.engine import prove_theorem
-
-    class _Spy(ToyProver):
-        def __init__(self):
-            super().__init__()
-            self.hammer_calls = 0
-
-        def hammer_at(self, token, config, pool):
-            self.hammer_calls += 1
-            return super().hammer_at(token, config, pool)
 
     theory = load_theory(THEORY)
     spy = _Spy()
@@ -162,16 +163,20 @@ def test_fallback_only_consulted_after_search_failure():
     assert spy2.hammer_calls >= 1
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_fallback_enabled_decides_whether_a_stalled_search_is_hammered(chain_theory, enabled):
+@pytest.mark.parametrize("hammer_states", [16, 0])
+def test_hammer_states_decides_whether_a_stalled_search_is_hammered(chain_theory,
+                                                                    hammer_states):
     from stepwise.engine import prove_theorem
 
     # no iteration runs, so only the fallback can prove t1
+    spy = _Spy()
     result = prove_theorem(chain_theory, "t1",
-                           EngineConfig(max_iterations=0, fallback_enabled=enabled))
-    if enabled:
+                           EngineConfig(max_iterations=0, hammer_states=hammer_states),
+                           backend=spy)
+    if hammer_states:
         assert result.proved and result.via == "fallback"
-        assert len(result.report["fallback_attempts"]) == 1
-    else:
+        assert len(result.report["fallback_attempts"]) == spy.hammer_calls == 1
+    else:  # the fallback's off switch: no hammer call, no attempts recorded
         assert not result.proved and result.via is None
+        assert spy.hammer_calls == 0
         assert "fallback_attempts" not in result.report

@@ -43,8 +43,8 @@ def test_untraced_benchmark_run_passes_its_checks(workload):
 # premise repair, the oracle or the hammer that alters any search or fallback
 # fails here
 PINNED_REPORTS = {
-    "corpus_inproc": "548590c50cdf04755a732f17226c1e28e6719b3620462d1e6dcabc4a5aec2f77",
-    "repair_wide": "7cc7530d4bbcfde28cf6764203ddc30e03c08f5e86dab98d08219171137b620d",
+    "corpus_inproc": "c1e3ce8449704ac814d2c7f09b60e4a3bc48be1d1b6ffc48a46f88ca3c8bc505",
+    "repair_wide": "d27882a654a94d52b82330df1b51ada1bdcc178e198baa30c3f02cfaaae9918e",
 }
 
 

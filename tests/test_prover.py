@@ -5,7 +5,7 @@ from collections import deque
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stepwise import prover
@@ -20,7 +20,8 @@ from stepwise.core import (
     parse_step,
 )
 from stepwise.formulas import (
-    FALSE, TRUE, And, Atom, Const, Implies, Not, Or, atoms, parse_formula, render)
+    FALSE, TRUE, And, Atom, Const, Implies, Not, Or, atoms, fold_constants, parse_formula,
+    render)
 from stepwise.prover import (
     MAX_ATOM_LIMIT,
     HammerConfig,
@@ -179,8 +180,9 @@ def test_simp_constant_folding():
     assert result.ok and canonical_state(result.state) == "⊢ p"
 
 
-def test_simp_closes_when_goal_becomes_true():
-    result = apply_step(state_of("p -> true"), parse_step("simp"))
+@pytest.mark.parametrize("goal", ["p -> true", "true"])
+def test_simp_closes_when_goal_becomes_true(goal):
+    result = apply_step(state_of(goal), parse_step("simp"))
     assert result.ok and result.state.qed
 
 
@@ -387,6 +389,15 @@ formulas = st.recursive(
         st.tuples(sub, sub).map(lambda lr: Or(*lr)),
         st.tuples(sub, sub).map(lambda lr: Implies(*lr))),
     max_leaves=6)
+
+
+@settings(max_examples=200)
+@given(formulas, st.lists(formulas, max_size=2))
+def test_simp_closes_every_goal_that_folds_to_true(goal, hyps):
+    assume(fold_constants(goal) == TRUE)  # ``true`` itself included
+    result = apply_step(ProofState((Subgoal(tuple(hyps), goal),), FactContext({})),
+                        parse_step("simp"))
+    assert result.ok and result.state.qed
 
 
 @settings(max_examples=200)

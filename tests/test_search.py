@@ -827,12 +827,14 @@ def test_seed_0_bench_totals_are_pinned():
     config = bench_engine_config(0)
     prover = ToyProver()
     totals = dict.fromkeys(("iterations", "nodes_created", "generator_calls",
-                            "nodes_filtered_dup", "nodes_filtered_cex", "revisions_tried"), 0)
+                            "duplicates_rejected", "counterexamples_rejected",
+                            "revisions_tried"), 0)
     for theory in generate_corpus(0):
-        stats = prove_theorem(theory, "goal", config, backend=prover,
-                              generator=config.make_generator()).report["stats"]
+        report = prove_theorem(theory, "goal", config, backend=prover,
+                               generator=config.make_generator()).report
+        counts = {**report["stats"], **report["filtering"]}
         for key in totals:
-            totals[key] += stats[key]
+            totals[key] += counts[key]
     assert totals == {"iterations": 596, "nodes_created": 1771, "generator_calls": 1026,
-                      "nodes_filtered_dup": 1853, "nodes_filtered_cex": 75,
+                      "duplicates_rejected": 1853, "counterexamples_rejected": 75,
                       "revisions_tried": 15010}
