@@ -161,16 +161,19 @@ def _records_from_reports(directory: str) -> list[RunRecord]:
             length = report.get("ground_truth_length", 0)
             if not isinstance(proved, bool):  # bool("false") is True
                 raise TypeError(f"proved must be a bool, got {proved!r}")
-            if type(length) is not int:  # a bool is an int too
-                raise TypeError(f"ground_truth_length must be an int, got {length!r}")
+            if type(length) is not int or length < 0:  # a bool is an int too
+                raise TypeError(f"ground_truth_length must be an int >= 0, got {length!r}")
             if steps is not None and not (isinstance(steps, list)
                                           and all(isinstance(s, str) for s in steps)):
                 raise TypeError(f"steps must be null or a list of strings, got {steps!r}")
             split, session = report.get("split", "all"), report.get("session", "")
-            if not (isinstance(split, str) and isinstance(session, str)):  # table keys
-                raise TypeError(f"split and session must be strings, got {split!r}, {session!r}")
+            theory, theorem = report["theory"], report["theorem"]
+            # table keys, and the parts of the record's name
+            if not all(isinstance(v, str) for v in (split, session, theory, theorem)):
+                raise TypeError("split, session, theory and theorem must be strings, got "
+                                f"{split!r}, {session!r}, {theory!r}, {theorem!r}")
             records.append(RunRecord(
-                theorem=f"{report['theory']}.{report['theorem']}",
+                theorem=f"{theory}.{theorem}",
                 split=split,
                 ground_truth_length=length,
                 proved=proved,

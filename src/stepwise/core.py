@@ -136,13 +136,16 @@ class FactIndex:
     repair's, per atom seed) and ``packed_names`` are filled on use, and so
     are the counterexample oracle's ``cex_table`` (the sorted atoms and the
     conjunction table of the statements over them), ``cex_rows`` (per
-    ``Subgoal`` judged, its sorted atoms and first counterexample row) and
-    the mock generator's ``mock_pool``.
+    ``Subgoal`` judged, its sorted atoms and first counterexample row), the
+    mock generator's ``mock_pool`` and ``hammer_tables``: per premise pool
+    set, the hammer's ``elim`` moves and, per ``Subgoal`` reached, its least
+    closing length or a length it exceeds and its successful moves (see
+    ``prover.toy_hammer``).
     """
 
     __slots__ = ("statements", "spine", "atoms", "names", "fact_atoms", "usage_shares",
                  "atom_ids", "atom_facts", "fact_atom_ids", "sizes", "rankings", "packed_names",
-                 "cex_table", "cex_rows", "mock_pool")
+                 "cex_table", "cex_rows", "mock_pool", "hammer_tables")
 
     def __init__(self, context: FactContext):
         facts, usage = context.facts, context.usage_counts
@@ -177,6 +180,7 @@ class FactIndex:
         self.cex_table: tuple[list[str], int] | None = None
         self.cex_rows: dict[Subgoal, list] | None = None
         self.mock_pool: list[tuple] | None = None
+        self.hammer_tables: dict[frozenset[str], tuple] = {}
 
 
 EMPTY_CONTEXT = FactContext({})

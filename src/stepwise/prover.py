@@ -27,7 +27,6 @@ from .core import (
     Subgoal,
     Theory,
     TheoryEntry,
-    canonical_state,
     parse_step,
 )
 from .formulas import (
@@ -520,80 +519,152 @@ _SHAPE_MOVES = {
     And: (ProofStep("split"),),
     Or: (ProofStep("left"), ProofStep("right")),
 }
+# where the fact moves fall in the hammer's move order, after the fact-free ones
+_FACT_MOVE_GROUPS = {"elim": 1, "apply": 2}
 
 
 def toy_hammer(state: ProofState, config: HammerConfig, pool: list[str]) -> HammerResult:
-    """Iterative-deepening search for a full closing step sequence.
+    """The first proof of least length in a fixed move order, if that
+    length is at most ``config.max_depth``.
 
-    Tactics are tried in a fixed order with facts in ``pool`` order, the
+    Moves are tried in a fixed order with facts in ``pool`` order, the
     caller's relevance ranking: ``assumption``, ``intro``, ``split``,
     ``left``, ``right``, ``elim`` over the pool's disjunctions, then
     ``apply`` over the pool facts. Deterministic for fixed inputs; Timeout
     when the budget runs out.
+
+    The result is the one iterative deepening (Korf, 1985) with
+    canonical-key depth pruning returns, computed from each subgoal's least
+    closing length, the AND-OR decomposition of AO* (Martelli & Montanari,
+    1973):
+
+    (a) Each step rewrites the first subgoal alone, so a state's least
+        proof length is the sum of its subgoals' least lengths, and a
+        subgoal's is one more than the least sum over its moves' children.
+        Neither depends on subgoal order or on pool order, only on the
+        pool's set.
+    (b) Deepening stops at depth d, the root's least length. In that round
+        a child is entered with one less depth than its parent and has at
+        least one less least length, so ``depth - least length`` never
+        rises along a path from 0. So each state on the returned path is
+        entered with depth equal to its least length, and the DFS returns
+        through the first move in order whose child's least length is one
+        less: every earlier move's child needs more depth than it gets.
+    (c) Canonical-key pruning cannot cut that path. A state is pruned only
+        by an earlier visit to its key with at least as much depth, hence
+        (by (b)) with depth equal to its least length; the first such visit
+        to finish would have returned a proof first.
+
+    So a state whose subgoals' least lengths sum past ``max_depth`` is
+    ``notfound`` at once, and otherwise the proof is the greedy walk that
+    takes at each state the first move whose children's least lengths sum
+    to the first subgoal's minus one.
+
+    The lengths live on the context's ``FactIndex``, one table per pool
+    set: per ``Subgoal`` its least length once known, else the largest
+    length it was shown to exceed, and its successful moves with their
+    children. Each entry is stored only once complete, so a timeout leaves
+    the table sound, and every call on the theorem's states with that pool
+    set reuses it.
     """
     if not state.subgoals:
         return HammerResult("found", ())
     ctx = state.context
-    elims = [ProofStep("elim", (fname,)) for fname in pool
-             if isinstance(ctx.facts.get(fname), Or)]
-    spines = ctx.index().spine
-    moves: dict[Formula, list[ProofStep]] = {}
+    index = ctx.index()
+    pool_set = frozenset(pool)
+    table = index.hammer_tables.get(pool_set)
+    if table is None:
+        elims = [ProofStep("elim", (f,)) for f in index.names
+                 if f in pool_set and isinstance(ctx.facts[f], Or)]
+        table = index.hammer_tables[pool_set] = (elims, {}, {}, {})
+    elims, least, refuted, moves = table
+    spines, statements = index.spine, index.statements
+    deadline = time.monotonic() + config.budget_ms / 1000.0
 
-    def successors(current: ProofState) -> list[tuple[ProofStep, ProofState]]:
-        # a goal's moves, built once: the fact-free moves its class admits,
-        # every elim, then `apply [f]` for the pool facts whose implication
-        # right spine passes through it (the only goals f concludes)
-        goal = current.subgoals[0].goal
-        goal_moves = moves.get(goal)
-        if goal_moves is None:
-            names = spines.get(goal, ())
-            goal_moves = moves[goal] = [_ASSUMPTION, *_SHAPE_MOVES.get(type(goal), ()),
-                                        *elims,
-                                        *(ProofStep("apply", (f,)) for f in pool if f in names)]
+    def expand(sub: Subgoal) -> list[tuple[ProofStep, tuple[Subgoal, ...]]]:
+        # the fact-free moves the goal's class admits, every elim, then
+        # `apply [f]` for the pool facts whose implication right spine
+        # passes through the goal (the only goals f concludes)
+        goal, alone = sub.goal, ProofState((sub,), ctx)
         out = []
-        for step in goal_moves:
-            result = apply_step(current, step)
+        for step in (_ASSUMPTION, *_SHAPE_MOVES.get(type(goal), ()), *elims,
+                     *(ProofStep("apply", (f,)) for f in spines.get(goal, ()) if f in pool_set)):
+            result = apply_step(alone, step)
             if result.ok:
-                out.append((step, result.state))
+                out.append((step, result.state.subgoals))
         return out
 
-    # every deepening round re-walks the tree, so each state reached keeps
-    # [canonical key, successors once expanded], keyed by its exact
-    # subgoals: apply_step acts on the first one, which the key ignores
-    records: dict[tuple[Subgoal, ...], list] = {}
-    deadline = time.monotonic() + config.budget_ms / 1000.0
+    def length(sub: Subgoal, budget: int) -> int | None:
+        """``sub``'s least closing length if it is at most ``budget``."""
+        n = least.get(sub)
+        if n is not None:
+            return n if n <= budget else None
+        if budget <= refuted.get(sub, 0):
+            return None
+        if time.monotonic() > deadline:
+            raise _BudgetExceeded
+        if budget == 1:
+            # only a move with no children takes one step, and any such
+            # move (`apply` with a fact equal to the goal) makes the goal
+            # a statement, so `assumption` is one
+            if sub.goal in sub.hypotheses or sub.goal in statements:
+                least[sub] = 1
+                return 1
+            refuted[sub] = 1
+            return None
+        sub_moves = moves.get(sub)
+        if sub_moves is None:
+            sub_moves = moves[sub] = expand(sub)
+        best = budget + 1
+        for _, children in sub_moves:
+            total = fit(children, best - 2)  # look only for a shorter proof
+            if total is not None:
+                best = total + 1
+                if best == 1:
+                    break
+        if best > budget:
+            refuted[sub] = budget
+            return None
+        least[sub] = best
+        return best
+
+    def fit(subgoals: tuple[Subgoal, ...], budget: int) -> int | None:
+        """The sum of the least lengths of ``subgoals`` if it is at most
+        ``budget``; each subgoal takes at least one step."""
+        total, after = 0, len(subgoals)
+        for sub in subgoals:
+            after -= 1
+            n = length(sub, budget - total - after)
+            if n is None:
+                return None
+            total += n
+        return total
+
     try:
-        for depth in range(1, config.max_depth + 1):
-            steps = _hammer_dfs(state, successors, records, depth, deadline, {})
-            if steps is not None:
-                return HammerResult("found", tuple(steps))
+        if fit(state.subgoals, config.max_depth) is None:
+            return HammerResult("notfound")
+        rank: dict[str, int] = {}
+        for i, name in enumerate(pool):
+            rank.setdefault(name, i)
+
+        def order(move: tuple[ProofStep, tuple[Subgoal, ...]]) -> tuple[int, int]:
+            step = move[0]
+            return (_FACT_MOVE_GROUPS.get(step.tactic, 0), rank[step.facts[0]] if step.facts else 0)
+
+        steps = []
+        subgoals = state.subgoals
+        while subgoals:
+            need = least[subgoals[0]] - 1
+            if need:
+                step, children = next(move for move in sorted(moves[subgoals[0]], key=order)
+                                      if fit(move[1], need) is not None)
+            else:  # closed in one step, so by `assumption` (see `length`)
+                step, children = _ASSUMPTION, ()
+            steps.append(step)
+            subgoals = children + subgoals[1:]
     except _BudgetExceeded:
         return HammerResult("timeout")
-    return HammerResult("notfound")
-
-
-def _hammer_dfs(state: ProofState, successors, records: dict, depth: int,
-                deadline: float, visited: dict[str, int]) -> list[ProofStep] | None:
-    if not state.subgoals:
-        return []
-    if depth <= 0:
-        return None
-    if time.monotonic() > deadline:
-        raise _BudgetExceeded
-    record = records.get(state.subgoals)
-    if record is None:
-        record = records[state.subgoals] = [canonical_state(state), None]
-    key = record[0]
-    if visited.get(key, -1) >= depth:
-        return None
-    visited[key] = depth
-    if record[1] is None:
-        record[1] = successors(state)
-    for step, child in record[1]:
-        tail = _hammer_dfs(child, successors, records, depth - 1, deadline, visited)
-        if tail is not None:
-            return [step] + tail
-    return None
+    return HammerResult("found", tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -637,12 +637,15 @@ def _setting(field, value):
     return lambda text: json.dumps({**json.loads(text), field: value})
 
 
-# bool("false") is True, a bool is an int, and a table cannot sort an int
-# group among strings, so each field's type is checked
+# bool("false") is True, a bool is an int, a table cannot sort an int
+# group among strings, a record is named "theory.theorem" and a negative
+# length skews coverage, so each field's type (and the length's sign) is checked
 WRONG_TYPES = [("proved", "false"), ("proved", 1), ("proved", None),
                ("ground_truth_length", True), ("ground_truth_length", "2"),
-               ("ground_truth_length", 2.0), ("steps", "apply [f2]"), ("steps", [1, 2]),
-               ("split", 5), ("session", ["a"])]
+               ("ground_truth_length", 2.0), ("ground_truth_length", -1),
+               ("steps", "apply [f2]"), ("steps", [1, 2]),
+               ("split", 5), ("session", ["a"]),
+               ("theory", None), ("theory", 7), ("theorem", ["x"]), ("theorem", None)]
 
 
 @pytest.mark.parametrize("mangle", [

@@ -729,24 +729,91 @@ def test_hammer_with_a_warm_context_matches_reference():
 
 
 def test_hammer_applies_each_move_to_each_state_once():
-    # iterative deepening re-walks the shallower rounds' tree each round
+    # the context keeps each subgoal's moves per pool set, so across calls
+    # on one context no move is applied to a subgoal twice, and a repeated
+    # call applies nothing
     ctx = ctx_of(ab="a | b", pa="a -> c", pb="b -> c", m="c -> d -> e", n="e -> f")
     config = HammerConfig(4, 60_000)
+    seen = []
+
+    def recording(current, step, *args):
+        seen.append((current.subgoals, step))
+        return apply_step(current, step, *args)
+
     for goal, hyps, kind in (("a -> e", ("c", "d"), "found"),
                              ("(a -> f) & (b -> e)", ("d",), "notfound")):
         state = state_of(goal, hyps, ctx)
-        seen = []
-
-        def recording(current, step, *args):
-            seen.append((current.subgoals, step))
-            return apply_step(current, step, *args)
-
         with mock.patch.object(prover, "apply_step", recording):
             result = toy_hammer(state, config, sorted(ctx.facts))
+            applied = len(seen)
+            assert result == toy_hammer(state, config, sorted(ctx.facts))
+        assert len(seen) == applied
         assert result.kind == kind
-        assert result == toy_hammer(state, config, sorted(ctx.facts))
-        assert len(seen) > 20
-        assert len(set(seen)) == len(seen)
+        expected = reference_hammer(state, config, sorted(ctx.facts))
+        assert (result.kind, result.steps) == (expected.kind, expected.steps)
+    assert len(set(seen)) == len(seen) > 0
+
+
+def test_hammer_with_one_warm_table_per_pool_set_matches_reference():
+    # one context serves many states; their pools are shuffled, repeat or
+    # misname facts but have one set, so they share a table, and some are
+    # cut below the context's size, so their sets (and tables) differ
+    rng = random.Random(29)
+    calls = tables = 0
+    for _ in range(40):
+        ctx = random_context(rng)
+        names = list(ctx.facts)
+        for _ in range(12):
+            state = random_state(rng, ctx)
+            pool = names[:]
+            rng.shuffle(pool)
+            roll = rng.random()
+            if roll < 0.3:
+                pool += pool[:2] + ["zz"]
+            elif roll < 0.5 and pool:
+                pool = pool[:rng.randrange(len(pool))]
+            config = HammerConfig(rng.randint(1, 5), 60_000)
+            for s in (state, ProofState(state.subgoals[::-1], ctx)):
+                ours = toy_hammer(s, config, pool)
+                expected = reference_hammer(s, config, pool)
+                assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
+                calls += 1
+        tables += len(ctx.index().hammer_tables)
+    assert calls >= 900 and tables >= 120  # 960 calls over 158 tables
+
+
+def test_hammer_timeout_leaves_the_table_sound():
+    # a cold call that runs out of budget partway leaves only complete
+    # entries, so an ample call on the same context still equals the
+    # reference; the clock ticks once per read, so a 1 ms budget runs out
+    # after about `ticks` reads, and every cut point is tried
+    class Clock:
+        def __init__(self, ticks):
+            self.now, self.tick = 0.0, 0.001 / ticks
+
+        def monotonic(self):
+            self.now += self.tick
+            return self.now
+
+    rng = random.Random(30)
+    cuts = 0
+    for _ in range(150):
+        facts = random_context(rng).facts
+        state = random_state(rng, FactContext(facts))
+        pool = sorted(facts)
+        config = HammerConfig(4, 60_000)
+        expected = reference_hammer(state, config, pool)
+        for ticks in range(1, 40):
+            ctx = FactContext(facts)
+            cold = ProofState(state.subgoals, ctx)
+            with mock.patch.object(prover, "time", Clock(ticks)):
+                cut = toy_hammer(cold, HammerConfig(4, 1), pool)
+            if cut.kind != "timeout":
+                break
+            cuts += 1
+            ours = toy_hammer(cold, config, pool)
+            assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
+    assert cuts >= 200  # 252 cut calls
 
 
 # the goal classes each fact-free move can act on; the hammer tries no
