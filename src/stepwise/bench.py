@@ -180,9 +180,9 @@ def arm_auto(theory: Theory, backend) -> bool:
 
 def arm_hammer_root(theory: Theory, backend, config: EngineConfig) -> bool:
     """Baseline: the fallback hammer applied to the root state only."""
-    token, state = backend.start(theory, "goal")
+    token, _ = backend.start(theory, "goal")
     try:
-        result = hammer_state(state, token, backend, config)
+        result = hammer_state(token, backend, config)
     finally:
         backend.release([token])
     return result.found

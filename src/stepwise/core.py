@@ -128,29 +128,32 @@ class FactIndex:
     """Every table the engine reads of one ``FactContext``. By fact id
     (name order, so a tie by id is a tie by name): ``names``,
     ``fact_atoms``, ``usage_shares`` (the usage count over the largest, 0
-    when no fact is used), and premise repair's ``fact_atom_ids`` and
-    ``sizes``; by atom, ``atom_ids`` and ``atom_facts``. ``statements`` and
-    ``atoms`` hold every statement and atom, and ``spine`` maps a formula to
-    the facts, in name order, whose implication right spine passes through
-    it: the only goals ``apply [f]`` can conclude. ``rankings`` (premise
-    repair's, per atom seed) and ``packed_names`` are filled on use, and so
-    are the counterexample oracle's ``cex_table`` (the sorted atoms and the
-    conjunction table of the statements over them), ``cex_rows`` (per
-    ``Subgoal`` judged, its sorted atoms and first counterexample row), the
-    mock generator's ``mock_pool`` and ``hammer_tables``: per premise pool
-    set, the hammer's ``elim`` moves and, per ``Subgoal`` reached, its least
-    closing length or a length it exceeds and its successful moves (see
+    when no fact is used), and the relevance ranking's ``fact_atom_ids`` and
+    ``sizes``; by atom, ``atom_ids`` and ``atom_facts``. ``statements``,
+    ``atoms`` and ``name_set`` hold every statement, atom and fact name, and
+    ``spine`` maps a formula to the facts, in name order, whose implication
+    right spine passes through it: the only goals ``apply [f]`` can
+    conclude. ``rankings`` (the relevance ranking per atom seed, which
+    premise repair and the hammer's ``mesh_rank`` share) and
+    ``packed_names`` are filled on use, and so are the counterexample
+    oracle's ``cex_table`` (the sorted atoms and the conjunction table of
+    the statements over them), ``cex_rows`` (per ``Subgoal`` judged, its
+    sorted atoms and first counterexample row), the mock generator's
+    ``mock_pool`` and ``hammer_tables``: per premise pool set, the hammer's
+    ``elim`` moves and, per ``Subgoal`` reached, its least closing length
+    or a length it exceeds and its successful moves (see
     ``prover.toy_hammer``).
     """
 
-    __slots__ = ("statements", "spine", "atoms", "names", "fact_atoms", "usage_shares",
-                 "atom_ids", "atom_facts", "fact_atom_ids", "sizes", "rankings", "packed_names",
-                 "cex_table", "cex_rows", "mock_pool", "hammer_tables")
+    __slots__ = ("statements", "spine", "atoms", "names", "name_set", "fact_atoms",
+                 "usage_shares", "atom_ids", "atom_facts", "fact_atom_ids", "sizes", "rankings",
+                 "packed_names", "cex_table", "cex_rows", "mock_pool", "hammer_tables")
 
     def __init__(self, context: FactContext):
         facts, usage = context.facts, context.usage_counts
         self.statements = frozenset(facts.values())
         self.names = names = sorted(facts)
+        self.name_set = frozenset(names)
         self.fact_atoms = fact_atoms = [atoms(facts[name]) for name in names]
         most = max(usage.values(), default=0)
         self.usage_shares = [usage.get(name, 0) / most if most else 0.0 for name in names]

@@ -15,7 +15,8 @@ Every command addresses immutable snapshot tokens: ``start`` carries the
 theory source, which the server parses on each call, and returns the
 root's, ``apply_batch`` one per success in each of its ``(token, steps)``
 groups and ``replay`` the end of a step chain, and ``hammer`` takes one
-with the engine's premise pool and budgets. So a missed deadline loses
+with the engine's budgets and premise selection, which the server ranks
+itself. So a missed deadline loses
 only that reply; the snapshots a late ``start``, ``apply_batch`` or
 ``replay`` reply names ride, like every release, on the client's next
 request. An ``apply_batch`` that carries an ``atom_limit``
@@ -51,6 +52,7 @@ from .prover import (
     DEFAULT_STEP_BUDGET_MS,
     HammerConfig,
     HammerResult,
+    PremiseSelection,
     ProverError,
     ToyProver,
     load_theory,
@@ -62,7 +64,7 @@ TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
 COMMANDS = ("init", "start", "apply_batch", "replay", "hammer", "stats")
 
-PROTOCOL_VERSION = 11
+PROTOCOL_VERSION = 12
 
 # the wait, before grace, of a request that carries no budget
 CONTROL_WAIT_MS = 10_000
@@ -182,6 +184,15 @@ def _int(payload: dict, key: str, least: int) -> int:
     if value < least:
         raise ValueError(f"{key} must be at least {least}, got {value}")
     return value
+
+
+def _share(payload: dict, key: str) -> float:
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number")
+    if not 0 <= value <= 1:  # NaN and the infinities, which json.loads reads, fail too
+        raise ValueError(f"{key} must be in [0, 1], got {value}")
+    return float(value)
 
 
 def encode_response(resp: Response) -> str:
@@ -325,7 +336,9 @@ class ProverServer:
             return reply
         if cmd == "hammer":
             config = HammerConfig(_int(payload, "max_depth", 0), _int(payload, "budget_ms", 1))
-            result = prover.hammer_at(_text(payload, "token"), config, _texts(payload, "pool"))
+            premises = PremiseSelection(_int(payload, "premise_limit", 0),
+                                        _share(payload, "mesh_weight"))
+            result = prover.hammer_at(_text(payload, "token"), config, premises)
             reply = {"result": result.kind}
             if result.found:
                 reply["steps"] = [s.text() for s in result.steps]
@@ -593,9 +606,11 @@ class RemoteProver:
     def stats(self) -> dict:
         return self._expect(self._call("stats"))
 
-    def hammer_at(self, token: str, config: HammerConfig, pool: list[str]) -> HammerResult:
-        payload = {"token": token, "max_depth": config.max_depth,
-                   "budget_ms": config.budget_ms, "pool": pool}
+    def hammer_at(self, token: str, config: HammerConfig,
+                  premises: PremiseSelection) -> HammerResult:
+        limit, weight = premises
+        payload = {"token": token, "max_depth": config.max_depth, "budget_ms": config.budget_ms,
+                   "premise_limit": limit, "mesh_weight": weight}
         resp = self._call("hammer", payload=payload, timeout_ms=config.budget_ms + 5000)
         reply = self._expect(resp)
         with _reply_to(resp.id):

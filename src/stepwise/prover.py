@@ -6,21 +6,25 @@ oracle and a depth-bounded proof hammer, all addressed by immutable
 snapshot tokens: ``start`` takes a parsed ``Theory`` and returns the
 root's, ``apply_batch`` one per success of each ``(token, steps)`` group,
 with the kind of the counterexample verdict on it, and ``replay`` the end
-of a step chain, and ``hammer_at`` takes one with the caller's premise
-pool and budgets. All tactics act on the first subgoal.
+of a step chain, and ``hammer_at`` takes one with the caller's budgets
+and premise selection, which the prover ranks itself. All tactics act on
+the first subgoal.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BARE_FAILURES,
     FACT_REQUIRED,
     FactContext,
+    FactIndex,
     ProofState,
     ProofStep,
     StepResult,
@@ -491,6 +495,88 @@ def check_counterexample(state: ProofState, atom_limit: int = DEFAULT_ATOM_LIMIT
 
 
 # ---------------------------------------------------------------------------
+# Premise selection
+# ---------------------------------------------------------------------------
+
+def relevance_filter(goal_state: ProofState, k: int) -> list[str]:
+    """Iterative symbol-overlap premise selection.
+
+    Grows a relevant-atom set seeded from the state's subgoals; each round
+    picks the unselected fact with the highest |atoms(f) & R| / |atoms(f)|
+    (ties by fact id) and joins its atoms into R. Stops at ``k`` facts or
+    when every remaining score is zero.
+
+    No pick depends on ``k``, so the answer is the first ``k`` names of the
+    full ranking, which the state's context's index keeps per atom seed.
+    """
+    seed = frozenset().union(*(sub.atom_names() for sub in goal_state.subgoals))
+    index = goal_state.context.index()
+    ranking = index.rankings.get(seed)
+    if ranking is None:
+        ranking = index.rankings[seed] = _rank_by_relevance(seed, index)
+    return ranking[:max(k, 0)]
+
+
+def _rank_by_relevance(seed: frozenset[str], index: FactIndex) -> list[str]:
+    """Every fact ``relevance_filter`` would ever pick from ``seed``, in order.
+
+    Each unchosen fact's overlap count is kept and raised only when an atom
+    it mentions joins R, each raise pushing a fresh heap entry keyed
+    (-score, id). Scores only grow, so a fact's newest entry pops before its
+    older ones, which are skipped once the fact is chosen.
+    """
+    atom_facts, fact_atoms, sizes = index.atom_facts, index.fact_atom_ids, index.sizes
+    hits = [0] * len(sizes)
+    chosen = [False] * len(sizes)
+    relevant = [False] * len(atom_facts)
+    heap: list[tuple[float, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
+    selected: list[int] = []
+    new_atoms = [index.atom_ids[a] for a in seed if a in index.atom_ids]
+    while True:
+        for a in new_atoms:
+            relevant[a] = True
+            for i in atom_facts[a]:
+                if not chosen[i]:
+                    hits[i] += 1
+                    push(heap, (-hits[i] / sizes[i], i))
+        while heap:
+            i = pop(heap)[1]
+            if not chosen[i]:
+                break
+        else:
+            return [index.names[i] for i in selected]
+        selected.append(i)
+        chosen[i] = True
+        new_atoms = [a for a in fact_atoms[i] if not relevant[a]]
+
+
+def mesh_rank(state: ProofState, k: int, w: float) -> list[str]:
+    """Premises ranked by a blend of symbol overlap and proof usage.
+
+    The overlap component is the reciprocal rank from ``relevance_filter``
+    (0 for unranked facts); the usage component is the fact's ground-truth
+    usage count normalised by the maximum (0 when the corpus is empty).
+    Combined score: ``w * overlap + (1 - w) * usage``; ties break by fact id.
+    """
+    index = state.context.index()
+    overlap_order = relevance_filter(state, len(index.names))
+    overlap_score = {name: 1.0 / (rank + 1) for rank, name in enumerate(overlap_order)}
+    scored = sorted((-(w * overlap_score.get(name, 0.0) + (1 - w) * usage), name)
+                    for name, usage in zip(index.names, index.usage_shares))
+    return [name for _, name in scored[:k]]
+
+
+class PremiseSelection(NamedTuple):
+    """The facts the hammer may use: the first ``premise_limit`` of the
+    state's ``mesh_rank`` order at weight ``mesh_weight``, tried in that
+    order."""
+
+    premise_limit: int
+    mesh_weight: float
+
+
+# ---------------------------------------------------------------------------
 # Bounded-search hammer
 # ---------------------------------------------------------------------------
 
@@ -523,15 +609,16 @@ _SHAPE_MOVES = {
 _FACT_MOVE_GROUPS = {"elim": 1, "apply": 2}
 
 
-def toy_hammer(state: ProofState, config: HammerConfig, pool: list[str]) -> HammerResult:
+def toy_hammer(state: ProofState, config: HammerConfig,
+               premises: PremiseSelection) -> HammerResult:
     """The first proof of least length in a fixed move order, if that
     length is at most ``config.max_depth``.
 
-    Moves are tried in a fixed order with facts in ``pool`` order, the
-    caller's relevance ranking: ``assumption``, ``intro``, ``split``,
-    ``left``, ``right``, ``elim`` over the pool's disjunctions, then
-    ``apply`` over the pool facts. Deterministic for fixed inputs; Timeout
-    when the budget runs out.
+    The pool is the facts ``premises`` selects, and moves are tried in a
+    fixed order with facts in pool order: ``assumption``, ``intro``,
+    ``split``, ``left``, ``right``, ``elim`` over the pool's disjunctions,
+    then ``apply`` over the pool facts. Deterministic for fixed inputs;
+    Timeout when the budget runs out.
 
     The result is the one iterative deepening (Korf, 1985) with
     canonical-key depth pruning returns, computed from each subgoal's least
@@ -566,12 +653,22 @@ def toy_hammer(state: ProofState, config: HammerConfig, pool: list[str]) -> Hamm
     children. Each entry is stored only once complete, so a timeout leaves
     the table sound, and every call on the theorem's states with that pool
     set reuses it.
+
+    Only the walk reads the pool order. A limit below the context's size
+    needs the ``mesh_rank`` order for the pool set itself, so it is ranked
+    first; otherwise the set is every fact, the index's ``name_set``, and
+    the order is ranked only once a proof is known to exist.
     """
     if not state.subgoals:
         return HammerResult("found", ())
     ctx = state.context
     index = ctx.index()
-    pool_set = frozenset(pool)
+    limit, weight = premises
+    if limit >= len(index.names):
+        pool, pool_set = None, index.name_set
+    else:
+        pool = mesh_rank(state, limit, weight)
+        pool_set = frozenset(pool)
     table = index.hammer_tables.get(pool_set)
     if table is None:
         elims = [ProofStep("elim", (f,)) for f in index.names
@@ -643,9 +740,9 @@ def toy_hammer(state: ProofState, config: HammerConfig, pool: list[str]) -> Hamm
     try:
         if fit(state.subgoals, config.max_depth) is None:
             return HammerResult("notfound")
-        rank: dict[str, int] = {}
-        for i, name in enumerate(pool):
-            rank.setdefault(name, i)
+        if pool is None:
+            pool = mesh_rank(state, limit, weight)
+        rank = {name: i for i, name in enumerate(pool)}
 
         def order(move: tuple[ProofStep, tuple[Subgoal, ...]]) -> tuple[int, int]:
             step = move[0]
@@ -820,8 +917,9 @@ class ToyProver:
     def counterexample_at(self, token: str, atom_limit: int = DEFAULT_ATOM_LIMIT) -> CexResult:
         return check_counterexample(self._snapshot(token), atom_limit)
 
-    def hammer_at(self, token: str, config: HammerConfig, pool: list[str]) -> HammerResult:
-        return toy_hammer(self._snapshot(token), config, pool)
+    def hammer_at(self, token: str, config: HammerConfig,
+                  premises: PremiseSelection) -> HammerResult:
+        return toy_hammer(self._snapshot(token), config, premises)
 
     # -- lifetime ----------------------------------------------------------
 

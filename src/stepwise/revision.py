@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from dataclasses import dataclass
 
 from .config import EngineConfig
-from .core import TACTICS, Candidate, FactContext, FactIndex, ProofState, ProofStep, Theory
+from .core import TACTICS, Candidate, FactContext, ProofState, ProofStep, Theory
 from .formulas import PARSE_CACHE_SIZE
+from .prover import relevance_filter
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,59 +30,6 @@ def tactic_frequencies(theory: Theory) -> tuple[str, ...]:
     if not counts:
         return TACTICS
     return tuple(sorted(counts, key=lambda t: (-counts[t], t)))
-
-
-def relevance_filter(goal_state: ProofState, k: int) -> list[str]:
-    """Iterative symbol-overlap premise selection.
-
-    Grows a relevant-atom set seeded from the state's subgoals; each round
-    picks the unselected fact with the highest |atoms(f) & R| / |atoms(f)|
-    (ties by fact id) and joins its atoms into R. Stops at ``k`` facts or
-    when every remaining score is zero.
-
-    No pick depends on ``k``, so the answer is the first ``k`` names of the
-    full ranking, which the state's context's index keeps per atom seed.
-    """
-    seed = frozenset().union(*(sub.atom_names() for sub in goal_state.subgoals))
-    index = goal_state.context.index()
-    ranking = index.rankings.get(seed)
-    if ranking is None:
-        ranking = index.rankings[seed] = _rank_by_relevance(seed, index)
-    return ranking[:max(k, 0)]
-
-
-def _rank_by_relevance(seed: frozenset[str], index: FactIndex) -> list[str]:
-    """Every fact ``relevance_filter`` would ever pick from ``seed``, in order.
-
-    Each unchosen fact's overlap count is kept and raised only when an atom
-    it mentions joins R, each raise pushing a fresh heap entry keyed
-    (-score, id). Scores only grow, so a fact's newest entry pops before its
-    older ones, which are skipped once the fact is chosen.
-    """
-    atom_facts, fact_atoms, sizes = index.atom_facts, index.fact_atom_ids, index.sizes
-    hits = [0] * len(sizes)
-    chosen = [False] * len(sizes)
-    relevant = [False] * len(atom_facts)
-    heap: list[tuple[float, int]] = []
-    push, pop = heapq.heappush, heapq.heappop
-    selected: list[int] = []
-    new_atoms = [index.atom_ids[a] for a in seed if a in index.atom_ids]
-    while True:
-        for a in new_atoms:
-            relevant[a] = True
-            for i in atom_facts[a]:
-                if not chosen[i]:
-                    hits[i] += 1
-                    push(heap, (-hits[i] / sizes[i], i))
-        while heap:
-            i = pop(heap)[1]
-            if not chosen[i]:
-                break
-        else:
-            return [index.names[i] for i in selected]
-        selected.append(i)
-        chosen[i] = True
-        new_atoms = [a for a in fact_atoms[i] if not relevant[a]]
 
 
 def edit_distance(a: str, b: str) -> int:

@@ -122,7 +122,8 @@ def naive_revise(failures, tactic_set, config):
     then the first best candidate per step text, sorted by
     ``(-log_prob, text)`` and capped."""
     from stepwise.core import Candidate, ProofStep
-    from stepwise.revision import premise_repair, relevance_filter
+    from stepwise.prover import relevance_filter
+    from stepwise.revision import premise_repair
 
     raw = []
     for attempt in failures:

@@ -4,9 +4,16 @@ from stepwise.core import FactContext, ProofState, Subgoal
 from stepwise.filtering import FilterStats
 from stepwise.formulas import parse_formula
 from stepwise.config import ConfigError, EngineConfig
-from stepwise.hammer import hammer_fallback, mesh_rank
-from stepwise.prover import ToyProver, load_theory
-from stepwise.revision import relevance_filter
+from stepwise.hammer import hammer_fallback
+from stepwise.prover import (
+    HammerConfig,
+    PremiseSelection,
+    ToyProver,
+    load_theory,
+    mesh_rank,
+    relevance_filter,
+    toy_hammer,
+)
 from stepwise.search import SearchNode, SearchOutcome, SearchStats
 
 
@@ -46,6 +53,23 @@ def test_mesh_empty_usage_corpus_scores_zero():
     ctx = ctx_of({"f1": "p", "f2": "q"})
     ranked = mesh_rank(state_of("p", ctx), 2, 0.0)
     assert ranked == ["f1", "f2"]  # all usage scores 0, id order
+
+
+@pytest.mark.parametrize("limit,weight,fact", [
+    (2, 1.0, "f1"),     # overlap ties, so id order
+    (2, 0.0, "f2"),     # f2 is used more
+    (2048, 0.0, "f2"),  # a limit past the context selects every fact, same order
+    (1, 1.0, "f1"),
+    (1, 0.0, "f2"),
+])
+def test_hammer_tries_the_selected_facts_in_mesh_order(limit, weight, fact):
+    # both facts conclude q from the hypothesis p; the first fact of the
+    # mesh order that the limit keeps is the one the proof applies
+    ctx = ctx_of({"f1": "p -> q", "f2": "p -> q"}, {"f1": 1, "f2": 4})
+    state = ProofState((Subgoal((parse_formula("p"),), parse_formula("q")),), ctx)
+    assert mesh_rank(state, limit, weight)[0] == fact
+    result = toy_hammer(state, HammerConfig(2, 60_000), PremiseSelection(limit, weight))
+    assert [s.text() for s in result.steps] == [f"apply [{fact}]", "assumption"]
 
 
 # -- fallback ----------------------------------------------------------------------
@@ -102,9 +126,9 @@ class _RecordingBackend:
         self.inner = inner
         self.tokens = []
 
-    def hammer_at(self, token, config, pool):
+    def hammer_at(self, token, config, premises):
         self.tokens.append(token)
-        return self.inner.hammer_at(token, config, pool)
+        return self.inner.hammer_at(token, config, premises)
 
 
 def test_fallback_m_states_one_tries_only_best():
@@ -139,9 +163,9 @@ class _Spy(ToyProver):
         super().__init__()
         self.hammer_calls = 0
 
-    def hammer_at(self, token, config, pool):
+    def hammer_at(self, token, config, premises):
         self.hammer_calls += 1
-        return super().hammer_at(token, config, pool)
+        return super().hammer_at(token, config, premises)
 
 
 def test_fallback_only_consulted_after_search_failure():

@@ -14,6 +14,7 @@ import time
 import types
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -24,6 +25,7 @@ from stepwise.core import ERROR_CATEGORIES, ProofStep, Theory, canonical_state, 
 from stepwise.formulas import render
 from stepwise.prover import (
     HammerConfig,
+    PremiseSelection,
     ToyProver,
     TheoryParseError,
     apply_step,
@@ -58,7 +60,7 @@ end
 """
 PROTO = load_theory(THEORY)
 HAMMER = HammerConfig(4, 60_000)
-POOL = ["f1", "f2", "d"]
+PREMISES = PremiseSelection(2048, 0.5)
 
 
 @pytest.fixture
@@ -242,7 +244,7 @@ def test_counterexample_and_hammer_over_wire(client):
                                                   atom_limit=16)
     assert verdict == "none"  # p follows from f1
     client.release([child])
-    result = client.hammer_at(token, HAMMER, POOL)
+    result = client.hammer_at(token, HAMMER, PREMISES)
     assert result.found
     replayed, final = client.replay(token, result.steps, timeout_ms=3000)
     assert all(r.ok for r in replayed) and replayed[-1].state.qed and final is not None
@@ -321,7 +323,7 @@ def test_theory_names_do_not_collide_across_connections(server_port):
 def test_unknown_session_is_backend_error(client):
     """An unknown token fails the whole command with ``unknown_session``."""
     for call in (lambda: client.replay("nonexistent", ["intro"], timeout_ms=3000),
-                 lambda: client.hammer_at("nonexistent", HAMMER, POOL)):
+                 lambda: client.hammer_at("nonexistent", HAMMER, PREMISES)):
         with pytest.raises(BackendError) as err:
             call()
         assert err.value.category == "unknown_session"
@@ -382,9 +384,73 @@ def test_grouped_apply_batch_over_wire_matches_in_process(client):
     assert _counts(client)["apply_batch"] == 1
 
 
+USED = """theory used
+axiom f1: p -> q
+axiom f2: p -> q
+lemma l1: p -> q
+  proof
+    intro
+    apply [f2]
+    assumption
+  qed
+theorem goal: p -> r -> q
+end
+"""
+
+
+@pytest.mark.parametrize("weight,fact", [(0.0, "f2"), (1.0, "f1")])
+def test_the_servers_ranking_reads_usage_from_the_rendered_proofs(client, weight, fact):
+    """Three facts conclude ``q``; only usage, which the server counts in
+    the proofs of the source ``start`` sends, puts ``f2`` first at weight
+    0, and overlap ties at weight 1 go to ``f1`` by id. Both backends agree."""
+    theory = load_theory(USED)
+    premises = PremiseSelection(2048, weight)
+    local = ToyProver()
+    results = [backend.hammer_at(backend.start(theory, "goal")[0], HAMMER, premises)
+               for backend in (local, client)]
+    assert [[s.text() for s in r.steps] for r in results] == [
+        ["intro", "intro", f"apply [{fact}]", "assumption"]] * 2
+
+
+class _HammerLog:
+    """A backend that records the kind and steps of each hammer call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls, self.theory = inner, [], None
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def hammer_at(self, token, config, premises):
+        result = self.inner.hammer_at(token, config, premises)
+        self.calls.append((self.theory, result.kind, result.steps))
+        return result
+
+
+def test_every_hammer_call_of_a_bench_pass_agrees_over_tcp(server_port):
+    """Each fallback hammer call of a seed-0 bench pass gives the same kind
+    and steps over TCP as in process, where the server ranks the premises
+    of the context it parsed from the rendered theory."""
+    from stepwise.bench import bench_engine_config, generate_corpus
+    from stepwise.engine import prove_theorem
+
+    theories = generate_corpus(0)
+    config = bench_engine_config(0)
+    logs = []
+    for backend in (ToyProver(), RemoteProver.connect_tcp("127.0.0.1", server_port)):
+        log = _HammerLog(backend)
+        for theory in theories:
+            log.theory = theory.name
+            prove_theorem(theory, "goal", config, backend=log)
+        backend.close()
+        logs.append(log.calls)
+    assert logs[0] == logs[1]
+    assert len(logs[0]) == 93 and sum(kind == "found" for _, kind, _ in logs[0]) == 15
+
+
 def test_token_addressed_oracles_open_no_session(client):
     token, _ = client.start(PROTO, "t1")
-    result = client.hammer_at(token, HAMMER, POOL)
+    result = client.hammer_at(token, HAMMER, PREMISES)
     assert result.found
     stats = client.stats()
     assert (stats["sessions"], stats["snapshots"]) == (0, 1)
@@ -593,7 +659,8 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
     from stepwise.core import parse_step
     from stepwise.formulas import ParseError
     from stepwise.generator import mock_generate
-    from stepwise.revision import FailedAttempt, premise_repair, relevance_filter, tactic_repair
+    from stepwise.prover import relevance_filter
+    from stepwise.revision import FailedAttempt, premise_repair, tactic_repair
 
     theories, local, remote = both_paths
     theory = data.draw(st.sampled_from(theories))
@@ -773,53 +840,69 @@ def test_malformed_payload_keeps_the_connection(client):
                          ("hammer", {"token": "c0", "max_depth": -3}),
                          ("hammer", {"token": "c0", "budget_ms": 0}),
                          ("hammer", {"token": "c0", "max_depth": 2, "budget_ms": 1000,
-                                     "pool": None}),
+                                     "premise_limit": None, "mesh_weight": 0.5}),
                          ("hammer", {"token": "c0", "max_depth": 2.0, "budget_ms": 1000,
-                                     "pool": ["f1"]})):
+                                     "premise_limit": 8, "mesh_weight": 0.5}),
+                         ("hammer", {"token": "c0", "max_depth": 2, "budget_ms": 1000,
+                                     "premise_limit": 8, "mesh_weight": "0.5"})):
         with pytest.raises(BackendError) as err:
             client._expect(client._call(cmd, payload=payload))
         assert err.value.category == "protocol_error", (cmd, payload)
     assert client.init()["protocol"] == PROTOCOL_VERSION
 
 
-@pytest.mark.parametrize("key,value", [("max_depth", -3), ("budget_ms", -5), ("budget_ms", 0)])
+HAMMER_PAYLOAD = {"max_depth": 2, "budget_ms": 1000, "premise_limit": 8, "mesh_weight": 0.5}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_depth", -3), ("budget_ms", -5), ("budget_ms", 0), ("premise_limit", -1),
+    ("premise_limit", True), ("premise_limit", 2.0), ("mesh_weight", -0.25),
+    ("mesh_weight", 1.5), ("mesh_weight", float("nan")), ("mesh_weight", float("inf")),
+    ("mesh_weight", float("-inf")), ("mesh_weight", True), ("mesh_weight", None)])
 def test_out_of_range_hammer_integers_are_protocol_errors(key, value):
     """A negative depth or a budget below 1 ms would answer ``notfound`` or
-    ``timeout`` without searching; neither is a hammer setting."""
+    ``timeout`` without searching, and a negative limit or a weight outside
+    [0, 1] selects no ranking; none is a hammer setting. ``json.loads``
+    reads ``NaN`` and ``Infinity``, which fail the range too. None of them
+    runs the hammer."""
     server = ProverServer()
     token, _ = server.prover.start(PROTO, "t1")
-    payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"],
-               key: value}
-    response = server.handle_line(json.dumps({"id": 4, "cmd": "hammer", "payload": payload}))
+    payload = {"token": token, **HAMMER_PAYLOAD, key: value}
+    with mock.patch.object(server.prover, "hammer_at") as hammer_at:
+        response = server.handle_line(
+            json.dumps({"id": 4, "cmd": "hammer", "payload": payload}))
     assert (response.id, response.ok) == (4, False)
     assert response.error["category"] == "protocol_error" and key in response.error["detail"]
+    assert not hammer_at.called
 
 
-@pytest.mark.parametrize("missing", ["pool", "max_depth", "budget_ms"])
-def test_hammer_without_its_pool_or_budgets_is_protocol_error(client, missing):
-    """The engine owns the hammer's premise pool and budgets, so ``hammer``
-    requires all three; a request that lacks one runs nothing and keeps the
-    connection."""
+@pytest.mark.parametrize("missing", ["premise_limit", "mesh_weight", "max_depth", "budget_ms"])
+def test_hammer_without_its_premises_or_budgets_is_protocol_error(client, missing):
+    """The engine sets the hammer's premise selection and budgets, so
+    ``hammer`` requires all four; a request that lacks one runs nothing and
+    keeps the connection."""
     token, _ = client.start(PROTO, "t1")
-    payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"]}
+    payload = {"token": token, **HAMMER_PAYLOAD}
     del payload[missing]
     with pytest.raises(BackendError) as err:
         client._expect(client._call("hammer", payload=payload))
     assert err.value.category == "protocol_error" and missing in err.value.detail
-    assert client.hammer_at(token, HAMMER, POOL).found
+    assert client.hammer_at(token, HAMMER, PREMISES).found
     assert _counts(client) == {"start": 1, "hammer": 2}
 
 
 @pytest.mark.parametrize("key,value,kinds", [("max_depth", 0, ("notfound",)),
-                                             ("pool", [], ("notfound",)),
+                                             ("premise_limit", 0, ("notfound",)),
+                                             ("mesh_weight", 0, ("found",)),
+                                             ("mesh_weight", 1, ("found",)),
                                              ("budget_ms", 1, ("found", "timeout"))])
 def test_least_hammer_integers_are_accepted(key, value, kinds):
-    """No depth, or an empty pool for a goal that needs ``apply [f2]``,
-    finds nothing; a 1 ms budget runs."""
+    """No depth, or a limit of 0, whose pool is empty and leaves only the
+    fact-free moves for a goal that needs ``apply [f2]``, finds nothing;
+    either end of the weight's range and a 1 ms budget run."""
     server = ProverServer()
     token, _ = server.prover.start(PROTO, "t1")
-    payload = {"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1", "f2"],
-               key: value}
+    payload = {"token": token, **HAMMER_PAYLOAD, key: value}
     response = server.handle_line(json.dumps({"id": 5, "cmd": "hammer", "payload": payload}))
     assert response.ok and response.payload["result"] in kinds
 
@@ -858,7 +941,8 @@ def test_boolean_response_id_does_not_answer_request_1():
 RESPONSE_CATEGORIES = set(ERROR_CATEGORIES) | {
     "protocol_error", "prover_error", "unknown_theorem", "unknown_session"}
 PAYLOAD_KEYS = ("source", "theory", "theorem", "groups", "token", "steps", "atom_limit",
-                "ids", "tokens", "max_depth", "premise_limit", "budget_ms", "pool")
+                "ids", "tokens", "max_depth", "premise_limit", "mesh_weight", "budget_ms",
+                "pool")
 REMOVED_COMMANDS = ("load_theory", "release", "apply", "state", "clone", "restore",
                     "counterexample")
 
@@ -896,7 +980,7 @@ def _well_formed_payload(cmd, token):
         "replay": {"token": token, "steps": ["apply [f2]", "apply [f1]"]},
         "release": {"ids": [token]},
         "counterexample": {"tokens": [token], "atom_limit": 16},
-        "hammer": {"token": "c404", "max_depth": 2, "budget_ms": 1000, "pool": ["f2"]},
+        "hammer": {"token": "c404", **HAMMER_PAYLOAD},
     }.get(cmd, {})
 
 
@@ -1295,7 +1379,7 @@ def test_connections_cannot_reach_each_others_snapshots(server_port):
         before = a.stats()["snapshots"]
         assert before == 2
         for call in (lambda: b.replay(root, ["apply [f1]"], timeout_ms=3000),
-                     lambda: b.hammer_at(child, HAMMER, POOL)):
+                     lambda: b.hammer_at(child, HAMMER, PREMISES)):
             with pytest.raises(BackendError) as err:
                 call()
             assert err.value.category == "unknown_session"
@@ -1495,9 +1579,9 @@ def test_unknown_verdict_kind_is_protocol_error_naming_the_request(garbage_clien
 def test_unknown_hammer_result_is_protocol_error_naming_the_request(garbage_client):
     client = garbage_client(b'{"id": 1, "ok": true, "payload": {"result": "timeout"}}\n',
                             b'{"id": 2, "ok": true, "payload": {"result": "maybe"}}\n')
-    assert client.hammer_at("c0", HAMMER, POOL).kind == "timeout"
+    assert client.hammer_at("c0", HAMMER, PREMISES).kind == "timeout"
     with pytest.raises(ProtocolError) as err:
-        client.hammer_at("c0", HAMMER, POOL)
+        client.hammer_at("c0", HAMMER, PREMISES)
     assert err.value.offending_id == 2 and "maybe" in str(err.value)
 
 
@@ -1592,13 +1676,13 @@ def test_protocol_doc_covers_every_command_and_the_version():
     assert re.search(r"\bversion (\d+)\b", doc).group(1) == str(PROTOCOL_VERSION)
     server = ProverServer()
     token, _ = server.prover.start(PROTO, "t1")
-    payload = _ReadKeys({"token": token, "max_depth": 2, "budget_ms": 1000, "pool": ["f1"],
-                         "premise_limit": 8})  # the last is not a field: nothing reads it
+    payload = _ReadKeys({"token": token, **HAMMER_PAYLOAD,
+                         "pool": ["f1"]})  # the last is not a field: nothing reads it
     server.dispatch(Request(1, "hammer", payload))
     section = doc.split("### `hammer`", 1)[1].split("\n### ", 1)[0]
     fields = re.search(r"In: `?\{([^}]*)\}", section).group(1)
     assert {f.strip() for f in fields.split(",")} == payload.read == {
-        "token", "max_depth", "budget_ms", "pool"}
+        "token", "max_depth", "budget_ms", "premise_limit", "mesh_weight"}
 
 
 def test_trace_env_dumps_frames(server_port, monkeypatch, capsys):

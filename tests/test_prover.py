@@ -26,6 +26,7 @@ from stepwise.prover import (
     MAX_ATOM_LIMIT,
     HammerConfig,
     HammerResult,
+    PremiseSelection,
     TheoryParseError,
     ToyProver,
     UnknownTheoremError,
@@ -33,10 +34,10 @@ from stepwise.prover import (
     check_counterexample,
     init_goal,
     load_theory,
+    relevance_filter,
     render_theory,
     toy_hammer,
 )
-from stepwise.revision import relevance_filter
 from conftest import CHAIN_SRC, naive_auto_close, naive_first_counterexample, random_formula
 
 
@@ -531,10 +532,25 @@ def bfs_proof_oracle(state, pool, max_depth):
     return None
 
 
+# every fact, in symbol-overlap order
+EVERY_FACT = PremiseSelection(2048, 1.0)
+
+
 def hammer(state, max_depth, budget_ms=60_000):
-    """``toy_hammer`` with the full symbol-overlap ranking as its pool."""
-    pool = relevance_filter(state, len(state.context.facts))
-    return toy_hammer(state, HammerConfig(max_depth, budget_ms), pool)
+    """``toy_hammer`` with every fact as its pool."""
+    return toy_hammer(state, HammerConfig(max_depth, budget_ms), EVERY_FACT)
+
+
+def mesh_pool(state, k, w):
+    """The pool the engine ranked and sent before the prover ranked its own
+    premises: ``mesh_rank`` as it stood in the fallback, kept as the
+    reference for the selection ``toy_hammer`` makes."""
+    index = state.context.index()
+    overlap_order = relevance_filter(state, len(index.names))
+    overlap_score = {name: 1.0 / (rank + 1) for rank, name in enumerate(overlap_order)}
+    scored = sorted((-(w * overlap_score.get(name, 0.0) + (1 - w) * usage), name)
+                    for name, usage in zip(index.names, index.usage_shares))
+    return [name for _, name in scored[:k]]
 
 
 def test_hammer_two_step_chain():
@@ -595,7 +611,7 @@ def test_hammer_matches_bfs_oracle_on_small_states():
     for ctx in contexts:
         for goal in goals:
             state = state_of(goal, (), ctx)
-            pool = relevance_filter(state, 128)
+            pool = mesh_pool(state, *EVERY_FACT)
             for depth in (1, 2, 3, 4):
                 ours = hammer(state, depth)
                 oracle = bfs_proof_oracle(state, pool, depth)
@@ -684,48 +700,90 @@ def random_state(rng, ctx=None):
     return ProofState(tuple(subgoals), ctx)
 
 
+def with_usage(ctx, rng):
+    """``ctx`` with random usage counts, so that the mesh weight matters."""
+    return FactContext(ctx.facts, {name: rng.randint(1, 4) for name in ctx.facts
+                                   if rng.random() < 0.6})
+
+
+def random_premises(rng, ctx):
+    """A selection whose limit lies below, at or above the context's size."""
+    n = len(ctx.facts)
+    limit = rng.choice((rng.randint(0, max(n - 1, 0)), n, n + 1, 2048))
+    return PremiseSelection(limit, rng.choice((0.0, 0.5, 1.0, rng.random())))
+
+
 def test_hammer_matches_all_pool_apply_reference():
     rng = random.Random(20)
     via_apply = 0
     for _ in range(400):
         state = random_state(rng)
-        # pools may repeat a name or name an undefined fact
-        pool = None if rng.random() < 0.4 else [
-            rng.choice(FACT_NAMES + ("zz",)) for _ in range(rng.randint(0, 9))]
-        max_depth, limit = rng.randint(2, 4), rng.choice((1, 2, 2048))
-        pool = relevance_filter(state, limit) if pool is None else pool[:limit]
-        config = HammerConfig(max_depth, 60_000)
-        ours = toy_hammer(state, config, pool)
-        expected = reference_hammer(state, config, pool)
+        premises = PremiseSelection(rng.choice((1, 2, 2048)), rng.choice((0.0, 0.5, 1.0)))
+        config = HammerConfig(rng.randint(2, 4), 60_000)
+        ours = toy_hammer(state, config, premises)
+        expected = reference_hammer(state, config, mesh_pool(state, *premises))
         assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
         via_apply += any(step.tactic == "apply" for step in ours.steps)
-    assert via_apply >= 15  # 26 of the 400 cases
+    assert via_apply >= 40  # 61 of the 400 cases
 
 
 def test_hammer_with_a_warm_context_matches_reference():
-    # each context serves many hammer calls, so its indexes and rankings are
-    # warm; pools are shuffled or repeat and misname facts, and each state is
-    # also tried with its subgoals swapped (same canonical key, other first goal)
+    # each context serves many hammer calls, so its indexes, rankings and
+    # tables are warm; selections vary, and each state is also tried with
+    # its subgoals swapped (same canonical key, other first goal)
     rng = random.Random(23)
     calls = 0
     for _ in range(8):
-        ctx = random_context(rng)
+        ctx = with_usage(random_context(rng), rng)
         for _ in range(6):
             state = random_state(rng, ctx)
-            names = list(ctx.facts)
-            rng.shuffle(names)
-            pool = rng.choice((None, names, names + names[:2] + ["zz"]))
+            premises = random_premises(rng, ctx)
             config = HammerConfig(rng.randint(2, 4), 60_000)
             swapped = ProofState(state.subgoals[::-1], ctx)
             extra = Subgoal((), random_formula(rng, 2))
             for s in (state, swapped, ProofState((extra,) + state.subgoals, ctx),
                       ProofState(state.subgoals + (extra,), ctx)):
-                s_pool = relevance_filter(s, len(ctx.facts)) if pool is None else pool
-                ours = toy_hammer(s, config, s_pool)
-                expected = reference_hammer(s, config, s_pool)
+                ours = toy_hammer(s, config, premises)
+                expected = reference_hammer(s, config, mesh_pool(s, *premises))
                 assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
                 calls += 1
     assert calls >= 50
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), where=st.sampled_from(("below", "equal", "above")),
+       weight=st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0, 1))
+def test_hammer_selection_equals_the_engines_mesh_pool(seed, where, weight):
+    """Whether the prover ranks up front (a limit below the context's size)
+    or only for the walk of a found proof, its result is the hammer's on
+    the pool the engine used to rank and send."""
+    rng = random.Random(seed)
+    ctx = with_usage(random_context(rng), rng)
+    n = len(ctx.facts)
+    limit = {"below": rng.randint(0, max(n - 1, 0)), "equal": n,
+             "above": n + rng.randint(1, 2048)}[where]
+    config = HammerConfig(rng.randint(1, 4), 60_000)
+    for state in [random_state(rng, ctx) for _ in range(3)]:
+        ours = toy_hammer(state, config, PremiseSelection(limit, weight))
+        expected = reference_hammer(state, config, mesh_pool(state, limit, weight))
+        assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
+
+
+def test_hammer_ranks_premises_only_to_walk_a_proof():
+    # the verdict reads only the pool set: with every fact selected, a
+    # notfound call ranks nothing and a found call ranks once, for its walk;
+    # a limit below the context's size ranks once, up front, for the set,
+    # and a found walk reuses that order
+    ctx = ctx_of(f1="p", f2="p -> q", d="a | q")
+    found, notfound = state_of("q", (), ctx), state_of("a", (), ctx)
+    config = HammerConfig(4, 60_000)
+    for limit, ranked in ((3, (0, 1)), (2048, (0, 1)), (2, (1, 1))):
+        premises = PremiseSelection(limit, 0.5)
+        for state, kind, calls in ((notfound, "notfound", ranked[0]),
+                                   (found, "found", ranked[1])):
+            with mock.patch.object(prover, "mesh_rank", wraps=prover.mesh_rank) as spy:
+                assert toy_hammer(state, config, premises).kind == kind
+            assert spy.call_count == calls, (limit, kind)
 
 
 def test_hammer_applies_each_move_to_each_state_once():
@@ -744,42 +802,41 @@ def test_hammer_applies_each_move_to_each_state_once():
                              ("(a -> f) & (b -> e)", ("d",), "notfound")):
         state = state_of(goal, hyps, ctx)
         with mock.patch.object(prover, "apply_step", recording):
-            result = toy_hammer(state, config, sorted(ctx.facts))
+            result = toy_hammer(state, config, EVERY_FACT)
             applied = len(seen)
-            assert result == toy_hammer(state, config, sorted(ctx.facts))
+            assert result == toy_hammer(state, config, EVERY_FACT)
         assert len(seen) == applied
         assert result.kind == kind
-        expected = reference_hammer(state, config, sorted(ctx.facts))
+        expected = reference_hammer(state, config, mesh_pool(state, *EVERY_FACT))
         assert (result.kind, result.steps) == (expected.kind, expected.steps)
     assert len(set(seen)) == len(seen) > 0
 
 
 def test_hammer_with_one_warm_table_per_pool_set_matches_reference():
-    # one context serves many states; their pools are shuffled, repeat or
-    # misname facts but have one set, so they share a table, and some are
-    # cut below the context's size, so their sets (and tables) differ
+    # one context serves many states and selections: every limit at or above
+    # its size selects every fact, so those calls share one table, and a
+    # limit below it selects the top of the state's mesh order, whose set
+    # (and table) may differ from state to state; the context keeps exactly
+    # one table per pool set selected
     rng = random.Random(29)
     calls = tables = 0
     for _ in range(40):
-        ctx = random_context(rng)
-        names = list(ctx.facts)
+        ctx = with_usage(random_context(rng), rng)
+        pool_sets = set()
         for _ in range(12):
             state = random_state(rng, ctx)
-            pool = names[:]
-            rng.shuffle(pool)
-            roll = rng.random()
-            if roll < 0.3:
-                pool += pool[:2] + ["zz"]
-            elif roll < 0.5 and pool:
-                pool = pool[:rng.randrange(len(pool))]
+            premises = random_premises(rng, ctx)
             config = HammerConfig(rng.randint(1, 5), 60_000)
             for s in (state, ProofState(state.subgoals[::-1], ctx)):
-                ours = toy_hammer(s, config, pool)
+                pool = mesh_pool(s, *premises)
+                pool_sets.add(frozenset(pool))
+                ours = toy_hammer(s, config, premises)
                 expected = reference_hammer(s, config, pool)
                 assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
                 calls += 1
-        tables += len(ctx.index().hammer_tables)
-    assert calls >= 900 and tables >= 120  # 960 calls over 158 tables
+        assert set(ctx.index().hammer_tables) == pool_sets
+        tables += len(pool_sets)
+    assert calls >= 900 and tables >= 120  # 960 calls over 140 tables
 
 
 def test_hammer_timeout_leaves_the_table_sound():
@@ -800,18 +857,17 @@ def test_hammer_timeout_leaves_the_table_sound():
     for _ in range(150):
         facts = random_context(rng).facts
         state = random_state(rng, FactContext(facts))
-        pool = sorted(facts)
         config = HammerConfig(4, 60_000)
-        expected = reference_hammer(state, config, pool)
+        expected = reference_hammer(state, config, mesh_pool(state, *EVERY_FACT))
         for ticks in range(1, 40):
             ctx = FactContext(facts)
             cold = ProofState(state.subgoals, ctx)
             with mock.patch.object(prover, "time", Clock(ticks)):
-                cut = toy_hammer(cold, HammerConfig(4, 1), pool)
+                cut = toy_hammer(cold, HammerConfig(4, 1), EVERY_FACT)
             if cut.kind != "timeout":
                 break
             cuts += 1
-            ours = toy_hammer(cold, config, pool)
+            ours = toy_hammer(cold, config, EVERY_FACT)
             assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
     assert cuts >= 200  # 252 cut calls
 
@@ -832,7 +888,6 @@ def test_hammer_tries_only_the_moves_its_goal_class_admits():
             goal = random_formula(rng, rng.randint(1, 4))
         hyps = tuple(random_formula(rng, 2) for _ in range(rng.randint(0, 2)))
         state = ProofState((Subgoal(hyps, goal),) + random_state(rng, ctx).subgoals[:1], ctx)
-        pool = relevance_filter(state, len(ctx.facts))
         config = HammerConfig(rng.randint(2, 4), 60_000)
         seen = []
 
@@ -841,8 +896,8 @@ def test_hammer_tries_only_the_moves_its_goal_class_admits():
             return apply_step(current, step, *args)
 
         with mock.patch.object(prover, "apply_step", recording):
-            ours = toy_hammer(state, config, pool)
-        expected = reference_hammer(state, config, pool)
+            ours = toy_hammer(state, config, EVERY_FACT)
+        expected = reference_hammer(state, config, mesh_pool(state, *EVERY_FACT))
         assert (ours.kind, ours.steps) == (expected.kind, expected.steps)
         for goal_cls, tactic in seen:
             assert goal_cls in SHAPED_TACTICS.get(tactic, GOAL_CLASSES), (goal_cls, tactic)

@@ -19,13 +19,12 @@ from stepwise.formulas import (
     atoms,
     parse_formula,
 )
-from stepwise.prover import load_theory
+from stepwise.prover import load_theory, relevance_filter
 from stepwise.revision import (
     FailedAttempt,
     _recombine,
     edit_distance,
     premise_repair,
-    relevance_filter,
     revise,
     tactic_frequencies,
     tactic_repair,

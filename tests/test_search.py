@@ -415,7 +415,7 @@ class _DownOnSecondCall(FixedPoolGenerator):
 
 
 class _HammerDown(ToyProver):
-    def hammer_at(self, token, config, pool):
+    def hammer_at(self, token, config, premises):
         raise RuntimeError("hammer down")
 
 
