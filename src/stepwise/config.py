@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .core import TACTICS
 from .prover import DEFAULT_ATOM_LIMIT, DEFAULT_STEP_BUDGET_MS, MAX_ATOM_LIMIT, ToyProver
-from .protocol import RemoteProver
+from .protocol import PROTOCOL_VERSION, RemoteProver
 
 
 class ConfigError(ValueError):
@@ -80,7 +80,16 @@ class EngineConfig:
         host, sep, port = endpoint.rpartition(":")
         if not (sep and port.isdecimal() and int(port) <= 65535):
             raise ConfigError(f"endpoint {endpoint!r} needs host:port with a port in 0..65535")
-        return RemoteProver.connect_tcp(host, int(port))
+        remote = RemoteProver.connect_tcp(host, int(port))
+        try:  # a server before protocol 13 would keep each theorem's children
+            version = remote.init().get("protocol")
+        except Exception as e:  # noqa: BLE001 - any failed handshake is this one error
+            version = f"none ({e})"
+        if version != PROTOCOL_VERSION:
+            remote.close()
+            raise ConfigError(f"the server at {endpoint} speaks protocol {version}, "
+                              f"this client protocol {PROTOCOL_VERSION}")
+        return remote
 
     def make_generator(self):
         from .generator import HttpGenerator, MockGenerator  # it imports this module

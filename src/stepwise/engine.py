@@ -26,9 +26,9 @@ class ProveResult:
 def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
                   backend=None, generator=None,
                   prefix_steps: tuple = ()) -> ProveResult:
-    """Search, then the hammer fallback if the search failed; every backend
-    snapshot the two opened is released before returning or raising, and a
-    backend made here from ``config`` is closed.
+    """Search, then the hammer fallback if the search failed; the search's
+    root, and with it every snapshot derived from it, is released before
+    returning or raising, and a backend made here from ``config`` is closed.
     ``prefix_steps`` are replayed first (``ReplayError`` if one fails)."""
     if backend is None:
         backend = config.make_backend()
@@ -51,7 +51,7 @@ def prove_theorem(theory: Theory, theorem_id: str, config: EngineConfig,
                 via = "fallback"
                 steps = tuple(fallback_steps)
     finally:
-        backend.release(outcome.opened)
+        backend.release([outcome.root])
     proved = steps is not None
     entry = theory.entry(theorem_id)
     report = {

@@ -16,11 +16,12 @@ theory source, which the server parses on each call, and returns the
 root's, ``apply_batch`` one per success in each of its ``(token, steps)``
 groups and ``replay`` the end of a step chain, and ``hammer`` takes one
 with the engine's budgets and premise selection, which the server ranks
-itself. So a missed deadline loses
-only that reply; the snapshots a late ``start``, ``apply_batch`` or
-``replay`` reply names ride, like every release, on the client's next
-request. An ``apply_batch`` that carries an ``atom_limit``
-gets the kind of each open success's counterexample verdict with it,
+itself. Releasing a ``start`` token drops every snapshot derived from it,
+so the engine releases one root per theorem. A missed deadline loses only
+that reply, which the client drops unread, except a late ``start``'s: its
+root rides, like every release, on the next request. An ``apply_batch``
+that carries an ``atom_limit`` gets the kind of each open success's
+counterexample verdict with it,
 which is the only way a verdict crosses the wire. A state crosses it as
 its ``render_state`` text, which the client reads back with
 ``parse_state``.
@@ -64,7 +65,7 @@ TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
 COMMANDS = ("init", "start", "apply_batch", "replay", "hammer", "stats")
 
-PROTOCOL_VERSION = 12
+PROTOCOL_VERSION = 13
 
 # the wait, before grace, of a request that carries no budget
 CONTROL_WAIT_MS = 10_000
@@ -346,7 +347,7 @@ class ProverServer:
         if cmd == "stats":
             commands = {name: {"count": count, "ms": seconds * 1000.0}
                         for name, (count, seconds) in sorted(self._commands.items())}
-            return {**prover.stats(), "commands": commands}
+            return {"snapshots": prover.stats()["snapshots"], "commands": commands}
         raise ProverError(f"unknown command {cmd!r}")
 
     # -- entry points ----------------------------------------------------------
@@ -453,11 +454,11 @@ class RemoteProver:
     A missed deadline loses only that reply: the addressed tokens are
     immutable, so the next call on them needs no recovery. Stale frames
     (ids below the pending request) are discarded, anything else out of
-    order is a protocol error naming the offending id. The tokens in a
-    discarded ``start``, ``apply_batch`` or ``replay`` reply are released
-    like any others. A reply that is not UTF-8, lacks what its command
-    promises or holds a state text that does not parse raises
-    ``ProtocolError`` naming its request.
+    order is a protocol error naming the offending id. A discarded reply
+    is not read, except a late ``start``'s, whose root is released like any
+    other. A reply that is not UTF-8, lacks what its command promises or
+    holds a state text that does not parse raises ``ProtocolError`` naming
+    its request.
     """
 
     def __init__(self, transport, grace_ms: int = 1000):
@@ -465,7 +466,7 @@ class RemoteProver:
         self.grace_ms = grace_ms
         self.trace = os.environ.get(TRACE_ENV) == "1"
         self._ids = itertools.count(1)
-        self._missed: dict[int, str] = {}  # id -> cmd of each request given up on
+        self._missed_starts: set[int] = set()  # ids of the starts given up on
         self._release: list[str] = []  # ids for the next request to release
 
     @classmethod
@@ -492,7 +493,8 @@ class RemoteProver:
             try:
                 raw = self.transport.recv_line(deadline)
             except DeadlineMiss:
-                self._missed[rid] = cmd
+                if cmd == "start":
+                    self._missed_starts.add(rid)
                 raise DeadlineMiss(f"no reply to {cmd} request {rid} within {wait_ms} ms "
                                    f"plus {self.grace_ms} ms grace") from None
             except UnicodeDecodeError as e:
@@ -503,11 +505,11 @@ class RemoteProver:
             resp = decode_response(raw)
             if resp.id == rid:
                 return resp
-            if resp.id < rid:  # stale reply from an abandoned exchange
-                missed = self._missed.pop(resp.id, None)
-                if resp.ok and missed is not None:
+            if resp.id < rid:  # stale, unread unless it names a root never learned
+                if resp.ok and resp.id in self._missed_starts:
                     with _reply_to(resp.id):
-                        self._release.extend(_reply_tokens(missed, resp.payload))
+                        self._release.append(_text(resp.payload, "token"))
+                self._missed_starts.discard(resp.id)
                 continue
             raise ProtocolError(
                 f"response id {resp.id} arrived while waiting for {rid}",
@@ -636,14 +638,3 @@ def _reply_to(rid: int):
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
         raise ProtocolError(f"malformed reply to request {rid}: {e!r}",
                             offending_id=rid) from e
-
-
-def _reply_tokens(cmd: str, payload: dict) -> list[str]:
-    """The snapshots a successful reply names: each ``apply_batch``
-    success's, or the ``token`` of a ``start`` or ``replay``."""
-    if cmd == "apply_batch":
-        named = [item.get("token") for items in payload["results"]
-                 for item in items if isinstance(item, dict)]
-    else:
-        named = [payload.get("token")]
-    return [token for token in named if token is not None]

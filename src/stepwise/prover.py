@@ -7,8 +7,8 @@ snapshot tokens: ``start`` takes a parsed ``Theory`` and returns the
 root's, ``apply_batch`` one per success of each ``(token, steps)`` group,
 with the kind of the counterexample verdict on it, and ``replay`` the end
 of a step chain, and ``hammer_at`` takes one with the caller's budgets
-and premise selection, which the prover ranks itself. All tactics act on
-the first subgoal.
+and premise selection, which the prover ranks itself; releasing a root
+frees its whole tree. All tactics act on the first subgoal.
 """
 
 from __future__ import annotations
@@ -798,14 +798,16 @@ class ToyProver:
     The wire protocol server gives each connection its own instance, and a
     remote client exposes the same token surface, so the search engine is
     backend-agnostic. ``start`` takes the ``Theory`` itself and returns
-    the root with the theorem's fact context; snapshots are immutable. One
-    instance serves one serial caller (one connection, or one in-process
-    search), so its registry takes no lock.
+    the root with the theorem's fact context; snapshots are immutable, and
+    each belongs to the tree of the root it descends from. One instance
+    serves one serial caller (one connection, or one in-process search), so
+    its registry takes no lock.
     """
 
     def __init__(self):
         self._sessions: dict[str, Session] = {}
-        self._snapshots: dict[str, ProofState] = {}
+        self._snapshots: dict[str, tuple[ProofState, str]] = {}  # token -> (state, root)
+        self._trees: dict[str, list[str]] = {}  # root -> its tree's snapshots, itself included
         self._counter = itertools.count()
 
     def load_theory(self, source: str) -> str:
@@ -822,15 +824,16 @@ class ToyProver:
             raise UnknownSessionError(f"no session {sid!r}")
         return session
 
-    def _store(self, state: ProofState) -> str:
-        token = self._new_id("c")
-        self._snapshots[token] = state
+    def _store(self, state: ProofState, root: str | None = None) -> str:
+        token = self._new_id("c")  # the root of a new tree unless ``root`` is given
+        self._snapshots[token] = (state, root or token)
+        self._trees.setdefault(root or token, []).append(token)
         return token
 
     def start(self, theory: Theory, theorem_id: str) -> tuple[str, ProofState]:
-        """The theorem's initial goal in ``theory``, stored as a snapshot:
-        its token and state. The state carries the theorem's fact context,
-        which every state stepped from it shares."""
+        """The theorem's initial goal in ``theory``, stored as the root
+        snapshot of a new tree: its token and state. The state carries the
+        theorem's fact context, which every state stepped from it shares."""
         state = init_goal(theory, theorem_id)
         return self._store(state), state
 
@@ -859,9 +862,9 @@ class ToyProver:
         ``0..MAX_ATOM_LIMIT`` fails the whole call before any step runs."""
         if atom_limit is not None:
             _check_atom_limit(atom_limit)
-        snapshots = [(self._snapshot(token), steps) for token, steps in groups]
+        snapshots = [(*self._snapshot(token), steps) for token, steps in groups]
         out: list[list[tuple[StepResult, str | None, str | None]]] = []
-        for state, steps in snapshots:
+        for state, root, steps in snapshots:
             results: list[tuple[StepResult, str | None, str | None]] = []
             for step in steps:
                 result = _apply_text_or_step(state, step, timeout_ms)
@@ -871,7 +874,7 @@ class ToyProver:
                 closed = result.state.qed
                 kind = (None if atom_limit is None or closed
                         else check_counterexample(result.state, atom_limit).kind)
-                results.append((result, self._store(result.state), kind))
+                results.append((result, self._store(result.state, root), kind))
                 if closed:
                     break
             out.append(results)
@@ -884,7 +887,7 @@ class ToyProver:
         stopping after the first failure. Returns every result, failures
         with their detail, and, when all succeeded, the token of a snapshot
         of the final state; no intermediate state is stored."""
-        state = self._snapshot(token)
+        state, root = self._snapshot(token)
         results: list[StepResult] = []
         for step in steps:
             result = _apply_text_or_step(state, step, timeout_ms)
@@ -892,19 +895,19 @@ class ToyProver:
             if not result.ok:
                 return results, None
             state = result.state
-        return results, self._store(state)
+        return results, self._store(state, root)
 
-    def clone(self, sid: str) -> str:
+    def clone(self, sid: str) -> str:  # the root of a tree of its own
         return self._store(self._session(sid).current)
 
-    def _snapshot(self, token: str) -> ProofState:
-        state = self._snapshots.get(token)
-        if state is None:
+    def _snapshot(self, token: str) -> tuple[ProofState, str]:  # its state and root
+        entry = self._snapshots.get(token)
+        if entry is None:
             raise UnknownSessionError(f"no snapshot {token!r}")
-        return state
+        return entry
 
     def restore(self, token: str, session: str | None = None) -> str:
-        state = self._snapshot(token)
+        state = self._snapshot(token)[0]
         if session is None:
             sid = self._new_id("s")
             self._sessions[sid] = Session(sid, state)
@@ -915,19 +918,21 @@ class ToyProver:
     # -- oracles -----------------------------------------------------------
 
     def counterexample_at(self, token: str, atom_limit: int = DEFAULT_ATOM_LIMIT) -> CexResult:
-        return check_counterexample(self._snapshot(token), atom_limit)
+        return check_counterexample(self._snapshot(token)[0], atom_limit)
 
     def hammer_at(self, token: str, config: HammerConfig,
                   premises: PremiseSelection) -> HammerResult:
-        return toy_hammer(self._snapshot(token), config, premises)
+        return toy_hammer(self._snapshot(token)[0], config, premises)
 
     # -- lifetime ----------------------------------------------------------
 
     def release(self, ids) -> None:
-        """Drop the named sessions and snapshots; unknown ids are ignored."""
+        """Drop the named sessions and snapshots, a root (a ``start`` token)
+        with its whole tree; unknown ids are ignored."""
         for name in ids:
             self._sessions.pop(name, None)
-            self._snapshots.pop(name, None)
+            for token in self._trees.pop(name, (name,)):
+                self._snapshots.pop(token, None)
 
     def stats(self) -> dict:
         """Live object counts."""
@@ -936,3 +941,4 @@ class ToyProver:
     def close(self) -> None:
         self._sessions.clear()
         self._snapshots.clear()
+        self._trees.clear()

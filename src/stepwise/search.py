@@ -13,7 +13,8 @@ node-by-node loop unchanged; only the commit sees the other nodes. The
 backend is handed the ``Theory`` itself at ``start``, and every later call
 addresses the snapshot tokens it returns. The root ``start`` returns
 carries the theorem's fact context, and every state in the tree shares it
-(a remote backend's later states are read back without one). Each
+(a remote backend's later states are read back without one). Releasing
+the root frees every snapshot the search opened, so it lists none. Each
 distinct step goes to the backend once per node and iteration; a repeat
 reuses its first result.
 When filtering is on, each batch returns its open successes' counterexample
@@ -71,9 +72,7 @@ class SearchOutcome:
     stats: SearchStats
     tree: list[SearchNode]
     filter_stats: FilterStats
-    # every backend snapshot the search opened, tree tokens included; the
-    # caller releases them once the fallback is done
-    opened: list[str] = field(default_factory=list)
+    root: str  # the ``start`` token; the caller releases it after the fallback
 
 
 def score_node(path_log_prob: float, length: int, alpha: float) -> float:
@@ -114,36 +113,33 @@ def best_first_search(theory: Theory, theorem_id: str, backend, generator,
     """Search for a proof of ``theorem_id``; deterministic given a
     deterministic generator such as the seeded mock. Returns Failed (never
     raises) on budget exhaustion; backend transport errors and generator
-    errors propagate, after every snapshot the search opened is released.
-    ``prefix_steps`` are replayed before the search starts (completion
-    experiments)."""
+    errors propagate, after the root, and with it every snapshot the search
+    opened, is released. ``prefix_steps`` are replayed before the search
+    starts (completion experiments)."""
     start_time = time.monotonic()
-    opened: list[str] = []
+    root, root_state = backend.start(theory, theorem_id)
     try:
-        outcome = _search(theory, theorem_id, backend, generator, config, prefix_steps, opened)
+        outcome = _search(theory, backend, generator, config, prefix_steps, root, root_state)
     except BaseException:
-        backend.release(opened)
+        backend.release([root])
         raise
     outcome.stats.wall_time = time.monotonic() - start_time
     return outcome
 
 
-def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineConfig,
-            prefix_steps: tuple[ProofStep, ...], opened: list[str]) -> SearchOutcome:
+def _search(theory: Theory, backend, generator, config: EngineConfig, prefix_steps: tuple,
+            root_token: str, root_state: ProofState) -> SearchOutcome:
     deadline = time.monotonic() + config.time_limit_s
     stats = SearchStats()
     tactic_set = config.tactic_set or tactic_frequencies(theory)
 
-    token, root_state = backend.start(theory, theorem_id)
-    opened.append(token)
-    context = root_state.context
+    token, context = root_token, root_state.context
     if prefix_steps:
         results, final = backend.replay(token, prefix_steps, config.step_timeout_ms)
         if final is None:
             step = prefix_steps[len(results) - 1]
             raise ReplayError(f"prefix step {step.text()!r} failed: {results[-1].category}")
         token = final
-        opened.append(token)
         root_state = results[-1].state.with_context(context)
     root = SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0, token=token)
     tree = [root]
@@ -153,7 +149,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
     oracle_limit = config.atom_limit if config.filtering_enabled else None
 
     if root_state.qed:
-        return SearchOutcome(True, (), stats, tree, filtered, opened)
+        return SearchOutcome(True, (), stats, tree, filtered, root_token)
 
     def expand_round(expansions: list[_Expansion], tried: list[list[Candidate]],
                      revising: bool) -> int | None:
@@ -175,10 +171,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
             replies = backend.apply_batch(groups, config.step_timeout_ms,
                                           atom_limit=oracle_limit)
             for (memo, fresh), results in zip(fresh_of, replies):
-                for step, (result, token, verdict) in zip(fresh, results):
-                    memo[step] = (result, token, verdict)
-                    if token is not None:
-                        opened.append(token)
+                memo.update(zip(fresh, results))
         for index, (exp, cands) in enumerate(zip(expansions, tried)):
             node, memo, successes = exp.node, exp.memo, exp.successes
             failures = exp.failures = []
@@ -212,7 +205,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
         # each node's generation, applies and repairs are pure in its state,
         # so only the commit below, in node order, sees the others. The
         # first node that closes the goal ends the commit; the nodes after
-        # it are dropped uncommitted, their snapshots released with the rest.
+        # it are dropped uncommitted, their snapshots released with the root.
         expansions = [_Expansion(node) for node in batch]
         tried = [generator.generate(node.state)[:config.candidates_per_state]
                  for node in batch]
@@ -241,7 +234,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
             stats.revisions_tried += exp.revisions_tried
             if exp.winner is not None:
                 return SearchOutcome(True, tuple(reconstruct_proof(exp.winner)), stats,
-                                     tree, filtered, opened)
+                                     tree, filtered, root_token)
 
             if config.filtering_enabled:
                 kept, delta = filter_states(successes, seen)
@@ -259,7 +252,7 @@ def _search(theory: Theory, theorem_id: str, backend, generator, config: EngineC
                 tree.append(child)
                 stats.nodes_created += 1
 
-    return SearchOutcome(False, (), stats, tree, filtered, opened)
+    return SearchOutcome(False, (), stats, tree, filtered, root_token)
 
 
 def frontier_summary(outcome: SearchOutcome) -> dict:
@@ -277,13 +270,13 @@ def replay_from_root(backend, theory: Theory, theorem_id: str, steps,
                      ) -> tuple[ProofState, list[StepResult], bool]:
     """``steps`` chained from the theorem's root snapshot in one backend
     ``replay``: the root state, the results up to the first failure, and
-    whether every step succeeded. Both snapshots are released."""
+    whether every step succeeded. The root is released, and the final
+    snapshot with it."""
     token, root = backend.start(theory, theorem_id)
-    final = None
     try:
         results, final = backend.replay(token, steps, timeout_ms)
     finally:
-        backend.release([token] if final is None else [token, final])
+        backend.release([token])
     return root, results, final is not None
 
 

@@ -16,7 +16,7 @@ from stepwise.cli import build_parser, main
 from stepwise.config import ConfigError, EngineConfig, build_config, load_config_file
 from stepwise.engine import prove_theorem, write_report
 from stepwise.prover import MAX_ATOM_LIMIT, ToyProver, load_theory, render_theory
-from stepwise.protocol import tcp_server
+from stepwise.protocol import PROTOCOL_VERSION, tcp_server
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -391,6 +391,47 @@ def test_an_endpoint_nothing_listens_on_is_one_error_line(theory_file, tmp_path,
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_make_backend_asks_the_server_its_version(prover_endpoint):
+    backend = EngineConfig(backend_endpoint=prover_endpoint).make_backend()
+    try:
+        assert list(backend.stats()["commands"]) == ["init"]
+    finally:
+        backend.close()
+
+
+INIT_12 = {"id": 1, "ok": True,
+           "payload": {"protocol": 12, "server": "stepwise-toy-prover", "commands": []}}
+
+
+@pytest.mark.parametrize("reply, named", [
+    (json.dumps(INIT_12).encode() + b"\n", "protocol 12,"),
+    (b"!!not json!!\n", "protocol none (malformed response line"),
+    (b'{"id": 1, "ok": false, "error": {"category": "prover_error", "detail": "no"}}\n',
+     "protocol none (prover_error: no)"),
+], ids=["version_12", "not_json", "error_reply"])
+def test_a_server_of_another_protocol_version_is_one_error_line(
+        theory_file, tmp_path, capsys, reply, named):
+    """A version-12 server would free only each theorem's root, and keep its
+    children until the connection ends; the CLI stops before any theorem,
+    naming both versions, and closes the connection. So it does when the
+    server fails the handshake."""
+    from test_protocol import _GarbageServer
+
+    server = _GarbageServer(reply)
+    out = tmp_path / "reports"
+    try:
+        code = main(["prove", "--theory", str(theory_file),
+                     "--endpoint", f"127.0.0.1:{server.port}", "--out", str(out)])
+    finally:
+        server.close()
+    gc.collect()  # an unclosed client socket would warn here
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert named in captured.err and f"this client protocol {PROTOCOL_VERSION}" in captured.err
     assert not out.exists()
 
 

@@ -97,7 +97,7 @@ def _failed_tree_one_apply_away():
     child = SearchNode(step.state.with_context(context), root,
                        Candidate(parse_step("apply [f2]"), -0.5), -0.5, 1, -0.5,
                        order=1, token=child_token)
-    outcome = SearchOutcome(False, (), SearchStats(), [root, child], FilterStats())
+    outcome = SearchOutcome(False, (), SearchStats(), [root, child], FilterStats(), token)
     return prover, theory, outcome
 
 
@@ -116,7 +116,7 @@ def test_fallback_dead_tree_returns_none():
     token, state = prover.start(theory, "bad")
     root = SearchNode(state.with_context(theory.context_for("bad")), None, None, 0.0, 0, 0.0,
                       order=0, token=token)
-    outcome = SearchOutcome(False, (), SearchStats(), [root], FilterStats())
+    outcome = SearchOutcome(False, (), SearchStats(), [root], FilterStats(), token)
     assert hammer_fallback(outcome, prover,
                            EngineConfig(hammer_timeout_s=2)) is None
 

@@ -61,6 +61,8 @@ def seed_zero_report_digest(monkeypatch, workload: str, backend=None) -> str:
                                generator=item.generator or mock).report
         report["stats"] = {k: v for k, v in report["stats"].items() if k != "wall_time"}
         lines.append(json.dumps(report, sort_keys=True))
+    # each theorem released its root; over TCP this request carries the last
+    assert backend.stats()["snapshots"] == 0
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

@@ -82,11 +82,16 @@ def client(server_port):
 
 
 @contextlib.contextmanager
-def _connection(prover, **kwargs):
+def _connection(prover, tcp=False, **kwargs):
     """A client of ``ProverServer(prover).handle_stream`` over a socket
-    pair, served on a thread. On exit the client's socket is closed and
-    the thread is joined."""
-    ours, theirs = socket.socketpair()
+    pair, or a TCP connection, served on a thread. On exit the client's
+    socket is closed and the thread is joined."""
+    if tcp:
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            ours = socket.create_connection(listener.getsockname())
+            theirs, _ = listener.accept()
+    else:
+        ours, theirs = socket.socketpair()
 
     def serve():
         with theirs, theirs.makefile("rb") as rfile, theirs.makefile("wb") as wfile:
@@ -224,7 +229,8 @@ def test_undefined_fact_error_echoes_the_name(client):
 
 def test_replay_tokens_round_trip(client):
     """``replay`` leaves the addressed snapshot as it was, and its token
-    addresses the chain's final state."""
+    addresses the chain's final state. Releasing a snapshot that is not a
+    root frees it alone; releasing the root frees what is left of its tree."""
     root, root_state = client.start(PROTO, "t1")
     first, mid = client.replay(root, ["apply [f2]"], timeout_ms=3000)
     again, other = client.replay(root, ["apply [f2]"], timeout_ms=3000)
@@ -234,8 +240,10 @@ def test_replay_tokens_round_trip(client):
     [closed], final = client.replay(mid, ["apply [f1]"], timeout_ms=3000)
     assert closed.state.qed and final is not None
     assert client.replay(final, [], timeout_ms=3000)[0] == []
-    client.release([root, mid, other, final])
-    assert client.stats()["snapshots"] == 1  # the empty replay's
+    client.release([mid, other, final])
+    assert client.stats()["snapshots"] == 2  # the root and the empty replay's
+    client.release([root])
+    assert client.stats()["snapshots"] == 0
 
 
 def test_counterexample_and_hammer_over_wire(client):
@@ -331,11 +339,11 @@ def test_unknown_session_is_backend_error(client):
 
 def test_stats_command_reports_live_objects_and_commands(client):
     before = client.stats()
-    assert (before["sessions"], before["snapshots"]) == (0, 0)
+    assert before == {"snapshots": 0, "commands": {}}
     token, _ = client.start(PROTO, "t1")
     client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=3000)
     stats = client.stats()
-    assert (stats["sessions"], stats["snapshots"]) == (0, 2)
+    assert set(stats) == {"snapshots", "commands"} and stats["snapshots"] == 2
     commands = stats["commands"]
     for cmd in ("start", "apply_batch"):
         assert commands[cmd]["count"] == 1 and commands[cmd]["ms"] >= 0.0
@@ -453,7 +461,7 @@ def test_token_addressed_oracles_open_no_session(client):
     result = client.hammer_at(token, HAMMER, PREMISES)
     assert result.found
     stats = client.stats()
-    assert (stats["sessions"], stats["snapshots"]) == (0, 1)
+    assert stats["snapshots"] == 1
     assert "restore" not in stats["commands"]
     client.release([token, "never_issued"])
     assert (client.stats()["snapshots"]) == 0
@@ -1118,12 +1126,13 @@ def test_replay_deadline_miss_gives_one_timeout_and_needs_no_recovery():
     assert [r.category for r in results] == ["timeout"] and token is None
     assert "150 ms" in results[0].detail
     # the next replay on the same token gets its own reply; the late reply
-    # to the missed request (id 1) is skipped by its id, its token kept
+    # to the missed request (id 1) is skipped by its id, unread: its token
+    # goes with the root it descends from
     results, token = client.replay("c0", ["intro"], timeout_ms=5000)
     assert [r.ok for r in results] == [True] and token == "r2"
-    client.release(["c0", token])
+    client.release(["c0"])
     client.init()
-    assert slow.releases() == [[], [], ["r1", "c0", "r2"]]
+    assert slow.releases() == [[], [], ["c0"]]
     assert slow.commands == ["replay", "replay", "init"]
     client.transport.close()
     slow.close()
@@ -1147,18 +1156,19 @@ def test_batch_deadline_miss_times_out_every_step_and_needs_no_restore():
     slow.close()
 
 
-def test_missed_batch_snapshots_ride_on_the_next_request():
-    """The late reply's tokens, read while the next request waits, go with
-    the request after it, ahead of what ``release`` queued since."""
+def test_a_late_batch_reply_is_dropped_unread():
+    """The late reply, read while the next request waits, is thrown away:
+    its tokens go with the root they descend from, so the request after it
+    carries only what ``release`` queued."""
     slow = _SlowServer(delay_s=0.6)
     client = RemoteProver.connect_tcp("127.0.0.1", slow.port, grace_ms=100)
     client.apply_batch([("c0", ["intro", "split"]), ("c1", ["simp"])],
                        timeout_ms=50)  # request 1 misses
     client.apply_batch([("c0", ["intro"])], timeout_ms=5000)  # reads the late reply to 1
-    client.release(["c0", "r2.0.0"])
+    client.release(["c0"])
     client.stats()
     client.close()
-    assert slow.releases() == [[], [], ["r1.0.0", "r1.0.1", "r1.1.0", "c0", "r2.0.0"]]
+    assert slow.releases() == [[], [], ["c0"]]
     assert slow.commands == ["apply_batch", "apply_batch", "stats"]
     slow.close()
 
@@ -1249,7 +1259,7 @@ class _SlowProver(ToyProver):
         return super().replay(token, steps, timeout_ms)
 
 
-def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
+def test_missed_batch_snapshots_go_with_their_root():
     prover = _SlowProver()
     with _connection(prover, grace_ms=100) as client:
         token, _ = client.start(PROTO, "t1")
@@ -1257,12 +1267,11 @@ def test_missed_batch_leaves_no_server_objects_once_its_reply_is_read():
         [missed] = client.apply_batch([(token, ["intro", "apply [f2]"])], timeout_ms=1)
         assert [r.category for r, _, _ in missed] == ["timeout", "timeout"]
         prover.delay_s = 0.0
-        client.init()  # reads the late reply
-        # this request frees the missed success, which leaves the token
-        assert client.stats()["snapshots"] == 1
+        client.init()  # reads the late reply and drops it
+        # the missed success lives on under the token
+        assert client.stats()["snapshots"] == 2
         client.release([token])
-        stats = client.stats()
-        assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+        assert client.stats()["snapshots"] == 0
 
 
 def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
@@ -1280,12 +1289,11 @@ def test_missed_batch_stores_no_verdicts_and_release_frees_its_snapshots():
                                                      timeout_ms=3000, atom_limit=16)
         assert verdict == "none"
         assert "counterexample" not in client.stats()["commands"]
-        client.release([token, child])
-        stats = client.stats()
-        assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+        client.release([token])
+        assert client.stats()["snapshots"] == 0
 
 
-def test_missed_replay_leaves_no_server_objects_once_its_reply_is_read():
+def test_missed_replay_snapshot_goes_with_its_root():
     prover = _SlowProver()
     with _connection(prover, grace_ms=100) as client:
         token, _ = client.start(PROTO, "t1")
@@ -1294,11 +1302,52 @@ def test_missed_replay_leaves_no_server_objects_once_its_reply_is_read():
         prover.delay_s = 0.0
         results, final = client.replay(token, ["apply [f2]", "apply [f1]"], timeout_ms=3000)
         assert results[-1].state.qed
-        # this request frees the missed replay's final state
-        assert client.stats()["snapshots"] == 2  # the token and this final
-        client.release([token, final])
+        # the token, the missed replay's final state and this final
+        assert client.stats()["snapshots"] == 3
+        client.release([token])
+        assert client.stats()["snapshots"] == 0
+
+
+class _LateProver(_SlowProver):
+    """Counts the snapshots its ``apply_batch`` and ``replay`` store."""
+    stored = 0
+
+    def apply_batch(self, groups, timeout_ms=None, atom_limit=None):
+        out = super().apply_batch(groups, timeout_ms, atom_limit)
+        self.stored += sum(token is not None for results in out for _, token, _ in results)
+        return out
+
+    def replay(self, token, steps, timeout_ms=None):
+        results, final = super().replay(token, steps, timeout_ms)
+        self.stored += final is not None
+        return results, final
+
+
+def test_a_prove_whose_replies_arrive_late_leaves_no_snapshots():
+    """Over TCP, a search's ``apply_batch`` and a prefix's ``replay`` are
+    answered after the client gave up on them. The client drops the late
+    replies unread, and the root's release, which the next request carries,
+    frees every snapshot they made."""
+    from stepwise.config import EngineConfig
+    from stepwise.engine import prove_theorem
+    from stepwise.search import ReplayError
+    from test_search import FixedPoolGenerator
+
+    prover = _LateProver()
+    prover.delay_s = 0.3
+    config = EngineConfig(max_iterations=2, repair_rounds=0, step_timeout_ms=1)
+    generator = FixedPoolGenerator([("intro", -0.1), ("apply [f1]", -0.2)])
+    with _connection(prover, tcp=True, grace_ms=100) as client:
+        result = prove_theorem(PROTO, "t2", config, backend=client, generator=generator)
+        assert result.via == "fallback"  # the search saw only timeouts
+        with pytest.raises(ReplayError, match="timeout"):
+            prove_theorem(PROTO, "t2", config, backend=client, generator=generator,
+                          prefix_steps=(parse_step("intro"),))
         stats = client.stats()
-        assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+    assert prover.stored == 2  # the late batch's success and the late replay's final
+    assert {cmd: stats["commands"][cmd]["count"] for cmd in ("apply_batch", "replay")} \
+        == {"apply_batch": 1, "replay": 1}
+    assert stats["snapshots"] == 0
 
 
 def test_missed_start_leaves_no_server_objects_once_its_reply_is_read(monkeypatch):
@@ -1497,13 +1546,21 @@ def test_malformed_apply_batch_reply_is_protocol_error_naming_the_request(
     assert err.value.offending_id == 1 and "request 1" in str(err.value)
 
 
-def test_stale_batch_reply_without_results_is_protocol_error_naming_it(garbage_client):
+def test_a_stale_reply_is_read_only_for_a_missed_starts_root(garbage_client, monkeypatch):
+    """A late batch reply is thrown away unread, malformed or not. A late
+    ``start`` reply is read for its root, so one without a token names its
+    request."""
     client = garbage_client(b"", b'{"id": 1, "ok": true, "payload": {}}\n'
                                  b'{"id": 2, "ok": true, "payload": {}}\n', grace_ms=100)
     [[(missed, _, _)]] = client.apply_batch([("c0", ["intro"])], timeout_ms=1)
     assert missed.category == "timeout"
+    assert client.init() == {}  # reads the late reply to request 1 first
+    monkeypatch.setattr("stepwise.protocol.CONTROL_WAIT_MS", 1)
+    client = garbage_client(b"", _reply(1, {"state": "⊢ q"}) + _reply(2, {}), grace_ms=100)
+    with pytest.raises(DeadlineMiss):
+        client.start(PROTO, "t1")
     with pytest.raises(ProtocolError) as err:
-        client.init()  # reads the late reply to request 1 first
+        client.init()
     assert err.value.offending_id == 1 and "request 1" in str(err.value)
 
 
@@ -1669,11 +1726,13 @@ class _ReadKeys(dict):
 
 def test_protocol_doc_covers_every_command_and_the_version():
     """docs/protocol.md has one section per command, no other, names the
-    current version first, and lists exactly the ``hammer`` request fields
-    the server reads."""
+    current version first and in the ``init`` section, and lists exactly
+    the ``hammer`` request fields the server reads."""
     doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
     assert sorted(re.findall(r"^### `([^`]*)`", doc, re.MULTILINE)) == sorted(COMMANDS)
     assert re.search(r"\bversion (\d+)\b", doc).group(1) == str(PROTOCOL_VERSION)
+    section = doc.split("### `init`", 1)[1].split("\n### ", 1)[0]
+    assert re.findall(r"`protocol` is `(\d+)`", section) == [str(PROTOCOL_VERSION)]
     server = ProverServer()
     token, _ = server.prover.start(PROTO, "t1")
     payload = _ReadKeys({"token": token, **HAMMER_PAYLOAD,

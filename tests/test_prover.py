@@ -1007,16 +1007,75 @@ def test_apply_batch_unknown_token_raises(chain_theory):
 
 
 def test_release_drops_named_objects_and_ignores_unknown_ids(chain_theory):
+    """A ``start`` token goes with every snapshot derived from it; any other
+    id, a session's included, goes alone."""
     prover = ToyProver()
     token, _ = prover.start(chain_theory, "t1")
     sid = prover.restore(token)
     [[(_, child, _)]] = prover.apply_batch([(token, ["apply [f2]"])])
-    assert prover.stats() == {"sessions": 1, "snapshots": 2}
-    prover.release([token, "no_such_id", sid])
-    assert prover.stats() == {"sessions": 0, "snapshots": 1}
+    _, final = prover.replay(child, ["apply [f1]"])
+    assert prover.stats() == {"sessions": 1, "snapshots": 3}
+    prover.release([final, "no_such_id", sid, final])
+    assert prover.stats() == {"sessions": 0, "snapshots": 2}
     assert prover.counterexample_at(child).kind == "none"
-    prover.release([child, child])
+    prover.release([token, child, token])
     assert prover.stats() == {"sessions": 0, "snapshots": 0}
+
+
+TREE_STEPS = ("intro", "assumption", "apply [f1]", "apply [f2]", "simp", "auto", "split")
+
+
+def _live(prover, token) -> bool:
+    """Whether ``token`` names a snapshot, asked without storing one."""
+    from stepwise.prover import UnknownSessionError
+
+    try:
+        prover.apply_batch([(token, [])])
+    except UnknownSessionError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_releasing_a_root_frees_its_tree_and_nothing_else(data):
+    """Random ``apply_batch`` and ``replay`` trees grown from two ``start``s:
+    releasing a snapshot that is not a root frees exactly it, and releasing
+    one root frees all that is left of its tree and none of the other."""
+    theory = load_theory(CHAIN_SRC)
+    prover = ToyProver()
+    tree_of = {}  # token -> the root it descends from
+    roots = [prover.start(theory, name)[0] for name in ("t1", "t2")]
+    tree_of.update({root: root for root in roots})
+    steps = st.lists(st.sampled_from(TREE_STEPS), max_size=3)
+    for _ in range(data.draw(st.integers(0, 12), label="calls")):
+        live = sorted(tree_of)
+        if data.draw(st.booleans(), label="batch"):
+            groups = [(token, data.draw(steps, label="steps"))
+                      for token in data.draw(st.lists(st.sampled_from(live), min_size=1,
+                                                      max_size=3), label="tokens")]
+            for (token, _), results in zip(groups, prover.apply_batch(groups)):
+                tree_of.update((child, tree_of[token]) for _, child, _ in results if child)
+        else:
+            token = data.draw(st.sampled_from(live), label="token")
+            _, final = prover.replay(token, data.draw(steps, label="steps"))
+            if final is not None:
+                tree_of[final] = tree_of[token]
+    assert prover.stats()["snapshots"] == len(tree_of)
+    children = sorted(t for t, root in tree_of.items() if t != root)
+    if children:
+        child = data.draw(st.sampled_from(children), label="child")
+        prover.release([child])
+        del tree_of[child]
+        assert not _live(prover, child)
+        assert all(_live(prover, token) for token in tree_of)
+        assert prover.stats()["snapshots"] == len(tree_of)
+    gone = data.draw(st.sampled_from(roots), label="released root")
+    prover.release([gone])
+    assert not any(_live(prover, t) for t, root in tree_of.items() if root == gone)
+    kept = [t for t, root in tree_of.items() if root != gone]
+    assert all(_live(prover, token) for token in kept)
+    assert prover.stats() == {"sessions": 0, "snapshots": len(kept)}
 
 
 COLLIDING = ("theory t\ntheorem g: p\nend\n", "theory t\ntheorem g: q -> q\nend\n")

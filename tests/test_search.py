@@ -396,9 +396,9 @@ def test_prove_theorem_leaves_no_backend_objects(prover_server):
                                       generator=config.make_generator()).via)
                 assert local.stats() == {"sessions": 0, "snapshots": 0}
         assert {"search", "fallback"} <= via
-        # the releases ride on this request, which sees none alive
+        # the root's release rides on this request, which sees none alive
         stats = remote.stats()
-        assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+        assert stats["snapshots"] == 0
         assert "release" not in stats["commands"]
     finally:
         remote.close()
@@ -481,8 +481,7 @@ def test_replay_and_extraction_leave_no_backend_objects(prover_server, transport
         backend = ToyProver()
 
     def live():
-        stats = backend.stats()
-        return stats["sessions"], stats["snapshots"]
+        return backend.stats()["snapshots"]
 
     def replays():
         if transport == "in_process":
@@ -493,12 +492,12 @@ def test_replay_and_extraction_leave_no_backend_objects(prover_server, transport
         theory = generate_corpus(0)[0]
         proof = theory.entry("goal").proof
         assert replay_steps(theory, "goal", backend, proof)
-        assert live() == (0, 0)
+        assert live() == 0
         assert not replay_steps(theory, "goal", backend, proof[:1] + proof[:1])
-        assert live() == (0, 0)
+        assert live() == 0
         before = replays()
         assert len(extract_pairs(theory, backend).pairs) == len(proof)
-        assert live() == (0, 0)
+        assert live() == 0
         if transport == "tcp":  # one replay per theorem, and per entry with a proof
             assert (before, replays()) == (2, 3)
     finally:
@@ -516,26 +515,27 @@ def test_prefix_replay_opens_only_what_the_search_releases(prover_server):
             outcome = best_first_search(
                 theory, "t2", backend, FixedPoolGenerator([("assumption", -0.2)]),
                 EngineConfig(top_k=1), prefix_steps=(parse_step("intro"),))
-            assert outcome.proved and len(outcome.opened) == 3  # root, prefix, winner
-            backend.release(outcome.opened)
+            assert outcome.proved
+            assert backend.stats()["snapshots"] == 3  # root, prefix, winner
+            backend.release([outcome.root])
             with pytest.raises(ReplayError, match="tactic_failure"):
                 best_first_search(theory, "t2", backend, FixedPoolGenerator([]),
                                   EngineConfig(), prefix_steps=(parse_step("split"),))
-            stats = backend.stats()
-            assert (stats["sessions"], stats["snapshots"]) == (0, 0)
+            assert backend.stats()["snapshots"] == 0
     finally:
         remote.close()
 
 
 def test_search_alone_keeps_its_tree_tokens(demo_theory):
+    """The search releases nothing itself; its root's release frees the tree."""
     prover = ToyProver()
     generator = FixedPoolGenerator([("apply [f2]", -0.1), ("intro", -0.2)])
     outcome = best_first_search(demo_theory, "t1", prover, generator,
                                 EngineConfig(max_iterations=1, repair_rounds=0))
+    assert outcome.root == outcome.tree[0].token and len(outcome.tree) > 1
     for n in outcome.tree:
-        assert n.token in outcome.opened
         assert prover.counterexample_at(n.token).kind == "none"
-    prover.release(outcome.opened)
+    prover.release([outcome.root])
     assert prover.stats() == {"sessions": 0, "snapshots": 0}
 
 
@@ -672,24 +672,21 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
     context = theory.context_for(theorem_id)
     tactic_set = config.tactic_set or tactic_frequencies(theory)
     token, root_state = backend.start(theory, theorem_id)
-    opened = [token]
+    root_token = token
     root_state = root_state.with_context(context)
     tree = [SearchNode(root_state, None, None, 0.0, 0, 0.0, order=0, token=token)]
     stats.nodes_created = 1
     seen, filtered = {canonical_state(root_state)}, FilterStats()
     oracle_limit = config.atom_limit if config.filtering_enabled else None
     if root_state.qed:
-        return SearchOutcome(True, (), stats, tree, filtered, opened)
+        return SearchOutcome(True, (), stats, tree, filtered, root_token)
 
     def expand(node, cands, memo, successes, failures):
         fresh = list(dict.fromkeys(c.step for c in cands if c.step not in memo))
         if fresh:
             [results] = backend.apply_batch([(node.token, fresh)], config.step_timeout_ms,
                                             atom_limit=oracle_limit)
-            for step, (result, token, verdict) in zip(fresh, results):
-                memo[step] = (result, token, verdict)
-                if token is not None:
-                    opened.append(token)
+            memo.update(zip(fresh, results))
         for cand in cands:
             result, token, verdict = memo[cand.step]
             if not result.ok:
@@ -726,7 +723,7 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
                         break
             if winner is not None:
                 return SearchOutcome(True, tuple(reconstruct_proof(winner)), stats, tree,
-                                     filtered, opened)
+                                     filtered, root_token)
             if config.filtering_enabled:
                 kept, delta = filter_states(successes, seen)
                 filtered.merge(delta)
@@ -741,7 +738,7 @@ def _node_by_node_search(theory, theorem_id, backend, generator, config=EngineCo
                                        score_node(path_lp, length, config.alpha),
                                        order=stats.nodes_created, token=token))
                 stats.nodes_created += 1
-    return SearchOutcome(False, (), stats, tree, filtered, opened)
+    return SearchOutcome(False, (), stats, tree, filtered, root_token)
 
 
 @pytest.mark.parametrize("top_k", [1, 5])
@@ -806,7 +803,7 @@ def test_a_node_winning_in_repair_beats_a_later_node_winning_at_once():
         assert [s.text() for s in outcome.steps] == ["apply [ga]", "apply [fa]"]
         assert outcome.stats.iterations == 2
         assert outcome.stats.generator_calls == 2  # the root, then node 1 alone
-        prover.release(outcome.opened)
+        prover.release([outcome.root])
         assert prover.stats()["snapshots"] == 0
         if search is best_first_search:
             # node 2's closing step went in the same request as node 1's
