@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .bench import run_bench
 from .core import Theory
-from .config import ConfigError, EngineConfig, build_config, load_config_file
+from .config import ConfigError, EngineConfig, GeneratorError, build_config, load_config_file
 from .engine import prove_theorem, write_report
 from .evaluation import (
     GROUPINGS,
@@ -317,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ProverError, OSError) as e:
+    except (ConfigError, ProverError, GeneratorError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

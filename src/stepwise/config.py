@@ -10,12 +10,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import TACTICS
-from .prover import DEFAULT_ATOM_LIMIT, DEFAULT_STEP_BUDGET_MS, MAX_ATOM_LIMIT, ToyProver
+from .prover import (DEFAULT_ATOM_LIMIT, DEFAULT_STEP_BUDGET_MS, MAX_ATOM_LIMIT, ProverError,
+                     ToyProver)
 from .protocol import PROTOCOL_VERSION, RemoteProver
 
 
 class ConfigError(ValueError):
     pass
+
+
+class GeneratorError(Exception):
+    """A failed generation. It lives beside the generator factory, so that the
+    CLI catches it without importing the generator module."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class EngineConfig:
         remote = RemoteProver.connect_tcp(host, int(port))
         try:  # a server before protocol 13 would keep each theorem's children
             version = remote.init().get("protocol")
-        except Exception as e:  # noqa: BLE001 - any failed handshake is this one error
+        except ProverError as e:  # any failed handshake is this one error
             version = f"none ({e})"
         if version != PROTOCOL_VERSION:
             remote.close()

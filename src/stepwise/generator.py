@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 
-from .config import EngineConfig
+from .config import EngineConfig, GeneratorError
 from .core import (
     FACT_REQUIRED,
     TACTICS,
@@ -31,14 +31,6 @@ PROMPT_HEADER = (
     "### Given the following Isabelle proof state,\n"
     "suggest the next proof step."
 )
-
-
-class GeneratorError(Exception):
-    pass
-
-
-class EmptyGenerationError(GeneratorError):
-    pass
 
 
 def build_prompt(state: ProofState) -> str:
@@ -156,7 +148,7 @@ def llm_generate(state: ProofState, config: EngineConfig) -> list[Candidate]:
         else:
             parsed.append((step, lp))
     if not parsed:
-        raise EmptyGenerationError("no sample parsed as a proof step")
+        raise GeneratorError("no sample parsed as a proof step")
 
     best: dict[ProofStep, Candidate] = {}
     rank = 0

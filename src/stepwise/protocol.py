@@ -24,7 +24,8 @@ that carries an ``atom_limit`` gets the kind of each open success's
 counterexample verdict with it,
 which is the only way a verdict crosses the wire. A state crosses it as
 its ``render_state`` text, which the client reads back with
-``parse_state``.
+``parse_state``. Every failure the client raises is a ``ProverError``, and
+an error reply raises the in-process class of its category.
 """
 
 from __future__ import annotations
@@ -55,11 +56,13 @@ from .prover import (
     HammerResult,
     PremiseSelection,
     ProverError,
+    TheoryParseError,
     ToyProver,
+    UnknownSessionError,
+    UnknownTheoremError,
     load_theory,
     render_theory,
 )
-from .formulas import ParseError
 
 TRACE_ENV = "STEPWISE_PROTOCOL_TRACE"
 
@@ -73,29 +76,27 @@ CONTROL_WAIT_MS = 10_000
 MAX_LINE_BYTES = 16 << 20  # the longest request line served, its newline included
 
 
-class ProtocolError(Exception):
+class ProtocolError(ProverError):
     """Malformed frame or a response that cannot belong to the pending request."""
+
+    category = "protocol_error"
 
     def __init__(self, message: str, offending_id: int | None = None):
         super().__init__(message)
         self.offending_id = offending_id
 
 
-class TransportError(Exception):
+class TransportError(ProverError):
     pass
 
 
-class DeadlineMiss(Exception):
+class DeadlineMiss(ProverError):
     pass
 
 
-class BackendError(Exception):
-    """Server-side error outside the step-failure categories."""
-
-    def __init__(self, category: str, detail: str):
-        super().__init__(f"{category}: {detail}")
-        self.category = category
-        self.detail = detail
+# the class an error reply raises: the one the in-process prover raises for its category
+_ERRORS = {cls.category: cls for cls in (ProverError, TheoryParseError, UnknownTheoremError,
+                                         UnknownSessionError, ProtocolError)}
 
 
 @dataclass(frozen=True)
@@ -296,9 +297,6 @@ class ProverServer:
         except ProverError as e:
             return Response(req.id, False, None,
                             {"category": e.category, "detail": str(e)})
-        except ParseError as e:
-            return Response(req.id, False, None,
-                            {"category": "parse_error", "detail": str(e)})
         except (KeyError, TypeError, ValueError, RecursionError) as e:
             return _protocol_error(req.id, f"bad payload for {req.cmd}: {e}")
         finally:
@@ -456,9 +454,11 @@ class RemoteProver:
     (ids below the pending request) are discarded, anything else out of
     order is a protocol error naming the offending id. A discarded reply
     is not read, except a late ``start``'s, whose root is released like any
-    other. A reply that is not UTF-8, lacks what its command promises or
-    holds a state text that does not parse raises ``ProtocolError`` naming
-    its request.
+    other. A reply that is not UTF-8, lacks what its command promises, or
+    holds a state text that does not parse or nests too deeply raises
+    ``ProtocolError`` naming its request. An error reply raises what the
+    in-process backend raises: the class of its category (``ProverError``
+    for an unknown one), with the server's detail as its message.
     """
 
     def __init__(self, transport, grace_ms: int = 1000):
@@ -520,8 +520,8 @@ class RemoteProver:
             assert resp.payload is not None
             return resp.payload
         error = resp.error or {}
-        raise BackendError(error.get("category", "protocol_error"),
-                           error.get("detail", ""))
+        category = error.get("category", "protocol_error")
+        raise _ERRORS.get(str(category), ProverError)(str(error.get("detail", "")))
 
     # -- backend surface ---------------------------------------------------------
 
@@ -635,6 +635,6 @@ def _reply_to(rid: int):
     the shape its command promises raises ``ProtocolError`` naming ``rid``."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, RecursionError) as e:
         raise ProtocolError(f"malformed reply to request {rid}: {e!r}",
                             offending_id=rid) from e

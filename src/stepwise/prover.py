@@ -64,8 +64,8 @@ class ProverError(Exception):
 class TheoryParseError(ProverError):
     category = "parse_error"
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

@@ -410,7 +410,7 @@ INIT_12 = {"id": 1, "ok": True,
     (json.dumps(INIT_12).encode() + b"\n", "protocol 12,"),
     (b"!!not json!!\n", "protocol none (malformed response line"),
     (b'{"id": 1, "ok": false, "error": {"category": "prover_error", "detail": "no"}}\n',
-     "protocol none (prover_error: no)"),
+     "protocol none (no)"),
 ], ids=["version_12", "not_json", "error_reply"])
 def test_a_server_of_another_protocol_version_is_one_error_line(
         theory_file, tmp_path, capsys, reply, named):
@@ -433,6 +433,48 @@ def test_a_server_of_another_protocol_version_is_one_error_line(
     assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
     assert named in captured.err and f"this client protocol {PROTOCOL_VERSION}" in captured.err
     assert not out.exists()
+
+
+INIT = {**INIT_12, "payload": {**INIT_12["payload"], "protocol": PROTOCOL_VERSION}}
+
+
+@pytest.mark.parametrize("reply, named", [
+    (b"!!garbage!!\n", "malformed response line"),
+    (json.dumps({"id": 2, "ok": True, "payload": {
+        "token": "c0", "state": "⊢ " + "(" * 400 + "p" + ")" * 400}}).encode() + b"\n",
+     "malformed reply to request 2"),
+], ids=["not_json", "state_nested_too_deeply"])
+def test_a_server_failing_mid_run_is_one_error_line(theory_file, capsys, reply, named):
+    """A server that passes the handshake and then answers ``start`` with a
+    line that is not JSON, or with a state nested too deeply to read, ends
+    a completion run with one error line, not a traceback."""
+    from test_protocol import _GarbageServer
+
+    server = _GarbageServer(json.dumps(INIT).encode() + b"\n", reply)
+    try:
+        code = main(["eval", "--completion", "--theory", str(theory_file),
+                     "--endpoint", f"127.0.0.1:{server.port}"])
+    finally:
+        server.close()
+    gc.collect()  # an unclosed client socket would warn here
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert named in captured.err
+
+
+def test_an_unreachable_generator_endpoint_is_one_error_line(theory_file, tmp_path, capsys):
+    config = tmp_path / "engine.cfg"
+    with socket.socket() as closed:  # bound and not listening: connections are refused
+        closed.bind(("127.0.0.1", 0))
+        config.write_text(
+            f"endpoint = http://127.0.0.1:{closed.getsockname()[1]}/v1/completions\n")
+        code = main(["eval", "--completion", "--theory", str(theory_file),
+                     "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: generator endpoint failed")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_a_revision_enabled_key_is_an_unknown_config_key(theory_file, tmp_path, capsys):

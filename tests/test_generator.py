@@ -23,7 +23,6 @@ from stepwise.core import (
 )
 from stepwise.formulas import FALSE, TRUE, And, Atom, Implies, Not, Or, atoms, parse_formula
 from stepwise.generator import (
-    EmptyGenerationError,
     GeneratorError,
     HttpGenerator,
     MockGenerator,
@@ -262,7 +261,7 @@ def test_llm_first_line_parsing_and_drops(fake_llm):
 def test_llm_all_unparseable_raises(fake_llm):
     _, endpoint = fake_llm
     _FakeCompletionHandler.choices = [{"text": "???", "token_logprobs": [-1.0]}]
-    with pytest.raises(EmptyGenerationError):
+    with pytest.raises(GeneratorError, match="no sample parsed as a proof step"):
         llm_generate(state_of("p"), EngineConfig(endpoint=endpoint))
 
 

@@ -26,8 +26,11 @@ from stepwise.formulas import render
 from stepwise.prover import (
     HammerConfig,
     PremiseSelection,
+    ProverError,
     ToyProver,
     TheoryParseError,
+    UnknownSessionError,
+    UnknownTheoremError,
     apply_step,
     check_counterexample,
     load_theory,
@@ -35,7 +38,6 @@ from stepwise.prover import (
 from stepwise.protocol import (
     COMMANDS,
     PROTOCOL_VERSION,
-    BackendError,
     DeadlineMiss,
     ProtocolError,
     ProverServer,
@@ -260,7 +262,7 @@ def test_counterexample_and_hammer_over_wire(client):
 
 def test_counterexample_atom_limit_out_of_range_is_protocol_error(client):
     token, _ = client.start(load_theory("theory tiny\naxiom f: p\ntheorem t: p -> q\nend\n"), "t")
-    with pytest.raises(BackendError) as err:
+    with pytest.raises(ProtocolError) as err:
         client.apply_batch([(token, ["intro"])], timeout_ms=3000, atom_limit=1_000_000)
     assert err.value.category == "protocol_error"
     assert "atom_limit" in str(err.value)
@@ -292,11 +294,11 @@ def test_malformed_start_source_is_a_parse_error_naming_its_line(client):
             ("theory broken\ntheorem g: p ->\nend\n", "line 2: ")):
         with pytest.raises(TheoryParseError) as want:
             load_theory(source)
-        with pytest.raises(BackendError) as err:
+        with pytest.raises(TheoryParseError) as err:
             client._expect(client._call("start", payload={"source": source, "theorem": "g"}))
-        assert (err.value.category, err.value.detail) == ("parse_error", str(want.value))
-        assert err.value.detail.startswith(detail)
-    with pytest.raises(BackendError) as err:
+        assert (err.value.category, str(err.value)) == ("parse_error", str(want.value))
+        assert str(err.value).startswith(detail)
+    with pytest.raises(UnknownTheoremError) as err:
         client.start(PROTO, "nowhere")
     assert err.value.category == "unknown_theorem"
     assert _counts(client) == {"start": 3}
@@ -328,13 +330,41 @@ def test_theory_names_do_not_collide_across_connections(server_port):
             client.close()
 
 
-def test_unknown_session_is_backend_error(client):
+def test_unknown_session_is_unknown_session_error(client):
     """An unknown token fails the whole command with ``unknown_session``."""
     for call in (lambda: client.replay("nonexistent", ["intro"], timeout_ms=3000),
                  lambda: client.hammer_at("nonexistent", HAMMER, PREMISES)):
-        with pytest.raises(BackendError) as err:
+        with pytest.raises(UnknownSessionError) as err:
             call()
         assert err.value.category == "unknown_session"
+
+
+def _start_source(backend, source: str, theorem: str):
+    """``start`` of a theory source: the in-process backend's caller parses
+    it, the server parses what the client sends."""
+    if isinstance(backend, RemoteProver):
+        return backend._expect(backend._call(
+            "start", payload={"source": source, "theorem": theorem}))
+    return backend.start(load_theory(source), theorem)
+
+
+@pytest.mark.parametrize("category, call", [
+    ("unknown_theorem", lambda backend: backend.start(PROTO, "nowhere")),
+    ("unknown_session", lambda backend: backend.apply_batch([("c404", ["intro"])], 3000)),
+    ("unknown_session", lambda backend: backend.replay("c404", ["intro"], 3000)),
+    ("unknown_session", lambda backend: backend.hammer_at("c404", HAMMER, PREMISES)),
+    ("parse_error", lambda backend: _start_source(
+        backend, "theory broken\ntheorem g: p ->\nend\n", "g")),
+], ids=["start", "apply_batch", "replay", "hammer_at", "start_source"])
+def test_a_failure_raises_the_same_error_in_process_and_over_the_wire(client, category, call):
+    """An error reply raises what the in-process backend raises for the same
+    call: the class of its category, with the same message."""
+    with pytest.raises(ProverError) as here:
+        call(ToyProver())
+    with pytest.raises(ProverError) as there:
+        call(client)
+    assert type(there.value) is type(here.value)
+    assert (there.value.category, str(there.value)) == (category, str(here.value))
 
 
 def test_stats_command_reports_live_objects_and_commands(client):
@@ -367,7 +397,7 @@ def test_apply_batch_over_wire_matches_in_process(client):
     [[(closed, closed_token, _)]] = client.apply_batch(
         [(remote[4][1], ["apply [f1]", "intro"])], timeout_ms=3000)
     assert closed.state.qed and closed_token is not None
-    with pytest.raises(BackendError) as err:
+    with pytest.raises(UnknownSessionError) as err:
         client.apply_batch([(remote[4][1], ["intro"]), ("c404", ["intro"])], timeout_ms=3000)
     assert err.value.category == "unknown_session"
 
@@ -505,8 +535,9 @@ def test_counterexample_batch_over_wire_matches_in_process(client):
 
 
 def test_unknown_command_rejected(client):
-    with pytest.raises(BackendError):
+    with pytest.raises(ProverError) as err:
         client._expect(client._call("frobnicate"))
+    assert type(err.value) is ProverError and "frobnicate" in str(err.value)
 
 
 def test_malformed_request_line_gets_protocol_error():
@@ -732,12 +763,12 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
                                  "counterexample"])
 def test_removed_session_commands_are_errors_that_keep_the_connection(client, cmd):
     token, _ = client.start(PROTO, "t1")
-    with pytest.raises(BackendError) as err:
+    with pytest.raises(ProverError) as err:
         client._expect(client._call(cmd, payload={"token": token, "step": "intro",
                                                   "tokens": [token], "atom_limit": 16}))
-    assert err.value.category == "prover_error" and cmd in err.value.detail
+    assert err.value.category == "prover_error" and cmd in str(err.value)
     # the session form of the hammer is gone: it needs its token
-    with pytest.raises(BackendError) as err:
+    with pytest.raises(ProtocolError) as err:
         client._expect(client._call("hammer", payload={"atom_limit": 16}))
     assert err.value.category == "protocol_error"
     assert client.init()["protocol"] == PROTOCOL_VERSION
@@ -829,7 +860,7 @@ def test_apply_batch_reply_verdicts_are_bare_kinds(client):
 def test_bad_atom_limit_in_apply_batch_is_protocol_error_and_opens_nothing(client):
     token, _ = client.start(PROTO, "t1")
     for atom_limit in (-1, 21, 10**30, "16", 16.0, True, None, [16]):
-        with pytest.raises(BackendError) as err:
+        with pytest.raises(ProtocolError) as err:
             client._expect(client._call("apply_batch", payload={
                 "groups": [{"token": token, "steps": ["apply [f2]"]}],
                 "atom_limit": atom_limit}))
@@ -853,7 +884,7 @@ def test_malformed_payload_keeps_the_connection(client):
                                      "premise_limit": 8, "mesh_weight": 0.5}),
                          ("hammer", {"token": "c0", "max_depth": 2, "budget_ms": 1000,
                                      "premise_limit": 8, "mesh_weight": "0.5"})):
-        with pytest.raises(BackendError) as err:
+        with pytest.raises(ProtocolError) as err:
             client._expect(client._call(cmd, payload=payload))
         assert err.value.category == "protocol_error", (cmd, payload)
     assert client.init()["protocol"] == PROTOCOL_VERSION
@@ -892,9 +923,9 @@ def test_hammer_without_its_premises_or_budgets_is_protocol_error(client, missin
     token, _ = client.start(PROTO, "t1")
     payload = {"token": token, **HAMMER_PAYLOAD}
     del payload[missing]
-    with pytest.raises(BackendError) as err:
+    with pytest.raises(ProtocolError) as err:
         client._expect(client._call("hammer", payload=payload))
-    assert err.value.category == "protocol_error" and missing in err.value.detail
+    assert err.value.category == "protocol_error" and missing in str(err.value)
     assert client.hammer_at(token, HAMMER, PREMISES).found
     assert _counts(client) == {"start": 1, "hammer": 2}
 
@@ -1429,7 +1460,7 @@ def test_connections_cannot_reach_each_others_snapshots(server_port):
         assert before == 2
         for call in (lambda: b.replay(root, ["apply [f1]"], timeout_ms=3000),
                      lambda: b.hammer_at(child, HAMMER, PREMISES)):
-            with pytest.raises(BackendError) as err:
+            with pytest.raises(UnknownSessionError) as err:
                 call()
             assert err.value.category == "unknown_session"
         b.release([root, child])
@@ -1577,12 +1608,14 @@ def _batch_reply(rid, *items):
     "⊢ p q",
     "",
     {"subgoals": [{"hyps": [], "goal": "q"}], "depth": 0},
-], ids=["no_turnstile", "two_goals", "empty", "version_8_object"])
+    "⊢ " + "(" * 400 + "p" + ")" * 400,
+], ids=["no_turnstile", "two_goals", "empty", "version_8_object", "nested_too_deeply"])
 def test_state_that_does_not_parse_is_protocol_error_naming_the_request(
         garbage_client, state):
     """Every state on the wire is its ``render_state`` text: one that
-    ``parse_state`` rejects, or a version-8 state object, in a ``start``,
-    ``apply_batch`` or ``replay`` reply names that request."""
+    ``parse_state`` rejects or nests too deeply for it to read, or a
+    version-8 state object, in a ``start``, ``apply_batch`` or ``replay``
+    reply names that request."""
     client = garbage_client(_reply(1, {"token": "c0", "state": state}),
                             _batch_reply(2, {"token": "c1", "state": state}),
                             _reply(3, {"results": [state], "token": "c2"}))
@@ -1631,6 +1664,22 @@ def test_unknown_verdict_kind_is_protocol_error_naming_the_request(garbage_clien
         assert err.value.offending_id == rid and shown in str(err.value)
     [[(_, _, verdict)]] = client.apply_batch([("c0", ["intro"])], atom_limit=16)
     assert verdict == "none"
+
+
+@pytest.mark.parametrize("error, raised", [
+    ({"category": "unknown_session", "detail": "no snapshot 'c9'"}, UnknownSessionError),
+    ({"category": "bogus", "detail": "no snapshot 'c9'"}, ProverError),
+    ({"category": ["unknown_session"], "detail": "no snapshot 'c9'"}, ProverError),
+    ({"detail": "no snapshot 'c9'"}, ProtocolError),
+], ids=["known", "unknown", "not_a_string", "missing"])
+def test_an_error_reply_raises_the_class_of_its_category(garbage_client, error, raised):
+    """A category the client does not know, or one that is not a string,
+    is a plain ``ProverError``; an error without a category is the
+    server's ``protocol_error``. The detail is the message either way."""
+    client = garbage_client(json.dumps({"id": 1, "ok": False, "error": error}).encode() + b"\n")
+    with pytest.raises(ProverError) as err:
+        client.hammer_at("c9", HAMMER, PREMISES)
+    assert type(err.value) is raised and str(err.value) == "no snapshot 'c9'"
 
 
 def test_unknown_hammer_result_is_protocol_error_naming_the_request(garbage_client):
