@@ -133,9 +133,11 @@ class FactIndex:
     ``atoms`` and ``name_set`` hold every statement, atom and fact name, and
     ``spine`` maps a formula to the facts, in name order, whose implication
     right spine passes through it: the only goals ``apply [f]`` can
-    conclude. ``rankings`` (the relevance ranking per atom seed, which
-    premise repair and the hammer's ``mesh_rank`` share) and
-    ``packed_names`` are filled on use, and so are the counterexample
+    conclude. ``rankings`` (per atom seed, the relevance ranking picked as
+    far as it has been read, a ``prover.Ranking`` that premise repair,
+    ``relevance_filter`` and the hammer's ``mesh_rank`` resume) and
+    ``packed_names`` (the names packed in id order for premise repair's
+    edit distances) are filled on use, and so are the counterexample
     oracle's ``cex_table`` (the sorted atoms and the conjunction table of
     the statements over them), ``cex_rows`` (per ``Subgoal`` judged, its
     sorted atoms and first counterexample row), the mock generator's
@@ -178,7 +180,7 @@ class FactIndex:
             self.fact_atom_ids.append(ids)
         self.atoms = frozenset(atom_ids)
         self.sizes = [len(a) for a in fact_atoms]
-        self.rankings: dict[frozenset[str], list[str]] = {}
+        self.rankings: dict[frozenset[str], object] = {}
         self.packed_names: tuple | None = None
         self.cex_table: tuple[list[str], int] | None = None
         self.cex_rows: dict[Subgoal, list] | None = None

@@ -498,6 +498,77 @@ def check_counterexample(state: ProofState, atom_limit: int = DEFAULT_ATOM_LIMIT
 # Premise selection
 # ---------------------------------------------------------------------------
 
+class Ranking:
+    """One atom seed's relevance ranking, picked only as far as it is read.
+
+    ``order`` holds the fact ids picked so far and ``pos`` each id's place
+    in it (the fact count for an id not yet picked). ``hits``, ``relevant``,
+    ``heap`` and ``pending`` (the atoms the last pick brought into R, not
+    yet counted; None once the ranking has ended) are what the next pick
+    needs. It holds nothing of its index, which hands ``extend`` its
+    tables, so the index's ``rankings`` make no cycle back to it.
+    """
+
+    __slots__ = ("order", "pos", "hits", "relevant", "heap", "pending")
+
+    def __init__(self, seed: frozenset[str], index: FactIndex):
+        n = len(index.names)
+        self.order: list[int] = []
+        self.pos = [n] * n
+        self.hits = [0] * n
+        self.relevant = [False] * len(index.atom_facts)
+        self.heap: list[tuple[float, int]] = []
+        self.pending: list[int] | None = [index.atom_ids[a] for a in seed if a in index.atom_ids]
+
+    def extend(self, k: int, index: FactIndex, members=(), want: int = 0) -> None:
+        """Pick until ``k`` facts are picked, every remaining score is zero,
+        or (when ``want`` is positive) ``want`` more of ``members`` are.
+
+        Each unpicked fact's overlap count is kept and raised only when an
+        atom it mentions joins R, each raise pushing a fresh heap entry
+        keyed (-score, id). Scores only grow, so a fact's newest entry pops
+        before its older ones, which are skipped once the fact is picked.
+        """
+        order, pos, hits, relevant, heap = self.order, self.pos, self.hits, self.relevant, self.heap
+        pending = self.pending
+        atom_facts, fact_atoms, sizes = index.atom_facts, index.fact_atom_ids, index.sizes
+        push, pop = heapq.heappush, heapq.heappop
+        n = len(pos)
+        while pending is not None and len(order) < k:
+            for a in pending:
+                relevant[a] = True
+                for i in atom_facts[a]:
+                    if pos[i] == n:
+                        hits[i] += 1
+                        push(heap, (-hits[i] / sizes[i], i))
+            while heap:
+                i = pop(heap)[1]
+                if pos[i] == n:
+                    break
+            else:
+                pending = None
+                break
+            pos[i] = len(order)
+            order.append(i)
+            pending = [a for a in fact_atoms[i] if not relevant[a]]
+            if i in members:
+                want -= 1
+                if not want:
+                    break
+        self.pending = pending
+
+
+def relevance_ranking(state: ProofState) -> tuple[Ranking, FactIndex]:
+    """The ranking of the state's atom seed, kept on its context's index,
+    and that index."""
+    seed = frozenset().union(*(sub.atom_names() for sub in state.subgoals))
+    index = state.context.index()
+    ranking = index.rankings.get(seed)
+    if ranking is None:
+        ranking = index.rankings[seed] = Ranking(seed, index)
+    return ranking, index
+
+
 def relevance_filter(goal_state: ProofState, k: int) -> list[str]:
     """Iterative symbol-overlap premise selection.
 
@@ -506,49 +577,15 @@ def relevance_filter(goal_state: ProofState, k: int) -> list[str]:
     (ties by fact id) and joins its atoms into R. Stops at ``k`` facts or
     when every remaining score is zero.
 
-    No pick depends on ``k``, so the answer is the first ``k`` names of the
-    full ranking, which the state's context's index keeps per atom seed.
+    No pick depends on ``k``, so the answer is the first ``k`` names of one
+    ranking per atom seed, which the state's context's index keeps and
+    extends only as far as a caller reads it (Meng & Paulson's filter also
+    selects in rounds and stops at its limit).
     """
-    seed = frozenset().union(*(sub.atom_names() for sub in goal_state.subgoals))
-    index = goal_state.context.index()
-    ranking = index.rankings.get(seed)
-    if ranking is None:
-        ranking = index.rankings[seed] = _rank_by_relevance(seed, index)
-    return ranking[:max(k, 0)]
-
-
-def _rank_by_relevance(seed: frozenset[str], index: FactIndex) -> list[str]:
-    """Every fact ``relevance_filter`` would ever pick from ``seed``, in order.
-
-    Each unchosen fact's overlap count is kept and raised only when an atom
-    it mentions joins R, each raise pushing a fresh heap entry keyed
-    (-score, id). Scores only grow, so a fact's newest entry pops before its
-    older ones, which are skipped once the fact is chosen.
-    """
-    atom_facts, fact_atoms, sizes = index.atom_facts, index.fact_atom_ids, index.sizes
-    hits = [0] * len(sizes)
-    chosen = [False] * len(sizes)
-    relevant = [False] * len(atom_facts)
-    heap: list[tuple[float, int]] = []
-    push, pop = heapq.heappush, heapq.heappop
-    selected: list[int] = []
-    new_atoms = [index.atom_ids[a] for a in seed if a in index.atom_ids]
-    while True:
-        for a in new_atoms:
-            relevant[a] = True
-            for i in atom_facts[a]:
-                if not chosen[i]:
-                    hits[i] += 1
-                    push(heap, (-hits[i] / sizes[i], i))
-        while heap:
-            i = pop(heap)[1]
-            if not chosen[i]:
-                break
-        else:
-            return [index.names[i] for i in selected]
-        selected.append(i)
-        chosen[i] = True
-        new_atoms = [a for a in fact_atoms[i] if not relevant[a]]
+    ranking, index = relevance_ranking(goal_state)
+    ranking.extend(k, index)
+    names = index.names
+    return [names[i] for i in ranking.order[:max(k, 0)]]
 
 
 def mesh_rank(state: ProofState, k: int, w: float) -> list[str]:
@@ -559,11 +596,11 @@ def mesh_rank(state: ProofState, k: int, w: float) -> list[str]:
     usage count normalised by the maximum (0 when the corpus is empty).
     Combined score: ``w * overlap + (1 - w) * usage``; ties break by fact id.
     """
-    index = state.context.index()
-    overlap_order = relevance_filter(state, len(index.names))
-    overlap_score = {name: 1.0 / (rank + 1) for rank, name in enumerate(overlap_order)}
-    scored = sorted((-(w * overlap_score.get(name, 0.0) + (1 - w) * usage), name)
-                    for name, usage in zip(index.names, index.usage_shares))
+    ranking, index = relevance_ranking(state)
+    n = len(index.names)
+    ranking.extend(n, index)
+    scored = sorted((-(w * (1.0 / (p + 1) if p < n else 0.0) + (1 - w) * usage), name)
+                    for p, name, usage in zip(ranking.pos, index.names, index.usage_shares))
     return [name for _, name in scored[:k]]
 
 

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from stepwise.core import ProofState, Subgoal
 from stepwise.formulas import FALSE, TRUE, And, Atom, Const, Implies, Not, Or, atoms
@@ -122,15 +123,13 @@ def naive_revise(failures, tactic_set, config):
     then the first best candidate per step text, sorted by
     ``(-log_prob, text)`` and capped."""
     from stepwise.core import Candidate, ProofStep
-    from stepwise.prover import relevance_filter
     from stepwise.revision import premise_repair
 
     raw = []
     for attempt in failures:
         if attempt.category == "undefined_fact":
-            pool = relevance_filter(attempt.state, config.premise_pool_size)
             raw.extend(Candidate(step, attempt.log_prob, "premise_repair")
-                       for step in premise_repair(attempt, pool, config))
+                       for step in premise_repair(attempt, config))
         elif attempt.category in ("tactic_failure", "no_progress"):
             raw.extend(Candidate(ProofStep(tactic, attempt.step.facts), attempt.log_prob,
                                  "tactic_repair")
@@ -142,6 +141,41 @@ def naive_revise(failures, tactic_set, config):
             best[cand.step.text()] = cand
     ranked = sorted(best.values(), key=lambda c: (-c.log_prob, c.step.text()))
     return ranked[:config.revision_budget]
+
+
+# few atoms and short formulas, so that scores tie often, facts share atoms
+# and some are reached only through others; constants give atomless facts
+relevance_formulas = st.recursive(
+    st.one_of(st.sampled_from("pqrstu").map(Atom), st.sampled_from((TRUE, FALSE))),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.tuples(sub, sub).map(lambda lr: And(*lr)),
+        st.tuples(sub, sub).map(lambda lr: Implies(*lr))),
+    max_leaves=4)
+
+
+def greedy_relevance_reference(goal_state, context, k):
+    """The O(k*n) greedy: every round rescans every remaining fact."""
+    relevant = set()
+    for sub in goal_state.subgoals:
+        relevant |= sub.atom_names()
+    remaining = sorted(context.facts)
+    selected = []
+    while len(selected) < k and remaining:
+        best_name, best_score = None, 0.0
+        for name in remaining:
+            f_atoms = atoms(context.facts[name])
+            if not f_atoms:
+                continue
+            score = len(f_atoms & relevant) / len(f_atoms)
+            if score > best_score:
+                best_name, best_score = name, score
+        if best_name is None:
+            break
+        selected.append(best_name)
+        relevant |= atoms(context.facts[best_name])
+        remaining.remove(best_name)
+    return selected
 
 
 def random_formula(rng, leaves=3):

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from stepwise.config import EngineConfig
 from stepwise.core import FactContext, ProofState, ProofStep, Subgoal
 from stepwise.formulas import And, Atom, Const, Implies, Not, Or, atoms, parse_formula
-from stepwise.prover import first_counterexample, row_masks
+from stepwise.prover import first_counterexample, relevance_filter, row_masks
 from stepwise.revision import FailedAttempt, edit_distance, edit_distances, premise_repair
-from conftest import evaluate
+from conftest import evaluate, greedy_relevance_reference, relevance_formulas
 
 
 def pure_levenshtein(a: str, b: str) -> int:
@@ -285,22 +285,65 @@ def reference_premise_repair(attempt, pool, config):
     return texts
 
 
-fact_names = st.text("ab_1", max_size=5).map(lambda s: "f" + s)
+# a small name space, so a misspelt name has many neighbours and each
+# distance bucket many members
+fact_names = st.text("ab", max_size=4).map(lambda s: "f" + s)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(fact_names, min_size=1, max_size=40, unique=True),
-       st.lists(fact_names, min_size=1, max_size=3),
-       st.lists(fact_names, max_size=4),
-       st.randoms(use_true_random=False),
-       st.integers(0, 3), st.integers(1, 3))
-def test_premise_repair_matches_a_full_matrix_reference(names, step_facts, outside, rng,
-                                                        max_edit_distance, top_matches):
-    context = FactContext({name: Atom(name) for name in names})
-    pool = rng.sample(names, rng.randint(0, len(names))) + outside
-    rng.shuffle(pool)
-    state = ProofState((Subgoal((), Atom("g")),), context)
+@st.composite
+def misspelt(draw, names):
+    """A name one edit from a context name, or any name."""
+    name = draw(st.sampled_from(names))
+    cut = draw(st.integers(0, len(name)))
+    ch = draw(st.sampled_from("abx"))
+    return draw(st.sampled_from((name[:cut] + name[cut + 1:], name[:cut] + ch + name[cut:],
+                                 name[:cut] + ch + name[cut + 1:], draw(fact_names))))
+
+
+@st.composite
+def repair_cases(draw):
+    """A context of facts over shared atoms, a state on it, a step naming
+    misspelt facts (the same one twice, sometimes) and the repair budgets,
+    with a pool size from 0 to past the context's size."""
+    facts = draw(st.dictionaries(fact_names, relevance_formulas, min_size=4, max_size=30))
+    context = FactContext(facts)
+    goals = draw(st.lists(relevance_formulas, min_size=1, max_size=3))
+    state = ProofState(tuple(Subgoal((), g) for g in goals), context)
+    step_facts = draw(st.lists(misspelt(sorted(facts)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        step_facts.append(step_facts[0])
+    config = EngineConfig(premise_pool_size=draw(st.integers(0, len(facts) + 1)),
+                          top_matches=draw(st.integers(1, 3)),
+                          max_edit_distance=draw(st.integers(0, 3)))
     attempt = FailedAttempt(state, ProofStep("apply", tuple(step_facts)), -0.5, "undefined_fact")
-    config = EngineConfig(max_edit_distance=max_edit_distance, top_matches=top_matches)
-    out = premise_repair(attempt, pool, config)
-    assert [s.text() for s in out] == reference_premise_repair(attempt, pool, config)
+    return attempt, config
+
+
+def reference_repair(attempt, config):
+    """Premise repair over the eager pool: the greedy ranking's first
+    ``premise_pool_size`` names."""
+    state = attempt.state
+    pool = greedy_relevance_reference(state, state.context, config.premise_pool_size)
+    return reference_premise_repair(attempt, pool, config)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repair_cases())
+def test_premise_repair_matches_a_full_matrix_reference(case):
+    attempt, config = case
+    out = premise_repair(attempt, config)
+    assert [s.text() for s in out] == reference_repair(attempt, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repair_cases(), st.lists(st.integers(0, 31), min_size=1, max_size=3),
+       st.lists(st.integers(0, 31), min_size=1, max_size=3))
+def test_premise_repair_on_a_warm_ranking_matches_the_reference(case, before, after):
+    # the ranking of the state's seed is read to a smaller and a larger k
+    # before and after each repair, which resumes it where they left it
+    attempt, config = case
+    state, expected = attempt.state, reference_repair(attempt, config)
+    for ks in (before, after):
+        for k in ks + [k + 2 for k in ks]:
+            assert relevance_filter(state, k) == greedy_relevance_reference(state, state.context, k)
+        assert [s.text() for s in premise_repair(attempt, config)] == expected

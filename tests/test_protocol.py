@@ -698,7 +698,6 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
     from stepwise.core import parse_step
     from stepwise.formulas import ParseError
     from stepwise.generator import mock_generate
-    from stepwise.prover import relevance_filter
     from stepwise.revision import FailedAttempt, premise_repair, tactic_repair
 
     theories, local, remote = both_paths
@@ -731,8 +730,7 @@ def test_built_steps_round_trip_or_get_the_same_verdict_on_both_paths(both_paths
             assume(typo.isidentifier() and typo not in state.context)
             attempt = FailedAttempt(state, ProofStep(base.tactic, (typo,) + base.facts[1:]),
                                     -1.0, "undefined_fact")
-            pool = relevance_filter(state, config.premise_pool_size)
-            steps = premise_repair(attempt, pool, config)
+            steps = premise_repair(attempt, config)
         else:
             category = data.draw(st.sampled_from(("tactic_failure", "no_progress")))
             attempt = FailedAttempt(state, data.draw(st.sampled_from(generated)), -1.0, category)

@@ -1,25 +1,17 @@
 import functools
+import gc
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_revise
+from conftest import greedy_relevance_reference, naive_revise, relevance_formulas
 from stepwise.config import EngineConfig
 from stepwise.core import ERROR_CATEGORIES, TACTICS, FactContext, ProofState, ProofStep, Subgoal
-from stepwise.formulas import (
-    FALSE,
-    PARSE_CACHE_SIZE,
-    TRUE,
-    And,
-    Atom,
-    Implies,
-    Not,
-    atoms,
-    parse_formula,
-)
-from stepwise.prover import load_theory, relevance_filter
+from stepwise.formulas import PARSE_CACHE_SIZE, And, parse_formula
+from stepwise.prover import load_theory, mesh_rank, relevance_filter, relevance_ranking
 from stepwise.revision import (
     FailedAttempt,
     _recombine,
@@ -66,41 +58,6 @@ def test_relevance_scores_by_overlap_share():
     # f_pure is fully about p; f_mixed dilutes p with two foreign atoms
     ctx = ctx_of(f_mixed="p & x & y", f_pure="p")
     assert relevance_filter(state_of("p", ctx), 1) == ["f_pure"]
-
-
-def greedy_relevance_reference(goal_state, context, k):
-    """The O(k*n) greedy: every round rescans every remaining fact."""
-    relevant = set()
-    for sub in goal_state.subgoals:
-        relevant |= sub.atom_names()
-    remaining = sorted(context.facts)
-    selected = []
-    while len(selected) < k and remaining:
-        best_name, best_score = None, 0.0
-        for name in remaining:
-            f_atoms = atoms(context.facts[name])
-            if not f_atoms:
-                continue
-            score = len(f_atoms & relevant) / len(f_atoms)
-            if score > best_score:
-                best_name, best_score = name, score
-        if best_name is None:
-            break
-        selected.append(best_name)
-        relevant |= atoms(context.facts[best_name])
-        remaining.remove(best_name)
-    return selected
-
-
-# few atoms and short formulas, so that scores tie often; constants give
-# atomless facts
-relevance_formulas = st.recursive(
-    st.one_of(st.sampled_from("pqrstu").map(Atom), st.sampled_from((TRUE, FALSE))),
-    lambda sub: st.one_of(
-        sub.map(Not),
-        st.tuples(sub, sub).map(lambda lr: And(*lr)),
-        st.tuples(sub, sub).map(lambda lr: Implies(*lr))),
-    max_leaves=4)
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,35 +178,37 @@ def test_premise_repair_nearest_name():
     ctx = ctx_of(set_cap_valid_objs="p")
     state = state_of("p", ctx)
     attempt = fail(state, "apply [set_cap_valid_obj]", "undefined_fact")
-    out = premise_repair(attempt, ["set_cap_valid_objs"], EngineConfig())
+    out = premise_repair(attempt, EngineConfig())
     assert [s.text() for s in out] == ["apply [set_cap_valid_objs]"]
 
 
 def test_premise_repair_distance_cutoff():
     ctx = ctx_of(totally_different="p")
     attempt = fail(state_of("p", ctx), "apply [zz]", "undefined_fact")
-    assert premise_repair(attempt, ["totally_different"], EngineConfig()) == []
+    assert premise_repair(attempt, EngineConfig()) == []
 
 
 def test_premise_repair_top_matches_and_tie_order():
-    ctx = ctx_of(fx="p", fy="p", fz="p")
+    # the relevance pool is fz (all p), fy (half p), then fx, which scores
+    # 2/3 once fy brings q in
+    ctx = ctx_of(fx="p & q & r", fy="p & q", fz="p")
     attempt = fail(state_of("p", ctx), "apply [f_]", "undefined_fact")
-    out = premise_repair(attempt, ["fz", "fy", "fx"], EngineConfig(top_matches=2))
+    out = premise_repair(attempt, EngineConfig(top_matches=2))
     # all three are distance 1; pool order breaks the tie
     assert [s.facts[0] for s in out] == ["fz", "fy"]
 
 
 def test_premise_repair_multiple_undefined_names_cross_product():
     ctx = ctx_of(aa="p", bb="q")
-    attempt = fail(state_of("p", ctx), "apply [a, b]", "undefined_fact")
-    out = premise_repair(attempt, ["aa", "bb"], EngineConfig(top_matches=1))
+    attempt = fail(state_of("p & q", ctx), "apply [a, b]", "undefined_fact")
+    out = premise_repair(attempt, EngineConfig(top_matches=1))
     assert [s.facts for s in out] == [("aa", "bb")]
 
 
 def test_premise_repair_output_only_defined_names():
     ctx = ctx_of(aa="p")
     attempt = fail(state_of("p", ctx), "elim [ab, aa]", "undefined_fact")
-    out = premise_repair(attempt, ["aa"], EngineConfig())
+    out = premise_repair(attempt, EngineConfig())
     for step in out:
         assert all(f in ctx for f in step.facts)
 
@@ -271,7 +230,7 @@ def test_premise_repair_recovery_after_random_edits():
         if corrupted in ctx:
             continue
         attempt = fail(state, f"apply [{corrupted}]", "undefined_fact")
-        out = premise_repair(attempt, names, EngineConfig())
+        out = premise_repair(attempt, EngineConfig())
         if any(s.facts == (original,) for s in out):
             recovered += 1
         else:
@@ -279,6 +238,60 @@ def test_premise_repair_recovery_after_random_edits():
             assert edit_distance(corrupted, original) <= 2
             raise AssertionError(f"{corrupted!r} not repaired to {original!r}")
     assert recovered > 0
+
+
+def test_premise_repair_ranks_only_until_the_nearest_names_are_decided():
+    # the two names one edit from the typo rank first (all p); the ten
+    # decoys, far from it by name, rank after them (half p)
+    ctx = ctx_of(lemma_ab="p", lemma_ac="p",
+                 **{f"other_{i}": f"p & q{i}" for i in range(10)})
+    state = state_of("p", ctx)
+    out = premise_repair(fail(state, "apply [lemma_a]", "undefined_fact"), EngineConfig())
+    assert [s.text() for s in out] == ["apply [lemma_ab]", "apply [lemma_ac]"]
+    ranking, _ = relevance_ranking(state)
+    assert ranking.order == [0, 1]
+    assert len(relevance_filter(state, len(ctx.facts))) == 12
+
+
+def reaches(root, target) -> bool:
+    """Whether ``target`` is among the objects ``root`` refers to, directly
+    or through others; types and modules are not followed, and a function
+    only through its closure."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(obj))
+    return False
+
+
+def test_a_ranking_holds_no_path_back_to_its_index():
+    # a cycle through the index would keep each theorem's tables alive
+    # until the cyclic collector runs
+    ctx = ctx_of(aa="p", ab="p & q", ba="q -> r", bb="s")
+    index = ctx.index()
+
+    def picks(index):  # a ranking kept as a generator would hold ``index``
+        yield from index.names
+
+    resumable = picks(index)
+    next(resumable)
+    assert reaches(resumable, index)
+    for goal in ("p", "q", "r & s"):
+        state = state_of(goal, ctx)
+        premise_repair(fail(state, "apply [a]", "undefined_fact"), EngineConfig(top_matches=1))
+        relevance_filter(state, 2)
+    mesh_rank(state_of("p", ctx), 4, 0.5)
+    assert len(index.rankings) == 3
+    for ranking in index.rankings.values():
+        assert not reaches(ranking, index) and not reaches(ranking, ctx)
 
 
 # -- revise dispatch ----------------------------------------------------------------
